@@ -231,22 +231,9 @@ def bpr_grad_check(h: Hyper, rng: np.random.Generator, perturb=None,
     grads = bpr_gradients(params, corpus, feats, h, triples)
     if perturb is not None:
         perturb(grads)
-    attr = {"Gamma": "gamma", "X": "X", "E": "E", "V": "V"}
-    report = {}
-    for name, g in grads.items():
-        block = getattr(params, attr[name])
-        numeric = np.zeros_like(g)
-        for k in range(block.size):
-            saved = block.flat[k]
-            block.flat[k] = saved + fd_step
-            f_hi = bpr_triple_loglik(params, corpus, feats, h, triples)
-            block.flat[k] = saved - fd_step
-            f_lo = bpr_triple_loglik(params, corpus, feats, h, triples)
-            block.flat[k] = saved
-            numeric.flat[k] = (f_hi - f_lo) / (2.0 * fd_step)
-        denom = np.maximum(np.maximum(np.abs(g), np.abs(numeric)), 1e-8)
-        report[name] = float(np.max(np.abs(g - numeric) / denom))
-    return report
+    return numkit.fd_check(
+        dict(params.blocks()),
+        lambda: bpr_triple_loglik(params, corpus, feats, h, triples), grads, fd_step)
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +301,8 @@ def mf_grad_check(h: Hyper, rng: np.random.Generator,
                      float(rng.integers(2))) for _ in range(8)]
     params = init_bpr_params(h, 2, 4, rng)
     grads = mf_gradients(params, observations)
-    attr = {"Gamma": "gamma", "X": "X"}
-    report = {}
-    for name, g in grads.items():
-        block = getattr(params, attr[name])
-        numeric = np.zeros_like(g)
-        for k in range(block.size):
-            saved = block.flat[k]
-            block.flat[k] = saved + fd_step
-            f_hi = mf_loss(params, observations)
-            block.flat[k] = saved - fd_step
-            f_lo = mf_loss(params, observations)
-            block.flat[k] = saved
-            numeric.flat[k] = (f_hi - f_lo) / (2.0 * fd_step)
-        denom = np.maximum(np.maximum(np.abs(g), np.abs(numeric)), 1e-8)
-        report[name] = float(np.max(np.abs(g - numeric) / denom))
-    return report
+    return numkit.fd_check(dict(params.blocks()),
+                           lambda: mf_loss(params, observations), grads, fd_step)
 
 
 # ---------------------------------------------------------------------------

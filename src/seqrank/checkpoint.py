@@ -12,7 +12,7 @@ import struct
 import numpy as np
 
 from . import baselines, model
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .model import Hyper, Mask
 
 MAGIC = b"SEQRANK1"
@@ -55,8 +55,56 @@ def save_ranker(path, ranker) -> None:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_names(v, allowed=None) -> bool:
+    return isinstance(v, list) and all(
+        isinstance(n, str) and (allowed is None or n in allowed) for n in v)
+
+
+def _is_block_table(v) -> bool:
+    return isinstance(v, list) and all(
+        isinstance(b, dict) and isinstance(b.get("name"), str)
+        and isinstance(b.get("shape"), list)
+        and all(_is_int(n) for n in b["shape"]) for b in v)
+
+
+def _check_header(path, header) -> None:
+    """The header schema: every key the loader reads, with its type, per
+    kind. Anything else is a CheckpointError, never a raw Python error."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    kind = header.get("kind")
+    if kind not in model.ALL_KINDS:
+        raise CheckpointError(f"{path}: unknown kind {kind!r}")
+    need = {"items": _is_names, "blocks": _is_block_table}
+    if kind == "random":
+        need["seed"] = _is_int
+    elif kind != "pop":
+        need.update(d=_is_int, f_v=_is_int, f_t=_is_int,
+                    mask=lambda v: _is_names(v, model.SLICE_NAMES))
+    for key, ok in need.items():
+        if key not in header:
+            raise CheckpointError(f"{path}: header lacks {key!r}")
+        if not ok(header[key]):
+            raise CheckpointError(f"{path}: header field {key!r} is malformed")
+    if "users" in header and not _is_names(header["users"]):
+        raise CheckpointError(f"{path}: header field 'users' is malformed")
+    hyper = header.get("hyper", {})
+    if not (isinstance(hyper, dict) and set(hyper) <= set(HYPER_KEYS)
+            and all(_is_number(v) for v in hyper.values())):
+        raise CheckpointError(f"{path}: header field 'hyper' is malformed")
+
+
 def read_checkpoint(path) -> tuple:
-    """(header dict, {block name: array}). Validates framing only."""
+    """(header dict, {block name: array}). Validates the framing and the
+    header schema."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < len(MAGIC) + 4 or raw[:len(MAGIC)] != MAGIC:
@@ -69,9 +117,10 @@ def read_checkpoint(path) -> tuple:
         header = json.loads(raw[off:off + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
+    _check_header(path, header)
     off += head_len
     blocks = {}
-    for spec in header.get("blocks", []):
+    for spec in header["blocks"]:
         shape = tuple(spec["shape"])
         n = int(np.prod(shape)) if shape else 1
         nbytes = n * 8
@@ -99,16 +148,20 @@ def _check_tables(path, header, corpus) -> None:
 
 
 def _hyper_from_header(path, header, feats) -> Hyper:
-    mask = Mask(**{n: n in header["mask"] for n in model.SLICE_NAMES})
     f_v, f_t = header["f_v"], header["f_t"]
+    try:
+        mask = Mask(**{n: n in header["mask"] for n in model.SLICE_NAMES})
+        h = Hyper(d=header["d"], f_v=f_v, f_t=f_t, mask=mask,
+                  **header.get("hyper", {}))
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     if mask.visual and feats.f_v != f_v:
         raise CheckpointError(
             f"{path}: checkpoint visual dim {f_v} != feature file dim {feats.f_v}")
     if mask.textual and feats.f_t != f_t:
         raise CheckpointError(
             f"{path}: checkpoint textual dim {f_t} != feature file dim {feats.f_t}")
-    return Hyper(d=header["d"], f_v=f_v, f_t=f_t, mask=mask,
-                 **header.get("hyper", {}))
+    return h
 
 
 def _expect_blocks(path, blocks, names, shapes) -> None:
@@ -125,9 +178,7 @@ def load_ranker(path, corpus, feats):
     """Rebuild a ready-to-rank object; ranking after a round trip is
     bit-identical to ranking with the in-memory original."""
     header, blocks = read_checkpoint(path)
-    kind = header.get("kind")
-    if kind not in model.ALL_KINDS:
-        raise CheckpointError(f"{path}: unknown kind {kind!r}")
+    kind = header["kind"]
     _check_tables(path, header, corpus)
     if kind == "random":
         return baselines.RandomRanker(corpus, int(header["seed"]))

@@ -175,6 +175,9 @@ def load_features(path, expect_dim: int | None, lo: float, hi: float) -> Feature
                 row = [float(v) for v in values]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-numeric token ({exc})") from exc
+            bad = [v for v, x in zip(values, row) if not math.isfinite(x)]
+            if bad:
+                raise ParseError(f"{path}:{lineno}: non-finite value {bad[0]!r}")
             ids.append(parts[0])
             rows.append(row)
     if not rows:

@@ -7,24 +7,6 @@ class DimensionError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-def vec(data) -> np.ndarray:
-    """Build a finite float64 vector from any 1-d sequence."""
-    v = np.asarray(data, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionError(f"expected 1-d data, got shape {v.shape}")
-    require_finite(v, "vec")
-    return v
-
-
-def mat(data) -> np.ndarray:
-    """Build a finite float64 row-major matrix from nested sequences."""
-    m = np.ascontiguousarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"expected 2-d data, got shape {m.shape}")
-    require_finite(m, "mat")
-    return m
-
-
 def require_finite(a: np.ndarray, label: str = "array") -> None:
     if not np.isfinite(a).all():
         raise FloatingPointError(f"non-finite entries in {label}")
@@ -44,12 +26,6 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.outer(a, b)
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise DimensionError(f"hadamard: length mismatch {a.shape} vs {b.shape}")
-    return a * b
 
 
 def sigmoid(x: float) -> float:
@@ -78,3 +54,25 @@ def log_sigmoid(x) -> np.ndarray:
     out[pos] = -np.log1p(np.exp(-x[pos]))
     out[~pos] = x[~pos] - np.log1p(np.exp(x[~pos]))
     return out if out.ndim else float(out)
+
+
+def fd_check(blocks: dict, loss, grads: dict, fd_step: float = 1e-5) -> dict:
+    """Analytic gradients vs central finite differences of `loss()`, every
+    entry of every block in `grads`. `blocks` maps the same names to the
+    live parameter arrays, which are perturbed in place and restored.
+    Returns {block: max relative error}."""
+    report = {}
+    for name, g in grads.items():
+        block = blocks[name]
+        numeric = np.zeros_like(g)
+        for k in range(block.size):
+            saved = block.flat[k]
+            block.flat[k] = saved + fd_step
+            f_hi = loss()
+            block.flat[k] = saved - fd_step
+            f_lo = loss()
+            block.flat[k] = saved
+            numeric.flat[k] = (f_hi - f_lo) / (2.0 * fd_step)
+        denom = np.maximum(np.maximum(np.abs(g), np.abs(numeric)), 1e-8)
+        report[name] = float(np.max(np.abs(g - numeric) / denom))
+    return report

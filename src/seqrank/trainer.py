@@ -388,18 +388,6 @@ def grad_check(h: Hyper, rng: np.random.Generator, perturb=None,
     grads = sequence_gradients(params, corpus, feats, h, triples)
     if perturb is not None:
         perturb(grads)
-    report = {}
-    for name, g in grads.items():
-        block = getattr(params, name)
-        numeric = np.zeros_like(g)
-        for k in range(block.size):
-            saved = block.flat[k]
-            block.flat[k] = saved + fd_step
-            f_hi = triple_loglik(params, corpus, feats, h, triples)
-            block.flat[k] = saved - fd_step
-            f_lo = triple_loglik(params, corpus, feats, h, triples)
-            block.flat[k] = saved
-            numeric.flat[k] = (f_hi - f_lo) / (2.0 * fd_step)
-        denom = np.maximum(np.maximum(np.abs(g), np.abs(numeric)), 1e-8)
-        report[name] = float(np.max(np.abs(g - numeric) / denom))
-    return report
+    return numkit.fd_check(
+        dict(params.blocks()),
+        lambda: triple_loglik(params, corpus, feats, h, triples), grads, fd_step)

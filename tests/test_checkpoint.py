@@ -119,3 +119,56 @@ def test_feature_dim_mismatch(tmp_path, world):
         np.random.default_rng(21))[1]
     with pytest.raises(CheckpointError, match="visual dim"):
         load_ranker(p, corpus, skinny)
+
+
+
+def with_header(src, dst, header) -> None:
+    """Copy checkpoint `src` to `dst` with its JSON header replaced and its
+    block payload kept."""
+    raw = src.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, len(MAGIC))
+    head = json.dumps(header).encode()
+    dst.write_bytes(MAGIC + struct.pack("<I", len(head)) + head
+                    + raw[len(MAGIC) + 4 + n:])
+
+
+@pytest.fixture
+def saved(tmp_path, world):
+    """A valid vtrnn checkpoint and its header."""
+    p = tmp_path / "ok.ckpt"
+    save_ranker(p, trained(world, "vtrnn"))
+    return p, read_checkpoint(p)[0]
+
+
+def test_malformed_headers_raise_checkpoint_error(tmp_path, world, saved):
+    # each of these used to escape as a raw AttributeError, TypeError or KeyError
+    corpus, feats = world
+    src, good = saved
+    cases = [([good], "header is not a JSON object"),
+             (dict(good, blocks=[["X", [24, 2]]]), "'blocks' is malformed")]
+    cases += [({k: v for k, v in good.items() if k != key}, f"header lacks '{key}'")
+              for key in ("items", "d", "mask")]
+    for header, message in cases:
+        p = tmp_path / "bad.ckpt"
+        with_header(src, p, header)
+        with pytest.raises(CheckpointError, match=message):
+            load_ranker(p, corpus, feats)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("d", "3", "'d' is malformed"),
+    ("d", 0, "d must be >= 1"),
+    ("mask", [], "selects no slices"),
+    ("mask", ["sound"], "'mask' is malformed"),
+    ("items", 5, "'items' is malformed"),
+    ("hyper", {"alpha": "fast"}, "'hyper' is malformed"),
+    ("hyper", {"beta": 1.0}, "'hyper' is malformed"),
+])
+def test_bad_header_values_raise_checkpoint_error(tmp_path, world, saved,
+                                                  field, value, message):
+    corpus, feats = world
+    src, good = saved
+    p = tmp_path / "bad.ckpt"
+    with_header(src, p, dict(good, **{field: value}))
+    with pytest.raises(CheckpointError, match=message):
+        load_ranker(p, corpus, feats)

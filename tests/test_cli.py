@@ -5,13 +5,14 @@ import csv
 import importlib
 import json
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from seqrank import cli
+from seqrank import checkpoint, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -137,6 +138,44 @@ def test_malformed_data_is_data_error(tmp_path, capsys):
     assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == \
         cli.EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+def test_non_finite_features_is_data_error(pipeline, tmp_path, capsys):
+    _, paths, _ = pipeline
+    lines = open(paths["visual"]).read().split("\n")
+    item, values = lines[1].split("\t")
+    lines[1] = item + "\t" + " ".join(["nan"] + values.split()[1:])
+    bad = tmp_path / "visual.tsv"
+    bad.write_text("\n".join(lines))
+    cfg = write_config(tmp_path / "c.json",
+                       {"kind": "vtrnn", "data": dict(paths, visual=str(bad))})
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == \
+        cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "visual.tsv:2: non-finite value 'nan'" in err
+
+
+def test_eval_malformed_checkpoint_header(pipeline, tmp_path, capsys):
+    _, paths, ckpts = pipeline
+    raw = ckpts["vtrnn"].read_bytes()
+    (n,) = struct.unpack_from("<I", raw, len(checkpoint.MAGIC))
+    payload = raw[len(checkpoint.MAGIC) + 4 + n:]
+    good, _ = checkpoint.read_checkpoint(ckpts["vtrnn"])
+    cfg = write_config(tmp_path / "c.json", {"data": paths})
+    headers = {"list": [good],
+               "block-not-object": dict(good, blocks=[["X", [24, 3]]]),
+               "missing-d": {k: v for k, v in good.items() if k != "d"}}
+    for label, header in headers.items():
+        head = json.dumps(header).encode()
+        ckpt = tmp_path / f"{label}.ckpt"
+        ckpt.write_bytes(checkpoint.MAGIC + struct.pack("<I", len(head))
+                         + head + payload)
+        code = cli.main(["eval", str(ckpt), "--config", cfg,
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA, label
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert "header" in err.split(": ", 2)[2], err
 
 
 def test_eval_checkpoint_corpus_mismatch(pipeline, tmp_path, capsys):

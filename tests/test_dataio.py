@@ -121,6 +121,14 @@ def test_load_features_errors(tmp_path, text, fragment):
         load_features(p, expect_dim=None, lo=0.0, hi=1.0)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_load_features_rejects_non_finite(tmp_path, token):
+    p = tmp_path / "f.tsv"
+    p.write_text(f"#dims 2\ni0000\t0.3 0.2\ni0001\t{token} 0.1\n")
+    with pytest.raises(ParseError, match=f"f.tsv:3: non-finite value '{token}'"):
+        load_features(p, expect_dim=2, lo=0.0, hi=1.0)
+
+
 def test_load_features_dim_mismatch(tmp_path):
     p = tmp_path / "f.tsv"
     p.write_text("#dims 3\ni1\t1 2 3\n")

@@ -7,49 +7,28 @@ from seqrank import numkit
 from seqrank.numkit import DimensionError
 
 
-def test_vec_coerces_to_float64_copy():
-    src = np.array([1, 2, 3], dtype=np.int32)
-    v = numkit.vec(src)
-    assert v.dtype == np.float64
-    v[0] = 99.0
-    assert src[0] == 1
-
-
-def test_vec_rejects_matrix():
-    with pytest.raises(DimensionError):
-        numkit.vec(np.zeros((2, 2)))
-
-
-def test_mat_rejects_vector():
-    with pytest.raises(DimensionError):
-        numkit.mat([1.0, 2.0])
+def vec(data):
+    return np.asarray(data, dtype=np.float64)
 
 
 def test_dot_and_mismatch():
-    assert numkit.dot(numkit.vec([1.0, 2.0]), numkit.vec([3.0, -1.0])) == 1.0
+    assert numkit.dot(vec([1.0, 2.0]), vec([3.0, -1.0])) == 1.0
     with pytest.raises(DimensionError):
-        numkit.dot(numkit.vec([1.0]), numkit.vec([1.0, 2.0]))
+        numkit.dot(vec([1.0]), vec([1.0, 2.0]))
 
 
 def test_matvec():
-    m = numkit.mat([[1.0, 0.0], [2.0, 3.0]])
-    out = numkit.matvec(m, numkit.vec([4.0, 5.0]))
+    m = vec([[1.0, 0.0], [2.0, 3.0]])
+    out = numkit.matvec(m, vec([4.0, 5.0]))
     assert out.tolist() == [4.0, 23.0]
     with pytest.raises(DimensionError):
-        numkit.matvec(m, numkit.vec([1.0, 2.0, 3.0]))
+        numkit.matvec(m, vec([1.0, 2.0, 3.0]))
 
 
 def test_outer_shape_and_values():
-    o = numkit.outer(numkit.vec([1.0, 2.0]), numkit.vec([3.0, 4.0, 5.0]))
+    o = numkit.outer(vec([1.0, 2.0]), vec([3.0, 4.0, 5.0]))
     assert o.shape == (2, 3)
     assert o[1, 2] == 10.0
-
-
-def test_hadamard():
-    out = numkit.hadamard(numkit.vec([1.0, -2.0]), numkit.vec([3.0, 0.5]))
-    assert out.tolist() == [3.0, -1.0]
-    with pytest.raises(DimensionError):
-        numkit.hadamard(numkit.vec([1.0]), numkit.vec([1.0, 2.0]))
 
 
 def test_sigmoid_values():
@@ -89,3 +68,13 @@ def test_require_finite():
     numkit.require_finite(np.array([1.0, 2.0]), "ok")
     with pytest.raises(Exception, match="bad_block"):
         numkit.require_finite(np.array([1.0, np.nan]), "bad_block")
+
+
+def test_fd_check_quadratic():
+    w = np.array([[0.5, -1.0], [2.0, 0.25]])
+    loss = lambda: 0.5 * float(np.sum(w ** 2))  # noqa: E731, gradient is w
+    before = w.copy()
+    report = numkit.fd_check({"W": w}, loss, {"W": w.copy()})
+    assert report["W"] < 1e-8
+    assert np.array_equal(w, before)  # every perturbed entry restored
+    assert numkit.fd_check({"W": w}, loss, {"W": w + 0.01})["W"] > 1e-3
