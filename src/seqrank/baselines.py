@@ -132,7 +132,7 @@ def train_content_bpr(corpus: Corpus, feats: FeatureStore, h: Hyper,
     rng_init = np.random.default_rng([cfg.seed, 0])
     rng_train = np.random.default_rng([cfg.seed, 1])
     params = init_bpr_params(h, len(corpus.users), corpus.n_items, rng_init)
-    sl = h.mask.slices(h.d)
+    sl = h.slices
     user_index = {u: j for j, u in enumerate(corpus.users)}
     a = h.alpha
     for epoch in range(1, cfg.epochs + 1):
@@ -145,8 +145,8 @@ def train_content_bpr(corpus: Corpus, feats: FeatureStore, h: Hyper,
                 continue
             uj = user_index[u]
             for tr in sample_triples(corpus, u, rng_train):
-                rep_p = model.item_input(tr.p, params, feats, h).full
-                rep_q = model.item_input(tr.q, params, feats, h).full
+                rep_p = model.item_input(tr.p, params, feats, h)
+                rep_q = model.item_input(tr.q, params, feats, h)
                 gamma_u = params.gamma[uj].copy()
                 xhat = numkit.dot(gamma_u, rep_p - rep_q)
                 c = numkit.sigmoid(-xhat)
@@ -184,8 +184,8 @@ def bpr_triple_loglik(params: BprParams, corpus: Corpus, feats: FeatureStore,
     user_index = {u: j for j, u in enumerate(corpus.users)}
     total = 0.0
     for tr in triples:
-        rep_p = model.item_input(tr.p, params, feats, h).full
-        rep_q = model.item_input(tr.q, params, feats, h).full
+        rep_p = model.item_input(tr.p, params, feats, h)
+        rep_q = model.item_input(tr.q, params, feats, h)
         xhat = numkit.dot(params.gamma[user_index[tr.u]], rep_p - rep_q)
         total += float(numkit.log_sigmoid(xhat))
     return total
@@ -195,7 +195,7 @@ def bpr_gradients(params: BprParams, corpus: Corpus, feats: FeatureStore,
                   h: Hyper, triples: list) -> dict:
     """Exact gradient of the triple log-likelihood, full-shape arrays."""
     user_index = {u: j for j, u in enumerate(corpus.users)}
-    sl = h.mask.slices(h.d)
+    sl = h.slices
     grads = {"Gamma": np.zeros_like(params.gamma)}
     if h.mask.latent:
         grads["X"] = np.zeros_like(params.X)
@@ -205,8 +205,8 @@ def bpr_gradients(params: BprParams, corpus: Corpus, feats: FeatureStore,
         grads["V"] = np.zeros_like(params.V)
     for tr in triples:
         uj = user_index[tr.u]
-        rep_p = model.item_input(tr.p, params, feats, h).full
-        rep_q = model.item_input(tr.q, params, feats, h).full
+        rep_p = model.item_input(tr.p, params, feats, h)
+        rep_q = model.item_input(tr.q, params, feats, h)
         gamma_u = params.gamma[uj]
         c = numkit.sigmoid(-numkit.dot(gamma_u, rep_p - rep_q))
         grads["Gamma"][uj] += c * (rep_p - rep_q)

@@ -5,9 +5,15 @@ latent vector, an embedded visual feature vector, and an embedded textual
 feature vector. A sigmoid recurrence folds the user's training sequence into
 a hidden state; preferences are dot products between that state and item
 representations.
+
+Everything is a plain float64 array: a sequence's item representations are
+gathered as one (m, D) matrix, `hidden_states` runs the recurrence over it
+with InMat i_t precomputed for all t, and `Hyper.slices` holds the slice
+offsets, computed once.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +113,11 @@ class Hyper:
     def D(self) -> int:
         return self.d * self.mask.count
 
+    @cached_property
+    def slices(self) -> dict:
+        """Offsets of the active slices in the concatenated vector."""
+        return self.mask.slices(self.d)
+
 
 @dataclass
 class ModelParams:
@@ -143,60 +154,8 @@ def init_params(h: Hyper, n_items: int, rng: np.random.Generator) -> ModelParams
     return ModelParams(X, E, V, InMat, RecMat)
 
 
-@dataclass
-class SlicedVec:
-    """Length-D vector with named views onto its active slices."""
-
-    full: np.ndarray
-    mask: Mask
-    d: int
-
-    def part(self, name: str):
-        sl = self.mask.slices(self.d).get(name)
-        return None if sl is None else self.full[sl]
-
-
-class ItemInput(SlicedVec):
-    @property
-    def x_part(self):
-        return self.part("latent")
-
-    @property
-    def f_part(self):
-        return self.part("visual")
-
-    @property
-    def g_part(self):
-        return self.part("textual")
-
-
-class HiddenState(SlicedVec):
-    @property
-    def h_x(self):
-        return self.part("latent")
-
-    @property
-    def h_f(self):
-        return self.part("visual")
-
-    @property
-    def h_g(self):
-        return self.part("textual")
-
-
-@dataclass(frozen=True)
-class PairScore:
-    value: float
-    pos_score: float
-    neg_score: float
-
-
-def zero_state(h: Hyper) -> HiddenState:
-    return HiddenState(np.zeros(h.D), h.mask, h.d)
-
-
-def item_input(p: str, params: ModelParams, feats, h: Hyper) -> ItemInput:
-    """i = [x; E f; V g], restricted to the active slices."""
+def item_input(p: str, params: ModelParams, feats, h: Hyper) -> np.ndarray:
+    """i = [x; E f; V g] of one item, restricted to the active slices."""
     if p not in feats.item_index:
         raise KeyError(f"unknown item {p!r}")
     idx = feats.item_index[p]
@@ -207,42 +166,53 @@ def item_input(p: str, params: ModelParams, feats, h: Hyper) -> ItemInput:
         parts.append(numkit.matvec(params.E, feats.visual_mat[idx]))
     if h.mask.textual:
         parts.append(numkit.matvec(params.V, feats.textual_mat[idx]))
-    return ItemInput(np.concatenate(parts), h.mask, h.d)
+    return np.concatenate(parts)
 
 
-def step_hidden(prev: HiddenState, inp: ItemInput, params: ModelParams) -> HiddenState:
-    pre = numkit.matvec(params.InMat, inp.full) + numkit.matvec(params.RecMat, prev.full)
-    return HiddenState(numkit.sigmoid_arr(pre), inp.mask, inp.d)
+def step_hidden(prev: np.ndarray, pre_in: np.ndarray,
+                RecMat: np.ndarray) -> np.ndarray:
+    """h_t = sigma(InMat i_t + RecMat h_{t-1}), with InMat i_t precomputed."""
+    return numkit.sigmoid_arr(pre_in + RecMat @ prev)
 
 
-def run_sequence(u: str, params: ModelParams, feats, corpus, h: Hyper) -> list:
-    """Hidden states t = 1..m over the user's training sequence, starting
-    from the zero state."""
-    if u not in corpus.train_seq:
-        raise KeyError(f"unknown user {u!r}")
-    states = []
-    prev = zero_state(h)
-    for it in corpus.train_seq[u]:
-        prev = step_hidden(prev, item_input(it, params, feats, h), params)
-        states.append(prev)
+def hidden_states(inputs: np.ndarray, params: ModelParams) -> np.ndarray:
+    """States h_0..h_m (rows) for the input rows i_1..i_m; h_0 is zero."""
+    pre_in = inputs @ params.InMat.T
+    states = np.zeros((len(inputs) + 1, params.RecMat.shape[0]))
+    for t, pre in enumerate(pre_in):
+        states[t + 1] = step_hidden(states[t], pre, params.RecMat)
     return states
 
 
-def score_pair(prev: HiddenState, p_inp: ItemInput, q_inp: ItemInput) -> PairScore:
-    pos = numkit.dot(prev.full, p_inp.full)
-    neg = numkit.dot(prev.full, q_inp.full)
-    return PairScore(pos - neg, pos, neg)
+def run_sequence(u: str, params: ModelParams, feats, corpus, h: Hyper) -> np.ndarray:
+    """Hidden states t = 1..m (rows) over the user's training sequence,
+    starting from the zero state."""
+    if u not in corpus.train_seq:
+        raise KeyError(f"unknown user {u!r}")
+    rows = [feats.item_index[it] for it in corpus.train_seq[u]]
+    return hidden_states(item_rep_matrix(params, feats, h, rows), params)[1:]
 
 
-def item_rep_matrix(params: ModelParams, feats, h: Hyper) -> np.ndarray:
-    """All item representations stacked (n_items, D), rows in item-id order."""
+def score_pair(prev: np.ndarray, p_inp: np.ndarray, q_inp: np.ndarray):
+    """prev.p - prev.q, row by row when the operands are stacked; swapping
+    p and q negates the score exactly."""
+    return (np.einsum("...i,...i->...", prev, p_inp)
+            - np.einsum("...i,...i->...", prev, q_inp))
+
+
+def item_rep_matrix(params, feats, h: Hyper, rows=None) -> np.ndarray:
+    """Item representations stacked (n, D): every item in item-id order, or
+    the given item rows in their order."""
+    X, F, G = params.X, feats.visual_mat, feats.textual_mat
+    if rows is not None:
+        X, F, G = X[rows], F[rows], G[rows]
     parts = []
     if h.mask.latent:
-        parts.append(params.X)
+        parts.append(X)
     if h.mask.visual:
-        parts.append(feats.visual_mat @ params.E.T)
+        parts.append(F @ params.E.T)
     if h.mask.textual:
-        parts.append(feats.textual_mat @ params.V.T)
+        parts.append(G @ params.V.T)
     return np.concatenate(parts, axis=1)
 
 
@@ -265,8 +235,8 @@ def rank_candidates(u: str, params: ModelParams, feats, corpus, h: Hyper,
                     rep: np.ndarray | None = None) -> list:
     """Rank unseen items by dot product with the final training state."""
     states = run_sequence(u, params, feats, corpus, h)
-    if not states:
+    if not len(states):
         raise ConfigError(f"user {u!r} has an empty training sequence")
     if rep is None:
         rep = item_rep_matrix(params, feats, h)
-    return rank_items(states[-1].full, rep, corpus, u)
+    return rank_items(states[-1], rep, corpus, u)

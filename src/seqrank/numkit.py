@@ -38,12 +38,10 @@ def sigmoid(x: float) -> float:
 
 def sigmoid_arr(x: np.ndarray) -> np.ndarray:
     """Elementwise stable sigmoid, overflow-free for any finite float64."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so this is
+    # 1/(1 + exp(-x)) and exp(x)/(1 + exp(x)) branch by branch, as `sigmoid`
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def log_sigmoid(x) -> np.ndarray:

@@ -2,26 +2,28 @@
 
 Per user sequence: one (positive, sampled-negative) pair per step t >= 2,
 scored against the previous hidden state. Updates run in two phases from a
-context frozen at sequence start. The forward phase applies the direct
-score gradients per step (latent rows of the pair plus the embedding
-kernels). The backward phase propagates gradients through the recurrence,
-accumulates the transition/embedding sums over the whole sequence, and
-applies them in one step.
+context frozen at sequence start. The context holds the sequence as stacked
+arrays: inputs, states, scores, c = sigma(-score) and the per-step forward
+gradients, all computed in one pass. The forward phase applies the direct
+score gradients one step at a time (latent rows of the pair plus the
+embedding kernels). The backward phase runs the e-recursion through the
+recurrence, forms the transition/embedding sums over the whole sequence as
+matmuls over the stacked per-layer vectors, and applies them in one step.
 
 The per-sequence update with zero regularization equals the exact gradient
 of sum_t ln sigma(score_t) at the frozen context, which is what grad_check
 verifies against central finite differences.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numkit
 from .dataio import Corpus, FeatureStore, TrainingTriple, sample_triples
 from .errors import ConfigError, DivergenceError
-from .model import (Hyper, ModelParams, init_params, item_input, run_sequence,
-                    score_pair, step_hidden, zero_state)
+from .model import (Hyper, ModelParams, hidden_states, init_params,
+                    item_rep_matrix, score_pair)
 
 
 @dataclass(frozen=True)
@@ -43,20 +45,26 @@ class SeqContext:
     """Everything the two update phases read, computed once per sequence at
     the pre-update parameters. The backward phase additionally reads
     InMat/RecMat, which the forward phase never touches, so the context
-    stays consistent across both phases."""
+    stays consistent across both phases.
+
+    Step t = 2..m pairs the positive seq[t-1] with a sampled negative and
+    scores both against h_{t-1}; its per-pair entries sit at index t - 2."""
 
     u: str
-    seq: list          # positive item ids, t = 1..m
-    inputs_p: list     # ItemInput of seq[t-1], index t-1
-    inputs_q: dict     # t -> ItemInput of the sampled negative, t = 2..m
-    states: list       # HiddenState, index t for t = 0..m (states[0] is zero)
-    scores: dict       # t -> PairScore
-    c: dict            # t -> sigma(-score), the per-step loss multiplier
     triples: list
+    rows: np.ndarray         # (m,) item rows of seq, t = 1..m
+    neg_rows: np.ndarray     # (m-1,) item rows of the negatives
+    inputs: np.ndarray       # (m, D) i_1..i_m
+    neg_inputs: np.ndarray   # (m-1, D)
+    states: np.ndarray       # (m+1, D) h_0..h_m, h_0 = 0
+    scores: np.ndarray       # (m-1,)
+    c: np.ndarray            # (m-1,) sigma(-score), the per-step loss multiplier
+    step_grads: dict         # block -> per-step forward gradients, c included:
+                             # "X" (m-1, d), "E" (m-1, d, f_v), "V" (m-1, d, f_t)
 
     @property
     def m(self) -> int:
-        return len(self.seq)
+        return len(self.rows)
 
 
 def sequence_context(params: ModelParams, corpus: Corpus, feats: FeatureStore,
@@ -64,28 +72,38 @@ def sequence_context(params: ModelParams, corpus: Corpus, feats: FeatureStore,
     if not triples_for_u:
         raise ConfigError("sequence_context needs at least one triple")
     u = triples_for_u[0].u
-    seq = list(corpus.train_seq[u])
+    seq = corpus.train_seq[u]
     m = len(seq)
     steps = sorted(tr.t for tr in triples_for_u)
     if steps != list(range(2, m + 1)):
         raise ConfigError(f"user {u!r}: triples must cover steps 2..{m}, got {steps}")
-    inputs_p = [item_input(it, params, feats, h) for it in seq]
-    states = [zero_state(h)]
-    for inp in inputs_p:
-        states.append(step_hidden(states[-1], inp, params))
-    inputs_q, scores, c = {}, {}, {}
+    neg = [None] * (m - 1)
     for tr in triples_for_u:
         if tr.p != seq[tr.t - 1]:
             raise ConfigError(
                 f"user {u!r} step {tr.t}: triple positive {tr.p!r} is not the "
                 f"sequence item {seq[tr.t - 1]!r}")
-        q_inp = item_input(tr.q, params, feats, h)
-        sc = score_pair(states[tr.t - 1], inputs_p[tr.t - 1], q_inp)
-        inputs_q[tr.t] = q_inp
-        scores[tr.t] = sc
-        c[tr.t] = numkit.sigmoid(-sc.value)
-    return SeqContext(u, seq, inputs_p, inputs_q, states, scores, c,
-                      list(triples_for_u))
+        neg[tr.t - 2] = tr.q
+    index = feats.item_index
+    rows = np.array([index[it] for it in seq + neg])
+    reps = item_rep_matrix(params, feats, h, rows)
+    inputs, neg_inputs = reps[:m], reps[m:]
+    states = hidden_states(inputs, params)
+    prev = states[1:m]
+    scores = score_pair(prev, inputs[1:], neg_inputs)
+    c = numkit.sigmoid_arr(-scores)
+    sl = h.slices
+    step_grads = {}
+    if h.mask.latent:
+        step_grads["X"] = c[:, None] * prev[:, sl["latent"]]
+    for name, on, key, mat in (("E", h.mask.visual, "visual", feats.visual_mat),
+                               ("V", h.mask.textual, "textual", feats.textual_mat)):
+        if on:
+            diff = mat[rows[1:m]] - mat[rows[m:]]
+            step_grads[name] = c[:, None, None] * (
+                prev[:, sl[key], None] * diff[:, None, :])
+    return SeqContext(u, list(triples_for_u), rows[:m], rows[m:], inputs,
+                      neg_inputs, states, scores, c, step_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +123,15 @@ def triple_loglik(params: ModelParams, corpus: Corpus, feats: FeatureStore,
     by_user = {}
     for tr in triples:
         by_user.setdefault(tr.u, []).append(tr)
+    index = feats.item_index
     total = 0.0
     for u, trs in by_user.items():
-        full = [zero_state(h)] + run_sequence(u, params, feats, corpus, h)
-        for tr in trs:
-            p_inp = item_input(tr.p, params, feats, h)
-            q_inp = item_input(tr.q, params, feats, h)
-            sc = score_pair(full[tr.t - 1], p_inp, q_inp)
-            total += float(numkit.log_sigmoid(sc.value))
+        seq_rows = [index[it] for it in corpus.train_seq[u]]
+        states = hidden_states(item_rep_matrix(params, feats, h, seq_rows), params)
+        pos = item_rep_matrix(params, feats, h, [index[tr.p] for tr in trs])
+        neg = item_rep_matrix(params, feats, h, [index[tr.q] for tr in trs])
+        scores = score_pair(states[[tr.t - 1 for tr in trs]], pos, neg)
+        total += float(np.sum(numkit.log_sigmoid(scores)))
     return total
 
 
@@ -127,35 +146,6 @@ def bpr_objective(params: ModelParams, corpus: Corpus, feats: FeatureStore,
 # ---------------------------------------------------------------------------
 # forward-direction updates: direct score gradients, applied per step
 
-@dataclass
-class ForwardGrad:
-    """Raw derivative pieces of one step's score, multiplier kept separate.
-    dx_q == -dx_p; the embedding kernels see the feature difference of the
-    pair, so swapping p and q negates every piece while c maps to 1 - c."""
-
-    t: int
-    c: float
-    dx_p: np.ndarray | None
-    dx_q: np.ndarray | None
-    dE: np.ndarray | None
-    dV: np.ndarray | None
-
-
-def forward_grad(ctx: SeqContext, t: int, feats: FeatureStore, h: Hyper,
-                 tr: TrainingTriple) -> ForwardGrad:
-    prev = ctx.states[t - 1]
-    c = ctx.c[t]
-    dx_p = dx_q = dE = dV = None
-    if h.mask.latent:
-        dx_p = prev.h_x.copy()
-        dx_q = -dx_p
-    if h.mask.visual:
-        dE = numkit.outer(prev.h_f, feats.visual(tr.p) - feats.visual(tr.q))
-    if h.mask.textual:
-        dV = numkit.outer(prev.h_g, feats.textual(tr.p) - feats.textual(tr.q))
-    return ForwardGrad(t, c, dx_p, dx_q, dE, dV)
-
-
 def _clip(g: np.ndarray, clip_norm: float | None) -> np.ndarray:
     if clip_norm is None:
         return g
@@ -165,111 +155,83 @@ def _clip(g: np.ndarray, clip_norm: float | None) -> np.ndarray:
 
 def forward_updates(params: ModelParams, ctx: SeqContext, tr: TrainingTriple,
                     feats: FeatureStore, h: Hyper,
-                    clip_norm: float | None = None) -> ForwardGrad:
-    """Ascend the step-t score gradient: theta += alpha*(c*dtheta - lam*theta).
-    Only the pair's latent rows and the active embedding kernels move; the
-    transition matrices are the backward phase's job."""
-    fg = forward_grad(ctx, tr.t, feats, h, tr)
+                    clip_norm: float | None = None) -> None:
+    """Ascend the step-t score gradient: theta += alpha*(g_t - lam*theta).
+    Only the pair's latent rows (g_t for p, -g_t for q) and the active
+    embedding kernels move; the transition matrices are the backward
+    phase's job."""
+    k = tr.t - 2
     a = h.alpha
-    if h.mask.latent:
-        ip, iq = feats.item_index[tr.p], feats.item_index[tr.q]
-        params.X[ip] += a * (_clip(fg.c * fg.dx_p, clip_norm) - h.lam_theta * params.X[ip])
-        params.X[iq] += a * (_clip(fg.c * fg.dx_q, clip_norm) - h.lam_theta * params.X[iq])
-    if h.mask.visual:
-        params.E += a * (_clip(fg.c * fg.dE, clip_norm) - h.lam_e * params.E)
-    if h.mask.textual:
-        params.V += a * (_clip(fg.c * fg.dV, clip_norm) - h.lam_v * params.V)
-    return fg
+    g = ctx.step_grads
+    if "X" in g:
+        gx = g["X"][k]
+        for idx, gi in ((ctx.rows[tr.t - 1], gx), (ctx.neg_rows[k], -gx)):
+            row = params.X[idx]
+            row += a * (_clip(gi, clip_norm) - h.lam_theta * row)
+    if "E" in g:
+        params.E += a * (_clip(g["E"][k], clip_norm) - h.lam_e * params.E)
+    if "V" in g:
+        params.V += a * (_clip(g["V"][k], clip_norm) - h.lam_v * params.V)
 
 
 # ---------------------------------------------------------------------------
 # backward phase: propagate through the recurrence, accumulate, apply once
 
-@dataclass
-class StepGrad:
-    """Gradient entering layer t's pre-activation. gate is the new score
-    gradient arriving at layer t through step t+1's pair, before its c
-    multiplier; e adds the part carried back from later layers."""
-
-    t: int
-    c: float
-    gate: np.ndarray
-    e: np.ndarray
-
-
-@dataclass
-class SeqAccum:
-    dInMat: np.ndarray
-    dRecMat: np.ndarray
-    dE: np.ndarray
-    dV: np.ndarray
-
-    @classmethod
-    def zeros(cls, h: Hyper) -> "SeqAccum":
-        return cls(np.zeros((h.D, h.D)), np.zeros((h.D, h.D)),
-                   np.zeros((h.d, h.f_v)), np.zeros((h.d, h.f_t)))
-
-
-def backward_steps(ctx: SeqContext, params: ModelParams) -> list:
-    """e-recursion from layer m-1 down to 1. Layer m never feeds a score
-    (the last pair reads h^{m-1}), so it contributes nothing."""
-    steps = []
-    e_next = None
-    for t in range(ctx.m - 1, 0, -1):
-        hvec = ctx.states[t].full
-        sig_deriv = hvec * (1.0 - hvec)
-        diff = ctx.inputs_p[t].full - ctx.inputs_q[t + 1].full
-        gate = diff * sig_deriv
-        e = ctx.c[t + 1] * gate
-        if e_next is not None:
-            e = e + (params.RecMat.T @ e_next) * sig_deriv
-        steps.append(StepGrad(t, ctx.c[t + 1], gate, e))
-        e_next = e
-    return steps
+def backward_steps(ctx: SeqContext, params: ModelParams) -> tuple:
+    """e-recursion from layer m-1 down to 1 (layer m never feeds a score:
+    the last pair reads h^{m-1}). Returns (gate, e), both (m-1, D) with
+    layer t in row t-1: gate is the new score gradient arriving at layer t
+    through step t+1's pair, before its c multiplier; e adds the part
+    carried back from later layers."""
+    hvec = ctx.states[1:ctx.m]
+    sig_deriv = hvec * (1.0 - hvec)
+    gate = (ctx.inputs[1:] - ctx.neg_inputs) * sig_deriv
+    e = ctx.c[:, None] * gate
+    rec_t = params.RecMat.T
+    for r in range(len(e) - 2, -1, -1):
+        e[r] = e[r] + (rec_t @ e[r + 1]) * sig_deriv[r]
+    return gate, e
 
 
 def backward_gradients(ctx: SeqContext, params: ModelParams,
-                       feats: FeatureStore, h: Hyper):
-    """Pure accumulation: (SeqAccum, steps, latent-row gradients). The
-    latent rows come back as (t, row index, gradient) because they are
-    applied per step while the matrices are applied once."""
-    steps = backward_steps(ctx, params)
-    acc = SeqAccum.zeros(h)
-    x_rows = []
-    sl = h.mask.slices(h.d)
-    for sg in steps:
-        t = sg.t
-        p_item = ctx.seq[t - 1]
-        acc.dInMat += numkit.outer(sg.e, ctx.inputs_p[t - 1].full)
-        acc.dRecMat += numkit.outer(sg.e, ctx.states[t - 1].full)
-        back = params.InMat.T @ sg.e
-        if h.mask.latent:
-            x_rows.append((t, feats.item_index[p_item], back[sl["latent"]]))
-        if h.mask.visual:
-            acc.dE += numkit.outer(back[sl["visual"]], feats.visual(p_item))
-        if h.mask.textual:
-            acc.dV += numkit.outer(back[sl["textual"]], feats.textual(p_item))
-    return acc, steps, x_rows
+                       feats: FeatureStore, h: Hyper) -> dict:
+    """BPTT sums over layers 1..m-1 as full blocks ("InMat", "RecMat" and
+    the active "E"/"V"), plus "x": the (m-1, d) latent-row gradients of
+    items ctx.rows[:m-1], applied per step while the blocks are applied
+    once."""
+    _, e = backward_steps(ctx, params)
+    back = e @ params.InMat
+    sl = h.slices
+    rows = ctx.rows[:-1]
+    grads = {"InMat": e.T @ ctx.inputs[:-1], "RecMat": e.T @ ctx.states[:-2]}
+    if h.mask.latent:
+        grads["x"] = back[:, sl["latent"]]
+    if h.mask.visual:
+        grads["E"] = back[:, sl["visual"]].T @ feats.visual_mat[rows]
+    if h.mask.textual:
+        grads["V"] = back[:, sl["textual"]].T @ feats.textual_mat[rows]
+    return grads
 
 
 def backward_pass(params: ModelParams, ctx: SeqContext, feats: FeatureStore,
-                  h: Hyper, clip_norm: float | None = None) -> SeqAccum:
-    """Apply the backward-phase updates: latent rows per step, then the
-    accumulated transition/embedding sums in one step each. Sequences
-    shorter than 2 have no backward signal and are a no-op."""
+                  h: Hyper, clip_norm: float | None = None) -> None:
+    """Apply the backward-phase updates: latent rows per step from layer
+    m-1 down, then the accumulated transition/embedding sums in one step
+    each. Sequences shorter than 2 have no backward signal and are a
+    no-op."""
     if ctx.m < 2:
-        return SeqAccum.zeros(h)
-    acc, _, x_rows = backward_gradients(ctx, params, feats, h)
+        return
+    g = backward_gradients(ctx, params, feats, h)
     a = h.alpha
-    for _, idx, g in x_rows:
-        params.X[idx] += a * (_clip(g, clip_norm) - h.lam_theta * params.X[idx])
-    params.InMat += a * (_clip(acc.dInMat, clip_norm) - h.lam_theta * params.InMat)
-    params.RecMat += a * (_clip(acc.dRecMat, clip_norm) - h.lam_theta * params.RecMat)
-    if h.mask.visual:
-        params.E += a * (_clip(acc.dE, clip_norm) - h.lam_e * params.E)
-    if h.mask.textual:
-        params.V += a * (_clip(acc.dV, clip_norm) - h.lam_v * params.V)
-    return acc
+    if "x" in g:
+        for idx, gx in zip(ctx.rows[-2::-1], g["x"][::-1]):
+            row = params.X[idx]
+            row += a * (_clip(gx, clip_norm) - h.lam_theta * row)
+    for name, lam in (("InMat", h.lam_theta), ("RecMat", h.lam_theta),
+                      ("E", h.lam_e), ("V", h.lam_v)):
+        if name in g:
+            block = getattr(params, name)
+            block += a * (_clip(g[name], clip_norm) - lam * block)
 
 
 # ---------------------------------------------------------------------------
@@ -281,35 +243,17 @@ def sequence_gradients(params: ModelParams, corpus: Corpus, feats: FeatureStore,
     with its sampled negatives, as full parameter-shaped arrays. Inactive
     blocks are omitted."""
     ctx = sequence_context(params, corpus, feats, h, triples_for_u)
-    grads = {"InMat": np.zeros_like(params.InMat),
-             "RecMat": np.zeros_like(params.RecMat)}
+    back = backward_gradients(ctx, params, feats, h)
+    grads = {"InMat": back["InMat"], "RecMat": back["RecMat"]}
     if h.mask.latent:
+        gx = ctx.step_grads["X"]
         grads["X"] = np.zeros_like(params.X)
-    if h.mask.visual:
-        grads["E"] = np.zeros_like(params.E)
-    if h.mask.textual:
-        grads["V"] = np.zeros_like(params.V)
-
-    for tr in ctx.triples:
-        fg = forward_grad(ctx, tr.t, feats, h, tr)
-        if h.mask.latent:
-            grads["X"][feats.item_index[tr.p]] += fg.c * fg.dx_p
-            grads["X"][feats.item_index[tr.q]] += fg.c * fg.dx_q
-        if h.mask.visual:
-            grads["E"] += fg.c * fg.dE
-        if h.mask.textual:
-            grads["V"] += fg.c * fg.dV
-
-    acc, _, x_rows = backward_gradients(ctx, params, feats, h)
-    grads["InMat"] += acc.dInMat
-    grads["RecMat"] += acc.dRecMat
-    if h.mask.latent:
-        for _, idx, g in x_rows:
-            grads["X"][idx] += g
-    if h.mask.visual:
-        grads["E"] += acc.dE
-    if h.mask.textual:
-        grads["V"] += acc.dV
+        np.add.at(grads["X"], ctx.rows[1:], gx)
+        np.add.at(grads["X"], ctx.neg_rows, -gx)
+        np.add.at(grads["X"], ctx.rows[:-1], back["x"])
+    for name in ("E", "V"):
+        if name in ctx.step_grads:
+            grads[name] = ctx.step_grads[name].sum(axis=0) + back[name]
     return grads
 
 
@@ -340,9 +284,8 @@ def train(corpus: Corpus, feats: FeatureStore, h: Hyper, cfg: TrainConfig,
                 continue
             triples = sample_triples(corpus, u, rng_train)
             ctx = sequence_context(params, corpus, feats, h, triples)
-            for t, sc in ctx.scores.items():
-                lnsig_sum += float(numkit.log_sigmoid(sc.value))
-                lnsig_n += 1
+            lnsig_sum += float(np.sum(numkit.log_sigmoid(ctx.scores)))
+            lnsig_n += len(ctx.scores)
             for tr in ctx.triples:
                 forward_updates(params, ctx, tr, feats, h, cfg.clip_norm)
             backward_pass(params, ctx, feats, h, cfg.clip_norm)

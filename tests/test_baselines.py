@@ -66,7 +66,7 @@ def test_embed_ranker_scores(toy_corpus, toy_feats):
     ranked = r.rank("carol")
     gamma = params.gamma[list(toy_corpus.users).index("carol")]
     for it, score in ranked:
-        rep_row = model.item_input(it, params, toy_feats, h).full
+        rep_row = model.item_input(it, params, toy_feats, h)
         assert score == pytest.approx(float(rep_row @ gamma), abs=1e-12)
 
 

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from seqrank import model
 from seqrank.dataio import FeatureStore
 from seqrank.errors import ConfigError
 from seqrank.model import (ALL_KINDS, MASK_BY_KIND, RECURRENT_KINDS,
                            Hyper, Mask, ModelParams, init_params, item_input,
                            item_rep_matrix, order_candidates, rank_candidates,
-                           run_sequence, score_pair, step_hidden, zero_state)
+                           run_sequence, score_pair, step_hidden)
 
 
 def test_mask_for_kind_table():
@@ -47,6 +46,7 @@ def test_hyper_dims():
     h = Hyper(d=3, f_v=2, f_t=2, mask=Mask(latent=True, visual=True))
     assert h.D == 6
     assert Hyper(d=3).D == 3
+    assert h.slices == {"latent": slice(0, 3), "visual": slice(3, 6)}
 
 
 def make_uniform_feats(items, f_v, f_t, rng):
@@ -99,10 +99,10 @@ def one_item_world():
 def test_item_input_concatenation():
     h, params, feats = one_item_world()
     inp = item_input("only", params, feats, h)
-    assert inp.full.tolist() == [0.5, 0.5, -0.5]
-    assert inp.x_part.tolist() == [0.5]
-    assert inp.f_part.tolist() == [0.5]
-    assert inp.g_part.tolist() == [-0.5]
+    assert inp.tolist() == [0.5, 0.5, -0.5]
+    assert inp[h.slices["latent"]].tolist() == [0.5]
+    assert inp[h.slices["visual"]].tolist() == [0.5]
+    assert inp[h.slices["textual"]].tolist() == [-0.5]
     with pytest.raises(KeyError):
         item_input("nope", params, feats, h)
 
@@ -110,34 +110,33 @@ def test_item_input_concatenation():
 def test_step_hidden_identity_matrices():
     h, params, feats = one_item_world()
     inp = item_input("only", params, feats, h)
-    state = step_hidden(zero_state(h), inp, params)
+    state = step_hidden(np.zeros(h.D), params.InMat @ inp, params.RecMat)
     # InMat = I, RecMat = 0: h = sigmoid(input) elementwise
-    expect = 1.0 / (1.0 + np.exp(-inp.full))
-    assert np.allclose(state.full, expect, atol=1e-15)
-    assert state.h_x.shape == (1,)
+    expect = 1.0 / (1.0 + np.exp(-inp))
+    assert np.allclose(state, expect, atol=1e-15)
+    assert state[h.slices["latent"]].shape == (1,)
 
 
 def test_score_pair_hand_value():
     prev = np.array([0.5, 0.25])
     p_inp = np.array([1.0, 2.0])
     q_inp = np.array([3.0, -1.0])
-    m = Mask(latent=True, textual=True)
-    sc = score_pair(model.HiddenState(prev, m, 1),
-                    model.ItemInput(p_inp, m, 1),
-                    model.ItemInput(q_inp, m, 1))
-    assert sc.pos_score == 1.0
-    assert sc.neg_score == 1.25
-    assert sc.value == -0.25
+    zero = np.zeros(2)
+    assert score_pair(prev, p_inp, zero) == 1.0     # positive part
+    assert score_pair(prev, zero, q_inp) == -1.25   # negative part
+    assert score_pair(prev, p_inp, q_inp) == -0.25
 
 
 def test_score_pair_antisymmetry_exact():
     rng = np.random.default_rng(2)
-    m = Mask(latent=True)
     for _ in range(50):
-        prev = model.HiddenState(rng.normal(size=6), m, 6)
-        a = model.ItemInput(rng.normal(size=6), m, 6)
-        b = model.ItemInput(rng.normal(size=6), m, 6)
-        assert score_pair(prev, a, b).value == -score_pair(prev, b, a).value
+        prev = rng.normal(size=6)
+        a = rng.normal(size=6)
+        b = rng.normal(size=6)
+        assert score_pair(prev, a, b) == -score_pair(prev, b, a)
+    # stacked rows, as the trainer scores a whole sequence
+    prev, a, b = (rng.normal(size=(50, 6)) for _ in range(3))
+    assert np.array_equal(score_pair(prev, a, b), -score_pair(prev, b, a))
 
 
 def test_run_sequence_states(toy_corpus, toy_feats):
@@ -145,12 +144,12 @@ def test_run_sequence_states(toy_corpus, toy_feats):
               mask=Mask(latent=True, visual=True, textual=True))
     params = init_params(h, toy_corpus.n_items, np.random.default_rng(4))
     states = run_sequence("alice", params, toy_feats, toy_corpus, h)
-    assert len(states) == len(toy_corpus.train_seq["alice"])
+    assert states.shape == (len(toy_corpus.train_seq["alice"]), h.D)
     # state t is one recurrent step from state t-1
-    redo = step_hidden(states[0],
-                       item_input(toy_corpus.train_seq["alice"][1],
-                                  params, toy_feats, h), params)
-    assert np.array_equal(redo.full, states[1].full)
+    rows = [toy_feats.item_index[it] for it in toy_corpus.train_seq["alice"]]
+    pre_in = item_rep_matrix(params, toy_feats, h, rows) @ params.InMat.T
+    redo = step_hidden(states[0], pre_in[1], params.RecMat)
+    assert np.array_equal(redo, states[1])
     with pytest.raises(KeyError):
         run_sequence("mallory", params, toy_feats, toy_corpus, h)
 
@@ -165,8 +164,11 @@ def test_item_rep_matrix_rows(toy_corpus, toy_feats):
     # last bit, so compare to rounding accuracy only
     for it, j in toy_corpus.item_index.items():
         inp = item_input(it, params, toy_feats, h)
-        assert np.allclose(rep[j], inp.full, rtol=0.0, atol=1e-14)
-        assert np.array_equal(rep[j, :h.d], inp.x_part)  # latent slice copied
+        assert np.allclose(rep[j], inp, rtol=0.0, atol=1e-14)
+        assert np.array_equal(rep[j, :h.d], inp[:h.d])  # latent slice copied
+    rows = [3, 0, 3]
+    assert np.allclose(item_rep_matrix(params, toy_feats, h, rows), rep[rows],
+                       rtol=0.0, atol=1e-14)
 
 
 def test_order_candidates_filters_and_breaks_ties(toy_corpus):

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from seqrank import numkit, trainer
+from seqrank import numkit
 from seqrank.dataio import TrainingTriple, sample_triples, synth_corpus, SynthSpec
 from seqrank.errors import ConfigError, DivergenceError
-from seqrank.model import Hyper, Mask, init_params, zero_state, step_hidden
+from seqrank.model import (Hyper, Mask, hidden_states, init_params,
+                           item_rep_matrix, step_hidden)
 from seqrank.trainer import (SeqContext, TrainConfig, backward_pass,
-                             backward_steps, bpr_objective, forward_grad,
-                             forward_updates, grad_check, regularization,
-                             sequence_context, sequence_gradients,
-                             tiny_fixture, train, triple_loglik)
+                             backward_steps, bpr_objective, forward_updates,
+                             grad_check, regularization, sequence_context,
+                             sequence_gradients, tiny_fixture, train,
+                             triple_loglik)
 
 FULL = Mask(latent=True, visual=True, textual=True)
 
@@ -57,14 +58,15 @@ def test_context_contents():
     ctx = sequence_context(params, corpus, feats, h, triples)
     m = len(corpus.train_seq["u0"])
     assert ctx.m == m
-    assert len(ctx.states) == m + 1
-    assert not ctx.states[0].full.any()
-    assert sorted(ctx.scores) == list(range(2, m + 1))
-    for t, sc in ctx.scores.items():
-        assert ctx.c[t] == numkit.sigmoid(-sc.value)
+    assert ctx.states.shape == (m + 1, h.D)
+    assert not ctx.states[0].any()
+    assert ctx.scores.shape == (m - 1,)   # steps t = 2..m at index t - 2
+    for t in range(2, m + 1):
+        assert ctx.c[t - 2] == numkit.sigmoid(-ctx.scores[t - 2])
     # states replay the recurrence
-    redo = step_hidden(ctx.states[1], ctx.inputs_p[1], params)
-    assert np.array_equal(redo.full, ctx.states[2].full)
+    pre_in = ctx.inputs @ params.InMat.T
+    redo = step_hidden(ctx.states[1], pre_in[1], params.RecMat)
+    assert np.array_equal(redo, ctx.states[2])
 
 
 def test_regularization_hand_value():
@@ -84,8 +86,7 @@ def test_objective_is_loglik_minus_penalty():
     params, corpus, feats, triples = make_context(h)
     ll = triple_loglik(params, corpus, feats, h, triples)
     ctx = sequence_context(params, corpus, feats, h, triples)
-    manual = sum(float(numkit.log_sigmoid(sc.value))
-                 for sc in ctx.scores.values())
+    manual = sum(float(numkit.log_sigmoid(s)) for s in ctx.scores)
     assert ll == pytest.approx(manual, abs=1e-12)
     assert bpr_objective(params, corpus, feats, h, triples) == \
         pytest.approx(ll - regularization(params, h), abs=1e-12)
@@ -98,14 +99,16 @@ def test_forward_grad_pieces():
     params, corpus, feats, triples = make_context(h)
     ctx = sequence_context(params, corpus, feats, h, triples)
     tr = triples[0]
-    fg = forward_grad(ctx, tr.t, feats, h, tr)
+    k = tr.t - 2
+    c = ctx.c[k]
     prev = ctx.states[tr.t - 1]
-    assert fg.c == numkit.sigmoid(-ctx.scores[tr.t].value)
-    assert np.array_equal(fg.dx_p, prev.h_x)
-    assert np.array_equal(fg.dx_q, -prev.h_x)
+    sl = h.slices
+    assert c == numkit.sigmoid(-ctx.scores[k])
+    assert np.array_equal(ctx.step_grads["X"][k], c * prev[sl["latent"]])
     assert np.array_equal(
-        fg.dE, np.outer(prev.h_f, feats.visual(tr.p) - feats.visual(tr.q)))
-    assert fg.dV.shape == (h.d, h.f_t)
+        ctx.step_grads["E"][k],
+        c * np.outer(prev[sl["visual"]], feats.visual(tr.p) - feats.visual(tr.q)))
+    assert ctx.step_grads["V"][k].shape == (h.d, h.f_t)
 
 
 def test_forward_updates_touch_only_their_blocks():
@@ -114,13 +117,14 @@ def test_forward_updates_touch_only_their_blocks():
     ctx = sequence_context(params, corpus, feats, h, triples)
     tr = triples[0]
     before = params.copy()
-    fg = forward_updates(params, ctx, tr, feats, h)
+    forward_updates(params, ctx, tr, feats, h)
     ip, iq = corpus.item_index[tr.p], corpus.item_index[tr.q]
     a, lam = h.alpha, h.lam_theta
+    c, h_x = ctx.c[tr.t - 2], ctx.states[tr.t - 1][h.slices["latent"]]
     assert np.array_equal(params.X[ip],
-                          before.X[ip] + a * (fg.c * fg.dx_p - lam * before.X[ip]))
+                          before.X[ip] + a * (c * h_x - lam * before.X[ip]))
     assert np.array_equal(params.X[iq],
-                          before.X[iq] + a * (fg.c * fg.dx_q - lam * before.X[iq]))
+                          before.X[iq] + a * (-(c * h_x) - lam * before.X[iq]))
     untouched = [j for j in range(corpus.n_items) if j not in (ip, iq)]
     assert np.array_equal(params.X[untouched], before.X[untouched])
     assert np.array_equal(params.InMat, before.InMat)
@@ -133,24 +137,24 @@ def test_backward_last_layer_gate():
     h = full_hyper()
     params, corpus, feats, triples = make_context(h)
     ctx = sequence_context(params, corpus, feats, h, triples)
-    steps = backward_steps(ctx, params)
-    assert [sg.t for sg in steps] == list(range(ctx.m - 1, 0, -1))
-    last = steps[0]  # layer m-1, fed only by the final pair
-    t = last.t
-    hvec = ctx.states[t].full
-    diff = ctx.inputs_p[t].full - ctx.inputs_q[t + 1].full
+    gates, e = backward_steps(ctx, params)
+    assert gates.shape == e.shape == (ctx.m - 1, h.D)  # layer t in row t - 1
+    t = ctx.m - 1  # last layer, fed only by the final pair (step t + 1)
+    hvec = ctx.states[t]
+    diff = ctx.inputs[t] - ctx.neg_inputs[t - 1]
     gate = diff * hvec * (1.0 - hvec)
-    assert np.allclose(last.gate, gate, atol=1e-15)
-    assert np.allclose(last.e, ctx.c[t + 1] * gate, atol=1e-15)
+    assert np.allclose(gates[t - 1], gate, atol=1e-15)
+    assert np.allclose(e[t - 1], ctx.c[t - 1] * gate, atol=1e-15)
 
 
 def test_backward_pass_short_sequence_noop():
     h = full_hyper()
     params, corpus, feats, _ = make_context(h)
-    inp = trainer.item_input(corpus.items[0], params, feats, h)
-    ctx = SeqContext("u0", [corpus.items[0]], [inp], {},
-                     [zero_state(h), step_hidden(zero_state(h), inp, params)],
-                     {}, {}, [])
+    rows = np.array([0])
+    inputs = item_rep_matrix(params, feats, h, rows)
+    none = np.zeros((0, h.D))
+    ctx = SeqContext("u0", [], rows, rows[:0], inputs, none,
+                     hidden_states(inputs, params), np.zeros(0), np.zeros(0), {})
     before = params.copy()
     backward_pass(params, ctx, feats, h)
     for (_, a), (_, b) in zip(params.blocks(), before.blocks()):
