@@ -151,7 +151,7 @@ def normalize_minmax(matrix: np.ndarray, lo: float, hi: float) -> np.ndarray:
 def load_features(path, expect_dim: int | None, lo: float, hi: float) -> FeatureTable:
     """Parse a `#dims F` header plus `item<TAB>f1 f2 ...` rows, then min-max
     normalize each dimension onto [lo, hi] over all items in the file."""
-    ids, rows = [], []
+    ids, rows, linenos = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         toks = header.split()
@@ -175,14 +175,17 @@ def load_features(path, expect_dim: int | None, lo: float, hi: float) -> Feature
                 row = [float(v) for v in values]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-numeric token ({exc})") from exc
-            bad = [v for v, x in zip(values, row) if not math.isfinite(x)]
-            if bad:
-                raise ParseError(f"{path}:{lineno}: non-finite value {bad[0]!r}")
             ids.append(parts[0])
             rows.append(row)
+            linenos.append(lineno)
     if not rows:
         raise ParseError(f"{path}: no feature rows")
-    matrix = normalize_minmax(np.asarray(rows, dtype=np.float64), lo, hi)
+    matrix = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        j, k = np.argwhere(~finite)[0]
+        raise ParseError(f"{path}:{linenos[j]}: non-finite value {matrix[j, k]}")
+    matrix = normalize_minmax(matrix, lo, hi)
     return FeatureTable(dim, {it: matrix[j] for j, it in enumerate(ids)}, lo, hi)
 
 

@@ -152,7 +152,7 @@ def test_non_finite_features_is_data_error(pipeline, tmp_path, capsys):
     assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == \
         cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "visual.tsv:2: non-finite value 'nan'" in err
+    assert err.count("\n") == 1 and "visual.tsv:2: non-finite value nan" in err
 
 
 def test_eval_malformed_checkpoint_header(pipeline, tmp_path, capsys):
