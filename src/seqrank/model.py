@@ -235,7 +235,7 @@ def rank_candidates(u: str, params: ModelParams, feats, corpus, h: Hyper,
                     rep: np.ndarray | None = None) -> list:
     """Rank unseen items by dot product with the final training state."""
     states = run_sequence(u, params, feats, corpus, h)
-    if not len(states):
+    if len(states) == 0:
         raise ConfigError(f"user {u!r} has an empty training sequence")
     if rep is None:
         rep = item_rep_matrix(params, feats, h)

@@ -85,7 +85,7 @@ def sequence_context(params: ModelParams, corpus: Corpus, feats: FeatureStore,
                 f"sequence item {seq[tr.t - 1]!r}")
         neg[tr.t - 2] = tr.q
     index = feats.item_index
-    rows = np.array([index[it] for it in seq + neg])
+    rows = np.array([index[it] for it in list(seq) + neg])
     reps = item_rep_matrix(params, feats, h, rows)
     inputs, neg_inputs = reps[:m], reps[m:]
     states = hidden_states(inputs, params)
