@@ -7,6 +7,7 @@ in row-major order. Round trips are bit-exact.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -122,7 +123,7 @@ def read_checkpoint(path) -> tuple:
     blocks = {}
     for spec in header["blocks"]:
         shape = tuple(spec["shape"])
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)  # exact for any size, unlike int64 np.prod
         nbytes = n * 8
         if off + nbytes > len(raw):
             raise CheckpointError(

@@ -163,6 +163,7 @@ def test_malformed_headers_raise_checkpoint_error(tmp_path, world, saved):
     ("items", 5, "'items' is malformed"),
     ("hyper", {"alpha": "fast"}, "'hyper' is malformed"),
     ("hyper", {"beta": 1.0}, "'hyper' is malformed"),
+    ("blocks", [{"name": "X", "shape": [2 ** 32, 2 ** 32]}], "wants"),
 ])
 def test_bad_header_values_raise_checkpoint_error(tmp_path, world, saved,
                                                   field, value, message):
