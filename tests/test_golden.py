@@ -11,7 +11,14 @@ rewrite to the old numbers:
 - `vtrnn` and `vrnn` blocks agree to a relative error of 1e-12, measured
   as max |new - golden| / max |golden| per block.
 
-Regenerate only when the training arithmetic is meant to change:
+The `<kind>+shuffle` entries hold `vtrnn`, `vtbpr` and `mf` trained the same
+way with `shuffle_users=True`. They were recorded on the array-native core,
+before the three trainers shared one epoch driver, and must match bit for
+bit.
+
+Running this file records every entry missing from `golden_trace.npz` and
+keeps the ones it has; delete an entry (or the file) to re-record it, and
+only when the training arithmetic is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -29,23 +36,40 @@ from test_acceptance import SMALL
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_trace.npz")
 KINDS = ("vtrnn", "vrnn", "vtbpr", "mf")
+SHUFFLED_KINDS = ("vtrnn", "vtbpr", "mf")
 RECURRENT_REL_TOL = 1e-12
 
 
-def trace(kind: str) -> dict:
+def trace(kind: str, shuffle: bool = False) -> dict:
     """{block name: array} plus "log": the training-log lines."""
     corpus, feats = synth_corpus(SMALL, np.random.default_rng(77))
     lines = []
     ranker = build_ranker(kind, corpus, feats, Hyper(d=4, f_v=3, f_t=3),
-                          TrainConfig(epochs=2, seed=5), log=lines.append)
+                          TrainConfig(epochs=2, seed=5, shuffle_users=shuffle),
+                          log=lines.append)
     out = {name: block for name, block in ranker.params.blocks()}
     out["log"] = np.array(lines)
     return out
 
 
+def entries() -> dict:
+    """Entry prefix -> (kind, shuffle_users)."""
+    out = {kind: (kind, False) for kind in KINDS}
+    out.update({f"{kind}+shuffle": (kind, True) for kind in SHUFFLED_KINDS})
+    return out
+
+
 def record(path: str = GOLDEN) -> None:
-    np.savez(path, **{f"{kind}/{name}": value
-                      for kind in KINDS for name, value in trace(kind).items()})
+    have = {}
+    if os.path.exists(path):
+        with np.load(path) as z:
+            have = {key: z[key] for key in z.files}
+    prefixes = {key.split("/", 1)[0] for key in have}
+    for prefix, (kind, shuffle) in entries().items():
+        if prefix not in prefixes:
+            have.update({f"{prefix}/{name}": value
+                         for name, value in trace(kind, shuffle).items()})
+    np.savez(path, **have)
 
 
 @pytest.fixture(scope="module")
@@ -54,23 +78,33 @@ def golden():
         return {key: z[key] for key in z.files}
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_golden_trace(golden, kind):
-    got = trace(kind)
+def check_entry(golden, prefix: str, exact: bool) -> None:
+    kind, shuffle = entries()[prefix]
+    got = trace(kind, shuffle)
     assert sorted(got) == sorted(key.split("/", 1)[1] for key in golden
-                                 if key.startswith(kind + "/"))
-    assert got["log"].tolist() == golden[f"{kind}/log"].tolist()
+                                 if key.startswith(prefix + "/"))
+    assert got["log"].tolist() == golden[f"{prefix}/log"].tolist()
     for name, block in got.items():
         if name == "log":
             continue
-        want = golden[f"{kind}/{name}"]
+        want = golden[f"{prefix}/{name}"]
         assert block.shape == want.shape, name
-        if kind in ("vtbpr", "mf"):
+        if exact:
             assert np.array_equal(block, want), name
         else:
             scale = np.max(np.abs(want)) if want.size else 0.0
             err = np.max(np.abs(block - want)) if want.size else 0.0
             assert err <= RECURRENT_REL_TOL * scale, (name, err, scale)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_golden_trace(golden, kind):
+    check_entry(golden, kind, exact=kind in ("vtbpr", "mf"))
+
+
+@pytest.mark.parametrize("kind", SHUFFLED_KINDS)
+def test_golden_trace_shuffled(golden, kind):
+    check_entry(golden, f"{kind}+shuffle", exact=True)
 
 
 if __name__ == "__main__":
