@@ -4,6 +4,11 @@ Every ranker exposes .kind and .rank(u) -> [(item, score), ...] over the
 user's unseen items, sorted descending with ascending-id ties, so the
 evaluator treats all of them uniformly. Kinds: random, pop, mf, bpr, vbpr,
 tbpr, vtbpr, rnn, vrnn, trnn, vtrnn.
+
+The trainable kinds share one epoch loop, `sgd.run_epochs`; mf and the BPR
+family supply their per-user steps here. A BPR triple's gradient is formed
+in one place, `bpr_pair_grads`, which training, `bpr_gradients` and the
+gradient check all apply.
 """
 
 import hashlib
@@ -11,9 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import model, numkit, trainer
+from . import model, numkit, sgd, trainer
 from .dataio import Corpus, FeatureStore, sample_negative, sample_triples
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError
 from .model import Hyper, Mask, order_candidates
 
 
@@ -75,9 +80,6 @@ class BprParams:
         return [("Gamma", self.gamma), ("X", self.X), ("E", self.E),
                 ("V", self.V)]
 
-    def all_finite(self) -> bool:
-        return all(np.isfinite(b).all() for _, b in self.blocks())
-
 
 def init_bpr_params(h: Hyper, n_users: int, n_items: int,
                     rng: np.random.Generator) -> BprParams:
@@ -124,59 +126,58 @@ class RecurrentRanker:
 # ---------------------------------------------------------------------------
 # BPR training over the masked item representation
 
+def bpr_pair_grads(params: BprParams, feats: FeatureStore, h: Hyper, uj: int,
+                   tr) -> tuple:
+    """(xhat, grads) of one triple: xhat = dot(gamma_u, rep_p - rep_q) and
+    the gradient of ln sigma(xhat). grads["Gamma"] is user row uj's,
+    grads["X"] latent row p's (row q gets its negative), and the active
+    "E"/"V" kernels move by rank-1 feature-difference terms."""
+    rep_p = model.item_input(tr.p, params, feats, h)
+    rep_q = model.item_input(tr.q, params, feats, h)
+    gamma_u = params.gamma[uj]
+    xhat = numkit.dot(gamma_u, rep_p - rep_q)
+    c = numkit.sigmoid(-xhat)
+    sl = h.slices
+    grads = {"Gamma": c * (rep_p - rep_q)}
+    if h.mask.latent:
+        grads["X"] = c * gamma_u[sl["latent"]]
+    if h.mask.visual:
+        grads["E"] = c * numkit.outer(gamma_u[sl["visual"]],
+                                      feats.visual(tr.p) - feats.visual(tr.q))
+    if h.mask.textual:
+        grads["V"] = c * numkit.outer(gamma_u[sl["textual"]],
+                                      feats.textual(tr.p) - feats.textual(tr.q))
+    return xhat, grads
+
+
 def train_content_bpr(corpus: Corpus, feats: FeatureStore, h: Hyper,
                       cfg: trainer.TrainConfig, log=None) -> BprParams:
-    """Pairwise ascent on dot(gamma_u, rep_p - rep_q): gamma moves by the
-    representation difference, latent rows by the matching gamma slice, and
-    the embedding kernels by rank-1 feature-difference terms."""
-    rng_init = np.random.default_rng([cfg.seed, 0])
-    rng_train = np.random.default_rng([cfg.seed, 1])
-    params = init_bpr_params(h, len(corpus.users), corpus.n_items, rng_init)
-    sl = h.slices
+    """Pairwise ascent on dot(gamma_u, rep_p - rep_q), one `bpr_pair_grads`
+    step per sampled triple, over `sgd.run_epochs`."""
     user_index = {u: j for j, u in enumerate(corpus.users)}
     a = h.alpha
-    for epoch in range(1, cfg.epochs + 1):
-        users = list(corpus.users)
-        if cfg.shuffle_users:
-            users = [users[i] for i in rng_train.permutation(len(users))]
-        lnsig_sum, lnsig_n = 0.0, 0
-        for u in users:
-            if len(corpus.train_seq[u]) < 2:
-                continue
-            uj = user_index[u]
-            for tr in sample_triples(corpus, u, rng_train):
-                rep_p = model.item_input(tr.p, params, feats, h)
-                rep_q = model.item_input(tr.q, params, feats, h)
-                gamma_u = params.gamma[uj].copy()
-                xhat = numkit.dot(gamma_u, rep_p - rep_q)
-                c = numkit.sigmoid(-xhat)
-                lnsig_sum += float(numkit.log_sigmoid(xhat))
-                lnsig_n += 1
-                params.gamma[uj] += a * (c * (rep_p - rep_q) - h.lam_theta * gamma_u)
-                if h.mask.latent:
-                    ip, iq = corpus.item_index[tr.p], corpus.item_index[tr.q]
-                    g_x = gamma_u[sl["latent"]]
-                    params.X[ip] += a * (c * g_x - h.lam_theta * params.X[ip])
-                    params.X[iq] += a * (-c * g_x - h.lam_theta * params.X[iq])
-                if h.mask.visual:
-                    dE = numkit.outer(gamma_u[sl["visual"]],
-                                      feats.visual(tr.p) - feats.visual(tr.q))
-                    params.E += a * (c * dE - h.lam_e * params.E)
-                if h.mask.textual:
-                    dV = numkit.outer(gamma_u[sl["textual"]],
-                                      feats.textual(tr.p) - feats.textual(tr.q))
-                    params.V += a * (c * dV - h.lam_v * params.V)
-            if not params.all_finite():
-                raise DivergenceError(
-                    f"non-finite parameters at epoch {epoch}, user {u!r}")
-        if log is not None:
-            mean = lnsig_sum / lnsig_n if lnsig_n else float("nan")
-            log(f"{epoch}\t{mean:.6f}\t{bpr_param_norm(params):.6f}")
-    return params
 
+    def visit(params, u, rng):
+        if len(corpus.train_seq[u]) < 2:
+            return
+        uj = user_index[u]
+        for tr in sample_triples(corpus, u, rng):
+            xhat, g = bpr_pair_grads(params, feats, h, uj, tr)
+            yield float(numkit.log_sigmoid(xhat)), 1
+            params.gamma[uj] += a * (g["Gamma"] - h.lam_theta * params.gamma[uj])
+            if "X" in g:
+                ip, iq = corpus.item_index[tr.p], corpus.item_index[tr.q]
+                params.X[ip] += a * (g["X"] - h.lam_theta * params.X[ip])
+                params.X[iq] += a * (-g["X"] - h.lam_theta * params.X[iq])
+            for name, lam in (("E", h.lam_e), ("V", h.lam_v)):
+                if name in g:
+                    block = getattr(params, name)
+                    block += a * (g[name] - lam * block)
 
-def bpr_param_norm(params: BprParams) -> float:
-    return float(np.sqrt(sum(np.sum(b ** 2) for _, b in params.blocks())))
+    return sgd.run_epochs(
+        corpus, cfg,
+        lambda rng: init_bpr_params(h, len(corpus.users), corpus.n_items, rng),
+        visit, log)
 
 
 def bpr_triple_loglik(params: BprParams, corpus: Corpus, feats: FeatureStore,
@@ -184,9 +185,7 @@ def bpr_triple_loglik(params: BprParams, corpus: Corpus, feats: FeatureStore,
     user_index = {u: j for j, u in enumerate(corpus.users)}
     total = 0.0
     for tr in triples:
-        rep_p = model.item_input(tr.p, params, feats, h)
-        rep_q = model.item_input(tr.q, params, feats, h)
-        xhat = numkit.dot(params.gamma[user_index[tr.u]], rep_p - rep_q)
+        xhat, _ = bpr_pair_grads(params, feats, h, user_index[tr.u], tr)
         total += float(numkit.log_sigmoid(xhat))
     return total
 
@@ -195,30 +194,21 @@ def bpr_gradients(params: BprParams, corpus: Corpus, feats: FeatureStore,
                   h: Hyper, triples: list) -> dict:
     """Exact gradient of the triple log-likelihood, full-shape arrays."""
     user_index = {u: j for j, u in enumerate(corpus.users)}
-    sl = h.slices
     grads = {"Gamma": np.zeros_like(params.gamma)}
-    if h.mask.latent:
-        grads["X"] = np.zeros_like(params.X)
-    if h.mask.visual:
-        grads["E"] = np.zeros_like(params.E)
-    if h.mask.textual:
-        grads["V"] = np.zeros_like(params.V)
+    for name, on in (("X", h.mask.latent), ("E", h.mask.visual),
+                     ("V", h.mask.textual)):
+        if on:
+            grads[name] = np.zeros_like(getattr(params, name))
     for tr in triples:
         uj = user_index[tr.u]
-        rep_p = model.item_input(tr.p, params, feats, h)
-        rep_q = model.item_input(tr.q, params, feats, h)
-        gamma_u = params.gamma[uj]
-        c = numkit.sigmoid(-numkit.dot(gamma_u, rep_p - rep_q))
-        grads["Gamma"][uj] += c * (rep_p - rep_q)
-        if h.mask.latent:
-            grads["X"][corpus.item_index[tr.p]] += c * gamma_u[sl["latent"]]
-            grads["X"][corpus.item_index[tr.q]] -= c * gamma_u[sl["latent"]]
-        if h.mask.visual:
-            grads["E"] += c * numkit.outer(gamma_u[sl["visual"]],
-                                           feats.visual(tr.p) - feats.visual(tr.q))
-        if h.mask.textual:
-            grads["V"] += c * numkit.outer(gamma_u[sl["textual"]],
-                                           feats.textual(tr.p) - feats.textual(tr.q))
+        _, g = bpr_pair_grads(params, feats, h, uj, tr)
+        grads["Gamma"][uj] += g["Gamma"]
+        if "X" in g:
+            grads["X"][corpus.item_index[tr.p]] += g["X"]
+            grads["X"][corpus.item_index[tr.q]] -= g["X"]
+        for name in ("E", "V"):
+            if name in g:
+                grads[name] += g[name]
     return grads
 
 
@@ -243,38 +233,28 @@ def train_mf(corpus: Corpus, h: Hyper, cfg: trainer.TrainConfig,
              log=None) -> BprParams:
     """Squared-error factorization on implicit data: every training
     interaction is a target-1 observation paired with one sampled
-    target-0 negative."""
+    target-0 negative. The logged objective is the mean squared error."""
     if not h.mask.latent or h.mask.visual or h.mask.textual:
         raise ConfigError("mf uses the latent slice only")
-    rng_init = np.random.default_rng([cfg.seed, 0])
-    rng_train = np.random.default_rng([cfg.seed, 1])
-    params = init_bpr_params(h, len(corpus.users), corpus.n_items, rng_init)
     user_index = {u: j for j, u in enumerate(corpus.users)}
     a = h.alpha
-    for epoch in range(1, cfg.epochs + 1):
-        users = list(corpus.users)
-        if cfg.shuffle_users:
-            users = [users[i] for i in rng_train.permutation(len(users))]
-        sq_sum, sq_n = 0.0, 0
-        for u in users:
-            uj = user_index[u]
-            for it in corpus.train_seq[u]:
-                neg = sample_negative(corpus, u, rng_train)
-                for item, target in ((it, 1.0), (neg, 0.0)):
-                    ij = corpus.item_index[item]
-                    gamma_u = params.gamma[uj].copy()
-                    err = target - numkit.dot(gamma_u, params.X[ij])
-                    sq_sum += err * err
-                    sq_n += 1
-                    params.gamma[uj] += a * (err * params.X[ij] - h.lam_theta * gamma_u)
-                    params.X[ij] += a * (err * gamma_u - h.lam_theta * params.X[ij])
-            if not params.all_finite():
-                raise DivergenceError(
-                    f"non-finite parameters at epoch {epoch}, user {u!r}")
-        if log is not None:
-            mean = sq_sum / sq_n if sq_n else float("nan")
-            log(f"{epoch}\t{mean:.6f}\t{bpr_param_norm(params):.6f}")
-    return params
+
+    def visit(params, u, rng):
+        uj = user_index[u]
+        for it in corpus.train_seq[u]:
+            neg = sample_negative(corpus, u, rng)
+            for item, target in ((it, 1.0), (neg, 0.0)):
+                ij = corpus.item_index[item]
+                gamma_u = params.gamma[uj].copy()
+                err = target - numkit.dot(gamma_u, params.X[ij])
+                yield err * err, 1
+                params.gamma[uj] += a * (err * params.X[ij] - h.lam_theta * gamma_u)
+                params.X[ij] += a * (err * gamma_u - h.lam_theta * params.X[ij])
+
+    return sgd.run_epochs(
+        corpus, cfg,
+        lambda rng: init_bpr_params(h, len(corpus.users), corpus.n_items, rng),
+        visit, log)
 
 
 def mf_loss(params: BprParams, observations: list) -> float:
@@ -307,19 +287,6 @@ def mf_grad_check(h: Hyper, rng: np.random.Generator,
 
 # ---------------------------------------------------------------------------
 # factory
-
-def bpr_mf(corpus: Corpus, h: Hyper, cfg: trainer.TrainConfig,
-           log=None) -> BprParams:
-    """Plain pairwise factorization: the latent-only special case of the
-    content model, same code path, so the two are bit-identical."""
-    if h.mask.visual or h.mask.textual:
-        raise ConfigError("bpr_mf uses the latent slice only")
-    empty = FeatureStore(h.f_v, h.f_t,
-                         np.zeros((corpus.n_items, h.f_v)),
-                         np.zeros((corpus.n_items, h.f_t)),
-                         dict(corpus.item_index))
-    return train_content_bpr(corpus, empty, h, cfg, log=log)
-
 
 def build_ranker(kind: str, corpus: Corpus, feats: FeatureStore, h: Hyper,
                  cfg: trainer.TrainConfig, log=None):

@@ -34,14 +34,9 @@ def _ranker_payload(ranker) -> tuple:
     header.update({"d": h.d, "f_v": h.f_v, "f_t": h.f_t,
                    "mask": list(h.mask.active),
                    "hyper": {k: getattr(h, k) for k in HYPER_KEYS}})
-    p = ranker.params
     if isinstance(ranker, baselines.EmbedRanker):
         header["users"] = list(ranker.corpus.users)
-        blocks = [("Gamma", p.gamma), ("X", p.X), ("E", p.E), ("V", p.V)]
-    else:
-        blocks = [("X", p.X), ("E", p.E), ("V", p.V),
-                  ("InMat", p.InMat), ("RecMat", p.RecMat)]
-    return header, blocks
+    return header, ranker.params.blocks()
 
 
 def save_ranker(path, ranker) -> None:

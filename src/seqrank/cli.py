@@ -36,7 +36,7 @@ DEFAULTS = {
               "lam_v": 0.001, "init_lo": -0.5, "init_hi": 0.5},
     "train": {"epochs": 20, "shuffle_users": False, "clip_norm": None},
     "eval": {"cutoffs": [10, 30, 50], "bins": [1, 2, 4, 8, 16, 32, 64, 128, 256],
-             "threads": 1, "coldstart_k": 30},
+             "coldstart_k": 30},
     "pairs": None,
     "synth": None,
 }
@@ -79,8 +79,6 @@ def resolve_config(args) -> dict:
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["out"] = args.out
-    if getattr(args, "threads", None) is not None:
-        cfg["eval"]["threads"] = args.threads
 
     kind = cfg["kind"]
     if kind not in model.ALL_KINDS:
@@ -128,8 +126,7 @@ def resolve_config(args) -> dict:
         problems.append(f"train: {exc}")
     ev = cfg["eval"]
     try:
-        evaluator.EvalConfig(cutoffs=tuple(ev["cutoffs"]),
-                             bins=tuple(ev["bins"]), threads=ev["threads"])
+        evaluator.EvalConfig(cutoffs=tuple(ev["cutoffs"]), bins=tuple(ev["bins"]))
     except (ConfigError, TypeError) as exc:
         problems.append(f"eval: {exc}")
     if not (isinstance(ev["coldstart_k"], int) and ev["coldstart_k"] >= 1):
@@ -221,7 +218,7 @@ def cmd_train(args) -> int:
 def _eval_config(cfg: dict) -> evaluator.EvalConfig:
     ev = cfg["eval"]
     return evaluator.EvalConfig(cutoffs=tuple(ev["cutoffs"]),
-                                bins=tuple(ev["bins"]), threads=ev["threads"])
+                                bins=tuple(ev["bins"]))
 
 
 def cmd_eval(args) -> int:
@@ -340,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None, help="JSON config path")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--threads", type=int, default=None)
         sp.set_defaults(fn=fn)
     sub.choices["eval"].add_argument("checkpoint")
     sub.choices["coldstart"].add_argument("checkpoints", nargs="+")

@@ -1,12 +1,11 @@
 """Ranked-retrieval metrics, AUC, and frequency-bin cold-start analysis.
 
 Per-user rankings come from any object with .rank(u) returning (item, score)
-pairs sorted descending. Aggregation is a fixed-order mean over evaluable
-users, so threaded and serial evaluation agree bit for bit.
+pairs sorted descending. Users are scored one after another, and aggregation
+is a fixed-order mean over evaluable users.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,6 @@ from .errors import ConfigError, EmptyCorpusError
 class EvalConfig:
     cutoffs: tuple = (10, 30, 50)
     bins: tuple = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-    threads: int = 1
 
     def __post_init__(self):
         problems = []
@@ -33,8 +31,6 @@ class EvalConfig:
             problems.append("bins must be positive")
         if list(self.bins) != sorted(set(self.bins)):
             problems.append("bin bounds must be strictly increasing")
-        if self.threads < 1:
-            problems.append("threads must be >= 1")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -147,12 +143,7 @@ def evaluate(ranker, corpus: Corpus, cfg: EvalConfig,
     users = corpus.eval_users()
     if not users:
         raise EmptyCorpusError("no users have test items to evaluate")
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            rows = list(ex.map(lambda u: user_metrics(ranker, corpus, cfg, u),
-                               users))
-    else:
-        rows = [user_metrics(ranker, corpus, cfg, u) for u in users]
+    rows = [user_metrics(ranker, corpus, cfg, u) for u in users]
 
     per_cutoff = {}
     for k in cfg.cutoffs:

@@ -91,7 +91,9 @@ class Hyper:
 
     def __post_init__(self):
         problems = []
-        if self.d < 1:
+        if not isinstance(self.d, int) or isinstance(self.d, bool):
+            problems.append(f"d must be an integer, got {self.d!r}")
+        elif self.d < 1:
             problems.append(f"d must be >= 1, got {self.d}")
         if self.f_v < 0 or self.f_t < 0:
             problems.append("feature dims must be >= 0")
@@ -134,9 +136,6 @@ class ModelParams:
     def blocks(self) -> list:
         return [("X", self.X), ("E", self.E), ("V", self.V),
                 ("InMat", self.InMat), ("RecMat", self.RecMat)]
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(b).all() for _, b in self.blocks())
 
 
 def init_params(h: Hyper, n_items: int, rng: np.random.Generator) -> ModelParams:

@@ -7,11 +7,6 @@ class DimensionError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-def require_finite(a: np.ndarray, label: str = "array") -> None:
-    if not np.isfinite(a).all():
-        raise FloatingPointError(f"non-finite entries in {label}")
-
-
 def dot(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise DimensionError(f"dot: length mismatch {a.shape} vs {b.shape}")

@@ -1,0 +1,41 @@
+"""The per-user SGD epoch loop shared by every trainable ranker.
+
+A trainer supplies `init(rng)`, which draws the starting parameters, and
+`visit(params, u, rng)`, which updates them from one user's sampled pairs
+and yields (objective term, pair count) as it goes. Initialization and
+training draw from split seed streams, so the training draws are the same
+for every model kind under one seed.
+"""
+
+import numpy as np
+
+from .errors import DivergenceError
+
+
+def param_norm(params) -> float:
+    return float(np.sqrt(sum(np.sum(b ** 2) for _, b in params.blocks())))
+
+
+def run_epochs(corpus, cfg, init, visit, log=None):
+    """Run cfg.epochs passes over the users, in corpus order or reshuffled
+    each epoch. After each epoch, `log` gets "epoch<TAB>mean objective<TAB>
+    parameter norm". Raises DivergenceError at the first user whose updates
+    leave a non-finite parameter."""
+    params = init(np.random.default_rng([cfg.seed, 0]))
+    rng = np.random.default_rng([cfg.seed, 1])
+    for epoch in range(1, cfg.epochs + 1):
+        users = list(corpus.users)
+        if cfg.shuffle_users:
+            users = [users[i] for i in rng.permutation(len(users))]
+        total, n = 0.0, 0
+        for u in users:
+            for term, count in visit(params, u, rng):
+                total += term
+                n += count
+            if not all(np.isfinite(b).all() for _, b in params.blocks()):
+                raise DivergenceError(
+                    f"non-finite parameters at epoch {epoch}, user {u!r}")
+        if log is not None:
+            mean = total / n if n else float("nan")
+            log(f"{epoch}\t{mean:.6f}\t{param_norm(params):.6f}")
+    return params

@@ -13,15 +13,20 @@ matmuls over the stacked per-layer vectors, and applies them in one step.
 The per-sequence update with zero regularization equals the exact gradient
 of sum_t ln sigma(score_t) at the frozen context, which is what grad_check
 verifies against central finite differences.
+
+`train` supplies only the per-user step (sample the pairs, build the
+context, forward updates pair by pair, one backward pass); epochs, user
+order, seed streams, the divergence guard and the log line are
+`sgd.run_epochs`'s.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import numkit
+from . import numkit, sgd
 from .dataio import Corpus, FeatureStore, TrainingTriple, sample_triples
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError
 from .model import (Hyper, ModelParams, hidden_states, init_params,
                     item_rep_matrix, score_pair)
 
@@ -34,6 +39,8 @@ class TrainConfig:
     clip_norm: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.epochs, int) or isinstance(self.epochs, bool):
+            raise ConfigError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.clip_norm is not None and self.clip_norm <= 0:
@@ -260,42 +267,27 @@ def sequence_gradients(params: ModelParams, corpus: Corpus, feats: FeatureStore,
 # ---------------------------------------------------------------------------
 # training loop
 
-def param_norm(params: ModelParams) -> float:
-    return float(np.sqrt(sum(np.sum(b ** 2) for _, b in params.blocks())))
-
-
 def train(corpus: Corpus, feats: FeatureStore, h: Hyper, cfg: TrainConfig,
           log=None) -> ModelParams:
-    """SGD ascent over users and epochs. Negatives are resampled fresh each
-    epoch. Initialization and sampling use split seed streams so the
-    sampling sequence is identical across model kinds under one seed."""
+    """SGD ascent over users and epochs (`sgd.run_epochs`). Each user's
+    negatives are resampled fresh each epoch; the logged objective is the
+    mean ln sigma over the epoch's pairs."""
     if not corpus.users:
         raise ConfigError("empty corpus")
-    rng_init = np.random.default_rng([cfg.seed, 0])
-    rng_train = np.random.default_rng([cfg.seed, 1])
-    params = init_params(h, corpus.n_items, rng_init)
-    for epoch in range(1, cfg.epochs + 1):
-        users = list(corpus.users)
-        if cfg.shuffle_users:
-            users = [users[i] for i in rng_train.permutation(len(users))]
-        lnsig_sum, lnsig_n = 0.0, 0
-        for u in users:
-            if len(corpus.train_seq[u]) < 2:
-                continue
-            triples = sample_triples(corpus, u, rng_train)
-            ctx = sequence_context(params, corpus, feats, h, triples)
-            lnsig_sum += float(np.sum(numkit.log_sigmoid(ctx.scores)))
-            lnsig_n += len(ctx.scores)
-            for tr in ctx.triples:
-                forward_updates(params, ctx, tr, feats, h, cfg.clip_norm)
-            backward_pass(params, ctx, feats, h, cfg.clip_norm)
-            if not params.all_finite():
-                raise DivergenceError(
-                    f"non-finite parameters at epoch {epoch}, user {u!r}")
-        if log is not None:
-            mean = lnsig_sum / lnsig_n if lnsig_n else float("nan")
-            log(f"{epoch}\t{mean:.6f}\t{param_norm(params):.6f}")
-    return params
+
+    def visit(params, u, rng):
+        if len(corpus.train_seq[u]) < 2:
+            return
+        ctx = sequence_context(params, corpus, feats, h,
+                               sample_triples(corpus, u, rng))
+        yield float(np.sum(numkit.log_sigmoid(ctx.scores))), len(ctx.scores)
+        for tr in ctx.triples:
+            forward_updates(params, ctx, tr, feats, h, cfg.clip_norm)
+        backward_pass(params, ctx, feats, h, cfg.clip_norm)
+
+    return sgd.run_epochs(corpus, cfg,
+                          lambda rng: init_params(h, corpus.n_items, rng),
+                          visit, log)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from seqrank import baselines, model
 from seqrank.baselines import (BprParams, EmbedRanker, PopRanker, RandomRanker,
-                               bpr_grad_check, bpr_mf, build_ranker,
+                               bpr_grad_check, build_ranker,
                                init_bpr_params, mf_grad_check,
                                train_content_bpr, train_mf, user_stream)
 from seqrank.dataio import SynthSpec, synth_corpus
@@ -118,17 +118,17 @@ def test_train_mf_deterministic(world):
     assert np.array_equal(pa.gamma, pb.gamma)
 
 
-def test_bpr_mf_is_latent_only_content_bpr(world):
+def test_bpr_kind_is_latent_only_content_bpr(world):
     corpus, feats = world
-    h = Hyper(d=2, mask=Mask.for_kind("bpr"))
     cfg = TrainConfig(epochs=3, seed=4)
-    plain = bpr_mf(corpus, h, cfg)
+    plain = build_ranker("bpr", corpus, feats, Hyper(d=2, f_v=2, f_t=2),
+                         cfg).params
     content = train_content_bpr(
         corpus,
         baselines.FeatureStore(0, 0, np.zeros((corpus.n_items, 0)),
                                np.zeros((corpus.n_items, 0)),
                                dict(corpus.item_index)),
-        h, cfg)
+        Hyper(d=2, mask=Mask.for_kind("bpr")), cfg)
     assert np.array_equal(plain.gamma, content.gamma)
     assert np.array_equal(plain.X, content.X)
 

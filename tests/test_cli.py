@@ -204,6 +204,20 @@ def test_train_divergence_exit_code(pipeline, tmp_path, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,value", [("hyper", "d", 2.5),
+                                               ("hyper", "d", True),
+                                               ("train", "epochs", 1.5)])
+def test_non_integer_config_is_config_error(pipeline, tmp_path, capsys,
+                                            section, key, value):
+    _, paths, _ = pipeline
+    cfg = write_config(tmp_path / "c.json",
+                       {"kind": "rnn", "data": paths, section: {key: value}})
+    code = cli.main(["train", "--config", cfg, "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error:\n{section}: {key} must be an integer, got {value!r}\n"
+
+
 def test_config_echo_is_json(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", {"synth": SYNTH})
     assert cli.main(["synth", "--config", cfg, "--seed", "7",

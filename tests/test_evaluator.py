@@ -26,9 +26,9 @@ class FakeRanker:
 
 def test_eval_config_validation():
     with pytest.raises(ConfigError) as err:
-        EvalConfig(cutoffs=(5, 5), bins=(4, 2), threads=0)
+        EvalConfig(cutoffs=(5, 5), bins=(4, 2))
     msg = str(err.value)
-    assert "cutoffs" in msg and "bin bounds" in msg and "threads" in msg
+    assert "cutoffs" in msg and "bin bounds" in msg
     with pytest.raises(ConfigError):
         EvalConfig(cutoffs=())
 
@@ -124,15 +124,6 @@ def test_evaluate_report_outputs(toy_corpus):
     assert rows[0] == ("ranker", "metric", "k", "value", "value_x100")
     assert len(rows) == 1 + 2 * 4 + 1
     assert rows[-1][1] == "auc"
-
-
-def test_evaluate_threads_match_serial(toy_corpus):
-    r = RandomRanker(toy_corpus, seed=11)
-    serial = evaluate(r, toy_corpus, EvalConfig(cutoffs=(1, 2), bins=(1,)))
-    threaded = evaluate(r, toy_corpus,
-                        EvalConfig(cutoffs=(1, 2), bins=(1,), threads=4))
-    assert serial.auc == threaded.auc
-    assert serial.per_cutoff == threaded.per_cutoff
 
 
 def test_evaluate_requires_eval_users():

@@ -64,12 +64,6 @@ def test_log_sigmoid_stable():
     assert float(numkit.log_sigmoid(1000.0)) == 0.0
 
 
-def test_require_finite():
-    numkit.require_finite(np.array([1.0, 2.0]), "ok")
-    with pytest.raises(Exception, match="bad_block"):
-        numkit.require_finite(np.array([1.0, np.nan]), "bad_block")
-
-
 def test_fd_check_quadratic():
     w = np.array([[0.5, -1.0], [2.0, 0.25]])
     loss = lambda: 0.5 * float(np.sum(w ** 2))  # noqa: E731, gradient is w

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqrank import numkit
+from seqrank.baselines import build_ranker
 from seqrank.dataio import TrainingTriple, sample_triples, synth_corpus, SynthSpec
 from seqrank.errors import ConfigError, DivergenceError
 from seqrank.model import (Hyper, Mask, hidden_states, init_params,
@@ -208,36 +209,48 @@ def test_train_deterministic():
         assert np.array_equal(a, b)
 
 
+# the three trainers that share `sgd.run_epochs`, each run through
+# build_ranker; the logged objective is mean ln sigma for the pairwise ones
+# and mean squared error for mf
+DRIVER_KINDS = {"vtrnn": -1.0, "vtbpr": -1.0, "mf": 1.0}
+
+
+def fit(kind, corpus, feats, cfg, log=None, **hyper):
+    h = full_hyper(d=2, **hyper)
+    return build_ranker(kind, corpus, feats, h, cfg, log=log).params
+
+
 def test_train_shuffle_changes_order_not_determinism():
     corpus, feats = small_world()
-    h = full_hyper(d=2)
     shuffled = TrainConfig(epochs=3, seed=13, shuffle_users=True)
-    pa = train(corpus, feats, h, shuffled)
-    pb = train(corpus, feats, h, shuffled)
-    assert np.array_equal(pa.X, pb.X)
-    plain = train(corpus, feats, h, TrainConfig(epochs=3, seed=13))
-    assert not np.array_equal(pa.X, plain.X)
+    for kind in DRIVER_KINDS:
+        pa = fit(kind, corpus, feats, shuffled)
+        pb = fit(kind, corpus, feats, shuffled)
+        assert np.array_equal(pa.X, pb.X), kind
+        plain = fit(kind, corpus, feats, TrainConfig(epochs=3, seed=13))
+        assert not np.array_equal(pa.X, plain.X), kind
 
 
 def test_train_log_format():
     corpus, feats = small_world()
-    lines = []
-    train(corpus, feats, full_hyper(d=2), TrainConfig(epochs=2, seed=1),
-          log=lines.append)
-    assert len(lines) == 2
-    for n, line in enumerate(lines, start=1):
-        epoch, mean, norm = line.split("\t")
-        assert int(epoch) == n
-        assert float(mean) < 0.0   # ln sigma is negative
-        assert float(norm) > 0.0
+    for kind, sign in DRIVER_KINDS.items():
+        lines = []
+        fit(kind, corpus, feats, TrainConfig(epochs=2, seed=1), log=lines.append)
+        assert len(lines) == 2, kind
+        for n, line in enumerate(lines, start=1):
+            epoch, mean, norm = line.split("\t")
+            assert int(epoch) == n, kind
+            assert sign * float(mean) > 0.0, kind
+            assert float(norm) > 0.0, kind
 
 
 def test_train_divergence_raises():
     corpus, feats = small_world()
-    h = full_hyper(d=2, alpha=1e150, lam_theta=0.01)
-    with np.errstate(all="ignore"), pytest.raises(DivergenceError,
-                                                  match="non-finite"):
-        train(corpus, feats, h, TrainConfig(epochs=6, seed=0))
+    for kind in DRIVER_KINDS:
+        with np.errstate(all="ignore"), pytest.raises(
+                DivergenceError, match="non-finite parameters at epoch"):
+            fit(kind, corpus, feats, TrainConfig(epochs=6, seed=0),
+                alpha=1e150, lam_theta=0.01)
 
 
 def test_clip_norm_bounds_forward_step():
