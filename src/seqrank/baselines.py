@@ -6,9 +6,10 @@ evaluator treats all of them uniformly. Kinds: random, pop, mf, bpr, vbpr,
 tbpr, vtbpr, rnn, vrnn, trnn, vtrnn.
 
 The trainable kinds share one epoch loop, `sgd.run_epochs`; mf and the BPR
-family supply their per-user steps here. A BPR triple's gradient is formed
-in one place, `bpr_pair_grads`, which training, `bpr_gradients` and the
-gradient check all apply.
+family supply their per-user steps here. A BPR triple's score and gradient
+are formed in one place, `bpr_pair_score` and `bpr_pair_grads`, and an mf
+observation's in `mf_obs_grads`; training, the losses, the exact gradients
+and the gradient check all apply them.
 """
 
 import hashlib
@@ -126,19 +127,25 @@ class RecurrentRanker:
 # ---------------------------------------------------------------------------
 # BPR training over the masked item representation
 
+def bpr_pair_score(params: BprParams, feats: FeatureStore, h: Hyper, uj: int,
+                   tr) -> tuple:
+    """(xhat, rep_p - rep_q) of one triple, xhat = dot(gamma_u, rep_p - rep_q)."""
+    diff = (model.item_input(tr.p, params, feats, h)
+            - model.item_input(tr.q, params, feats, h))
+    return numkit.dot(params.gamma[uj], diff), diff
+
+
 def bpr_pair_grads(params: BprParams, feats: FeatureStore, h: Hyper, uj: int,
                    tr) -> tuple:
-    """(xhat, grads) of one triple: xhat = dot(gamma_u, rep_p - rep_q) and
-    the gradient of ln sigma(xhat). grads["Gamma"] is user row uj's,
-    grads["X"] latent row p's (row q gets its negative), and the active
-    "E"/"V" kernels move by rank-1 feature-difference terms."""
-    rep_p = model.item_input(tr.p, params, feats, h)
-    rep_q = model.item_input(tr.q, params, feats, h)
+    """(xhat, grads) of one triple: `bpr_pair_score` and the gradient of
+    ln sigma(xhat). grads["Gamma"] is user row uj's, grads["X"] latent row
+    p's (row q gets its negative), and the active "E"/"V" kernels move by
+    rank-1 feature-difference terms."""
+    xhat, diff = bpr_pair_score(params, feats, h, uj, tr)
     gamma_u = params.gamma[uj]
-    xhat = numkit.dot(gamma_u, rep_p - rep_q)
     c = numkit.sigmoid(-xhat)
     sl = h.slices
-    grads = {"Gamma": c * (rep_p - rep_q)}
+    grads = {"Gamma": c * diff}
     if h.mask.latent:
         grads["X"] = c * gamma_u[sl["latent"]]
     if h.mask.visual:
@@ -185,7 +192,7 @@ def bpr_triple_loglik(params: BprParams, corpus: Corpus, feats: FeatureStore,
     user_index = {u: j for j, u in enumerate(corpus.users)}
     total = 0.0
     for tr in triples:
-        xhat, _ = bpr_pair_grads(params, feats, h, user_index[tr.u], tr)
+        xhat, _ = bpr_pair_score(params, feats, h, user_index[tr.u], tr)
         total += float(numkit.log_sigmoid(xhat))
     return total
 
@@ -245,11 +252,10 @@ def train_mf(corpus: Corpus, h: Hyper, cfg: trainer.TrainConfig,
             neg = sample_negative(corpus, u, rng)
             for item, target in ((it, 1.0), (neg, 0.0)):
                 ij = corpus.item_index[item]
-                gamma_u = params.gamma[uj].copy()
-                err = target - numkit.dot(gamma_u, params.X[ij])
+                err, g = mf_obs_grads(params, uj, ij, target)
                 yield err * err, 1
-                params.gamma[uj] += a * (err * params.X[ij] - h.lam_theta * gamma_u)
-                params.X[ij] += a * (err * gamma_u - h.lam_theta * params.X[ij])
+                params.gamma[uj] += a * (g["Gamma"] - h.lam_theta * params.gamma[uj])
+                params.X[ij] += a * (g["X"] - h.lam_theta * params.X[ij])
 
     return sgd.run_epochs(
         corpus, cfg,
@@ -257,11 +263,20 @@ def train_mf(corpus: Corpus, h: Hyper, cfg: trainer.TrainConfig,
         visit, log)
 
 
+def mf_obs_grads(params: BprParams, uj: int, ij: int, target: float) -> tuple:
+    """(err, grads) of one observation: err = target - dot(gamma_u, x_i)
+    and the descent directions of 0.5 * err^2, grads["Gamma"] for user row
+    uj and grads["X"] for item row ij."""
+    gamma_u, x_i = params.gamma[uj], params.X[ij]
+    err = target - numkit.dot(gamma_u, x_i)
+    return err, {"Gamma": err * x_i, "X": err * gamma_u}
+
+
 def mf_loss(params: BprParams, observations: list) -> float:
     """Sum of squared-error halves over (user row, item row, target)."""
     total = 0.0
     for uj, ij, target in observations:
-        err = target - numkit.dot(params.gamma[uj], params.X[ij])
+        err, _ = mf_obs_grads(params, uj, ij, target)
         total += 0.5 * err * err
     return total
 
@@ -269,9 +284,9 @@ def mf_loss(params: BprParams, observations: list) -> float:
 def mf_gradients(params: BprParams, observations: list) -> dict:
     grads = {"Gamma": np.zeros_like(params.gamma), "X": np.zeros_like(params.X)}
     for uj, ij, target in observations:
-        err = target - numkit.dot(params.gamma[uj], params.X[ij])
-        grads["Gamma"][uj] -= err * params.X[ij]
-        grads["X"][ij] -= err * params.gamma[uj]
+        _, g = mf_obs_grads(params, uj, ij, target)
+        grads["Gamma"][uj] -= g["Gamma"]
+        grads["X"][ij] -= g["X"]
     return grads
 
 

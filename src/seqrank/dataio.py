@@ -1,7 +1,6 @@
 """Corpus and feature ingestion: parsing, filtering, splitting, negative
 sampling, and the planted-cluster synthetic data generator."""
 
-import json
 import math
 from dataclasses import dataclass, field
 

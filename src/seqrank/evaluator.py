@@ -2,7 +2,10 @@
 
 Per-user rankings come from any object with .rank(u) returning (item, score)
 pairs sorted descending. Users are scored one after another, and aggregation
-is a fixed-order mean over evaluable users.
+is a fixed-order mean over evaluable users. Each ranking is reduced once to
+its relevance flags, the hit vector: `cutoff_metrics` reads every cutoff
+metric from its running sums, and AUC uses those flags with the midranks of
+the scores.
 """
 
 import math
@@ -38,42 +41,44 @@ class EvalConfig:
 # ---------------------------------------------------------------------------
 # per-user metrics
 
-def recall_precision_at_k(ranked: list, relevant: set, k: int):
-    hits = sum(1 for it in ranked[:k] if it in relevant)
-    return hits / len(relevant), hits / k
+METRICS = ("recall", "precision", "map", "ndcg")  # order of cutoff_metrics' tuples
 
 
-def map_at_k(ranked: list, relevant: set, k: int) -> float:
-    """Average precision at k, normalized by min(k, |relevant|)."""
-    hits, ap = 0, 0.0
-    for j, it in enumerate(ranked[:k], start=1):
-        if it in relevant:
-            hits += 1
-            ap += hits / j
-    return ap / min(k, len(relevant))
-
-
-def ndcg_at_k(ranked: list, relevant: set, k: int) -> float:
-    """Binary-relevance NDCG with 1/log2(rank+1) discounts."""
-    dcg = sum(1.0 / math.log2(j + 1)
-              for j, it in enumerate(ranked[:k], start=1) if it in relevant)
-    idcg = sum(1.0 / math.log2(j + 1)
-               for j in range(1, min(k, len(relevant)) + 1))
-    return dcg / idcg
+def cutoff_metrics(hit: np.ndarray, n_rel: int, cutoffs) -> dict:
+    """k -> (recall, precision, MAP, NDCG) at each cutoff, from a ranking's
+    relevance flags (hit[j] true where rank j+1 is relevant) and its user's
+    number of relevant items. All four are running sums over the top
+    max(cutoffs) flags, read at k; positions past the ranking's end are
+    misses. MAP is normalized by min(k, n_rel), NDCG uses 1/log2(rank+1)
+    discounts."""
+    kmax = max(cutoffs)
+    top = hit[:kmax]
+    flags = np.zeros(kmax)
+    flags[:top.size] = top
+    # math.log2 because np.log2 differs from it in the last bit for some ranks
+    disc = np.array([1.0 / math.log2(j + 1) for j in range(1, kmax + 1)])
+    hits = np.cumsum(flags)
+    ap = np.cumsum(flags * hits / np.arange(1, kmax + 1))
+    dcg = np.cumsum(flags * disc)
+    idcg = np.cumsum(disc)
+    out = {}
+    for k in cutoffs:
+        n_hit, best = int(hits[k - 1]), min(k, n_rel)
+        out[k] = (n_hit / n_rel, n_hit / k, float(ap[k - 1] / best),
+                  float(dcg[k - 1] / idcg[best - 1]))
+    return out
 
 
 def midranks(scores: np.ndarray) -> np.ndarray:
     """1-based ascending ranks with tied values sharing their average rank."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size)
+    order = np.argsort(scores, kind="stable")
     svals = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and svals[j + 1] == svals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    first = np.ones(svals.size, dtype=bool)
+    first[1:] = svals[1:] != svals[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], svals.size) - 1
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -94,7 +99,7 @@ def auc_from_scores(scores: np.ndarray, rel_mask: np.ndarray) -> float:
 class EvalReport:
     kind: str
     cutoffs: tuple
-    per_cutoff: dict          # k -> {"recall","precision","map","ndcg"}
+    per_cutoff: dict          # k -> {name in METRICS: mean over users}
     auc: float
     users_evaluated: int
     auc_skipped: int          # users with no (relevant, non-relevant) pair
@@ -110,7 +115,7 @@ class EvalReport:
     def csv_rows(self) -> list:
         rows = [("ranker", "metric", "k", "value", "value_x100")]
         for k in self.cutoffs:
-            for m in ("recall", "precision", "map", "ndcg"):
+            for m in METRICS:
                 v = self.per_cutoff[k][m]
                 rows.append((self.kind, m, str(k), repr(v), f"{100.0 * v:.4f}"))
         rows.append((self.kind, "auc", "", repr(self.auc),
@@ -122,14 +127,10 @@ def user_metrics(ranker, corpus: Corpus, cfg: EvalConfig, u: str) -> dict:
     ranking = ranker.rank(u)
     ids = [it for it, _ in ranking]
     rel = set(corpus.test_seq[u])
-    row = {"ranked": ids}
-    for k in cfg.cutoffs:
-        r, p = recall_precision_at_k(ids, rel, k)
-        row[k] = (r, p, map_at_k(ids, rel, k), ndcg_at_k(ids, rel, k))
-    if 1 <= len(rel) < len(ids):
-        scores = np.array([s for _, s in ranking])
-        rel_mask = np.array([it in rel for it in ids])
-        row["auc"] = auc_from_scores(scores, rel_mask)
+    hit = np.array([it in rel for it in ids], dtype=bool)
+    row = {"ranked": ids, **cutoff_metrics(hit, len(rel), cfg.cutoffs)}
+    if 0 < hit.sum() < hit.size:
+        row["auc"] = auc_from_scores(np.array([s for _, s in ranking]), hit)
     else:
         row["auc"] = None
     return row
@@ -147,14 +148,11 @@ def evaluate(ranker, corpus: Corpus, cfg: EvalConfig,
 
     per_cutoff = {}
     for k in cfg.cutoffs:
-        sums = [0.0, 0.0, 0.0, 0.0]
+        sums = [0.0] * len(METRICS)
         for row in rows:
-            for m in range(4):
+            for m in range(len(METRICS)):
                 sums[m] += row[k][m]
-        per_cutoff[k] = {"recall": sums[0] / len(rows),
-                         "precision": sums[1] / len(rows),
-                         "map": sums[2] / len(rows),
-                         "ndcg": sums[3] / len(rows)}
+        per_cutoff[k] = {name: t / len(rows) for name, t in zip(METRICS, sums)}
     aucs = [row["auc"] for row in rows if row["auc"] is not None]
     if not aucs:
         raise EmptyCorpusError("no user has both relevant and non-relevant candidates")
@@ -218,33 +216,26 @@ def cold_start_bins(corpus: Corpus, rankings: dict, k: int, bins: tuple,
     if not users:
         raise EmptyCorpusError("no users have test items")
     freq = test_frequencies(corpus)
-    bounds = list(bins) + [None]
+    # the last bound, the largest test frequency, keeps the whole test set
+    bounds = list(bins) + [max(freq.values())]
     labels = [f"1-{b}" for b in bins] + ["all"]
+    rel_freq = {u: {it: freq[it] for it in corpus.test_seq[u]} for u in users}
+    n_rel = np.array([[sum(f <= b for f in rel_freq[u].values()) for b in bounds]
+                      for u in users])
 
-    rel_by_bin = []
-    for b in bounds:
-        per_user = {}
-        for u in users:
-            rel = set(corpus.test_seq[u]) if b is None else {
-                it for it in corpus.test_seq[u] if freq[it] <= b}
-            if rel:
-                per_user[u] = rel
-        rel_by_bin.append(per_user)
-
-    report = ColdStartReport(k, labels, [len(pu) for pu in rel_by_bin])
+    report = ColdStartReport(k, labels, (n_rel > 0).sum(axis=0).tolist())
     for name, ranked_by_user in rankings.items():
-        vals = []
-        for per_user in rel_by_bin:
-            if not per_user:
-                vals.append(None)
-                continue
-            total = 0.0
-            for u in users:
-                if u in per_user:
-                    r, _ = recall_precision_at_k(ranked_by_user[u], per_user[u], k)
-                    total += r
-            vals.append(total / len(per_user))
-        report.recalls[name] = vals
+        totals = [0.0] * len(bounds)
+        for u, counts in zip(users, n_rel):
+            # test frequency of each top-k item, inf where it is not
+            # relevant, so bin b's hit vector is top <= b
+            top = np.array([rel_freq[u].get(it, math.inf)
+                            for it in ranked_by_user[u][:k]])
+            for i, b in enumerate(bounds):
+                if counts[i]:
+                    totals[i] += cutoff_metrics(top <= b, int(counts[i]), (k,))[k][0]
+        report.recalls[name] = [t / n if n else None
+                                for t, n in zip(totals, report.bin_users)]
 
     for a, b in pairs or []:
         if a not in rankings or b not in rankings:

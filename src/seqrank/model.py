@@ -226,16 +226,11 @@ def order_candidates(scores: np.ndarray, corpus, u: str) -> list:
     return out
 
 
-def rank_items(state_vec: np.ndarray, rep: np.ndarray, corpus, u: str) -> list:
-    return order_candidates(rep @ state_vec, corpus, u)
-
-
 def rank_candidates(u: str, params: ModelParams, feats, corpus, h: Hyper,
-                    rep: np.ndarray | None = None) -> list:
-    """Rank unseen items by dot product with the final training state."""
+                    rep: np.ndarray) -> list:
+    """Rank unseen items by dot product of their representations `rep`
+    (`item_rep_matrix` rows) with the final training state."""
     states = run_sequence(u, params, feats, corpus, h)
     if len(states) == 0:
         raise ConfigError(f"user {u!r} has an empty training sequence")
-    if rep is None:
-        rep = item_rep_matrix(params, feats, h)
-    return rank_items(states[-1], rep, corpus, u)
+    return order_candidates(rep @ states[-1], corpus, u)

@@ -161,8 +161,7 @@ def _clip(g: np.ndarray, clip_norm: float | None) -> np.ndarray:
 
 
 def forward_updates(params: ModelParams, ctx: SeqContext, tr: TrainingTriple,
-                    feats: FeatureStore, h: Hyper,
-                    clip_norm: float | None = None) -> None:
+                    h: Hyper, clip_norm: float | None = None) -> None:
     """Ascend the step-t score gradient: theta += alpha*(g_t - lam*theta).
     Only the pair's latent rows (g_t for p, -g_t for q) and the active
     embedding kernels move; the transition matrices are the backward
@@ -282,7 +281,7 @@ def train(corpus: Corpus, feats: FeatureStore, h: Hyper, cfg: TrainConfig,
                                sample_triples(corpus, u, rng))
         yield float(np.sum(numkit.log_sigmoid(ctx.scores))), len(ctx.scores)
         for tr in ctx.triples:
-            forward_updates(params, ctx, tr, feats, h, cfg.clip_norm)
+            forward_updates(params, ctx, tr, h, cfg.clip_norm)
         backward_pass(params, ctx, feats, h, cfg.clip_norm)
 
     return sgd.run_epochs(corpus, cfg,

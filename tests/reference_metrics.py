@@ -49,3 +49,14 @@ def auc_ref(scores, rel_flags):
             elif sp == sn:
                 good += 0.5
     return good / (len(pos) * len(neg))
+
+
+def midranks_ref(scores):
+    """1-based ascending rank of each score: the scores below it, plus the
+    mean position within its group of equal scores."""
+    out = []
+    for s in scores:
+        below = sum(1 for t in scores if t < s)
+        equal = sum(1 for t in scores if t == s)
+        out.append(below + (equal + 1) / 2.0)
+    return out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqrank import baselines, model
-from seqrank.baselines import (BprParams, EmbedRanker, PopRanker, RandomRanker,
+from seqrank.baselines import (EmbedRanker, PopRanker, RandomRanker,
                                bpr_grad_check, build_ranker,
                                init_bpr_params, mf_grad_check,
                                train_content_bpr, train_mf, user_stream)

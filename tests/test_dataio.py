@@ -4,7 +4,6 @@ and the planted-cluster generator."""
 import numpy as np
 import pytest
 
-from seqrank import dataio
 from seqrank.dataio import (VISUAL_RANGE, TEXTUAL_RANGE, FeatureTable,
                             SynthSpec, build_corpus, build_feature_store,
                             empty_table, filter_test_new_items, load_corpus,

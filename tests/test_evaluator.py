@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from reference_metrics import (auc_ref, average_precision_ref, midranks_ref,
+                               ndcg_ref, precision_ref, recall_ref)
 from seqrank.baselines import RandomRanker
 from seqrank.dataio import build_corpus
 from seqrank.errors import ConfigError, EmptyCorpusError
-from seqrank.evaluator import (ColdStartReport, EvalConfig, auc_from_scores,
-                               cold_start_bins, evaluate, map_at_k, midranks,
-                               ndcg_at_k, recall_precision_at_k, user_metrics)
+from seqrank.evaluator import (EvalConfig, auc_from_scores, cold_start_bins,
+                               cutoff_metrics, evaluate, midranks, user_metrics)
 from seqrank.evaluator import test_frequencies as frequencies_in_test
 
 NDCG_SINGLE_REL_AT_2 = 0.6309297535714574  # 1/log2(3)
@@ -33,31 +34,46 @@ def test_eval_config_validation():
         EvalConfig(cutoffs=())
 
 
+def at_k(ranked, relevant, k):
+    """(recall, precision, MAP, NDCG) at k of one ranked id list."""
+    hit = np.array([it in relevant for it in ranked])
+    return cutoff_metrics(hit, len(relevant), (k,))[k]
+
+
 def test_recall_precision():
-    r, p = recall_precision_at_k(["a", "b", "c", "d"], {"a", "c"}, 2)
+    r, p, _, _ = at_k(["a", "b", "c", "d"], {"a", "c"}, 2)
     assert (r, p) == (0.5, 0.5)
-    r, p = recall_precision_at_k(["a", "b", "c", "d"], {"a", "c"}, 3)
+    r, p, _, _ = at_k(["a", "b", "c", "d"], {"a", "c"}, 3)
     assert (r, p) == (1.0, 2.0 / 3.0)
 
 
 def test_map_values():
-    assert map_at_k(["a", "b", "c", "d"], {"a", "c"}, 4) == \
+    assert at_k(["a", "b", "c", "d"], {"a", "c"}, 4)[2] == \
         pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-15)
     # truncation: second relevant item falls outside k
-    assert map_at_k(["a", "b", "c", "d"], {"a", "c"}, 2) == 0.5
-    assert map_at_k(["b", "a"], {"a"}, 2) == 0.5
+    assert at_k(["a", "b", "c", "d"], {"a", "c"}, 2)[2] == 0.5
+    assert at_k(["b", "a"], {"a"}, 2)[2] == 0.5
 
 
 def test_ndcg_values():
-    assert ndcg_at_k(["a", "b"], {"a"}, 2) == 1.0
-    assert ndcg_at_k(["b", "a"], {"a"}, 2) == \
+    assert at_k(["a", "b"], {"a"}, 2)[3] == 1.0
+    assert at_k(["b", "a"], {"a"}, 2)[3] == \
         pytest.approx(NDCG_SINGLE_REL_AT_2, abs=1e-15)
-    assert ndcg_at_k(["a", "b", "c"], {"a", "b"}, 3) == 1.0  # perfect prefix
+    assert at_k(["a", "b", "c"], {"a", "b"}, 3)[3] == 1.0  # perfect prefix
 
 
 def test_midranks_ties():
     assert midranks(np.array([1.0, 2.0, 2.0, 3.0])).tolist() == [1.0, 2.5, 2.5, 4.0]
     assert midranks(np.array([5.0, 5.0, 5.0])).tolist() == [2.0, 2.0, 2.0]
+
+
+def test_midranks_match_reference():
+    # ties, signed zeros (equal to each other) and infinities
+    rng = np.random.default_rng(11)
+    grid = [0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf]
+    for n in range(0, 40):
+        scores = rng.choice(grid, size=n)
+        assert midranks(scores).tolist() == midranks_ref(scores.tolist())
 
 
 def test_auc_from_scores():
@@ -111,6 +127,34 @@ def test_evaluate_aggregates(toy_corpus):
     assert m["map"] == pytest.approx(0.5, abs=1e-15)
     assert m["ndcg"] == pytest.approx((NDCG_SINGLE_REL_AT_2 + 1.0) / 3.0, abs=1e-15)
     assert report.auc == pytest.approx(0.5, abs=1e-15)
+
+
+def test_evaluate_short_rankings_match_reference():
+    # every ranking is shorter than the largest cutoff, u1 and u2 leave one
+    # relevant item out, u3 ranks none of its relevant items, and tied
+    # scores pair relevant with non-relevant items
+    c = build_corpus({"u1": ["a", "b", "c", "d", "e", "f"],
+                      "u2": ["b", "c", "a", "g", "h", "d"],
+                      "u3": ["e", "f", "a", "b"]}, min_len=2, split_frac=0.5)
+    table = {"u1": [("g", 2.0), ("d", 1.0), ("h", 1.0), ("e", 0.5)],
+             "u2": [("h", 3.0), ("e", 3.0), ("g", 0.0)],
+             "u3": [("c", 1.0), ("d", 1.0), ("g", 0.5)]}
+    cfg = EvalConfig(cutoffs=(1, 3, 10), bins=(1,))
+    report = evaluate(FakeRanker(table), c, cfg)
+    users = c.eval_users()
+    assert len(users) == report.users_evaluated == 3
+    assert report.auc_skipped == 1  # u3 has no (relevant, non-relevant) pair
+    refs = {"recall": recall_ref, "precision": precision_ref,
+            "map": average_precision_ref, "ndcg": ndcg_ref}
+    for k in cfg.cutoffs:
+        for name, ref in refs.items():
+            want = sum(ref([it for it, _ in table[u]], set(c.test_seq[u]), k)
+                       for u in users) / len(users)
+            assert abs(report.per_cutoff[k][name] - want) <= 1e-12, (k, name)
+    aucs = [auc_ref([s for _, s in table[u]],
+                    [it in c.test_seq[u] for it, _ in table[u]])
+            for u in ("u1", "u2")]
+    assert abs(report.auc - sum(aucs) / 2) <= 1e-12
 
 
 def test_evaluate_report_outputs(toy_corpus):

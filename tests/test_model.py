@@ -7,8 +7,8 @@ from seqrank.dataio import FeatureStore
 from seqrank.errors import ConfigError
 from seqrank.model import (ALL_KINDS, MASK_BY_KIND, RECURRENT_KINDS,
                            Hyper, Mask, ModelParams, init_params, item_input,
-                           item_rep_matrix, order_candidates, rank_candidates,
-                           run_sequence, score_pair, step_hidden)
+                           item_rep_matrix, order_candidates, run_sequence,
+                           score_pair, step_hidden)
 
 
 def test_mask_for_kind_table():
@@ -181,11 +181,3 @@ def test_order_candidates_filters_and_breaks_ties(toy_corpus):
     assert set(ids).isdisjoint(toy_corpus.train_set("alice"))
     assert ranked[0][1] == 2.0
 
-
-def test_rank_candidates_consistent_with_rep(toy_corpus, toy_feats):
-    h = Hyper(d=2, f_v=2, f_t=2,
-              mask=Mask(latent=True, visual=True, textual=True))
-    params = init_params(h, toy_corpus.n_items, np.random.default_rng(10))
-    rep = item_rep_matrix(params, toy_feats, h)
-    assert rank_candidates("bob", params, toy_feats, toy_corpus, h) == \
-        rank_candidates("bob", params, toy_feats, toy_corpus, h, rep=rep)

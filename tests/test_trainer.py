@@ -5,7 +5,7 @@ import pytest
 
 from seqrank import numkit
 from seqrank.baselines import build_ranker
-from seqrank.dataio import TrainingTriple, sample_triples, synth_corpus, SynthSpec
+from seqrank.dataio import TrainingTriple, synth_corpus, SynthSpec
 from seqrank.errors import ConfigError, DivergenceError
 from seqrank.model import (Hyper, Mask, hidden_states, init_params,
                            item_rep_matrix, step_hidden)
@@ -118,7 +118,7 @@ def test_forward_updates_touch_only_their_blocks():
     ctx = sequence_context(params, corpus, feats, h, triples)
     tr = triples[0]
     before = params.copy()
-    forward_updates(params, ctx, tr, feats, h)
+    forward_updates(params, ctx, tr, h)
     ip, iq = corpus.item_index[tr.p], corpus.item_index[tr.q]
     a, lam = h.alpha, h.lam_theta
     c, h_x = ctx.c[tr.t - 2], ctx.states[tr.t - 1][h.slices["latent"]]
@@ -260,7 +260,7 @@ def test_clip_norm_bounds_forward_step():
     tr = triples[0]
     before = params.copy()
     clip = 1e-6
-    forward_updates(params, ctx, tr, feats, h, clip_norm=clip)
+    forward_updates(params, ctx, tr, h, clip_norm=clip)
     ip = corpus.item_index[tr.p]
     moved = float(np.linalg.norm(params.X[ip] - before.X[ip]))
     assert moved <= clip * (1.0 + 1e-12)
