@@ -84,14 +84,8 @@ class BprParams:
 
 def init_bpr_params(h: Hyper, n_users: int, n_items: int,
                     rng: np.random.Generator) -> BprParams:
-    lo, hi = h.init_lo, h.init_hi
-    gamma = rng.uniform(lo, hi, (n_users, h.D))
-    X = rng.uniform(lo, hi, (n_items, h.d))
-    E = (rng.uniform(lo, hi, (h.d, h.f_v)) if h.mask.visual
-         else np.zeros((h.d, h.f_v)))
-    V = (rng.uniform(lo, hi, (h.d, h.f_t)) if h.mask.textual
-         else np.zeros((h.d, h.f_t)))
-    return BprParams(gamma, X, E, V)
+    gamma = rng.uniform(h.init_lo, h.init_hi, (n_users, h.D))
+    return BprParams(gamma, *model.init_item_blocks(h, n_items, rng))
 
 
 class EmbedRanker:
@@ -128,20 +122,21 @@ class RecurrentRanker:
 # BPR training over the masked item representation
 
 def bpr_pair_score(params: BprParams, feats: FeatureStore, h: Hyper, uj: int,
-                   tr) -> tuple:
-    """(xhat, rep_p - rep_q) of one triple, xhat = dot(gamma_u, rep_p - rep_q)."""
-    diff = (model.item_input(tr.p, params, feats, h)
-            - model.item_input(tr.q, params, feats, h))
-    return numkit.dot(params.gamma[uj], diff), diff
+                   ip: int, iq: int) -> tuple:
+    """(xhat, rep_p - rep_q) of user row uj's triple over item rows ip and
+    iq, xhat = dot(gamma_u, rep_p - rep_q)."""
+    diff = (model.item_rep_matrix(params, feats, h, ip)
+            - model.item_rep_matrix(params, feats, h, iq))
+    return float(params.gamma[uj] @ diff), diff
 
 
 def bpr_pair_grads(params: BprParams, feats: FeatureStore, h: Hyper, uj: int,
-                   tr) -> tuple:
+                   ip: int, iq: int) -> tuple:
     """(xhat, grads) of one triple: `bpr_pair_score` and the gradient of
     ln sigma(xhat). grads["Gamma"] is user row uj's, grads["X"] latent row
-    p's (row q gets its negative), and the active "E"/"V" kernels move by
+    ip's (row iq gets its negative), and the active "E"/"V" kernels move by
     rank-1 feature-difference terms."""
-    xhat, diff = bpr_pair_score(params, feats, h, uj, tr)
+    xhat, diff = bpr_pair_score(params, feats, h, uj, ip, iq)
     gamma_u = params.gamma[uj]
     c = numkit.sigmoid(-xhat)
     sl = h.slices
@@ -149,11 +144,11 @@ def bpr_pair_grads(params: BprParams, feats: FeatureStore, h: Hyper, uj: int,
     if h.mask.latent:
         grads["X"] = c * gamma_u[sl["latent"]]
     if h.mask.visual:
-        grads["E"] = c * numkit.outer(gamma_u[sl["visual"]],
-                                      feats.visual(tr.p) - feats.visual(tr.q))
+        grads["E"] = c * np.outer(gamma_u[sl["visual"]],
+                                  feats.visual_mat[ip] - feats.visual_mat[iq])
     if h.mask.textual:
-        grads["V"] = c * numkit.outer(gamma_u[sl["textual"]],
-                                      feats.textual(tr.p) - feats.textual(tr.q))
+        grads["V"] = c * np.outer(gamma_u[sl["textual"]],
+                                  feats.textual_mat[ip] - feats.textual_mat[iq])
     return xhat, grads
 
 
@@ -169,11 +164,11 @@ def train_content_bpr(corpus: Corpus, feats: FeatureStore, h: Hyper,
             return
         uj = user_index[u]
         for tr in sample_triples(corpus, u, rng):
-            xhat, g = bpr_pair_grads(params, feats, h, uj, tr)
+            ip, iq = corpus.item_index[tr.p], corpus.item_index[tr.q]
+            xhat, g = bpr_pair_grads(params, feats, h, uj, ip, iq)
             yield float(numkit.log_sigmoid(xhat)), 1
             params.gamma[uj] += a * (g["Gamma"] - h.lam_theta * params.gamma[uj])
             if "X" in g:
-                ip, iq = corpus.item_index[tr.p], corpus.item_index[tr.q]
                 params.X[ip] += a * (g["X"] - h.lam_theta * params.X[ip])
                 params.X[iq] += a * (-g["X"] - h.lam_theta * params.X[iq])
             for name, lam in (("E", h.lam_e), ("V", h.lam_v)):
@@ -192,7 +187,8 @@ def bpr_triple_loglik(params: BprParams, corpus: Corpus, feats: FeatureStore,
     user_index = {u: j for j, u in enumerate(corpus.users)}
     total = 0.0
     for tr in triples:
-        xhat, _ = bpr_pair_score(params, feats, h, user_index[tr.u], tr)
+        xhat, _ = bpr_pair_score(params, feats, h, user_index[tr.u],
+                                 corpus.item_index[tr.p], corpus.item_index[tr.q])
         total += float(numkit.log_sigmoid(xhat))
     return total
 
@@ -208,11 +204,12 @@ def bpr_gradients(params: BprParams, corpus: Corpus, feats: FeatureStore,
             grads[name] = np.zeros_like(getattr(params, name))
     for tr in triples:
         uj = user_index[tr.u]
-        _, g = bpr_pair_grads(params, feats, h, uj, tr)
+        ip, iq = corpus.item_index[tr.p], corpus.item_index[tr.q]
+        _, g = bpr_pair_grads(params, feats, h, uj, ip, iq)
         grads["Gamma"][uj] += g["Gamma"]
         if "X" in g:
-            grads["X"][corpus.item_index[tr.p]] += g["X"]
-            grads["X"][corpus.item_index[tr.q]] -= g["X"]
+            grads["X"][ip] += g["X"]
+            grads["X"][iq] -= g["X"]
         for name in ("E", "V"):
             if name in g:
                 grads[name] += g[name]
@@ -268,7 +265,7 @@ def mf_obs_grads(params: BprParams, uj: int, ij: int, target: float) -> tuple:
     and the descent directions of 0.5 * err^2, grads["Gamma"] for user row
     uj and grads["X"] for item row ij."""
     gamma_u, x_i = params.gamma[uj], params.X[ij]
-    err = target - numkit.dot(gamma_u, x_i)
+    err = target - float(gamma_u @ x_i)
     return err, {"Gamma": err * x_i, "X": err * gamma_u}
 
 

@@ -90,6 +90,9 @@ def _check_header(path, header) -> None:
             raise CheckpointError(f"{path}: header lacks {key!r}")
         if not ok(header[key]):
             raise CheckpointError(f"{path}: header field {key!r} is malformed")
+    names = [b["name"] for b in header["blocks"]]
+    if len(set(names)) != len(names):
+        raise CheckpointError(f"{path}: duplicate block names {sorted(names)}")
     if "users" in header and not _is_names(header["users"]):
         raise CheckpointError(f"{path}: header field 'users' is malformed")
     hyper = header.get("hyper", {})
@@ -111,7 +114,8 @@ def read_checkpoint(path) -> tuple:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(raw[off:off + head_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, not JSON, or nested too deeply for the decoder
         raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
     _check_header(path, header)
     off += head_len

@@ -57,6 +57,11 @@ def _merge(defaults: dict, given: dict, prefix: str, problems: list) -> dict:
     return out
 
 
+def _is_count(v, least: int) -> bool:
+    """An integer (not a bool) of at least `least`."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
 def resolve_config(args) -> dict:
     """Read the JSON config, fill defaults, apply flag overrides, and
     validate everything validatable before touching data. All problems are
@@ -69,7 +74,8 @@ def resolve_config(args) -> dict:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # not UTF-8, not JSON, or nested too deeply for the decoder
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
@@ -84,8 +90,8 @@ def resolve_config(args) -> dict:
     if kind not in model.ALL_KINDS:
         problems.append(f"kind must be one of {sorted(model.ALL_KINDS)}, "
                         f"got {kind!r}")
-    if not isinstance(cfg["seed"], int):
-        problems.append(f"seed must be an integer, got {cfg['seed']!r}")
+    if not _is_count(cfg["seed"], 0):
+        problems.append(f"seed must be an integer >= 0, got {cfg['seed']!r}")
 
     data = cfg["data"]
     needs_data = args.cmd in ("train", "eval", "coldstart")
@@ -103,7 +109,7 @@ def resolve_config(args) -> dict:
                 problems.append(f"kind {kind!r} needs data.visual features")
             if "textual" in need and data["textual"] is None:
                 problems.append(f"kind {kind!r} needs data.textual features")
-    if not (isinstance(data["min_len"], int) and data["min_len"] >= 2):
+    if not _is_count(data["min_len"], 2):
         problems.append(f"data.min_len must be an integer >= 2, got {data['min_len']!r}")
     if not (isinstance(data["split_frac"], (int, float))
             and 0.0 < data["split_frac"] < 1.0):
@@ -120,7 +126,7 @@ def resolve_config(args) -> dict:
         problems.append(f"hyper: {exc}")
     try:
         trainer.TrainConfig(epochs=cfg["train"]["epochs"], seed=0,
-                            shuffle_users=bool(cfg["train"]["shuffle_users"]),
+                            shuffle_users=cfg["train"]["shuffle_users"],
                             clip_norm=cfg["train"]["clip_norm"])
     except (ConfigError, TypeError) as exc:
         problems.append(f"train: {exc}")
@@ -129,7 +135,7 @@ def resolve_config(args) -> dict:
         evaluator.EvalConfig(cutoffs=tuple(ev["cutoffs"]), bins=tuple(ev["bins"]))
     except (ConfigError, TypeError) as exc:
         problems.append(f"eval: {exc}")
-    if not (isinstance(ev["coldstart_k"], int) and ev["coldstart_k"] >= 1):
+    if not _is_count(ev["coldstart_k"], 1):
         problems.append(f"eval.coldstart_k must be a positive integer, "
                         f"got {ev['coldstart_k']!r}")
     if args.cmd == "synth" and cfg["synth"] is None:
@@ -199,7 +205,7 @@ def cmd_train(args) -> int:
     echo_config(cfg)
     os.makedirs(cfg["out"], exist_ok=True)
     tcfg = trainer.TrainConfig(epochs=cfg["train"]["epochs"], seed=cfg["seed"],
-                               shuffle_users=bool(cfg["train"]["shuffle_users"]),
+                               shuffle_users=cfg["train"]["shuffle_users"],
                                clip_norm=cfg["train"]["clip_norm"])
     hyper = (build_hyper(cfg, feats) if kind in model.MASK_BY_KIND
              else model.Hyper(d=cfg["hyper"]["d"]))

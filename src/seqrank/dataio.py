@@ -2,7 +2,7 @@
 sampling, and the planted-cluster synthetic data generator."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,11 +28,10 @@ class Corpus:
     items: tuple            # item ids, ascending
     train_seq: dict         # user -> list of item ids, chronological
     test_seq: dict          # user -> list of item ids (filtered, deduped)
-    item_index: dict = field(default_factory=dict)
+    item_index: dict = field(init=False)  # item id -> row of every per-item array
 
     def __post_init__(self):
-        if not self.item_index:
-            self.item_index = {it: j for j, it in enumerate(self.items)}
+        self.item_index = {it: j for j, it in enumerate(self.items)}
         self._train_sets = {u: frozenset(s) for u, s in self.train_seq.items()}
 
     @property
@@ -58,23 +57,32 @@ def split_sequence(seq: list, split_frac: float) -> tuple:
     return seq[:n_train], seq[n_train:]
 
 
+def _text_lines(path):
+    """(line number, line without its newline) over a UTF-8 text file;
+    bytes that are not UTF-8 raise ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                yield lineno, line.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def parse_sequence_file(path) -> dict:
     """Read `user<TAB>item,item,...` lines into an ordered user->sequence map."""
     raw = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ParseError(f"{path}:{lineno}: expected 'user<TAB>item,item,...'")
-            items = [tok for tok in parts[1].split(",") if tok]
-            if not items:
-                raise ParseError(f"{path}:{lineno}: empty item list")
-            if parts[0] in raw:
-                raise ParseError(f"{path}:{lineno}: duplicate user id {parts[0]!r}")
-            raw[parts[0]] = items
+    for lineno, line in _text_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ParseError(f"{path}:{lineno}: expected 'user<TAB>item,item,...'")
+        items = [tok for tok in parts[1].split(",") if tok]
+        if not items:
+            raise ParseError(f"{path}:{lineno}: empty item list")
+        if parts[0] in raw:
+            raise ParseError(f"{path}:{lineno}: duplicate user id {parts[0]!r}")
+        raw[parts[0]] = items
     return raw
 
 
@@ -120,7 +128,7 @@ def filter_test_new_items(c: Corpus) -> Corpus:
                 kept.append(it)
                 seen.add(it)
         test_seq[u] = kept
-    return Corpus(c.users, c.items, c.train_seq, test_seq, dict(c.item_index))
+    return Corpus(c.users, c.items, c.train_seq, test_seq)
 
 
 # ---------------------------------------------------------------------------
@@ -151,32 +159,35 @@ def load_features(path, expect_dim: int | None, lo: float, hi: float) -> Feature
     """Parse a `#dims F` header plus `item<TAB>f1 f2 ...` rows, then min-max
     normalize each dimension onto [lo, hi] over all items in the file."""
     ids, rows, linenos = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        toks = header.split()
-        if len(toks) != 2 or toks[0] != "#dims" or not toks[1].isdigit():
-            raise ParseError(f"{path}:1: expected '#dims <F>' header")
-        dim = int(toks[1])
-        if expect_dim is not None and dim != expect_dim:
-            raise ParseError(f"{path}:1: header dims {dim} != expected {expect_dim}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'item<TAB>values'")
-            values = parts[1].split()
-            if len(values) != dim:
-                raise ParseError(
-                    f"{path}:{lineno}: {len(values)} values, header says {dim}")
-            try:
-                row = [float(v) for v in values]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric token ({exc})") from exc
-            ids.append(parts[0])
-            rows.append(row)
-            linenos.append(lineno)
+    lines = _text_lines(path)
+    toks = next(lines, (1, ""))[1].split()
+    try:
+        # isdecimal, not isdigit: int() rejects digits such as superscripts
+        dim = (int(toks[1]) if len(toks) == 2 and toks[0] == "#dims"
+               and toks[1].isdecimal() else None)
+    except ValueError:  # more digits than int() converts
+        dim = None
+    if dim is None:
+        raise ParseError(f"{path}:1: expected '#dims <F>' header")
+    if expect_dim is not None and dim != expect_dim:
+        raise ParseError(f"{path}:1: header dims {dim} != expected {expect_dim}")
+    for lineno, line in lines:
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 'item<TAB>values'")
+        values = parts[1].split()
+        if len(values) != dim:
+            raise ParseError(
+                f"{path}:{lineno}: {len(values)} values, header says {dim}")
+        try:
+            row = [float(v) for v in values]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric token ({exc})") from exc
+        ids.append(parts[0])
+        rows.append(row)
+        linenos.append(lineno)
     if not rows:
         raise ParseError(f"{path}: no feature rows")
     matrix = np.asarray(rows, dtype=np.float64)
@@ -191,22 +202,16 @@ def load_features(path, expect_dim: int | None, lo: float, hi: float) -> Feature
 @dataclass
 class FeatureStore:
     """Corpus-aligned feature matrices. Row j holds the vectors of
-    corpus.items[j]; items missing from a table get zeros and are listed
-    in missing_visual / missing_textual for the load report."""
+    corpus.items[j], the row corpus.item_index gives that item; items
+    missing from a table get zeros and are listed in missing_visual /
+    missing_textual for the load report."""
 
     f_v: int
     f_t: int
     visual_mat: np.ndarray      # (n_items, f_v)
     textual_mat: np.ndarray     # (n_items, f_t)
-    item_index: dict
     missing_visual: list = field(default_factory=list)
     missing_textual: list = field(default_factory=list)
-
-    def visual(self, item: str) -> np.ndarray:
-        return self.visual_mat[self.item_index[item]]
-
-    def textual(self, item: str) -> np.ndarray:
-        return self.textual_mat[self.item_index[item]]
 
 
 def _aligned(items, table: FeatureTable):
@@ -232,8 +237,7 @@ def build_feature_store(corpus: Corpus, visual: FeatureTable,
                         textual: FeatureTable) -> FeatureStore:
     vmat, vmiss = _aligned(corpus.items, visual)
     tmat, tmiss = _aligned(corpus.items, textual)
-    return FeatureStore(visual.dim, textual.dim, vmat, tmat,
-                        dict(corpus.item_index), vmiss, tmiss)
+    return FeatureStore(visual.dim, textual.dim, vmat, tmat, vmiss, tmiss)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +294,11 @@ class SynthSpec:
     min_len: int = 2
 
     def __post_init__(self):
+        ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type is int]
+        bad = [f"{name} must be an integer, got {v!r}" for name, v in ints
+               if type(v) is not int]  # bool is an int subclass
+        if bad:
+            raise ConfigError("; ".join(bad))
         problems = []
         if self.users < 1:
             problems.append("users must be >= 1")
@@ -301,6 +310,8 @@ class SynthSpec:
             problems.append("feature dims must be >= 1")
         if self.noise_sigma < 0:
             problems.append("noise_sigma must be >= 0")
+        if self.seed < 0:
+            problems.append("seed must be >= 0")
         if not 0.0 <= self.self_prob <= 1.0:
             problems.append("self_prob must be in [0,1]")
         if not 0.0 <= self.cold_fraction < 1.0:

@@ -23,6 +23,10 @@ class EvalConfig:
     bins: tuple = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
     def __post_init__(self):
+        if not all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in (*self.cutoffs, *self.bins)):
+            raise ConfigError(f"cutoffs and bins must be integers, got "
+                              f"{list(self.cutoffs)} and {list(self.bins)}")
         problems = []
         if not self.cutoffs:
             problems.append("cutoffs must be nonempty")

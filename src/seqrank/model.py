@@ -138,34 +138,25 @@ class ModelParams:
                 ("InMat", self.InMat), ("RecMat", self.RecMat)]
 
 
-def init_params(h: Hyper, n_items: int, rng: np.random.Generator) -> ModelParams:
-    """Uniform [init_lo, init_hi] draws in a fixed block order. Inactive
-    embedding blocks stay zero and consume no randomness, so masked variants
-    share the X/InMat/RecMat stream."""
+def init_item_blocks(h: Hyper, n_items: int, rng: np.random.Generator) -> tuple:
+    """(X, E, V): uniform [init_lo, init_hi] draws in that order. Inactive
+    embedding blocks stay zero and consume no randomness."""
     lo, hi = h.init_lo, h.init_hi
     X = rng.uniform(lo, hi, (n_items, h.d))
     E = (rng.uniform(lo, hi, (h.d, h.f_v)) if h.mask.visual
          else np.zeros((h.d, h.f_v)))
     V = (rng.uniform(lo, hi, (h.d, h.f_t)) if h.mask.textual
          else np.zeros((h.d, h.f_t)))
-    InMat = rng.uniform(lo, hi, (h.D, h.D))
-    RecMat = rng.uniform(lo, hi, (h.D, h.D))
+    return X, E, V
+
+
+def init_params(h: Hyper, n_items: int, rng: np.random.Generator) -> ModelParams:
+    """The item blocks, then InMat and RecMat, so masked variants share the
+    X/InMat/RecMat stream."""
+    X, E, V = init_item_blocks(h, n_items, rng)
+    InMat = rng.uniform(h.init_lo, h.init_hi, (h.D, h.D))
+    RecMat = rng.uniform(h.init_lo, h.init_hi, (h.D, h.D))
     return ModelParams(X, E, V, InMat, RecMat)
-
-
-def item_input(p: str, params: ModelParams, feats, h: Hyper) -> np.ndarray:
-    """i = [x; E f; V g] of one item, restricted to the active slices."""
-    if p not in feats.item_index:
-        raise KeyError(f"unknown item {p!r}")
-    idx = feats.item_index[p]
-    parts = []
-    if h.mask.latent:
-        parts.append(params.X[idx])
-    if h.mask.visual:
-        parts.append(numkit.matvec(params.E, feats.visual_mat[idx]))
-    if h.mask.textual:
-        parts.append(numkit.matvec(params.V, feats.textual_mat[idx]))
-    return np.concatenate(parts)
 
 
 def step_hidden(prev: np.ndarray, pre_in: np.ndarray,
@@ -188,7 +179,7 @@ def run_sequence(u: str, params: ModelParams, feats, corpus, h: Hyper) -> np.nda
     starting from the zero state."""
     if u not in corpus.train_seq:
         raise KeyError(f"unknown user {u!r}")
-    rows = [feats.item_index[it] for it in corpus.train_seq[u]]
+    rows = [corpus.item_index[it] for it in corpus.train_seq[u]]
     return hidden_states(item_rep_matrix(params, feats, h, rows), params)[1:]
 
 
@@ -200,8 +191,9 @@ def score_pair(prev: np.ndarray, p_inp: np.ndarray, q_inp: np.ndarray):
 
 
 def item_rep_matrix(params, feats, h: Hyper, rows=None) -> np.ndarray:
-    """Item representations stacked (n, D): every item in item-id order, or
-    the given item rows in their order."""
+    """Item representations [x; E f; V g] over the active slices: every
+    item stacked (n, D) in item-id order, the given item rows stacked in
+    their order, or one row's (D,) vector when `rows` is an int."""
     X, F, G = params.X, feats.visual_mat, feats.textual_mat
     if rows is not None:
         X, F, G = X[rows], F[rows], G[rows]
@@ -212,7 +204,7 @@ def item_rep_matrix(params, feats, h: Hyper, rows=None) -> np.ndarray:
         parts.append(F @ params.E.T)
     if h.mask.textual:
         parts.append(G @ params.V.T)
-    return np.concatenate(parts, axis=1)
+    return np.concatenate(parts, axis=-1)
 
 
 def order_candidates(scores: np.ndarray, corpus, u: str) -> list:

@@ -1,26 +1,7 @@
-"""Dense float64 vector/matrix kernels shared by every model in the package."""
+"""Float64 numeric kernels shared by every model in the package: stable
+sigmoids and the finite-difference gradient check."""
 
 import numpy as np
-
-
-class DimensionError(ValueError):
-    """Raised when operand shapes are incompatible."""
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    if a.shape != b.shape:
-        raise DimensionError(f"dot: length mismatch {a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
-
-
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if m.ndim != 2 or m.shape[1] != v.shape[0]:
-        raise DimensionError(f"matvec: {m.shape} x {v.shape}")
-    return m @ v
-
-
-def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.outer(a, b)
 
 
 def sigmoid(x: float) -> float:

@@ -43,6 +43,9 @@ class TrainConfig:
             raise ConfigError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if not isinstance(self.shuffle_users, bool):
+            raise ConfigError(f"shuffle_users must be true or false, "
+                              f"got {self.shuffle_users!r}")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
 
@@ -91,8 +94,7 @@ def sequence_context(params: ModelParams, corpus: Corpus, feats: FeatureStore,
                 f"user {u!r} step {tr.t}: triple positive {tr.p!r} is not the "
                 f"sequence item {seq[tr.t - 1]!r}")
         neg[tr.t - 2] = tr.q
-    index = feats.item_index
-    rows = np.array([index[it] for it in list(seq) + neg])
+    rows = np.array([corpus.item_index[it] for it in list(seq) + neg])
     reps = item_rep_matrix(params, feats, h, rows)
     inputs, neg_inputs = reps[:m], reps[m:]
     states = hidden_states(inputs, params)
@@ -130,7 +132,7 @@ def triple_loglik(params: ModelParams, corpus: Corpus, feats: FeatureStore,
     by_user = {}
     for tr in triples:
         by_user.setdefault(tr.u, []).append(tr)
-    index = feats.item_index
+    index = corpus.item_index
     total = 0.0
     for u, trs in by_user.items():
         seq_rows = [index[it] for it in corpus.train_seq[u]]
@@ -303,7 +305,7 @@ def tiny_fixture(h: Hyper, rng: np.random.Generator, n_items: int = 6,
     f_v, f_t = max(h.f_v, 1), max(h.f_t, 1)
     vmat = rng.uniform(0.0, 0.5, (n_items, f_v))
     tmat = rng.uniform(-0.5, 0.5, (n_items, f_t))
-    feats = FeatureStore(f_v, f_t, vmat, tmat, dict(corpus.item_index))
+    feats = FeatureStore(f_v, f_t, vmat, tmat)
     pool = [it for it in items if it not in set(seq)]
     triples = [TrainingTriple("u0", t, seq[t - 1],
                               pool[int(rng.integers(len(pool)))])

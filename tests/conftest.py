@@ -1,3 +1,5 @@
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,19 @@ RAW = {
     "bob": ["i2", "i3", "i5", "i1"],
     "carol": ["i5", "i4", "i2", "i6"],
 }
+
+
+def pytest_configure(config):
+    """Hypothesis caches constants read from source in its storage
+    directory even without an example database, and fills that cache while
+    tests are collected; point the directory at a temporary one."""
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:  # only tests/test_properties.py needs Hypothesis
+        return
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 @pytest.fixture

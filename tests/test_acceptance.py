@@ -233,8 +233,7 @@ def test_ablation_identities():
     plain = build_ranker("bpr", corpus, feats, Hyper(d=4, f_v=3, f_t=3),
                          cfg).params
     empty = FeatureStore(0, 0, np.zeros((corpus.n_items, 0)),
-                         np.zeros((corpus.n_items, 0)),
-                         dict(corpus.item_index))
+                         np.zeros((corpus.n_items, 0)))
     content = baselines.train_content_bpr(
         corpus, empty, Hyper(d=4, mask=Mask.for_kind("bpr")), cfg)
     for name in ("gamma", "X"):

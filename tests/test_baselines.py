@@ -66,7 +66,8 @@ def test_embed_ranker_scores(toy_corpus, toy_feats):
     ranked = r.rank("carol")
     gamma = params.gamma[list(toy_corpus.users).index("carol")]
     for it, score in ranked:
-        rep_row = model.item_input(it, params, toy_feats, h)
+        rep_row = model.item_rep_matrix(params, toy_feats, h,
+                                        toy_corpus.item_index[it])
         assert score == pytest.approx(float(rep_row @ gamma), abs=1e-12)
 
 
@@ -126,8 +127,7 @@ def test_bpr_kind_is_latent_only_content_bpr(world):
     content = train_content_bpr(
         corpus,
         baselines.FeatureStore(0, 0, np.zeros((corpus.n_items, 0)),
-                               np.zeros((corpus.n_items, 0)),
-                               dict(corpus.item_index)),
+                               np.zeros((corpus.n_items, 0))),
         Hyper(d=2, mask=Mask.for_kind("bpr")), cfg)
     assert np.array_equal(plain.gamma, content.gamma)
     assert np.array_equal(plain.X, content.X)

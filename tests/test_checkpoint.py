@@ -89,6 +89,14 @@ def test_unreadable_header(tmp_path):
         read_checkpoint(p)
 
 
+def test_deeply_nested_header(tmp_path):
+    head = b"[" * 100_000  # used to escape as RecursionError
+    p = tmp_path / "deep.ckpt"
+    p.write_bytes(MAGIC + struct.pack("<I", len(head)) + head)
+    with pytest.raises(CheckpointError, match="unreadable header"):
+        read_checkpoint(p)
+
+
 def test_unknown_kind(tmp_path, world):
     corpus, feats = world
     head = json.dumps({"kind": "gru", "items": list(corpus.items),
@@ -153,6 +161,16 @@ def test_malformed_headers_raise_checkpoint_error(tmp_path, world, saved):
         with_header(src, p, header)
         with pytest.raises(CheckpointError, match=message):
             load_ranker(p, corpus, feats)
+
+
+def test_duplicate_block_names(tmp_path, saved):
+    # the last block read under a repeated name used to win silently
+    src, good = saved
+    blocks = good["blocks"][:-1] + [dict(good["blocks"][-1], name="X")]
+    p = tmp_path / "dup.ckpt"
+    with_header(src, p, dict(good, blocks=blocks))
+    with pytest.raises(CheckpointError, match="duplicate block names"):
+        read_checkpoint(p)
 
 
 @pytest.mark.parametrize("field,value,message", [

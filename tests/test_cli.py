@@ -218,6 +218,62 @@ def test_non_integer_config_is_config_error(pipeline, tmp_path, capsys,
     assert err == f"config error:\n{section}: {key} must be an integer, got {value!r}\n"
 
 
+@pytest.mark.parametrize("cmd,extra,argv,fragment", [
+    ("train", {"train": {"epochs": 1, "shuffle_users": "false"}}, [],
+     "train: shuffle_users must be true or false, got 'false'"),
+    ("eval", {"eval": {"cutoffs": [10.5]}}, ["ckpt"],
+     "eval: cutoffs and bins must be integers"),
+    ("coldstart", {"eval": {"bins": [1, 1.5]}}, ["ckpt"],
+     "eval: cutoffs and bins must be integers"),
+    ("coldstart", {"eval": {"coldstart_k": True}}, ["ckpt"],
+     "eval.coldstart_k must be a positive integer, got True"),
+    ("synth", {"synth": dict(SYNTH, users=30.5)}, [],
+     "synth: users must be an integer, got 30.5"),
+    ("synth", {"synth": dict(SYNTH, seed=-1)}, [], "synth: seed must be >= 0"),
+    ("synth", {"synth": SYNTH}, ["--seed", "-1"], "seed must be an integer >= 0"),
+    ("train", {"seed": -1}, [], "seed must be an integer >= 0, got -1"),
+    ("train", {"seed": True}, [], "seed must be an integer >= 0, got True"),
+    ("train", {}, ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    ("gradcheck", {}, ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+], ids=["shuffle-string", "float-cutoff", "float-bin", "bool-k", "float-users",
+        "synth-seed", "synth-flag-seed", "seed", "bool-seed", "flag-seed",
+        "gradcheck-flag-seed"])
+def test_mistyped_config_is_config_error(pipeline, tmp_path, capsys,
+                                         cmd, extra, argv, fragment):
+    _, paths, ckpts = pipeline
+    cfg = write_config(tmp_path / "c.json",
+                       dict({"kind": "rnn", "data": paths,
+                             "train": {"epochs": 1}}, **extra))
+    argv = [str(ckpts["rnn"]) if a == "ckpt" else a for a in argv]
+    code = cli.main([cmd, "--config", cfg, "--out", str(tmp_path)] + argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith(f"config error:\n{fragment}") and err.count("\n") == 2, err
+
+
+@pytest.mark.parametrize("raw", [b"[" * 100_000, b'{"seed": 1}\xff'],
+                         ids=["deep", "not-utf8"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, raw):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(raw)
+    assert cli.main(["gradcheck", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:\nconfig is not valid JSON: ")
+    assert err.count("\n") == 2, err
+
+
+def test_undecodable_sequences_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "seq.tsv"
+    bad.write_bytes(b"u1\ta,b,c\nu2\t\xff,b,c\n")
+    cfg = write_config(tmp_path / "c.json",
+                       {"kind": "pop", "data": {"sequences": str(bad)}})
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == \
+        cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1, err
+    assert "seq.tsv: not UTF-8 text" in err
+
+
 def test_config_echo_is_json(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", {"synth": SYNTH})
     assert cli.main(["synth", "--config", cfg, "--seed", "7",

@@ -128,6 +128,28 @@ def test_load_features_rejects_non_finite(tmp_path, token):
         load_features(p, expect_dim=2, lo=0.0, hi=1.0)
 
 
+def test_undecodable_files_raise_parse_error(tmp_path):
+    seq = tmp_path / "seq.tsv"
+    seq.write_bytes(b"u1\ti1,i2\nu2\ti\xff3,i1\n")
+    with pytest.raises(ParseError, match=r"seq\.tsv: not UTF-8 text"):
+        parse_sequence_file(seq)
+    feat = tmp_path / "f.tsv"
+    feat.write_bytes(b"#dims 1\ni1\t0.5\ni\xc3\t0.1\n")
+    with pytest.raises(ParseError, match=r"f\.tsv: not UTF-8 text"):
+        load_features(feat, expect_dim=None, lo=0.0, hi=1.0)
+
+
+@pytest.mark.parametrize("dims", ["\u00b2", "1" * 5000],
+                         ids=["superscript", "5000-digits"])
+def test_load_features_header_int_conversion(tmp_path, dims):
+    # a superscript two passes str.isdigit but not int(), and int() refuses
+    # strings of more than 4300 digits
+    p = tmp_path / "f.tsv"
+    p.write_bytes(f"#dims {dims}\ni1\t0.5 0.1\n".encode())
+    with pytest.raises(ParseError, match="f.tsv:1: expected '#dims <F>' header"):
+        load_features(p, expect_dim=None, lo=0.0, hi=1.0)
+
+
 def test_load_features_dim_mismatch(tmp_path):
     p = tmp_path / "f.tsv"
     p.write_text("#dims 3\ni1\t1 2 3\n")
@@ -139,10 +161,11 @@ def test_feature_store_missing_items(toy_corpus):
     vis = FeatureTable(2, {"i1": np.array([0.1, 0.2])}, *VISUAL_RANGE)
     store = build_feature_store(toy_corpus, vis, empty_table())
     assert store.missing_visual == [it for it in toy_corpus.items if it != "i1"]
-    assert store.visual("i3").tolist() == [0.0, 0.0]
-    assert store.visual("i1").tolist() == [0.1, 0.2]
+    row = toy_corpus.item_index
+    assert store.visual_mat[row["i3"]].tolist() == [0.0, 0.0]
+    assert store.visual_mat[row["i1"]].tolist() == [0.1, 0.2]
     assert store.f_t == 0 and store.missing_textual == []
-    assert store.textual("i1").shape == (0,)
+    assert store.textual_mat[row["i1"]].shape == (0,)
 
 
 def test_sample_negative_never_owned(toy_corpus):

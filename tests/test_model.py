@@ -6,7 +6,7 @@ import pytest
 from seqrank.dataio import FeatureStore
 from seqrank.errors import ConfigError
 from seqrank.model import (ALL_KINDS, MASK_BY_KIND, RECURRENT_KINDS,
-                           Hyper, Mask, ModelParams, init_params, item_input,
+                           Hyper, Mask, ModelParams, init_params,
                            item_rep_matrix, order_candidates, run_sequence,
                            score_pair, step_hidden)
 
@@ -53,8 +53,7 @@ def make_uniform_feats(items, f_v, f_t, rng):
     return FeatureStore(
         f_v, f_t,
         rng.uniform(0.0, 0.5, (len(items), f_v)),
-        rng.uniform(-0.5, 0.5, (len(items), f_t)),
-        {it: j for j, it in enumerate(items)})
+        rng.uniform(-0.5, 0.5, (len(items), f_t)))
 
 
 def test_init_params_bounds_and_inactive_blocks():
@@ -91,25 +90,22 @@ def one_item_world():
     params = ModelParams(X=np.array([[0.5]]), E=np.array([[1.0]]),
                          V=np.array([[1.0]]),
                          InMat=np.eye(3), RecMat=np.zeros((3, 3)))
-    feats = FeatureStore(1, 1, np.array([[0.5]]), np.array([[-0.5]]),
-                         {"only": 0})
+    feats = FeatureStore(1, 1, np.array([[0.5]]), np.array([[-0.5]]))
     return h, params, feats
 
 
-def test_item_input_concatenation():
+def test_item_rep_concatenation():
     h, params, feats = one_item_world()
-    inp = item_input("only", params, feats, h)
+    inp = item_rep_matrix(params, feats, h, 0)
     assert inp.tolist() == [0.5, 0.5, -0.5]
     assert inp[h.slices["latent"]].tolist() == [0.5]
     assert inp[h.slices["visual"]].tolist() == [0.5]
     assert inp[h.slices["textual"]].tolist() == [-0.5]
-    with pytest.raises(KeyError):
-        item_input("nope", params, feats, h)
 
 
 def test_step_hidden_identity_matrices():
     h, params, feats = one_item_world()
-    inp = item_input("only", params, feats, h)
+    inp = item_rep_matrix(params, feats, h, 0)
     state = step_hidden(np.zeros(h.D), params.InMat @ inp, params.RecMat)
     # InMat = I, RecMat = 0: h = sigmoid(input) elementwise
     expect = 1.0 / (1.0 + np.exp(-inp))
@@ -146,7 +142,7 @@ def test_run_sequence_states(toy_corpus, toy_feats):
     states = run_sequence("alice", params, toy_feats, toy_corpus, h)
     assert states.shape == (len(toy_corpus.train_seq["alice"]), h.D)
     # state t is one recurrent step from state t-1
-    rows = [toy_feats.item_index[it] for it in toy_corpus.train_seq["alice"]]
+    rows = [toy_corpus.item_index[it] for it in toy_corpus.train_seq["alice"]]
     pre_in = item_rep_matrix(params, toy_feats, h, rows) @ params.InMat.T
     redo = step_hidden(states[0], pre_in[1], params.RecMat)
     assert np.array_equal(redo, states[1])
@@ -160,12 +156,17 @@ def test_item_rep_matrix_rows(toy_corpus, toy_feats):
     params = init_params(h, toy_corpus.n_items, np.random.default_rng(8))
     rep = item_rep_matrix(params, toy_feats, h)
     assert rep.shape == (toy_corpus.n_items, h.D)
-    # the vectorized product and the per-item matvec may differ in the
-    # last bit, so compare to rounding accuracy only
-    for it, j in toy_corpus.item_index.items():
-        inp = item_input(it, params, toy_feats, h)
+    # the stacked product and the one-row product may differ in the last
+    # bit, so compare to rounding accuracy only
+    sl = h.slices
+    for j in range(toy_corpus.n_items):
+        inp = item_rep_matrix(params, toy_feats, h, j)
+        assert inp.shape == (h.D,)
         assert np.allclose(rep[j], inp, rtol=0.0, atol=1e-14)
         assert np.array_equal(rep[j, :h.d], inp[:h.d])  # latent slice copied
+        # one row is exactly the kernel-times-features product
+        assert np.array_equal(inp[sl["visual"]], params.E @ toy_feats.visual_mat[j])
+        assert np.array_equal(inp[sl["textual"]], params.V @ toy_feats.textual_mat[j])
     rows = [3, 0, 3]
     assert np.allclose(item_rep_matrix(params, toy_feats, h, rows), rep[rows],
                        rtol=0.0, atol=1e-14)

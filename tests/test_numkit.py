@@ -4,31 +4,6 @@ import numpy as np
 import pytest
 
 from seqrank import numkit
-from seqrank.numkit import DimensionError
-
-
-def vec(data):
-    return np.asarray(data, dtype=np.float64)
-
-
-def test_dot_and_mismatch():
-    assert numkit.dot(vec([1.0, 2.0]), vec([3.0, -1.0])) == 1.0
-    with pytest.raises(DimensionError):
-        numkit.dot(vec([1.0]), vec([1.0, 2.0]))
-
-
-def test_matvec():
-    m = vec([[1.0, 0.0], [2.0, 3.0]])
-    out = numkit.matvec(m, vec([4.0, 5.0]))
-    assert out.tolist() == [4.0, 23.0]
-    with pytest.raises(DimensionError):
-        numkit.matvec(m, vec([1.0, 2.0, 3.0]))
-
-
-def test_outer_shape_and_values():
-    o = numkit.outer(vec([1.0, 2.0]), vec([3.0, 4.0, 5.0]))
-    assert o.shape == (2, 3)
-    assert o[1, 2] == 10.0
 
 
 def test_sigmoid_values():

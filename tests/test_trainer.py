@@ -104,11 +104,13 @@ def test_forward_grad_pieces():
     c = ctx.c[k]
     prev = ctx.states[tr.t - 1]
     sl = h.slices
+    ip, iq = corpus.item_index[tr.p], corpus.item_index[tr.q]
     assert c == numkit.sigmoid(-ctx.scores[k])
     assert np.array_equal(ctx.step_grads["X"][k], c * prev[sl["latent"]])
     assert np.array_equal(
         ctx.step_grads["E"][k],
-        c * np.outer(prev[sl["visual"]], feats.visual(tr.p) - feats.visual(tr.q)))
+        c * np.outer(prev[sl["visual"]],
+                     feats.visual_mat[ip] - feats.visual_mat[iq]))
     assert ctx.step_grads["V"][k].shape == (h.d, h.f_t)
 
 
