@@ -3,7 +3,10 @@
 Every ranker exposes .kind and .rank(u) -> [(item, score), ...] over the
 user's unseen items, sorted descending with ascending-id ties, so the
 evaluator treats all of them uniformly. Kinds: random, pop, mf, bpr, vbpr,
-tbpr, vtbpr, rnn, vrnn, trnn, vtrnn.
+tbpr, vtbpr, rnn, vrnn, trnn, vtrnn. Each rank(u) is one score vector over
+all items passed to `model.order_candidates`; the recurrent rankers read
+the user's row of states that `model.final_states` computed for every user
+when the ranker was built.
 
 The trainable kinds share one epoch loop, `sgd.run_epochs`; mf and the BPR
 family supply their per-user steps here. A BPR triple's score and gradient
@@ -104,18 +107,27 @@ class EmbedRanker:
 
 
 class RecurrentRanker:
+    """Scores unseen items by dot product of their representations with
+    the user's final training state; every user's state comes from one
+    batched `model.final_states` pass."""
+
     def __init__(self, kind: str, params: model.ModelParams, corpus: Corpus,
                  feats: FeatureStore, h: Hyper):
         self.kind = kind
         self.params = params
         self.corpus = corpus
-        self.feats = feats
         self.h = h
+        self.user_index = {u: j for j, u in enumerate(corpus.users)}
         self.rep = model.item_rep_matrix(params, feats, h)
+        self.states = model.final_states(params, feats, corpus, h)
 
     def rank(self, u: str) -> list:
-        return model.rank_candidates(u, self.params, self.feats, self.corpus,
-                                     self.h, rep=self.rep)
+        if u not in self.user_index:
+            raise KeyError(f"unknown user {u!r}")
+        if not self.corpus.train_seq.get(u):
+            raise ConfigError(f"user {u!r} has an empty training sequence")
+        state = self.states[self.user_index[u]]
+        return order_candidates(self.rep @ state, self.corpus, u)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from . import baselines, model
+from . import baselines, model, numkit
 from .errors import CheckpointError, ConfigError
 from .model import Hyper, Mask
 
@@ -55,10 +55,6 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _is_names(v, allowed=None) -> bool:
     return isinstance(v, list) and all(
         isinstance(n, str) and (allowed is None or n in allowed) for n in v)
@@ -97,7 +93,7 @@ def _check_header(path, header) -> None:
         raise CheckpointError(f"{path}: header field 'users' is malformed")
     hyper = header.get("hyper", {})
     if not (isinstance(hyper, dict) and set(hyper) <= set(HYPER_KEYS)
-            and all(_is_number(v) for v in hyper.values())):
+            and all(numkit.is_real(v) for v in hyper.values())):
         raise CheckpointError(f"{path}: header field 'hyper' is malformed")
 
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import numkit
 from .errors import ConfigError, EmptyCorpusError, ParseError, SamplingError
 
 VISUAL_RANGE = (0.0, 0.5)
@@ -32,6 +33,7 @@ class Corpus:
 
     def __post_init__(self):
         self.item_index = {it: j for j, it in enumerate(self.items)}
+        self.item_ids = np.array(self.items, dtype=object)  # items, by row
         self._train_sets = {u: frozenset(s) for u, s in self.train_seq.items()}
 
     @property
@@ -41,10 +43,12 @@ class Corpus:
     def train_set(self, u: str) -> frozenset:
         return self._train_sets[u]
 
-    def candidates(self, u: str) -> list:
-        """Items the user never interacted with in training, ascending id."""
-        owned = self._train_sets[u]
-        return [it for it in self.items if it not in owned]
+    def candidate_rows(self, u: str) -> np.ndarray:
+        """Rows of the items the user never interacted with in training,
+        ascending (so in ascending id order)."""
+        keep = np.ones(self.n_items, dtype=bool)
+        keep[[self.item_index[it] for it in self._train_sets[u]]] = False
+        return np.flatnonzero(keep)
 
     def eval_users(self) -> list:
         """Users with at least one (filtered) test item."""
@@ -297,6 +301,9 @@ class SynthSpec:
         ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type is int]
         bad = [f"{name} must be an integer, got {v!r}" for name, v in ints
                if type(v) is not int]  # bool is an int subclass
+        reals = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type is float]
+        bad += [f"{name} must be a finite real number, got {v!r}"
+                for name, v in reals if not numkit.is_real(v)]
         if bad:
             raise ConfigError("; ".join(bad))
         problems = []

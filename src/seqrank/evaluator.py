@@ -3,13 +3,18 @@
 Per-user rankings come from any object with .rank(u) returning (item, score)
 pairs sorted descending. Users are scored one after another, and aggregation
 is a fixed-order mean over evaluable users. Each ranking is reduced once to
-its relevance flags, the hit vector: `cutoff_metrics` reads every cutoff
-metric from its running sums, and AUC uses those flags with the midranks of
-the scores.
+its relevance flags, the hit vector, read out of the pairs by C-level maps
+rather than per-item Python: `cutoff_metrics` reads every cutoff metric from
+its running sums, with discounts cached per largest cutoff, and AUC uses
+those flags with the midranks of the scores. `cold_start_bins` compares
+every user's top-k test frequencies with all bin bounds in one array
+operation.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -48,6 +53,19 @@ class EvalConfig:
 METRICS = ("recall", "precision", "map", "ndcg")  # order of cutoff_metrics' tuples
 
 
+@lru_cache(maxsize=None)
+def _discounts(kmax: int) -> tuple:
+    """(positions 1..kmax, 1/log2(rank+1) discounts, their running sums),
+    read-only and shared by every ranking cut at kmax."""
+    pos = np.arange(1, kmax + 1)
+    # math.log2 because np.log2 differs from it in the last bit for some ranks
+    disc = np.array([1.0 / math.log2(j + 1) for j in range(1, kmax + 1)])
+    idcg = np.cumsum(disc)
+    for a in (pos, disc, idcg):
+        a.flags.writeable = False
+    return pos, disc, idcg
+
+
 def cutoff_metrics(hit: np.ndarray, n_rel: int, cutoffs) -> dict:
     """k -> (recall, precision, MAP, NDCG) at each cutoff, from a ranking's
     relevance flags (hit[j] true where rank j+1 is relevant) and its user's
@@ -56,15 +74,13 @@ def cutoff_metrics(hit: np.ndarray, n_rel: int, cutoffs) -> dict:
     misses. MAP is normalized by min(k, n_rel), NDCG uses 1/log2(rank+1)
     discounts."""
     kmax = max(cutoffs)
+    pos, disc, idcg = _discounts(kmax)
     top = hit[:kmax]
     flags = np.zeros(kmax)
     flags[:top.size] = top
-    # math.log2 because np.log2 differs from it in the last bit for some ranks
-    disc = np.array([1.0 / math.log2(j + 1) for j in range(1, kmax + 1)])
     hits = np.cumsum(flags)
-    ap = np.cumsum(flags * hits / np.arange(1, kmax + 1))
+    ap = np.cumsum(flags * hits / pos)
     dcg = np.cumsum(flags * disc)
-    idcg = np.cumsum(disc)
     out = {}
     for k in cutoffs:
         n_hit, best = int(hits[k - 1]), min(k, n_rel)
@@ -129,12 +145,14 @@ class EvalReport:
 
 def user_metrics(ranker, corpus: Corpus, cfg: EvalConfig, u: str) -> dict:
     ranking = ranker.rank(u)
-    ids = [it for it, _ in ranking]
+    n = len(ranking)
+    ids = list(map(itemgetter(0), ranking))
     rel = set(corpus.test_seq[u])
-    hit = np.array([it in rel for it in ids], dtype=bool)
+    hit = np.fromiter(map(rel.__contains__, ids), dtype=bool, count=n)
     row = {"ranked": ids, **cutoff_metrics(hit, len(rel), cfg.cutoffs)}
-    if 0 < hit.sum() < hit.size:
-        row["auc"] = auc_from_scores(np.array([s for _, s in ranking]), hit)
+    if 0 < hit.sum() < n:
+        scores = np.fromiter(map(itemgetter(1), ranking), dtype=np.float64, count=n)
+        row["auc"] = auc_from_scores(scores, hit)
     else:
         row["auc"] = None
     return row
@@ -221,23 +239,29 @@ def cold_start_bins(corpus: Corpus, rankings: dict, k: int, bins: tuple,
         raise EmptyCorpusError("no users have test items")
     freq = test_frequencies(corpus)
     # the last bound, the largest test frequency, keeps the whole test set
-    bounds = list(bins) + [max(freq.values())]
+    bounds = np.array(list(bins) + [max(freq.values())])
     labels = [f"1-{b}" for b in bins] + ["all"]
     rel_freq = {u: {it: freq[it] for it in corpus.test_seq[u]} for u in users}
-    n_rel = np.array([[sum(f <= b for f in rel_freq[u].values()) for b in bounds]
-                      for u in users])
+    # (users, bins): relevant items of each user that each bin keeps
+    n_rel = np.array([(np.array(list(rel_freq[u].values()))[:, None]
+                       <= bounds).sum(axis=0) for u in users])
+    has_rel = n_rel > 0
 
-    report = ColdStartReport(k, labels, (n_rel > 0).sum(axis=0).tolist())
+    report = ColdStartReport(k, labels, has_rel.sum(axis=0).tolist())
     for name, ranked_by_user in rankings.items():
-        totals = [0.0] * len(bounds)
-        for u, counts in zip(users, n_rel):
-            # test frequency of each top-k item, inf where it is not
-            # relevant, so bin b's hit vector is top <= b
-            top = np.array([rel_freq[u].get(it, math.inf)
-                            for it in ranked_by_user[u][:k]])
-            for i, b in enumerate(bounds):
-                if counts[i]:
-                    totals[i] += cutoff_metrics(top <= b, int(counts[i]), (k,))[k][0]
+        # test frequency of each user's top-k items, inf where an item is
+        # not relevant or past the end of a short ranking, so bin b's hits
+        # are the entries <= b
+        top_freq = [[rel_freq[u].get(it, math.inf) for it in ranked_by_user[u][:k]]
+                    for u in users]
+        top = np.full((len(users), max(map(len, top_freq))), math.inf)
+        for row, f in zip(top, top_freq):
+            row[:len(f)] = f
+        hits = (top[:, :, None] <= bounds).sum(axis=1)
+        # recall int hits / int n_rel per (user, bin), 0.0 where the bin
+        # skips the user; cumsum adds the users in order, as a loop would
+        recall = np.divide(hits, n_rel, out=np.zeros(n_rel.shape), where=has_rel)
+        totals = np.cumsum(recall, axis=0)[-1].tolist()
         report.recalls[name] = [t / n if n else None
                                 for t, n in zip(totals, report.bin_users)]
 

@@ -9,10 +9,14 @@ representations.
 Everything is a plain float64 array: a sequence's item representations are
 gathered as one (m, D) matrix, `hidden_states` runs the recurrence over it
 with InMat i_t precomputed for all t, and `Hyper.slices` holds the slice
-offsets, computed once.
+offsets, computed once. Training runs `hidden_states` per sequence; ranking
+takes every user's final state from `final_states`, one padded (U, D)
+recurrence over all users at once (there is no per-user ranking pass), and
+`order_candidates` turns a score vector into a ranking with array
+operations: a mask of the user's training rows and a stable argsort.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -90,7 +94,11 @@ class Hyper:
     init_hi: float = 0.5
 
     def __post_init__(self):
-        problems = []
+        reals = [(f.name, getattr(self, f.name)) for f in fields(self)
+                 if f.type is float]
+        problems = [f"{name} must be a finite real number, got {v!r}"
+                    for name, v in reals if not numkit.is_real(v)]
+        reals_ok = not problems
         if not isinstance(self.d, int) or isinstance(self.d, bool):
             problems.append(f"d must be an integer, got {self.d!r}")
         elif self.d < 1:
@@ -101,13 +109,14 @@ class Hyper:
             problems.append("visual slice active but f_v == 0")
         if self.mask.textual and self.f_t < 1:
             problems.append("textual slice active but f_t == 0")
-        # alpha == 0 is allowed: a zero-rate pass is the standard no-op probe
-        if self.alpha < 0:
-            problems.append(f"alpha must be >= 0, got {self.alpha}")
-        if min(self.lam_theta, self.lam_e, self.lam_v) < 0:
-            problems.append("regularizers must be >= 0")
-        if self.init_lo > self.init_hi:
-            problems.append(f"init range [{self.init_lo}, {self.init_hi}] is empty")
+        if reals_ok:
+            # alpha == 0 is allowed: a zero-rate pass is the standard no-op probe
+            if self.alpha < 0:
+                problems.append(f"alpha must be >= 0, got {self.alpha}")
+            if min(self.lam_theta, self.lam_e, self.lam_v) < 0:
+                problems.append("regularizers must be >= 0")
+            if self.init_lo > self.init_hi:
+                problems.append(f"init range [{self.init_lo}, {self.init_hi}] is empty")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -174,13 +183,23 @@ def hidden_states(inputs: np.ndarray, params: ModelParams) -> np.ndarray:
     return states
 
 
-def run_sequence(u: str, params: ModelParams, feats, corpus, h: Hyper) -> np.ndarray:
-    """Hidden states t = 1..m (rows) over the user's training sequence,
-    starting from the zero state."""
-    if u not in corpus.train_seq:
-        raise KeyError(f"unknown user {u!r}")
-    rows = [corpus.item_index[it] for it in corpus.train_seq[u]]
-    return hidden_states(item_rep_matrix(params, feats, h, rows), params)[1:]
+def final_states(params: ModelParams, feats, corpus, h: Hyper) -> np.ndarray:
+    """(U, D) final training state of every user, rows in `corpus.users`
+    order: the recurrence of `hidden_states` run over all users at once.
+    Step t advances only the users whose sequence is longer than t and
+    gathers only their t-th inputs. A user with an empty training sequence
+    keeps the zero state."""
+    seqs = [corpus.train_seq.get(u, ()) for u in corpus.users]
+    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+    rows = np.zeros((len(seqs), lengths.max(initial=0)), dtype=np.intp)
+    for j, seq in enumerate(seqs):
+        rows[j, :len(seq)] = [corpus.item_index[it] for it in seq]
+    states = np.zeros((len(seqs), h.D))
+    for t in range(rows.shape[1]):
+        live = np.flatnonzero(lengths > t)
+        pre_in = item_rep_matrix(params, feats, h, rows[live, t]) @ params.InMat.T
+        states[live] = numkit.sigmoid_arr(pre_in + states[live] @ params.RecMat.T)
+    return states
 
 
 def score_pair(prev: np.ndarray, p_inp: np.ndarray, q_inp: np.ndarray):
@@ -208,21 +227,11 @@ def item_rep_matrix(params, feats, h: Hyper, rows=None) -> np.ndarray:
 
 
 def order_candidates(scores: np.ndarray, corpus, u: str) -> list:
-    """Turn a full item-score vector into the user's candidate ranking:
-    drop trained items, sort descending; equal scores keep ascending
-    item-id order."""
-    owned = corpus.train_set(u)
-    out = [(it, float(scores[j]))
-           for j, it in enumerate(corpus.items) if it not in owned]
-    out.sort(key=lambda pair: -pair[1])
-    return out
-
-
-def rank_candidates(u: str, params: ModelParams, feats, corpus, h: Hyper,
-                    rep: np.ndarray) -> list:
-    """Rank unseen items by dot product of their representations `rep`
-    (`item_rep_matrix` rows) with the final training state."""
-    states = run_sequence(u, params, feats, corpus, h)
-    if len(states) == 0:
-        raise ConfigError(f"user {u!r} has an empty training sequence")
-    return order_candidates(rep @ states[-1], corpus, u)
+    """Turn a full item-score vector into the user's candidate ranking,
+    [(item id, float score), ...]: drop trained items, sort descending;
+    equal scores keep ascending item-id order (a stable sort of the
+    candidate rows, which ascend with the ids)."""
+    rows = corpus.candidate_rows(u)
+    cand = scores[rows]
+    order = np.argsort(-cand, kind="stable")
+    return list(zip(corpus.item_ids[rows[order]].tolist(), cand[order].tolist()))

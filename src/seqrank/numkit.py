@@ -1,7 +1,20 @@
 """Float64 numeric kernels shared by every model in the package: stable
-sigmoids and the finite-difference gradient check."""
+sigmoids, the finite-difference gradient check, and the test every float
+setting passes."""
+
+import math
 
 import numpy as np
+
+
+def is_real(v) -> bool:
+    """An int or float, not a bool, that converts to a finite float64."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def sigmoid(x: float) -> float:

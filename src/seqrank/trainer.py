@@ -46,7 +46,12 @@ class TrainConfig:
         if not isinstance(self.shuffle_users, bool):
             raise ConfigError(f"shuffle_users must be true or false, "
                               f"got {self.shuffle_users!r}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
+        if self.clip_norm is None:
+            return
+        if not numkit.is_real(self.clip_norm):
+            raise ConfigError(f"clip_norm must be a finite real number, "
+                              f"got {self.clip_norm!r}")
+        if self.clip_norm <= 0:
             raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
 
 

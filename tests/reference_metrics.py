@@ -60,3 +60,30 @@ def midranks_ref(scores):
         equal = sum(1 for t in scores if t == s)
         out.append(below + (equal + 1) / 2.0)
     return out
+
+
+def cold_start_ref(users, test_seq, ranked, k, bins):
+    """(users per bin, recall@k per bin) of the cold-start analysis, bin by
+    bin: a bin with bound b keeps the test items that occur at most b times
+    over all test sets, the last bin keeps every test item; a user with no
+    kept item is skipped; recall is averaged over the rest, None if none."""
+    freq = {}
+    for u in users:
+        for item in test_seq.get(u, []):
+            freq[item] = freq.get(item, 0) + 1
+    bin_users, recalls = [], []
+    for b in list(bins) + [max(freq.values())]:
+        total, n_users = 0.0, 0
+        for u in users:
+            kept = [item for item in test_seq.get(u, []) if freq[item] <= b]
+            if not kept:
+                continue
+            hits = 0
+            for item in ranked[u][:k]:
+                if item in kept:
+                    hits += 1
+            total += hits / len(kept)
+            n_users += 1
+        bin_users.append(n_users)
+        recalls.append(total / n_users if n_users else None)
+    return bin_users, recalls

@@ -73,7 +73,7 @@ def planted_aucs():
     pairs = 0
     for u in corpus.eval_users():
         n_rel = len(set(corpus.test_seq[u]))
-        pairs += n_rel * (len(corpus.candidates(u)) - n_rel)
+        pairs += n_rel * (corpus.candidate_rows(u).size - n_rel)
     return aucs, pairs, time.monotonic() - t0
 
 

@@ -5,10 +5,10 @@ import pytest
 
 from seqrank import baselines, model
 from seqrank.baselines import (EmbedRanker, PopRanker, RandomRanker,
-                               bpr_grad_check, build_ranker,
+                               RecurrentRanker, bpr_grad_check, build_ranker,
                                init_bpr_params, mf_grad_check,
                                train_content_bpr, train_mf, user_stream)
-from seqrank.dataio import SynthSpec, synth_corpus
+from seqrank.dataio import Corpus, SynthSpec, synth_corpus
 from seqrank.errors import ConfigError, DivergenceError
 from seqrank.model import ALL_KINDS, Hyper, Mask
 from seqrank.trainer import TrainConfig
@@ -35,7 +35,7 @@ def test_random_ranker(toy_corpus):
     first = r.rank("alice")
     assert first == r.rank("alice")  # stable across calls
     ids = [it for it, _ in first]
-    assert sorted(ids) == toy_corpus.candidates("alice")
+    assert sorted(ids) == toy_corpus.item_ids[toy_corpus.candidate_rows("alice")].tolist()
     scores = [s for _, s in first]
     assert scores == sorted(scores, reverse=True)
 
@@ -69,6 +69,35 @@ def test_embed_ranker_scores(toy_corpus, toy_feats):
         rep_row = model.item_rep_matrix(params, toy_feats, h,
                                         toy_corpus.item_index[it])
         assert score == pytest.approx(float(rep_row @ gamma), abs=1e-12)
+
+
+def test_recurrent_ranker_scores(toy_corpus, toy_feats):
+    h = Hyper(d=2, f_v=2, f_t=2, mask=Mask(latent=True, visual=True, textual=True))
+    params = model.init_params(h, toy_corpus.n_items, np.random.default_rng(6))
+    r = RecurrentRanker("vtrnn", params, toy_corpus, toy_feats, h)
+    rows = [toy_corpus.item_index[it] for it in toy_corpus.train_seq["carol"]]
+    state = model.hidden_states(model.item_rep_matrix(params, toy_feats, h, rows),
+                                params)[-1]
+    ranked = r.rank("carol")
+    assert sorted(it for it, _ in ranked) == ["i1", "i3", "i6"]
+    for it, score in ranked:
+        rep_row = model.item_rep_matrix(params, toy_feats, h,
+                                        toy_corpus.item_index[it])
+        assert score == pytest.approx(float(rep_row @ state), abs=1e-12)
+    with pytest.raises(KeyError):
+        r.rank("mallory")
+
+
+def test_recurrent_ranker_empty_sequence(toy_feats):
+    corpus = Corpus(("ann", "ben"), ("i1", "i2", "i3", "i4", "i5", "i6"),
+                    {"ann": ["i2", "i1"], "ben": []}, {"ann": ["i3"], "ben": ["i4"]})
+    h = Hyper(d=2, f_v=2, f_t=2, mask=Mask.for_kind("vtrnn"))
+    params = model.init_params(h, corpus.n_items, np.random.default_rng(6))
+    r = RecurrentRanker("vtrnn", params, corpus, toy_feats, h)
+    assert not r.states[1].any()    # ben keeps the zero state
+    assert len(r.rank("ann")) == 4
+    with pytest.raises(ConfigError, match="empty training sequence"):
+        r.rank("ben")
 
 
 def test_content_bpr_deterministic(world):
@@ -142,7 +171,7 @@ def test_build_ranker_every_kind(world, kind):
     u = corpus.users[0]
     ranked = ranker.rank(u)
     ids = [it for it, _ in ranked]
-    assert sorted(ids) == corpus.candidates(u)
+    assert sorted(ids) == corpus.item_ids[corpus.candidate_rows(u)].tolist()
     scores = [s for _, s in ranked]
     assert scores == sorted(scores, reverse=True)
 

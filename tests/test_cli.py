@@ -218,6 +218,31 @@ def test_non_integer_config_is_config_error(pipeline, tmp_path, capsys,
     assert err == f"config error:\n{section}: {key} must be an integer, got {value!r}\n"
 
 
+@pytest.mark.parametrize("cmd,section,key,value", [
+    ("train", "hyper", "alpha", True),
+    ("train", "hyper", "lam_theta", True),
+    ("train", "train", "clip_norm", True),
+    ("train", "hyper", "init_hi", float("inf")),
+    ("train", "train", "clip_norm", float("nan")),
+    ("train", "hyper", "alpha", float("nan")),
+    ("synth", "synth", "noise_sigma", float("nan")),
+    ("synth", "synth", "noise_sigma", True),
+], ids=["bool-alpha", "bool-lam-theta", "bool-clip", "inf-init-hi", "nan-clip",
+        "nan-alpha", "nan-noise", "bool-noise"])
+def test_float_setting_must_be_finite_real(pipeline, tmp_path, capsys,
+                                           cmd, section, key, value):
+    _, paths, _ = pipeline
+    given = {"kind": "rnn", "data": paths, "train": {"epochs": 1},
+             "synth": dict(SYNTH)}
+    given[section] = dict(given.get(section, {}), **{key: value})
+    cfg = write_config(tmp_path / "c.json", given)
+    code = cli.main([cmd, "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG, err
+    assert err == (f"config error:\n{section}: {key} must be a finite real "
+                   f"number, got {value!r}\n")
+
+
 @pytest.mark.parametrize("cmd,extra,argv,fragment", [
     ("train", {"train": {"epochs": 1, "shuffle_users": "false"}}, [],
      "train: shuffle_users must be true or false, got 'false'"),

@@ -83,7 +83,7 @@ def test_filter_test_new_items_dedups():
 
 
 def test_candidates_excludes_train_only(toy_corpus):
-    cands = toy_corpus.candidates("alice")
+    cands = [toy_corpus.items[j] for j in toy_corpus.candidate_rows("alice")]
     assert "i2" not in cands
     assert "i4" in cands          # test items stay rankable
     assert cands == sorted(cands)

@@ -16,6 +16,15 @@ way with `shuffle_users=True`. They were recorded on the array-native core,
 before the three trainers shared one epoch driver, and must match bit for
 bit.
 
+The `<kind>+ranking` entries hold `rank(u)` of every corpus user for
+`vtrnn`, `vrnn`, `vtbpr`, `mf`, `pop` and `random` (the trained kinds as
+above, without shuffling): the item ids and scores of all rankings end to
+end, and each ranking's length. They were recorded while rankings were
+still built per user and per candidate in Python, before ranking moved to
+array operations and one batched recurrence over all users. Ids and lengths
+must match exactly; scores bit for bit, except for the recurrent kinds,
+whose scores may differ by 1e-14 absolute.
+
 Running this file records every entry missing from `golden_trace.npz` and
 keeps the ones it has; delete an entry (or the file) to re-record it, and
 only when the training arithmetic is meant to change:
@@ -23,6 +32,7 @@ only when the training arithmetic is meant to change:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import functools
 import os
 
 import numpy as np
@@ -37,25 +47,48 @@ from test_acceptance import SMALL
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_trace.npz")
 KINDS = ("vtrnn", "vrnn", "vtbpr", "mf")
 SHUFFLED_KINDS = ("vtrnn", "vtbpr", "mf")
+RANKED_KINDS = ("vtrnn", "vrnn", "vtbpr", "mf", "pop", "random")
 RECURRENT_REL_TOL = 1e-12
+RECURRENT_SCORE_TOL = 1e-14
 
 
-def trace(kind: str, shuffle: bool = False) -> dict:
-    """{block name: array} plus "log": the training-log lines."""
+@functools.lru_cache(maxsize=None)
+def build(kind: str, shuffle: bool = False) -> tuple:
+    """(ranker, training-log lines) of `kind` trained for 2 epochs on the
+    SMALL corpus."""
     corpus, feats = synth_corpus(SMALL, np.random.default_rng(77))
     lines = []
     ranker = build_ranker(kind, corpus, feats, Hyper(d=4, f_v=3, f_t=3),
                           TrainConfig(epochs=2, seed=5, shuffle_users=shuffle),
                           log=lines.append)
-    out = {name: block for name, block in ranker.params.blocks()}
+    return ranker, lines
+
+
+def trace(kind: str, shuffle: bool = False) -> dict:
+    """{block name: array} plus "log": the training-log lines."""
+    ranker, lines = build(kind, shuffle)
+    out = {name: block.copy() for name, block in ranker.params.blocks()}
     out["log"] = np.array(lines)
     return out
 
 
+def rankings(kind: str) -> dict:
+    """"ids" and "scores" of every corpus user's ranking, concatenated in
+    user order, and "lengths", each ranking's length."""
+    ranker, _ = build(kind)
+    ranked = [ranker.rank(u) for u in ranker.corpus.users]
+    return {"ids": np.array([it for r in ranked for it, _ in r]),
+            "scores": np.array([s for r in ranked for _, s in r]),
+            "lengths": np.array([len(r) for r in ranked])}
+
+
 def entries() -> dict:
-    """Entry prefix -> (kind, shuffle_users)."""
-    out = {kind: (kind, False) for kind in KINDS}
-    out.update({f"{kind}+shuffle": (kind, True) for kind in SHUFFLED_KINDS})
+    """Entry prefix -> function computing the entry's arrays."""
+    out = {kind: functools.partial(trace, kind) for kind in KINDS}
+    out.update({f"{kind}+shuffle": functools.partial(trace, kind, True)
+                for kind in SHUFFLED_KINDS})
+    out.update({f"{kind}+ranking": functools.partial(rankings, kind)
+                for kind in RANKED_KINDS})
     return out
 
 
@@ -65,10 +98,10 @@ def record(path: str = GOLDEN) -> None:
         with np.load(path) as z:
             have = {key: z[key] for key in z.files}
     prefixes = {key.split("/", 1)[0] for key in have}
-    for prefix, (kind, shuffle) in entries().items():
+    for prefix, compute in entries().items():
         if prefix not in prefixes:
             have.update({f"{prefix}/{name}": value
-                         for name, value in trace(kind, shuffle).items()})
+                         for name, value in compute().items()})
     np.savez(path, **have)
 
 
@@ -78,11 +111,14 @@ def golden():
         return {key: z[key] for key in z.files}
 
 
+def stored(golden, prefix: str) -> dict:
+    return {key.split("/", 1)[1]: value for key, value in golden.items()
+            if key.startswith(prefix + "/")}
+
+
 def check_entry(golden, prefix: str, exact: bool) -> None:
-    kind, shuffle = entries()[prefix]
-    got = trace(kind, shuffle)
-    assert sorted(got) == sorted(key.split("/", 1)[1] for key in golden
-                                 if key.startswith(prefix + "/"))
+    got = entries()[prefix]()
+    assert sorted(got) == sorted(stored(golden, prefix))
     assert got["log"].tolist() == golden[f"{prefix}/log"].tolist()
     for name, block in got.items():
         if name == "log":
@@ -105,6 +141,20 @@ def test_golden_trace(golden, kind):
 @pytest.mark.parametrize("kind", SHUFFLED_KINDS)
 def test_golden_trace_shuffled(golden, kind):
     check_entry(golden, f"{kind}+shuffle", exact=True)
+
+
+@pytest.mark.parametrize("kind", RANKED_KINDS)
+def test_golden_rankings(golden, kind):
+    got, want = rankings(kind), stored(golden, f"{kind}+ranking")
+    assert sorted(got) == sorted(want)
+    assert got["lengths"].tolist() == want["lengths"].tolist()
+    assert got["ids"].tolist() == want["ids"].tolist()
+    assert got["scores"].shape == want["scores"].shape
+    if kind in ("vtrnn", "vrnn"):
+        err = np.max(np.abs(got["scores"] - want["scores"]))
+        assert err <= RECURRENT_SCORE_TOL, err
+    else:
+        assert np.array_equal(got["scores"], want["scores"])
 
 
 if __name__ == "__main__":

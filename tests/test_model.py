@@ -7,8 +7,8 @@ from seqrank.dataio import FeatureStore
 from seqrank.errors import ConfigError
 from seqrank.model import (ALL_KINDS, MASK_BY_KIND, RECURRENT_KINDS,
                            Hyper, Mask, ModelParams, init_params,
-                           item_rep_matrix, order_candidates, run_sequence,
-                           score_pair, step_hidden)
+                           final_states, hidden_states, item_rep_matrix,
+                           order_candidates, score_pair, step_hidden)
 
 
 def test_mask_for_kind_table():
@@ -135,19 +135,21 @@ def test_score_pair_antisymmetry_exact():
     assert np.array_equal(score_pair(prev, a, b), -score_pair(prev, b, a))
 
 
-def test_run_sequence_states(toy_corpus, toy_feats):
+def test_final_states_rows(toy_corpus, toy_feats):
     h = Hyper(d=3, f_v=2, f_t=2,
               mask=Mask(latent=True, visual=True, textual=True))
     params = init_params(h, toy_corpus.n_items, np.random.default_rng(4))
-    states = run_sequence("alice", params, toy_feats, toy_corpus, h)
-    assert states.shape == (len(toy_corpus.train_seq["alice"]), h.D)
-    # state t is one recurrent step from state t-1
-    rows = [toy_corpus.item_index[it] for it in toy_corpus.train_seq["alice"]]
-    pre_in = item_rep_matrix(params, toy_feats, h, rows) @ params.InMat.T
-    redo = step_hidden(states[0], pre_in[1], params.RecMat)
-    assert np.array_equal(redo, states[1])
-    with pytest.raises(KeyError):
-        run_sequence("mallory", params, toy_feats, toy_corpus, h)
+    final = final_states(params, toy_feats, toy_corpus, h)
+    assert final.shape == (len(toy_corpus.users), h.D)
+    for u, got in zip(toy_corpus.users, final):
+        rows = [toy_corpus.item_index[it] for it in toy_corpus.train_seq[u]]
+        states = hidden_states(item_rep_matrix(params, toy_feats, h, rows), params)
+        # state t is one recurrent step from state t-1
+        pre_in = item_rep_matrix(params, toy_feats, h, rows) @ params.InMat.T
+        redo = step_hidden(states[1], pre_in[1], params.RecMat)
+        assert np.array_equal(redo, states[2])
+        # the batched pass sums in another order than the per-user one
+        assert np.allclose(got, states[-1], rtol=0.0, atol=1e-14)
 
 
 def test_item_rep_matrix_rows(toy_corpus, toy_feats):

@@ -1,5 +1,10 @@
-"""Property tests: whatever bytes a checkpoint, sequence or feature file
-holds, its reader fails only with its own documented error type.
+"""Property tests.
+
+- Whatever bytes a checkpoint, sequence or feature file holds, its reader
+  fails only with its own documented error type.
+- The array ranking path agrees with naive per-user and per-item
+  references: candidate ordering, the batched final states and the
+  cold-start bins.
 
 Hypothesis runs derandomized and without an example database, so the
 examples are the same on every run; conftest.py moves its storage
@@ -8,14 +13,19 @@ directory out of the checkout."""
 import json
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_metrics import cold_start_ref
 from seqrank.checkpoint import MAGIC, read_checkpoint
-from seqrank.dataio import load_features, parse_sequence_file
+from seqrank.dataio import Corpus, FeatureStore, load_features, parse_sequence_file
 from seqrank.errors import CheckpointError, ParseError
-from seqrank.model import ALL_KINDS
+from seqrank.evaluator import cold_start_bins
+from seqrank.model import (ALL_KINDS, SLICE_NAMES, Hyper, Mask, final_states,
+                           hidden_states, init_params, item_rep_matrix,
+                           order_candidates)
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
                 max_examples=100)
@@ -94,3 +104,105 @@ def test_text_parsers_raise_only_parse_error(scratch, raw):
             parse(path)
         except ParseError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# the array ranking path against naive references
+
+def items_of(n: int) -> tuple:
+    return tuple(f"i{j:02d}" for j in range(n))
+
+
+# few distinct values, so most candidates tie; both signs of zero
+SCORES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -2.5, 7.0])
+
+
+@st.composite
+def scored_user(draw):
+    """(scores, items, owned): a score per item and the user's training
+    items, from none to all of them, often all but one."""
+    n = draw(st.integers(1, 30))
+    scores = draw(st.lists(SCORES | st.floats(-4.0, 4.0), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        keep = draw(st.integers(0, n - 1))
+        owned = [j for j in range(n) if j != keep]
+    else:
+        owned = draw(st.lists(st.integers(0, n - 1), unique=True))
+    items = items_of(n)
+    return np.array(scores), items, [items[j] for j in owned]
+
+
+@FUZZ
+@given(case=scored_user())
+def test_order_candidates_matches_sorted_pairs(case):
+    scores, items, owned = case
+    corpus = Corpus(("u",), items, {"u": owned}, {"u": []})
+    got = order_candidates(scores, corpus, "u")
+    want = sorted([(it, float(s)) for it, s in zip(items, scores)
+                   if it not in owned], key=lambda p: -p[1])
+    assert all(type(it) is str and type(s) is float for it, s in got)
+    # the score's hex form tells -0.0 from 0.0
+    assert [(it, s.hex()) for it, s in got] == [(it, s.hex()) for it, s in want]
+
+
+MASKS = [Mask(**dict(zip(SLICE_NAMES, bits)))
+         for bits in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
+                      (0, 1, 1), (1, 1, 1))]
+
+
+@st.composite
+def recurrent_world(draw):
+    n_items = draw(st.integers(1, 8))
+    items = items_of(n_items)
+    users = tuple(f"u{j}" for j in range(draw(st.integers(1, 6))))
+    max_len = draw(st.integers(1, 8))
+    train = {u: [items[j] for j in draw(st.lists(st.integers(0, n_items - 1),
+                                                  min_size=1, max_size=max_len))]
+             for u in users}
+    h = Hyper(d=draw(st.integers(1, 3)), f_v=draw(st.integers(1, 3)),
+              f_t=draw(st.integers(1, 3)), mask=draw(st.sampled_from(MASKS)))
+    return Corpus(users, items, train, {}), h, draw(st.integers(0, 2**32 - 1))
+
+
+@FUZZ
+@given(world=recurrent_world())
+def test_final_states_match_per_user_recurrence(world):
+    corpus, h, seed = world
+    rng = np.random.default_rng(seed)
+    feats = FeatureStore(h.f_v, h.f_t, rng.uniform(0.0, 0.5, (corpus.n_items, h.f_v)),
+                         rng.uniform(-0.5, 0.5, (corpus.n_items, h.f_t)))
+    params = init_params(h, corpus.n_items, rng)
+    final = final_states(params, feats, corpus, h)
+    assert final.shape == (len(corpus.users), h.D)
+    for u, got in zip(corpus.users, final):
+        rows = [corpus.item_index[it] for it in corpus.train_seq[u]]
+        want = hidden_states(item_rep_matrix(params, feats, h, rows), params)[-1]
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@st.composite
+def cold_start_world(draw):
+    items = items_of(draw(st.integers(1, 12)))
+    users = tuple(f"u{j}" for j in range(draw(st.integers(1, 8))))
+    some = st.lists(st.sampled_from(items), unique=True)
+    test = {u: draw(some) for u in users}
+    if not any(test.values()):
+        test[users[0]] = [items[0]]
+    ranked = {u: draw(st.permutations(items).flatmap(
+        lambda p: st.integers(0, len(p)).map(lambda n: list(p[:n]))))
+              for u in users}
+    bins = tuple(sorted(draw(st.sets(st.integers(1, 6), max_size=4))))
+    return (Corpus(users, items, {u: [] for u in users}, test), ranked,
+            draw(st.integers(1, 6)), bins)
+
+
+@FUZZ
+@given(world=cold_start_world())
+def test_cold_start_bins_match_per_bin_recount(world):
+    corpus, ranked, k, bins = world
+    evaluable = corpus.eval_users()
+    report = cold_start_bins(corpus, {"A": ranked}, k, bins)
+    bin_users, recalls = cold_start_ref(evaluable, corpus.test_seq, ranked, k, bins)
+    assert report.bin_users == bin_users
+    assert report.recalls["A"] == recalls
+    assert all(v is None or type(v) is float for v in report.recalls["A"])
