@@ -8,11 +8,14 @@ all items passed to `model.order_candidates`; the recurrent rankers read
 the user's row of states that `model.final_states` computed for every user
 when the ranker was built.
 
-The trainable kinds share one epoch loop, `sgd.run_epochs`; mf and the BPR
-family supply their per-user steps here. A BPR triple's score and gradient
-are formed in one place, `bpr_pair_score` and `bpr_pair_grads`, and an mf
-observation's in `mf_obs_grads`; training, the losses, the exact gradients
-and the gradient check all apply them.
+The trainable kinds share one epoch loop, `sgd.run_epochs`, and one update
+rule, `sgd.ascend`; mf and the BPR family supply their per-user steps here.
+Users and items are rows (`corpus.user_index`, `corpus.train_rows` and the
+rows the sampler draws). A BPR triple (user row, positive row, negative
+row) has its score and gradient formed in one place, `bpr_pair_score` and
+`bpr_pair_grads`, and an mf observation (user row, item row, target) in
+`mf_obs_grads`; training, the losses, the exact gradients and the gradient
+check all apply them.
 """
 
 import hashlib
@@ -51,10 +54,8 @@ class PopRanker:
     def __init__(self, corpus: Corpus, counts: np.ndarray | None = None):
         self.corpus = corpus
         if counts is None:
-            counts = np.zeros(corpus.n_items)
-            for u in corpus.users:
-                for it in corpus.train_seq[u]:
-                    counts[corpus.item_index[it]] += 1.0
+            rows = np.concatenate([corpus.train_rows[u] for u in corpus.users])
+            counts = np.bincount(rows, minlength=corpus.n_items).astype(np.float64)
         self.counts = counts
 
     def rank(self, u: str) -> list:
@@ -98,11 +99,10 @@ class EmbedRanker:
         self.params = params
         self.corpus = corpus
         self.h = h
-        self.user_index = {u: j for j, u in enumerate(corpus.users)}
         self.rep = model.item_rep_matrix(params, feats, h)
 
     def rank(self, u: str) -> list:
-        gamma_u = self.params.gamma[self.user_index[u]]
+        gamma_u = self.params.gamma[self.corpus.user_index[u]]
         return order_candidates(self.rep @ gamma_u, self.corpus, u)
 
 
@@ -117,16 +117,15 @@ class RecurrentRanker:
         self.params = params
         self.corpus = corpus
         self.h = h
-        self.user_index = {u: j for j, u in enumerate(corpus.users)}
         self.rep = model.item_rep_matrix(params, feats, h)
         self.states = model.final_states(params, feats, corpus, h)
 
     def rank(self, u: str) -> list:
-        if u not in self.user_index:
+        if u not in self.corpus.user_index:
             raise KeyError(f"unknown user {u!r}")
         if not self.corpus.train_seq.get(u):
             raise ConfigError(f"user {u!r} has an empty training sequence")
-        state = self.states[self.user_index[u]]
+        state = self.states[self.corpus.user_index[u]]
         return order_candidates(self.rep @ state, self.corpus, u)
 
 
@@ -168,25 +167,24 @@ def train_content_bpr(corpus: Corpus, feats: FeatureStore, h: Hyper,
                       cfg: trainer.TrainConfig, log=None) -> BprParams:
     """Pairwise ascent on dot(gamma_u, rep_p - rep_q), one `bpr_pair_grads`
     step per sampled triple, over `sgd.run_epochs`."""
-    user_index = {u: j for j, u in enumerate(corpus.users)}
-    a = h.alpha
+    a, clip = h.alpha, cfg.clip_norm
 
     def visit(params, u, rng):
-        if len(corpus.train_seq[u]) < 2:
+        seq = corpus.train_rows[u]
+        if len(seq) < 2:
             return
-        uj = user_index[u]
-        for tr in sample_triples(corpus, u, rng):
-            ip, iq = corpus.item_index[tr.p], corpus.item_index[tr.q]
+        uj = corpus.user_index[u]
+        negs = sample_triples(corpus, u, rng)
+        for ip, iq in zip(seq[1:].tolist(), negs.tolist()):
             xhat, g = bpr_pair_grads(params, feats, h, uj, ip, iq)
             yield float(numkit.log_sigmoid(xhat)), 1
-            params.gamma[uj] += a * (g["Gamma"] - h.lam_theta * params.gamma[uj])
+            sgd.ascend(params.gamma[uj], g["Gamma"], a, h.lam_theta, clip)
             if "X" in g:
-                params.X[ip] += a * (g["X"] - h.lam_theta * params.X[ip])
-                params.X[iq] += a * (-g["X"] - h.lam_theta * params.X[iq])
+                sgd.ascend(params.X[ip], g["X"], a, h.lam_theta, clip)
+                sgd.ascend(params.X[iq], -g["X"], a, h.lam_theta, clip)
             for name, lam in (("E", h.lam_e), ("V", h.lam_v)):
                 if name in g:
-                    block = getattr(params, name)
-                    block += a * (g[name] - lam * block)
+                    sgd.ascend(getattr(params, name), g[name], a, lam, clip)
 
     return sgd.run_epochs(
         corpus, cfg,
@@ -194,29 +192,25 @@ def train_content_bpr(corpus: Corpus, feats: FeatureStore, h: Hyper,
         visit, log)
 
 
-def bpr_triple_loglik(params: BprParams, corpus: Corpus, feats: FeatureStore,
-                      h: Hyper, triples: list) -> float:
-    user_index = {u: j for j, u in enumerate(corpus.users)}
+def bpr_triple_loglik(params: BprParams, feats: FeatureStore, h: Hyper,
+                      triples: list) -> float:
+    """Sum of ln sigma(xhat) over (user row, positive row, negative row)."""
     total = 0.0
-    for tr in triples:
-        xhat, _ = bpr_pair_score(params, feats, h, user_index[tr.u],
-                                 corpus.item_index[tr.p], corpus.item_index[tr.q])
+    for uj, ip, iq in triples:
+        xhat, _ = bpr_pair_score(params, feats, h, uj, ip, iq)
         total += float(numkit.log_sigmoid(xhat))
     return total
 
 
-def bpr_gradients(params: BprParams, corpus: Corpus, feats: FeatureStore,
-                  h: Hyper, triples: list) -> dict:
+def bpr_gradients(params: BprParams, feats: FeatureStore, h: Hyper,
+                  triples: list) -> dict:
     """Exact gradient of the triple log-likelihood, full-shape arrays."""
-    user_index = {u: j for j, u in enumerate(corpus.users)}
     grads = {"Gamma": np.zeros_like(params.gamma)}
     for name, on in (("X", h.mask.latent), ("E", h.mask.visual),
                      ("V", h.mask.textual)):
         if on:
             grads[name] = np.zeros_like(getattr(params, name))
-    for tr in triples:
-        uj = user_index[tr.u]
-        ip, iq = corpus.item_index[tr.p], corpus.item_index[tr.q]
+    for uj, ip, iq in triples:
         _, g = bpr_pair_grads(params, feats, h, uj, ip, iq)
         grads["Gamma"][uj] += g["Gamma"]
         if "X" in g:
@@ -232,14 +226,16 @@ def bpr_grad_check(h: Hyper, rng: np.random.Generator, perturb=None,
                    fd_step: float = 1e-5) -> dict:
     """Finite-difference gate for the static pairwise model, same protocol
     as the recurrent check."""
-    corpus, feats, triples = trainer.tiny_fixture(h, rng)
+    corpus, feats, negatives = trainer.tiny_fixture(h, rng)
     params = init_bpr_params(h, len(corpus.users), corpus.n_items, rng)
-    grads = bpr_gradients(params, corpus, feats, h, triples)
+    triples = [(corpus.user_index[u], ip, iq) for u, neg_rows in negatives.items()
+               for ip, iq in zip(corpus.train_rows[u][1:], neg_rows)]
+    grads = bpr_gradients(params, feats, h, triples)
     if perturb is not None:
         perturb(grads)
     return numkit.fd_check(
         dict(params.blocks()),
-        lambda: bpr_triple_loglik(params, corpus, feats, h, triples), grads, fd_step)
+        lambda: bpr_triple_loglik(params, feats, h, triples), grads, fd_step)
 
 
 # ---------------------------------------------------------------------------
@@ -252,19 +248,17 @@ def train_mf(corpus: Corpus, h: Hyper, cfg: trainer.TrainConfig,
     target-0 negative. The logged objective is the mean squared error."""
     if not h.mask.latent or h.mask.visual or h.mask.textual:
         raise ConfigError("mf uses the latent slice only")
-    user_index = {u: j for j, u in enumerate(corpus.users)}
-    a = h.alpha
+    a, lam, clip = h.alpha, h.lam_theta, cfg.clip_norm
 
     def visit(params, u, rng):
-        uj = user_index[u]
-        for it in corpus.train_seq[u]:
-            neg = sample_negative(corpus, u, rng)
-            for item, target in ((it, 1.0), (neg, 0.0)):
-                ij = corpus.item_index[item]
+        uj = corpus.user_index[u]
+        for ip in corpus.train_rows[u].tolist():
+            iq = sample_negative(corpus, u, rng)
+            for ij, target in ((ip, 1.0), (iq, 0.0)):
                 err, g = mf_obs_grads(params, uj, ij, target)
                 yield err * err, 1
-                params.gamma[uj] += a * (g["Gamma"] - h.lam_theta * params.gamma[uj])
-                params.X[ij] += a * (g["X"] - h.lam_theta * params.X[ij])
+                sgd.ascend(params.gamma[uj], g["Gamma"], a, lam, clip)
+                sgd.ascend(params.X[ij], g["X"], a, lam, clip)
 
     return sgd.run_epochs(
         corpus, cfg,

@@ -93,16 +93,26 @@ def resolve_config(args) -> dict:
     if not _is_count(cfg["seed"], 0):
         problems.append(f"seed must be an integer >= 0, got {cfg['seed']!r}")
 
+    if not isinstance(cfg["out"], str):
+        problems.append(f"out must be a path string, got {cfg['out']!r}")
+    pairs = cfg["pairs"]
+    if pairs is not None and not (isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2
+            and all(isinstance(name, str) for name in p) for p in pairs)):
+        problems.append(f"pairs must be null or a list of [name, name] "
+                        f"string pairs, got {pairs!r}")
+
     data = cfg["data"]
     needs_data = args.cmd in ("train", "eval", "coldstart")
+    for key in ("sequences", "visual", "textual"):
+        path = data[key]
+        if path is not None and not isinstance(path, str):
+            problems.append(f"data.{key} must be a path string or null, got {path!r}")
+        elif needs_data and path is not None and not os.path.exists(path):
+            problems.append(f"data.{key} path {path!r} does not exist")
     if needs_data:
         if data["sequences"] is None:
             problems.append("data.sequences is required")
-        elif not os.path.exists(data["sequences"]):
-            problems.append(f"data.sequences path {data['sequences']!r} does not exist")
-        for key in ("visual", "textual"):
-            if data[key] is not None and not os.path.exists(data[key]):
-                problems.append(f"data.{key} path {data[key]!r} does not exist")
         if kind in model.MASK_BY_KIND:
             need = model.MASK_BY_KIND[kind]
             if "visual" in need and data["visual"] is None:

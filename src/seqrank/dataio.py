@@ -1,5 +1,7 @@
 """Corpus and feature ingestion: parsing, filtering, splitting, negative
-sampling, and the planted-cluster synthetic data generator."""
+sampling, and the planted-cluster synthetic data generator. Ids stop at
+`Corpus`, which holds the only id-to-row maps; the feature store is
+row-aligned and the negative sampler draws rows."""
 
 import math
 from dataclasses import dataclass, field, fields
@@ -13,16 +15,6 @@ VISUAL_RANGE = (0.0, 0.5)
 TEXTUAL_RANGE = (-0.5, 0.5)
 
 
-@dataclass(frozen=True)
-class TrainingTriple:
-    """(user, step, positive, negative). `t` is 1-based, 2 <= t <= len(seq)."""
-
-    u: str
-    t: int
-    p: str
-    q: str
-
-
 @dataclass
 class Corpus:
     users: tuple            # user ids, input order
@@ -30,24 +22,26 @@ class Corpus:
     train_seq: dict         # user -> list of item ids, chronological
     test_seq: dict          # user -> list of item ids (filtered, deduped)
     item_index: dict = field(init=False)  # item id -> row of every per-item array
+    user_index: dict = field(init=False)  # user id -> row of every per-user array
 
     def __post_init__(self):
         self.item_index = {it: j for j, it in enumerate(self.items)}
+        self.user_index = {u: j for j, u in enumerate(self.users)}
         self.item_ids = np.array(self.items, dtype=object)  # items, by row
-        self._train_sets = {u: frozenset(s) for u, s in self.train_seq.items()}
+        # user -> training sequence as item rows, and the set of those rows
+        self.train_rows = {u: np.array([self.item_index[it] for it in s], dtype=np.intp)
+                           for u, s in self.train_seq.items()}
+        self.owned_rows = {u: frozenset(r.tolist()) for u, r in self.train_rows.items()}
 
     @property
     def n_items(self) -> int:
         return len(self.items)
 
-    def train_set(self, u: str) -> frozenset:
-        return self._train_sets[u]
-
     def candidate_rows(self, u: str) -> np.ndarray:
         """Rows of the items the user never interacted with in training,
         ascending (so in ascending id order)."""
         keep = np.ones(self.n_items, dtype=bool)
-        keep[[self.item_index[it] for it in self._train_sets[u]]] = False
+        keep[self.train_rows[u]] = False
         return np.flatnonzero(keep)
 
     def eval_users(self) -> list:
@@ -247,25 +241,27 @@ def build_feature_store(corpus: Corpus, visual: FeatureTable,
 # ---------------------------------------------------------------------------
 # negative sampling
 
-def sample_negative(c: Corpus, u: str, rng: np.random.Generator) -> str:
-    """Uniform draw from items the user never trained on, by rejection."""
-    owned = c.train_set(u)
-    if len(owned) >= len(c.items):
+def sample_negative(c: Corpus, u: str, rng: np.random.Generator) -> int:
+    """Row of a uniform draw from the items the user never trained on, by
+    rejection: one rng.integers(n_items) per try."""
+    owned = c.owned_rows[u]
+    n = c.n_items
+    if len(owned) >= n:
         raise SamplingError(f"user {u!r} owns every item; no negatives exist")
-    n = len(c.items)
     while True:
-        q = c.items[int(rng.integers(n))]
+        q = int(rng.integers(n))
         if q not in owned:
             return q
 
 
-def sample_triples(c: Corpus, u: str, rng: np.random.Generator) -> list:
-    """One (u, t, p, q) per step t = 2..len(train_seq)."""
-    seq = c.train_seq[u]
-    if len(seq) < 2:
+def sample_triples(c: Corpus, u: str, rng: np.random.Generator) -> np.ndarray:
+    """(m-1,) negative rows, one per step t = 2..m of the user's m-item
+    training sequence: step t pairs the positive train_rows[u][t-1] with
+    entry t-2."""
+    m = len(c.train_rows[u])
+    if m < 2:
         raise ConfigError(f"user {u!r} has a training sequence shorter than 2")
-    return [TrainingTriple(u, t, seq[t - 1], sample_negative(c, u, rng))
-            for t in range(2, len(seq) + 1)]
+    return np.array([sample_negative(c, u, rng) for _ in range(m - 1)], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------

@@ -189,11 +189,11 @@ def final_states(params: ModelParams, feats, corpus, h: Hyper) -> np.ndarray:
     Step t advances only the users whose sequence is longer than t and
     gathers only their t-th inputs. A user with an empty training sequence
     keeps the zero state."""
-    seqs = [corpus.train_seq.get(u, ()) for u in corpus.users]
+    seqs = [corpus.train_rows[u] for u in corpus.users]
     lengths = np.array([len(s) for s in seqs], dtype=np.intp)
     rows = np.zeros((len(seqs), lengths.max(initial=0)), dtype=np.intp)
     for j, seq in enumerate(seqs):
-        rows[j, :len(seq)] = [corpus.item_index[it] for it in seq]
+        rows[j, :len(seq)] = seq
     states = np.zeros((len(seqs), h.D))
     for t in range(rows.shape[1]):
         live = np.flatnonzero(lengths > t)

@@ -1,15 +1,28 @@
-"""The per-user SGD epoch loop shared by every trainable ranker.
+"""The per-user SGD epoch loop and the one update rule shared by every
+trainable ranker.
 
 A trainer supplies `init(rng)`, which draws the starting parameters, and
 `visit(params, u, rng)`, which updates them from one user's sampled pairs
 and yields (objective term, pair count) as it goes. Initialization and
 training draw from split seed streams, so the training draws are the same
-for every model kind under one seed.
+for every model kind under one seed. Every parameter update, of a row or
+of a whole block, is `ascend`: theta += alpha * (clip(g) - lam * theta).
 """
 
 import numpy as np
 
 from .errors import DivergenceError
+
+
+def ascend(theta: np.ndarray, g: np.ndarray, alpha: float, lam: float,
+           clip_norm: float | None = None) -> None:
+    """In place: theta += alpha * (g - lam * theta), with g first rescaled
+    to norm clip_norm when it is longer."""
+    if clip_norm is not None:
+        n = float(np.linalg.norm(g))
+        if n > clip_norm:
+            g = g * (clip_norm / n)
+    theta += alpha * (g - lam * theta)
 
 
 def param_norm(params) -> float:

@@ -1,7 +1,9 @@
 """Pairwise-ranking training of the recurrent model.
 
 Per user sequence: one (positive, sampled-negative) pair per step t >= 2,
-scored against the previous hidden state. Updates run in two phases from a
+scored against the previous hidden state. Items are item rows throughout:
+the positives are `corpus.train_rows[u]`, the negatives the rows
+`dataio.sample_triples` draws. Updates run in two phases from a
 context frozen at sequence start. The context holds the sequence as stacked
 arrays: inputs, states, scores, c = sigma(-score) and the per-step forward
 gradients, all computed in one pass. The forward phase applies the direct
@@ -14,10 +16,10 @@ The per-sequence update with zero regularization equals the exact gradient
 of sum_t ln sigma(score_t) at the frozen context, which is what grad_check
 verifies against central finite differences.
 
-`train` supplies only the per-user step (sample the pairs, build the
+`train` supplies only the per-user step (sample the negatives, build the
 context, forward updates pair by pair, one backward pass); epochs, user
 order, seed streams, the divergence guard and the log line are
-`sgd.run_epochs`'s.
+`sgd.run_epochs`'s, and every update is `sgd.ascend`.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit, sgd
-from .dataio import Corpus, FeatureStore, TrainingTriple, sample_triples
+from .dataio import Corpus, FeatureStore, sample_triples
 from .errors import ConfigError
 from .model import (Hyper, ModelParams, hidden_states, init_params,
                     item_rep_matrix, score_pair)
@@ -62,11 +64,10 @@ class SeqContext:
     InMat/RecMat, which the forward phase never touches, so the context
     stays consistent across both phases.
 
-    Step t = 2..m pairs the positive seq[t-1] with a sampled negative and
-    scores both against h_{t-1}; its per-pair entries sit at index t - 2."""
+    Step t = 2..m pairs the positive rows[t-1] with the negative
+    neg_rows[t-2] and scores both against h_{t-1}; its per-pair entries sit
+    at index k = t - 2."""
 
-    u: str
-    triples: list
     rows: np.ndarray         # (m,) item rows of seq, t = 1..m
     neg_rows: np.ndarray     # (m-1,) item rows of the negatives
     inputs: np.ndarray       # (m, D) i_1..i_m
@@ -83,23 +84,15 @@ class SeqContext:
 
 
 def sequence_context(params: ModelParams, corpus: Corpus, feats: FeatureStore,
-                     h: Hyper, triples_for_u: list) -> SeqContext:
-    if not triples_for_u:
-        raise ConfigError("sequence_context needs at least one triple")
-    u = triples_for_u[0].u
-    seq = corpus.train_seq[u]
+                     h: Hyper, u: str, neg_rows) -> SeqContext:
+    """Context of user u's training sequence with the negative rows of
+    steps 2..m, one per step."""
+    seq = corpus.train_rows[u]
     m = len(seq)
-    steps = sorted(tr.t for tr in triples_for_u)
-    if steps != list(range(2, m + 1)):
-        raise ConfigError(f"user {u!r}: triples must cover steps 2..{m}, got {steps}")
-    neg = [None] * (m - 1)
-    for tr in triples_for_u:
-        if tr.p != seq[tr.t - 1]:
-            raise ConfigError(
-                f"user {u!r} step {tr.t}: triple positive {tr.p!r} is not the "
-                f"sequence item {seq[tr.t - 1]!r}")
-        neg[tr.t - 2] = tr.q
-    rows = np.array([corpus.item_index[it] for it in list(seq) + neg])
+    if len(neg_rows) != m - 1:
+        raise ConfigError(f"user {u!r}: {len(neg_rows)} negatives for the "
+                          f"{m - 1} steps of a length-{m} sequence")
+    rows = np.concatenate([seq, np.asarray(neg_rows, dtype=np.intp)])
     reps = item_rep_matrix(params, feats, h, rows)
     inputs, neg_inputs = reps[:m], reps[m:]
     states = hidden_states(inputs, params)
@@ -116,8 +109,8 @@ def sequence_context(params: ModelParams, corpus: Corpus, feats: FeatureStore,
             diff = mat[rows[1:m]] - mat[rows[m:]]
             step_grads[name] = c[:, None, None] * (
                 prev[:, sl[key], None] * diff[:, None, :])
-    return SeqContext(u, list(triples_for_u), rows[:m], rows[m:], inputs,
-                      neg_inputs, states, scores, c, step_grads)
+    return SeqContext(rows[:m], rows[m:], inputs, neg_inputs, states, scores,
+                      c, step_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -132,59 +125,47 @@ def regularization(params: ModelParams, h: Hyper) -> float:
 
 
 def triple_loglik(params: ModelParams, corpus: Corpus, feats: FeatureStore,
-                  h: Hyper, triples: list) -> float:
-    """Sum of ln sigma(score) over triples, no penalty term."""
-    by_user = {}
-    for tr in triples:
-        by_user.setdefault(tr.u, []).append(tr)
-    index = corpus.item_index
+                  h: Hyper, negatives: dict) -> float:
+    """Sum of ln sigma(score) over the pairs of {user: negative rows of
+    steps 2..m}, no penalty term."""
     total = 0.0
-    for u, trs in by_user.items():
-        seq_rows = [index[it] for it in corpus.train_seq[u]]
-        states = hidden_states(item_rep_matrix(params, feats, h, seq_rows), params)
-        pos = item_rep_matrix(params, feats, h, [index[tr.p] for tr in trs])
-        neg = item_rep_matrix(params, feats, h, [index[tr.q] for tr in trs])
-        scores = score_pair(states[[tr.t - 1 for tr in trs]], pos, neg)
+    for u, neg_rows in negatives.items():
+        seq = corpus.train_rows[u]
+        states = hidden_states(item_rep_matrix(params, feats, h, seq), params)
+        pos = item_rep_matrix(params, feats, h, seq[1:])
+        neg = item_rep_matrix(params, feats, h, neg_rows)
+        scores = score_pair(states[1:len(seq)], pos, neg)
         total += float(np.sum(numkit.log_sigmoid(scores)))
     return total
 
 
 def bpr_objective(params: ModelParams, corpus: Corpus, feats: FeatureStore,
-                  h: Hyper, triples: list) -> float:
+                  h: Hyper, negatives: dict) -> float:
     """Maximum-posterior objective: log-likelihood minus the L2 penalty."""
-    if not triples:
-        raise ConfigError("bpr_objective needs a nonempty triple list")
-    return triple_loglik(params, corpus, feats, h, triples) - regularization(params, h)
+    if not negatives:
+        raise ConfigError("bpr_objective needs at least one user's negatives")
+    return triple_loglik(params, corpus, feats, h, negatives) - regularization(params, h)
 
 
 # ---------------------------------------------------------------------------
 # forward-direction updates: direct score gradients, applied per step
 
-def _clip(g: np.ndarray, clip_norm: float | None) -> np.ndarray:
-    if clip_norm is None:
-        return g
-    n = float(np.linalg.norm(g))
-    return g * (clip_norm / n) if n > clip_norm else g
-
-
-def forward_updates(params: ModelParams, ctx: SeqContext, tr: TrainingTriple,
-                    h: Hyper, clip_norm: float | None = None) -> None:
-    """Ascend the step-t score gradient: theta += alpha*(g_t - lam*theta).
-    Only the pair's latent rows (g_t for p, -g_t for q) and the active
-    embedding kernels move; the transition matrices are the backward
-    phase's job."""
-    k = tr.t - 2
+def forward_updates(params: ModelParams, ctx: SeqContext, k: int, h: Hyper,
+                    clip_norm: float | None = None) -> None:
+    """Ascend pair k's (step t = k + 2) score gradient g with `sgd.ascend`.
+    Only the pair's latent rows (g for the positive, -g for the negative)
+    and the active embedding kernels move; the transition matrices are the
+    backward phase's job."""
     a = h.alpha
     g = ctx.step_grads
     if "X" in g:
         gx = g["X"][k]
-        for idx, gi in ((ctx.rows[tr.t - 1], gx), (ctx.neg_rows[k], -gx)):
-            row = params.X[idx]
-            row += a * (_clip(gi, clip_norm) - h.lam_theta * row)
+        sgd.ascend(params.X[ctx.rows[k + 1]], gx, a, h.lam_theta, clip_norm)
+        sgd.ascend(params.X[ctx.neg_rows[k]], -gx, a, h.lam_theta, clip_norm)
     if "E" in g:
-        params.E += a * (_clip(g["E"][k], clip_norm) - h.lam_e * params.E)
+        sgd.ascend(params.E, g["E"][k], a, h.lam_e, clip_norm)
     if "V" in g:
-        params.V += a * (_clip(g["V"][k], clip_norm) - h.lam_v * params.V)
+        sgd.ascend(params.V, g["V"][k], a, h.lam_v, clip_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -238,24 +219,22 @@ def backward_pass(params: ModelParams, ctx: SeqContext, feats: FeatureStore,
     a = h.alpha
     if "x" in g:
         for idx, gx in zip(ctx.rows[-2::-1], g["x"][::-1]):
-            row = params.X[idx]
-            row += a * (_clip(gx, clip_norm) - h.lam_theta * row)
+            sgd.ascend(params.X[idx], gx, a, h.lam_theta, clip_norm)
     for name, lam in (("InMat", h.lam_theta), ("RecMat", h.lam_theta),
                       ("E", h.lam_e), ("V", h.lam_v)):
         if name in g:
-            block = getattr(params, name)
-            block += a * (_clip(g[name], clip_norm) - lam * block)
+            sgd.ascend(getattr(params, name), g[name], a, lam, clip_norm)
 
 
 # ---------------------------------------------------------------------------
 # total per-sequence gradient (both phases, no step sizes, no penalty)
 
 def sequence_gradients(params: ModelParams, corpus: Corpus, feats: FeatureStore,
-                       h: Hyper, triples_for_u: list) -> dict:
-    """Exact gradient of sum_t ln sigma(score_t) for one user's sequence
-    with its sampled negatives, as full parameter-shaped arrays. Inactive
-    blocks are omitted."""
-    ctx = sequence_context(params, corpus, feats, h, triples_for_u)
+                       h: Hyper, u: str, neg_rows) -> dict:
+    """Exact gradient of sum_t ln sigma(score_t) for user u's sequence
+    with its sampled negative rows, as full parameter-shaped arrays.
+    Inactive blocks are omitted."""
+    ctx = sequence_context(params, corpus, feats, h, u, neg_rows)
     back = backward_gradients(ctx, params, feats, h)
     grads = {"InMat": back["InMat"], "RecMat": back["RecMat"]}
     if h.mask.latent:
@@ -282,13 +261,13 @@ def train(corpus: Corpus, feats: FeatureStore, h: Hyper, cfg: TrainConfig,
         raise ConfigError("empty corpus")
 
     def visit(params, u, rng):
-        if len(corpus.train_seq[u]) < 2:
+        if len(corpus.train_rows[u]) < 2:
             return
-        ctx = sequence_context(params, corpus, feats, h,
+        ctx = sequence_context(params, corpus, feats, h, u,
                                sample_triples(corpus, u, rng))
         yield float(np.sum(numkit.log_sigmoid(ctx.scores))), len(ctx.scores)
-        for tr in ctx.triples:
-            forward_updates(params, ctx, tr, h, cfg.clip_norm)
+        for k in range(len(ctx.scores)):
+            forward_updates(params, ctx, k, h, cfg.clip_norm)
         backward_pass(params, ctx, feats, h, cfg.clip_norm)
 
     return sgd.run_epochs(corpus, cfg,
@@ -302,7 +281,8 @@ def train(corpus: Corpus, feats: FeatureStore, h: Hyper, cfg: TrainConfig,
 def tiny_fixture(h: Hyper, rng: np.random.Generator, n_items: int = 6,
                  seq_len: int = 4):
     """One-user corpus with random features and a full negative ladder,
-    small enough to finite-difference every parameter entry."""
+    small enough to finite-difference every parameter entry. Returns
+    (corpus, feats, {"u0": negative rows of steps 2..seq_len})."""
     items = tuple(f"i{j}" for j in range(n_items))
     order = rng.permutation(n_items)
     seq = [items[int(j)] for j in order[:seq_len]]
@@ -311,11 +291,10 @@ def tiny_fixture(h: Hyper, rng: np.random.Generator, n_items: int = 6,
     vmat = rng.uniform(0.0, 0.5, (n_items, f_v))
     tmat = rng.uniform(-0.5, 0.5, (n_items, f_t))
     feats = FeatureStore(f_v, f_t, vmat, tmat)
-    pool = [it for it in items if it not in set(seq)]
-    triples = [TrainingTriple("u0", t, seq[t - 1],
-                              pool[int(rng.integers(len(pool)))])
-               for t in range(2, seq_len + 1)]
-    return corpus, feats, triples
+    pool = np.setdiff1d(np.arange(n_items), order[:seq_len])
+    neg_rows = np.array([pool[int(rng.integers(len(pool)))]
+                         for _ in range(seq_len - 1)], dtype=np.intp)
+    return corpus, feats, {"u0": neg_rows}
 
 
 def grad_check(h: Hyper, rng: np.random.Generator, perturb=None,
@@ -324,11 +303,11 @@ def grad_check(h: Hyper, rng: np.random.Generator, perturb=None,
     triple log-likelihood, every entry of every active block. Returns
     {block: max relative error}. `perturb` mutates the analytic gradients
     first (harness hook for verifying the check can fail)."""
-    corpus, feats, triples = tiny_fixture(h, rng)
+    corpus, feats, negatives = tiny_fixture(h, rng)
     params = init_params(h, corpus.n_items, rng)
-    grads = sequence_gradients(params, corpus, feats, h, triples)
+    grads = sequence_gradients(params, corpus, feats, h, "u0", negatives["u0"])
     if perturb is not None:
         perturb(grads)
     return numkit.fd_check(
         dict(params.blocks()),
-        lambda: triple_loglik(params, corpus, feats, h, triples), grads, fd_step)
+        lambda: triple_loglik(params, corpus, feats, h, negatives), grads, fd_step)

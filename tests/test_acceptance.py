@@ -203,15 +203,14 @@ def objective_gain(corpus, feats, seed):
     params = init_params(h, corpus.n_items, np.random.default_rng([seed, 0]))
     rng = np.random.default_rng([seed, 1])
     frozen = {u: sample_triples(corpus, u, rng) for u in corpus.users}
-    flat = [tr for trs in frozen.values() for tr in trs]
-    before = bpr_objective(params, corpus, feats, h, flat)
+    before = bpr_objective(params, corpus, feats, h, frozen)
     for _ in range(5):
-        for trs in frozen.values():
-            ctx = sequence_context(params, corpus, feats, h, trs)
-            for tr in ctx.triples:
-                forward_updates(params, ctx, tr, h)
+        for u, neg_rows in frozen.items():
+            ctx = sequence_context(params, corpus, feats, h, u, neg_rows)
+            for k in range(len(neg_rows)):
+                forward_updates(params, ctx, k, h)
             backward_pass(params, ctx, feats, h)
-    return bpr_objective(params, corpus, feats, h, flat) - before
+    return bpr_objective(params, corpus, feats, h, frozen) - before
 
 
 def test_objective_ascent():

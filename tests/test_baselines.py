@@ -1,5 +1,7 @@
 """Ranker ladder: random, popularity, pointwise MF, and the BPR family."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,50 @@ def test_mf_gradients_match_finite_differences():
     h = Hyper(d=3, mask=Mask.for_kind("mf"))
     report = mf_grad_check(h, np.random.default_rng(32))
     assert max(report.values()) < 1e-5, report
+
+
+def moved_by(trained, start) -> dict:
+    """Per block, the largest distance a row (Gamma, X) or the whole block
+    (E, V) moved between two parameter sets."""
+    out = {}
+    for (name, a), (_, b) in zip(trained.blocks(), start.blocks()):
+        diff = a - b
+        out[name] = float(np.linalg.norm(diff) if name in ("E", "V")
+                          else np.linalg.norm(diff, axis=1).max())
+    return out
+
+
+def test_clip_norm_bounds_bpr_and_mf_steps():
+    """With alpha = 1 and no decay, each update moves its user row, item
+    row or kernel by at most clip_norm. A zero-rate run draws the same
+    samples and leaves the starting parameters."""
+    rng = np.random.default_rng(8)
+    feats = baselines.FeatureStore(2, 2, rng.uniform(0.0, 0.5, (3, 2)),
+                                   rng.uniform(-0.5, 0.5, (3, 2)))
+    clip = 1e-6
+    bound = clip * (1.0 + 1e-6)   # a - b loses bits next to |a| ~ 0.5
+    cfg = TrainConfig(epochs=1, seed=0, clip_norm=clip)
+    free = dict(alpha=1.0, lam_theta=0.0, lam_e=0.0, lam_v=0.0)
+    # one BPR step: positive "b" against the only unowned item, "c"
+    corpus = Corpus(("u",), ("a", "b", "c"), {"u": ["a", "b"]}, {"u": []})
+    h = Hyper(d=2, f_v=2, f_t=2, mask=Mask.for_kind("vtbpr"), **free)
+    start = train_content_bpr(corpus, feats, replace(h, alpha=0.0), cfg)
+    moved = moved_by(train_content_bpr(corpus, feats, h, cfg), start)
+    unclipped = moved_by(train_content_bpr(corpus, feats, h,
+                                           replace(cfg, clip_norm=None)), start)
+    for name in ("Gamma", "X", "E", "V"):
+        assert 0.0 < moved[name] <= bound, (name, moved)
+        assert unclipped[name] > 100 * clip, (name, unclipped)
+    # mf: the observations (u, "a", 1) and (u, "b", 0) move one X row each
+    # and the user's row twice
+    corpus = Corpus(("u",), ("a", "b"), {"u": ["a"]}, {"u": []})
+    h = Hyper(d=2, mask=Mask.for_kind("mf"), **free)
+    start = train_mf(corpus, replace(h, alpha=0.0), cfg)
+    moved = moved_by(train_mf(corpus, h, cfg), start)
+    assert 0.0 < moved["X"] <= bound, moved
+    assert 0.0 < moved["Gamma"] <= 2 * bound, moved
+    unclipped = moved_by(train_mf(corpus, h, replace(cfg, clip_norm=None)), start)
+    assert min(unclipped["X"], unclipped["Gamma"]) > 100 * clip, unclipped
 
 
 def test_train_mf_mask_guard(world):

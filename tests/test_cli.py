@@ -276,6 +276,42 @@ def test_mistyped_config_is_config_error(pipeline, tmp_path, capsys,
     assert err.startswith(f"config error:\n{fragment}") and err.count("\n") == 2, err
 
 
+PAIRS_SHAPE = "pairs must be null or a list of [name, name] string pairs, got "
+PATH_TYPE = " must be a path string or null, got "
+
+
+@pytest.mark.parametrize("cmd,extra,fragment", [
+    ("coldstart", {"pairs": 5}, PAIRS_SHAPE + "5"),
+    ("coldstart", {"pairs": "ab"}, PAIRS_SHAPE + "'ab'"),
+    ("coldstart", {"pairs": [["bpr"]]}, PAIRS_SHAPE + "[['bpr']]"),
+    ("coldstart", {"pairs": [["a", "b", "c"]]}, PAIRS_SHAPE + "[['a', 'b', 'c']]"),
+    ("coldstart", {"pairs": [{"a": 1}]}, PAIRS_SHAPE + "[{'a': 1}]"),
+    ("train", {"out": 7}, "out must be a path string, got 7"),
+    ("train", {"out": ["x"]}, "out must be a path string, got ['x']"),
+    ("train", {"data": {"sequences": ["x"]}}, "data.sequences" + PATH_TYPE + "['x']"),
+    ("train", {"data": {"sequences": 0}}, "data.sequences" + PATH_TYPE + "0"),
+    ("train", {"data": {"visual": ["x"]}}, "data.visual" + PATH_TYPE + "['x']"),
+    ("train", {"data": {"textual": 1.5}}, "data.textual" + PATH_TYPE + "1.5"),
+], ids=["pairs-int", "pairs-string", "pairs-short", "pairs-long", "pairs-object",
+        "out-int", "out-list", "sequences-list", "sequences-fd", "visual-list",
+        "textual-float"])
+def test_malformed_pairs_or_path_is_config_error(pipeline, tmp_path, capsys,
+                                                 cmd, extra, fragment):
+    """Rejected while the config is resolved: no checkpoint is loaded, no
+    file descriptor is read as data, and the message is one line."""
+    _, paths, ckpts = pipeline
+    given = {"kind": "rnn", "train": {"epochs": 1}, "out": str(tmp_path / "out"),
+             **extra}
+    given["data"] = dict(paths, **extra.get("data", {}))
+    cfg = write_config(tmp_path / "c.json", given)
+    argv = [str(ckpts["rnn"]), str(ckpts["vtrnn"])] if cmd == "coldstart" else []
+    code = cli.main([cmd, "--config", cfg] + argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG, err
+    assert err.startswith(f"config error:\n{fragment}") and err.count("\n") == 2, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("raw", [b"[" * 100_000, b'{"seed": 1}\xff'],
                          ids=["deep", "not-utf8"])
 def test_unreadable_config_is_config_error(tmp_path, capsys, raw):

@@ -170,9 +170,9 @@ def test_feature_store_missing_items(toy_corpus):
 
 def test_sample_negative_never_owned(toy_corpus):
     rng = np.random.default_rng(0)
-    owned = toy_corpus.train_set("alice")
+    owned = set(toy_corpus.train_seq["alice"])
     for _ in range(200):
-        assert sample_negative(toy_corpus, "alice", rng) not in owned
+        assert toy_corpus.items[sample_negative(toy_corpus, "alice", rng)] not in owned
 
 
 def test_sample_negative_exhausted():
@@ -183,13 +183,13 @@ def test_sample_negative_exhausted():
 
 def test_sample_triples_protocol(toy_corpus):
     rng = np.random.default_rng(1)
-    triples = sample_triples(toy_corpus, "bob", rng)
+    neg_rows = sample_triples(toy_corpus, "bob", rng)
     seq = toy_corpus.train_seq["bob"]
-    assert [tr.t for tr in triples] == list(range(2, len(seq) + 1))
-    for tr in triples:
-        assert tr.u == "bob"
-        assert tr.p == seq[tr.t - 1]
-        assert tr.q not in toy_corpus.train_set("bob")
+    assert neg_rows.dtype == np.intp
+    assert neg_rows.shape == (len(seq) - 1,)   # one per step t = 2..m
+    assert toy_corpus.item_ids[toy_corpus.train_rows["bob"]].tolist() == seq
+    for q in neg_rows:
+        assert toy_corpus.items[q] not in set(seq)
 
 
 # ---------------------------------------------------------------------------

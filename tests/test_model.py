@@ -181,6 +181,6 @@ def test_order_candidates_filters_and_breaks_ties(toy_corpus):
     ids = [it for it, _ in ranked]
     assert ids[0] == "i5"
     assert ids[1:] == ["i4", "i6"]  # tied zeros fall back to ascending id
-    assert set(ids).isdisjoint(toy_corpus.train_set("alice"))
+    assert set(ids).isdisjoint(toy_corpus.train_seq["alice"])
     assert ranked[0][1] == 2.0
 

@@ -5,6 +5,8 @@
 - The array ranking path agrees with naive per-user and per-item
   references: candidate ordering, the batched final states and the
   cold-start bins.
+- The row sampler draws exactly what an id-based rejection sampler draws
+  from the same generator, and never a row the user trained on.
 
 Hypothesis runs derandomized and without an example database, so the
 examples are the same on every run; conftest.py moves its storage
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 
 from reference_metrics import cold_start_ref
 from seqrank.checkpoint import MAGIC, read_checkpoint
-from seqrank.dataio import Corpus, FeatureStore, load_features, parse_sequence_file
+from seqrank.dataio import (Corpus, FeatureStore, load_features,
+                            parse_sequence_file, sample_triples)
 from seqrank.errors import CheckpointError, ParseError
 from seqrank.evaluator import cold_start_bins
 from seqrank.model import (ALL_KINDS, SLICE_NAMES, Hyper, Mask, final_states,
@@ -206,3 +209,45 @@ def test_cold_start_bins_match_per_bin_recount(world):
     assert report.bin_users == bin_users
     assert report.recalls["A"] == recalls
     assert all(v is None or type(v) is float for v in report.recalls["A"])
+
+
+# ---------------------------------------------------------------------------
+# the row sampler against an id-based reference
+
+def reference_negatives(items: tuple, seq: list, rng: np.random.Generator) -> list:
+    """Negative ids of steps 2..len(seq): uniform draws over `items`,
+    rejecting the ids in seq."""
+    owned, out = set(seq), []
+    for _ in range(len(seq) - 1):
+        q = items[int(rng.integers(len(items)))]
+        while q in owned:
+            q = items[int(rng.integers(len(items)))]
+        out.append(q)
+    return out
+
+
+@st.composite
+def sampling_world(draw):
+    """A corpus whose every user leaves at least one item unowned, and a
+    seed."""
+    n_items = draw(st.integers(2, 10))
+    items = items_of(n_items)
+    train = {}
+    for j in range(draw(st.integers(1, 5))):
+        spare = draw(st.integers(0, n_items - 1))
+        rows = st.integers(0, n_items - 2).map(lambda r, s=spare: r + (r >= s))
+        train[f"u{j}"] = [items[r] for r in draw(st.lists(rows, min_size=2, max_size=8))]
+    return Corpus(tuple(train), items, train, {}), draw(st.integers(0, 2**32 - 1))
+
+
+@FUZZ
+@given(world=sampling_world())
+def test_row_sampler_matches_id_reference(world):
+    corpus, seed = world
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for u in corpus.users:
+        rows = sample_triples(corpus, u, rng)
+        assert rows.dtype == np.intp
+        assert corpus.item_ids[rows].tolist() == reference_negatives(
+            corpus.items, corpus.train_seq[u], ref_rng)
+        assert not set(rows.tolist()) & set(corpus.train_rows[u].tolist())

@@ -5,7 +5,7 @@ import pytest
 
 from seqrank import numkit
 from seqrank.baselines import build_ranker
-from seqrank.dataio import TrainingTriple, synth_corpus, SynthSpec
+from seqrank.dataio import synth_corpus, SynthSpec
 from seqrank.errors import ConfigError, DivergenceError
 from seqrank.model import (Hyper, Mask, hidden_states, init_params,
                            item_rep_matrix, step_hidden)
@@ -34,29 +34,27 @@ def test_train_config_validation():
 
 
 def make_context(h, seed=6):
+    """(params, corpus, feats, negatives) of the one-user fixture;
+    negatives is {"u0": the negative rows of steps 2..m}."""
     rng = np.random.default_rng(seed)
-    corpus, feats, triples = tiny_fixture(h, rng)
+    corpus, feats, negatives = tiny_fixture(h, rng)
     params = init_params(h, corpus.n_items, rng)
-    return params, corpus, feats, triples
+    return params, corpus, feats, negatives
 
 
-def test_sequence_context_validates_triples():
+def test_sequence_context_checks_negative_count():
     h = full_hyper()
-    params, corpus, feats, triples = make_context(h)
-    with pytest.raises(ConfigError, match="at least one triple"):
-        sequence_context(params, corpus, feats, h, [])
-    with pytest.raises(ConfigError, match="cover steps"):
-        sequence_context(params, corpus, feats, h, triples[:-1])
-    seq = corpus.train_seq["u0"]
-    bad = [TrainingTriple("u0", tr.t, seq[0], tr.q) for tr in triples]
-    with pytest.raises(ConfigError, match="is not the"):
-        sequence_context(params, corpus, feats, h, bad)
+    params, corpus, feats, negatives = make_context(h)
+    neg = negatives["u0"]
+    for wrong in ([], neg[:-1], np.append(neg, neg[0])):
+        with pytest.raises(ConfigError, match="negatives for the"):
+            sequence_context(params, corpus, feats, h, "u0", wrong)
 
 
 def test_context_contents():
     h = full_hyper()
-    params, corpus, feats, triples = make_context(h)
-    ctx = sequence_context(params, corpus, feats, h, triples)
+    params, corpus, feats, negatives = make_context(h)
+    ctx = sequence_context(params, corpus, feats, h, "u0", negatives["u0"])
     m = len(corpus.train_seq["u0"])
     assert ctx.m == m
     assert ctx.states.shape == (m + 1, h.D)
@@ -84,27 +82,26 @@ def test_regularization_hand_value():
 
 def test_objective_is_loglik_minus_penalty():
     h = full_hyper()
-    params, corpus, feats, triples = make_context(h)
-    ll = triple_loglik(params, corpus, feats, h, triples)
-    ctx = sequence_context(params, corpus, feats, h, triples)
+    params, corpus, feats, negatives = make_context(h)
+    ll = triple_loglik(params, corpus, feats, h, negatives)
+    ctx = sequence_context(params, corpus, feats, h, "u0", negatives["u0"])
     manual = sum(float(numkit.log_sigmoid(s)) for s in ctx.scores)
     assert ll == pytest.approx(manual, abs=1e-12)
-    assert bpr_objective(params, corpus, feats, h, triples) == \
+    assert bpr_objective(params, corpus, feats, h, negatives) == \
         pytest.approx(ll - regularization(params, h), abs=1e-12)
     with pytest.raises(ConfigError):
-        bpr_objective(params, corpus, feats, h, [])
+        bpr_objective(params, corpus, feats, h, {})
 
 
 def test_forward_grad_pieces():
     h = full_hyper()
-    params, corpus, feats, triples = make_context(h)
-    ctx = sequence_context(params, corpus, feats, h, triples)
-    tr = triples[0]
-    k = tr.t - 2
+    params, corpus, feats, negatives = make_context(h)
+    ctx = sequence_context(params, corpus, feats, h, "u0", negatives["u0"])
+    k = 0   # step t = 2
     c = ctx.c[k]
-    prev = ctx.states[tr.t - 1]
+    prev = ctx.states[k + 1]
     sl = h.slices
-    ip, iq = corpus.item_index[tr.p], corpus.item_index[tr.q]
+    ip, iq = corpus.train_rows["u0"][k + 1], negatives["u0"][k]
     assert c == numkit.sigmoid(-ctx.scores[k])
     assert np.array_equal(ctx.step_grads["X"][k], c * prev[sl["latent"]])
     assert np.array_equal(
@@ -116,14 +113,14 @@ def test_forward_grad_pieces():
 
 def test_forward_updates_touch_only_their_blocks():
     h = full_hyper(alpha=0.2, lam_theta=0.01)
-    params, corpus, feats, triples = make_context(h)
-    ctx = sequence_context(params, corpus, feats, h, triples)
-    tr = triples[0]
+    params, corpus, feats, negatives = make_context(h)
+    ctx = sequence_context(params, corpus, feats, h, "u0", negatives["u0"])
+    k = 0   # step t = 2
     before = params.copy()
-    forward_updates(params, ctx, tr, h)
-    ip, iq = corpus.item_index[tr.p], corpus.item_index[tr.q]
+    forward_updates(params, ctx, k, h)
+    ip, iq = corpus.train_rows["u0"][k + 1], negatives["u0"][k]
     a, lam = h.alpha, h.lam_theta
-    c, h_x = ctx.c[tr.t - 2], ctx.states[tr.t - 1][h.slices["latent"]]
+    c, h_x = ctx.c[k], ctx.states[k + 1][h.slices["latent"]]
     assert np.array_equal(params.X[ip],
                           before.X[ip] + a * (c * h_x - lam * before.X[ip]))
     assert np.array_equal(params.X[iq],
@@ -138,8 +135,8 @@ def test_forward_updates_touch_only_their_blocks():
 
 def test_backward_last_layer_gate():
     h = full_hyper()
-    params, corpus, feats, triples = make_context(h)
-    ctx = sequence_context(params, corpus, feats, h, triples)
+    params, corpus, feats, negatives = make_context(h)
+    ctx = sequence_context(params, corpus, feats, h, "u0", negatives["u0"])
     gates, e = backward_steps(ctx, params)
     assert gates.shape == e.shape == (ctx.m - 1, h.D)  # layer t in row t - 1
     t = ctx.m - 1  # last layer, fed only by the final pair (step t + 1)
@@ -156,7 +153,7 @@ def test_backward_pass_short_sequence_noop():
     rows = np.array([0])
     inputs = item_rep_matrix(params, feats, h, rows)
     none = np.zeros((0, h.D))
-    ctx = SeqContext("u0", [], rows, rows[:0], inputs, none,
+    ctx = SeqContext(rows, rows[:0], inputs, none,
                      hidden_states(inputs, params), np.zeros(0), np.zeros(0), {})
     before = params.copy()
     backward_pass(params, ctx, feats, h)
@@ -166,8 +163,8 @@ def test_backward_pass_short_sequence_noop():
 
 def test_sequence_gradients_keys_follow_mask():
     h = Hyper(d=3, f_v=2, f_t=2, mask=Mask(latent=True))
-    params, corpus, feats, triples = make_context(h)
-    grads = sequence_gradients(params, corpus, feats, h, triples)
+    params, corpus, feats, negatives = make_context(h)
+    grads = sequence_gradients(params, corpus, feats, h, "u0", negatives["u0"])
     assert sorted(grads) == ["InMat", "RecMat", "X"]
 
 
@@ -257,12 +254,11 @@ def test_train_divergence_raises():
 
 def test_clip_norm_bounds_forward_step():
     h = full_hyper(alpha=1.0, lam_theta=0.0)
-    params, corpus, feats, triples = make_context(h)
-    ctx = sequence_context(params, corpus, feats, h, triples)
-    tr = triples[0]
+    params, corpus, feats, negatives = make_context(h)
+    ctx = sequence_context(params, corpus, feats, h, "u0", negatives["u0"])
     before = params.copy()
     clip = 1e-6
-    forward_updates(params, ctx, tr, h, clip_norm=clip)
-    ip = corpus.item_index[tr.p]
+    forward_updates(params, ctx, 0, h, clip_norm=clip)
+    ip = corpus.train_rows["u0"][1]
     moved = float(np.linalg.norm(params.X[ip] - before.X[ip]))
     assert moved <= clip * (1.0 + 1e-12)
