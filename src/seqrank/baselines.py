@@ -8,14 +8,14 @@ all items passed to `model.order_candidates`; the recurrent rankers read
 the user's row of states that `model.final_states` computed for every user
 when the ranker was built.
 
-The trainable kinds share one epoch loop, `sgd.run_epochs`, and one update
-rule, `sgd.ascend`; mf and the BPR family supply their per-user steps here.
-Users and items are rows (`corpus.user_index`, `corpus.train_rows` and the
-rows the sampler draws). A BPR triple (user row, positive row, negative
-row) has its score and gradient formed in one place, `bpr_pair_score` and
-`bpr_pair_grads`, and an mf observation (user row, item row, target) in
-`mf_obs_grads`; training, the losses, the exact gradients and the gradient
-check all apply them.
+The trainable kinds share one epoch loop, `sgd.run_epochs`; mf and the
+BPR family supply their per-user steps here. Users and items are rows
+(`corpus.user_index`, `corpus.train_rows` and the rows the sampler draws).
+A BPR triple (user row, positive row, negative row) has its score formed in
+`bpr_pair_score` and its update records (see `sgd`) in `bpr_pair_grads`,
+and an mf observation (user row, item row, target) its records in
+`mf_obs_grads`. Training hands each step's records to `sgd.apply`; the
+gradient checks sum the same records with `sgd.gradient`.
 """
 
 import hashlib
@@ -143,31 +143,31 @@ def bpr_pair_score(params: BprParams, feats: FeatureStore, h: Hyper, uj: int,
 
 def bpr_pair_grads(params: BprParams, feats: FeatureStore, h: Hyper, uj: int,
                    ip: int, iq: int) -> tuple:
-    """(xhat, grads) of one triple: `bpr_pair_score` and the gradient of
-    ln sigma(xhat). grads["Gamma"] is user row uj's, grads["X"] latent row
-    ip's (row iq gets its negative), and the active "E"/"V" kernels move by
-    rank-1 feature-difference terms."""
+    """(xhat, updates) of one triple: `bpr_pair_score` and the update
+    records of ln sigma(xhat): user row uj's, latent rows ip and iq
+    (opposite signs), and the active "E"/"V" kernels, which move by rank-1
+    feature-difference terms."""
     xhat, diff = bpr_pair_score(params, feats, h, uj, ip, iq)
     gamma_u = params.gamma[uj]
     c = numkit.sigmoid(-xhat)
     sl = h.slices
-    grads = {"Gamma": c * diff}
+    updates = [("Gamma", uj, c * diff, h.lam_theta)]
     if h.mask.latent:
-        grads["X"] = c * gamma_u[sl["latent"]]
+        gx = c * gamma_u[sl["latent"]]
+        updates += [("X", ip, gx, h.lam_theta), ("X", iq, -gx, h.lam_theta)]
     if h.mask.visual:
-        grads["E"] = c * np.outer(gamma_u[sl["visual"]],
-                                  feats.visual_mat[ip] - feats.visual_mat[iq])
+        vdiff = feats.visual_mat[ip] - feats.visual_mat[iq]
+        updates.append(("E", None, c * np.outer(gamma_u[sl["visual"]], vdiff), h.lam_e))
     if h.mask.textual:
-        grads["V"] = c * np.outer(gamma_u[sl["textual"]],
-                                  feats.textual_mat[ip] - feats.textual_mat[iq])
-    return xhat, grads
+        tdiff = feats.textual_mat[ip] - feats.textual_mat[iq]
+        updates.append(("V", None, c * np.outer(gamma_u[sl["textual"]], tdiff), h.lam_v))
+    return xhat, updates
 
 
 def train_content_bpr(corpus: Corpus, feats: FeatureStore, h: Hyper,
                       cfg: trainer.TrainConfig, log=None) -> BprParams:
     """Pairwise ascent on dot(gamma_u, rep_p - rep_q), one `bpr_pair_grads`
     step per sampled triple, over `sgd.run_epochs`."""
-    a, clip = h.alpha, cfg.clip_norm
 
     def visit(params, u, rng):
         seq = corpus.train_rows[u]
@@ -176,15 +176,9 @@ def train_content_bpr(corpus: Corpus, feats: FeatureStore, h: Hyper,
         uj = corpus.user_index[u]
         negs = sample_triples(corpus, u, rng)
         for ip, iq in zip(seq[1:].tolist(), negs.tolist()):
-            xhat, g = bpr_pair_grads(params, feats, h, uj, ip, iq)
+            xhat, updates = bpr_pair_grads(params, feats, h, uj, ip, iq)
             yield float(numkit.log_sigmoid(xhat)), 1
-            sgd.ascend(params.gamma[uj], g["Gamma"], a, h.lam_theta, clip)
-            if "X" in g:
-                sgd.ascend(params.X[ip], g["X"], a, h.lam_theta, clip)
-                sgd.ascend(params.X[iq], -g["X"], a, h.lam_theta, clip)
-            for name, lam in (("E", h.lam_e), ("V", h.lam_v)):
-                if name in g:
-                    sgd.ascend(getattr(params, name), g[name], a, lam, clip)
+            sgd.apply(params, updates, h.alpha, cfg.clip_norm)
 
     return sgd.run_epochs(
         corpus, cfg,
@@ -202,26 +196,6 @@ def bpr_triple_loglik(params: BprParams, feats: FeatureStore, h: Hyper,
     return total
 
 
-def bpr_gradients(params: BprParams, feats: FeatureStore, h: Hyper,
-                  triples: list) -> dict:
-    """Exact gradient of the triple log-likelihood, full-shape arrays."""
-    grads = {"Gamma": np.zeros_like(params.gamma)}
-    for name, on in (("X", h.mask.latent), ("E", h.mask.visual),
-                     ("V", h.mask.textual)):
-        if on:
-            grads[name] = np.zeros_like(getattr(params, name))
-    for uj, ip, iq in triples:
-        _, g = bpr_pair_grads(params, feats, h, uj, ip, iq)
-        grads["Gamma"][uj] += g["Gamma"]
-        if "X" in g:
-            grads["X"][ip] += g["X"]
-            grads["X"][iq] -= g["X"]
-        for name in ("E", "V"):
-            if name in g:
-                grads[name] += g[name]
-    return grads
-
-
 def bpr_grad_check(h: Hyper, rng: np.random.Generator, perturb=None,
                    fd_step: float = 1e-5) -> dict:
     """Finite-difference gate for the static pairwise model, same protocol
@@ -230,7 +204,8 @@ def bpr_grad_check(h: Hyper, rng: np.random.Generator, perturb=None,
     params = init_bpr_params(h, len(corpus.users), corpus.n_items, rng)
     triples = [(corpus.user_index[u], ip, iq) for u, neg_rows in negatives.items()
                for ip, iq in zip(corpus.train_rows[u][1:], neg_rows)]
-    grads = bpr_gradients(params, feats, h, triples)
+    grads = sgd.gradient(params, [r for uj, ip, iq in triples for r in
+                                  bpr_pair_grads(params, feats, h, uj, ip, iq)[1]])
     if perturb is not None:
         perturb(grads)
     return numkit.fd_check(
@@ -248,17 +223,15 @@ def train_mf(corpus: Corpus, h: Hyper, cfg: trainer.TrainConfig,
     target-0 negative. The logged objective is the mean squared error."""
     if not h.mask.latent or h.mask.visual or h.mask.textual:
         raise ConfigError("mf uses the latent slice only")
-    a, lam, clip = h.alpha, h.lam_theta, cfg.clip_norm
 
     def visit(params, u, rng):
         uj = corpus.user_index[u]
         for ip in corpus.train_rows[u].tolist():
             iq = sample_negative(corpus, u, rng)
             for ij, target in ((ip, 1.0), (iq, 0.0)):
-                err, g = mf_obs_grads(params, uj, ij, target)
+                err, updates = mf_obs_grads(params, h, uj, ij, target)
                 yield err * err, 1
-                sgd.ascend(params.gamma[uj], g["Gamma"], a, lam, clip)
-                sgd.ascend(params.X[ij], g["X"], a, lam, clip)
+                sgd.apply(params, updates, h.alpha, cfg.clip_norm)
 
     return sgd.run_epochs(
         corpus, cfg,
@@ -266,41 +239,35 @@ def train_mf(corpus: Corpus, h: Hyper, cfg: trainer.TrainConfig,
         visit, log)
 
 
-def mf_obs_grads(params: BprParams, uj: int, ij: int, target: float) -> tuple:
-    """(err, grads) of one observation: err = target - dot(gamma_u, x_i)
-    and the descent directions of 0.5 * err^2, grads["Gamma"] for user row
-    uj and grads["X"] for item row ij."""
+def mf_obs_grads(params: BprParams, h: Hyper, uj: int, ij: int,
+                 target: float) -> tuple:
+    """(err, updates) of one observation: err = target - dot(gamma_u, x_i)
+    and the update records of -0.5 * err^2 for user row uj and item row
+    ij."""
     gamma_u, x_i = params.gamma[uj], params.X[ij]
     err = target - float(gamma_u @ x_i)
-    return err, {"Gamma": err * x_i, "X": err * gamma_u}
-
-
-def mf_loss(params: BprParams, observations: list) -> float:
-    """Sum of squared-error halves over (user row, item row, target)."""
-    total = 0.0
-    for uj, ij, target in observations:
-        err, _ = mf_obs_grads(params, uj, ij, target)
-        total += 0.5 * err * err
-    return total
-
-
-def mf_gradients(params: BprParams, observations: list) -> dict:
-    grads = {"Gamma": np.zeros_like(params.gamma), "X": np.zeros_like(params.X)}
-    for uj, ij, target in observations:
-        _, g = mf_obs_grads(params, uj, ij, target)
-        grads["Gamma"][uj] -= g["Gamma"]
-        grads["X"][ij] -= g["X"]
-    return grads
+    return err, [("Gamma", uj, err * x_i, h.lam_theta),
+                 ("X", ij, err * gamma_u, h.lam_theta)]
 
 
 def mf_grad_check(h: Hyper, rng: np.random.Generator,
                   fd_step: float = 1e-5) -> dict:
+    """Finite-difference gate for mf: the summed records of 8 random
+    observations against minus their half squared errors."""
     observations = [(int(rng.integers(2)), int(rng.integers(4)),
                      float(rng.integers(2))) for _ in range(8)]
     params = init_bpr_params(h, 2, 4, rng)
-    grads = mf_gradients(params, observations)
-    return numkit.fd_check(dict(params.blocks()),
-                           lambda: mf_loss(params, observations), grads, fd_step)
+    grads = sgd.gradient(params, [r for obs in observations
+                                  for r in mf_obs_grads(params, h, *obs)[1]])
+
+    def objective():
+        total = 0.0
+        for obs in observations:
+            err, _ = mf_obs_grads(params, h, *obs)
+            total -= 0.5 * err * err
+        return total
+
+    return numkit.fd_check(dict(params.blocks()), objective, grads, fd_step)
 
 
 # ---------------------------------------------------------------------------

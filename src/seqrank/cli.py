@@ -62,6 +62,19 @@ def _is_count(v, least: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= least
 
 
+def _train_config(cfg: dict) -> trainer.TrainConfig:
+    tr = cfg["train"]
+    return trainer.TrainConfig(epochs=tr["epochs"], seed=cfg["seed"],
+                               shuffle_users=tr["shuffle_users"],
+                               clip_norm=tr["clip_norm"])
+
+
+def _eval_config(cfg: dict) -> evaluator.EvalConfig:
+    ev = cfg["eval"]
+    return evaluator.EvalConfig(cutoffs=tuple(ev["cutoffs"]),
+                                bins=tuple(ev["bins"]))
+
+
 def resolve_config(args) -> dict:
     """Read the JSON config, fill defaults, apply flag overrides, and
     validate everything validatable before touching data. All problems are
@@ -135,19 +148,16 @@ def resolve_config(args) -> dict:
     except (ConfigError, TypeError) as exc:
         problems.append(f"hyper: {exc}")
     try:
-        trainer.TrainConfig(epochs=cfg["train"]["epochs"], seed=0,
-                            shuffle_users=cfg["train"]["shuffle_users"],
-                            clip_norm=cfg["train"]["clip_norm"])
+        _train_config(cfg)
     except (ConfigError, TypeError) as exc:
         problems.append(f"train: {exc}")
-    ev = cfg["eval"]
     try:
-        evaluator.EvalConfig(cutoffs=tuple(ev["cutoffs"]), bins=tuple(ev["bins"]))
+        _eval_config(cfg)
     except (ConfigError, TypeError) as exc:
         problems.append(f"eval: {exc}")
-    if not _is_count(ev["coldstart_k"], 1):
-        problems.append(f"eval.coldstart_k must be a positive integer, "
-                        f"got {ev['coldstart_k']!r}")
+    k = cfg["eval"]["coldstart_k"]
+    if not _is_count(k, 1):
+        problems.append(f"eval.coldstart_k must be a positive integer, got {k!r}")
     if args.cmd == "synth" and cfg["synth"] is None:
         problems.append("synth section is required for the synth command")
     if cfg["synth"] is not None:
@@ -214,9 +224,7 @@ def cmd_train(args) -> int:
     cfg["hyper"]["f_t"] = feats.f_t
     echo_config(cfg)
     os.makedirs(cfg["out"], exist_ok=True)
-    tcfg = trainer.TrainConfig(epochs=cfg["train"]["epochs"], seed=cfg["seed"],
-                               shuffle_users=cfg["train"]["shuffle_users"],
-                               clip_norm=cfg["train"]["clip_norm"])
+    tcfg = _train_config(cfg)
     hyper = (build_hyper(cfg, feats) if kind in model.MASK_BY_KIND
              else model.Hyper(d=cfg["hyper"]["d"]))
     log_path = os.path.join(cfg["out"], f"train_{kind}.log")
@@ -229,12 +237,6 @@ def cmd_train(args) -> int:
     print(f"checkpoint: {ckpt_path}")
     print(f"training log: {log_path}")
     return EXIT_OK
-
-
-def _eval_config(cfg: dict) -> evaluator.EvalConfig:
-    ev = cfg["eval"]
-    return evaluator.EvalConfig(cutoffs=tuple(ev["cutoffs"]),
-                                bins=tuple(ev["bins"]))
 
 
 def cmd_eval(args) -> int:
@@ -260,22 +262,26 @@ def cmd_coldstart(args) -> int:
     cfg = resolve_config(args)
     corpus, feats = build_data(cfg)
     echo_config(cfg)
-    ecfg = _eval_config(cfg)
-    rankings, names = {}, []
+    rankers = {}
     for path in args.checkpoints:
         ranker = checkpoint.load_ranker(path, corpus, feats)
         name = ranker.kind
-        while name in rankings:
+        while name in rankers:
             name += "+"
-        _, ranked = evaluator.evaluate(ranker, corpus, ecfg, keep_rankings=True)
-        rankings[name] = ranked
-        names.append(name)
+        rankers[name] = ranker
+    names = list(rankers)
     if cfg["pairs"] is not None:
         pairs = [tuple(p) for p in cfg["pairs"]]
     elif len(names) >= 2:
         pairs = [(names[0], names[1])]
     else:
         pairs = []
+    evaluator.check_pairs(pairs, names)
+    ecfg = _eval_config(cfg)
+    rankings = {}
+    for name in names:  # pop: a ranker is freed once its rankings are kept
+        _, rankings[name] = evaluator.evaluate(rankers.pop(name), corpus, ecfg,
+                                               keep_rankings=True)
     report = evaluator.cold_start_bins(corpus, rankings,
                                        cfg["eval"]["coldstart_k"],
                                        tuple(cfg["eval"]["bins"]), pairs)

@@ -156,7 +156,7 @@ def normalize_minmax(matrix: np.ndarray, lo: float, hi: float) -> np.ndarray:
 def load_features(path, expect_dim: int | None, lo: float, hi: float) -> FeatureTable:
     """Parse a `#dims F` header plus `item<TAB>f1 f2 ...` rows, then min-max
     normalize each dimension onto [lo, hi] over all items in the file."""
-    ids, rows, linenos = [], [], []
+    ids, rows, linenos, seen = [], [], [], set()
     lines = _text_lines(path)
     toks = next(lines, (1, ""))[1].split()
     try:
@@ -183,6 +183,9 @@ def load_features(path, expect_dim: int | None, lo: float, hi: float) -> Feature
             row = [float(v) for v in values]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-numeric token ({exc})") from exc
+        if parts[0] in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate item id {parts[0]!r}")
+        seen.add(parts[0])
         ids.append(parts[0])
         rows.append(row)
         linenos.append(lineno)

@@ -225,6 +225,14 @@ class ColdStartReport:
         return rows
 
 
+def check_pairs(pairs: list, names) -> None:
+    """ConfigError unless both rankers of every growth pair are in names."""
+    for a, b in pairs:
+        if a not in names or b not in names:
+            raise ConfigError(f"growth pair ({a!r}, {b!r}) not among rankers "
+                              f"{sorted(names)}")
+
+
 def cold_start_bins(corpus: Corpus, rankings: dict, k: int, bins: tuple,
                     pairs: list | None = None) -> ColdStartReport:
     """Recall@k restricted to test items of bounded test-set frequency.
@@ -265,10 +273,8 @@ def cold_start_bins(corpus: Corpus, rankings: dict, k: int, bins: tuple,
         report.recalls[name] = [t / n if n else None
                                 for t, n in zip(totals, report.bin_users)]
 
+    check_pairs(pairs or [], rankings)
     for a, b in pairs or []:
-        if a not in rankings or b not in rankings:
-            raise ConfigError(f"growth pair ({a!r}, {b!r}) not among rankers "
-                              f"{sorted(rankings)}")
         out = []
         for ra, rb in zip(report.recalls[a], report.recalls[b]):
             if ra is None or rb is None or rb == 0.0:

@@ -1,12 +1,17 @@
-"""The per-user SGD epoch loop and the one update rule shared by every
-trainable ranker.
+"""The per-user SGD epoch loop and the update records every trainable
+ranker's step returns.
 
 A trainer supplies `init(rng)`, which draws the starting parameters, and
 `visit(params, u, rng)`, which updates them from one user's sampled pairs
 and yields (objective term, pair count) as it goes. Initialization and
 training draw from split seed streams, so the training draws are the same
-for every model kind under one seed. Every parameter update, of a row or
-of a whole block, is `ascend`: theta += alpha * (clip(g) - lam * theta).
+for every model kind under one seed.
+
+A step's updates are a list of records (block name, row or None, g, lam):
+the ascent direction g of one row of the block, or of the whole block when
+row is None, and its L2 decay lam. Training runs the list through `apply`,
+whose one update rule is `ascend`: theta += alpha * (clip(g) - lam * theta).
+The gradient checks sum the same lists with `gradient`.
 """
 
 import numpy as np
@@ -23,6 +28,29 @@ def ascend(theta: np.ndarray, g: np.ndarray, alpha: float, lam: float,
         if n > clip_norm:
             g = g * (clip_norm / n)
     theta += alpha * (g - lam * theta)
+
+
+def apply(params, updates, alpha: float,
+          clip_norm: float | None = None) -> None:
+    """Ascend every record of `updates` in order, in place."""
+    blocks = dict(params.blocks())
+    for name, row, g, lam in updates:
+        theta = blocks[name] if row is None else blocks[name][row]
+        ascend(theta, g, alpha, lam, clip_norm)
+
+
+def gradient(params, updates) -> dict:
+    """{block name: its records' g summed into a full-shape array}, for
+    the blocks `updates` touch."""
+    blocks = dict(params.blocks())
+    grads = {}
+    for name, row, g, _ in updates:
+        total = grads.setdefault(name, np.zeros_like(blocks[name]))
+        if row is None:
+            total += g
+        else:
+            total[row] += g
+    return grads
 
 
 def param_norm(params) -> float:

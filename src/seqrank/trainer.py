@@ -6,20 +6,23 @@ the positives are `corpus.train_rows[u]`, the negatives the rows
 `dataio.sample_triples` draws. Updates run in two phases from a
 context frozen at sequence start. The context holds the sequence as stacked
 arrays: inputs, states, scores, c = sigma(-score) and the per-step forward
-gradients, all computed in one pass. The forward phase applies the direct
-score gradients one step at a time (latent rows of the pair plus the
-embedding kernels). The backward phase runs the e-recursion through the
-recurrence, forms the transition/embedding sums over the whole sequence as
-matmuls over the stacked per-layer vectors, and applies them in one step.
+gradients, all computed in one pass. Both phases return their updates as
+`sgd` update records. The forward phase gives the direct score gradients
+of one step at a time (latent rows of the pair plus the embedding
+kernels). The backward phase runs the e-recursion through the recurrence
+and gives the latent rows of layers m-1 down to 1, then the
+transition/embedding sums over the whole sequence, formed as matmuls over
+the stacked per-layer vectors, as one record per block.
 
 The per-sequence update with zero regularization equals the exact gradient
-of sum_t ln sigma(score_t) at the frozen context, which is what grad_check
-verifies against central finite differences.
+of sum_t ln sigma(score_t) at the frozen context: `sequence_gradients` is
+`sgd.gradient` of the records training applies, and grad_check verifies it
+against central finite differences.
 
 `train` supplies only the per-user step (sample the negatives, build the
-context, forward updates pair by pair, one backward pass); epochs, user
-order, seed streams, the divergence guard and the log line are
-`sgd.run_epochs`'s, and every update is `sgd.ascend`.
+context, `sgd.apply` the forward records pair by pair, then the backward
+records); epochs, user order, seed streams, the divergence guard and the
+log line are `sgd.run_epochs`'s.
 """
 
 from dataclasses import dataclass
@@ -148,28 +151,27 @@ def bpr_objective(params: ModelParams, corpus: Corpus, feats: FeatureStore,
 
 
 # ---------------------------------------------------------------------------
-# forward-direction updates: direct score gradients, applied per step
+# forward-direction updates: direct score gradients, one pair step each
 
-def forward_updates(params: ModelParams, ctx: SeqContext, k: int, h: Hyper,
-                    clip_norm: float | None = None) -> None:
-    """Ascend pair k's (step t = k + 2) score gradient g with `sgd.ascend`.
-    Only the pair's latent rows (g for the positive, -g for the negative)
-    and the active embedding kernels move; the transition matrices are the
+def forward_updates(ctx: SeqContext, k: int, h: Hyper) -> list:
+    """Pair k's (step t = k + 2) update records: its score gradient g on
+    the pair's latent rows (g for the positive, -g for the negative) and
+    on the active embedding kernels; the transition matrices are the
     backward phase's job."""
-    a = h.alpha
     g = ctx.step_grads
+    updates = []
     if "X" in g:
         gx = g["X"][k]
-        sgd.ascend(params.X[ctx.rows[k + 1]], gx, a, h.lam_theta, clip_norm)
-        sgd.ascend(params.X[ctx.neg_rows[k]], -gx, a, h.lam_theta, clip_norm)
-    if "E" in g:
-        sgd.ascend(params.E, g["E"][k], a, h.lam_e, clip_norm)
-    if "V" in g:
-        sgd.ascend(params.V, g["V"][k], a, h.lam_v, clip_norm)
+        updates += [("X", ctx.rows[k + 1], gx, h.lam_theta),
+                    ("X", ctx.neg_rows[k], -gx, h.lam_theta)]
+    for name, lam in (("E", h.lam_e), ("V", h.lam_v)):
+        if name in g:
+            updates.append((name, None, g[name][k], lam))
+    return updates
 
 
 # ---------------------------------------------------------------------------
-# backward phase: propagate through the recurrence, accumulate, apply once
+# backward phase: propagate through the recurrence, accumulate per block
 
 def backward_steps(ctx: SeqContext, params: ModelParams) -> tuple:
     """e-recursion from layer m-1 down to 1 (layer m never feeds a score:
@@ -188,42 +190,29 @@ def backward_steps(ctx: SeqContext, params: ModelParams) -> tuple:
 
 
 def backward_gradients(ctx: SeqContext, params: ModelParams,
-                       feats: FeatureStore, h: Hyper) -> dict:
-    """BPTT sums over layers 1..m-1 as full blocks ("InMat", "RecMat" and
-    the active "E"/"V"), plus "x": the (m-1, d) latent-row gradients of
-    items ctx.rows[:m-1], applied per step while the blocks are applied
-    once."""
+                       feats: FeatureStore, h: Hyper) -> list:
+    """The backward phase's update records: the latent row of each item
+    ctx.rows[:m-1], from layer m-1 down, then the BPTT sums over layers
+    1..m-1 as whole blocks, "InMat", "RecMat" and the active "E"/"V".
+    Sequences shorter than 2 have no backward signal and no records."""
+    if ctx.m < 2:
+        return []
     _, e = backward_steps(ctx, params)
     back = e @ params.InMat
     sl = h.slices
     rows = ctx.rows[:-1]
-    grads = {"InMat": e.T @ ctx.inputs[:-1], "RecMat": e.T @ ctx.states[:-2]}
+    updates = []
     if h.mask.latent:
-        grads["x"] = back[:, sl["latent"]]
-    if h.mask.visual:
-        grads["E"] = back[:, sl["visual"]].T @ feats.visual_mat[rows]
-    if h.mask.textual:
-        grads["V"] = back[:, sl["textual"]].T @ feats.textual_mat[rows]
-    return grads
-
-
-def backward_pass(params: ModelParams, ctx: SeqContext, feats: FeatureStore,
-                  h: Hyper, clip_norm: float | None = None) -> None:
-    """Apply the backward-phase updates: latent rows per step from layer
-    m-1 down, then the accumulated transition/embedding sums in one step
-    each. Sequences shorter than 2 have no backward signal and are a
-    no-op."""
-    if ctx.m < 2:
-        return
-    g = backward_gradients(ctx, params, feats, h)
-    a = h.alpha
-    if "x" in g:
-        for idx, gx in zip(ctx.rows[-2::-1], g["x"][::-1]):
-            sgd.ascend(params.X[idx], gx, a, h.lam_theta, clip_norm)
-    for name, lam in (("InMat", h.lam_theta), ("RecMat", h.lam_theta),
-                      ("E", h.lam_e), ("V", h.lam_v)):
-        if name in g:
-            sgd.ascend(getattr(params, name), g[name], a, lam, clip_norm)
+        updates += [("X", idx, gx, h.lam_theta) for idx, gx
+                    in zip(rows[::-1], back[::-1, sl["latent"]])]
+    updates += [("InMat", None, e.T @ ctx.inputs[:-1], h.lam_theta),
+                ("RecMat", None, e.T @ ctx.states[:-2], h.lam_theta)]
+    for name, on, key, mat, lam in (
+            ("E", h.mask.visual, "visual", feats.visual_mat, h.lam_e),
+            ("V", h.mask.textual, "textual", feats.textual_mat, h.lam_v)):
+        if on:
+            updates.append((name, None, back[:, sl[key]].T @ mat[rows], lam))
+    return updates
 
 
 # ---------------------------------------------------------------------------
@@ -232,21 +221,12 @@ def backward_pass(params: ModelParams, ctx: SeqContext, feats: FeatureStore,
 def sequence_gradients(params: ModelParams, corpus: Corpus, feats: FeatureStore,
                        h: Hyper, u: str, neg_rows) -> dict:
     """Exact gradient of sum_t ln sigma(score_t) for user u's sequence
-    with its sampled negative rows, as full parameter-shaped arrays.
-    Inactive blocks are omitted."""
+    with its sampled negative rows: `sgd.gradient` of the records that
+    training applies, as full parameter-shaped arrays. Inactive blocks
+    are omitted."""
     ctx = sequence_context(params, corpus, feats, h, u, neg_rows)
-    back = backward_gradients(ctx, params, feats, h)
-    grads = {"InMat": back["InMat"], "RecMat": back["RecMat"]}
-    if h.mask.latent:
-        gx = ctx.step_grads["X"]
-        grads["X"] = np.zeros_like(params.X)
-        np.add.at(grads["X"], ctx.rows[1:], gx)
-        np.add.at(grads["X"], ctx.neg_rows, -gx)
-        np.add.at(grads["X"], ctx.rows[:-1], back["x"])
-    for name in ("E", "V"):
-        if name in ctx.step_grads:
-            grads[name] = ctx.step_grads[name].sum(axis=0) + back[name]
-    return grads
+    updates = [r for k in range(ctx.m - 1) for r in forward_updates(ctx, k, h)]
+    return sgd.gradient(params, updates + backward_gradients(ctx, params, feats, h))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +247,9 @@ def train(corpus: Corpus, feats: FeatureStore, h: Hyper, cfg: TrainConfig,
                                sample_triples(corpus, u, rng))
         yield float(np.sum(numkit.log_sigmoid(ctx.scores))), len(ctx.scores)
         for k in range(len(ctx.scores)):
-            forward_updates(params, ctx, k, h, cfg.clip_norm)
-        backward_pass(params, ctx, feats, h, cfg.clip_norm)
+            sgd.apply(params, forward_updates(ctx, k, h), h.alpha, cfg.clip_norm)
+        sgd.apply(params, backward_gradients(ctx, params, feats, h), h.alpha,
+                  cfg.clip_norm)
 
     return sgd.run_epochs(corpus, cfg,
                           lambda rng: init_params(h, corpus.n_items, rng),

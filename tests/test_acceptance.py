@@ -13,13 +13,13 @@ import pytest
 
 from reference_metrics import (auc_ref, average_precision_ref, ndcg_ref,
                                precision_ref, recall_ref)
-from seqrank import baselines, checkpoint, evaluator, model
+from seqrank import baselines, checkpoint, evaluator, model, sgd
 from seqrank.baselines import build_ranker, bpr_grad_check, mf_grad_check
 from seqrank.dataio import FeatureStore, SynthSpec, sample_triples, synth_corpus
 from seqrank.evaluator import (EvalConfig, auc_from_scores, cold_start_bins,
                                cutoff_metrics, evaluate)
 from seqrank.model import Hyper, Mask, init_params
-from seqrank.trainer import (TrainConfig, backward_pass, bpr_objective,
+from seqrank.trainer import (TrainConfig, backward_gradients, bpr_objective,
                              forward_updates, grad_check, sequence_context)
 
 GRAD_TOL = 1e-5
@@ -208,8 +208,8 @@ def objective_gain(corpus, feats, seed):
         for u, neg_rows in frozen.items():
             ctx = sequence_context(params, corpus, feats, h, u, neg_rows)
             for k in range(len(neg_rows)):
-                forward_updates(params, ctx, k, h)
-            backward_pass(params, ctx, feats, h)
+                sgd.apply(params, forward_updates(ctx, k, h), h.alpha)
+            sgd.apply(params, backward_gradients(ctx, params, feats, h), h.alpha)
     return bpr_objective(params, corpus, feats, h, frozen) - before
 
 

@@ -102,6 +102,24 @@ def test_coldstart_reports(pipeline, capsys, tmp_path):
     assert "growth vtrnn_over_rnn:" in capsys.readouterr().out
 
 
+def test_coldstart_unknown_pair_name_fails_before_evaluating(
+        pipeline, capsys, tmp_path, monkeypatch):
+    _, paths, ckpts = pipeline
+    cfg = write_config(tmp_path / "cs.json", {
+        "data": paths, "pairs": [["vtrnn", "nosuch"]]})
+
+    def no_evaluate(*args, **kwargs):
+        raise AssertionError("evaluate called before the pairs check")
+
+    monkeypatch.setattr(cli.evaluator, "evaluate", no_evaluate)
+    code = cli.main(["coldstart", str(ckpts["vtrnn"]), str(ckpts["rnn"]),
+                     "--config", cfg, "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert ("growth pair ('vtrnn', 'nosuch') not among rankers "
+            "['rnn', 'vtrnn']") in capsys.readouterr().err
+    assert not (tmp_path / "coldstart.json").exists()
+
+
 def test_gradcheck_passes(capsys):
     assert cli.main(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out
@@ -153,6 +171,22 @@ def test_non_finite_features_is_data_error(pipeline, tmp_path, capsys):
         cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "visual.tsv:2: non-finite value nan" in err
+
+
+def test_duplicate_feature_item_is_data_error(pipeline, tmp_path, capsys):
+    _, paths, _ = pipeline
+    text = open(paths["textual"]).read()
+    lines = text.rstrip("\n").split("\n")
+    bad = tmp_path / "textual.tsv"
+    bad.write_text(text + lines[1] + "\n")
+    cfg = write_config(tmp_path / "c.json",
+                       {"kind": "vtrnn", "data": dict(paths, textual=str(bad))})
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == \
+        cli.EXIT_DATA
+    err = capsys.readouterr().err
+    item = lines[1].split("\t")[0]
+    assert err.count("\n") == 1
+    assert f"textual.tsv:{len(lines) + 1}: duplicate item id {item!r}" in err
 
 
 def test_eval_malformed_checkpoint_header(pipeline, tmp_path, capsys):

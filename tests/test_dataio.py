@@ -128,6 +128,15 @@ def test_load_features_rejects_non_finite(tmp_path, token):
         load_features(p, expect_dim=2, lo=0.0, hi=1.0)
 
 
+def test_load_features_rejects_duplicate_item(tmp_path):
+    # a second row for "a" would replace the first and still widen the
+    # min-max range of every dimension
+    p = tmp_path / "f.tsv"
+    p.write_text("#dims 2\na\t1 2\nb\t3 4\na\t9 9\n")
+    with pytest.raises(ParseError, match="f.tsv:4: duplicate item id 'a'$"):
+        load_features(p, expect_dim=2, lo=0.0, hi=1.0)
+
+
 def test_undecodable_files_raise_parse_error(tmp_path):
     seq = tmp_path / "seq.tsv"
     seq.write_bytes(b"u1\ti1,i2\nu2\ti\xff3,i1\n")

@@ -1,0 +1,74 @@
+"""One update list per step: training applies it with `sgd.apply` and the
+gradient checks sum it with `sgd.gradient`, so with no decay and no
+clipping a step moves the parameters by alpha times the checked
+gradient."""
+
+import numpy as np
+
+from seqrank import sgd
+from seqrank.baselines import (bpr_pair_grads, init_bpr_params, mf_obs_grads,
+                               train_content_bpr)
+from seqrank.dataio import Corpus, FeatureStore, sample_triples
+from seqrank.model import Hyper, Mask, init_params
+from seqrank.trainer import (TrainConfig, sequence_gradients, tiny_fixture,
+                             train)
+
+FREE = dict(alpha=0.5, lam_theta=0.0, lam_e=0.0, lam_v=0.0)
+SEED = 9
+CFG = TrainConfig(epochs=1, seed=SEED)
+
+
+def start_rng():
+    """The stream `sgd.run_epochs` draws a run's starting parameters from;
+    its training draws come from [SEED, 1]."""
+    return np.random.default_rng([SEED, 0])
+
+
+def assert_moved_by(after, before, alpha, grads):
+    """Each block moved by alpha * grads[block] to a relative 1e-12 of
+    the step; blocks without a gradient did not move."""
+    start = dict(before.blocks())
+    for name, block in after.blocks():
+        moved = block - start[name]
+        if name not in grads:
+            assert not moved.any(), name
+            continue
+        step = alpha * grads[name]
+        assert np.abs(step).max() > 0.0, name
+        assert np.abs(moved - step).max() <= 1e-12 * np.abs(step).max(), name
+
+
+def test_recurrent_sequence_moves_by_sequence_gradients():
+    h = Hyper(d=3, f_v=2, f_t=2, mask=Mask.for_kind("vtrnn"), **FREE)
+    corpus, feats, _ = tiny_fixture(h, np.random.default_rng(4))
+    start = init_params(h, corpus.n_items, start_rng())
+    negs = sample_triples(corpus, "u0", np.random.default_rng([SEED, 1]))
+    trained = train(corpus, feats, h, CFG)
+    grads = sequence_gradients(start, corpus, feats, h, "u0", negs)
+    assert sorted(grads) == ["E", "InMat", "RecMat", "V", "X"]
+    assert_moved_by(trained, start, h.alpha, grads)
+
+
+def test_bpr_triple_moves_by_its_summed_records():
+    # the only triple: user "u", positive "b", the one unowned item "c"
+    corpus = Corpus(("u",), ("a", "b", "c"), {"u": ["a", "b"]}, {"u": []})
+    rng = np.random.default_rng(8)
+    feats = FeatureStore(2, 2, rng.uniform(0.0, 0.5, (3, 2)),
+                         rng.uniform(-0.5, 0.5, (3, 2)))
+    h = Hyper(d=2, f_v=2, f_t=2, mask=Mask.for_kind("vtbpr"), **FREE)
+    start = init_bpr_params(h, 1, 3, start_rng())
+    trained = train_content_bpr(corpus, feats, h, CFG)
+    grads = sgd.gradient(start, bpr_pair_grads(start, feats, h, 0, 1, 2)[1])
+    assert sorted(grads) == ["E", "Gamma", "V", "X"]
+    assert_moved_by(trained, start, h.alpha, grads)
+
+
+def test_mf_observation_moves_by_its_summed_records():
+    # one step; training pairs every interaction with a sampled negative,
+    # two observations on the same user row, so this is not a whole visit
+    h = Hyper(d=2, mask=Mask.for_kind("mf"), **FREE)
+    params = init_bpr_params(h, 2, 3, start_rng())
+    before = params.copy()
+    _, updates = mf_obs_grads(params, h, 1, 2, 1.0)
+    sgd.apply(params, updates, h.alpha)
+    assert_moved_by(params, before, h.alpha, sgd.gradient(before, updates))

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from seqrank import numkit
+from seqrank import numkit, sgd
 from seqrank.baselines import build_ranker
 from seqrank.dataio import synth_corpus, SynthSpec
 from seqrank.errors import ConfigError, DivergenceError
 from seqrank.model import (Hyper, Mask, hidden_states, init_params,
                            item_rep_matrix, step_hidden)
-from seqrank.trainer import (SeqContext, TrainConfig, backward_pass,
+from seqrank.trainer import (SeqContext, TrainConfig, backward_gradients,
                              backward_steps, bpr_objective, forward_updates,
                              grad_check, regularization, sequence_context,
                              sequence_gradients, tiny_fixture, train,
@@ -117,7 +117,7 @@ def test_forward_updates_touch_only_their_blocks():
     ctx = sequence_context(params, corpus, feats, h, "u0", negatives["u0"])
     k = 0   # step t = 2
     before = params.copy()
-    forward_updates(params, ctx, k, h)
+    sgd.apply(params, forward_updates(ctx, k, h), h.alpha)
     ip, iq = corpus.train_rows["u0"][k + 1], negatives["u0"][k]
     a, lam = h.alpha, h.lam_theta
     c, h_x = ctx.c[k], ctx.states[k + 1][h.slices["latent"]]
@@ -147,7 +147,7 @@ def test_backward_last_layer_gate():
     assert np.allclose(e[t - 1], ctx.c[t - 1] * gate, atol=1e-15)
 
 
-def test_backward_pass_short_sequence_noop():
+def test_backward_short_sequence_has_no_updates():
     h = full_hyper()
     params, corpus, feats, _ = make_context(h)
     rows = np.array([0])
@@ -156,7 +156,9 @@ def test_backward_pass_short_sequence_noop():
     ctx = SeqContext(rows, rows[:0], inputs, none,
                      hidden_states(inputs, params), np.zeros(0), np.zeros(0), {})
     before = params.copy()
-    backward_pass(params, ctx, feats, h)
+    updates = backward_gradients(ctx, params, feats, h)
+    assert updates == []
+    sgd.apply(params, updates, h.alpha)
     for (_, a), (_, b) in zip(params.blocks(), before.blocks()):
         assert np.array_equal(a, b)
 
@@ -258,7 +260,7 @@ def test_clip_norm_bounds_forward_step():
     ctx = sequence_context(params, corpus, feats, h, "u0", negatives["u0"])
     before = params.copy()
     clip = 1e-6
-    forward_updates(params, ctx, 0, h, clip_norm=clip)
+    sgd.apply(params, forward_updates(ctx, 0, h), h.alpha, clip)
     ip = corpus.train_rows["u0"][1]
     moved = float(np.linalg.norm(params.X[ip] - before.X[ip]))
     assert moved <= clip * (1.0 + 1e-12)
