@@ -14,8 +14,9 @@ BPR family supply their per-user steps here. Users and items are rows
 A BPR triple (user row, positive row, negative row) has its score formed in
 `bpr_pair_score` and its update records (see `sgd`) in `bpr_pair_grads`,
 and an mf observation (user row, item row, target) its records in
-`mf_obs_grads`. Training hands each step's records to `sgd.apply`; the
-gradient checks sum the same records with `sgd.gradient`.
+`mf_obs_grads`. Each step yields its records to `sgd.run_epochs`, which
+applies them with `sgd.apply`; the gradient checks sum the same records
+with `sgd.gradient`.
 """
 
 import hashlib
@@ -155,12 +156,13 @@ def bpr_pair_grads(params: BprParams, feats: FeatureStore, h: Hyper, uj: int,
     if h.mask.latent:
         gx = c * gamma_u[sl["latent"]]
         updates += [("X", ip, gx, h.lam_theta), ("X", iq, -gx, h.lam_theta)]
+    # a[:, None] * b is np.outer(a, b) without its ravel and asarray calls
     if h.mask.visual:
         vdiff = feats.visual_mat[ip] - feats.visual_mat[iq]
-        updates.append(("E", None, c * np.outer(gamma_u[sl["visual"]], vdiff), h.lam_e))
+        updates.append(("E", None, c * (gamma_u[sl["visual"], None] * vdiff), h.lam_e))
     if h.mask.textual:
         tdiff = feats.textual_mat[ip] - feats.textual_mat[iq]
-        updates.append(("V", None, c * np.outer(gamma_u[sl["textual"]], tdiff), h.lam_v))
+        updates.append(("V", None, c * (gamma_u[sl["textual"], None] * tdiff), h.lam_v))
     return xhat, updates
 
 
@@ -177,11 +179,10 @@ def train_content_bpr(corpus: Corpus, feats: FeatureStore, h: Hyper,
         negs = sample_triples(corpus, u, rng)
         for ip, iq in zip(seq[1:].tolist(), negs.tolist()):
             xhat, updates = bpr_pair_grads(params, feats, h, uj, ip, iq)
-            yield float(numkit.log_sigmoid(xhat)), 1
-            sgd.apply(params, updates, h.alpha, cfg.clip_norm)
+            yield numkit.log_sigmoid(xhat), 1, updates
 
     return sgd.run_epochs(
-        corpus, cfg,
+        corpus, cfg, h.alpha,
         lambda rng: init_bpr_params(h, len(corpus.users), corpus.n_items, rng),
         visit, log)
 
@@ -192,7 +193,7 @@ def bpr_triple_loglik(params: BprParams, feats: FeatureStore, h: Hyper,
     total = 0.0
     for uj, ip, iq in triples:
         xhat, _ = bpr_pair_score(params, feats, h, uj, ip, iq)
-        total += float(numkit.log_sigmoid(xhat))
+        total += numkit.log_sigmoid(xhat)
     return total
 
 
@@ -204,13 +205,14 @@ def bpr_grad_check(h: Hyper, rng: np.random.Generator, perturb=None,
     params = init_bpr_params(h, len(corpus.users), corpus.n_items, rng)
     triples = [(corpus.user_index[u], ip, iq) for u, neg_rows in negatives.items()
                for ip, iq in zip(corpus.train_rows[u][1:], neg_rows)]
-    grads = sgd.gradient(params, [r for uj, ip, iq in triples for r in
+    blocks = dict(params.blocks())
+    grads = sgd.gradient(blocks, [r for uj, ip, iq in triples for r in
                                   bpr_pair_grads(params, feats, h, uj, ip, iq)[1]])
     if perturb is not None:
         perturb(grads)
     return numkit.fd_check(
-        dict(params.blocks()),
-        lambda: bpr_triple_loglik(params, feats, h, triples), grads, fd_step)
+        blocks, lambda: bpr_triple_loglik(params, feats, h, triples), grads,
+        fd_step)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +232,10 @@ def train_mf(corpus: Corpus, h: Hyper, cfg: trainer.TrainConfig,
             iq = sample_negative(corpus, u, rng)
             for ij, target in ((ip, 1.0), (iq, 0.0)):
                 err, updates = mf_obs_grads(params, h, uj, ij, target)
-                yield err * err, 1
-                sgd.apply(params, updates, h.alpha, cfg.clip_norm)
+                yield err * err, 1, updates
 
     return sgd.run_epochs(
-        corpus, cfg,
+        corpus, cfg, h.alpha,
         lambda rng: init_bpr_params(h, len(corpus.users), corpus.n_items, rng),
         visit, log)
 
@@ -257,7 +258,8 @@ def mf_grad_check(h: Hyper, rng: np.random.Generator,
     observations = [(int(rng.integers(2)), int(rng.integers(4)),
                      float(rng.integers(2))) for _ in range(8)]
     params = init_bpr_params(h, 2, 4, rng)
-    grads = sgd.gradient(params, [r for obs in observations
+    blocks = dict(params.blocks())
+    grads = sgd.gradient(blocks, [r for obs in observations
                                   for r in mf_obs_grads(params, h, *obs)[1]])
 
     def objective():
@@ -267,7 +269,7 @@ def mf_grad_check(h: Hyper, rng: np.random.Generator,
             total -= 0.5 * err * err
         return total
 
-    return numkit.fd_check(dict(params.blocks()), objective, grads, fd_step)
+    return numkit.fd_check(blocks, objective, grads, fd_step)
 
 
 # ---------------------------------------------------------------------------

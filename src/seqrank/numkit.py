@@ -20,7 +20,7 @@ def is_real(v) -> bool:
 def sigmoid(x: float) -> float:
     """Numerically stable logistic function; exact 0/1 is never returned."""
     if x >= 0.0:
-        return 1.0 / (1.0 + np.exp(-x))
+        return float(1.0 / (1.0 + np.exp(-x)))
     e = np.exp(x)
     return float(e / (1.0 + e))
 
@@ -33,8 +33,14 @@ def sigmoid_arr(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
-def log_sigmoid(x) -> np.ndarray:
-    """ln(sigmoid(x)) without overflow, scalar or elementwise."""
+def log_sigmoid(x):
+    """ln(sigmoid(x)) without overflow: a float for a float, elementwise
+    for an array. Both paths run the same ufuncs on each value, so they
+    give the same bits."""
+    if isinstance(x, float):
+        if x >= 0.0:
+            return float(-np.log1p(np.exp(-x)))
+        return float(x - np.log1p(np.exp(x)))
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0.0

@@ -16,13 +16,13 @@ the stacked per-layer vectors, as one record per block.
 
 The per-sequence update with zero regularization equals the exact gradient
 of sum_t ln sigma(score_t) at the frozen context: `sequence_gradients` is
-`sgd.gradient` of the records training applies, and grad_check verifies it
-against central finite differences.
+`sgd.gradient` of the records training applies (`sequence_updates`), and
+grad_check verifies it against central finite differences.
 
-`train` supplies only the per-user step (sample the negatives, build the
-context, `sgd.apply` the forward records pair by pair, then the backward
-records); epochs, user order, seed streams, the divergence guard and the
-log line are `sgd.run_epochs`'s.
+`train` supplies only the per-user step: sample the negatives, build the
+context and yield the sequence's records, which `sgd.run_epochs` hands to
+one `sgd.apply` call; epochs, user order, seed streams, the divergence
+guard and the log line are `sgd.run_epochs`'s too.
 """
 
 from dataclasses import dataclass
@@ -216,6 +216,19 @@ def backward_gradients(ctx: SeqContext, params: ModelParams,
 
 
 # ---------------------------------------------------------------------------
+# one sequence's records: both phases, applied as one list
+
+def sequence_updates(ctx: SeqContext, params: ModelParams, feats: FeatureStore,
+                     h: Hyper) -> list:
+    """Every update record of the sequence: `forward_updates` of each pair
+    in step order, then `backward_gradients`. The backward records read
+    InMat and RecMat, which no forward record writes, so they are the same
+    whether formed before or after the forward records are applied."""
+    updates = [r for k in range(ctx.m - 1) for r in forward_updates(ctx, k, h)]
+    return updates + backward_gradients(ctx, params, feats, h)
+
+
+# ---------------------------------------------------------------------------
 # total per-sequence gradient (both phases, no step sizes, no penalty)
 
 def sequence_gradients(params: ModelParams, corpus: Corpus, feats: FeatureStore,
@@ -225,8 +238,8 @@ def sequence_gradients(params: ModelParams, corpus: Corpus, feats: FeatureStore,
     training applies, as full parameter-shaped arrays. Inactive blocks
     are omitted."""
     ctx = sequence_context(params, corpus, feats, h, u, neg_rows)
-    updates = [r for k in range(ctx.m - 1) for r in forward_updates(ctx, k, h)]
-    return sgd.gradient(params, updates + backward_gradients(ctx, params, feats, h))
+    return sgd.gradient(dict(params.blocks()),
+                        sequence_updates(ctx, params, feats, h))
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +258,10 @@ def train(corpus: Corpus, feats: FeatureStore, h: Hyper, cfg: TrainConfig,
             return
         ctx = sequence_context(params, corpus, feats, h, u,
                                sample_triples(corpus, u, rng))
-        yield float(np.sum(numkit.log_sigmoid(ctx.scores))), len(ctx.scores)
-        for k in range(len(ctx.scores)):
-            sgd.apply(params, forward_updates(ctx, k, h), h.alpha, cfg.clip_norm)
-        sgd.apply(params, backward_gradients(ctx, params, feats, h), h.alpha,
-                  cfg.clip_norm)
+        yield (float(np.sum(numkit.log_sigmoid(ctx.scores))), len(ctx.scores),
+               sequence_updates(ctx, params, feats, h))
 
-    return sgd.run_epochs(corpus, cfg,
+    return sgd.run_epochs(corpus, cfg, h.alpha,
                           lambda rng: init_params(h, corpus.n_items, rng),
                           visit, log)
 

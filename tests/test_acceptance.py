@@ -204,12 +204,13 @@ def objective_gain(corpus, feats, seed):
     rng = np.random.default_rng([seed, 1])
     frozen = {u: sample_triples(corpus, u, rng) for u in corpus.users}
     before = bpr_objective(params, corpus, feats, h, frozen)
+    blocks = dict(params.blocks())
     for _ in range(5):
         for u, neg_rows in frozen.items():
             ctx = sequence_context(params, corpus, feats, h, u, neg_rows)
             for k in range(len(neg_rows)):
-                sgd.apply(params, forward_updates(ctx, k, h), h.alpha)
-            sgd.apply(params, backward_gradients(ctx, params, feats, h), h.alpha)
+                sgd.apply(blocks, forward_updates(ctx, k, h), h.alpha)
+            sgd.apply(blocks, backward_gradients(ctx, params, feats, h), h.alpha)
     return bpr_objective(params, corpus, feats, h, frozen) - before
 
 

@@ -12,6 +12,11 @@ def test_sigmoid_values():
     assert abs(numkit.sigmoid(0.8) - 0.6899744811276125) < 1e-15
 
 
+def test_sigmoid_returns_float_on_both_branches():
+    for x in (0.8, -0.8, np.float64(2.0), np.float64(-2.0)):
+        assert type(numkit.sigmoid(x)) is float
+
+
 def test_sigmoid_extremes_do_not_overflow():
     with np.errstate(over="raise"):
         lo = numkit.sigmoid(-800.0)

@@ -7,12 +7,16 @@
   cold-start bins.
 - The row sampler draws exactly what an id-based rejection sampler draws
   from the same generator, and never a row the user trained on.
+- The batched update paths give the same bits as their plain loops:
+  `sgd.apply` against `sgd.ascend` record by record, and the scalar path of
+  `log_sigmoid` against its array path.
 
 Hypothesis runs derandomized and without an example database, so the
 examples are the same on every run; conftest.py moves its storage
 directory out of the checkout."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -21,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_metrics import cold_start_ref
+from seqrank import numkit, sgd
 from seqrank.checkpoint import MAGIC, read_checkpoint
 from seqrank.dataio import (Corpus, FeatureStore, load_features,
                             parse_sequence_file, sample_triples)
@@ -251,3 +256,57 @@ def test_row_sampler_matches_id_reference(world):
         assert corpus.item_ids[rows].tolist() == reference_negatives(
             corpus.items, corpus.train_seq[u], ref_rng)
         assert not set(rows.tolist()) & set(corpus.train_rows[u].tolist())
+
+
+# ---------------------------------------------------------------------------
+# batched update paths against their plain loops
+
+# two row blocks of equal width and one small whole block
+SHAPES = {"A": (5, 3), "B": (4, 3), "C": (2, 2)}
+
+
+@st.composite
+def record_lists(draw):
+    """(records, clip_norm): records over SHAPES, rows drawn from a few so
+    they repeat, whole-block records interleaved with row records of the
+    same and other blocks, lam per record."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records = []
+    for _ in range(draw(st.integers(0, 30))):
+        name = draw(st.sampled_from(sorted(SHAPES)))
+        rows, width = SHAPES[name]
+        whole = name == "C" or draw(st.integers(0, 4)) == 0
+        row = None if whole else draw(st.integers(0, rows - 1))
+        g = rng.normal(size=SHAPES[name] if whole else width)
+        records.append((name, row, g, draw(st.sampled_from([0.0, 0.01, 0.3]))))
+    return records, draw(st.sampled_from([None, 0.05, 1.5]))
+
+
+@FUZZ
+@given(case=record_lists(), seed=st.integers(0, 2**32 - 1))
+def test_apply_matches_ascend_loop(case, seed):
+    records, clip = case
+    rng = np.random.default_rng(seed)
+    start = {name: rng.normal(size=shape) for name, shape in SHAPES.items()}
+    got = {name: b.copy() for name, b in start.items()}
+    want = {name: b.copy() for name, b in start.items()}
+    sgd.apply(got, records, 0.2, clip)
+    for name, row, g, lam in records:
+        sgd.ascend(want[name] if row is None else want[name][row], g, 0.2, lam,
+                   clip)
+    for name in SHAPES:
+        assert np.array_equal(got[name], want[name]), name
+
+
+EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324,
+         -5e-324, 2.2250738585072014e-308, -1e-310, 36.7, -745.2]
+
+
+@FUZZ
+@given(x=st.sampled_from(EDGES) | st.floats())
+def test_log_sigmoid_scalar_path_matches_array_path(x):
+    got = numkit.log_sigmoid(x)
+    assert type(got) is float
+    for arr in (np.array(x), np.array([x])):
+        want = numkit.log_sigmoid(arr)
+        assert float.hex(got) == float.hex(float(np.reshape(want, -1)[0]))

@@ -1,17 +1,18 @@
 """One update list per step: training applies it with `sgd.apply` and the
 gradient checks sum it with `sgd.gradient`, so with no decay and no
 clipping a step moves the parameters by alpha times the checked
-gradient."""
+gradient. With decay, each block decays by its own regularizer, and a
+recurrent sequence's records go to one `sgd.apply` call."""
 
 import numpy as np
 
-from seqrank import sgd
+from seqrank import sgd, trainer
 from seqrank.baselines import (bpr_pair_grads, init_bpr_params, mf_obs_grads,
                                train_content_bpr)
 from seqrank.dataio import Corpus, FeatureStore, sample_triples
 from seqrank.model import Hyper, Mask, init_params
-from seqrank.trainer import (TrainConfig, sequence_gradients, tiny_fixture,
-                             train)
+from seqrank.trainer import (TrainConfig, sequence_context, sequence_gradients,
+                             sequence_updates, tiny_fixture, train)
 
 FREE = dict(alpha=0.5, lam_theta=0.0, lam_e=0.0, lam_v=0.0)
 SEED = 9
@@ -49,16 +50,21 @@ def test_recurrent_sequence_moves_by_sequence_gradients():
     assert_moved_by(trained, start, h.alpha, grads)
 
 
-def test_bpr_triple_moves_by_its_summed_records():
-    # the only triple: user "u", positive "b", the one unowned item "c"
+def one_triple_world():
+    """The only triple: user "u", positive "b", the one unowned item "c"."""
     corpus = Corpus(("u",), ("a", "b", "c"), {"u": ["a", "b"]}, {"u": []})
     rng = np.random.default_rng(8)
     feats = FeatureStore(2, 2, rng.uniform(0.0, 0.5, (3, 2)),
                          rng.uniform(-0.5, 0.5, (3, 2)))
+    return corpus, feats
+
+
+def test_bpr_triple_moves_by_its_summed_records():
+    corpus, feats = one_triple_world()
     h = Hyper(d=2, f_v=2, f_t=2, mask=Mask.for_kind("vtbpr"), **FREE)
     start = init_bpr_params(h, 1, 3, start_rng())
     trained = train_content_bpr(corpus, feats, h, CFG)
-    grads = sgd.gradient(start, bpr_pair_grads(start, feats, h, 0, 1, 2)[1])
+    grads = sgd.gradient(dict(start.blocks()), bpr_pair_grads(start, feats, h, 0, 1, 2)[1])
     assert sorted(grads) == ["E", "Gamma", "V", "X"]
     assert_moved_by(trained, start, h.alpha, grads)
 
@@ -70,5 +76,82 @@ def test_mf_observation_moves_by_its_summed_records():
     params = init_bpr_params(h, 2, 3, start_rng())
     before = params.copy()
     _, updates = mf_obs_grads(params, h, 1, 2, 1.0)
-    sgd.apply(params, updates, h.alpha)
-    assert_moved_by(params, before, h.alpha, sgd.gradient(before, updates))
+    sgd.apply(dict(params.blocks()), updates, h.alpha)
+    assert_moved_by(params, before, h.alpha,
+                    sgd.gradient(dict(before.blocks()), updates))
+
+
+# ---------------------------------------------------------------------------
+# decay per block: three distinct regularizers, no clipping
+
+DECAY = dict(alpha=0.5, lam_theta=0.01, lam_e=0.03, lam_v=0.07)
+
+
+def naive_step(params, records, h):
+    """A copy of params after theta += alpha * (g - lam * theta) for each
+    record in order, lam chosen by block name, not read from the record."""
+    lam = {"X": h.lam_theta, "Gamma": h.lam_theta, "InMat": h.lam_theta,
+           "RecMat": h.lam_theta, "E": h.lam_e, "V": h.lam_v}
+    out = params.copy()
+    blocks = dict(out.blocks())
+    for name, row, g, _ in records:
+        theta = blocks[name] if row is None else blocks[name][row]
+        theta += h.alpha * (g - lam[name] * theta)
+    return out
+
+
+def assert_same(a, b):
+    for (name, x), (_, y) in zip(a.blocks(), b.blocks()):
+        assert np.array_equal(x, y), name
+
+
+def test_recurrent_sequence_decays_each_block_by_its_regularizer():
+    h = Hyper(d=3, f_v=2, f_t=2, mask=Mask.for_kind("vtrnn"), **DECAY)
+    corpus, feats, _ = tiny_fixture(h, np.random.default_rng(4))
+    start = init_params(h, corpus.n_items, start_rng())
+    negs = sample_triples(corpus, "u0", np.random.default_rng([SEED, 1]))
+    ctx = sequence_context(start, corpus, feats, h, "u0", negs)
+    records = sequence_updates(ctx, start, feats, h)
+    assert_same(train(corpus, feats, h, CFG), naive_step(start, records, h))
+
+
+def test_bpr_triple_decays_each_block_by_its_regularizer():
+    corpus, feats = one_triple_world()
+    h = Hyper(d=2, f_v=2, f_t=2, mask=Mask.for_kind("vtbpr"), **DECAY)
+    start = init_bpr_params(h, 1, 3, start_rng())
+    records = bpr_pair_grads(start, feats, h, 0, 1, 2)[1]
+    assert_same(train_content_bpr(corpus, feats, h, CFG),
+                naive_step(start, records, h))
+
+
+def test_mf_observation_decays_each_block_by_its_regularizer():
+    h = Hyper(d=2, mask=Mask.for_kind("mf"), **DECAY)
+    params = init_bpr_params(h, 2, 3, start_rng())
+    _, records = mf_obs_grads(params, h, 1, 2, 1.0)
+    want = naive_step(params, records, h)
+    sgd.apply(dict(params.blocks()), records, h.alpha)
+    assert_same(params, want)
+
+
+# ---------------------------------------------------------------------------
+# call structure: one apply per recurrent sequence
+
+def test_train_applies_once_per_sequence(monkeypatch):
+    calls = {"apply": 0, "forward_updates": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(sgd, "apply")
+    counted(trainer, "forward_updates")
+    h = Hyper(d=2, f_v=2, f_t=2, mask=Mask.for_kind("vtrnn"))
+    corpus, feats, _ = tiny_fixture(h, np.random.default_rng(4))
+    epochs = 3
+    train(corpus, feats, h, TrainConfig(epochs=epochs, seed=SEED))
+    pairs = len(corpus.train_rows["u0"]) - 1
+    assert calls == {"apply": epochs, "forward_updates": epochs * pairs}
