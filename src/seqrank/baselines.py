@@ -205,14 +205,13 @@ def bpr_grad_check(h: Hyper, rng: np.random.Generator, perturb=None,
     params = init_bpr_params(h, len(corpus.users), corpus.n_items, rng)
     triples = [(corpus.user_index[u], ip, iq) for u, neg_rows in negatives.items()
                for ip, iq in zip(corpus.train_rows[u][1:], neg_rows)]
-    blocks = dict(params.blocks())
-    grads = sgd.gradient(blocks, [r for uj, ip, iq in triples for r in
+    grads = sgd.gradient(params, [r for uj, ip, iq in triples for r in
                                   bpr_pair_grads(params, feats, h, uj, ip, iq)[1]])
     if perturb is not None:
         perturb(grads)
     return numkit.fd_check(
-        blocks, lambda: bpr_triple_loglik(params, feats, h, triples), grads,
-        fd_step)
+        dict(params.blocks()),
+        lambda: bpr_triple_loglik(params, feats, h, triples), grads, fd_step)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +257,7 @@ def mf_grad_check(h: Hyper, rng: np.random.Generator,
     observations = [(int(rng.integers(2)), int(rng.integers(4)),
                      float(rng.integers(2))) for _ in range(8)]
     params = init_bpr_params(h, 2, 4, rng)
-    blocks = dict(params.blocks())
-    grads = sgd.gradient(blocks, [r for obs in observations
+    grads = sgd.gradient(params, [r for obs in observations
                                   for r in mf_obs_grads(params, h, *obs)[1]])
 
     def objective():
@@ -269,7 +267,7 @@ def mf_grad_check(h: Hyper, rng: np.random.Generator,
             total -= 0.5 * err * err
         return total
 
-    return numkit.fd_check(blocks, objective, grads, fd_step)
+    return numkit.fd_check(dict(params.blocks()), objective, grads, fd_step)
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,13 @@ A step's updates are a list of records (block name, row or None, g, lam):
 the ascent direction g of one row of the block, or of the whole block when
 row is None, and its L2 decay lam. Training runs the list through `apply`,
 whose one update rule is `ascend`: theta += alpha * (clip(g) - lam * theta).
-The gradient checks sum the same lists with `gradient`. Both read the
-blocks from a {name: array} map, which `run_epochs` builds once per run.
+The gradient checks sum the same lists with `gradient`. `run_epochs`
+builds the {name: array} map `apply` reads once per run.
 
-`apply` gives every parameter entry the same arithmetic, in the same
-order, as `ascend` on each record in list order, but batches the row
-records of a block: wave w gathers the w-th touch of each row, ascends the
-stacked rows at once and scatters them back. This relies on one invariant
-of every step: no record's g reads a parameter entry that another record of
-the same list writes (a step computes all its g before any is applied).
-Each record keeps its own lam in the batch; in every step, all records of
-one block share one lam (`Hyper.lam_theta`, `lam_e` or `lam_v`).
+A step's list is formed in full before `apply` runs it, and this relies on
+one invariant of every step: no record's g reads a parameter entry that
+another record of the same list writes. So one `apply` per recurrent
+sequence ascends each entry exactly as one `apply` per pair did.
 """
 
 import numpy as np
@@ -30,78 +26,29 @@ import numpy as np
 from .errors import DivergenceError
 
 
-def _clip(g: np.ndarray, clip_norm: float) -> np.ndarray:
-    """g rescaled to norm clip_norm when it is longer."""
-    n = float(np.linalg.norm(g))
-    return g * (clip_norm / n) if n > clip_norm else g
-
-
-def ascend(theta: np.ndarray, g: np.ndarray, alpha: float,
-           lam: float | np.ndarray, clip_norm: float | None = None) -> None:
+def ascend(theta: np.ndarray, g: np.ndarray, alpha: float, lam: float,
+           clip_norm: float | None = None) -> None:
     """In place: theta += alpha * (g - lam * theta), with g first rescaled
-    to norm clip_norm when it is longer. Stacked rows take lam as a column,
-    one decay per row."""
+    to norm clip_norm when it is longer."""
     if clip_norm is not None:
-        g = _clip(g, clip_norm)
+        n = float(np.linalg.norm(g))
+        if n > clip_norm:
+            g = g * (clip_norm / n)
     theta += alpha * (g - lam * theta)
 
 
 def apply(blocks: dict, updates, alpha: float,
           clip_norm: float | None = None) -> None:
-    """Ascend every record of `updates` in place, each parameter entry as
-    by `ascend` on the records in list order. A list that touches no row or
-    whole block twice (a BPR triple, an mf observation) runs record by
-    record; otherwise each block's row records run in waves."""
-    if len({(name, row) for name, row, _, _ in updates}) == len(updates):
-        for name, row, g, lam in updates:
-            ascend(blocks[name] if row is None else blocks[name][row], g,
-                   alpha, lam, clip_norm)
-        return
-    by_block = {}
-    for record in updates:
-        by_block.setdefault(record[0], []).append(record)
-    for name, records in by_block.items():
-        block = blocks[name]
-        if any(row is None for _, row, _, _ in records):
-            for _, row, g, lam in records:
-                ascend(block if row is None else block[row], g, alpha, lam,
-                       clip_norm)
-        else:
-            _ascend_rows(block, records, alpha, clip_norm)
+    """Ascend every record of `updates` in order, in place."""
+    for name, row, g, lam in updates:
+        theta = blocks[name] if row is None else blocks[name][row]
+        ascend(theta, g, alpha, lam, clip_norm)
 
 
-def _ascend_rows(block: np.ndarray, records, alpha: float,
-                 clip_norm: float | None) -> None:
-    """`ascend` on the row records of one block, in waves: wave w holds, in
-    list order, the w-th record of every row touched more than w times.
-    The records are stacked once, wave after wave, and each wave (distinct
-    rows) is one gather, the update rule on the stacked rows, one scatter."""
-    touches, waves = {}, []
-    for record in records:
-        w = touches.get(record[1], 0)
-        touches[record[1]] = w + 1
-        if w == len(waves):
-            waves.append([])
-        waves[w].append(record)
-    records = [record for wave in waves for record in wave]
-    rows = np.array([row for _, row, _, _ in records])
-    gs = [g for _, _, g, _ in records]
-    if clip_norm is not None:
-        gs = [_clip(g, clip_norm) for g in gs]
-    g = np.array(gs)
-    lam = np.array([lam for _, _, _, lam in records])[:, None]
-    start = 0
-    for wave in waves:
-        w = slice(start, start + len(wave))
-        theta = block[rows[w]]
-        ascend(theta, g[w], alpha, lam[w])
-        block[rows[w]] = theta
-        start = w.stop
-
-
-def gradient(blocks: dict, updates) -> dict:
+def gradient(params, updates) -> dict:
     """{block name: its records' g summed into a full-shape array}, for
     the blocks `updates` touch."""
+    blocks = dict(params.blocks())
     grads = {}
     for name, row, g, _ in updates:
         total = grads.setdefault(name, np.zeros_like(blocks[name]))

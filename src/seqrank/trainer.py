@@ -238,8 +238,7 @@ def sequence_gradients(params: ModelParams, corpus: Corpus, feats: FeatureStore,
     training applies, as full parameter-shaped arrays. Inactive blocks
     are omitted."""
     ctx = sequence_context(params, corpus, feats, h, u, neg_rows)
-    return sgd.gradient(dict(params.blocks()),
-                        sequence_updates(ctx, params, feats, h))
+    return sgd.gradient(params, sequence_updates(ctx, params, feats, h))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@
   cold-start bins.
 - The row sampler draws exactly what an id-based rejection sampler draws
   from the same generator, and never a row the user trained on.
-- The batched update paths give the same bits as their plain loops:
-  `sgd.apply` against `sgd.ascend` record by record, and the scalar path of
-  `log_sigmoid` against its array path.
+- `sgd.apply` gives the same bits as `sgd.ascend` on its records one by
+  one, in list order (the condition any faster apply must keep), and the
+  scalar path of `log_sigmoid` the same bits as its array path.
 
 Hypothesis runs derandomized and without an example database, so the
 examples are the same on every run; conftest.py moves its storage
@@ -259,7 +259,7 @@ def test_row_sampler_matches_id_reference(world):
 
 
 # ---------------------------------------------------------------------------
-# batched update paths against their plain loops
+# update and log-sigmoid paths against their plain references
 
 # two row blocks of equal width and one small whole block
 SHAPES = {"A": (5, 3), "B": (4, 3), "C": (2, 2)}

@@ -64,7 +64,7 @@ def test_bpr_triple_moves_by_its_summed_records():
     h = Hyper(d=2, f_v=2, f_t=2, mask=Mask.for_kind("vtbpr"), **FREE)
     start = init_bpr_params(h, 1, 3, start_rng())
     trained = train_content_bpr(corpus, feats, h, CFG)
-    grads = sgd.gradient(dict(start.blocks()), bpr_pair_grads(start, feats, h, 0, 1, 2)[1])
+    grads = sgd.gradient(start, bpr_pair_grads(start, feats, h, 0, 1, 2)[1])
     assert sorted(grads) == ["E", "Gamma", "V", "X"]
     assert_moved_by(trained, start, h.alpha, grads)
 
@@ -77,8 +77,7 @@ def test_mf_observation_moves_by_its_summed_records():
     before = params.copy()
     _, updates = mf_obs_grads(params, h, 1, 2, 1.0)
     sgd.apply(dict(params.blocks()), updates, h.alpha)
-    assert_moved_by(params, before, h.alpha,
-                    sgd.gradient(dict(before.blocks()), updates))
+    assert_moved_by(params, before, h.alpha, sgd.gradient(before, updates))
 
 
 # ---------------------------------------------------------------------------
