@@ -12,11 +12,12 @@ The trainable kinds share one epoch loop, `sgd.run_epochs`; mf and the
 BPR family supply their per-user steps here. Users and items are rows
 (`corpus.user_index`, `corpus.train_rows` and the rows the sampler draws).
 A BPR triple (user row, positive row, negative row) has its score formed in
-`bpr_pair_score` and its update records (see `sgd`) in `bpr_pair_grads`,
-and an mf observation (user row, item row, target) its records in
-`mf_obs_grads`. Each step yields its records to `sgd.run_epochs`, which
-applies them with `sgd.apply`; the gradient checks sum the same records
-with `sgd.gradient`.
+`bpr_pair_score` and its update records (block, row or None, g; see `sgd`)
+in `bpr_pair_grads`, and an mf observation (user row, item row, target) its
+records in `mf_obs_grads`. Each step yields its records to
+`sgd.run_epochs`, which applies them with `sgd.apply` and the per-block
+decays of `Hyper.decay`; the gradient checks sum the same records with
+`sgd.gradient`.
 """
 
 import hashlib
@@ -152,17 +153,17 @@ def bpr_pair_grads(params: BprParams, feats: FeatureStore, h: Hyper, uj: int,
     gamma_u = params.gamma[uj]
     c = numkit.sigmoid(-xhat)
     sl = h.slices
-    updates = [("Gamma", uj, c * diff, h.lam_theta)]
+    updates = [("Gamma", uj, c * diff)]
     if h.mask.latent:
         gx = c * gamma_u[sl["latent"]]
-        updates += [("X", ip, gx, h.lam_theta), ("X", iq, -gx, h.lam_theta)]
+        updates += [("X", ip, gx), ("X", iq, -gx)]
     # a[:, None] * b is np.outer(a, b) without its ravel and asarray calls
     if h.mask.visual:
         vdiff = feats.visual_mat[ip] - feats.visual_mat[iq]
-        updates.append(("E", None, c * (gamma_u[sl["visual"], None] * vdiff), h.lam_e))
+        updates.append(("E", None, c * (gamma_u[sl["visual"], None] * vdiff)))
     if h.mask.textual:
         tdiff = feats.textual_mat[ip] - feats.textual_mat[iq]
-        updates.append(("V", None, c * (gamma_u[sl["textual"], None] * tdiff), h.lam_v))
+        updates.append(("V", None, c * (gamma_u[sl["textual"], None] * tdiff)))
     return xhat, updates
 
 
@@ -182,7 +183,7 @@ def train_content_bpr(corpus: Corpus, feats: FeatureStore, h: Hyper,
             yield numkit.log_sigmoid(xhat), 1, updates
 
     return sgd.run_epochs(
-        corpus, cfg, h.alpha,
+        corpus, cfg, h,
         lambda rng: init_bpr_params(h, len(corpus.users), corpus.n_items, rng),
         visit, log)
 
@@ -197,8 +198,7 @@ def bpr_triple_loglik(params: BprParams, feats: FeatureStore, h: Hyper,
     return total
 
 
-def bpr_grad_check(h: Hyper, rng: np.random.Generator, perturb=None,
-                   fd_step: float = 1e-5) -> dict:
+def bpr_grad_check(h: Hyper, rng: np.random.Generator) -> dict:
     """Finite-difference gate for the static pairwise model, same protocol
     as the recurrent check."""
     corpus, feats, negatives = trainer.tiny_fixture(h, rng)
@@ -207,11 +207,9 @@ def bpr_grad_check(h: Hyper, rng: np.random.Generator, perturb=None,
                for ip, iq in zip(corpus.train_rows[u][1:], neg_rows)]
     grads = sgd.gradient(params, [r for uj, ip, iq in triples for r in
                                   bpr_pair_grads(params, feats, h, uj, ip, iq)[1]])
-    if perturb is not None:
-        perturb(grads)
     return numkit.fd_check(
         dict(params.blocks()),
-        lambda: bpr_triple_loglik(params, feats, h, triples), grads, fd_step)
+        lambda: bpr_triple_loglik(params, feats, h, triples), grads)
 
 
 # ---------------------------------------------------------------------------
@@ -230,44 +228,41 @@ def train_mf(corpus: Corpus, h: Hyper, cfg: trainer.TrainConfig,
         for ip in corpus.train_rows[u].tolist():
             iq = sample_negative(corpus, u, rng)
             for ij, target in ((ip, 1.0), (iq, 0.0)):
-                err, updates = mf_obs_grads(params, h, uj, ij, target)
+                err, updates = mf_obs_grads(params, uj, ij, target)
                 yield err * err, 1, updates
 
     return sgd.run_epochs(
-        corpus, cfg, h.alpha,
+        corpus, cfg, h,
         lambda rng: init_bpr_params(h, len(corpus.users), corpus.n_items, rng),
         visit, log)
 
 
-def mf_obs_grads(params: BprParams, h: Hyper, uj: int, ij: int,
-                 target: float) -> tuple:
+def mf_obs_grads(params: BprParams, uj: int, ij: int, target: float) -> tuple:
     """(err, updates) of one observation: err = target - dot(gamma_u, x_i)
     and the update records of -0.5 * err^2 for user row uj and item row
     ij."""
     gamma_u, x_i = params.gamma[uj], params.X[ij]
     err = target - float(gamma_u @ x_i)
-    return err, [("Gamma", uj, err * x_i, h.lam_theta),
-                 ("X", ij, err * gamma_u, h.lam_theta)]
+    return err, [("Gamma", uj, err * x_i), ("X", ij, err * gamma_u)]
 
 
-def mf_grad_check(h: Hyper, rng: np.random.Generator,
-                  fd_step: float = 1e-5) -> dict:
+def mf_grad_check(h: Hyper, rng: np.random.Generator) -> dict:
     """Finite-difference gate for mf: the summed records of 8 random
     observations against minus their half squared errors."""
     observations = [(int(rng.integers(2)), int(rng.integers(4)),
                      float(rng.integers(2))) for _ in range(8)]
     params = init_bpr_params(h, 2, 4, rng)
     grads = sgd.gradient(params, [r for obs in observations
-                                  for r in mf_obs_grads(params, h, *obs)[1]])
+                                  for r in mf_obs_grads(params, *obs)[1]])
 
     def objective():
         total = 0.0
         for obs in observations:
-            err, _ = mf_obs_grads(params, h, *obs)
+            err, _ = mf_obs_grads(params, *obs)
             total -= 0.5 * err * err
         return total
 
-    return numkit.fd_check(dict(params.blocks()), objective, grads, fd_step)
+    return numkit.fd_check(dict(params.blocks()), objective, grads)
 
 
 # ---------------------------------------------------------------------------

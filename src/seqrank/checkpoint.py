@@ -18,8 +18,6 @@ from .model import Hyper, Mask
 
 MAGIC = b"SEQRANK1"
 
-HYPER_KEYS = ("alpha", "lam_theta", "lam_e", "lam_v", "init_lo", "init_hi")
-
 
 def _ranker_payload(ranker) -> tuple:
     """(header dict sans blocks, ordered [(name, array), ...])."""
@@ -33,7 +31,7 @@ def _ranker_payload(ranker) -> tuple:
     h = ranker.h
     header.update({"d": h.d, "f_v": h.f_v, "f_t": h.f_t,
                    "mask": list(h.mask.active),
-                   "hyper": {k: getattr(h, k) for k in HYPER_KEYS}})
+                   "hyper": {k: getattr(h, k) for k in model.HYPER_REALS}})
     if isinstance(ranker, baselines.EmbedRanker):
         header["users"] = list(ranker.corpus.users)
     return header, ranker.params.blocks()
@@ -52,7 +50,7 @@ def save_ranker(path, ranker) -> None:
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+    return numkit.is_int(v) and v >= 0
 
 
 def _is_names(v, allowed=None) -> bool:
@@ -92,7 +90,7 @@ def _check_header(path, header) -> None:
     if "users" in header and not _is_names(header["users"]):
         raise CheckpointError(f"{path}: header field 'users' is malformed")
     hyper = header.get("hyper", {})
-    if not (isinstance(hyper, dict) and set(hyper) <= set(HYPER_KEYS)
+    if not (isinstance(hyper, dict) and set(hyper) <= set(model.HYPER_REALS)
             and all(numkit.is_real(v) for v in hyper.values())):
         raise CheckpointError(f"{path}: header field 'hyper' is malformed")
 

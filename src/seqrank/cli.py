@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import baselines, checkpoint, dataio, evaluator, model, trainer
+from . import baselines, checkpoint, dataio, evaluator, model, numkit, trainer
 from .errors import ConfigError, DataError, DivergenceError
 
 EXIT_OK = 0
@@ -59,7 +59,7 @@ def _merge(defaults: dict, given: dict, prefix: str, problems: list) -> dict:
 
 def _is_count(v, least: int) -> bool:
     """An integer (not a bool) of at least `least`."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+    return numkit.is_int(v) and v >= least
 
 
 def _train_config(cfg: dict) -> trainer.TrainConfig:
@@ -142,9 +142,7 @@ def resolve_config(args) -> dict:
     if hy["alpha"] is None:
         hy["alpha"] = 0.01 if kind == "mf" else 0.1
     try:
-        model.Hyper(d=hy["d"], alpha=hy["alpha"], lam_theta=hy["lam_theta"],
-                    lam_e=hy["lam_e"], lam_v=hy["lam_v"],
-                    init_lo=hy["init_lo"], init_hi=hy["init_hi"])
+        model.Hyper(d=hy["d"], **{k: hy[k] for k in model.HYPER_REALS})
     except (ConfigError, TypeError) as exc:
         problems.append(f"hyper: {exc}")
     try:
@@ -182,11 +180,11 @@ def build_data(cfg: dict):
     if data["visual"] is not None:
         vis = dataio.load_features(data["visual"], None, *dataio.VISUAL_RANGE)
     else:
-        vis = dataio.empty_table(*dataio.VISUAL_RANGE)
+        vis = dataio.empty_table()
     if data["textual"] is not None:
         tex = dataio.load_features(data["textual"], None, *dataio.TEXTUAL_RANGE)
     else:
-        tex = dataio.empty_table(*dataio.TEXTUAL_RANGE)
+        tex = dataio.empty_table()
     feats = dataio.build_feature_store(corpus, vis, tex)
     for label, missing in (("visual", feats.missing_visual),
                            ("textual", feats.missing_textual)):
@@ -200,9 +198,7 @@ def build_hyper(cfg: dict, feats) -> model.Hyper:
     hy = cfg["hyper"]
     mask = model.Mask.for_kind(cfg["kind"])
     return model.Hyper(d=hy["d"], f_v=feats.f_v, f_t=feats.f_t, mask=mask,
-                       alpha=hy["alpha"], lam_theta=hy["lam_theta"],
-                       lam_e=hy["lam_e"], lam_v=hy["lam_v"],
-                       init_lo=hy["init_lo"], init_hi=hy["init_hi"])
+                       **{k: hy[k] for k in model.HYPER_REALS})
 
 
 def _write_csv(path, rows) -> None:

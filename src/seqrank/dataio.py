@@ -107,10 +107,8 @@ def build_corpus(raw_seqs: dict, min_len: int, split_frac: float,
     return filter_test_new_items(corpus) if filter_test else corpus
 
 
-def load_corpus(seq_path, min_len: int = 2, split_frac: float = 0.9,
-                filter_test: bool = True) -> Corpus:
-    return build_corpus(parse_sequence_file(seq_path), min_len, split_frac,
-                        filter_test=filter_test)
+def load_corpus(seq_path, min_len: int = 2, split_frac: float = 0.9) -> Corpus:
+    return build_corpus(parse_sequence_file(seq_path), min_len, split_frac)
 
 
 def filter_test_new_items(c: Corpus) -> Corpus:
@@ -138,8 +136,6 @@ class FeatureTable:
 
     dim: int
     vectors: dict
-    lo: float
-    hi: float
 
 
 def normalize_minmax(matrix: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -197,7 +193,7 @@ def load_features(path, expect_dim: int | None, lo: float, hi: float) -> Feature
         j, k = np.argwhere(~finite)[0]
         raise ParseError(f"{path}:{linenos[j]}: non-finite value {matrix[j, k]}")
     matrix = normalize_minmax(matrix, lo, hi)
-    return FeatureTable(dim, {it: matrix[j] for j, it in enumerate(ids)}, lo, hi)
+    return FeatureTable(dim, {it: matrix[j] for j, it in enumerate(ids)})
 
 
 @dataclass
@@ -229,9 +225,9 @@ def _aligned(items, table: FeatureTable):
     return mat, missing
 
 
-def empty_table(lo: float = 0.0, hi: float = 0.0) -> FeatureTable:
+def empty_table() -> FeatureTable:
     """Zero-width placeholder for runs without that modality."""
-    return FeatureTable(0, {}, lo, hi)
+    return FeatureTable(0, {})
 
 
 def build_feature_store(corpus: Corpus, visual: FeatureTable,
@@ -292,14 +288,13 @@ class SynthSpec:
     cold_fraction: float = 0.0
     cold_prob: float = 0.0
     tail_pool: int = 0
-    head_boost: float = 0.0
     split_frac: float = 0.9
     min_len: int = 2
 
     def __post_init__(self):
         ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type is int]
         bad = [f"{name} must be an integer, got {v!r}" for name, v in ints
-               if type(v) is not int]  # bool is an int subclass
+               if not numkit.is_int(v)]
         reals = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type is float]
         bad += [f"{name} must be a finite real number, got {v!r}"
                 for name, v in reals if not numkit.is_real(v)]
@@ -328,8 +323,6 @@ class SynthSpec:
             problems.append("tail_fraction must be in [0,1]")
         if self.tail_pool < 0:
             problems.append("tail_pool must be >= 0")
-        if not 0.0 <= self.head_boost <= 1.0:
-            problems.append("head_boost must be in [0,1]")
         if not 0.0 < self.split_frac < 1.0:
             problems.append("split_frac must be in (0,1)")
         if problems:
@@ -370,15 +363,6 @@ class SynthSpec:
             pools.append((mem[:len(mem) - n_cold], mem[len(mem) - n_cold:]))
         return pools
 
-    def transition_matrix(self) -> np.ndarray:
-        k = self.clusters
-        if k == 1:
-            return np.ones((1, 1))
-        off = (1.0 - self.self_prob) / (k - 1)
-        m = np.full((k, k), off)
-        np.fill_diagonal(m, self.self_prob)
-        return m
-
 
 def synth_raw(spec: SynthSpec, rng: np.random.Generator):
     """Generate raw sequences plus normalized feature tables.
@@ -416,19 +400,12 @@ def synth_raw(spec: SynthSpec, rng: np.random.Generator):
                     pool = cold
                 elif spec.tail_pool:
                     pool = common[:min(spec.tail_pool, len(common))]
-            elif spec.head_boost and spec.tail_pool and rng.random() < spec.head_boost:
-                # the warm head also gets extra training mass, so its test
-                # items are easy for every model and bin growth isolates
-                # the planted cold pool
-                pool = common[:min(spec.tail_pool, len(common))]
             seq.append(spec.item_id(pool[int(rng.integers(len(pool)))]))
         raw_seqs[spec.user_id(uj)] = seq
 
     ids = [spec.item_id(j) for j in range(spec.items)]
-    vis = FeatureTable(spec.f_dim_visual,
-                       {it: feats_v[j] for j, it in enumerate(ids)}, *VISUAL_RANGE)
-    tex = FeatureTable(spec.f_dim_textual,
-                       {it: feats_t[j] for j, it in enumerate(ids)}, *TEXTUAL_RANGE)
+    vis = FeatureTable(spec.f_dim_visual, {it: feats_v[j] for j, it in enumerate(ids)})
+    tex = FeatureTable(spec.f_dim_textual, {it: feats_t[j] for j, it in enumerate(ids)})
     return raw_seqs, vis, tex
 
 

@@ -18,6 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import numkit
 from .dataio import Corpus
 from .errors import ConfigError, EmptyCorpusError
 
@@ -28,8 +29,7 @@ class EvalConfig:
     bins: tuple = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
     def __post_init__(self):
-        if not all(isinstance(v, int) and not isinstance(v, bool)
-                   for v in (*self.cutoffs, *self.bins)):
+        if not all(numkit.is_int(v) for v in (*self.cutoffs, *self.bins)):
             raise ConfigError(f"cutoffs and bins must be integers, got "
                               f"{list(self.cutoffs)} and {list(self.bins)}")
         problems = []

@@ -94,12 +94,11 @@ class Hyper:
     init_hi: float = 0.5
 
     def __post_init__(self):
-        reals = [(f.name, getattr(self, f.name)) for f in fields(self)
-                 if f.type is float]
+        reals = [(name, getattr(self, name)) for name in HYPER_REALS]
         problems = [f"{name} must be a finite real number, got {v!r}"
                     for name, v in reals if not numkit.is_real(v)]
         reals_ok = not problems
-        if not isinstance(self.d, int) or isinstance(self.d, bool):
+        if not numkit.is_int(self.d):
             problems.append(f"d must be an integer, got {self.d!r}")
         elif self.d < 1:
             problems.append(f"d must be >= 1, got {self.d}")
@@ -128,6 +127,20 @@ class Hyper:
     def slices(self) -> dict:
         """Offsets of the active slices in the concatenated vector."""
         return self.mask.slices(self.d)
+
+    @cached_property
+    def decay(self) -> dict:
+        """{block name: the L2 regularizer of that block}: lam_e for the
+        visual kernel E, lam_v for the textual kernel V, lam_theta for the
+        latent rows X and Gamma and the transitions InMat and RecMat."""
+        theta = self.lam_theta
+        return {"X": theta, "Gamma": theta, "InMat": theta, "RecMat": theta,
+                "E": self.lam_e, "V": self.lam_v}
+
+
+# the float settings of Hyper, in field order: what a config's "hyper"
+# section and a checkpoint header carry besides the dims
+HYPER_REALS = tuple(f.name for f in fields(Hyper) if f.type is float)
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Float64 numeric kernels shared by every model in the package: stable
-sigmoids, the finite-difference gradient check, and the test every float
-setting passes."""
+sigmoids, the finite-difference gradient check, and the tests every float
+and integer setting passes."""
 
 import math
 
@@ -15,6 +15,11 @@ def is_real(v) -> bool:
         return math.isfinite(v)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def is_int(v) -> bool:
+    """An int, not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def sigmoid(x: float) -> float:

@@ -8,12 +8,13 @@ step's records before it draws the next step. Initialization and training
 draw from split seed streams, so the training draws are the same for every
 model kind under one seed.
 
-A step's updates are a list of records (block name, row or None, g, lam):
-the ascent direction g of one row of the block, or of the whole block when
-row is None, and its L2 decay lam. Training runs the list through `apply`,
-whose one update rule is `ascend`: theta += alpha * (clip(g) - lam * theta).
-The gradient checks sum the same lists with `gradient`. `run_epochs`
-builds the {name: array} map `apply` reads once per run.
+A step's updates are a list of records (block name, row or None, g): the
+ascent direction g of one row of the block, or of the whole block when row
+is None. Training runs the list through `apply`, whose one update rule is
+`ascend`: theta += alpha * (clip(g) - lam * theta), with lam the block's
+L2 decay from `Hyper.decay`. The gradient checks sum the same lists with
+`gradient`. `run_epochs` builds the {name: array} map `apply` reads once
+per run.
 
 A step's list is formed in full before `apply` runs it, and this relies on
 one invariant of every step: no record's g reads a parameter entry that
@@ -37,12 +38,13 @@ def ascend(theta: np.ndarray, g: np.ndarray, alpha: float, lam: float,
     theta += alpha * (g - lam * theta)
 
 
-def apply(blocks: dict, updates, alpha: float,
+def apply(blocks: dict, updates, alpha: float, decay: dict,
           clip_norm: float | None = None) -> None:
-    """Ascend every record of `updates` in order, in place."""
-    for name, row, g, lam in updates:
+    """Ascend every record of `updates` in order, in place, each with the
+    decay {block name: lam} gives its block."""
+    for name, row, g in updates:
         theta = blocks[name] if row is None else blocks[name][row]
-        ascend(theta, g, alpha, lam, clip_norm)
+        ascend(theta, g, alpha, decay[name], clip_norm)
 
 
 def gradient(params, updates) -> dict:
@@ -50,7 +52,7 @@ def gradient(params, updates) -> dict:
     the blocks `updates` touch."""
     blocks = dict(params.blocks())
     grads = {}
-    for name, row, g, _ in updates:
+    for name, row, g in updates:
         total = grads.setdefault(name, np.zeros_like(blocks[name]))
         if row is None:
             total += g
@@ -63,9 +65,9 @@ def param_norm(params) -> float:
     return float(np.sqrt(sum(np.sum(b ** 2) for _, b in params.blocks())))
 
 
-def run_epochs(corpus, cfg, alpha: float, init, visit, log=None):
+def run_epochs(corpus, cfg, h, init, visit, log=None):
     """Run cfg.epochs passes over the users, in corpus order or reshuffled
-    each epoch, applying each step's records with step size alpha and
+    each epoch, applying each step's records with h.alpha, h.decay and
     cfg.clip_norm. After each epoch, `log` gets "epoch<TAB>mean
     objective<TAB>parameter norm". Raises DivergenceError at the first user
     whose updates leave a non-finite parameter."""
@@ -81,7 +83,7 @@ def run_epochs(corpus, cfg, alpha: float, init, visit, log=None):
             for term, count, updates in visit(params, u, rng):
                 total += term
                 n += count
-                apply(blocks, updates, alpha, cfg.clip_norm)
+                apply(blocks, updates, h.alpha, h.decay, cfg.clip_norm)
             if not all(np.isfinite(b).all() for b in blocks.values()):
                 raise DivergenceError(
                     f"non-finite parameters at epoch {epoch}, user {u!r}")

@@ -7,10 +7,11 @@ the positives are `corpus.train_rows[u]`, the negatives the rows
 context frozen at sequence start. The context holds the sequence as stacked
 arrays: inputs, states, scores, c = sigma(-score) and the per-step forward
 gradients, all computed in one pass. Both phases return their updates as
-`sgd` update records. The forward phase gives the direct score gradients
-of one step at a time (latent rows of the pair plus the embedding
-kernels). The backward phase runs the e-recursion through the recurrence
-and gives the latent rows of layers m-1 down to 1, then the
+`sgd` update records (block, row or None, g); each block's L2 decay is
+`Hyper.decay`'s, which `sgd.apply` reads. The forward phase gives the
+direct score gradients of one step at a time (latent rows of the pair plus
+the embedding kernels). The backward phase runs the e-recursion through the
+recurrence and gives the latent rows of layers m-1 down to 1, then the
 transition/embedding sums over the whole sequence, formed as matmuls over
 the stacked per-layer vectors, as one record per block.
 
@@ -44,7 +45,7 @@ class TrainConfig:
     clip_norm: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.epochs, int) or isinstance(self.epochs, bool):
+        if not numkit.is_int(self.epochs):
             raise ConfigError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
@@ -120,11 +121,8 @@ def sequence_context(params: ModelParams, corpus: Corpus, feats: FeatureStore,
 # objective
 
 def regularization(params: ModelParams, h: Hyper) -> float:
-    r = h.lam_theta * (np.sum(params.X ** 2) + np.sum(params.InMat ** 2)
-                       + np.sum(params.RecMat ** 2))
-    r += h.lam_e * np.sum(params.E ** 2)
-    r += h.lam_v * np.sum(params.V ** 2)
-    return 0.5 * r
+    return 0.5 * sum(h.decay[name] * np.sum(b ** 2)
+                     for name, b in params.blocks())
 
 
 def triple_loglik(params: ModelParams, corpus: Corpus, feats: FeatureStore,
@@ -153,7 +151,7 @@ def bpr_objective(params: ModelParams, corpus: Corpus, feats: FeatureStore,
 # ---------------------------------------------------------------------------
 # forward-direction updates: direct score gradients, one pair step each
 
-def forward_updates(ctx: SeqContext, k: int, h: Hyper) -> list:
+def forward_updates(ctx: SeqContext, k: int) -> list:
     """Pair k's (step t = k + 2) update records: its score gradient g on
     the pair's latent rows (g for the positive, -g for the negative) and
     on the active embedding kernels; the transition matrices are the
@@ -162,11 +160,10 @@ def forward_updates(ctx: SeqContext, k: int, h: Hyper) -> list:
     updates = []
     if "X" in g:
         gx = g["X"][k]
-        updates += [("X", ctx.rows[k + 1], gx, h.lam_theta),
-                    ("X", ctx.neg_rows[k], -gx, h.lam_theta)]
-    for name, lam in (("E", h.lam_e), ("V", h.lam_v)):
+        updates += [("X", ctx.rows[k + 1], gx), ("X", ctx.neg_rows[k], -gx)]
+    for name in ("E", "V"):
         if name in g:
-            updates.append((name, None, g[name][k], lam))
+            updates.append((name, None, g[name][k]))
     return updates
 
 
@@ -203,15 +200,14 @@ def backward_gradients(ctx: SeqContext, params: ModelParams,
     rows = ctx.rows[:-1]
     updates = []
     if h.mask.latent:
-        updates += [("X", idx, gx, h.lam_theta) for idx, gx
+        updates += [("X", idx, gx) for idx, gx
                     in zip(rows[::-1], back[::-1, sl["latent"]])]
-    updates += [("InMat", None, e.T @ ctx.inputs[:-1], h.lam_theta),
-                ("RecMat", None, e.T @ ctx.states[:-2], h.lam_theta)]
-    for name, on, key, mat, lam in (
-            ("E", h.mask.visual, "visual", feats.visual_mat, h.lam_e),
-            ("V", h.mask.textual, "textual", feats.textual_mat, h.lam_v)):
+    updates += [("InMat", None, e.T @ ctx.inputs[:-1]),
+                ("RecMat", None, e.T @ ctx.states[:-2])]
+    for name, on, key, mat in (("E", h.mask.visual, "visual", feats.visual_mat),
+                               ("V", h.mask.textual, "textual", feats.textual_mat)):
         if on:
-            updates.append((name, None, back[:, sl[key]].T @ mat[rows], lam))
+            updates.append((name, None, back[:, sl[key]].T @ mat[rows]))
     return updates
 
 
@@ -224,7 +220,7 @@ def sequence_updates(ctx: SeqContext, params: ModelParams, feats: FeatureStore,
     in step order, then `backward_gradients`. The backward records read
     InMat and RecMat, which no forward record writes, so they are the same
     whether formed before or after the forward records are applied."""
-    updates = [r for k in range(ctx.m - 1) for r in forward_updates(ctx, k, h)]
+    updates = [r for k in range(ctx.m - 1) for r in forward_updates(ctx, k)]
     return updates + backward_gradients(ctx, params, feats, h)
 
 
@@ -260,7 +256,7 @@ def train(corpus: Corpus, feats: FeatureStore, h: Hyper, cfg: TrainConfig,
         yield (float(np.sum(numkit.log_sigmoid(ctx.scores))), len(ctx.scores),
                sequence_updates(ctx, params, feats, h))
 
-    return sgd.run_epochs(corpus, cfg, h.alpha,
+    return sgd.run_epochs(corpus, cfg, h,
                           lambda rng: init_params(h, corpus.n_items, rng),
                           visit, log)
 
@@ -287,8 +283,7 @@ def tiny_fixture(h: Hyper, rng: np.random.Generator, n_items: int = 6,
     return corpus, feats, {"u0": neg_rows}
 
 
-def grad_check(h: Hyper, rng: np.random.Generator, perturb=None,
-               fd_step: float = 1e-5) -> dict:
+def grad_check(h: Hyper, rng: np.random.Generator, perturb=None) -> dict:
     """Analytic per-sequence gradient vs central finite differences of the
     triple log-likelihood, every entry of every active block. Returns
     {block: max relative error}. `perturb` mutates the analytic gradients
@@ -300,4 +295,4 @@ def grad_check(h: Hyper, rng: np.random.Generator, perturb=None,
         perturb(grads)
     return numkit.fd_check(
         dict(params.blocks()),
-        lambda: triple_loglik(params, corpus, feats, h, negatives), grads, fd_step)
+        lambda: triple_loglik(params, corpus, feats, h, negatives), grads)

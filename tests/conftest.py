@@ -37,7 +37,7 @@ def toy_corpus():
 def toy_feats(toy_corpus):
     rng = np.random.default_rng(3)
     vis = FeatureTable(2, {it: rng.uniform(*VISUAL_RANGE, 2)
-                           for it in toy_corpus.items}, *VISUAL_RANGE)
+                           for it in toy_corpus.items})
     tex = FeatureTable(2, {it: rng.uniform(*TEXTUAL_RANGE, 2)
-                           for it in toy_corpus.items}, *TEXTUAL_RANGE)
+                           for it in toy_corpus.items})
     return build_feature_store(toy_corpus, vis, tex)

@@ -209,8 +209,9 @@ def objective_gain(corpus, feats, seed):
         for u, neg_rows in frozen.items():
             ctx = sequence_context(params, corpus, feats, h, u, neg_rows)
             for k in range(len(neg_rows)):
-                sgd.apply(blocks, forward_updates(ctx, k, h), h.alpha)
-            sgd.apply(blocks, backward_gradients(ctx, params, feats, h), h.alpha)
+                sgd.apply(blocks, forward_updates(ctx, k), h.alpha, h.decay)
+            sgd.apply(blocks, backward_gradients(ctx, params, feats, h), h.alpha,
+                      h.decay)
     return bpr_objective(params, corpus, feats, h, frozen) - before
 
 

@@ -167,7 +167,7 @@ def test_load_features_dim_mismatch(tmp_path):
 
 
 def test_feature_store_missing_items(toy_corpus):
-    vis = FeatureTable(2, {"i1": np.array([0.1, 0.2])}, *VISUAL_RANGE)
+    vis = FeatureTable(2, {"i1": np.array([0.1, 0.2])})
     store = build_feature_store(toy_corpus, vis, empty_table())
     assert store.missing_visual == [it for it in toy_corpus.items if it != "i1"]
     row = toy_corpus.item_index
@@ -212,9 +212,6 @@ def test_synth_spec_validation():
     with pytest.raises(ConfigError, match="clusters"):
         SynthSpec(users=2, items=4, clusters=5, seq_len=3,
                   f_dim_visual=1, f_dim_textual=1, noise_sigma=0.1, seed=0)
-    with pytest.raises(ConfigError, match="head_boost"):
-        SynthSpec(users=2, items=8, clusters=2, seq_len=3, f_dim_visual=1,
-                  f_dim_textual=1, noise_sigma=0.1, seed=0, head_boost=1.5)
 
 
 def test_synth_spec_from_json_rejects_unknown():
@@ -234,13 +231,6 @@ def test_synth_ids_and_pools():
     common, cold = pools[0]
     assert cold == []  # cold_fraction defaults to 0
     assert len(common) == 10
-
-
-def test_transition_matrix_rows():
-    tm = SPEC.transition_matrix()
-    assert tm.shape == (4, 4)
-    assert np.allclose(tm.sum(axis=1), 1.0)
-    assert np.allclose(np.diag(tm), SPEC.self_prob)
 
 
 def test_synth_raw_deterministic_and_in_range():

@@ -52,3 +52,12 @@ def test_fd_check_quadratic():
     assert report["W"] < 1e-8
     assert np.array_equal(w, before)  # every perturbed entry restored
     assert numkit.fd_check({"W": w}, loss, {"W": w + 0.01})["W"] > 1e-3
+
+
+@pytest.mark.parametrize("v, want", [
+    (0, True), (-3, True), (10 ** 400, True),
+    (True, False), (False, False), (1.0, False), (np.int64(1), False),
+    ("1", False), (None, False),
+])
+def test_is_int(v, want):
+    assert numkit.is_int(v) is want

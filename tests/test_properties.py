@@ -267,9 +267,9 @@ SHAPES = {"A": (5, 3), "B": (4, 3), "C": (2, 2)}
 
 @st.composite
 def record_lists(draw):
-    """(records, clip_norm): records over SHAPES, rows drawn from a few so
-    they repeat, whole-block records interleaved with row records of the
-    same and other blocks, lam per record."""
+    """(records, decay, clip_norm): records over SHAPES, rows drawn from a
+    few so they repeat, whole-block records interleaved with row records of
+    the same and other blocks, and a decay map with a lam per block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     records = []
     for _ in range(draw(st.integers(0, 30))):
@@ -278,22 +278,24 @@ def record_lists(draw):
         whole = name == "C" or draw(st.integers(0, 4)) == 0
         row = None if whole else draw(st.integers(0, rows - 1))
         g = rng.normal(size=SHAPES[name] if whole else width)
-        records.append((name, row, g, draw(st.sampled_from([0.0, 0.01, 0.3]))))
-    return records, draw(st.sampled_from([None, 0.05, 1.5]))
+        records.append((name, row, g))
+    decay = {name: draw(st.sampled_from([0.0, 0.01, 0.3]))
+             for name in sorted(SHAPES)}
+    return records, decay, draw(st.sampled_from([None, 0.05, 1.5]))
 
 
 @FUZZ
 @given(case=record_lists(), seed=st.integers(0, 2**32 - 1))
 def test_apply_matches_ascend_loop(case, seed):
-    records, clip = case
+    records, decay, clip = case
     rng = np.random.default_rng(seed)
     start = {name: rng.normal(size=shape) for name, shape in SHAPES.items()}
     got = {name: b.copy() for name, b in start.items()}
     want = {name: b.copy() for name, b in start.items()}
-    sgd.apply(got, records, 0.2, clip)
-    for name, row, g, lam in records:
-        sgd.ascend(want[name] if row is None else want[name][row], g, 0.2, lam,
-                   clip)
+    sgd.apply(got, records, 0.2, decay, clip)
+    for name, row, g in records:
+        sgd.ascend(want[name] if row is None else want[name][row], g, 0.2,
+                   decay[name], clip)
     for name in SHAPES:
         assert np.array_equal(got[name], want[name]), name
 

@@ -75,8 +75,8 @@ def test_mf_observation_moves_by_its_summed_records():
     h = Hyper(d=2, mask=Mask.for_kind("mf"), **FREE)
     params = init_bpr_params(h, 2, 3, start_rng())
     before = params.copy()
-    _, updates = mf_obs_grads(params, h, 1, 2, 1.0)
-    sgd.apply(dict(params.blocks()), updates, h.alpha)
+    _, updates = mf_obs_grads(params, 1, 2, 1.0)
+    sgd.apply(dict(params.blocks()), updates, h.alpha, h.decay)
     assert_moved_by(params, before, h.alpha, sgd.gradient(before, updates))
 
 
@@ -88,12 +88,12 @@ DECAY = dict(alpha=0.5, lam_theta=0.01, lam_e=0.03, lam_v=0.07)
 
 def naive_step(params, records, h):
     """A copy of params after theta += alpha * (g - lam * theta) for each
-    record in order, lam chosen by block name, not read from the record."""
+    record in order, lam chosen by block name here, not by `Hyper.decay`."""
     lam = {"X": h.lam_theta, "Gamma": h.lam_theta, "InMat": h.lam_theta,
            "RecMat": h.lam_theta, "E": h.lam_e, "V": h.lam_v}
     out = params.copy()
     blocks = dict(out.blocks())
-    for name, row, g, _ in records:
+    for name, row, g in records:
         theta = blocks[name] if row is None else blocks[name][row]
         theta += h.alpha * (g - lam[name] * theta)
     return out
@@ -126,9 +126,9 @@ def test_bpr_triple_decays_each_block_by_its_regularizer():
 def test_mf_observation_decays_each_block_by_its_regularizer():
     h = Hyper(d=2, mask=Mask.for_kind("mf"), **DECAY)
     params = init_bpr_params(h, 2, 3, start_rng())
-    _, records = mf_obs_grads(params, h, 1, 2, 1.0)
+    _, records = mf_obs_grads(params, 1, 2, 1.0)
     want = naive_step(params, records, h)
-    sgd.apply(dict(params.blocks()), records, h.alpha)
+    sgd.apply(dict(params.blocks()), records, h.alpha, h.decay)
     assert_same(params, want)
 
 

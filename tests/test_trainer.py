@@ -117,7 +117,7 @@ def test_forward_updates_touch_only_their_blocks():
     ctx = sequence_context(params, corpus, feats, h, "u0", negatives["u0"])
     k = 0   # step t = 2
     before = params.copy()
-    sgd.apply(dict(params.blocks()), forward_updates(ctx, k, h), h.alpha)
+    sgd.apply(dict(params.blocks()), forward_updates(ctx, k), h.alpha, h.decay)
     ip, iq = corpus.train_rows["u0"][k + 1], negatives["u0"][k]
     a, lam = h.alpha, h.lam_theta
     c, h_x = ctx.c[k], ctx.states[k + 1][h.slices["latent"]]
@@ -158,7 +158,7 @@ def test_backward_short_sequence_has_no_updates():
     before = params.copy()
     updates = backward_gradients(ctx, params, feats, h)
     assert updates == []
-    sgd.apply(dict(params.blocks()), updates, h.alpha)
+    sgd.apply(dict(params.blocks()), updates, h.alpha, h.decay)
     for (_, a), (_, b) in zip(params.blocks(), before.blocks()):
         assert np.array_equal(a, b)
 
@@ -260,7 +260,8 @@ def test_clip_norm_bounds_forward_step():
     ctx = sequence_context(params, corpus, feats, h, "u0", negatives["u0"])
     before = params.copy()
     clip = 1e-6
-    sgd.apply(dict(params.blocks()), forward_updates(ctx, 0, h), h.alpha, clip)
+    sgd.apply(dict(params.blocks()), forward_updates(ctx, 0), h.alpha, h.decay,
+              clip)
     ip = corpus.train_rows["u0"][1]
     moved = float(np.linalg.norm(params.X[ip] - before.X[ip]))
     assert moved <= clip * (1.0 + 1e-12)
