@@ -9,7 +9,10 @@ the user's row of states that `model.final_states` computed for every user
 when the ranker was built.
 
 The trainable kinds share one epoch loop, `sgd.run_epochs`; mf and the
-BPR family supply their per-user steps here. Users and items are rows
+BPR family supply their per-user steps here. Their parameters are one
+{block name: array} dict, the per-user rows "Gamma" plus the item blocks
+"X", "E" and "V" of `model.init_item_blocks`, so the representation
+helpers in `model` read both model families. Users and items are rows
 (`corpus.user_index`, `corpus.train_rows` and the rows the sampler draws).
 A BPR triple (user row, positive row, negative row) has its score formed in
 `bpr_pair_score` and its update records (block, row or None, g; see `sgd`)
@@ -21,7 +24,7 @@ decays of `Hyper.decay`; the gradient checks sum the same records with
 """
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -68,34 +71,16 @@ class PopRanker:
 # embedding-dot rankers: BPR family and pointwise MF share the score form
 # dot(gamma_u, item representation)
 
-@dataclass
-class BprParams:
-    """Free per-user vector plus the item-representation blocks. The X/E/V
-    attribute names match ModelParams so the representation helpers in
-    `model` work on both."""
-
-    gamma: np.ndarray    # (n_users, D)
-    X: np.ndarray        # (n_items, d)
-    E: np.ndarray        # (d, f_v)
-    V: np.ndarray        # (d, f_t)
-
-    def copy(self) -> "BprParams":
-        return BprParams(self.gamma.copy(), self.X.copy(),
-                         self.E.copy(), self.V.copy())
-
-    def blocks(self) -> list:
-        return [("Gamma", self.gamma), ("X", self.X), ("E", self.E),
-                ("V", self.V)]
-
-
 def init_bpr_params(h: Hyper, n_users: int, n_items: int,
-                    rng: np.random.Generator) -> BprParams:
+                    rng: np.random.Generator) -> dict:
+    """{"Gamma": (n_users, D) per-user vectors, then the item blocks of
+    `model.init_item_blocks`}, drawn in that order."""
     gamma = rng.uniform(h.init_lo, h.init_hi, (n_users, h.D))
-    return BprParams(gamma, *model.init_item_blocks(h, n_items, rng))
+    return {"Gamma": gamma, **model.init_item_blocks(h, n_items, rng)}
 
 
 class EmbedRanker:
-    def __init__(self, kind: str, params: BprParams, corpus: Corpus,
+    def __init__(self, kind: str, params: dict, corpus: Corpus,
                  feats: FeatureStore, h: Hyper):
         self.kind = kind
         self.params = params
@@ -104,7 +89,7 @@ class EmbedRanker:
         self.rep = model.item_rep_matrix(params, feats, h)
 
     def rank(self, u: str) -> list:
-        gamma_u = self.params.gamma[self.corpus.user_index[u]]
+        gamma_u = self.params["Gamma"][self.corpus.user_index[u]]
         return order_candidates(self.rep @ gamma_u, self.corpus, u)
 
 
@@ -113,7 +98,7 @@ class RecurrentRanker:
     the user's final training state; every user's state comes from one
     batched `model.final_states` pass."""
 
-    def __init__(self, kind: str, params: model.ModelParams, corpus: Corpus,
+    def __init__(self, kind: str, params: dict, corpus: Corpus,
                  feats: FeatureStore, h: Hyper):
         self.kind = kind
         self.params = params
@@ -134,23 +119,23 @@ class RecurrentRanker:
 # ---------------------------------------------------------------------------
 # BPR training over the masked item representation
 
-def bpr_pair_score(params: BprParams, feats: FeatureStore, h: Hyper, uj: int,
+def bpr_pair_score(params: dict, feats: FeatureStore, h: Hyper, uj: int,
                    ip: int, iq: int) -> tuple:
     """(xhat, rep_p - rep_q) of user row uj's triple over item rows ip and
     iq, xhat = dot(gamma_u, rep_p - rep_q)."""
     diff = (model.item_rep_matrix(params, feats, h, ip)
             - model.item_rep_matrix(params, feats, h, iq))
-    return float(params.gamma[uj] @ diff), diff
+    return float(params["Gamma"][uj] @ diff), diff
 
 
-def bpr_pair_grads(params: BprParams, feats: FeatureStore, h: Hyper, uj: int,
+def bpr_pair_grads(params: dict, feats: FeatureStore, h: Hyper, uj: int,
                    ip: int, iq: int) -> tuple:
     """(xhat, updates) of one triple: `bpr_pair_score` and the update
     records of ln sigma(xhat): user row uj's, latent rows ip and iq
     (opposite signs), and the active "E"/"V" kernels, which move by rank-1
     feature-difference terms."""
     xhat, diff = bpr_pair_score(params, feats, h, uj, ip, iq)
-    gamma_u = params.gamma[uj]
+    gamma_u = params["Gamma"][uj]
     c = numkit.sigmoid(-xhat)
     sl = h.slices
     updates = [("Gamma", uj, c * diff)]
@@ -168,7 +153,7 @@ def bpr_pair_grads(params: BprParams, feats: FeatureStore, h: Hyper, uj: int,
 
 
 def train_content_bpr(corpus: Corpus, feats: FeatureStore, h: Hyper,
-                      cfg: trainer.TrainConfig, log=None) -> BprParams:
+                      cfg: trainer.TrainConfig, log=None) -> dict:
     """Pairwise ascent on dot(gamma_u, rep_p - rep_q), one `bpr_pair_grads`
     step per sampled triple, over `sgd.run_epochs`."""
 
@@ -188,7 +173,7 @@ def train_content_bpr(corpus: Corpus, feats: FeatureStore, h: Hyper,
         visit, log)
 
 
-def bpr_triple_loglik(params: BprParams, feats: FeatureStore, h: Hyper,
+def bpr_triple_loglik(params: dict, feats: FeatureStore, h: Hyper,
                       triples: list) -> float:
     """Sum of ln sigma(xhat) over (user row, positive row, negative row)."""
     total = 0.0
@@ -208,15 +193,14 @@ def bpr_grad_check(h: Hyper, rng: np.random.Generator) -> dict:
     grads = sgd.gradient(params, [r for uj, ip, iq in triples for r in
                                   bpr_pair_grads(params, feats, h, uj, ip, iq)[1]])
     return numkit.fd_check(
-        dict(params.blocks()),
-        lambda: bpr_triple_loglik(params, feats, h, triples), grads)
+        params, lambda: bpr_triple_loglik(params, feats, h, triples), grads)
 
 
 # ---------------------------------------------------------------------------
 # pointwise matrix factorization
 
 def train_mf(corpus: Corpus, h: Hyper, cfg: trainer.TrainConfig,
-             log=None) -> BprParams:
+             log=None) -> dict:
     """Squared-error factorization on implicit data: every training
     interaction is a target-1 observation paired with one sampled
     target-0 negative. The logged objective is the mean squared error."""
@@ -237,11 +221,11 @@ def train_mf(corpus: Corpus, h: Hyper, cfg: trainer.TrainConfig,
         visit, log)
 
 
-def mf_obs_grads(params: BprParams, uj: int, ij: int, target: float) -> tuple:
+def mf_obs_grads(params: dict, uj: int, ij: int, target: float) -> tuple:
     """(err, updates) of one observation: err = target - dot(gamma_u, x_i)
     and the update records of -0.5 * err^2 for user row uj and item row
     ij."""
-    gamma_u, x_i = params.gamma[uj], params.X[ij]
+    gamma_u, x_i = params["Gamma"][uj], params["X"][ij]
     err = target - float(gamma_u @ x_i)
     return err, [("Gamma", uj, err * x_i), ("X", ij, err * gamma_u)]
 
@@ -262,7 +246,7 @@ def mf_grad_check(h: Hyper, rng: np.random.Generator) -> dict:
             total -= 0.5 * err * err
         return total
 
-    return numkit.fd_check(dict(params.blocks()), objective, grads)
+    return numkit.fd_check(params, objective, grads)
 
 
 # ---------------------------------------------------------------------------

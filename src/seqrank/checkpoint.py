@@ -1,9 +1,9 @@
 """Binary checkpoint format shared by every ranker kind.
 
 Layout: 8-byte magic "SEQRANK1", uint32 little-endian header length, JSON
-header (kind, dims, slice mask, item table, user table where applicable,
-block names and shapes), then the parameter blocks as little-endian float64
-in row-major order. Round trips are bit-exact.
+header (kind, dims, slice mask, item table, the user table of mf and the
+BPR family, block names and shapes), then the parameter blocks as
+little-endian float64 in row-major order. Round trips are bit-exact.
 """
 
 import json
@@ -20,7 +20,7 @@ MAGIC = b"SEQRANK1"
 
 
 def _ranker_payload(ranker) -> tuple:
-    """(header dict sans blocks, ordered [(name, array), ...])."""
+    """(header dict sans blocks, (name, array) pairs in block order)."""
     kind = ranker.kind
     header = {"kind": kind, "items": list(ranker.corpus.items)}
     if kind == "random":
@@ -34,7 +34,7 @@ def _ranker_payload(ranker) -> tuple:
                    "hyper": {k: getattr(h, k) for k in model.HYPER_REALS}})
     if isinstance(ranker, baselines.EmbedRanker):
         header["users"] = list(ranker.corpus.users)
-    return header, ranker.params.blocks()
+    return header, ranker.params.items()
 
 
 def save_ranker(path, ranker) -> None:
@@ -79,6 +79,8 @@ def _check_header(path, header) -> None:
     elif kind != "pop":
         need.update(d=_is_int, f_v=_is_int, f_t=_is_int,
                     mask=lambda v: _is_names(v, model.SLICE_NAMES))
+    if kind in model.MASK_BY_KIND and kind not in model.RECURRENT_KINDS:
+        need["users"] = _is_names  # Gamma's rows follow the user table
     for key, ok in need.items():
         if key not in header:
             raise CheckpointError(f"{path}: header lacks {key!r}")
@@ -158,11 +160,11 @@ def _hyper_from_header(path, header, feats) -> Hyper:
     return h
 
 
-def _expect_blocks(path, blocks, names, shapes) -> None:
-    if sorted(blocks) != sorted(names):
+def _expect_blocks(path, blocks, shapes) -> None:
+    if sorted(blocks) != sorted(shapes):
         raise CheckpointError(f"{path}: blocks {sorted(blocks)}, "
-                              f"expected {sorted(names)}")
-    for n in names:
+                              f"expected {sorted(shapes)}")
+    for n in shapes:
         if blocks[n].shape != shapes[n]:
             raise CheckpointError(f"{path}: block {n} has shape "
                                   f"{blocks[n].shape}, expected {shapes[n]}")
@@ -177,20 +179,16 @@ def load_ranker(path, corpus, feats):
     if kind == "random":
         return baselines.RandomRanker(corpus, int(header["seed"]))
     if kind == "pop":
-        _expect_blocks(path, blocks, ["counts"], {"counts": (corpus.n_items,)})
+        _expect_blocks(path, blocks, {"counts": (corpus.n_items,)})
         return baselines.PopRanker(corpus, counts=blocks["counts"])
     h = _hyper_from_header(path, header, feats)
     n, d = corpus.n_items, h.d
     if kind in model.RECURRENT_KINDS:
         shapes = {"X": (n, d), "E": (d, h.f_v), "V": (d, h.f_t),
                   "InMat": (h.D, h.D), "RecMat": (h.D, h.D)}
-        _expect_blocks(path, blocks, list(shapes), shapes)
-        params = model.ModelParams(blocks["X"], blocks["E"], blocks["V"],
-                                   blocks["InMat"], blocks["RecMat"])
-        return baselines.RecurrentRanker(kind, params, corpus, feats, h)
+        _expect_blocks(path, blocks, shapes)
+        return baselines.RecurrentRanker(kind, blocks, corpus, feats, h)
     shapes = {"Gamma": (len(corpus.users), h.D), "X": (n, d),
               "E": (d, h.f_v), "V": (d, h.f_t)}
-    _expect_blocks(path, blocks, list(shapes), shapes)
-    params = baselines.BprParams(blocks["Gamma"], blocks["X"],
-                                 blocks["E"], blocks["V"])
-    return baselines.EmbedRanker(kind, params, corpus, feats, h)
+    _expect_blocks(path, blocks, shapes)
+    return baselines.EmbedRanker(kind, blocks, corpus, feats, h)

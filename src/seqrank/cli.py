@@ -178,11 +178,11 @@ def build_data(cfg: dict):
     corpus = dataio.load_corpus(data["sequences"], data["min_len"],
                                 data["split_frac"])
     if data["visual"] is not None:
-        vis = dataio.load_features(data["visual"], None, *dataio.VISUAL_RANGE)
+        vis = dataio.load_features(data["visual"], *dataio.VISUAL_RANGE)
     else:
         vis = dataio.empty_table()
     if data["textual"] is not None:
-        tex = dataio.load_features(data["textual"], None, *dataio.TEXTUAL_RANGE)
+        tex = dataio.load_features(data["textual"], *dataio.TEXTUAL_RANGE)
     else:
         tex = dataio.empty_table()
     feats = dataio.build_feature_store(corpus, vis, tex)

@@ -84,8 +84,7 @@ def parse_sequence_file(path) -> dict:
     return raw
 
 
-def build_corpus(raw_seqs: dict, min_len: int, split_frac: float,
-                 filter_test: bool = True) -> Corpus:
+def build_corpus(raw_seqs: dict, min_len: int, split_frac: float) -> Corpus:
     """Apply the filtering/split protocol to already-parsed sequences."""
     if not 0.0 < split_frac < 1.0:
         raise ConfigError(f"split_frac must be in (0,1), got {split_frac}")
@@ -103,8 +102,8 @@ def build_corpus(raw_seqs: dict, min_len: int, split_frac: float,
         item_set.update(seq)
     if not users:
         raise EmptyCorpusError(f"no user has >= {min_len} interactions")
-    corpus = Corpus(tuple(users), tuple(sorted(item_set)), train_seq, test_seq)
-    return filter_test_new_items(corpus) if filter_test else corpus
+    return filter_test_new_items(
+        Corpus(tuple(users), tuple(sorted(item_set)), train_seq, test_seq))
 
 
 def load_corpus(seq_path, min_len: int = 2, split_frac: float = 0.9) -> Corpus:
@@ -149,7 +148,7 @@ def normalize_minmax(matrix: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return out
 
 
-def load_features(path, expect_dim: int | None, lo: float, hi: float) -> FeatureTable:
+def load_features(path, lo: float, hi: float) -> FeatureTable:
     """Parse a `#dims F` header plus `item<TAB>f1 f2 ...` rows, then min-max
     normalize each dimension onto [lo, hi] over all items in the file."""
     ids, rows, linenos, seen = [], [], [], set()
@@ -163,8 +162,6 @@ def load_features(path, expect_dim: int | None, lo: float, hi: float) -> Feature
         dim = None
     if dim is None:
         raise ParseError(f"{path}:1: expected '#dims <F>' header")
-    if expect_dim is not None and dim != expect_dim:
-        raise ParseError(f"{path}:1: header dims {dim} != expected {expect_dim}")
     for lineno, line in lines:
         if not line:
             continue

@@ -6,10 +6,12 @@ feature vector. A sigmoid recurrence folds the user's training sequence into
 a hidden state; preferences are dot products between that state and item
 representations.
 
-Everything is a plain float64 array: a sequence's item representations are
-gathered as one (m, D) matrix, `hidden_states` runs the recurrence over it
-with InMat i_t precomputed for all t, and `Hyper.slices` holds the slice
-offsets, computed once. Training runs `hidden_states` per sequence; ranking
+Everything is a plain float64 array, and a model is its named blocks: one
+{block name: array} dict, "X", "E", "V", "InMat" and "RecMat" from
+`init_params`. A sequence's item representations are gathered as one
+(m, D) matrix, `hidden_states` runs the recurrence over it with InMat i_t
+precomputed for all t, and `Hyper.slices` holds the slice offsets,
+computed once. Training runs `hidden_states` per sequence; ranking
 takes every user's final state from `final_states`, one padded (U, D)
 recurrence over all users at once (there is no per-user ranking pass), and
 `order_candidates` turns a score vector into a ranking with array
@@ -143,42 +145,27 @@ class Hyper:
 HYPER_REALS = tuple(f.name for f in fields(Hyper) if f.type is float)
 
 
-@dataclass
-class ModelParams:
-    X: np.ndarray        # (n_items, d) latent item features
-    E: np.ndarray        # (d, f_v) visual embedding kernel
-    V: np.ndarray        # (d, f_t) textual embedding kernel
-    InMat: np.ndarray    # (D, D) input transition
-    RecMat: np.ndarray   # (D, D) recurrent transition
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.X.copy(), self.E.copy(), self.V.copy(),
-                           self.InMat.copy(), self.RecMat.copy())
-
-    def blocks(self) -> list:
-        return [("X", self.X), ("E", self.E), ("V", self.V),
-                ("InMat", self.InMat), ("RecMat", self.RecMat)]
-
-
-def init_item_blocks(h: Hyper, n_items: int, rng: np.random.Generator) -> tuple:
-    """(X, E, V): uniform [init_lo, init_hi] draws in that order. Inactive
-    embedding blocks stay zero and consume no randomness."""
+def init_item_blocks(h: Hyper, n_items: int, rng: np.random.Generator) -> dict:
+    """{"X": (n_items, d) latent rows, "E": (d, f_v) visual kernel, "V":
+    (d, f_t) textual kernel}: uniform [init_lo, init_hi] draws in that
+    order. Inactive embedding blocks stay zero and consume no randomness."""
     lo, hi = h.init_lo, h.init_hi
     X = rng.uniform(lo, hi, (n_items, h.d))
     E = (rng.uniform(lo, hi, (h.d, h.f_v)) if h.mask.visual
          else np.zeros((h.d, h.f_v)))
     V = (rng.uniform(lo, hi, (h.d, h.f_t)) if h.mask.textual
          else np.zeros((h.d, h.f_t)))
-    return X, E, V
+    return {"X": X, "E": E, "V": V}
 
 
-def init_params(h: Hyper, n_items: int, rng: np.random.Generator) -> ModelParams:
-    """The item blocks, then InMat and RecMat, so masked variants share the
-    X/InMat/RecMat stream."""
-    X, E, V = init_item_blocks(h, n_items, rng)
-    InMat = rng.uniform(h.init_lo, h.init_hi, (h.D, h.D))
-    RecMat = rng.uniform(h.init_lo, h.init_hi, (h.D, h.D))
-    return ModelParams(X, E, V, InMat, RecMat)
+def init_params(h: Hyper, n_items: int, rng: np.random.Generator) -> dict:
+    """The recurrent model's blocks: the item blocks, then the (D, D) input
+    and recurrent transitions "InMat" and "RecMat", drawn in that order so
+    masked variants share the X/InMat/RecMat stream."""
+    params = init_item_blocks(h, n_items, rng)
+    params["InMat"] = rng.uniform(h.init_lo, h.init_hi, (h.D, h.D))
+    params["RecMat"] = rng.uniform(h.init_lo, h.init_hi, (h.D, h.D))
+    return params
 
 
 def step_hidden(prev: np.ndarray, pre_in: np.ndarray,
@@ -187,16 +174,17 @@ def step_hidden(prev: np.ndarray, pre_in: np.ndarray,
     return numkit.sigmoid_arr(pre_in + RecMat @ prev)
 
 
-def hidden_states(inputs: np.ndarray, params: ModelParams) -> np.ndarray:
+def hidden_states(inputs: np.ndarray, params: dict) -> np.ndarray:
     """States h_0..h_m (rows) for the input rows i_1..i_m; h_0 is zero."""
-    pre_in = inputs @ params.InMat.T
-    states = np.zeros((len(inputs) + 1, params.RecMat.shape[0]))
+    rec = params["RecMat"]
+    pre_in = inputs @ params["InMat"].T
+    states = np.zeros((len(inputs) + 1, rec.shape[0]))
     for t, pre in enumerate(pre_in):
-        states[t + 1] = step_hidden(states[t], pre, params.RecMat)
+        states[t + 1] = step_hidden(states[t], pre, rec)
     return states
 
 
-def final_states(params: ModelParams, feats, corpus, h: Hyper) -> np.ndarray:
+def final_states(params: dict, feats, corpus, h: Hyper) -> np.ndarray:
     """(U, D) final training state of every user, rows in `corpus.users`
     order: the recurrence of `hidden_states` run over all users at once.
     Step t advances only the users whose sequence is longer than t and
@@ -208,10 +196,11 @@ def final_states(params: ModelParams, feats, corpus, h: Hyper) -> np.ndarray:
     for j, seq in enumerate(seqs):
         rows[j, :len(seq)] = seq
     states = np.zeros((len(seqs), h.D))
+    in_t, rec_t = params["InMat"].T, params["RecMat"].T
     for t in range(rows.shape[1]):
         live = np.flatnonzero(lengths > t)
-        pre_in = item_rep_matrix(params, feats, h, rows[live, t]) @ params.InMat.T
-        states[live] = numkit.sigmoid_arr(pre_in + states[live] @ params.RecMat.T)
+        pre_in = item_rep_matrix(params, feats, h, rows[live, t]) @ in_t
+        states[live] = numkit.sigmoid_arr(pre_in + states[live] @ rec_t)
     return states
 
 
@@ -222,20 +211,20 @@ def score_pair(prev: np.ndarray, p_inp: np.ndarray, q_inp: np.ndarray):
             - np.einsum("...i,...i->...", prev, q_inp))
 
 
-def item_rep_matrix(params, feats, h: Hyper, rows=None) -> np.ndarray:
+def item_rep_matrix(params: dict, feats, h: Hyper, rows=None) -> np.ndarray:
     """Item representations [x; E f; V g] over the active slices: every
     item stacked (n, D) in item-id order, the given item rows stacked in
     their order, or one row's (D,) vector when `rows` is an int."""
-    X, F, G = params.X, feats.visual_mat, feats.textual_mat
+    X, F, G = params["X"], feats.visual_mat, feats.textual_mat
     if rows is not None:
         X, F, G = X[rows], F[rows], G[rows]
     parts = []
     if h.mask.latent:
         parts.append(X)
     if h.mask.visual:
-        parts.append(F @ params.E.T)
+        parts.append(F @ params["E"].T)
     if h.mask.textual:
-        parts.append(G @ params.V.T)
+        parts.append(G @ params["V"].T)
     return np.concatenate(parts, axis=-1)
 
 

@@ -13,8 +13,8 @@ ascent direction g of one row of the block, or of the whole block when row
 is None. Training runs the list through `apply`, whose one update rule is
 `ascend`: theta += alpha * (clip(g) - lam * theta), with lam the block's
 L2 decay from `Hyper.decay`. The gradient checks sum the same lists with
-`gradient`. `run_epochs` builds the {name: array} map `apply` reads once
-per run.
+`gradient`. Parameters are the {block name: array} dict that `init`
+returns; `apply` updates its arrays in place.
 
 A step's list is formed in full before `apply` runs it, and this relies on
 one invariant of every step: no record's g reads a parameter entry that
@@ -47,13 +47,12 @@ def apply(blocks: dict, updates, alpha: float, decay: dict,
         ascend(theta, g, alpha, decay[name], clip_norm)
 
 
-def gradient(params, updates) -> dict:
+def gradient(params: dict, updates) -> dict:
     """{block name: its records' g summed into a full-shape array}, for
     the blocks `updates` touch."""
-    blocks = dict(params.blocks())
     grads = {}
     for name, row, g in updates:
-        total = grads.setdefault(name, np.zeros_like(blocks[name]))
+        total = grads.setdefault(name, np.zeros_like(params[name]))
         if row is None:
             total += g
         else:
@@ -61,8 +60,8 @@ def gradient(params, updates) -> dict:
     return grads
 
 
-def param_norm(params) -> float:
-    return float(np.sqrt(sum(np.sum(b ** 2) for _, b in params.blocks())))
+def param_norm(params: dict) -> float:
+    return float(np.sqrt(sum(np.sum(b ** 2) for b in params.values())))
 
 
 def run_epochs(corpus, cfg, h, init, visit, log=None):
@@ -72,7 +71,6 @@ def run_epochs(corpus, cfg, h, init, visit, log=None):
     objective<TAB>parameter norm". Raises DivergenceError at the first user
     whose updates leave a non-finite parameter."""
     params = init(np.random.default_rng([cfg.seed, 0]))
-    blocks = dict(params.blocks())
     rng = np.random.default_rng([cfg.seed, 1])
     for epoch in range(1, cfg.epochs + 1):
         users = list(corpus.users)
@@ -83,8 +81,8 @@ def run_epochs(corpus, cfg, h, init, visit, log=None):
             for term, count, updates in visit(params, u, rng):
                 total += term
                 n += count
-                apply(blocks, updates, h.alpha, h.decay, cfg.clip_norm)
-            if not all(np.isfinite(b).all() for b in blocks.values()):
+                apply(params, updates, h.alpha, h.decay, cfg.clip_norm)
+            if not all(np.isfinite(b).all() for b in params.values()):
                 raise DivergenceError(
                     f"non-finite parameters at epoch {epoch}, user {u!r}")
         if log is not None:

@@ -33,8 +33,8 @@ import numpy as np
 from . import numkit, sgd
 from .dataio import Corpus, FeatureStore, sample_triples
 from .errors import ConfigError
-from .model import (Hyper, ModelParams, hidden_states, init_params,
-                    item_rep_matrix, score_pair)
+from .model import (Hyper, hidden_states, init_params, item_rep_matrix,
+                    score_pair)
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class SeqContext:
         return len(self.rows)
 
 
-def sequence_context(params: ModelParams, corpus: Corpus, feats: FeatureStore,
+def sequence_context(params: dict, corpus: Corpus, feats: FeatureStore,
                      h: Hyper, u: str, neg_rows) -> SeqContext:
     """Context of user u's training sequence with the negative rows of
     steps 2..m, one per step."""
@@ -120,12 +120,12 @@ def sequence_context(params: ModelParams, corpus: Corpus, feats: FeatureStore,
 # ---------------------------------------------------------------------------
 # objective
 
-def regularization(params: ModelParams, h: Hyper) -> float:
+def regularization(params: dict, h: Hyper) -> float:
     return 0.5 * sum(h.decay[name] * np.sum(b ** 2)
-                     for name, b in params.blocks())
+                     for name, b in params.items())
 
 
-def triple_loglik(params: ModelParams, corpus: Corpus, feats: FeatureStore,
+def triple_loglik(params: dict, corpus: Corpus, feats: FeatureStore,
                   h: Hyper, negatives: dict) -> float:
     """Sum of ln sigma(score) over the pairs of {user: negative rows of
     steps 2..m}, no penalty term."""
@@ -140,7 +140,7 @@ def triple_loglik(params: ModelParams, corpus: Corpus, feats: FeatureStore,
     return total
 
 
-def bpr_objective(params: ModelParams, corpus: Corpus, feats: FeatureStore,
+def bpr_objective(params: dict, corpus: Corpus, feats: FeatureStore,
                   h: Hyper, negatives: dict) -> float:
     """Maximum-posterior objective: log-likelihood minus the L2 penalty."""
     if not negatives:
@@ -170,7 +170,7 @@ def forward_updates(ctx: SeqContext, k: int) -> list:
 # ---------------------------------------------------------------------------
 # backward phase: propagate through the recurrence, accumulate per block
 
-def backward_steps(ctx: SeqContext, params: ModelParams) -> tuple:
+def backward_steps(ctx: SeqContext, params: dict) -> tuple:
     """e-recursion from layer m-1 down to 1 (layer m never feeds a score:
     the last pair reads h^{m-1}). Returns (gate, e), both (m-1, D) with
     layer t in row t-1: gate is the new score gradient arriving at layer t
@@ -180,13 +180,13 @@ def backward_steps(ctx: SeqContext, params: ModelParams) -> tuple:
     sig_deriv = hvec * (1.0 - hvec)
     gate = (ctx.inputs[1:] - ctx.neg_inputs) * sig_deriv
     e = ctx.c[:, None] * gate
-    rec_t = params.RecMat.T
+    rec_t = params["RecMat"].T
     for r in range(len(e) - 2, -1, -1):
         e[r] = e[r] + (rec_t @ e[r + 1]) * sig_deriv[r]
     return gate, e
 
 
-def backward_gradients(ctx: SeqContext, params: ModelParams,
+def backward_gradients(ctx: SeqContext, params: dict,
                        feats: FeatureStore, h: Hyper) -> list:
     """The backward phase's update records: the latent row of each item
     ctx.rows[:m-1], from layer m-1 down, then the BPTT sums over layers
@@ -195,7 +195,7 @@ def backward_gradients(ctx: SeqContext, params: ModelParams,
     if ctx.m < 2:
         return []
     _, e = backward_steps(ctx, params)
-    back = e @ params.InMat
+    back = e @ params["InMat"]
     sl = h.slices
     rows = ctx.rows[:-1]
     updates = []
@@ -214,7 +214,7 @@ def backward_gradients(ctx: SeqContext, params: ModelParams,
 # ---------------------------------------------------------------------------
 # one sequence's records: both phases, applied as one list
 
-def sequence_updates(ctx: SeqContext, params: ModelParams, feats: FeatureStore,
+def sequence_updates(ctx: SeqContext, params: dict, feats: FeatureStore,
                      h: Hyper) -> list:
     """Every update record of the sequence: `forward_updates` of each pair
     in step order, then `backward_gradients`. The backward records read
@@ -227,7 +227,7 @@ def sequence_updates(ctx: SeqContext, params: ModelParams, feats: FeatureStore,
 # ---------------------------------------------------------------------------
 # total per-sequence gradient (both phases, no step sizes, no penalty)
 
-def sequence_gradients(params: ModelParams, corpus: Corpus, feats: FeatureStore,
+def sequence_gradients(params: dict, corpus: Corpus, feats: FeatureStore,
                        h: Hyper, u: str, neg_rows) -> dict:
     """Exact gradient of sum_t ln sigma(score_t) for user u's sequence
     with its sampled negative rows: `sgd.gradient` of the records that
@@ -241,7 +241,7 @@ def sequence_gradients(params: ModelParams, corpus: Corpus, feats: FeatureStore,
 # training loop
 
 def train(corpus: Corpus, feats: FeatureStore, h: Hyper, cfg: TrainConfig,
-          log=None) -> ModelParams:
+          log=None) -> dict:
     """SGD ascent over users and epochs (`sgd.run_epochs`). Each user's
     negatives are resampled fresh each epoch; the logged objective is the
     mean ln sigma over the epoch's pairs."""
@@ -294,5 +294,5 @@ def grad_check(h: Hyper, rng: np.random.Generator, perturb=None) -> dict:
     if perturb is not None:
         perturb(grads)
     return numkit.fd_check(
-        dict(params.blocks()),
-        lambda: triple_loglik(params, corpus, feats, h, negatives), grads)
+        params, lambda: triple_loglik(params, corpus, feats, h, negatives),
+        grads)

@@ -204,13 +204,12 @@ def objective_gain(corpus, feats, seed):
     rng = np.random.default_rng([seed, 1])
     frozen = {u: sample_triples(corpus, u, rng) for u in corpus.users}
     before = bpr_objective(params, corpus, feats, h, frozen)
-    blocks = dict(params.blocks())
     for _ in range(5):
         for u, neg_rows in frozen.items():
             ctx = sequence_context(params, corpus, feats, h, u, neg_rows)
             for k in range(len(neg_rows)):
-                sgd.apply(blocks, forward_updates(ctx, k), h.alpha, h.decay)
-            sgd.apply(blocks, backward_gradients(ctx, params, feats, h), h.alpha,
+                sgd.apply(params, forward_updates(ctx, k), h.alpha, h.decay)
+            sgd.apply(params, backward_gradients(ctx, params, feats, h), h.alpha,
                       h.decay)
     return bpr_objective(params, corpus, feats, h, frozen) - before
 
@@ -237,8 +236,8 @@ def test_ablation_identities():
                          np.zeros((corpus.n_items, 0)))
     content = baselines.train_content_bpr(
         corpus, empty, Hyper(d=4, mask=Mask.for_kind("bpr")), cfg)
-    for name in ("gamma", "X"):
-        assert np.array_equal(getattr(plain, name), getattr(content, name)), name
+    for name in ("Gamma", "X"):
+        assert np.array_equal(plain[name], content[name]), name
 
     # (b) the unbounded frequency bin reproduces plain recall exactly
     k = 10

@@ -55,9 +55,9 @@ def test_pop_ranker_counts(toy_corpus):
 def test_init_bpr_params_shapes():
     h = Hyper(d=3, f_v=2, f_t=2, mask=Mask(latent=True, visual=True))
     p = init_bpr_params(h, 5, 7, np.random.default_rng(0))
-    assert p.gamma.shape == (5, 6)   # D = 2 active slices * d
-    assert p.X.shape == (7, 3)
-    assert p.E.any() and not p.V.any()
+    assert p["Gamma"].shape == (5, 6)   # D = 2 active slices * d
+    assert p["X"].shape == (7, 3)
+    assert p["E"].any() and not p["V"].any()
 
 
 def test_embed_ranker_scores(toy_corpus, toy_feats):
@@ -66,7 +66,7 @@ def test_embed_ranker_scores(toy_corpus, toy_feats):
                              np.random.default_rng(2))
     r = EmbedRanker("vtbpr", params, toy_corpus, toy_feats, h)
     ranked = r.rank("carol")
-    gamma = params.gamma[list(toy_corpus.users).index("carol")]
+    gamma = params["Gamma"][list(toy_corpus.users).index("carol")]
     for it, score in ranked:
         rep_row = model.item_rep_matrix(params, toy_feats, h,
                                         toy_corpus.item_index[it])
@@ -108,7 +108,7 @@ def test_content_bpr_deterministic(world):
     cfg = TrainConfig(epochs=3, seed=5)
     pa = train_content_bpr(corpus, feats, h, cfg)
     pb = train_content_bpr(corpus, feats, h, cfg)
-    for (_, a), (_, b) in zip(pa.blocks(), pb.blocks()):
+    for a, b in zip(pa.values(), pb.values()):
         assert np.array_equal(a, b)
 
 
@@ -137,7 +137,7 @@ def moved_by(trained, start) -> dict:
     """Per block, the largest distance a row (Gamma, X) or the whole block
     (E, V) moved between two parameter sets."""
     out = {}
-    for (name, a), (_, b) in zip(trained.blocks(), start.blocks()):
+    for (name, a), (_, b) in zip(trained.items(), start.items()):
         diff = a - b
         out[name] = float(np.linalg.norm(diff) if name in ("E", "V")
                           else np.linalg.norm(diff, axis=1).max())
@@ -190,8 +190,8 @@ def test_train_mf_deterministic(world):
     cfg = TrainConfig(epochs=2, seed=9)
     pa = train_mf(corpus, h, cfg)
     pb = train_mf(corpus, h, cfg)
-    assert np.array_equal(pa.X, pb.X)
-    assert np.array_equal(pa.gamma, pb.gamma)
+    assert np.array_equal(pa["X"], pb["X"])
+    assert np.array_equal(pa["Gamma"], pb["Gamma"])
 
 
 def test_bpr_kind_is_latent_only_content_bpr(world):
@@ -204,8 +204,8 @@ def test_bpr_kind_is_latent_only_content_bpr(world):
         baselines.FeatureStore(0, 0, np.zeros((corpus.n_items, 0)),
                                np.zeros((corpus.n_items, 0))),
         Hyper(d=2, mask=Mask.for_kind("bpr")), cfg)
-    assert np.array_equal(plain.gamma, content.gamma)
-    assert np.array_equal(plain.X, content.X)
+    assert np.array_equal(plain["Gamma"], content["Gamma"])
+    assert np.array_equal(plain["X"], content["X"])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -227,8 +227,8 @@ def test_build_ranker_applies_kind_mask(world):
     h = Hyper(d=2, f_v=2, f_t=2)  # default latent-only mask, must be overridden
     r = build_ranker("vbpr", corpus, feats, h, TrainConfig(epochs=1, seed=3))
     assert r.h.mask.active == ("latent", "visual")
-    assert r.params.E.any()
-    assert not r.params.V.any()
+    assert r.params["E"].any()
+    assert not r.params["V"].any()
 
 
 def test_build_ranker_unknown_kind(world):

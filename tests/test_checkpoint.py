@@ -38,6 +38,10 @@ def test_round_trip_preserves_rankings(tmp_path, world, kind):
     assert loaded.kind == kind
     for u in corpus.users:
         assert loaded.rank(u) == ranker.rank(u)
+    # the loaded blocks keep the saved order, so a second save is the same file
+    again = tmp_path / f"{kind}.again.ckpt"
+    save_ranker(again, loaded)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_header_contents(tmp_path, world):
@@ -152,13 +156,20 @@ def test_malformed_headers_raise_checkpoint_error(tmp_path, world, saved):
     # each of these used to escape as a raw AttributeError, TypeError or KeyError
     corpus, feats = world
     src, good = saved
-    cases = [([good], "header is not a JSON object"),
-             (dict(good, blocks=[["X", [24, 2]]]), "'blocks' is malformed")]
-    cases += [({k: v for k, v in good.items() if k != key}, f"header lacks '{key}'")
-              for key in ("items", "d", "mask")]
-    for header, message in cases:
+    cases = [(src, [good], "header is not a JSON object"),
+             (src, dict(good, blocks=[["X", [24, 2]]]), "'blocks' is malformed")]
+    cases += [(src, {k: v for k, v in good.items() if k != key},
+               f"header lacks '{key}'") for key in ("items", "d", "mask")]
+    # Gamma's rows are only meaningful against the saved user order; a
+    # vtbpr file without its user table used to load and rank with them
+    embed = tmp_path / "vtbpr.ckpt"
+    save_ranker(embed, trained(world, "vtbpr"))
+    users_dropped = {k: v for k, v in read_checkpoint(embed)[0].items()
+                     if k != "users"}
+    cases.append((embed, users_dropped, "header lacks 'users'"))
+    for source, header, message in cases:
         p = tmp_path / "bad.ckpt"
-        with_header(src, p, header)
+        with_header(source, p, header)
         with pytest.raises(CheckpointError, match=message):
             load_ranker(p, corpus, feats)
 

@@ -4,9 +4,10 @@ and the planted-cluster generator."""
 import numpy as np
 import pytest
 
-from seqrank.dataio import (VISUAL_RANGE, TEXTUAL_RANGE, FeatureTable,
-                            SynthSpec, build_corpus, build_feature_store,
-                            empty_table, filter_test_new_items, load_corpus,
+from seqrank.dataio import (VISUAL_RANGE, TEXTUAL_RANGE, Corpus,
+                            FeatureTable, SynthSpec, build_corpus,
+                            build_feature_store, empty_table,
+                            filter_test_new_items, load_corpus,
                             load_features, normalize_minmax,
                             parse_sequence_file, sample_negative,
                             sample_triples, split_sequence, synth_corpus,
@@ -74,8 +75,8 @@ def test_build_corpus_validation():
 
 
 def test_filter_test_new_items_dedups():
-    c = build_corpus({"u": ["a", "b", "c", "d", "d", "a", "e"]},
-                     min_len=2, split_frac=0.5, filter_test=False)
+    train, test = split_sequence(["a", "b", "c", "d", "d", "a", "e"], 0.5)
+    c = Corpus(("u",), ("a", "b", "c", "d", "e"), {"u": train}, {"u": test})
     assert c.train_seq["u"] == ["a", "b", "c", "d"]
     assert c.test_seq["u"] == ["d", "a", "e"]
     f = filter_test_new_items(c)
@@ -100,7 +101,7 @@ def test_normalize_minmax():
 def test_load_features(tmp_path):
     p = tmp_path / "f.tsv"
     p.write_text("#dims 2\ni1\t0.0 10.0\ni2\t4.0 30.0\n")
-    t = load_features(p, expect_dim=2, lo=0.0, hi=0.5)
+    t = load_features(p, lo=0.0, hi=0.5)
     assert t.dim == 2
     assert t.vectors["i2"].tolist() == [0.5, 0.5]
     assert t.vectors["i1"].tolist() == [0.0, 0.0]
@@ -117,7 +118,7 @@ def test_load_features_errors(tmp_path, text, fragment):
     p = tmp_path / "f.tsv"
     p.write_text(text)
     with pytest.raises(ParseError, match=fragment):
-        load_features(p, expect_dim=None, lo=0.0, hi=1.0)
+        load_features(p, lo=0.0, hi=1.0)
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
@@ -125,7 +126,7 @@ def test_load_features_rejects_non_finite(tmp_path, token):
     p = tmp_path / "f.tsv"
     p.write_text(f"#dims 2\ni0000\t0.3 0.2\ni0001\t{token} 0.1\n")
     with pytest.raises(ParseError, match=f"f.tsv:3: non-finite value {token}$"):
-        load_features(p, expect_dim=2, lo=0.0, hi=1.0)
+        load_features(p, lo=0.0, hi=1.0)
 
 
 def test_load_features_rejects_duplicate_item(tmp_path):
@@ -134,7 +135,7 @@ def test_load_features_rejects_duplicate_item(tmp_path):
     p = tmp_path / "f.tsv"
     p.write_text("#dims 2\na\t1 2\nb\t3 4\na\t9 9\n")
     with pytest.raises(ParseError, match="f.tsv:4: duplicate item id 'a'$"):
-        load_features(p, expect_dim=2, lo=0.0, hi=1.0)
+        load_features(p, lo=0.0, hi=1.0)
 
 
 def test_undecodable_files_raise_parse_error(tmp_path):
@@ -145,7 +146,7 @@ def test_undecodable_files_raise_parse_error(tmp_path):
     feat = tmp_path / "f.tsv"
     feat.write_bytes(b"#dims 1\ni1\t0.5\ni\xc3\t0.1\n")
     with pytest.raises(ParseError, match=r"f\.tsv: not UTF-8 text"):
-        load_features(feat, expect_dim=None, lo=0.0, hi=1.0)
+        load_features(feat, lo=0.0, hi=1.0)
 
 
 @pytest.mark.parametrize("dims", ["\u00b2", "1" * 5000],
@@ -156,14 +157,7 @@ def test_load_features_header_int_conversion(tmp_path, dims):
     p = tmp_path / "f.tsv"
     p.write_bytes(f"#dims {dims}\ni1\t0.5 0.1\n".encode())
     with pytest.raises(ParseError, match="f.tsv:1: expected '#dims <F>' header"):
-        load_features(p, expect_dim=None, lo=0.0, hi=1.0)
-
-
-def test_load_features_dim_mismatch(tmp_path):
-    p = tmp_path / "f.tsv"
-    p.write_text("#dims 3\ni1\t1 2 3\n")
-    with pytest.raises(ParseError, match="!= expected"):
-        load_features(p, expect_dim=2, lo=0.0, hi=1.0)
+        load_features(p, lo=0.0, hi=1.0)
 
 
 def test_feature_store_missing_items(toy_corpus):
@@ -273,11 +267,9 @@ def test_synth_corpus_matches_file_round_trip(tmp_path):
     assert loaded.items == corpus.items
     assert loaded.train_seq == corpus.train_seq
     assert loaded.test_seq == corpus.test_seq
-    vt = load_features(tmp_path / "v.tsv", SPEC.f_dim_visual, *VISUAL_RANGE)
-    store = build_feature_store(loaded, vt,
-                                load_features(tmp_path / "t.tsv",
-                                              SPEC.f_dim_textual,
-                                              *TEXTUAL_RANGE))
+    store = build_feature_store(
+        loaded, load_features(tmp_path / "v.tsv", *VISUAL_RANGE),
+        load_features(tmp_path / "t.tsv", *TEXTUAL_RANGE))
     # repr round trip and idempotent renormalization: bit-identical matrices
     assert np.array_equal(store.visual_mat, feats.visual_mat)
     assert np.array_equal(store.textual_mat, feats.textual_mat)

@@ -67,7 +67,7 @@ def build(kind: str, shuffle: bool = False) -> tuple:
 def trace(kind: str, shuffle: bool = False) -> dict:
     """{block name: array} plus "log": the training-log lines."""
     ranker, lines = build(kind, shuffle)
-    out = {name: block.copy() for name, block in ranker.params.blocks()}
+    out = {name: block.copy() for name, block in ranker.params.items()}
     out["log"] = np.array(lines)
     return out
 

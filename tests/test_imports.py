@@ -1,11 +1,13 @@
-"""Every name a module under src/ or tests/ imports is used in it, and
-every parameter of a function under src/ is read in its body.
+"""Every name a module under src/ or tests/ imports is used in it, every
+parameter of a function under src/ is read in its body, and every
+dataclass field under src/ is read as an attribute somewhere in src/.
 
-An import left behind by a deleted caller, or a parameter whose last
-reader was deleted, keeps a dead name alive and hides the deletion from a
-reader. The scans are by `ast` alone: a name bound by an import must
-appear as an identifier somewhere else in the module, and a parameter as
-an identifier inside its function. `self`, `cls` and `_`-prefixed
+An import left behind by a deleted caller, or a parameter or field whose
+last reader was deleted, keeps a dead name alive and hides the deletion
+from a reader. The scans are by `ast` alone: a name bound by an import must
+appear as an identifier somewhere else in the module, a parameter as an
+identifier inside its function, and a field as a loaded attribute
+(`obj.field`) in any module under src/. `self`, `cls` and `_`-prefixed
 parameters are exempt."""
 
 import ast
@@ -77,3 +79,46 @@ def test_scan_finds_an_unread_parameter():
                          ids=[str(p.relative_to(ROOT)) for p in SOURCES])
 def test_no_unread_parameters(path):
     assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def dataclass_fields(source: str) -> list:
+    """(line, class, field) for each annotated field of a class decorated
+    with `dataclass` or `dataclass(...)`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                   for d in decorators):
+            continue
+        found += [(stmt.lineno, node.name, stmt.target.id) for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign)
+                  and isinstance(stmt.target, ast.Name)]
+    return found
+
+
+def unread_fields(sources: list) -> list:
+    """(class, field) for each dataclass field of `sources` that none of
+    them loads as an attribute."""
+    read = {n.attr for source in sources for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [(cls, name) for source in sources
+            for _, cls, name in dataclass_fields(source) if name not in read]
+
+
+def test_scan_finds_an_unread_field():
+    declared = ("import dataclasses\nfrom dataclasses import dataclass\n"
+                "@dataclass(frozen=True)\nclass A:\n    a: int\n    b: int\n"
+                "@dataclasses.dataclass\nclass B:\n    c: int = 0\n"
+                "class C:\n    d: int\n")
+    assert dataclass_fields(declared) == [(5, "A", "a"), (6, "A", "b"),
+                                          (9, "B", "c")]
+    # a store is not a read; the reader may sit in another module
+    assert unread_fields([declared, "def f(x):\n    x.b = x.a\n"]) == [
+        ("A", "b"), ("B", "c")]
+
+
+def test_no_unread_dataclass_fields():
+    assert unread_fields([p.read_text(encoding="utf-8") for p in SOURCES]) == []

@@ -6,7 +6,7 @@ import pytest
 from seqrank.dataio import FeatureStore
 from seqrank.errors import ConfigError
 from seqrank.model import (ALL_KINDS, MASK_BY_KIND, RECURRENT_KINDS,
-                           Hyper, Mask, ModelParams, init_params,
+                           Hyper, Mask, init_params,
                            final_states, hidden_states, item_rep_matrix,
                            order_candidates, score_pair, step_hidden)
 
@@ -59,20 +59,20 @@ def make_uniform_feats(items, f_v, f_t, rng):
 def test_init_params_bounds_and_inactive_blocks():
     h = Hyper(d=4, f_v=3, f_t=2, mask=Mask(latent=True, visual=True))
     p = init_params(h, 7, np.random.default_rng(0))
-    assert p.X.shape == (7, 4)
-    assert p.E.shape == (4, 3) and p.V.shape == (4, 2)
-    assert p.InMat.shape == (8, 8) and p.RecMat.shape == (8, 8)
-    for a in (p.X, p.E, p.InMat, p.RecMat):
+    assert p["X"].shape == (7, 4)
+    assert p["E"].shape == (4, 3) and p["V"].shape == (4, 2)
+    assert p["InMat"].shape == (8, 8) and p["RecMat"].shape == (8, 8)
+    for a in (p["X"], p["E"], p["InMat"], p["RecMat"]):
         assert a.min() >= -0.5 and a.max() <= 0.5
-    assert p.E.any()      # visual active, drawn
-    assert not p.V.any()  # textual inactive, zeros
+    assert p["E"].any()      # visual active, drawn
+    assert not p["V"].any()  # textual inactive, zeros
 
 
 def test_init_mean_near_zero():
     # 4 sigma CLT bound for 1e5 uniform(-.5,.5) draws: .2887/sqrt(1e5)*4
     h = Hyper(d=100, mask=Mask(latent=True))
     p = init_params(h, 1000, np.random.default_rng(123))
-    assert abs(p.X.mean()) < 3.66e-3
+    assert abs(p["X"].mean()) < 3.66e-3
 
 
 def test_inactive_slices_do_not_consume_randomness():
@@ -81,15 +81,15 @@ def test_inactive_slices_do_not_consume_randomness():
     hb = Hyper(d=4, f_v=3, f_t=3, mask=Mask.for_kind("trnn"))
     pa = init_params(ha, 6, np.random.default_rng(seed))
     pb = init_params(hb, 6, np.random.default_rng(seed))
-    assert np.array_equal(pa.X, pb.X)  # X stream unaffected by later blocks
+    assert np.array_equal(pa["X"], pb["X"])  # X stream unaffected by later blocks
 
 
 def one_item_world():
     """d=1, one item, hand-sized parameter blocks."""
     h = Hyper(d=1, f_v=1, f_t=1, mask=Mask(latent=True, visual=True, textual=True))
-    params = ModelParams(X=np.array([[0.5]]), E=np.array([[1.0]]),
-                         V=np.array([[1.0]]),
-                         InMat=np.eye(3), RecMat=np.zeros((3, 3)))
+    params = {"X": np.array([[0.5]]), "E": np.array([[1.0]]),
+              "V": np.array([[1.0]]),
+              "InMat": np.eye(3), "RecMat": np.zeros((3, 3))}
     feats = FeatureStore(1, 1, np.array([[0.5]]), np.array([[-0.5]]))
     return h, params, feats
 
@@ -106,7 +106,7 @@ def test_item_rep_concatenation():
 def test_step_hidden_identity_matrices():
     h, params, feats = one_item_world()
     inp = item_rep_matrix(params, feats, h, 0)
-    state = step_hidden(np.zeros(h.D), params.InMat @ inp, params.RecMat)
+    state = step_hidden(np.zeros(h.D), params["InMat"] @ inp, params["RecMat"])
     # InMat = I, RecMat = 0: h = sigmoid(input) elementwise
     expect = 1.0 / (1.0 + np.exp(-inp))
     assert np.allclose(state, expect, atol=1e-15)
@@ -145,8 +145,8 @@ def test_final_states_rows(toy_corpus, toy_feats):
         rows = [toy_corpus.item_index[it] for it in toy_corpus.train_seq[u]]
         states = hidden_states(item_rep_matrix(params, toy_feats, h, rows), params)
         # state t is one recurrent step from state t-1
-        pre_in = item_rep_matrix(params, toy_feats, h, rows) @ params.InMat.T
-        redo = step_hidden(states[1], pre_in[1], params.RecMat)
+        pre_in = item_rep_matrix(params, toy_feats, h, rows) @ params["InMat"].T
+        redo = step_hidden(states[1], pre_in[1], params["RecMat"])
         assert np.array_equal(redo, states[2])
         # the batched pass sums in another order than the per-user one
         assert np.allclose(got, states[-1], rtol=0.0, atol=1e-14)
@@ -167,8 +167,8 @@ def test_item_rep_matrix_rows(toy_corpus, toy_feats):
         assert np.allclose(rep[j], inp, rtol=0.0, atol=1e-14)
         assert np.array_equal(rep[j, :h.d], inp[:h.d])  # latent slice copied
         # one row is exactly the kernel-times-features product
-        assert np.array_equal(inp[sl["visual"]], params.E @ toy_feats.visual_mat[j])
-        assert np.array_equal(inp[sl["textual"]], params.V @ toy_feats.textual_mat[j])
+        assert np.array_equal(inp[sl["visual"]], params["E"] @ toy_feats.visual_mat[j])
+        assert np.array_equal(inp[sl["textual"]], params["V"] @ toy_feats.textual_mat[j])
     rows = [3, 0, 3]
     assert np.allclose(item_rep_matrix(params, toy_feats, h, rows), rep[rows],
                        rtol=0.0, atol=1e-14)

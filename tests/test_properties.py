@@ -107,7 +107,7 @@ def test_text_parsers_raise_only_parse_error(scratch, raw):
     path = scratch / "fuzz.tsv"
     path.write_bytes(raw)
     for parse in (parse_sequence_file,
-                  lambda p: load_features(p, None, 0.0, 1.0)):
+                  lambda p: load_features(p, 0.0, 1.0)):
         try:
             parse(path)
         except ParseError:

@@ -28,9 +28,8 @@ def start_rng():
 def assert_moved_by(after, before, alpha, grads):
     """Each block moved by alpha * grads[block] to a relative 1e-12 of
     the step; blocks without a gradient did not move."""
-    start = dict(before.blocks())
-    for name, block in after.blocks():
-        moved = block - start[name]
+    for name, block in after.items():
+        moved = block - before[name]
         if name not in grads:
             assert not moved.any(), name
             continue
@@ -74,9 +73,9 @@ def test_mf_observation_moves_by_its_summed_records():
     # two observations on the same user row, so this is not a whole visit
     h = Hyper(d=2, mask=Mask.for_kind("mf"), **FREE)
     params = init_bpr_params(h, 2, 3, start_rng())
-    before = params.copy()
+    before = {n: b.copy() for n, b in params.items()}
     _, updates = mf_obs_grads(params, 1, 2, 1.0)
-    sgd.apply(dict(params.blocks()), updates, h.alpha, h.decay)
+    sgd.apply(params, updates, h.alpha, h.decay)
     assert_moved_by(params, before, h.alpha, sgd.gradient(before, updates))
 
 
@@ -91,16 +90,15 @@ def naive_step(params, records, h):
     record in order, lam chosen by block name here, not by `Hyper.decay`."""
     lam = {"X": h.lam_theta, "Gamma": h.lam_theta, "InMat": h.lam_theta,
            "RecMat": h.lam_theta, "E": h.lam_e, "V": h.lam_v}
-    out = params.copy()
-    blocks = dict(out.blocks())
+    out = {name: b.copy() for name, b in params.items()}
     for name, row, g in records:
-        theta = blocks[name] if row is None else blocks[name][row]
+        theta = out[name] if row is None else out[name][row]
         theta += h.alpha * (g - lam[name] * theta)
     return out
 
 
 def assert_same(a, b):
-    for (name, x), (_, y) in zip(a.blocks(), b.blocks()):
+    for (name, x), (_, y) in zip(a.items(), b.items()):
         assert np.array_equal(x, y), name
 
 
@@ -128,7 +126,7 @@ def test_mf_observation_decays_each_block_by_its_regularizer():
     params = init_bpr_params(h, 2, 3, start_rng())
     _, records = mf_obs_grads(params, 1, 2, 1.0)
     want = naive_step(params, records, h)
-    sgd.apply(dict(params.blocks()), records, h.alpha, h.decay)
+    sgd.apply(params, records, h.alpha, h.decay)
     assert_same(params, want)
 
 

@@ -63,19 +63,19 @@ def test_context_contents():
     for t in range(2, m + 1):
         assert ctx.c[t - 2] == numkit.sigmoid(-ctx.scores[t - 2])
     # states replay the recurrence
-    pre_in = ctx.inputs @ params.InMat.T
-    redo = step_hidden(ctx.states[1], pre_in[1], params.RecMat)
+    pre_in = ctx.inputs @ params["InMat"].T
+    redo = step_hidden(ctx.states[1], pre_in[1], params["RecMat"])
     assert np.array_equal(redo, ctx.states[2])
 
 
 def test_regularization_hand_value():
     h = full_hyper(d=1, f_v=1, f_t=1, lam_theta=0.5, lam_e=2.0, lam_v=4.0)
     params = init_params(h, 1, np.random.default_rng(0))
-    params.X[:] = 2.0      # sum sq 4
-    params.E[:] = 1.0      # 1
-    params.V[:] = 3.0      # 9
-    params.InMat[:] = 0.0
-    params.RecMat[:] = 1.0  # 9 entries
+    params["X"][:] = 2.0      # sum sq 4
+    params["E"][:] = 1.0      # 1
+    params["V"][:] = 3.0      # 9
+    params["InMat"][:] = 0.0
+    params["RecMat"][:] = 1.0  # 9 entries
     # 0.5 * (0.5*(4 + 0 + 9) + 2*1 + 4*9)
     assert regularization(params, h) == 0.5 * (0.5 * 13 + 2.0 + 36.0)
 
@@ -116,21 +116,21 @@ def test_forward_updates_touch_only_their_blocks():
     params, corpus, feats, negatives = make_context(h)
     ctx = sequence_context(params, corpus, feats, h, "u0", negatives["u0"])
     k = 0   # step t = 2
-    before = params.copy()
-    sgd.apply(dict(params.blocks()), forward_updates(ctx, k), h.alpha, h.decay)
+    before = {n: b.copy() for n, b in params.items()}
+    sgd.apply(params, forward_updates(ctx, k), h.alpha, h.decay)
     ip, iq = corpus.train_rows["u0"][k + 1], negatives["u0"][k]
     a, lam = h.alpha, h.lam_theta
     c, h_x = ctx.c[k], ctx.states[k + 1][h.slices["latent"]]
-    assert np.array_equal(params.X[ip],
-                          before.X[ip] + a * (c * h_x - lam * before.X[ip]))
-    assert np.array_equal(params.X[iq],
-                          before.X[iq] + a * (-(c * h_x) - lam * before.X[iq]))
+    assert np.array_equal(params["X"][ip],
+                          before["X"][ip] + a * (c * h_x - lam * before["X"][ip]))
+    assert np.array_equal(params["X"][iq],
+                          before["X"][iq] + a * (-(c * h_x) - lam * before["X"][iq]))
     untouched = [j for j in range(corpus.n_items) if j not in (ip, iq)]
-    assert np.array_equal(params.X[untouched], before.X[untouched])
-    assert np.array_equal(params.InMat, before.InMat)
-    assert np.array_equal(params.RecMat, before.RecMat)
-    assert not np.array_equal(params.E, before.E)
-    assert not np.array_equal(params.V, before.V)
+    assert np.array_equal(params["X"][untouched], before["X"][untouched])
+    assert np.array_equal(params["InMat"], before["InMat"])
+    assert np.array_equal(params["RecMat"], before["RecMat"])
+    assert not np.array_equal(params["E"], before["E"])
+    assert not np.array_equal(params["V"], before["V"])
 
 
 def test_backward_last_layer_gate():
@@ -155,11 +155,11 @@ def test_backward_short_sequence_has_no_updates():
     none = np.zeros((0, h.D))
     ctx = SeqContext(rows, rows[:0], inputs, none,
                      hidden_states(inputs, params), np.zeros(0), np.zeros(0), {})
-    before = params.copy()
+    before = {n: b.copy() for n, b in params.items()}
     updates = backward_gradients(ctx, params, feats, h)
     assert updates == []
-    sgd.apply(dict(params.blocks()), updates, h.alpha, h.decay)
-    for (_, a), (_, b) in zip(params.blocks(), before.blocks()):
+    sgd.apply(params, updates, h.alpha, h.decay)
+    for a, b in zip(params.values(), before.values()):
         assert np.array_equal(a, b)
 
 
@@ -206,7 +206,7 @@ def test_train_deterministic():
     cfg = TrainConfig(epochs=3, seed=13)
     pa = train(corpus, feats, h, cfg)
     pb = train(corpus, feats, h, cfg)
-    for (_, a), (_, b) in zip(pa.blocks(), pb.blocks()):
+    for a, b in zip(pa.values(), pb.values()):
         assert np.array_equal(a, b)
 
 
@@ -227,9 +227,9 @@ def test_train_shuffle_changes_order_not_determinism():
     for kind in DRIVER_KINDS:
         pa = fit(kind, corpus, feats, shuffled)
         pb = fit(kind, corpus, feats, shuffled)
-        assert np.array_equal(pa.X, pb.X), kind
+        assert np.array_equal(pa["X"], pb["X"]), kind
         plain = fit(kind, corpus, feats, TrainConfig(epochs=3, seed=13))
-        assert not np.array_equal(pa.X, plain.X), kind
+        assert not np.array_equal(pa["X"], plain["X"]), kind
 
 
 def test_train_log_format():
@@ -258,10 +258,10 @@ def test_clip_norm_bounds_forward_step():
     h = full_hyper(alpha=1.0, lam_theta=0.0)
     params, corpus, feats, negatives = make_context(h)
     ctx = sequence_context(params, corpus, feats, h, "u0", negatives["u0"])
-    before = params.copy()
+    before = {n: b.copy() for n, b in params.items()}
     clip = 1e-6
-    sgd.apply(dict(params.blocks()), forward_updates(ctx, 0), h.alpha, h.decay,
+    sgd.apply(params, forward_updates(ctx, 0), h.alpha, h.decay,
               clip)
     ip = corpus.train_rows["u0"][1]
-    moved = float(np.linalg.norm(params.X[ip] - before.X[ip]))
+    moved = float(np.linalg.norm(params["X"][ip] - before["X"][ip]))
     assert moved <= clip * (1.0 + 1e-12)
