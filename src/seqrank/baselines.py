@@ -4,9 +4,12 @@ Every ranker exposes .kind and .rank(u) -> [(item, score), ...] over the
 user's unseen items, sorted descending with ascending-id ties, so the
 evaluator treats all of them uniformly. Kinds: random, pop, mf, bpr, vbpr,
 tbpr, vtbpr, rnn, vrnn, trnn, vtrnn. Each rank(u) is one score vector over
-all items passed to `model.order_candidates`; the recurrent rankers read
-the user's row of states that `model.final_states` computed for every user
-when the ranker was built.
+all items passed to `model.order_candidates`. Every trained kind ranks with
+one class, `EmbedRanker`: item representations against the user's row of a
+(U, D) user-vector matrix, the trained "Gamma" or, for the recurrent kinds,
+the states `model.final_states` computed for every user when the ranker was
+built. `build_ranker` is the one place a kind's slice mask, its
+`model.MASK_BY_KIND` tuple, is put into `Hyper`.
 
 The trainable kinds share one epoch loop, `sgd.run_epochs`; mf and the
 BPR family supply their per-user steps here. Their parameters are one
@@ -31,7 +34,7 @@ import numpy as np
 from . import model, numkit, sgd, trainer
 from .dataio import Corpus, FeatureStore, sample_negative, sample_triples
 from .errors import ConfigError
-from .model import Hyper, Mask, order_candidates
+from .model import Hyper, order_candidates
 
 
 def user_stream(seed: int, u: str) -> np.random.Generator:
@@ -80,23 +83,10 @@ def init_bpr_params(h: Hyper, n_users: int, n_items: int,
 
 
 class EmbedRanker:
-    def __init__(self, kind: str, params: dict, corpus: Corpus,
-                 feats: FeatureStore, h: Hyper):
-        self.kind = kind
-        self.params = params
-        self.corpus = corpus
-        self.h = h
-        self.rep = model.item_rep_matrix(params, feats, h)
-
-    def rank(self, u: str) -> list:
-        gamma_u = self.params["Gamma"][self.corpus.user_index[u]]
-        return order_candidates(self.rep @ gamma_u, self.corpus, u)
-
-
-class RecurrentRanker:
     """Scores unseen items by dot product of their representations with
-    the user's final training state; every user's state comes from one
-    batched `model.final_states` pass."""
+    the user's row of one (U, D) user-vector matrix: the trained "Gamma"
+    rows of mf and the BPR family, or for the recurrent kinds every user's
+    final training state from one batched `model.final_states` pass."""
 
     def __init__(self, kind: str, params: dict, corpus: Corpus,
                  feats: FeatureStore, h: Hyper):
@@ -105,15 +95,16 @@ class RecurrentRanker:
         self.corpus = corpus
         self.h = h
         self.rep = model.item_rep_matrix(params, feats, h)
-        self.states = model.final_states(params, feats, corpus, h)
+        self.user_vecs = (params["Gamma"] if "Gamma" in params
+                          else model.final_states(params, feats, corpus, h))
 
     def rank(self, u: str) -> list:
         if u not in self.corpus.user_index:
             raise KeyError(f"unknown user {u!r}")
         if not self.corpus.train_seq.get(u):
             raise ConfigError(f"user {u!r} has an empty training sequence")
-        state = self.states[self.corpus.user_index[u]]
-        return order_candidates(self.rep @ state, self.corpus, u)
+        vec = self.user_vecs[self.corpus.user_index[u]]
+        return order_candidates(self.rep @ vec, self.corpus, u)
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +129,13 @@ def bpr_pair_grads(params: dict, feats: FeatureStore, h: Hyper, uj: int,
     gamma_u = params["Gamma"][uj]
     c = numkit.sigmoid(-xhat)
     sl = h.slices
-    updates = [("Gamma", uj, c * diff)]
-    if h.mask.latent:
-        gx = c * gamma_u[sl["latent"]]
-        updates += [("X", ip, gx), ("X", iq, -gx)]
+    gx = c * gamma_u[sl["latent"]]
+    updates = [("Gamma", uj, c * diff), ("X", ip, gx), ("X", iq, -gx)]
     # a[:, None] * b is np.outer(a, b) without its ravel and asarray calls
-    if h.mask.visual:
+    if "visual" in h.mask:
         vdiff = feats.visual_mat[ip] - feats.visual_mat[iq]
         updates.append(("E", None, c * (gamma_u[sl["visual"], None] * vdiff)))
-    if h.mask.textual:
+    if "textual" in h.mask:
         tdiff = feats.textual_mat[ip] - feats.textual_mat[iq]
         updates.append(("V", None, c * (gamma_u[sl["textual"], None] * tdiff)))
     return xhat, updates
@@ -204,7 +193,7 @@ def train_mf(corpus: Corpus, h: Hyper, cfg: trainer.TrainConfig,
     """Squared-error factorization on implicit data: every training
     interaction is a target-1 observation paired with one sampled
     target-0 negative. The logged objective is the mean squared error."""
-    if not h.mask.latent or h.mask.visual or h.mask.textual:
+    if h.mask != ("latent",):
         raise ConfigError("mf uses the latent slice only")
 
     def visit(params, u, rng):
@@ -255,7 +244,9 @@ def mf_grad_check(h: Hyper, rng: np.random.Generator) -> dict:
 def build_ranker(kind: str, corpus: Corpus, feats: FeatureStore, h: Hyper,
                  cfg: trainer.TrainConfig, log=None):
     """Train (where applicable) and wrap a ranker of the requested kind.
-    Trainable kinds get their slice mask from the kind string."""
+    This is the one place a kind's mask is applied: trainable kinds train
+    with `h.mask` set to their `model.MASK_BY_KIND` tuple, whatever `h`
+    carried."""
     if kind == "random":
         return RandomRanker(corpus, cfg.seed)
     if kind == "pop":
@@ -263,12 +254,11 @@ def build_ranker(kind: str, corpus: Corpus, feats: FeatureStore, h: Hyper,
     if kind not in model.MASK_BY_KIND:
         raise ConfigError(f"unknown ranker kind {kind!r} "
                           f"(expected one of {sorted(model.ALL_KINDS)})")
-    h = replace(h, mask=Mask.for_kind(kind))
+    h = replace(h, mask=model.MASK_BY_KIND[kind])
     if kind == "mf":
         params = train_mf(corpus, h, cfg, log=log)
-        return EmbedRanker(kind, params, corpus, feats, h)
-    if kind in ("bpr", "vbpr", "tbpr", "vtbpr"):
+    elif kind in model.RECURRENT_KINDS:
+        params = trainer.train(corpus, feats, h, cfg, log=log)
+    else:
         params = train_content_bpr(corpus, feats, h, cfg, log=log)
-        return EmbedRanker(kind, params, corpus, feats, h)
-    params = trainer.train(corpus, feats, h, cfg, log=log)
-    return RecurrentRanker(kind, params, corpus, feats, h)
+    return EmbedRanker(kind, params, corpus, feats, h)

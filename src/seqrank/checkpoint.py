@@ -3,7 +3,9 @@
 Layout: 8-byte magic "SEQRANK1", uint32 little-endian header length, JSON
 header (kind, dims, slice mask, item table, the user table of mf and the
 BPR family, block names and shapes), then the parameter blocks as
-little-endian float64 in row-major order. Round trips are bit-exact.
+little-endian float64 in row-major order. Round trips are bit-exact. The
+loader takes the mask from the kind (`model.MASK_BY_KIND`) and refuses a
+header whose mask list is not exactly that kind's.
 """
 
 import json
@@ -14,9 +16,12 @@ import numpy as np
 
 from . import baselines, model, numkit
 from .errors import CheckpointError, ConfigError
-from .model import Hyper, Mask
+from .model import Hyper
 
 MAGIC = b"SEQRANK1"
+# kinds with per-user "Gamma" rows, so with a user table in the header
+USER_TABLE_KINDS = tuple(k for k in model.MASK_BY_KIND
+                         if k not in model.RECURRENT_KINDS)
 
 
 def _ranker_payload(ranker) -> tuple:
@@ -30,9 +35,9 @@ def _ranker_payload(ranker) -> tuple:
         return header, [("counts", ranker.counts)]
     h = ranker.h
     header.update({"d": h.d, "f_v": h.f_v, "f_t": h.f_t,
-                   "mask": list(h.mask.active),
+                   "mask": list(h.mask),
                    "hyper": {k: getattr(h, k) for k in model.HYPER_REALS}})
-    if isinstance(ranker, baselines.EmbedRanker):
+    if kind in USER_TABLE_KINDS:
         header["users"] = list(ranker.corpus.users)
     return header, ranker.params.items()
 
@@ -79,7 +84,7 @@ def _check_header(path, header) -> None:
     elif kind != "pop":
         need.update(d=_is_int, f_v=_is_int, f_t=_is_int,
                     mask=lambda v: _is_names(v, model.SLICE_NAMES))
-    if kind in model.MASK_BY_KIND and kind not in model.RECURRENT_KINDS:
+    if kind in USER_TABLE_KINDS:
         need["users"] = _is_names  # Gamma's rows follow the user table
     for key, ok in need.items():
         if key not in header:
@@ -144,17 +149,21 @@ def _check_tables(path, header, corpus) -> None:
 
 
 def _hyper_from_header(path, header, feats) -> Hyper:
+    kind = header["kind"]
+    mask = model.MASK_BY_KIND[kind]
+    if header["mask"] != list(mask):
+        raise CheckpointError(f"{path}: mask {header['mask']} does not match "
+                              f"kind {kind!r}, whose mask is {list(mask)}")
     f_v, f_t = header["f_v"], header["f_t"]
     try:
-        mask = Mask(**{n: n in header["mask"] for n in model.SLICE_NAMES})
         h = Hyper(d=header["d"], f_v=f_v, f_t=f_t, mask=mask,
                   **header.get("hyper", {}))
     except ConfigError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    if mask.visual and feats.f_v != f_v:
+    if "visual" in mask and feats.f_v != f_v:
         raise CheckpointError(
             f"{path}: checkpoint visual dim {f_v} != feature file dim {feats.f_v}")
-    if mask.textual and feats.f_t != f_t:
+    if "textual" in mask and feats.f_t != f_t:
         raise CheckpointError(
             f"{path}: checkpoint textual dim {f_t} != feature file dim {feats.f_t}")
     return h
@@ -183,12 +192,10 @@ def load_ranker(path, corpus, feats):
         return baselines.PopRanker(corpus, counts=blocks["counts"])
     h = _hyper_from_header(path, header, feats)
     n, d = corpus.n_items, h.d
-    if kind in model.RECURRENT_KINDS:
-        shapes = {"X": (n, d), "E": (d, h.f_v), "V": (d, h.f_t),
-                  "InMat": (h.D, h.D), "RecMat": (h.D, h.D)}
-        _expect_blocks(path, blocks, shapes)
-        return baselines.RecurrentRanker(kind, blocks, corpus, feats, h)
-    shapes = {"Gamma": (len(corpus.users), h.D), "X": (n, d),
-              "E": (d, h.f_v), "V": (d, h.f_t)}
+    shapes = {"X": (n, d), "E": (d, h.f_v), "V": (d, h.f_t)}
+    if kind in USER_TABLE_KINDS:
+        shapes["Gamma"] = (len(corpus.users), h.D)
+    else:
+        shapes.update(InMat=(h.D, h.D), RecMat=(h.D, h.D))
     _expect_blocks(path, blocks, shapes)
     return baselines.EmbedRanker(kind, blocks, corpus, feats, h)

@@ -194,13 +194,6 @@ def build_data(cfg: dict):
     return corpus, feats
 
 
-def build_hyper(cfg: dict, feats) -> model.Hyper:
-    hy = cfg["hyper"]
-    mask = model.Mask.for_kind(cfg["kind"])
-    return model.Hyper(d=hy["d"], f_v=feats.f_v, f_t=feats.f_t, mask=mask,
-                       **{k: hy[k] for k in model.HYPER_REALS})
-
-
 def _write_csv(path, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows(rows)
@@ -215,14 +208,15 @@ def _write_json(path, obj) -> None:
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     corpus, feats = build_data(cfg)
-    kind = cfg["kind"]
-    cfg["hyper"]["f_v"] = feats.f_v
-    cfg["hyper"]["f_t"] = feats.f_t
+    kind, hy = cfg["kind"], cfg["hyper"]
+    hy["f_v"] = feats.f_v
+    hy["f_t"] = feats.f_t
     echo_config(cfg)
     os.makedirs(cfg["out"], exist_ok=True)
     tcfg = _train_config(cfg)
-    hyper = (build_hyper(cfg, feats) if kind in model.MASK_BY_KIND
-             else model.Hyper(d=cfg["hyper"]["d"]))
+    # the kind's mask is build_ranker's to set
+    hyper = model.Hyper(d=hy["d"], f_v=feats.f_v, f_t=feats.f_t,
+                        **{k: hy[k] for k in model.HYPER_REALS})
     log_path = os.path.join(cfg["out"], f"train_{kind}.log")
     with open(log_path, "w", encoding="utf-8") as log_fh:
         ranker = baselines.build_ranker(
@@ -298,13 +292,13 @@ def cmd_gradcheck(args) -> int:
     worst, failed = 0.0, False
     jobs = []
     for i, kind in enumerate(model.RECURRENT_KINDS):
-        h = model.Hyper(d=2, f_v=3, f_t=3, mask=model.Mask.for_kind(kind))
+        h = model.Hyper(d=2, f_v=3, f_t=3, mask=model.MASK_BY_KIND[kind])
         jobs.append((kind, trainer.grad_check(h, np.random.default_rng([seed, i]))))
     for i, kind in enumerate(("bpr", "vbpr", "tbpr", "vtbpr")):
-        h = model.Hyper(d=2, f_v=3, f_t=3, mask=model.Mask.for_kind(kind))
+        h = model.Hyper(d=2, f_v=3, f_t=3, mask=model.MASK_BY_KIND[kind])
         jobs.append((kind, baselines.bpr_grad_check(
             h, np.random.default_rng([seed, 100 + i]))))
-    h = model.Hyper(d=2, mask=model.Mask.for_kind("mf"))
+    h = model.Hyper(d=2, mask=model.MASK_BY_KIND["mf"])
     jobs.append(("mf", baselines.mf_grad_check(h, np.random.default_rng([seed, 200]))))
     for kind, report in jobs:
         for block, err in sorted(report.items()):

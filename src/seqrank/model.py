@@ -1,9 +1,10 @@
 """Recurrent sequential ranker forward pass.
 
-Items are represented by concatenating up to three width-d slices: a free
-latent vector, an embedded visual feature vector, and an embedded textual
-feature vector. A sigmoid recurrence folds the user's training sequence into
-a hidden state; preferences are dot products between that state and item
+Items are represented by concatenating width-d slices: a free latent
+vector, always, then per kind an embedded visual and an embedded textual
+feature vector; `Hyper.mask` is the kind's slice tuple from `MASK_BY_KIND`.
+A sigmoid recurrence folds the user's training sequence into a hidden
+state; preferences are dot products between that state and item
 representations.
 
 Everything is a plain float64 array, and a model is its named blocks: one
@@ -18,7 +19,7 @@ recurrence over all users at once (there is no per-user ranking pass), and
 operations: a mask of the user's training rows and a stable argsort.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +29,8 @@ from .errors import ConfigError
 
 SLICE_NAMES = ("latent", "visual", "textual")
 
-# config strings for every ranker kind; trainable kinds carry a slice mask
+# config strings for every ranker kind; a trainable kind maps to its slice
+# mask: "latent", then its content slices in SLICE_NAMES order
 MASK_BY_KIND = {
     "mf": ("latent",),
     "bpr": ("latent",),
@@ -45,49 +47,11 @@ RECURRENT_KINDS = ("rnn", "vrnn", "trnn", "vtrnn")
 
 
 @dataclass(frozen=True)
-class Mask:
-    """Which slices participate in the item representation."""
-
-    latent: bool = True
-    visual: bool = False
-    textual: bool = False
-
-    def __post_init__(self):
-        if not (self.latent or self.visual or self.textual):
-            raise ConfigError("feature mask selects no slices")
-
-    @classmethod
-    def for_kind(cls, kind: str) -> "Mask":
-        if kind not in MASK_BY_KIND:
-            raise ConfigError(f"kind {kind!r} has no feature mask "
-                              f"(expected one of {sorted(MASK_BY_KIND)})")
-        names = MASK_BY_KIND[kind]
-        return cls(**{n: n in names for n in SLICE_NAMES})
-
-    @property
-    def active(self) -> tuple:
-        return tuple(n for n in SLICE_NAMES
-                     if getattr(self, n))
-
-    @property
-    def count(self) -> int:
-        return len(self.active)
-
-    def slices(self, d: int) -> dict:
-        """Offsets of each active slice inside the concatenated vector."""
-        out, off = {}, 0
-        for name in self.active:
-            out[name] = slice(off, off + d)
-            off += d
-        return out
-
-
-@dataclass(frozen=True)
 class Hyper:
     d: int
     f_v: int = 0
     f_t: int = 0
-    mask: Mask = field(default_factory=Mask)
+    mask: tuple = ("latent",)
     alpha: float = 0.1
     lam_theta: float = 0.001
     lam_e: float = 0.001
@@ -106,9 +70,12 @@ class Hyper:
             problems.append(f"d must be >= 1, got {self.d}")
         if self.f_v < 0 or self.f_t < 0:
             problems.append("feature dims must be >= 0")
-        if self.mask.visual and self.f_v < 1:
+        if self.mask not in MASK_BY_KIND.values():
+            problems.append(f"mask {self.mask!r} is not a kind's slice tuple, "
+                            f"one of {sorted(set(MASK_BY_KIND.values()))}")
+        if "visual" in self.mask and self.f_v < 1:
             problems.append("visual slice active but f_v == 0")
-        if self.mask.textual and self.f_t < 1:
+        if "textual" in self.mask and self.f_t < 1:
             problems.append("textual slice active but f_t == 0")
         if reals_ok:
             # alpha == 0 is allowed: a zero-rate pass is the standard no-op probe
@@ -123,12 +90,14 @@ class Hyper:
 
     @property
     def D(self) -> int:
-        return self.d * self.mask.count
+        return self.d * len(self.mask)
 
     @cached_property
     def slices(self) -> dict:
-        """Offsets of the active slices in the concatenated vector."""
-        return self.mask.slices(self.d)
+        """Offsets of the active slices in the concatenated vector, in mask
+        order."""
+        d = self.d
+        return {name: slice(j * d, (j + 1) * d) for j, name in enumerate(self.mask)}
 
     @cached_property
     def decay(self) -> dict:
@@ -151,9 +120,9 @@ def init_item_blocks(h: Hyper, n_items: int, rng: np.random.Generator) -> dict:
     order. Inactive embedding blocks stay zero and consume no randomness."""
     lo, hi = h.init_lo, h.init_hi
     X = rng.uniform(lo, hi, (n_items, h.d))
-    E = (rng.uniform(lo, hi, (h.d, h.f_v)) if h.mask.visual
+    E = (rng.uniform(lo, hi, (h.d, h.f_v)) if "visual" in h.mask
          else np.zeros((h.d, h.f_v)))
-    V = (rng.uniform(lo, hi, (h.d, h.f_t)) if h.mask.textual
+    V = (rng.uniform(lo, hi, (h.d, h.f_t)) if "textual" in h.mask
          else np.zeros((h.d, h.f_t)))
     return {"X": X, "E": E, "V": V}
 
@@ -218,12 +187,10 @@ def item_rep_matrix(params: dict, feats, h: Hyper, rows=None) -> np.ndarray:
     X, F, G = params["X"], feats.visual_mat, feats.textual_mat
     if rows is not None:
         X, F, G = X[rows], F[rows], G[rows]
-    parts = []
-    if h.mask.latent:
-        parts.append(X)
-    if h.mask.visual:
+    parts = [X]
+    if "visual" in h.mask:
         parts.append(F @ params["E"].T)
-    if h.mask.textual:
+    if "textual" in h.mask:
         parts.append(G @ params["V"].T)
     return np.concatenate(parts, axis=-1)
 

@@ -104,12 +104,10 @@ def sequence_context(params: dict, corpus: Corpus, feats: FeatureStore,
     scores = score_pair(prev, inputs[1:], neg_inputs)
     c = numkit.sigmoid_arr(-scores)
     sl = h.slices
-    step_grads = {}
-    if h.mask.latent:
-        step_grads["X"] = c[:, None] * prev[:, sl["latent"]]
-    for name, on, key, mat in (("E", h.mask.visual, "visual", feats.visual_mat),
-                               ("V", h.mask.textual, "textual", feats.textual_mat)):
-        if on:
+    step_grads = {"X": c[:, None] * prev[:, sl["latent"]]}
+    for name, key, mat in (("E", "visual", feats.visual_mat),
+                           ("V", "textual", feats.textual_mat)):
+        if key in h.mask:
             diff = mat[rows[1:m]] - mat[rows[m:]]
             step_grads[name] = c[:, None, None] * (
                 prev[:, sl[key], None] * diff[:, None, :])
@@ -157,10 +155,8 @@ def forward_updates(ctx: SeqContext, k: int) -> list:
     on the active embedding kernels; the transition matrices are the
     backward phase's job."""
     g = ctx.step_grads
-    updates = []
-    if "X" in g:
-        gx = g["X"][k]
-        updates += [("X", ctx.rows[k + 1], gx), ("X", ctx.neg_rows[k], -gx)]
+    gx = g["X"][k]
+    updates = [("X", ctx.rows[k + 1], gx), ("X", ctx.neg_rows[k], -gx)]
     for name in ("E", "V"):
         if name in g:
             updates.append((name, None, g[name][k]))
@@ -198,15 +194,13 @@ def backward_gradients(ctx: SeqContext, params: dict,
     back = e @ params["InMat"]
     sl = h.slices
     rows = ctx.rows[:-1]
-    updates = []
-    if h.mask.latent:
-        updates += [("X", idx, gx) for idx, gx
-                    in zip(rows[::-1], back[::-1, sl["latent"]])]
+    updates = [("X", idx, gx) for idx, gx
+               in zip(rows[::-1], back[::-1, sl["latent"]])]
     updates += [("InMat", None, e.T @ ctx.inputs[:-1]),
                 ("RecMat", None, e.T @ ctx.states[:-2])]
-    for name, on, key, mat in (("E", h.mask.visual, "visual", feats.visual_mat),
-                               ("V", h.mask.textual, "textual", feats.textual_mat)):
-        if on:
+    for name, key, mat in (("E", "visual", feats.visual_mat),
+                           ("V", "textual", feats.textual_mat)):
+        if key in h.mask:
             updates.append((name, None, back[:, sl[key]].T @ mat[rows]))
     return updates
 

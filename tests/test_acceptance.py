@@ -18,7 +18,7 @@ from seqrank.baselines import build_ranker, bpr_grad_check, mf_grad_check
 from seqrank.dataio import FeatureStore, SynthSpec, sample_triples, synth_corpus
 from seqrank.evaluator import (EvalConfig, auc_from_scores, cold_start_bins,
                                cutoff_metrics, evaluate)
-from seqrank.model import Hyper, Mask, init_params
+from seqrank.model import MASK_BY_KIND, Hyper, init_params
 from seqrank.trainer import (TrainConfig, backward_gradients, bpr_objective,
                              forward_updates, grad_check, sequence_context)
 
@@ -35,14 +35,14 @@ def test_gradient_fidelity_all_trainable_models():
     t0 = time.monotonic()
     worst = {}
     for i, kind in enumerate(model.RECURRENT_KINDS):
-        h = Hyper(d=2, f_v=3, f_t=3, mask=Mask.for_kind(kind))
+        h = Hyper(d=2, f_v=3, f_t=3, mask=MASK_BY_KIND[kind])
         report = grad_check(h, np.random.default_rng([0, i]))
         worst[kind] = max(report.values())
     for i, kind in enumerate(("bpr", "vbpr", "tbpr", "vtbpr")):
-        h = Hyper(d=2, f_v=3, f_t=3, mask=Mask.for_kind(kind))
+        h = Hyper(d=2, f_v=3, f_t=3, mask=MASK_BY_KIND[kind])
         report = bpr_grad_check(h, np.random.default_rng([0, 100 + i]))
         worst[kind] = max(report.values())
-    report = mf_grad_check(Hyper(d=2, mask=Mask.for_kind("mf")),
+    report = mf_grad_check(Hyper(d=2, mask=MASK_BY_KIND["mf"]),
                            np.random.default_rng([0, 200]))
     worst["mf"] = max(report.values())
     elapsed = time.monotonic() - t0
@@ -198,7 +198,7 @@ ASCENT = SynthSpec(users=10, items=30, clusters=3, seq_len=10,
 
 def objective_gain(corpus, feats, seed):
     h = Hyper(d=4, f_v=4, f_t=4,
-              mask=Mask(latent=True, visual=True, textual=True),
+              mask=("latent", "visual", "textual"),
               alpha=0.03, lam_theta=0.0, lam_e=0.0, lam_v=0.0)
     params = init_params(h, corpus.n_items, np.random.default_rng([seed, 0]))
     rng = np.random.default_rng([seed, 1])
@@ -235,7 +235,7 @@ def test_ablation_identities():
     empty = FeatureStore(0, 0, np.zeros((corpus.n_items, 0)),
                          np.zeros((corpus.n_items, 0)))
     content = baselines.train_content_bpr(
-        corpus, empty, Hyper(d=4, mask=Mask.for_kind("bpr")), cfg)
+        corpus, empty, Hyper(d=4, mask=MASK_BY_KIND["bpr"]), cfg)
     for name in ("Gamma", "X"):
         assert np.array_equal(plain[name], content[name]), name
 

@@ -7,12 +7,12 @@ import pytest
 
 from seqrank import baselines, model
 from seqrank.baselines import (EmbedRanker, PopRanker, RandomRanker,
-                               RecurrentRanker, bpr_grad_check, build_ranker,
+                               bpr_grad_check, build_ranker,
                                init_bpr_params, mf_grad_check,
                                train_content_bpr, train_mf, user_stream)
 from seqrank.dataio import Corpus, SynthSpec, synth_corpus
 from seqrank.errors import ConfigError, DivergenceError
-from seqrank.model import ALL_KINDS, Hyper, Mask
+from seqrank.model import ALL_KINDS, MASK_BY_KIND, Hyper
 from seqrank.trainer import TrainConfig
 
 SPEC = SynthSpec(users=6, items=24, clusters=3, seq_len=6,
@@ -53,7 +53,7 @@ def test_pop_ranker_counts(toy_corpus):
 
 
 def test_init_bpr_params_shapes():
-    h = Hyper(d=3, f_v=2, f_t=2, mask=Mask(latent=True, visual=True))
+    h = Hyper(d=3, f_v=2, f_t=2, mask=("latent", "visual"))
     p = init_bpr_params(h, 5, 7, np.random.default_rng(0))
     assert p["Gamma"].shape == (5, 6)   # D = 2 active slices * d
     assert p["X"].shape == (7, 3)
@@ -61,7 +61,7 @@ def test_init_bpr_params_shapes():
 
 
 def test_embed_ranker_scores(toy_corpus, toy_feats):
-    h = Hyper(d=2, f_v=2, f_t=2, mask=Mask(latent=True, visual=True, textual=True))
+    h = Hyper(d=2, f_v=2, f_t=2, mask=("latent", "visual", "textual"))
     params = init_bpr_params(h, len(toy_corpus.users), toy_corpus.n_items,
                              np.random.default_rng(2))
     r = EmbedRanker("vtbpr", params, toy_corpus, toy_feats, h)
@@ -71,12 +71,14 @@ def test_embed_ranker_scores(toy_corpus, toy_feats):
         rep_row = model.item_rep_matrix(params, toy_feats, h,
                                         toy_corpus.item_index[it])
         assert score == pytest.approx(float(rep_row @ gamma), abs=1e-12)
+    with pytest.raises(KeyError):
+        r.rank("mallory")
 
 
 def test_recurrent_ranker_scores(toy_corpus, toy_feats):
-    h = Hyper(d=2, f_v=2, f_t=2, mask=Mask(latent=True, visual=True, textual=True))
+    h = Hyper(d=2, f_v=2, f_t=2, mask=("latent", "visual", "textual"))
     params = model.init_params(h, toy_corpus.n_items, np.random.default_rng(6))
-    r = RecurrentRanker("vtrnn", params, toy_corpus, toy_feats, h)
+    r = EmbedRanker("vtrnn", params, toy_corpus, toy_feats, h)
     rows = [toy_corpus.item_index[it] for it in toy_corpus.train_seq["carol"]]
     state = model.hidden_states(model.item_rep_matrix(params, toy_feats, h, rows),
                                 params)[-1]
@@ -93,10 +95,16 @@ def test_recurrent_ranker_scores(toy_corpus, toy_feats):
 def test_recurrent_ranker_empty_sequence(toy_feats):
     corpus = Corpus(("ann", "ben"), ("i1", "i2", "i3", "i4", "i5", "i6"),
                     {"ann": ["i2", "i1"], "ben": []}, {"ann": ["i3"], "ben": ["i4"]})
-    h = Hyper(d=2, f_v=2, f_t=2, mask=Mask.for_kind("vtrnn"))
+    h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vtrnn"])
     params = model.init_params(h, corpus.n_items, np.random.default_rng(6))
-    r = RecurrentRanker("vtrnn", params, corpus, toy_feats, h)
-    assert not r.states[1].any()    # ben keeps the zero state
+    r = EmbedRanker("vtrnn", params, corpus, toy_feats, h)
+    assert not r.user_vecs[1].any()    # ben keeps the zero state
+    assert len(r.rank("ann")) == 4
+    with pytest.raises(ConfigError, match="empty training sequence"):
+        r.rank("ben")
+    # the same guard holds for a ranker over trained user rows
+    params = init_bpr_params(h, 2, corpus.n_items, np.random.default_rng(6))
+    r = EmbedRanker("vtbpr", params, corpus, toy_feats, h)
     assert len(r.rank("ann")) == 4
     with pytest.raises(ConfigError, match="empty training sequence"):
         r.rank("ben")
@@ -104,7 +112,7 @@ def test_recurrent_ranker_empty_sequence(toy_feats):
 
 def test_content_bpr_deterministic(world):
     corpus, feats = world
-    h = Hyper(d=2, f_v=2, f_t=2, mask=Mask.for_kind("vtbpr"))
+    h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vtbpr"])
     cfg = TrainConfig(epochs=3, seed=5)
     pa = train_content_bpr(corpus, feats, h, cfg)
     pb = train_content_bpr(corpus, feats, h, cfg)
@@ -114,7 +122,7 @@ def test_content_bpr_deterministic(world):
 
 def test_content_bpr_divergence(world):
     corpus, feats = world
-    h = Hyper(d=2, f_v=2, f_t=2, mask=Mask.for_kind("vtbpr"),
+    h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vtbpr"],
               alpha=1e150, lam_theta=0.01)
     with np.errstate(all="ignore"), pytest.raises(DivergenceError):
         train_content_bpr(corpus, feats, h, TrainConfig(epochs=8, seed=0))
@@ -122,13 +130,13 @@ def test_content_bpr_divergence(world):
 
 @pytest.mark.parametrize("kind", ["bpr", "vbpr", "tbpr", "vtbpr"])
 def test_bpr_gradients_match_finite_differences(kind):
-    h = Hyper(d=3, f_v=2, f_t=2, mask=Mask.for_kind(kind))
+    h = Hyper(d=3, f_v=2, f_t=2, mask=MASK_BY_KIND[kind])
     report = bpr_grad_check(h, np.random.default_rng(31))
     assert max(report.values()) < 1e-5, report
 
 
 def test_mf_gradients_match_finite_differences():
-    h = Hyper(d=3, mask=Mask.for_kind("mf"))
+    h = Hyper(d=3, mask=MASK_BY_KIND["mf"])
     report = mf_grad_check(h, np.random.default_rng(32))
     assert max(report.values()) < 1e-5, report
 
@@ -157,7 +165,7 @@ def test_clip_norm_bounds_bpr_and_mf_steps():
     free = dict(alpha=1.0, lam_theta=0.0, lam_e=0.0, lam_v=0.0)
     # one BPR step: positive "b" against the only unowned item, "c"
     corpus = Corpus(("u",), ("a", "b", "c"), {"u": ["a", "b"]}, {"u": []})
-    h = Hyper(d=2, f_v=2, f_t=2, mask=Mask.for_kind("vtbpr"), **free)
+    h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vtbpr"], **free)
     start = train_content_bpr(corpus, feats, replace(h, alpha=0.0), cfg)
     moved = moved_by(train_content_bpr(corpus, feats, h, cfg), start)
     unclipped = moved_by(train_content_bpr(corpus, feats, h,
@@ -168,7 +176,7 @@ def test_clip_norm_bounds_bpr_and_mf_steps():
     # mf: the observations (u, "a", 1) and (u, "b", 0) move one X row each
     # and the user's row twice
     corpus = Corpus(("u",), ("a", "b"), {"u": ["a"]}, {"u": []})
-    h = Hyper(d=2, mask=Mask.for_kind("mf"), **free)
+    h = Hyper(d=2, mask=MASK_BY_KIND["mf"], **free)
     start = train_mf(corpus, replace(h, alpha=0.0), cfg)
     moved = moved_by(train_mf(corpus, h, cfg), start)
     assert 0.0 < moved["X"] <= bound, moved
@@ -179,14 +187,14 @@ def test_clip_norm_bounds_bpr_and_mf_steps():
 
 def test_train_mf_mask_guard(world):
     corpus, _ = world
-    h = Hyper(d=2, f_v=2, f_t=2, mask=Mask.for_kind("vbpr"))
+    h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vbpr"])
     with pytest.raises(ConfigError, match="latent"):
         train_mf(corpus, h, TrainConfig(epochs=1, seed=0))
 
 
 def test_train_mf_deterministic(world):
     corpus, _ = world
-    h = Hyper(d=2, mask=Mask.for_kind("mf"), alpha=0.01)
+    h = Hyper(d=2, mask=MASK_BY_KIND["mf"], alpha=0.01)
     cfg = TrainConfig(epochs=2, seed=9)
     pa = train_mf(corpus, h, cfg)
     pb = train_mf(corpus, h, cfg)
@@ -203,7 +211,7 @@ def test_bpr_kind_is_latent_only_content_bpr(world):
         corpus,
         baselines.FeatureStore(0, 0, np.zeros((corpus.n_items, 0)),
                                np.zeros((corpus.n_items, 0))),
-        Hyper(d=2, mask=Mask.for_kind("bpr")), cfg)
+        Hyper(d=2, mask=MASK_BY_KIND["bpr"]), cfg)
     assert np.array_equal(plain["Gamma"], content["Gamma"])
     assert np.array_equal(plain["X"], content["X"])
 
@@ -226,7 +234,7 @@ def test_build_ranker_applies_kind_mask(world):
     corpus, feats = world
     h = Hyper(d=2, f_v=2, f_t=2)  # default latent-only mask, must be overridden
     r = build_ranker("vbpr", corpus, feats, h, TrainConfig(epochs=1, seed=3))
-    assert r.h.mask.active == ("latent", "visual")
+    assert r.h.mask == ("latent", "visual")
     assert r.params["E"].any()
     assert not r.params["V"].any()
 

@@ -10,7 +10,7 @@ from seqrank.baselines import build_ranker
 from seqrank.checkpoint import MAGIC, load_ranker, read_checkpoint, save_ranker
 from seqrank.dataio import SynthSpec, build_corpus, synth_corpus
 from seqrank.errors import CheckpointError
-from seqrank.model import ALL_KINDS, Hyper
+from seqrank.model import ALL_KINDS, MASK_BY_KIND, Hyper
 from seqrank.trainer import TrainConfig
 
 SPEC = SynthSpec(users=6, items=24, clusters=3, seq_len=6,
@@ -42,6 +42,8 @@ def test_round_trip_preserves_rankings(tmp_path, world, kind):
     again = tmp_path / f"{kind}.again.ckpt"
     save_ranker(again, loaded)
     assert again.read_bytes() == path.read_bytes()
+    if kind in MASK_BY_KIND:
+        assert read_checkpoint(path)[0]["mask"] == list(MASK_BY_KIND[kind])
 
 
 def test_header_contents(tmp_path, world):
@@ -167,6 +169,14 @@ def test_malformed_headers_raise_checkpoint_error(tmp_path, world, saved):
     users_dropped = {k: v for k, v in read_checkpoint(embed)[0].items()
                      if k != "users"}
     cases.append((embed, users_dropped, "header lacks 'users'"))
+    # the mask is the kind's: a vbpr file relabelled to the textual slice
+    # used to load and rank with the untrained, all-zero V kernel
+    vbpr = tmp_path / "vbpr.ckpt"
+    save_ranker(vbpr, trained(world, "vbpr"))
+    vbpr_header = read_checkpoint(vbpr)[0]
+    for mask in (["latent", "textual"], ["visual", "latent"]):
+        cases.append((vbpr, dict(vbpr_header, mask=mask),
+                      "does not match kind 'vbpr'"))
     for source, header, message in cases:
         p = tmp_path / "bad.ckpt"
         with_header(source, p, header)
@@ -187,7 +197,7 @@ def test_duplicate_block_names(tmp_path, saved):
 @pytest.mark.parametrize("field,value,message", [
     ("d", "3", "'d' is malformed"),
     ("d", 0, "d must be >= 1"),
-    ("mask", [], "selects no slices"),
+    ("mask", [], "does not match kind"),
     ("mask", ["sound"], "'mask' is malformed"),
     ("items", 5, "'items' is malformed"),
     ("hyper", {"alpha": "fast"}, "'hyper' is malformed"),

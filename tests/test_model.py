@@ -6,33 +6,39 @@ import pytest
 from seqrank.dataio import FeatureStore
 from seqrank.errors import ConfigError
 from seqrank.model import (ALL_KINDS, MASK_BY_KIND, RECURRENT_KINDS,
-                           Hyper, Mask, init_params,
+                           SLICE_NAMES, Hyper, init_params,
                            final_states, hidden_states, item_rep_matrix,
                            order_candidates, score_pair, step_hidden)
 
 
-def test_mask_for_kind_table():
-    assert Mask.for_kind("bpr") == Mask(latent=True)
-    assert Mask.for_kind("vbpr").active == ("latent", "visual")
-    assert Mask.for_kind("trnn").active == ("latent", "textual")
-    assert Mask.for_kind("vtrnn").count == 3
-    with pytest.raises(ConfigError):
-        Mask.for_kind("pop")  # not a trainable kind
+def test_hyper_mask_is_a_kind_tuple():
+    for kind, mask in MASK_BY_KIND.items():
+        h = Hyper(d=2, f_v=1, f_t=1, mask=mask)
+        assert h.mask == mask and h.D == 2 * len(mask), kind
+        assert list(h.slices) == list(mask)
 
 
-def test_mask_requires_a_slice():
-    with pytest.raises(ConfigError):
-        Mask(latent=False)
+def test_hyper_rejects_a_mask_of_no_kind():
+    for mask in ((), ("visual",), ("latent", "textual", "visual"),
+                 ["latent"]):
+        with pytest.raises(ConfigError, match="not a kind's slice tuple"):
+            Hyper(d=2, f_v=1, f_t=1, mask=mask)
 
 
 def test_mask_slices_offsets():
-    sl = Mask(latent=True, textual=True).slices(4)
-    assert sl == {"latent": slice(0, 4), "textual": slice(4, 8)}
+    h = Hyper(d=4, f_t=1, mask=("latent", "textual"))
+    assert h.slices == {"latent": slice(0, 4), "textual": slice(4, 8)}
+    assert h.D == 8
 
 
 def test_kind_tables_consistent():
     assert set(RECURRENT_KINDS) < set(MASK_BY_KIND)
     assert set(MASK_BY_KIND) | {"random", "pop"} == set(ALL_KINDS)
+    # the latent slice is always on, and slices follow SLICE_NAMES order:
+    # the model, trainer and BPR code read the latent slice unconditionally
+    for mask in MASK_BY_KIND.values():
+        assert mask[0] == "latent"
+        assert mask == tuple(n for n in SLICE_NAMES if n in mask)
 
 
 def test_hyper_validation_aggregates():
@@ -43,7 +49,7 @@ def test_hyper_validation_aggregates():
 
 
 def test_hyper_dims():
-    h = Hyper(d=3, f_v=2, f_t=2, mask=Mask(latent=True, visual=True))
+    h = Hyper(d=3, f_v=2, f_t=2, mask=("latent", "visual"))
     assert h.D == 6
     assert Hyper(d=3).D == 3
     assert h.slices == {"latent": slice(0, 3), "visual": slice(3, 6)}
@@ -57,7 +63,7 @@ def make_uniform_feats(items, f_v, f_t, rng):
 
 
 def test_init_params_bounds_and_inactive_blocks():
-    h = Hyper(d=4, f_v=3, f_t=2, mask=Mask(latent=True, visual=True))
+    h = Hyper(d=4, f_v=3, f_t=2, mask=("latent", "visual"))
     p = init_params(h, 7, np.random.default_rng(0))
     assert p["X"].shape == (7, 4)
     assert p["E"].shape == (4, 3) and p["V"].shape == (4, 2)
@@ -70,15 +76,15 @@ def test_init_params_bounds_and_inactive_blocks():
 
 def test_init_mean_near_zero():
     # 4 sigma CLT bound for 1e5 uniform(-.5,.5) draws: .2887/sqrt(1e5)*4
-    h = Hyper(d=100, mask=Mask(latent=True))
+    h = Hyper(d=100, mask=("latent",))
     p = init_params(h, 1000, np.random.default_rng(123))
     assert abs(p["X"].mean()) < 3.66e-3
 
 
 def test_inactive_slices_do_not_consume_randomness():
     seed = 5
-    ha = Hyper(d=4, f_v=3, f_t=3, mask=Mask.for_kind("rnn"))
-    hb = Hyper(d=4, f_v=3, f_t=3, mask=Mask.for_kind("trnn"))
+    ha = Hyper(d=4, f_v=3, f_t=3, mask=MASK_BY_KIND["rnn"])
+    hb = Hyper(d=4, f_v=3, f_t=3, mask=MASK_BY_KIND["trnn"])
     pa = init_params(ha, 6, np.random.default_rng(seed))
     pb = init_params(hb, 6, np.random.default_rng(seed))
     assert np.array_equal(pa["X"], pb["X"])  # X stream unaffected by later blocks
@@ -86,7 +92,7 @@ def test_inactive_slices_do_not_consume_randomness():
 
 def one_item_world():
     """d=1, one item, hand-sized parameter blocks."""
-    h = Hyper(d=1, f_v=1, f_t=1, mask=Mask(latent=True, visual=True, textual=True))
+    h = Hyper(d=1, f_v=1, f_t=1, mask=("latent", "visual", "textual"))
     params = {"X": np.array([[0.5]]), "E": np.array([[1.0]]),
               "V": np.array([[1.0]]),
               "InMat": np.eye(3), "RecMat": np.zeros((3, 3))}
@@ -137,7 +143,7 @@ def test_score_pair_antisymmetry_exact():
 
 def test_final_states_rows(toy_corpus, toy_feats):
     h = Hyper(d=3, f_v=2, f_t=2,
-              mask=Mask(latent=True, visual=True, textual=True))
+              mask=("latent", "visual", "textual"))
     params = init_params(h, toy_corpus.n_items, np.random.default_rng(4))
     final = final_states(params, toy_feats, toy_corpus, h)
     assert final.shape == (len(toy_corpus.users), h.D)
@@ -154,7 +160,7 @@ def test_final_states_rows(toy_corpus, toy_feats):
 
 def test_item_rep_matrix_rows(toy_corpus, toy_feats):
     h = Hyper(d=2, f_v=2, f_t=2,
-              mask=Mask(latent=True, visual=True, textual=True))
+              mask=("latent", "visual", "textual"))
     params = init_params(h, toy_corpus.n_items, np.random.default_rng(8))
     rep = item_rep_matrix(params, toy_feats, h)
     assert rep.shape == (toy_corpus.n_items, h.D)

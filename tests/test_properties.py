@@ -31,7 +31,7 @@ from seqrank.dataio import (Corpus, FeatureStore, load_features,
                             parse_sequence_file, sample_triples)
 from seqrank.errors import CheckpointError, ParseError
 from seqrank.evaluator import cold_start_bins
-from seqrank.model import (ALL_KINDS, SLICE_NAMES, Hyper, Mask, final_states,
+from seqrank.model import (ALL_KINDS, MASK_BY_KIND, Hyper, final_states,
                            hidden_states, init_params, item_rep_matrix,
                            order_candidates)
 
@@ -153,9 +153,7 @@ def test_order_candidates_matches_sorted_pairs(case):
     assert [(it, s.hex()) for it, s in got] == [(it, s.hex()) for it, s in want]
 
 
-MASKS = [Mask(**dict(zip(SLICE_NAMES, bits)))
-         for bits in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
-                      (0, 1, 1), (1, 1, 1))]
+MASKS = sorted(set(MASK_BY_KIND.values()))  # the four kind masks
 
 
 @st.composite

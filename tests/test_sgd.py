@@ -10,7 +10,7 @@ from seqrank import sgd, trainer
 from seqrank.baselines import (bpr_pair_grads, init_bpr_params, mf_obs_grads,
                                train_content_bpr)
 from seqrank.dataio import Corpus, FeatureStore, sample_triples
-from seqrank.model import Hyper, Mask, init_params
+from seqrank.model import MASK_BY_KIND, Hyper, init_params
 from seqrank.trainer import (TrainConfig, sequence_context, sequence_gradients,
                              sequence_updates, tiny_fixture, train)
 
@@ -39,7 +39,7 @@ def assert_moved_by(after, before, alpha, grads):
 
 
 def test_recurrent_sequence_moves_by_sequence_gradients():
-    h = Hyper(d=3, f_v=2, f_t=2, mask=Mask.for_kind("vtrnn"), **FREE)
+    h = Hyper(d=3, f_v=2, f_t=2, mask=MASK_BY_KIND["vtrnn"], **FREE)
     corpus, feats, _ = tiny_fixture(h, np.random.default_rng(4))
     start = init_params(h, corpus.n_items, start_rng())
     negs = sample_triples(corpus, "u0", np.random.default_rng([SEED, 1]))
@@ -60,7 +60,7 @@ def one_triple_world():
 
 def test_bpr_triple_moves_by_its_summed_records():
     corpus, feats = one_triple_world()
-    h = Hyper(d=2, f_v=2, f_t=2, mask=Mask.for_kind("vtbpr"), **FREE)
+    h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vtbpr"], **FREE)
     start = init_bpr_params(h, 1, 3, start_rng())
     trained = train_content_bpr(corpus, feats, h, CFG)
     grads = sgd.gradient(start, bpr_pair_grads(start, feats, h, 0, 1, 2)[1])
@@ -71,7 +71,7 @@ def test_bpr_triple_moves_by_its_summed_records():
 def test_mf_observation_moves_by_its_summed_records():
     # one step; training pairs every interaction with a sampled negative,
     # two observations on the same user row, so this is not a whole visit
-    h = Hyper(d=2, mask=Mask.for_kind("mf"), **FREE)
+    h = Hyper(d=2, mask=MASK_BY_KIND["mf"], **FREE)
     params = init_bpr_params(h, 2, 3, start_rng())
     before = {n: b.copy() for n, b in params.items()}
     _, updates = mf_obs_grads(params, 1, 2, 1.0)
@@ -103,7 +103,7 @@ def assert_same(a, b):
 
 
 def test_recurrent_sequence_decays_each_block_by_its_regularizer():
-    h = Hyper(d=3, f_v=2, f_t=2, mask=Mask.for_kind("vtrnn"), **DECAY)
+    h = Hyper(d=3, f_v=2, f_t=2, mask=MASK_BY_KIND["vtrnn"], **DECAY)
     corpus, feats, _ = tiny_fixture(h, np.random.default_rng(4))
     start = init_params(h, corpus.n_items, start_rng())
     negs = sample_triples(corpus, "u0", np.random.default_rng([SEED, 1]))
@@ -114,7 +114,7 @@ def test_recurrent_sequence_decays_each_block_by_its_regularizer():
 
 def test_bpr_triple_decays_each_block_by_its_regularizer():
     corpus, feats = one_triple_world()
-    h = Hyper(d=2, f_v=2, f_t=2, mask=Mask.for_kind("vtbpr"), **DECAY)
+    h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vtbpr"], **DECAY)
     start = init_bpr_params(h, 1, 3, start_rng())
     records = bpr_pair_grads(start, feats, h, 0, 1, 2)[1]
     assert_same(train_content_bpr(corpus, feats, h, CFG),
@@ -122,7 +122,7 @@ def test_bpr_triple_decays_each_block_by_its_regularizer():
 
 
 def test_mf_observation_decays_each_block_by_its_regularizer():
-    h = Hyper(d=2, mask=Mask.for_kind("mf"), **DECAY)
+    h = Hyper(d=2, mask=MASK_BY_KIND["mf"], **DECAY)
     params = init_bpr_params(h, 2, 3, start_rng())
     _, records = mf_obs_grads(params, 1, 2, 1.0)
     want = naive_step(params, records, h)
@@ -146,7 +146,7 @@ def test_train_applies_once_per_sequence(monkeypatch):
 
     counted(sgd, "apply")
     counted(trainer, "forward_updates")
-    h = Hyper(d=2, f_v=2, f_t=2, mask=Mask.for_kind("vtrnn"))
+    h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vtrnn"])
     corpus, feats, _ = tiny_fixture(h, np.random.default_rng(4))
     epochs = 3
     train(corpus, feats, h, TrainConfig(epochs=epochs, seed=SEED))

@@ -26,10 +26,15 @@ def test_counted_function_keeps_its_name(module, name):
     assert (fn.__module__, fn.__qualname__) == (f"seqrank.{module}", name)
 
 
+# the rank methods the traced run's `baselines.rank_calls` sums
+RANKERS = ("RandomRanker", "PopRanker", "EmbedRanker", "RecurrentRanker")
+
+
 def test_a_ranker_rank_method_keeps_its_name():
     baselines = importlib.import_module("seqrank.baselines")
-    ranks = [f"{cls.__name__}.rank" for cls in vars(baselines).values()
+    ranks = [cls.__name__ for cls in vars(baselines).values()
              if inspect.isclass(cls) and cls.__module__ == "seqrank.baselines"
              and cls.__name__.endswith("Ranker")
              and inspect.isfunction(vars(cls).get("rank"))]
     assert ranks, "no *Ranker class in baselines defines rank"
+    assert set(ranks) <= set(RANKERS), f"rank defined outside {RANKERS}: {ranks}"

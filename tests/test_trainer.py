@@ -7,7 +7,7 @@ from seqrank import numkit, sgd
 from seqrank.baselines import build_ranker
 from seqrank.dataio import synth_corpus, SynthSpec
 from seqrank.errors import ConfigError, DivergenceError
-from seqrank.model import (Hyper, Mask, hidden_states, init_params,
+from seqrank.model import (SLICE_NAMES, Hyper, hidden_states, init_params,
                            item_rep_matrix, step_hidden)
 from seqrank.trainer import (SeqContext, TrainConfig, backward_gradients,
                              backward_steps, bpr_objective, forward_updates,
@@ -15,7 +15,7 @@ from seqrank.trainer import (SeqContext, TrainConfig, backward_gradients,
                              sequence_gradients, tiny_fixture, train,
                              triple_loglik)
 
-FULL = Mask(latent=True, visual=True, textual=True)
+FULL = SLICE_NAMES
 
 
 def full_hyper(**kw):
@@ -164,16 +164,16 @@ def test_backward_short_sequence_has_no_updates():
 
 
 def test_sequence_gradients_keys_follow_mask():
-    h = Hyper(d=3, f_v=2, f_t=2, mask=Mask(latent=True))
+    h = Hyper(d=3, f_v=2, f_t=2, mask=("latent",))
     params, corpus, feats, negatives = make_context(h)
     grads = sequence_gradients(params, corpus, feats, h, "u0", negatives["u0"])
     assert sorted(grads) == ["InMat", "RecMat", "X"]
 
 
 @pytest.mark.parametrize("mask", [
-    Mask(latent=True),
-    Mask(latent=True, visual=True),
-    Mask(latent=True, textual=True),
+    ("latent",),
+    ("latent", "visual"),
+    ("latent", "textual"),
     FULL,
 ])
 def test_gradients_match_finite_differences(mask):
