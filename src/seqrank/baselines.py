@@ -8,8 +8,8 @@ all items passed to `model.order_candidates`. Every trained kind ranks with
 one class, `EmbedRanker`: item representations against the user's row of a
 (U, D) user-vector matrix, the trained "Gamma" or, for the recurrent kinds,
 the states `model.final_states` computed for every user when the ranker was
-built. `build_ranker` is the one place a kind's slice mask, its
-`model.MASK_BY_KIND` tuple, is put into `Hyper`.
+built. A kind's slice mask, its `model.MASK_BY_KIND` tuple, is put into
+`Hyper` by `build_ranker` and `grad_check` alone.
 
 The trainable kinds share one epoch loop, `sgd.run_epochs`; mf and the
 BPR family supply their per-user steps here. Their parameters are one
@@ -17,13 +17,16 @@ BPR family supply their per-user steps here. Their parameters are one
 "X", "E" and "V" of `model.init_item_blocks`, so the representation
 helpers in `model` read both model families. Users and items are rows
 (`corpus.user_index`, `corpus.train_rows` and the rows the sampler draws).
-A BPR triple (user row, positive row, negative row) has its score formed in
-`bpr_pair_score` and its update records (block, row or None, g; see `sgd`)
-in `bpr_pair_grads`, and an mf observation (user row, item row, target) its
+A BPR triple (user row, positive row, negative row) has its score and
+its update records (block, row or None, g; see `sgd`) formed in
+`bpr_pair_grads`, and an mf observation (user row, item row, target) its
 records in `mf_obs_grads`. Each step yields its records to
 `sgd.run_epochs`, which applies them with `sgd.apply` and the per-block
-decays of `Hyper.decay`; the gradient checks sum the same records with
-`sgd.gradient`.
+decays of `Hyper.decay`.
+
+`grad_check` is the gradient check of every trainable kind: it builds the
+kind's small fixture and hands `sgd.grad_check` the steps that training
+runs, each with the objective term its records ascend.
 """
 
 import hashlib
@@ -110,23 +113,17 @@ class EmbedRanker:
 # ---------------------------------------------------------------------------
 # BPR training over the masked item representation
 
-def bpr_pair_score(params: dict, feats: FeatureStore, h: Hyper, uj: int,
-                   ip: int, iq: int) -> tuple:
-    """(xhat, rep_p - rep_q) of user row uj's triple over item rows ip and
-    iq, xhat = dot(gamma_u, rep_p - rep_q)."""
-    diff = (model.item_rep_matrix(params, feats, h, ip)
-            - model.item_rep_matrix(params, feats, h, iq))
-    return float(params["Gamma"][uj] @ diff), diff
-
-
 def bpr_pair_grads(params: dict, feats: FeatureStore, h: Hyper, uj: int,
                    ip: int, iq: int) -> tuple:
-    """(xhat, updates) of one triple: `bpr_pair_score` and the update
-    records of ln sigma(xhat): user row uj's, latent rows ip and iq
-    (opposite signs), and the active "E"/"V" kernels, which move by rank-1
-    feature-difference terms."""
-    xhat, diff = bpr_pair_score(params, feats, h, uj, ip, iq)
+    """(xhat, updates) of user row uj's triple over item rows ip and iq:
+    xhat = dot(gamma_u, rep_p - rep_q) and the update records of
+    ln sigma(xhat): user row uj's, latent rows ip and iq (opposite signs),
+    and the active "E"/"V" kernels, which move by rank-1 feature-difference
+    terms."""
+    diff = (model.item_rep_matrix(params, feats, h, ip)
+            - model.item_rep_matrix(params, feats, h, iq))
     gamma_u = params["Gamma"][uj]
+    xhat = float(gamma_u @ diff)
     c = numkit.sigmoid(-xhat)
     sl = h.slices
     gx = c * gamma_u[sl["latent"]]
@@ -160,29 +157,6 @@ def train_content_bpr(corpus: Corpus, feats: FeatureStore, h: Hyper,
         corpus, cfg, h,
         lambda rng: init_bpr_params(h, len(corpus.users), corpus.n_items, rng),
         visit, log)
-
-
-def bpr_triple_loglik(params: dict, feats: FeatureStore, h: Hyper,
-                      triples: list) -> float:
-    """Sum of ln sigma(xhat) over (user row, positive row, negative row)."""
-    total = 0.0
-    for uj, ip, iq in triples:
-        xhat, _ = bpr_pair_score(params, feats, h, uj, ip, iq)
-        total += numkit.log_sigmoid(xhat)
-    return total
-
-
-def bpr_grad_check(h: Hyper, rng: np.random.Generator) -> dict:
-    """Finite-difference gate for the static pairwise model, same protocol
-    as the recurrent check."""
-    corpus, feats, negatives = trainer.tiny_fixture(h, rng)
-    params = init_bpr_params(h, len(corpus.users), corpus.n_items, rng)
-    triples = [(corpus.user_index[u], ip, iq) for u, neg_rows in negatives.items()
-               for ip, iq in zip(corpus.train_rows[u][1:], neg_rows)]
-    grads = sgd.gradient(params, [r for uj, ip, iq in triples for r in
-                                  bpr_pair_grads(params, feats, h, uj, ip, iq)[1]])
-    return numkit.fd_check(
-        params, lambda: bpr_triple_loglik(params, feats, h, triples), grads)
 
 
 # ---------------------------------------------------------------------------
@@ -219,34 +193,14 @@ def mf_obs_grads(params: dict, uj: int, ij: int, target: float) -> tuple:
     return err, [("Gamma", uj, err * x_i), ("X", ij, err * gamma_u)]
 
 
-def mf_grad_check(h: Hyper, rng: np.random.Generator) -> dict:
-    """Finite-difference gate for mf: the summed records of 8 random
-    observations against minus their half squared errors."""
-    observations = [(int(rng.integers(2)), int(rng.integers(4)),
-                     float(rng.integers(2))) for _ in range(8)]
-    params = init_bpr_params(h, 2, 4, rng)
-    grads = sgd.gradient(params, [r for obs in observations
-                                  for r in mf_obs_grads(params, *obs)[1]])
-
-    def objective():
-        total = 0.0
-        for obs in observations:
-            err, _ = mf_obs_grads(params, *obs)
-            total -= 0.5 * err * err
-        return total
-
-    return numkit.fd_check(params, objective, grads)
-
-
 # ---------------------------------------------------------------------------
 # factory
 
 def build_ranker(kind: str, corpus: Corpus, feats: FeatureStore, h: Hyper,
                  cfg: trainer.TrainConfig, log=None):
     """Train (where applicable) and wrap a ranker of the requested kind.
-    This is the one place a kind's mask is applied: trainable kinds train
-    with `h.mask` set to their `model.MASK_BY_KIND` tuple, whatever `h`
-    carried."""
+    Trainable kinds train with `h.mask` set to their `model.MASK_BY_KIND`
+    tuple, whatever `h` carried."""
     if kind == "random":
         return RandomRanker(corpus, cfg.seed)
     if kind == "pop":
@@ -262,3 +216,53 @@ def build_ranker(kind: str, corpus: Corpus, feats: FeatureStore, h: Hyper,
     else:
         params = train_content_bpr(corpus, feats, h, cfg, log=log)
     return EmbedRanker(kind, params, corpus, feats, h)
+
+
+# the trainable kinds in the gradient check's report order, each with the
+# key of its seed stream [seed, key]
+GRAD_CHECK_STREAMS = {"rnn": 0, "vrnn": 1, "trnn": 2, "vtrnn": 3,
+                      "bpr": 100, "vbpr": 101, "tbpr": 102, "vtbpr": 103,
+                      "mf": 200}
+
+
+def grad_check(kind: str, h: Hyper, rng: np.random.Generator) -> dict:
+    """`sgd.grad_check` of one trainable kind, with `h.mask` set to the
+    kind's as in `build_ranker`: {block: max relative error} over every
+    block the kind's records touch. The steps are the ones training runs,
+    at draws fixed here: for the recurrent kinds `trainer.sequence_context`
+    and `sequence_updates` on `trainer.tiny_fixture`, term
+    sum_t ln sigma(score_t); for the BPR family one `bpr_pair_grads` per
+    pair of the same fixture, term ln sigma(xhat); for mf `mf_obs_grads` of
+    8 random observations of 2 users and 4 items, term -err^2 / 2, the
+    objective its records ascend."""
+    h = replace(h, mask=model.MASK_BY_KIND[kind])
+    if kind == "mf":
+        observations = [(int(rng.integers(2)), int(rng.integers(4)),
+                         float(rng.integers(2))) for _ in range(8)]
+        params = init_bpr_params(h, 2, 4, rng)
+
+        def steps():
+            return [(-0.5 * err * err, updates) for err, updates
+                    in (mf_obs_grads(params, *obs) for obs in observations)]
+        return sgd.grad_check(params, steps)
+
+    corpus, feats, negatives = trainer.tiny_fixture(h, rng)
+    neg_rows = negatives["u0"]
+    if kind in model.RECURRENT_KINDS:
+        params = model.init_params(h, corpus.n_items, rng)
+
+        def steps():
+            ctx = trainer.sequence_context(params, corpus, feats, h, "u0",
+                                           neg_rows)
+            return [(float(np.sum(numkit.log_sigmoid(ctx.scores))),
+                     trainer.sequence_updates(ctx, params, feats, h))]
+    else:
+        params = init_bpr_params(h, 1, corpus.n_items, rng)
+        pairs = list(zip(corpus.train_rows["u0"][1:].tolist(),
+                         neg_rows.tolist()))
+
+        def steps():
+            return [(numkit.log_sigmoid(xhat), updates) for xhat, updates
+                    in (bpr_pair_grads(params, feats, h, 0, ip, iq)
+                        for ip, iq in pairs)]
+    return sgd.grad_check(params, steps)

@@ -5,7 +5,8 @@ header (kind, dims, slice mask, item table, the user table of mf and the
 BPR family, block names and shapes), then the parameter blocks as
 little-endian float64 in row-major order. Round trips are bit-exact. The
 loader takes the mask from the kind (`model.MASK_BY_KIND`) and refuses a
-header whose mask list is not exactly that kind's.
+header whose mask list is not exactly that kind's, and a block with a
+non-finite value.
 """
 
 import json
@@ -103,8 +104,8 @@ def _check_header(path, header) -> None:
 
 
 def read_checkpoint(path) -> tuple:
-    """(header dict, {block name: array}). Validates the framing and the
-    header schema."""
+    """(header dict, {block name: array}). Validates the framing, the
+    header schema and that every parameter value is finite."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < len(MAGIC) + 4 or raw[:len(MAGIC)] != MAGIC:
@@ -129,8 +130,14 @@ def read_checkpoint(path) -> tuple:
             raise CheckpointError(
                 f"{path}: block {spec['name']!r} wants {nbytes} bytes, "
                 f"{len(raw) - off} left")
-        blocks[spec["name"]] = np.frombuffer(
-            raw, dtype="<f8", count=n, offset=off).reshape(shape).copy()
+        block = np.frombuffer(raw, dtype="<f8", count=n,
+                              offset=off).reshape(shape).copy()
+        finite = np.isfinite(block)
+        if not finite.all():
+            at = tuple(np.argwhere(~finite)[0].tolist())
+            raise CheckpointError(f"{path}: block {spec['name']!r} holds the "
+                                  f"non-finite value {block[at]} at {at}")
+        blocks[spec["name"]] = block
         off += nbytes
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")

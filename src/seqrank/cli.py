@@ -288,19 +288,11 @@ def cmd_coldstart(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = resolve_config(args)
-    seed = cfg["seed"]
+    h = model.Hyper(d=2, f_v=3, f_t=3)
     worst, failed = 0.0, False
-    jobs = []
-    for i, kind in enumerate(model.RECURRENT_KINDS):
-        h = model.Hyper(d=2, f_v=3, f_t=3, mask=model.MASK_BY_KIND[kind])
-        jobs.append((kind, trainer.grad_check(h, np.random.default_rng([seed, i]))))
-    for i, kind in enumerate(("bpr", "vbpr", "tbpr", "vtbpr")):
-        h = model.Hyper(d=2, f_v=3, f_t=3, mask=model.MASK_BY_KIND[kind])
-        jobs.append((kind, baselines.bpr_grad_check(
-            h, np.random.default_rng([seed, 100 + i]))))
-    h = model.Hyper(d=2, mask=model.MASK_BY_KIND["mf"])
-    jobs.append(("mf", baselines.mf_grad_check(h, np.random.default_rng([seed, 200]))))
-    for kind, report in jobs:
+    for kind, key in baselines.GRAD_CHECK_STREAMS.items():
+        report = baselines.grad_check(
+            kind, h, np.random.default_rng([cfg["seed"], key]))
         for block, err in sorted(report.items()):
             status = "ok" if err < GRAD_TOL else "FAIL"
             print(f"{kind}\t{block}\t{err:.3e}\t{status}")

@@ -5,8 +5,9 @@ pairs sorted descending. Users are scored one after another, and aggregation
 is a fixed-order mean over evaluable users. Each ranking is reduced once to
 its relevance flags, the hit vector, read out of the pairs by C-level maps
 rather than per-item Python: `cutoff_metrics` reads every cutoff metric from
-its running sums, with discounts cached per largest cutoff, and AUC uses
-those flags with the midranks of the scores. `cold_start_bins` compares
+its running sums, with discounts cached per length, and AUC uses those
+flags with the midranks of the tie groups of the ranked scores, which need
+no second sort. `cold_start_bins` compares
 every user's top-k test frequencies with all bin bounds in one array
 operation.
 """
@@ -56,7 +57,7 @@ METRICS = ("recall", "precision", "map", "ndcg")  # order of cutoff_metrics' tup
 @lru_cache(maxsize=None)
 def _discounts(kmax: int) -> tuple:
     """(positions 1..kmax, 1/log2(rank+1) discounts, their running sums),
-    read-only and shared by every ranking cut at kmax."""
+    read-only and shared by every ranking whose sums fit in kmax."""
     pos = np.arange(1, kmax + 1)
     # math.log2 because np.log2 differs from it in the last bit for some ranks
     disc = np.array([1.0 / math.log2(j + 1) for j in range(1, kmax + 1)])
@@ -70,46 +71,44 @@ def cutoff_metrics(hit: np.ndarray, n_rel: int, cutoffs) -> dict:
     """k -> (recall, precision, MAP, NDCG) at each cutoff, from a ranking's
     relevance flags (hit[j] true where rank j+1 is relevant) and its user's
     number of relevant items. All four are running sums over the top
-    max(cutoffs) flags, read at k; positions past the ranking's end are
-    misses. MAP is normalized by min(k, n_rel), NDCG uses 1/log2(rank+1)
-    discounts."""
-    kmax = max(cutoffs)
-    pos, disc, idcg = _discounts(kmax)
-    top = hit[:kmax]
-    flags = np.zeros(kmax)
-    flags[:top.size] = top
+    min(max(cutoffs), len(hit)) flags, so no array outgrows the ranking;
+    positions past its end are misses, which leave every sum as it is, so
+    a larger k reads the last entry. MAP is normalized by min(k, n_rel),
+    NDCG uses 1/log2(rank+1) discounts."""
+    top = min(max(cutoffs), hit.size)
+    n = max(top, 1)
+    need = min(max(cutoffs), max(hit.size, n_rel))
+    # a power-of-two table, so rankings of many lengths share a few entries
+    pos, disc, idcg = _discounts(1 << (need - 1).bit_length())
+    flags = np.zeros(n)
+    flags[:top] = hit[:top]
     hits = np.cumsum(flags)
-    ap = np.cumsum(flags * hits / pos)
-    dcg = np.cumsum(flags * disc)
+    ap = np.cumsum(flags * hits / pos[:n])
+    dcg = np.cumsum(flags * disc[:n])
     out = {}
     for k in cutoffs:
-        n_hit, best = int(hits[k - 1]), min(k, n_rel)
-        out[k] = (n_hit / n_rel, n_hit / k, float(ap[k - 1] / best),
-                  float(dcg[k - 1] / idcg[best - 1]))
+        j, best = min(k, n) - 1, min(k, n_rel)
+        n_hit = int(hits[j])
+        out[k] = (n_hit / n_rel, n_hit / k, float(ap[j] / best),
+                  float(dcg[j] / idcg[best - 1]))
     return out
-
-
-def midranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ascending ranks with tied values sharing their average rank."""
-    order = np.argsort(scores, kind="stable")
-    svals = scores[order]
-    first = np.ones(svals.size, dtype=bool)
-    first[1:] = svals[1:] != svals[:-1]
-    starts = np.flatnonzero(first)
-    ends = np.append(starts[1:], svals.size) - 1
-    ranks = np.empty(scores.size)
-    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
-    return ranks
 
 
 def auc_from_scores(scores: np.ndarray, rel_mask: np.ndarray) -> float:
     """Fraction of (relevant, non-relevant) pairs scored in the right order,
-    ties worth half, via the rank-sum identity."""
+    ties worth half, via the rank-sum identity. `scores` is a ranking's, in
+    descending order, and rel_mask flags its relevant entries. Equal
+    scores are adjacent, so a tie group is a run [a, b] of positions, and
+    its ascending midrank is n - (a + b) / 2."""
+    n = scores.size
     n_rel = int(rel_mask.sum())
-    n_neg = scores.size - n_rel
-    ranks = midranks(scores)
+    first = np.ones(n, dtype=bool)
+    first[1:] = scores[1:] != scores[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], n) - 1
+    ranks = np.repeat(n - (starts + ends) / 2.0, ends - starts + 1)
     u_stat = float(ranks[rel_mask].sum()) - n_rel * (n_rel + 1) / 2.0
-    return u_stat / (n_rel * n_neg)
+    return u_stat / (n_rel * (n - n_rel))
 
 
 # ---------------------------------------------------------------------------

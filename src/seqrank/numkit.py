@@ -1,6 +1,6 @@
 """Float64 numeric kernels shared by every model in the package: stable
-sigmoids, the finite-difference gradient check, and the tests every float
-and integer setting passes."""
+sigmoids, the central finite differences behind `sgd.grad_check`, and the
+tests every float and integer setting passes."""
 
 import math
 
@@ -54,23 +54,26 @@ def log_sigmoid(x):
     return out if out.ndim else float(out)
 
 
-def fd_check(blocks: dict, loss, grads: dict, fd_step: float = 1e-5) -> dict:
-    """Analytic gradients vs central finite differences of `loss()`, every
-    entry of every block in `grads`. `blocks` maps the same names to the
-    live parameter arrays, which are perturbed in place and restored.
-    Returns {block: max relative error}."""
+FD_STEP = 1e-5
+
+
+def fd_check(blocks: dict, loss, grads: dict) -> dict:
+    """Analytic gradients vs central finite differences of `loss()`, step
+    FD_STEP, every entry of every block in `grads`. `blocks` maps the same
+    names to the live parameter arrays, which are perturbed in place and
+    restored. Returns {block: max relative error}."""
     report = {}
     for name, g in grads.items():
         block = blocks[name]
         numeric = np.zeros_like(g)
         for k in range(block.size):
             saved = block.flat[k]
-            block.flat[k] = saved + fd_step
+            block.flat[k] = saved + FD_STEP
             f_hi = loss()
-            block.flat[k] = saved - fd_step
+            block.flat[k] = saved - FD_STEP
             f_lo = loss()
             block.flat[k] = saved
-            numeric.flat[k] = (f_hi - f_lo) / (2.0 * fd_step)
+            numeric.flat[k] = (f_hi - f_lo) / (2.0 * FD_STEP)
         denom = np.maximum(np.maximum(np.abs(g), np.abs(numeric)), 1e-8)
         report[name] = float(np.max(np.abs(g - numeric) / denom))
     return report

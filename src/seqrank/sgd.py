@@ -12,9 +12,11 @@ A step's updates are a list of records (block name, row or None, g): the
 ascent direction g of one row of the block, or of the whole block when row
 is None. Training runs the list through `apply`, whose one update rule is
 `ascend`: theta += alpha * (clip(g) - lam * theta), with lam the block's
-L2 decay from `Hyper.decay`. The gradient checks sum the same lists with
-`gradient`. Parameters are the {block name: array} dict that `init`
-returns; `apply` updates its arrays in place.
+L2 decay from `Hyper.decay`. `gradient` sums the same lists into
+full-shape arrays, and `grad_check` holds that sum against central finite
+differences of the steps' own objective terms: the one gradient check of
+every trainable kind. Parameters are the {block name: array} dict that
+`init` returns; `apply` updates its arrays in place.
 
 A step's list is formed in full before `apply` runs it, and this relies on
 one invariant of every step: no record's g reads a parameter entry that
@@ -24,6 +26,7 @@ sequence ascends each entry exactly as one `apply` per pair did.
 
 import numpy as np
 
+from . import numkit
 from .errors import DivergenceError
 
 
@@ -58,6 +61,18 @@ def gradient(params: dict, updates) -> dict:
         else:
             total[row] += g
     return grads
+
+
+def grad_check(params: dict, steps) -> dict:
+    """{block: max relative error} of `gradient` of the records `steps()`
+    returns against central finite differences of the sum of its objective
+    terms, every entry of every block the records touch. `steps()` gives
+    [(objective term, update records)] at the current `params`, with its
+    random draws fixed, so the records' sum is the terms' exact gradient
+    when the records are right."""
+    grads = gradient(params, [r for _, updates in steps() for r in updates])
+    return numkit.fd_check(params, lambda: sum(term for term, _ in steps()),
+                           grads)
 
 
 def param_norm(params: dict) -> float:

@@ -15,10 +15,11 @@ recurrence and gives the latent rows of layers m-1 down to 1, then the
 transition/embedding sums over the whole sequence, formed as matmuls over
 the stacked per-layer vectors, as one record per block.
 
-The per-sequence update with zero regularization equals the exact gradient
-of sum_t ln sigma(score_t) at the frozen context: `sequence_gradients` is
-`sgd.gradient` of the records training applies (`sequence_updates`), and
-grad_check verifies it against central finite differences.
+With zero regularization, the records of one sequence (`sequence_updates`)
+sum to the exact gradient of sum_t ln sigma(score_t) at the frozen
+context. `baselines.grad_check` holds them, through `sgd.grad_check`,
+against central finite differences of that sum over `ctx.scores`, on the
+one-user `tiny_fixture`.
 
 `train` supplies only the per-user step: sample the negatives, build the
 context and yield the sequence's records, which `sgd.run_epochs` hands to
@@ -116,37 +117,6 @@ def sequence_context(params: dict, corpus: Corpus, feats: FeatureStore,
 
 
 # ---------------------------------------------------------------------------
-# objective
-
-def regularization(params: dict, h: Hyper) -> float:
-    return 0.5 * sum(h.decay[name] * np.sum(b ** 2)
-                     for name, b in params.items())
-
-
-def triple_loglik(params: dict, corpus: Corpus, feats: FeatureStore,
-                  h: Hyper, negatives: dict) -> float:
-    """Sum of ln sigma(score) over the pairs of {user: negative rows of
-    steps 2..m}, no penalty term."""
-    total = 0.0
-    for u, neg_rows in negatives.items():
-        seq = corpus.train_rows[u]
-        states = hidden_states(item_rep_matrix(params, feats, h, seq), params)
-        pos = item_rep_matrix(params, feats, h, seq[1:])
-        neg = item_rep_matrix(params, feats, h, neg_rows)
-        scores = score_pair(states[1:len(seq)], pos, neg)
-        total += float(np.sum(numkit.log_sigmoid(scores)))
-    return total
-
-
-def bpr_objective(params: dict, corpus: Corpus, feats: FeatureStore,
-                  h: Hyper, negatives: dict) -> float:
-    """Maximum-posterior objective: log-likelihood minus the L2 penalty."""
-    if not negatives:
-        raise ConfigError("bpr_objective needs at least one user's negatives")
-    return triple_loglik(params, corpus, feats, h, negatives) - regularization(params, h)
-
-
-# ---------------------------------------------------------------------------
 # forward-direction updates: direct score gradients, one pair step each
 
 def forward_updates(ctx: SeqContext, k: int) -> list:
@@ -219,19 +189,6 @@ def sequence_updates(ctx: SeqContext, params: dict, feats: FeatureStore,
 
 
 # ---------------------------------------------------------------------------
-# total per-sequence gradient (both phases, no step sizes, no penalty)
-
-def sequence_gradients(params: dict, corpus: Corpus, feats: FeatureStore,
-                       h: Hyper, u: str, neg_rows) -> dict:
-    """Exact gradient of sum_t ln sigma(score_t) for user u's sequence
-    with its sampled negative rows: `sgd.gradient` of the records that
-    training applies, as full parameter-shaped arrays. Inactive blocks
-    are omitted."""
-    ctx = sequence_context(params, corpus, feats, h, u, neg_rows)
-    return sgd.gradient(params, sequence_updates(ctx, params, feats, h))
-
-
-# ---------------------------------------------------------------------------
 # training loop
 
 def train(corpus: Corpus, feats: FeatureStore, h: Hyper, cfg: TrainConfig,
@@ -256,13 +213,14 @@ def train(corpus: Corpus, feats: FeatureStore, h: Hyper, cfg: TrainConfig,
 
 
 # ---------------------------------------------------------------------------
-# finite-difference verification
+# the gradient check's fixture
 
-def tiny_fixture(h: Hyper, rng: np.random.Generator, n_items: int = 6,
-                 seq_len: int = 4):
-    """One-user corpus with random features and a full negative ladder,
-    small enough to finite-difference every parameter entry. Returns
-    (corpus, feats, {"u0": negative rows of steps 2..seq_len})."""
+def tiny_fixture(h: Hyper, rng: np.random.Generator):
+    """One-user corpus, 6 items and a length-4 sequence, with random
+    features and a full negative ladder, small enough to finite-difference
+    every parameter entry. Returns (corpus, feats, {"u0": negative rows of
+    steps 2..4})."""
+    n_items, seq_len = 6, 4
     items = tuple(f"i{j}" for j in range(n_items))
     order = rng.permutation(n_items)
     seq = [items[int(j)] for j in order[:seq_len]]
@@ -276,17 +234,3 @@ def tiny_fixture(h: Hyper, rng: np.random.Generator, n_items: int = 6,
                          for _ in range(seq_len - 1)], dtype=np.intp)
     return corpus, feats, {"u0": neg_rows}
 
-
-def grad_check(h: Hyper, rng: np.random.Generator, perturb=None) -> dict:
-    """Analytic per-sequence gradient vs central finite differences of the
-    triple log-likelihood, every entry of every active block. Returns
-    {block: max relative error}. `perturb` mutates the analytic gradients
-    first (harness hook for verifying the check can fail)."""
-    corpus, feats, negatives = tiny_fixture(h, rng)
-    params = init_params(h, corpus.n_items, rng)
-    grads = sequence_gradients(params, corpus, feats, h, "u0", negatives["u0"])
-    if perturb is not None:
-        perturb(grads)
-    return numkit.fd_check(
-        params, lambda: triple_loglik(params, corpus, feats, h, negatives),
-        grads)

@@ -51,17 +51,6 @@ def auc_ref(scores, rel_flags):
     return good / (len(pos) * len(neg))
 
 
-def midranks_ref(scores):
-    """1-based ascending rank of each score: the scores below it, plus the
-    mean position within its group of equal scores."""
-    out = []
-    for s in scores:
-        below = sum(1 for t in scores if t < s)
-        equal = sum(1 for t in scores if t == s)
-        out.append(below + (equal + 1) / 2.0)
-    return out
-
-
 def cold_start_ref(users, test_seq, ranked, k, bins):
     """(users per bin, recall@k per bin) of the cold-start analysis, bin by
     bin: a bin with bound b keeps the test items that occur at most b times

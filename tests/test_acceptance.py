@@ -13,14 +13,14 @@ import pytest
 
 from reference_metrics import (auc_ref, average_precision_ref, ndcg_ref,
                                precision_ref, recall_ref)
-from seqrank import baselines, checkpoint, evaluator, model, sgd
-from seqrank.baselines import build_ranker, bpr_grad_check, mf_grad_check
+from seqrank import baselines, checkpoint, evaluator, model, numkit, sgd
+from seqrank.baselines import build_ranker
 from seqrank.dataio import FeatureStore, SynthSpec, sample_triples, synth_corpus
 from seqrank.evaluator import (EvalConfig, auc_from_scores, cold_start_bins,
                                cutoff_metrics, evaluate)
 from seqrank.model import MASK_BY_KIND, Hyper, init_params
-from seqrank.trainer import (TrainConfig, backward_gradients, bpr_objective,
-                             forward_updates, grad_check, sequence_context)
+from seqrank.trainer import (TrainConfig, backward_gradients, forward_updates,
+                             sequence_context)
 
 GRAD_TOL = 1e-5
 ORACLE_TOL = 1e-12
@@ -34,17 +34,11 @@ EXACT = 0.0
 def test_gradient_fidelity_all_trainable_models():
     t0 = time.monotonic()
     worst = {}
-    for i, kind in enumerate(model.RECURRENT_KINDS):
-        h = Hyper(d=2, f_v=3, f_t=3, mask=MASK_BY_KIND[kind])
-        report = grad_check(h, np.random.default_rng([0, i]))
+    h = Hyper(d=2, f_v=3, f_t=3)
+    for kind, key in baselines.GRAD_CHECK_STREAMS.items():
+        report = baselines.grad_check(kind, h, np.random.default_rng([0, key]))
         worst[kind] = max(report.values())
-    for i, kind in enumerate(("bpr", "vbpr", "tbpr", "vtbpr")):
-        h = Hyper(d=2, f_v=3, f_t=3, mask=MASK_BY_KIND[kind])
-        report = bpr_grad_check(h, np.random.default_rng([0, 100 + i]))
-        worst[kind] = max(report.values())
-    report = mf_grad_check(Hyper(d=2, mask=MASK_BY_KIND["mf"]),
-                           np.random.default_rng([0, 200]))
-    worst["mf"] = max(report.values())
+    assert sorted(worst) == sorted(MASK_BY_KIND)
     elapsed = time.monotonic() - t0
     assert max(worst.values()) < GRAD_TOL, worst
     assert elapsed < 10.0, f"gradient checks took {elapsed:.1f}s"
@@ -111,10 +105,13 @@ def test_metric_oracle_equivalence():
         assert abs(ap - average_precision_ref(ranked, relevant, k)) <= ORACLE_TOL
         assert abs(ndcg - ndcg_ref(ranked, relevant, k)) <= ORACLE_TOL
 
-        # scores drawn from a small grid so ties occur regularly
+        # scores drawn from a small grid so ties occur regularly, in
+        # ranked (descending) order as the evaluator passes them
         scores = rng.choice([0.0, 0.5, 1.0, 2.0], size=n)
         rel_mask = np.zeros(n, dtype=bool)
         rel_mask[rng.choice(n, size=n_rel, replace=False)] = True
+        order = np.argsort(-scores, kind="stable")
+        scores, rel_mask = scores[order], rel_mask[order]
         assert abs(auc_from_scores(scores, rel_mask)
                    - auc_ref(scores.tolist(), rel_mask.tolist())) <= ORACLE_TOL
 
@@ -203,7 +200,15 @@ def objective_gain(corpus, feats, seed):
     params = init_params(h, corpus.n_items, np.random.default_rng([seed, 0]))
     rng = np.random.default_rng([seed, 1])
     frozen = {u: sample_triples(corpus, u, rng) for u in corpus.users}
-    before = bpr_objective(params, corpus, feats, h, frozen)
+
+    def objective():
+        """sum of ln sigma(score) over the frozen pairs; with every lambda
+        0 there is no penalty term"""
+        return sum(float(np.sum(numkit.log_sigmoid(sequence_context(
+            params, corpus, feats, h, u, neg_rows).scores)))
+            for u, neg_rows in frozen.items())
+
+    before = objective()
     for _ in range(5):
         for u, neg_rows in frozen.items():
             ctx = sequence_context(params, corpus, feats, h, u, neg_rows)
@@ -211,7 +216,7 @@ def objective_gain(corpus, feats, seed):
                 sgd.apply(params, forward_updates(ctx, k), h.alpha, h.decay)
             sgd.apply(params, backward_gradients(ctx, params, feats, h), h.alpha,
                       h.decay)
-    return bpr_objective(params, corpus, feats, h, frozen) - before
+    return objective() - before
 
 
 def test_objective_ascent():

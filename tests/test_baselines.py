@@ -7,8 +7,7 @@ import pytest
 
 from seqrank import baselines, model
 from seqrank.baselines import (EmbedRanker, PopRanker, RandomRanker,
-                               bpr_grad_check, build_ranker,
-                               init_bpr_params, mf_grad_check,
+                               build_ranker, grad_check, init_bpr_params,
                                train_content_bpr, train_mf, user_stream)
 from seqrank.dataio import Corpus, SynthSpec, synth_corpus
 from seqrank.errors import ConfigError, DivergenceError
@@ -130,15 +129,34 @@ def test_content_bpr_divergence(world):
 
 @pytest.mark.parametrize("kind", ["bpr", "vbpr", "tbpr", "vtbpr"])
 def test_bpr_gradients_match_finite_differences(kind):
-    h = Hyper(d=3, f_v=2, f_t=2, mask=MASK_BY_KIND[kind])
-    report = bpr_grad_check(h, np.random.default_rng(31))
+    h = Hyper(d=3, f_v=2, f_t=2)
+    report = grad_check(kind, h, np.random.default_rng(31))
     assert max(report.values()) < 1e-5, report
 
 
 def test_mf_gradients_match_finite_differences():
-    h = Hyper(d=3, mask=MASK_BY_KIND["mf"])
-    report = mf_grad_check(h, np.random.default_rng(32))
+    report = grad_check("mf", Hyper(d=3), np.random.default_rng(32))
     assert max(report.values()) < 1e-5, report
+
+
+@pytest.mark.parametrize("kind, step, block", [
+    ("vtbpr", "bpr_pair_grads", "E"),
+    ("mf", "mf_obs_grads", "X"),
+])
+def test_grad_check_detects_a_scaled_record(monkeypatch, kind, step, block):
+    # every step's record of `block` is scaled, its objective term is not
+    real = getattr(baselines, step)
+
+    def scaled(*args):
+        term, updates = real(*args)
+        return term, [(name, row, 1.05 * g if name == block else g)
+                      for name, row, g in updates]
+
+    monkeypatch.setattr(baselines, step, scaled)
+    report = grad_check(kind, Hyper(d=2, f_v=3, f_t=3),
+                        np.random.default_rng(5))
+    assert report[block] > 1e-3, report
+    assert max(v for name, v in report.items() if name != block) < 1e-5, report
 
 
 def moved_by(trained, start) -> dict:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from seqrank import checkpoint, cli
+from seqrank import checkpoint, cli, model
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -127,6 +127,20 @@ def test_gradcheck_passes(capsys):
     assert "max relative error" in out
 
 
+def test_gradcheck_rows_cover_every_kind_and_block(capsys):
+    # a check that skipped a kind or a block would pass on its error alone
+    assert cli.main(["gradcheck", "--seed", "1"]) == 0
+    rows = [line.split("\t")[:2]
+            for line in capsys.readouterr().out.splitlines()[:-1]]
+    want = []
+    for kind, mask in model.MASK_BY_KIND.items():
+        blocks = ["X"] + (["InMat", "RecMat"] if kind in model.RECURRENT_KINDS
+                          else ["Gamma"])
+        blocks += ["E"] * ("visual" in mask) + ["V"] * ("textual" in mask)
+        want += [[kind, block] for block in blocks]
+    assert sorted(rows) == sorted(want)
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", {"kidn": "rnn"})
     assert cli.main(["gradcheck", "--config", cfg]) == cli.EXIT_CONFIG
@@ -210,6 +224,27 @@ def test_eval_malformed_checkpoint_header(pipeline, tmp_path, capsys):
         assert code == cli.EXIT_DATA, label
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert "header" in err.split(": ", 2)[2], err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+def test_eval_non_finite_checkpoint_is_data_error(pipeline, tmp_path, capsys,
+                                                  value):
+    _, paths, ckpts = pipeline
+    raw = bytearray(ckpts["rnn"].read_bytes())
+    header, blocks = checkpoint.read_checkpoint(ckpts["rnn"])
+    assert [b["name"] for b in header["blocks"]][0] == "X"
+    x_at = len(raw) - 8 * sum(b.size for b in blocks.values())
+    struct.pack_into("<d", raw, x_at + 8 * 5, value)  # X row 1, column 2
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(raw))
+    cfg = write_config(tmp_path / "c.json", {"data": paths})
+    code = cli.main(["eval", str(bad), "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert err.count("\n") == 1
+    assert f"bad.ckpt: block 'X' holds the non-finite value {value} at (1, 2)" \
+        in err
+    assert not (tmp_path / "eval_rnn.json").exists()
 
 
 def test_eval_checkpoint_corpus_mismatch(pipeline, tmp_path, capsys):

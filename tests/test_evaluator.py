@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from reference_metrics import (auc_ref, average_precision_ref, midranks_ref,
-                               ndcg_ref, precision_ref, recall_ref)
+from reference_metrics import (auc_ref, average_precision_ref, ndcg_ref,
+                               precision_ref, recall_ref)
 from seqrank.baselines import RandomRanker
 from seqrank.dataio import build_corpus
 from seqrank.errors import ConfigError, EmptyCorpusError
 from seqrank.evaluator import (EvalConfig, auc_from_scores, cold_start_bins,
-                               cutoff_metrics, evaluate, midranks, user_metrics)
+                               cutoff_metrics, evaluate, user_metrics)
 from seqrank.evaluator import test_frequencies as frequencies_in_test
 
 NDCG_SINGLE_REL_AT_2 = 0.6309297535714574  # 1/log2(3)
@@ -62,28 +62,41 @@ def test_ndcg_values():
     assert at_k(["a", "b", "c"], {"a", "b"}, 3)[3] == 1.0  # perfect prefix
 
 
-def test_midranks_ties():
-    assert midranks(np.array([1.0, 2.0, 2.0, 3.0])).tolist() == [1.0, 2.5, 2.5, 4.0]
-    assert midranks(np.array([5.0, 5.0, 5.0])).tolist() == [2.0, 2.0, 2.0]
-
-
-def test_midranks_match_reference():
-    # ties, signed zeros (equal to each other) and infinities
-    rng = np.random.default_rng(11)
-    grid = [0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf]
-    for n in range(0, 40):
-        scores = rng.choice(grid, size=n)
-        assert midranks(scores).tolist() == midranks_ref(scores.tolist())
+def test_cutoff_beyond_memory_reads_the_last_entry():
+    # arrays are sized by the ranking, not by the cutoff
+    ranked = ["a", "b", "c", "d"]
+    relevant = {"b", "d"}
+    k = 10 ** 12
+    recall, precision, ap, ndcg = at_k(ranked, relevant, k)
+    assert recall == recall_ref(ranked, relevant, k)
+    assert precision == precision_ref(ranked, relevant, k)
+    assert ap == average_precision_ref(ranked, relevant, k)
+    assert ndcg == ndcg_ref(ranked, relevant, k)
+    assert cutoff_metrics(np.array([], dtype=bool), 2, (k,))[k] == \
+        (0.0, 0.0, 0.0, 0.0)
 
 
 def test_auc_from_scores():
-    assert auc_from_scores(np.array([3.0, 1.0, 2.0]),
+    # scores in ranked, descending order
+    assert auc_from_scores(np.array([3.0, 2.0, 1.0]),
                            np.array([True, False, False])) == 1.0
-    assert auc_from_scores(np.array([1.0, 3.0, 2.0]),
-                           np.array([True, False, False])) == 0.0
+    assert auc_from_scores(np.array([3.0, 2.0, 1.0]),
+                           np.array([False, False, True])) == 0.0
     # tie counts half
     assert auc_from_scores(np.array([2.0, 2.0]),
                            np.array([True, False])) == 0.5
+
+
+def test_auc_matches_reference_with_ties():
+    # tie-heavy rankings: signed zeros (equal to each other), infinities
+    rng = np.random.default_rng(11)
+    grid = [0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf]
+    for n in range(2, 40):
+        scores = np.sort(rng.choice(grid, size=n))[::-1]
+        rel = np.zeros(n, dtype=bool)
+        rel[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = True
+        assert abs(auc_from_scores(scores, rel)
+                   - auc_ref(scores.tolist(), rel.tolist())) <= 1e-12
 
 
 def fake_table():

@@ -1,16 +1,20 @@
 """Every name a module under src/ or tests/ imports is used in it, every
-parameter of a function under src/ is read in its body, and every
-dataclass field under src/ is read as an attribute somewhere in src/.
+parameter of a function under src/ is read in its body, every defaulted
+parameter of a function under src/ is passed by some call under src/ or
+tests/, and every dataclass field under src/ is read as an attribute
+somewhere in src/.
 
-An import left behind by a deleted caller, or a parameter or field whose
-last reader was deleted, keeps a dead name alive and hides the deletion
-from a reader. The scans are by `ast` alone: a name bound by an import must
-appear as an identifier somewhere else in the module, a parameter as an
-identifier inside its function, and a field as a loaded attribute
-(`obj.field`) in any module under src/. `self`, `cls` and `_`-prefixed
-parameters are exempt."""
+An import left behind by a deleted caller, a parameter or field whose
+last reader was deleted, or a default that no call overrides keeps a dead
+name alive and hides the deletion from a reader. The scans are by `ast`
+alone: a name bound by an import must appear as an identifier somewhere
+else in the module, a parameter as an identifier inside its function, a
+defaulted parameter in a call by the function's name, and a field as a
+loaded attribute (`obj.field`) in any module under src/. `self`, `cls` and
+`_`-prefixed parameters are exempt from the parameter scan."""
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -79,6 +83,71 @@ def test_scan_finds_an_unread_parameter():
                          ids=[str(p.relative_to(ROOT)) for p in SOURCES])
 def test_no_unread_parameters(path):
     assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def calls_by_name(sources: list) -> dict:
+    """{called name: [(positional count, keyword names), ...]} over every
+    call of `sources`, named by `f(...)`, `obj.f(...)` or `Class(...)`. A
+    call with *args or **kwargs passes every parameter: (inf, None)."""
+    calls = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                calls.setdefault(name, []).append((math.inf, None))
+            else:
+                calls.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def unset_defaults(source: str, calls: dict) -> list:
+    """(line, function, parameter) for each defaulted parameter of a
+    function of `source` that no call of `calls` (`calls_by_name`) passes,
+    by keyword or by position. A call is matched by the function's name,
+    or by its class's name for an `__init__`; a method's positions skip
+    `self`."""
+    tree = ast.parse(source)
+    owner = {fn: cls.name for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) for fn in cls.body}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        cls = owner.get(node)
+        name = cls if node.name == "__init__" and cls else node.name
+        a = node.args
+        pos = [*a.posonlyargs, *a.args]
+        first = len(pos) - len(a.defaults)
+        defaulted = [(p.arg, i - (cls is not None))
+                     for i, p in enumerate(pos) if i >= first]
+        defaulted += [(p.arg, math.inf)
+                      for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+        found += [(node.lineno, node.name, param) for param, i in defaulted
+                  if not any(n > i or keywords is None or param in keywords
+                             for n, keywords in calls.get(name, []))]
+    return found
+
+
+def test_scan_finds_an_unset_default():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n"
+              "class K:\n    def __init__(self, x=0, y=0):\n        pass\n"
+              "    def m(self, z=1):\n        return z\n")
+    calls = calls_by_name(["f(0, 1, e=5)\nK(y=1).m(2)\n"])
+    assert unset_defaults(source, calls) == [
+        (1, "f", "c"), (1, "f", "d"), (4, "__init__", "x")]
+    everything = calls_by_name(["f(*a, **k)\nK(**k).m(*a)\n"])
+    assert unset_defaults(source, everything) == []
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=[str(p.relative_to(ROOT)) for p in SOURCES])
+def test_no_unset_defaults(path):
+    calls = calls_by_name([p.read_text(encoding="utf-8") for p in MODULES])
+    assert unset_defaults(path.read_text(encoding="utf-8"), calls) == []
 
 
 def dataclass_fields(source: str) -> list:

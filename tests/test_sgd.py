@@ -1,5 +1,5 @@
 """One update list per step: training applies it with `sgd.apply` and the
-gradient checks sum it with `sgd.gradient`, so with no decay and no
+gradient check sums it with `sgd.gradient`, so with no decay and no
 clipping a step moves the parameters by alpha times the checked
 gradient. With decay, each block decays by its own regularizer, and a
 recurrent sequence's records go to one `sgd.apply` call."""
@@ -11,8 +11,8 @@ from seqrank.baselines import (bpr_pair_grads, init_bpr_params, mf_obs_grads,
                                train_content_bpr)
 from seqrank.dataio import Corpus, FeatureStore, sample_triples
 from seqrank.model import MASK_BY_KIND, Hyper, init_params
-from seqrank.trainer import (TrainConfig, sequence_context, sequence_gradients,
-                             sequence_updates, tiny_fixture, train)
+from seqrank.trainer import (TrainConfig, sequence_context, sequence_updates,
+                             tiny_fixture, train)
 
 FREE = dict(alpha=0.5, lam_theta=0.0, lam_e=0.0, lam_v=0.0)
 SEED = 9
@@ -44,7 +44,8 @@ def test_recurrent_sequence_moves_by_sequence_gradients():
     start = init_params(h, corpus.n_items, start_rng())
     negs = sample_triples(corpus, "u0", np.random.default_rng([SEED, 1]))
     trained = train(corpus, feats, h, CFG)
-    grads = sequence_gradients(start, corpus, feats, h, "u0", negs)
+    ctx = sequence_context(start, corpus, feats, h, "u0", negs)
+    grads = sgd.gradient(start, sequence_updates(ctx, start, feats, h))
     assert sorted(grads) == ["E", "InMat", "RecMat", "V", "X"]
     assert_moved_by(trained, start, h.alpha, grads)
 

@@ -3,19 +3,20 @@
 import numpy as np
 import pytest
 
-from seqrank import numkit, sgd
+from seqrank import baselines, numkit, sgd, trainer
 from seqrank.baselines import build_ranker
 from seqrank.dataio import synth_corpus, SynthSpec
 from seqrank.errors import ConfigError, DivergenceError
-from seqrank.model import (SLICE_NAMES, Hyper, hidden_states, init_params,
-                           item_rep_matrix, step_hidden)
+from seqrank.model import (MASK_BY_KIND, RECURRENT_KINDS, SLICE_NAMES, Hyper,
+                           hidden_states, init_params, item_rep_matrix,
+                           step_hidden)
 from seqrank.trainer import (SeqContext, TrainConfig, backward_gradients,
-                             backward_steps, bpr_objective, forward_updates,
-                             grad_check, regularization, sequence_context,
-                             sequence_gradients, tiny_fixture, train,
-                             triple_loglik)
+                             backward_steps, forward_updates, sequence_context,
+                             sequence_updates, tiny_fixture, train)
 
 FULL = SLICE_NAMES
+# the recurrent kind of each slice mask
+RECURRENT_BY_MASK = {MASK_BY_KIND[kind]: kind for kind in RECURRENT_KINDS}
 
 
 def full_hyper(**kw):
@@ -66,31 +67,6 @@ def test_context_contents():
     pre_in = ctx.inputs @ params["InMat"].T
     redo = step_hidden(ctx.states[1], pre_in[1], params["RecMat"])
     assert np.array_equal(redo, ctx.states[2])
-
-
-def test_regularization_hand_value():
-    h = full_hyper(d=1, f_v=1, f_t=1, lam_theta=0.5, lam_e=2.0, lam_v=4.0)
-    params = init_params(h, 1, np.random.default_rng(0))
-    params["X"][:] = 2.0      # sum sq 4
-    params["E"][:] = 1.0      # 1
-    params["V"][:] = 3.0      # 9
-    params["InMat"][:] = 0.0
-    params["RecMat"][:] = 1.0  # 9 entries
-    # 0.5 * (0.5*(4 + 0 + 9) + 2*1 + 4*9)
-    assert regularization(params, h) == 0.5 * (0.5 * 13 + 2.0 + 36.0)
-
-
-def test_objective_is_loglik_minus_penalty():
-    h = full_hyper()
-    params, corpus, feats, negatives = make_context(h)
-    ll = triple_loglik(params, corpus, feats, h, negatives)
-    ctx = sequence_context(params, corpus, feats, h, "u0", negatives["u0"])
-    manual = sum(float(numkit.log_sigmoid(s)) for s in ctx.scores)
-    assert ll == pytest.approx(manual, abs=1e-12)
-    assert bpr_objective(params, corpus, feats, h, negatives) == \
-        pytest.approx(ll - regularization(params, h), abs=1e-12)
-    with pytest.raises(ConfigError):
-        bpr_objective(params, corpus, feats, h, {})
 
 
 def test_forward_grad_pieces():
@@ -166,30 +142,33 @@ def test_backward_short_sequence_has_no_updates():
 def test_sequence_gradients_keys_follow_mask():
     h = Hyper(d=3, f_v=2, f_t=2, mask=("latent",))
     params, corpus, feats, negatives = make_context(h)
-    grads = sequence_gradients(params, corpus, feats, h, "u0", negatives["u0"])
+    ctx = sequence_context(params, corpus, feats, h, "u0", negatives["u0"])
+    grads = sgd.gradient(params, sequence_updates(ctx, params, feats, h))
     assert sorted(grads) == ["InMat", "RecMat", "X"]
 
 
-@pytest.mark.parametrize("mask", [
-    ("latent",),
-    ("latent", "visual"),
-    ("latent", "textual"),
-    FULL,
-])
+@pytest.mark.parametrize("mask", list(RECURRENT_BY_MASK))
 def test_gradients_match_finite_differences(mask):
-    h = Hyper(d=3, f_v=2, f_t=2, mask=mask)
-    report = grad_check(h, np.random.default_rng(77))
+    h = Hyper(d=3, f_v=2, f_t=2)
+    report = baselines.grad_check(RECURRENT_BY_MASK[mask], h,
+                                  np.random.default_rng(77))
     assert max(report.values()) < 1e-5, report
 
 
-def test_grad_check_detects_broken_gradient():
-    h = full_hyper()
+def test_grad_check_detects_broken_gradient(monkeypatch):
+    # the step's first record, the positive latent row of its first pair,
+    # is scaled; its objective term is not
+    real = trainer.sequence_updates
 
-    def sabotage(grads):
-        grads["X"] += 0.05
+    def scaled(*args):
+        (name, row, g), *rest = real(*args)
+        return [(name, row, 1.05 * g), *rest]
 
-    report = grad_check(h, np.random.default_rng(77), perturb=sabotage)
-    assert report["X"] > 1e-3
+    monkeypatch.setattr(trainer, "sequence_updates", scaled)
+    report = baselines.grad_check("vtrnn", full_hyper(),
+                                  np.random.default_rng(77))
+    assert report["X"] > 1e-3, report
+    assert max(v for name, v in report.items() if name != "X") < 1e-5, report
 
 
 SPEC = SynthSpec(users=6, items=24, clusters=3, seq_len=6,
