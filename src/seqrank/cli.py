@@ -31,7 +31,7 @@ DEFAULTS = {
     "seed": 0,
     "out": "out",
     "data": {"sequences": None, "visual": None, "textual": None,
-             "min_len": 2, "split_frac": 0.9},
+             "min_len": dataio.MIN_LEN, "split_frac": dataio.SPLIT_FRAC},
     "hyper": {"d": 10, "alpha": None, "lam_theta": 0.001, "lam_e": 0.001,
               "lam_v": 0.001, "init_lo": -0.5, "init_hi": 0.5},
     "train": {"epochs": 20, "shuffle_users": False, "clip_norm": None},
@@ -234,7 +234,7 @@ def cmd_eval(args) -> int:
     corpus, feats = build_data(cfg)
     echo_config(cfg)
     ranker = checkpoint.load_ranker(args.checkpoint, corpus, feats)
-    report = evaluator.evaluate(ranker, corpus, _eval_config(cfg))
+    report, _ = evaluator.evaluate(ranker, corpus, _eval_config(cfg))
     os.makedirs(cfg["out"], exist_ok=True)
     base = os.path.join(cfg["out"], f"eval_{report.kind}")
     _write_json(base + ".json", report.to_json_dict())
@@ -270,8 +270,7 @@ def cmd_coldstart(args) -> int:
     ecfg = _eval_config(cfg)
     rankings = {}
     for name in names:  # pop: a ranker is freed once its rankings are kept
-        _, rankings[name] = evaluator.evaluate(rankers.pop(name), corpus, ecfg,
-                                               keep_rankings=True)
+        _, rankings[name] = evaluator.evaluate(rankers.pop(name), corpus, ecfg)
     report = evaluator.cold_start_bins(corpus, rankings,
                                        cfg["eval"]["coldstart_k"],
                                        tuple(cfg["eval"]["bins"]), pairs)

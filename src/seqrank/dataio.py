@@ -1,5 +1,6 @@
-"""Corpus and feature ingestion: parsing, filtering, splitting, negative
-sampling, and the planted-cluster synthetic data generator. Ids stop at
+"""Corpus and feature ingestion: parsing, the split protocol
+(`build_corpus`, which filters and splits in one pass), negative sampling,
+and the planted-cluster synthetic data generator. Ids stop at
 `Corpus`, which holds the only id-to-row maps; the feature store is
 row-aligned and the negative sampler draws rows."""
 
@@ -49,12 +50,6 @@ class Corpus:
         return [u for u in self.users if self.test_seq.get(u)]
 
 
-def split_sequence(seq: list, split_frac: float) -> tuple:
-    """First ceil(split_frac * n) items go to training, the rest to test."""
-    n_train = math.ceil(split_frac * len(seq))
-    return seq[:n_train], seq[n_train:]
-
-
 def _text_lines(path):
     """(line number, line without its newline) over a UTF-8 text file;
     bytes that are not UTF-8 raise ParseError."""
@@ -84,8 +79,16 @@ def parse_sequence_file(path) -> dict:
     return raw
 
 
+MIN_LEN, SPLIT_FRAC = 2, 0.9  # the protocol's defaults
+
+
 def build_corpus(raw_seqs: dict, min_len: int, split_frac: float) -> Corpus:
-    """Apply the filtering/split protocol to already-parsed sequences."""
+    """The split protocol, in one pass over already-parsed sequences: a
+    user with fewer than min_len items is dropped; the first
+    ceil(split_frac * n) items are the training sequence; the test list
+    keeps the first occurrence of each remaining item not trained on. A
+    user may end up with an empty test list: they stay in the corpus for
+    training but are skipped by evaluation."""
     if not 0.0 < split_frac < 1.0:
         raise ConfigError(f"split_frac must be in (0,1), got {split_frac}")
     if min_len < 2:
@@ -95,35 +98,20 @@ def build_corpus(raw_seqs: dict, min_len: int, split_frac: float) -> Corpus:
     for u, seq in raw_seqs.items():
         if len(seq) < min_len:
             continue
-        tr, te = split_sequence(seq, split_frac)
+        n_train = math.ceil(split_frac * len(seq))
+        train_seq[u] = seq[:n_train]
+        owned = set(train_seq[u])
+        # dict.fromkeys keeps each test item's first occurrence, in order
+        test_seq[u] = [it for it in dict.fromkeys(seq[n_train:]) if it not in owned]
         users.append(u)
-        train_seq[u] = tr
-        test_seq[u] = te
         item_set.update(seq)
     if not users:
         raise EmptyCorpusError(f"no user has >= {min_len} interactions")
-    return filter_test_new_items(
-        Corpus(tuple(users), tuple(sorted(item_set)), train_seq, test_seq))
+    return Corpus(tuple(users), tuple(sorted(item_set)), train_seq, test_seq)
 
 
-def load_corpus(seq_path, min_len: int = 2, split_frac: float = 0.9) -> Corpus:
+def load_corpus(seq_path, min_len: int, split_frac: float) -> Corpus:
     return build_corpus(parse_sequence_file(seq_path), min_len, split_frac)
-
-
-def filter_test_new_items(c: Corpus) -> Corpus:
-    """Keep only uniquely new test items: drop train items, then de-dup
-    preserving first occurrence. Users may end up with an empty test list;
-    they stay in the corpus for training but are skipped by evaluation."""
-    test_seq = {}
-    for u in c.users:
-        seen = set(c.train_seq[u])
-        kept = []
-        for it in c.test_seq.get(u, []):
-            if it not in seen:
-                kept.append(it)
-                seen.add(it)
-        test_seq[u] = kept
-    return Corpus(c.users, c.items, c.train_seq, test_seq)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +273,6 @@ class SynthSpec:
     cold_fraction: float = 0.0
     cold_prob: float = 0.0
     tail_pool: int = 0
-    split_frac: float = 0.9
-    min_len: int = 2
 
     def __post_init__(self):
         ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type is int]
@@ -302,8 +288,8 @@ class SynthSpec:
             problems.append("users must be >= 1")
         if self.clusters < 1 or self.clusters > self.items:
             problems.append("need 1 <= clusters <= items")
-        if self.seq_len < self.min_len:
-            problems.append(f"seq_len must be >= min_len ({self.min_len})")
+        if self.seq_len < MIN_LEN:
+            problems.append(f"seq_len must be >= {MIN_LEN}")
         if self.f_dim_visual < 1 or self.f_dim_textual < 1:
             problems.append("feature dims must be >= 1")
         if self.noise_sigma < 0:
@@ -320,8 +306,6 @@ class SynthSpec:
             problems.append("tail_fraction must be in [0,1]")
         if self.tail_pool < 0:
             problems.append("tail_pool must be >= 0")
-        if not 0.0 < self.split_frac < 1.0:
-            problems.append("split_frac must be in (0,1)")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -408,9 +392,9 @@ def synth_raw(spec: SynthSpec, rng: np.random.Generator):
 
 def synth_corpus(spec: SynthSpec, rng: np.random.Generator):
     """Planted-structure corpus plus aligned features, split and filtered
-    with the same protocol load_corpus applies."""
+    by build_corpus with the protocol's defaults."""
     raw_seqs, vis, tex = synth_raw(spec, rng)
-    corpus = build_corpus(raw_seqs, spec.min_len, spec.split_frac)
+    corpus = build_corpus(raw_seqs, MIN_LEN, SPLIT_FRAC)
     return corpus, build_feature_store(corpus, vis, tex)
 
 

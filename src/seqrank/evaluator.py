@@ -1,15 +1,16 @@
 """Ranked-retrieval metrics, AUC, and frequency-bin cold-start analysis.
 
-Per-user rankings come from any object with .rank(u) returning (item, score)
-pairs sorted descending. Users are scored one after another, and aggregation
-is a fixed-order mean over evaluable users. Each ranking is reduced once to
-its relevance flags, the hit vector, read out of the pairs by C-level maps
-rather than per-item Python: `cutoff_metrics` reads every cutoff metric from
-its running sums, with discounts cached per length, and AUC uses those
-flags with the midranks of the tie groups of the ranked scores, which need
-no second sort. `cold_start_bins` compares
-every user's top-k test frequencies with all bin bounds in one array
-operation.
+Per-user rankings come from any object with .rank(u) returning (item,
+score) pairs sorted descending. Users are scored one after another, and
+aggregation is a fixed-order mean over evaluable users; `evaluate` returns
+the report with the ranked ids it was read from, which `cold_start_bins`
+reuses. Each ranking is reduced once to its relevance flags, the hit
+vector, read out of the pairs by C-level maps rather than per-item Python:
+`cutoff_metrics` reads every cutoff metric from its running sums, with
+discounts cached per length, and AUC uses those flags with the midranks of
+the tie groups of the ranked scores, which need no second sort.
+`cold_start_bins` compares every user's top-k test frequencies with all bin
+bounds in one array operation.
 """
 
 import math
@@ -157,11 +158,10 @@ def user_metrics(ranker, corpus: Corpus, cfg: EvalConfig, u: str) -> dict:
     return row
 
 
-def evaluate(ranker, corpus: Corpus, cfg: EvalConfig,
-             keep_rankings: bool = False):
-    """Aggregate metrics over every user with a nonempty filtered test set.
-    With keep_rankings, also returns {user: ranked id list} for reuse by the
-    cold-start analysis."""
+def evaluate(ranker, corpus: Corpus, cfg: EvalConfig) -> tuple:
+    """(report, {user: ranked id list}): metrics aggregated over every user
+    with a nonempty filtered test set, and the rankings they were read
+    from, for reuse by the cold-start analysis."""
     users = corpus.eval_users()
     if not users:
         raise EmptyCorpusError("no users have test items to evaluate")
@@ -180,9 +180,7 @@ def evaluate(ranker, corpus: Corpus, cfg: EvalConfig,
     report = EvalReport(getattr(ranker, "kind", "?"), tuple(cfg.cutoffs),
                         per_cutoff, sum(aucs) / len(aucs), len(rows),
                         len(rows) - len(aucs))
-    if keep_rankings:
-        return report, {u: row["ranked"] for u, row in zip(users, rows)}
-    return report
+    return report, {u: row["ranked"] for u, row in zip(users, rows)}
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import DivergenceError
 
 
 def ascend(theta: np.ndarray, g: np.ndarray, alpha: float, lam: float,
-           clip_norm: float | None = None) -> None:
+           clip_norm: float | None) -> None:
     """In place: theta += alpha * (g - lam * theta), with g first rescaled
     to norm clip_norm when it is longer."""
     if clip_norm is not None:
@@ -79,12 +79,13 @@ def param_norm(params: dict) -> float:
     return float(np.sqrt(sum(np.sum(b ** 2) for b in params.values())))
 
 
-def run_epochs(corpus, cfg, h, init, visit, log=None):
+def run_epochs(corpus, cfg, h, init, visit, log):
     """Run cfg.epochs passes over the users, in corpus order or reshuffled
     each epoch, applying each step's records with h.alpha, h.decay and
-    cfg.clip_norm. After each epoch, `log` gets "epoch<TAB>mean
-    objective<TAB>parameter norm". Raises DivergenceError at the first user
-    whose updates leave a non-finite parameter."""
+    cfg.clip_norm. After each epoch, `log` (when not None) gets
+    "epoch<TAB>mean objective<TAB>parameter norm". Raises DivergenceError
+    at the first user whose updates leave a non-finite parameter, naming
+    the epoch, the user and the first such block in dict order."""
     params = init(np.random.default_rng([cfg.seed, 0]))
     rng = np.random.default_rng([cfg.seed, 1])
     for epoch in range(1, cfg.epochs + 1):
@@ -97,9 +98,11 @@ def run_epochs(corpus, cfg, h, init, visit, log=None):
                 total += term
                 n += count
                 apply(params, updates, h.alpha, h.decay, cfg.clip_norm)
-            if not all(np.isfinite(b).all() for b in params.values()):
-                raise DivergenceError(
-                    f"non-finite parameters at epoch {epoch}, user {u!r}")
+            bad = next((name for name, b in params.items()
+                        if not np.isfinite(b).all()), None)
+            if bad is not None:
+                raise DivergenceError(f"non-finite parameters at epoch {epoch}, "
+                                      f"user {u!r}, block {bad!r}")
         if log is not None:
             mean = total / n if n else float("nan")
             log(f"{epoch}\t{mean:.6f}\t{param_norm(params):.6f}")

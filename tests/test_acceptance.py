@@ -61,8 +61,8 @@ def planted_aucs():
     aucs = {}
     for kind in ("random", "rnn", "vtrnn"):
         h = Hyper(d=10, f_v=10, f_t=10)
-        report = evaluate(build_ranker(kind, corpus, feats, h, cfg),
-                          corpus, ecfg)
+        report, _ = evaluate(build_ranker(kind, corpus, feats, h, cfg),
+                             corpus, ecfg)
         aucs[kind] = report.auc
     pairs = 0
     for u in corpus.eval_users():
@@ -141,8 +141,7 @@ def cold_start_growth(seed):
         ranker = build_ranker(kind, corpus, feats, h,
                               TrainConfig(epochs=10, seed=seed + 7))
         _, ranked = evaluate(ranker, corpus,
-                             EvalConfig(cutoffs=(30,), bins=COLD_BINS),
-                             keep_rankings=True)
+                             EvalConfig(cutoffs=(30,), bins=COLD_BINS))
         rankings[kind] = ranked
     report = cold_start_bins(corpus, rankings, 30, COLD_BINS,
                              [("vtrnn", "rnn")])
@@ -249,8 +248,7 @@ def test_ablation_identities():
     ranker = build_ranker("vtrnn", corpus, feats, Hyper(d=4, f_v=3, f_t=3),
                           TrainConfig(epochs=2, seed=5))
     report, rankings = evaluate(ranker, corpus,
-                                EvalConfig(cutoffs=(k,), bins=(1, 2, 4)),
-                                keep_rankings=True)
+                                EvalConfig(cutoffs=(k,), bins=(1, 2, 4)))
     cs = cold_start_bins(corpus, {"vtrnn": rankings}, k, (1, 2, 4))
     assert cs.recalls["vtrnn"][-1] == report.per_cutoff[k]["recall"]
 

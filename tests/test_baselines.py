@@ -123,7 +123,9 @@ def test_content_bpr_divergence(world):
     corpus, feats = world
     h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vtbpr"],
               alpha=1e150, lam_theta=0.01)
-    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+    with np.errstate(all="ignore"), pytest.raises(
+            DivergenceError, match=r"non-finite parameters at epoch \d+, "
+                                   r"user '\w+', block '(Gamma|X|E|V)'$"):
         train_content_bpr(corpus, feats, h, TrainConfig(epochs=8, seed=0))
 
 

@@ -404,6 +404,19 @@ def test_undecodable_sequences_is_data_error(tmp_path, capsys):
     assert "seq.tsv: not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("key,value", [("split_frac", 0.2), ("min_len", 7)])
+def test_synth_rejects_split_settings(tmp_path, capsys, key, value):
+    # synth writes whole sequences: the split is the data section's
+    cfg = write_config(tmp_path / "c.json", {"synth": dict(SYNTH, **{key: value})})
+    code = cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    lines = [line for line in err.splitlines()
+             if line.startswith("synth: unknown generator fields: ")]
+    assert lines == [f"synth: unknown generator fields: [{key!r}]"], err
+    assert not (tmp_path / "d").exists()
+
+
 def test_config_echo_is_json(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", {"synth": SYNTH})
     assert cli.main(["synth", "--config", cfg, "--seed", "7",

@@ -4,26 +4,27 @@ and the planted-cluster generator."""
 import numpy as np
 import pytest
 
-from seqrank.dataio import (VISUAL_RANGE, TEXTUAL_RANGE, Corpus,
-                            FeatureTable, SynthSpec, build_corpus,
-                            build_feature_store, empty_table,
-                            filter_test_new_items, load_corpus,
-                            load_features, normalize_minmax,
+from seqrank.dataio import (MIN_LEN, SPLIT_FRAC, VISUAL_RANGE,
+                            TEXTUAL_RANGE, FeatureTable, SynthSpec,
+                            build_corpus, build_feature_store, empty_table,
+                            load_corpus, load_features, normalize_minmax,
                             parse_sequence_file, sample_negative,
-                            sample_triples, split_sequence, synth_corpus,
-                            synth_raw, write_features, write_sequences)
+                            sample_triples, synth_corpus, synth_raw,
+                            write_features, write_sequences)
 from seqrank.errors import (ConfigError, EmptyCorpusError, ParseError,
                             SamplingError)
 
 
-def test_split_sequence_ceil():
-    seq = list("abcdefghij")
-    tr, te = split_sequence(seq, 0.9)
-    assert (len(tr), len(te)) == (9, 1)
-    tr, te = split_sequence(list("abcde"), 0.5)  # ceil(2.5) = 3
-    assert (tr, te) == (["a", "b", "c"], ["d", "e"])
-    tr, te = split_sequence(["a", "b"], 0.9)  # ceil(1.8) = 2, empty test
-    assert te == []
+def test_build_corpus_trains_on_ceil_prefix():
+    c = build_corpus({"u": list("abcdefghij")}, min_len=2, split_frac=0.9)
+    assert (len(c.train_seq["u"]), len(c.test_seq["u"])) == (9, 1)
+    c = build_corpus({"u": list("abcde")}, min_len=2, split_frac=0.5)
+    # ceil(2.5) = 3
+    assert (c.train_seq["u"], c.test_seq["u"]) == (["a", "b", "c"], ["d", "e"])
+    c = build_corpus({"u": ["a", "b"]}, min_len=2, split_frac=0.9)
+    # ceil(1.8) = 2: u trains on both items and is not evaluated
+    assert (c.train_seq["u"], c.test_seq["u"]) == (["a", "b"], [])
+    assert c.eval_users() == []
 
 
 def test_parse_sequence_file(tmp_path):
@@ -74,13 +75,13 @@ def test_build_corpus_validation():
         build_corpus({"u": ["a"]}, min_len=2, split_frac=0.5)
 
 
-def test_filter_test_new_items_dedups():
-    train, test = split_sequence(["a", "b", "c", "d", "d", "a", "e"], 0.5)
-    c = Corpus(("u",), ("a", "b", "c", "d", "e"), {"u": train}, {"u": test})
-    assert c.train_seq["u"] == ["a", "b", "c", "d"]
-    assert c.test_seq["u"] == ["d", "a", "e"]
-    f = filter_test_new_items(c)
-    assert f.test_seq["u"] == ["e"]
+def test_build_corpus_keeps_new_test_items_once():
+    # ceil(4.5) = 5 training items; of the held-out a, e, f, e the training
+    # item a and the second e go
+    c = build_corpus({"u": ["a", "b", "c", "d", "d", "a", "e", "f", "e"]},
+                     min_len=2, split_frac=0.5)
+    assert c.train_seq["u"] == ["a", "b", "c", "d", "d"]
+    assert c.test_seq["u"] == ["e", "f"]
 
 
 def test_candidates_excludes_train_only(toy_corpus):
@@ -261,8 +262,7 @@ def test_synth_corpus_matches_file_round_trip(tmp_path):
     write_sequences(tmp_path / "s.tsv", raw)
     write_features(tmp_path / "v.tsv", vis)
     write_features(tmp_path / "t.tsv", tex)
-    loaded = load_corpus(tmp_path / "s.tsv", min_len=SPEC.min_len,
-                         split_frac=SPEC.split_frac)
+    loaded = load_corpus(tmp_path / "s.tsv", MIN_LEN, SPLIT_FRAC)
     assert loaded.users == corpus.users
     assert loaded.items == corpus.items
     assert loaded.train_seq == corpus.train_seq

@@ -130,7 +130,7 @@ def test_user_metrics_degenerate_auc():
 
 def test_evaluate_aggregates(toy_corpus):
     cfg = EvalConfig(cutoffs=(2,), bins=(1,))
-    report = evaluate(FakeRanker(fake_table()), toy_corpus, cfg)
+    report, _ = evaluate(FakeRanker(fake_table()), toy_corpus, cfg)
     assert report.kind == "fake"
     assert report.users_evaluated == 3
     assert report.auc_skipped == 0
@@ -153,7 +153,7 @@ def test_evaluate_short_rankings_match_reference():
              "u2": [("h", 3.0), ("e", 3.0), ("g", 0.0)],
              "u3": [("c", 1.0), ("d", 1.0), ("g", 0.5)]}
     cfg = EvalConfig(cutoffs=(1, 3, 10), bins=(1,))
-    report = evaluate(FakeRanker(table), c, cfg)
+    report, _ = evaluate(FakeRanker(table), c, cfg)
     users = c.eval_users()
     assert len(users) == report.users_evaluated == 3
     assert report.auc_skipped == 1  # u3 has no (relevant, non-relevant) pair
@@ -172,7 +172,7 @@ def test_evaluate_short_rankings_match_reference():
 
 def test_evaluate_report_outputs(toy_corpus):
     cfg = EvalConfig(cutoffs=(1, 2), bins=(1,))
-    report = evaluate(FakeRanker(fake_table()), toy_corpus, cfg)
+    report, _ = evaluate(FakeRanker(fake_table()), toy_corpus, cfg)
     as_json = report.to_json_dict()
     assert set(as_json) == {"kind", "users_evaluated", "auc", "auc_skipped",
                             "cutoffs"}
@@ -193,8 +193,7 @@ def test_evaluate_requires_eval_users():
 def test_keep_rankings(toy_corpus):
     table = fake_table()
     _, rankings = evaluate(FakeRanker(table), toy_corpus,
-                           EvalConfig(cutoffs=(1,), bins=(1,)),
-                           keep_rankings=True)
+                           EvalConfig(cutoffs=(1,), bins=(1,)))
     assert rankings == {u: [it for it, _ in table[u]] for u in table}
 
 
@@ -253,15 +252,14 @@ def test_cold_start_all_bin_equals_plain_recall(toy_corpus):
     k = 2
     r = RandomRanker(toy_corpus, seed=3)
     cfg = EvalConfig(cutoffs=(k,), bins=(1,))
-    report, rankings = evaluate(r, toy_corpus, cfg, keep_rankings=True)
+    report, rankings = evaluate(r, toy_corpus, cfg)
     cs = cold_start_bins(toy_corpus, {"random": rankings}, k, (1,))
     assert cs.recalls["random"][-1] == report.per_cutoff[k]["recall"]
 
 
 def test_cold_start_unknown_pair(toy_corpus):
     r = RandomRanker(toy_corpus, seed=3)
-    _, rankings = evaluate(r, toy_corpus, EvalConfig(cutoffs=(2,), bins=(1,)),
-                           keep_rankings=True)
+    _, rankings = evaluate(r, toy_corpus, EvalConfig(cutoffs=(2,), bins=(1,)))
     with pytest.raises(ConfigError, match="growth pair"):
         cold_start_bins(toy_corpus, {"random": rankings}, 2, (1,),
                         [("random", "pop")])

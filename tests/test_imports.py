@@ -1,17 +1,19 @@
 """Every name a module under src/ or tests/ imports is used in it, every
 parameter of a function under src/ is read in its body, every defaulted
 parameter of a function under src/ is passed by some call under src/ or
-tests/, and every dataclass field under src/ is read as an attribute
-somewhere in src/.
+tests/ and left out by another, and every dataclass field under src/ is
+read as an attribute somewhere in src/.
 
 An import left behind by a deleted caller, a parameter or field whose
 last reader was deleted, or a default that no call overrides keeps a dead
-name alive and hides the deletion from a reader. The scans are by `ast`
-alone: a name bound by an import must appear as an identifier somewhere
-else in the module, a parameter as an identifier inside its function, a
-defaulted parameter in a call by the function's name, and a field as a
-loaded attribute (`obj.field`) in any module under src/. `self`, `cls` and
-`_`-prefixed parameters are exempt from the parameter scan."""
+name alive and hides the deletion from a reader. A default that every
+call overrides is a second statement of a value each caller already
+states. The scans are by `ast` alone: a name bound by an import must
+appear as an identifier somewhere else in the module, a parameter as an
+identifier inside its function, a defaulted parameter in some but not
+all calls by the function's name, and a field as a loaded attribute
+(`obj.field`) in any module under src/. `self`, `cls` and `_`-prefixed
+parameters are exempt from the parameter scan."""
 
 import ast
 import math
@@ -104,12 +106,12 @@ def calls_by_name(sources: list) -> dict:
     return calls
 
 
-def unset_defaults(source: str, calls: dict) -> list:
-    """(line, function, parameter) for each defaulted parameter of a
-    function of `source` that no call of `calls` (`calls_by_name`) passes,
-    by keyword or by position. A call is matched by the function's name,
-    or by its class's name for an `__init__`; a method's positions skip
-    `self`."""
+def defaulted_parameters(source: str, calls: dict) -> list:
+    """(line, function, parameter, [whether each call passes it]) for each
+    defaulted parameter of a function of `source`, over the calls of
+    `calls` (`calls_by_name`) that name it: by keyword or by position. A
+    call is matched by the function's name, or by its class's name for an
+    `__init__`; a method's positions skip `self`."""
     tree = ast.parse(source)
     owner = {fn: cls.name for cls in ast.walk(tree)
              if isinstance(cls, ast.ClassDef) for fn in cls.body}
@@ -126,10 +128,25 @@ def unset_defaults(source: str, calls: dict) -> list:
                      for i, p in enumerate(pos) if i >= first]
         defaulted += [(p.arg, math.inf)
                       for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
-        found += [(node.lineno, node.name, param) for param, i in defaulted
-                  if not any(n > i or keywords is None or param in keywords
-                             for n, keywords in calls.get(name, []))]
+        found += [(node.lineno, node.name, param,
+                   [n > i or keywords is None or param in keywords
+                    for n, keywords in calls.get(name, [])])
+                  for param, i in defaulted]
     return found
+
+
+def unset_defaults(source: str, calls: dict) -> list:
+    """(line, function, parameter) for each defaulted parameter that no
+    call passes."""
+    return [(line, fn, param) for line, fn, param, passed
+            in defaulted_parameters(source, calls) if not any(passed)]
+
+
+def overridden_defaults(source: str, calls: dict) -> list:
+    """(line, function, parameter) for each defaulted parameter that every
+    call passes, so that its default is read by none."""
+    return [(line, fn, param) for line, fn, param, passed
+            in defaulted_parameters(source, calls) if passed and all(passed)]
 
 
 def test_scan_finds_an_unset_default():
@@ -143,11 +160,29 @@ def test_scan_finds_an_unset_default():
     assert unset_defaults(source, everything) == []
 
 
+def test_scan_finds_an_overridden_default():
+    source = ("def f(a, b=1, c=2, *, d=3):\n    return a\n"
+              "class K:\n    def m(self, z=1):\n        return z\n"
+              "def g(e=0):\n    return e\n")
+    calls = calls_by_name(["f(0, 1, d=2)\nf(0, b=3, d=4)\nK().m(2)\nK().m(z=3)\n"])
+    # c is set by no call; g has no call, which unset_defaults reports
+    assert overridden_defaults(source, calls) == [
+        (1, "f", "b"), (1, "f", "d"), (4, "m", "z")]
+    assert overridden_defaults(source, calls_by_name(["f(0)\nK().m()\n"])) == []
+
+
 @pytest.mark.parametrize("path", SOURCES,
                          ids=[str(p.relative_to(ROOT)) for p in SOURCES])
 def test_no_unset_defaults(path):
     calls = calls_by_name([p.read_text(encoding="utf-8") for p in MODULES])
     assert unset_defaults(path.read_text(encoding="utf-8"), calls) == []
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=[str(p.relative_to(ROOT)) for p in SOURCES])
+def test_no_overridden_defaults(path):
+    calls = calls_by_name([p.read_text(encoding="utf-8") for p in MODULES])
+    assert overridden_defaults(path.read_text(encoding="utf-8"), calls) == []
 
 
 def dataclass_fields(source: str) -> list:

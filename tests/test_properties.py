@@ -7,6 +7,8 @@
   cold-start bins.
 - The row sampler draws exactly what an id-based rejection sampler draws
   from the same generator, and never a row the user trained on.
+- `build_corpus` keeps, splits and filters exactly as a plain reference
+  of the split protocol does.
 - `sgd.apply` gives the same bits as `sgd.ascend` on its records one by
   one, in list order (the condition any faster apply must keep), and the
   scalar path of `log_sigmoid` the same bits as its array path.
@@ -27,9 +29,10 @@ from hypothesis import strategies as st
 from reference_metrics import cold_start_ref
 from seqrank import numkit, sgd
 from seqrank.checkpoint import MAGIC, read_checkpoint
-from seqrank.dataio import (Corpus, FeatureStore, load_features,
-                            parse_sequence_file, sample_triples)
-from seqrank.errors import CheckpointError, ParseError
+from seqrank.dataio import (Corpus, FeatureStore, build_corpus,
+                            load_features, parse_sequence_file,
+                            sample_triples)
+from seqrank.errors import CheckpointError, EmptyCorpusError, ParseError
 from seqrank.evaluator import cold_start_bins
 from seqrank.model import (ALL_KINDS, MASK_BY_KIND, Hyper, final_states,
                            hidden_states, init_params, item_rep_matrix,
@@ -254,6 +257,42 @@ def test_row_sampler_matches_id_reference(world):
         assert corpus.item_ids[rows].tolist() == reference_negatives(
             corpus.items, corpus.train_seq[u], ref_rng)
         assert not set(rows.tolist()) & set(corpus.train_rows[u].tolist())
+
+
+def split_ref(raw, min_len, split_frac):
+    """The split protocol written out plainly: (kept users, training
+    prefixes, new-item test lists, sorted item table)."""
+    users = [u for u, seq in raw.items() if len(seq) >= min_len]
+    train, test = {}, {}
+    for u in users:
+        seq = raw[u]
+        # the least prefix length reaching split_frac of the sequence
+        n_train = min(k for k in range(len(seq) + 1) if k >= split_frac * len(seq))
+        train[u], test[u] = seq[:n_train], []
+        for it in seq[n_train:]:
+            if it not in train[u] and it not in test[u]:
+                test[u].append(it)
+    items = sorted({it for u in users for it in raw[u]})
+    return users, train, test, items
+
+
+@FUZZ
+@given(raw=st.dictionaries(st.text("uvwxyz", min_size=1, max_size=2),
+                           st.lists(st.sampled_from("abcdef"), min_size=1,
+                                    max_size=9), max_size=6),
+       min_len=st.integers(2, 5),
+       split_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_build_corpus_matches_split_reference(raw, min_len, split_frac):
+    users, train, test, items = split_ref(raw, min_len, split_frac)
+    if not users:
+        with pytest.raises(EmptyCorpusError):
+            build_corpus(raw, min_len, split_frac)
+        return
+    c = build_corpus(raw, min_len, split_frac)
+    assert list(c.users) == users
+    assert c.train_seq == train
+    assert c.test_seq == test
+    assert list(c.items) == items
 
 
 # ---------------------------------------------------------------------------

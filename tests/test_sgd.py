@@ -2,14 +2,17 @@
 gradient check sums it with `sgd.gradient`, so with no decay and no
 clipping a step moves the parameters by alpha times the checked
 gradient. With decay, each block decays by its own regularizer, and a
-recurrent sequence's records go to one `sgd.apply` call."""
+recurrent sequence's records go to one `sgd.apply` call. A divergence
+names the first non-finite block."""
 
 import numpy as np
+import pytest
 
 from seqrank import sgd, trainer
 from seqrank.baselines import (bpr_pair_grads, init_bpr_params, mf_obs_grads,
                                train_content_bpr)
 from seqrank.dataio import Corpus, FeatureStore, sample_triples
+from seqrank.errors import DivergenceError
 from seqrank.model import MASK_BY_KIND, Hyper, init_params
 from seqrank.trainer import (TrainConfig, sequence_context, sequence_updates,
                              tiny_fixture, train)
@@ -153,3 +156,23 @@ def test_train_applies_once_per_sequence(monkeypatch):
     train(corpus, feats, h, TrainConfig(epochs=epochs, seed=SEED))
     pairs = len(corpus.train_rows["u0"]) - 1
     assert calls == {"apply": epochs, "forward_updates": epochs * pairs}
+
+
+def test_divergence_names_the_first_non_finite_block():
+    corpus = Corpus(("u", "w"), ("a", "b"), {"u": ["a", "b"], "w": ["b", "a"]},
+                    {"u": [], "w": []})
+
+    def init(rng):
+        return {"X": np.zeros(2), "E": np.zeros(2), "V": np.zeros(2)}
+
+    def visit(params, u, rng):
+        # user w's step overflows E and V; X stays finite
+        g = np.full(2, np.inf if u == "w" else 1.0)
+        yield 0.0, 1, [("X", None, np.ones(2)), ("E", None, g), ("V", None, g)]
+
+    h = Hyper(d=1, alpha=0.5, lam_theta=0.0, lam_e=0.0, lam_v=0.0)
+    with pytest.raises(DivergenceError) as exc:
+        sgd.run_epochs(corpus, TrainConfig(epochs=2, seed=0), h, init, visit,
+                       None)
+    assert str(exc.value) == ("non-finite parameters at epoch 1, user 'w', "
+                              "block 'E'")

@@ -228,9 +228,14 @@ def test_train_divergence_raises():
     corpus, feats = small_world()
     for kind in DRIVER_KINDS:
         with np.errstate(all="ignore"), pytest.raises(
-                DivergenceError, match="non-finite parameters at epoch"):
+                DivergenceError, match=r"non-finite parameters at epoch \d+, "
+                                       r"user '\w+', block '\w+'$") as exc:
             fit(kind, corpus, feats, TrainConfig(epochs=6, seed=0),
                 alpha=1e150, lam_theta=0.01)
+        # the named block is one of the kind's
+        block = str(exc.value).split("'")[-2]
+        blocks = fit(kind, corpus, feats, TrainConfig(epochs=1, seed=0))
+        assert block in blocks, (kind, str(exc.value))
 
 
 def test_clip_norm_bounds_forward_step():
