@@ -104,7 +104,7 @@ class EmbedRanker:
     def rank(self, u: str) -> list:
         if u not in self.corpus.user_index:
             raise KeyError(f"unknown user {u!r}")
-        if not self.corpus.train_seq.get(u):
+        if not len(self.corpus.train_rows[u]):
             raise ConfigError(f"user {u!r} has an empty training sequence")
         vec = self.user_vecs[self.corpus.user_index[u]]
         return order_candidates(self.rep @ vec, self.corpus, u)
@@ -172,8 +172,10 @@ def train_mf(corpus: Corpus, h: Hyper, cfg: trainer.TrainConfig,
 
     def visit(params, u, rng):
         uj = corpus.user_index[u]
-        for ip in corpus.train_rows[u].tolist():
-            iq = sample_negative(corpus, u, rng)
+        seq = corpus.train_rows[u].tolist()
+        owned = frozenset(seq)
+        for ip in seq:
+            iq = sample_negative(corpus, u, owned, rng)
             for ij, target in ((ip, 1.0), (iq, 0.0)):
                 err, updates = mf_obs_grads(params, uj, ij, target)
                 yield err * err, 1, updates

@@ -28,7 +28,7 @@ USER_TABLE_KINDS = tuple(k for k in model.MASK_BY_KIND
 def _ranker_payload(ranker) -> tuple:
     """(header dict sans blocks, (name, array) pairs in block order)."""
     kind = ranker.kind
-    header = {"kind": kind, "items": list(ranker.corpus.items)}
+    header = {"kind": kind, "items": ranker.corpus.items.tolist()}
     if kind == "random":
         header["seed"] = ranker.seed
         return header, []
@@ -106,8 +106,11 @@ def _check_header(path, header) -> None:
 def read_checkpoint(path) -> tuple:
     """(header dict, {block name: array}). Validates the framing, the
     header schema and that every parameter value is finite."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:  # missing, a directory, unreadable
+        raise CheckpointError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     if len(raw) < len(MAGIC) + 4 or raw[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint")
     (head_len,) = struct.unpack_from("<I", raw, len(MAGIC))
@@ -145,7 +148,7 @@ def read_checkpoint(path) -> tuple:
 
 
 def _check_tables(path, header, corpus) -> None:
-    if list(header["items"]) != list(corpus.items):
+    if header["items"] != corpus.items.tolist():
         raise CheckpointError(
             f"{path}: item table mismatch, checkpoint has "
             f"{len(header['items'])} items, corpus has {corpus.n_items}")

@@ -108,6 +108,10 @@ def resolve_config(args) -> dict:
 
     if not isinstance(cfg["out"], str):
         problems.append(f"out must be a path string, got {cfg['out']!r}")
+    elif (args.cmd != "gradcheck"  # the one command that writes no files
+          and os.path.exists(cfg["out"])
+          and not os.path.isdir(cfg["out"])):
+        problems.append(f"out path {cfg['out']!r} exists and is not a directory")
     pairs = cfg["pairs"]
     if pairs is not None and not (isinstance(pairs, list) and all(
             isinstance(p, list) and len(p) == 2
@@ -121,8 +125,11 @@ def resolve_config(args) -> dict:
         path = data[key]
         if path is not None and not isinstance(path, str):
             problems.append(f"data.{key} must be a path string or null, got {path!r}")
-        elif needs_data and path is not None and not os.path.exists(path):
-            problems.append(f"data.{key} path {path!r} does not exist")
+        elif needs_data and path is not None:
+            if not os.path.exists(path):
+                problems.append(f"data.{key} path {path!r} does not exist")
+            elif not os.path.isfile(path):
+                problems.append(f"data.{key} path {path!r} is not a regular file")
     if needs_data:
         if data["sequences"] is None:
             problems.append("data.sequences is required")

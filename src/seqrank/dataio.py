@@ -1,8 +1,12 @@
 """Corpus and feature ingestion: parsing, the split protocol
-(`build_corpus`, which filters and splits in one pass), negative sampling,
-and the planted-cluster synthetic data generator. Ids stop at
-`Corpus`, which holds the only id-to-row maps; the feature store is
-row-aligned and the negative sampler draws rows."""
+(`build_corpus`, which filters, splits and maps ids to item rows in one
+pass), negative sampling, and the planted-cluster synthetic data
+generator. Past parsing, items are rows: `Corpus` holds each user's
+training and test items as row arrays once, with the ids by row in
+`items`; a feature table is (ids, matrix) and its store is row-aligned by
+one gather; the negative sampler draws rows. Ids come back only at the
+edges: checkpoint headers, feature-missing warnings and the (id, score)
+pairs of a ranker's `rank(u)`."""
 
 import math
 from dataclasses import dataclass, field, fields
@@ -19,20 +23,14 @@ TEXTUAL_RANGE = (-0.5, 0.5)
 @dataclass
 class Corpus:
     users: tuple            # user ids, input order
-    items: tuple            # item ids, ascending
-    train_seq: dict         # user -> list of item ids, chronological
-    test_seq: dict          # user -> list of item ids (filtered, deduped)
-    item_index: dict = field(init=False)  # item id -> row of every per-item array
+    items: np.ndarray       # item ids by row, ascending (object array)
+    train_rows: dict        # user -> (m,) intp item rows, chronological
+    test_rows: dict         # user -> intp item rows held out, new items only,
+                            # first occurrence each, in order (may be empty)
     user_index: dict = field(init=False)  # user id -> row of every per-user array
 
     def __post_init__(self):
-        self.item_index = {it: j for j, it in enumerate(self.items)}
         self.user_index = {u: j for j, u in enumerate(self.users)}
-        self.item_ids = np.array(self.items, dtype=object)  # items, by row
-        # user -> training sequence as item rows, and the set of those rows
-        self.train_rows = {u: np.array([self.item_index[it] for it in s], dtype=np.intp)
-                           for u, s in self.train_seq.items()}
-        self.owned_rows = {u: frozenset(r.tolist()) for u, r in self.train_rows.items()}
 
     @property
     def n_items(self) -> int:
@@ -46,8 +44,8 @@ class Corpus:
         return np.flatnonzero(keep)
 
     def eval_users(self) -> list:
-        """Users with at least one (filtered) test item."""
-        return [u for u in self.users if self.test_seq.get(u)]
+        """Users with at least one test item."""
+        return [u for u in self.users if len(self.test_rows[u])]
 
 
 def _text_lines(path):
@@ -88,26 +86,33 @@ def build_corpus(raw_seqs: dict, min_len: int, split_frac: float) -> Corpus:
     ceil(split_frac * n) items are the training sequence; the test list
     keeps the first occurrence of each remaining item not trained on. A
     user may end up with an empty test list: they stay in the corpus for
-    training but are skipped by evaluation."""
+    training but are skipped by evaluation. Each id is coded once, in
+    first-seen order, while its user is split; the codes are renumbered
+    into rows of the ascending item table at the end."""
     if not 0.0 < split_frac < 1.0:
         raise ConfigError(f"split_frac must be in (0,1), got {split_frac}")
     if min_len < 2:
         raise ConfigError(f"min_len must be >= 2, got {min_len}")
-    users, train_seq, test_seq = [], {}, {}
-    item_set = set()
+    code = {}  # item id -> first-seen code
+    users, train, test = [], {}, {}
     for u, seq in raw_seqs.items():
         if len(seq) < min_len:
             continue
         n_train = math.ceil(split_frac * len(seq))
-        train_seq[u] = seq[:n_train]
-        owned = set(train_seq[u])
+        codes = [code.setdefault(it, len(code)) for it in seq]
+        train[u] = codes[:n_train]
+        owned = set(train[u])
         # dict.fromkeys keeps each test item's first occurrence, in order
-        test_seq[u] = [it for it in dict.fromkeys(seq[n_train:]) if it not in owned]
+        test[u] = [c for c in dict.fromkeys(codes[n_train:]) if c not in owned]
         users.append(u)
-        item_set.update(seq)
     if not users:
         raise EmptyCorpusError(f"no user has >= {min_len} interactions")
-    return Corpus(tuple(users), tuple(sorted(item_set)), train_seq, test_seq)
+    items = sorted(code)
+    row_of = np.empty(len(items), dtype=np.intp)  # code -> row
+    row_of[[code[it] for it in items]] = np.arange(len(items))
+    return Corpus(tuple(users), np.array(items, dtype=object),
+                  {u: row_of[train[u]] for u in users},
+                  {u: row_of[test[u]] for u in users})
 
 
 def load_corpus(seq_path, min_len: int, split_frac: float) -> Corpus:
@@ -119,10 +124,15 @@ def load_corpus(seq_path, min_len: int, split_frac: float) -> Corpus:
 
 @dataclass
 class FeatureTable:
-    """One modality: item -> normalized vector of fixed dimension."""
+    """One modality: row j of `matrix` is the normalized vector of item
+    `ids[j]`, in the order the table lists its items."""
 
-    dim: int
-    vectors: dict
+    ids: list
+    matrix: np.ndarray      # (len(ids), dim)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
 
 def normalize_minmax(matrix: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -177,16 +187,15 @@ def load_features(path, lo: float, hi: float) -> FeatureTable:
     if not finite.all():
         j, k = np.argwhere(~finite)[0]
         raise ParseError(f"{path}:{linenos[j]}: non-finite value {matrix[j, k]}")
-    matrix = normalize_minmax(matrix, lo, hi)
-    return FeatureTable(dim, {it: matrix[j] for j, it in enumerate(ids)})
+    return FeatureTable(ids, normalize_minmax(matrix, lo, hi))
 
 
 @dataclass
 class FeatureStore:
     """Corpus-aligned feature matrices. Row j holds the vectors of
-    corpus.items[j], the row corpus.item_index gives that item; items
-    missing from a table get zeros and are listed in missing_visual /
-    missing_textual for the load report."""
+    corpus.items[j]; items missing from a table get zeros and are listed,
+    by id in row order, in missing_visual / missing_textual for the load
+    report."""
 
     f_v: int
     f_t: int
@@ -196,23 +205,22 @@ class FeatureStore:
     missing_textual: list = field(default_factory=list)
 
 
-def _aligned(items, table: FeatureTable):
-    mat = np.zeros((len(items), table.dim))
+def _aligned(items: np.ndarray, table: FeatureTable):
+    """(len(items), dim) matrix whose row j is the vector of items[j], and
+    the ids the table lacks, in row order: one gather from the table's
+    rows plus a zero row, which a lacking item reads. A zero-width table
+    lacks nothing."""
     if table.dim == 0:
-        return mat, []
-    missing = []
-    for j, it in enumerate(items):
-        v = table.vectors.get(it)
-        if v is None:
-            missing.append(it)
-        else:
-            mat[j] = v
-    return mat, missing
+        return np.zeros((len(items), 0)), []
+    row = {it: j for j, it in enumerate(table.ids)}
+    src = np.array([row.get(it, -1) for it in items.tolist()], dtype=np.intp)
+    padded = np.vstack([table.matrix, np.zeros((1, table.dim))])
+    return padded[src], items[src < 0].tolist()
 
 
 def empty_table() -> FeatureTable:
     """Zero-width placeholder for runs without that modality."""
-    return FeatureTable(0, {})
+    return FeatureTable([], np.zeros((0, 0)))
 
 
 def build_feature_store(corpus: Corpus, visual: FeatureTable,
@@ -225,10 +233,11 @@ def build_feature_store(corpus: Corpus, visual: FeatureTable,
 # ---------------------------------------------------------------------------
 # negative sampling
 
-def sample_negative(c: Corpus, u: str, rng: np.random.Generator) -> int:
+def sample_negative(c: Corpus, u: str, owned: frozenset,
+                    rng: np.random.Generator) -> int:
     """Row of a uniform draw from the items the user never trained on, by
-    rejection: one rng.integers(n_items) per try."""
-    owned = c.owned_rows[u]
+    rejection: one rng.integers(n_items) per try. `owned` is the set of
+    the user's training rows, which the caller builds once per visit."""
     n = c.n_items
     if len(owned) >= n:
         raise SamplingError(f"user {u!r} owns every item; no negatives exist")
@@ -242,10 +251,13 @@ def sample_triples(c: Corpus, u: str, rng: np.random.Generator) -> np.ndarray:
     """(m-1,) negative rows, one per step t = 2..m of the user's m-item
     training sequence: step t pairs the positive train_rows[u][t-1] with
     entry t-2."""
-    m = len(c.train_rows[u])
+    seq = c.train_rows[u]
+    m = len(seq)
     if m < 2:
         raise ConfigError(f"user {u!r} has a training sequence shorter than 2")
-    return np.array([sample_negative(c, u, rng) for _ in range(m - 1)], dtype=np.intp)
+    owned = frozenset(seq.tolist())
+    return np.array([sample_negative(c, u, owned, rng) for _ in range(m - 1)],
+                    dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +396,8 @@ def synth_raw(spec: SynthSpec, rng: np.random.Generator):
             seq.append(spec.item_id(pool[int(rng.integers(len(pool)))]))
         raw_seqs[spec.user_id(uj)] = seq
 
-    ids = [spec.item_id(j) for j in range(spec.items)]
-    vis = FeatureTable(spec.f_dim_visual, {it: feats_v[j] for j, it in enumerate(ids)})
-    tex = FeatureTable(spec.f_dim_textual, {it: feats_t[j] for j, it in enumerate(ids)})
-    return raw_seqs, vis, tex
+    ids = [spec.item_id(j) for j in range(spec.items)]  # ascending
+    return raw_seqs, FeatureTable(ids, feats_v), FeatureTable(ids, feats_t)
 
 
 def synth_corpus(spec: SynthSpec, rng: np.random.Generator):
@@ -408,8 +418,9 @@ def write_sequences(path, raw_seqs: dict) -> None:
 
 
 def write_features(path, table: FeatureTable) -> None:
+    """One line per item, in the table's order."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#dims {table.dim}\n")
-        for it in sorted(table.vectors):
-            vals = " ".join(repr(float(x)) for x in table.vectors[it])
+        for it, vec in zip(table.ids, table.matrix.tolist()):
+            vals = " ".join(map(repr, vec))
             fh.write(f"{it}\t{vals}\n")

@@ -1,16 +1,20 @@
 """Ranked-retrieval metrics, AUC, and frequency-bin cold-start analysis.
 
-Per-user rankings come from any object with .rank(u) returning (item,
-score) pairs sorted descending. Users are scored one after another, and
-aggregation is a fixed-order mean over evaluable users; `evaluate` returns
-the report with the ranked ids it was read from, which `cold_start_bins`
-reuses. Each ranking is reduced once to its relevance flags, the hit
-vector, read out of the pairs by C-level maps rather than per-item Python:
-`cutoff_metrics` reads every cutoff metric from its running sums, with
-discounts cached per length, and AUC uses those flags with the midranks of
-the tie groups of the ranked scores, which need no second sort.
-`cold_start_bins` compares every user's top-k test frequencies with all bin
-bounds in one array operation.
+Per-user rankings come from any object with .rank(u) returning (item id,
+score) pairs sorted descending; those pairs are the one place the
+evaluator meets item ids, which it matches against the ids of the user's
+test rows (`corpus.items[corpus.test_rows[u]]`). Users are scored one
+after another, and aggregation is a fixed-order mean over evaluable users;
+`evaluate` returns the report with the ranked ids it was read from, which
+`cold_start_bins` reuses. Each ranking is reduced once to its relevance
+flags, the hit vector, read out of the pairs by C-level maps rather than
+per-item Python: `cutoff_metrics` reads every cutoff metric from its
+running sums, with discounts cached per length, and AUC uses those flags
+with the midranks of the tie groups of the ranked scores, which need no
+second sort. Test frequencies are one `bincount` over the test rows;
+`cold_start_bins` counts each user's relevant items per bin from them and
+compares every user's top-k test frequencies with all bin bounds in one
+array operation.
 """
 
 import math
@@ -147,7 +151,7 @@ def user_metrics(ranker, corpus: Corpus, cfg: EvalConfig, u: str) -> dict:
     ranking = ranker.rank(u)
     n = len(ranking)
     ids = list(map(itemgetter(0), ranking))
-    rel = set(corpus.test_seq[u])
+    rel = set(corpus.items[corpus.test_rows[u]].tolist())
     hit = np.fromiter(map(rel.__contains__, ids), dtype=bool, count=n)
     row = {"ranked": ids, **cutoff_metrics(hit, len(rel), cfg.cutoffs)}
     if 0 < hit.sum() < n:
@@ -186,13 +190,11 @@ def evaluate(ranker, corpus: Corpus, cfg: EvalConfig) -> tuple:
 # ---------------------------------------------------------------------------
 # cold-start bins
 
-def test_frequencies(corpus: Corpus) -> dict:
-    """Occurrences of each item across the filtered per-user test sets."""
-    freq = {}
-    for u in corpus.users:
-        for it in corpus.test_seq.get(u, []):
-            freq[it] = freq.get(it, 0) + 1
-    return freq
+def test_frequencies(corpus: Corpus) -> np.ndarray:
+    """(n_items,) occurrences of each item row across the per-user test
+    lists."""
+    rows = np.concatenate([corpus.test_rows[u] for u in corpus.users])
+    return np.bincount(rows, minlength=corpus.n_items)
 
 
 @dataclass
@@ -244,12 +246,16 @@ def cold_start_bins(corpus: Corpus, rankings: dict, k: int, bins: tuple,
         raise EmptyCorpusError("no users have test items")
     freq = test_frequencies(corpus)
     # the last bound, the largest test frequency, keeps the whole test set
-    bounds = np.array(list(bins) + [max(freq.values())])
+    bounds = np.array(list(bins) + [int(freq.max())])
     labels = [f"1-{b}" for b in bins] + ["all"]
-    rel_freq = {u: {it: freq[it] for it in corpus.test_seq[u]} for u in users}
-    # (users, bins): relevant items of each user that each bin keeps
-    n_rel = np.array([(np.array(list(rel_freq[u].values()))[:, None]
-                       <= bounds).sum(axis=0) for u in users])
+    n_rel, rel_freq = [], {}
+    for u in users:
+        rows = corpus.test_rows[u]
+        # relevant items of the user that each bin keeps
+        n_rel.append((freq[rows, None] <= bounds).sum(axis=0))
+        # the ranked lists hold ids: each relevant id's test frequency
+        rel_freq[u] = dict(zip(corpus.items[rows].tolist(), freq[rows].tolist()))
+    n_rel = np.array(n_rel)  # (users, bins)
     has_rel = n_rel > 0
 
     report = ColdStartReport(k, labels, has_rel.sum(axis=0).tolist())

@@ -203,4 +203,4 @@ def order_candidates(scores: np.ndarray, corpus, u: str) -> list:
     rows = corpus.candidate_rows(u)
     cand = scores[rows]
     order = np.argsort(-cand, kind="stable")
-    return list(zip(corpus.item_ids[rows[order]].tolist(), cand[order].tolist()))
+    return list(zip(corpus.items[rows[order]].tolist(), cand[order].tolist()))

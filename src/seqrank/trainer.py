@@ -221,10 +221,10 @@ def tiny_fixture(h: Hyper, rng: np.random.Generator):
     every parameter entry. Returns (corpus, feats, {"u0": negative rows of
     steps 2..4})."""
     n_items, seq_len = 6, 4
-    items = tuple(f"i{j}" for j in range(n_items))
+    items = np.array([f"i{j}" for j in range(n_items)], dtype=object)
     order = rng.permutation(n_items)
-    seq = [items[int(j)] for j in order[:seq_len]]
-    corpus = Corpus(("u0",), items, {"u0": seq}, {"u0": []})
+    corpus = Corpus(("u0",), items, {"u0": order[:seq_len].astype(np.intp)},
+                    {"u0": np.zeros(0, dtype=np.intp)})
     f_v, f_t = max(h.f_v, 1), max(h.f_t, 1)
     vmat = rng.uniform(0.0, 0.5, (n_items, f_v))
     tmat = rng.uniform(-0.5, 0.5, (n_items, f_t))

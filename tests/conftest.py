@@ -36,8 +36,7 @@ def toy_corpus():
 @pytest.fixture
 def toy_feats(toy_corpus):
     rng = np.random.default_rng(3)
-    vis = FeatureTable(2, {it: rng.uniform(*VISUAL_RANGE, 2)
-                           for it in toy_corpus.items})
-    tex = FeatureTable(2, {it: rng.uniform(*TEXTUAL_RANGE, 2)
-                           for it in toy_corpus.items})
+    ids, n = toy_corpus.items.tolist(), toy_corpus.n_items
+    vis = FeatureTable(ids, rng.uniform(*VISUAL_RANGE, (n, 2)))
+    tex = FeatureTable(ids, rng.uniform(*TEXTUAL_RANGE, (n, 2)))
     return build_feature_store(toy_corpus, vis, tex)

@@ -51,20 +51,20 @@ def auc_ref(scores, rel_flags):
     return good / (len(pos) * len(neg))
 
 
-def cold_start_ref(users, test_seq, ranked, k, bins):
+def cold_start_ref(users, test_ids, ranked, k, bins):
     """(users per bin, recall@k per bin) of the cold-start analysis, bin by
     bin: a bin with bound b keeps the test items that occur at most b times
     over all test sets, the last bin keeps every test item; a user with no
     kept item is skipped; recall is averaged over the rest, None if none."""
     freq = {}
     for u in users:
-        for item in test_seq.get(u, []):
+        for item in test_ids.get(u, []):
             freq[item] = freq.get(item, 0) + 1
     bin_users, recalls = [], []
     for b in list(bins) + [max(freq.values())]:
         total, n_users = 0.0, 0
         for u in users:
-            kept = [item for item in test_seq.get(u, []) if freq[item] <= b]
+            kept = [item for item in test_ids.get(u, []) if freq[item] <= b]
             if not kept:
                 continue
             hits = 0

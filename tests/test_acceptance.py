@@ -66,7 +66,7 @@ def planted_aucs():
         aucs[kind] = report.auc
     pairs = 0
     for u in corpus.eval_users():
-        n_rel = len(set(corpus.test_seq[u]))
+        n_rel = len(set(corpus.test_rows[u].tolist()))
         pairs += n_rel * (corpus.candidate_rows(u).size - n_rel)
     return aucs, pairs, time.monotonic() - t0
 
@@ -130,8 +130,8 @@ def cold_start_growth(seed):
                      tail_fraction=0.1, tail_pool=5)
     corpus, feats = synth_corpus(spec, np.random.default_rng(seed))
     freq = evaluator.test_frequencies(corpus)
-    test_items = {it for u in corpus.users for it in corpus.test_seq[u]}
-    cold_share = sum(1 for it in test_items if freq[it] <= 2) / len(test_items)
+    test_items = {j for u in corpus.users for j in corpus.test_rows[u].tolist()}
+    cold_share = sum(1 for j in test_items if freq[j] <= 2) / len(test_items)
     assert cold_share >= 0.30  # planted corpus: >= 30% rare test items
 
     rankings = {}

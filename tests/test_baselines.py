@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from id_corpus import id_corpus
 from seqrank import baselines, model
 from seqrank.baselines import (EmbedRanker, PopRanker, RandomRanker,
                                build_ranker, grad_check, init_bpr_params,
                                train_content_bpr, train_mf, user_stream)
-from seqrank.dataio import Corpus, SynthSpec, synth_corpus
+from seqrank.dataio import SynthSpec, synth_corpus
 from seqrank.errors import ConfigError, DivergenceError
 from seqrank.model import ALL_KINDS, MASK_BY_KIND, Hyper
 from seqrank.trainer import TrainConfig
@@ -36,7 +37,7 @@ def test_random_ranker(toy_corpus):
     first = r.rank("alice")
     assert first == r.rank("alice")  # stable across calls
     ids = [it for it, _ in first]
-    assert sorted(ids) == toy_corpus.item_ids[toy_corpus.candidate_rows("alice")].tolist()
+    assert sorted(ids) == toy_corpus.items[toy_corpus.candidate_rows("alice")].tolist()
     scores = [s for _, s in first]
     assert scores == sorted(scores, reverse=True)
 
@@ -66,9 +67,9 @@ def test_embed_ranker_scores(toy_corpus, toy_feats):
     r = EmbedRanker("vtbpr", params, toy_corpus, toy_feats, h)
     ranked = r.rank("carol")
     gamma = params["Gamma"][list(toy_corpus.users).index("carol")]
+    items = toy_corpus.items.tolist()
     for it, score in ranked:
-        rep_row = model.item_rep_matrix(params, toy_feats, h,
-                                        toy_corpus.item_index[it])
+        rep_row = model.item_rep_matrix(params, toy_feats, h, items.index(it))
         assert score == pytest.approx(float(rep_row @ gamma), abs=1e-12)
     with pytest.raises(KeyError):
         r.rank("mallory")
@@ -78,22 +79,24 @@ def test_recurrent_ranker_scores(toy_corpus, toy_feats):
     h = Hyper(d=2, f_v=2, f_t=2, mask=("latent", "visual", "textual"))
     params = model.init_params(h, toy_corpus.n_items, np.random.default_rng(6))
     r = EmbedRanker("vtrnn", params, toy_corpus, toy_feats, h)
-    rows = [toy_corpus.item_index[it] for it in toy_corpus.train_seq["carol"]]
+    rows = toy_corpus.train_rows["carol"]
+    assert toy_corpus.items[rows].tolist() == ["i5", "i4", "i2"]
     state = model.hidden_states(model.item_rep_matrix(params, toy_feats, h, rows),
                                 params)[-1]
     ranked = r.rank("carol")
     assert sorted(it for it, _ in ranked) == ["i1", "i3", "i6"]
+    items = toy_corpus.items.tolist()
     for it, score in ranked:
-        rep_row = model.item_rep_matrix(params, toy_feats, h,
-                                        toy_corpus.item_index[it])
+        rep_row = model.item_rep_matrix(params, toy_feats, h, items.index(it))
         assert score == pytest.approx(float(rep_row @ state), abs=1e-12)
     with pytest.raises(KeyError):
         r.rank("mallory")
 
 
 def test_recurrent_ranker_empty_sequence(toy_feats):
-    corpus = Corpus(("ann", "ben"), ("i1", "i2", "i3", "i4", "i5", "i6"),
-                    {"ann": ["i2", "i1"], "ben": []}, {"ann": ["i3"], "ben": ["i4"]})
+    corpus = id_corpus(("ann", "ben"), ("i1", "i2", "i3", "i4", "i5", "i6"),
+                       {"ann": ["i2", "i1"], "ben": []},
+                       {"ann": ["i3"], "ben": ["i4"]})
     h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vtrnn"])
     params = model.init_params(h, corpus.n_items, np.random.default_rng(6))
     r = EmbedRanker("vtrnn", params, corpus, toy_feats, h)
@@ -184,7 +187,7 @@ def test_clip_norm_bounds_bpr_and_mf_steps():
     cfg = TrainConfig(epochs=1, seed=0, clip_norm=clip)
     free = dict(alpha=1.0, lam_theta=0.0, lam_e=0.0, lam_v=0.0)
     # one BPR step: positive "b" against the only unowned item, "c"
-    corpus = Corpus(("u",), ("a", "b", "c"), {"u": ["a", "b"]}, {"u": []})
+    corpus = id_corpus(("u",), ("a", "b", "c"), {"u": ["a", "b"]})
     h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vtbpr"], **free)
     start = train_content_bpr(corpus, feats, replace(h, alpha=0.0), cfg)
     moved = moved_by(train_content_bpr(corpus, feats, h, cfg), start)
@@ -195,7 +198,7 @@ def test_clip_norm_bounds_bpr_and_mf_steps():
         assert unclipped[name] > 100 * clip, (name, unclipped)
     # mf: the observations (u, "a", 1) and (u, "b", 0) move one X row each
     # and the user's row twice
-    corpus = Corpus(("u",), ("a", "b"), {"u": ["a"]}, {"u": []})
+    corpus = id_corpus(("u",), ("a", "b"), {"u": ["a"]})
     h = Hyper(d=2, mask=MASK_BY_KIND["mf"], **free)
     start = train_mf(corpus, replace(h, alpha=0.0), cfg)
     moved = moved_by(train_mf(corpus, h, cfg), start)
@@ -245,7 +248,7 @@ def test_build_ranker_every_kind(world, kind):
     u = corpus.users[0]
     ranked = ranker.rank(u)
     ids = [it for it, _ in ranked]
-    assert sorted(ids) == corpus.item_ids[corpus.candidate_rows(u)].tolist()
+    assert sorted(ids) == corpus.items[corpus.candidate_rows(u)].tolist()
     scores = [s for _, s in ranked]
     assert scores == sorted(scores, reverse=True)
 

@@ -381,6 +381,55 @@ def test_malformed_pairs_or_path_is_config_error(pipeline, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+# a path that is missing or the wrong kind of file -> (exit code, stderr)
+PATH_CASES = {
+    "missing-checkpoint": (cli.EXIT_DATA, "data error: {missing}: cannot read "
+                                          "(No such file or directory)"),
+    "checkpoint-is-dir": (cli.EXIT_DATA,
+                          "data error: {a_dir}: cannot read (Is a directory)"),
+    "sequences-is-dir": (cli.EXIT_CONFIG, "config error:\ndata.sequences path "
+                                          "'{a_dir}' is not a regular file"),
+    "visual-is-dir": (cli.EXIT_CONFIG, "config error:\ndata.visual path "
+                                       "'{a_dir}' is not a regular file"),
+    "out-is-file": (cli.EXIT_CONFIG, "config error:\nout path '{a_file}' "
+                                     "exists and is not a directory"),
+}
+
+
+@pytest.mark.parametrize("case", PATH_CASES)
+def test_os_error_on_a_path_is_its_exit_code(pipeline, tmp_path, capsys,
+                                             case):
+    """A path that exists as the wrong kind of file, or not at all, gives
+    its exit code and a one-line message, never a traceback."""
+    _, paths, ckpts = pipeline
+    a_dir, a_file = tmp_path / "a_dir", tmp_path / "a_file"
+    a_dir.mkdir()
+    a_file.write_text("not a directory\n")
+    missing = tmp_path / "missing.ckpt"
+    data, out, checkpoints = dict(paths), tmp_path / "out", [ckpts["rnn"]]
+    cmd = "coldstart" if case == "checkpoint-is-dir" else "eval"
+    if case == "missing-checkpoint":
+        checkpoints = [missing]
+    elif case == "checkpoint-is-dir":
+        checkpoints = [ckpts["rnn"], a_dir]
+    elif case == "sequences-is-dir":
+        data["sequences"] = str(a_dir)
+    elif case == "visual-is-dir":
+        data["visual"] = str(a_dir)
+    else:
+        out = a_file
+    cfg = write_config(tmp_path / "c.json", {"data": data})
+    got = cli.main([cmd, *map(str, checkpoints), "--config", cfg,
+                    "--out", str(out)])
+    err = capsys.readouterr().err
+    code, fragment = PATH_CASES[case]
+    assert got == code, err
+    want = fragment.format(missing=missing, a_dir=a_dir, a_file=a_file)
+    assert err == want + "\n", err
+    assert not (tmp_path / "out").exists()
+    assert a_file.read_text() == "not a directory\n"
+
+
 @pytest.mark.parametrize("raw", [b"[" * 100_000, b'{"seed": 1}\xff'],
                          ids=["deep", "not-utf8"])
 def test_unreadable_config_is_config_error(tmp_path, capsys, raw):

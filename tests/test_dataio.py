@@ -15,15 +15,25 @@ from seqrank.errors import (ConfigError, EmptyCorpusError, ParseError,
                             SamplingError)
 
 
+def ids(c, rows):
+    """The item ids of a corpus's row array, in its order."""
+    return c.items[rows].tolist()
+
+
+def split_ids(c, u):
+    """User u's (training ids, test ids)."""
+    return ids(c, c.train_rows[u]), ids(c, c.test_rows[u])
+
+
 def test_build_corpus_trains_on_ceil_prefix():
     c = build_corpus({"u": list("abcdefghij")}, min_len=2, split_frac=0.9)
-    assert (len(c.train_seq["u"]), len(c.test_seq["u"])) == (9, 1)
+    assert (len(c.train_rows["u"]), len(c.test_rows["u"])) == (9, 1)
     c = build_corpus({"u": list("abcde")}, min_len=2, split_frac=0.5)
     # ceil(2.5) = 3
-    assert (c.train_seq["u"], c.test_seq["u"]) == (["a", "b", "c"], ["d", "e"])
+    assert split_ids(c, "u") == (["a", "b", "c"], ["d", "e"])
     c = build_corpus({"u": ["a", "b"]}, min_len=2, split_frac=0.9)
     # ceil(1.8) = 2: u trains on both items and is not evaluated
-    assert (c.train_seq["u"], c.test_seq["u"]) == (["a", "b"], [])
+    assert split_ids(c, "u") == (["a", "b"], [])
     assert c.eval_users() == []
 
 
@@ -57,12 +67,14 @@ def test_parse_duplicate_user(tmp_path):
 def test_build_corpus_orders_and_filters():
     raw = {"u2": ["b", "a", "c", "b"], "u1": ["c", "a", "a", "d"], "u3": ["a"]}
     c = build_corpus(raw, min_len=2, split_frac=0.75)
-    assert c.users == ("u2", "u1")          # file order, short user dropped
-    assert c.items == ("a", "b", "c", "d")  # ascending ids
-    assert c.train_seq["u2"] == ["b", "a", "c"]
+    assert c.users == ("u2", "u1")                   # file order, short user dropped
+    assert c.items.tolist() == ["a", "b", "c", "d"]  # ascending ids, by row
+    assert c.train_rows["u2"].dtype == np.intp
+    assert c.train_rows["u2"].tolist() == [1, 0, 2]  # b, a, c
     # u2's test item "b" already trained on, filtered away
-    assert c.test_seq["u2"] == []
-    assert c.test_seq["u1"] == ["d"]
+    assert split_ids(c, "u2") == (["b", "a", "c"], [])
+    assert split_ids(c, "u1") == (["c", "a", "a"], ["d"])
+    assert c.test_rows["u1"].dtype == np.intp
     assert c.eval_users() == ["u1"]
 
 
@@ -80,8 +92,7 @@ def test_build_corpus_keeps_new_test_items_once():
     # item a and the second e go
     c = build_corpus({"u": ["a", "b", "c", "d", "d", "a", "e", "f", "e"]},
                      min_len=2, split_frac=0.5)
-    assert c.train_seq["u"] == ["a", "b", "c", "d", "d"]
-    assert c.test_seq["u"] == ["e", "f"]
+    assert split_ids(c, "u") == (["a", "b", "c", "d", "d"], ["e", "f"])
 
 
 def test_candidates_excludes_train_only(toy_corpus):
@@ -104,8 +115,9 @@ def test_load_features(tmp_path):
     p.write_text("#dims 2\ni1\t0.0 10.0\ni2\t4.0 30.0\n")
     t = load_features(p, lo=0.0, hi=0.5)
     assert t.dim == 2
-    assert t.vectors["i2"].tolist() == [0.5, 0.5]
-    assert t.vectors["i1"].tolist() == [0.0, 0.0]
+    assert t.ids == ["i1", "i2"]  # file order
+    assert t.matrix[1].tolist() == [0.5, 0.5]
+    assert t.matrix[0].tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -162,36 +174,57 @@ def test_load_features_header_int_conversion(tmp_path, dims):
 
 
 def test_feature_store_missing_items(toy_corpus):
-    vis = FeatureTable(2, {"i1": np.array([0.1, 0.2])})
+    vis = FeatureTable(["i1"], np.array([[0.1, 0.2]]))
     store = build_feature_store(toy_corpus, vis, empty_table())
     assert store.missing_visual == [it for it in toy_corpus.items if it != "i1"]
-    row = toy_corpus.item_index
-    assert store.visual_mat[row["i3"]].tolist() == [0.0, 0.0]
-    assert store.visual_mat[row["i1"]].tolist() == [0.1, 0.2]
+    row = toy_corpus.items.tolist().index
+    assert store.visual_mat[row("i3")].tolist() == [0.0, 0.0]
+    assert store.visual_mat[row("i1")].tolist() == [0.1, 0.2]
     assert store.f_t == 0 and store.missing_textual == []
-    assert store.textual_mat[row["i1"]].shape == (0,)
+    assert store.textual_mat[row("i1")].shape == (0,)
+
+
+def test_feature_store_aligns_a_file_in_its_own_order(toy_corpus, tmp_path):
+    # the file lists the items out of row order, adds "zz", which the
+    # corpus lacks, and leaves out the corpus's i2 and i4; min-max onto
+    # [0, 1] maps both dimensions to exact multiples of 0.2
+    p = tmp_path / "v.tsv"
+    p.write_text("#dims 2\ni6\t5 50\nzz\t0 0\ni3\t2 20\ni1\t4 10\n"
+                 "i5\t1 40\n")
+    store = build_feature_store(toy_corpus, load_features(p, 0.0, 1.0),
+                                empty_table())
+    want = {"i1": [0.8, 0.2], "i2": [0.0, 0.0], "i3": [0.4, 0.4],
+            "i4": [0.0, 0.0], "i5": [0.2, 0.8], "i6": [1.0, 1.0]}
+    assert toy_corpus.items.tolist() == sorted(want)
+    for j, it in enumerate(toy_corpus.items):
+        assert store.visual_mat[j].tolist() == want[it], it
+    assert store.missing_visual == ["i2", "i4"]  # corpus row order
 
 
 def test_sample_negative_never_owned(toy_corpus):
     rng = np.random.default_rng(0)
-    owned = set(toy_corpus.train_seq["alice"])
+    owned = frozenset(toy_corpus.train_rows["alice"].tolist())
+    owned_ids = set(ids(toy_corpus, toy_corpus.train_rows["alice"]))
+    assert owned_ids == {"i1", "i2", "i3"}
     for _ in range(200):
-        assert toy_corpus.items[sample_negative(toy_corpus, "alice", rng)] not in owned
+        q = sample_negative(toy_corpus, "alice", owned, rng)
+        assert q not in owned and toy_corpus.items[q] not in owned_ids
 
 
 def test_sample_negative_exhausted():
     c = build_corpus({"u": ["a", "b", "a", "b"]}, min_len=2, split_frac=0.5)
-    with pytest.raises(SamplingError):
-        sample_negative(c, "u", np.random.default_rng(0))
+    with pytest.raises(SamplingError, match="user 'u' owns every item"):
+        sample_negative(c, "u", frozenset(c.train_rows["u"].tolist()),
+                        np.random.default_rng(0))
 
 
 def test_sample_triples_protocol(toy_corpus):
     rng = np.random.default_rng(1)
     neg_rows = sample_triples(toy_corpus, "bob", rng)
-    seq = toy_corpus.train_seq["bob"]
+    seq = ids(toy_corpus, toy_corpus.train_rows["bob"])
     assert neg_rows.dtype == np.intp
     assert neg_rows.shape == (len(seq) - 1,)   # one per step t = 2..m
-    assert toy_corpus.item_ids[toy_corpus.train_rows["bob"]].tolist() == seq
+    assert seq == ["i2", "i3", "i5"]
     for q in neg_rows:
         assert toy_corpus.items[q] not in set(seq)
 
@@ -232,12 +265,14 @@ def test_synth_raw_deterministic_and_in_range():
     a_seqs, a_vis, a_tex = synth_raw(SPEC, np.random.default_rng(9))
     b_seqs, b_vis, b_tex = synth_raw(SPEC, np.random.default_rng(9))
     assert a_seqs == b_seqs
-    for it in a_vis.vectors:
-        assert np.array_equal(a_vis.vectors[it], b_vis.vectors[it])
-        assert a_vis.vectors[it].min() >= VISUAL_RANGE[0]
-        assert a_vis.vectors[it].max() <= VISUAL_RANGE[1]
-        assert a_tex.vectors[it].min() >= TEXTUAL_RANGE[0]
-        assert a_tex.vectors[it].max() <= TEXTUAL_RANGE[1]
+    assert a_vis.ids == b_vis.ids == a_tex.ids == b_tex.ids
+    assert len(a_vis.ids) == SPEC.items
+    assert np.array_equal(a_vis.matrix, b_vis.matrix)
+    assert np.array_equal(a_tex.matrix, b_tex.matrix)
+    assert a_vis.matrix.min() >= VISUAL_RANGE[0]
+    assert a_vis.matrix.max() <= VISUAL_RANGE[1]
+    assert a_tex.matrix.min() >= TEXTUAL_RANGE[0]
+    assert a_tex.matrix.max() <= TEXTUAL_RANGE[1]
     assert len(a_seqs) == SPEC.users
     assert all(len(s) == SPEC.seq_len for s in a_seqs.values())
 
@@ -264,9 +299,9 @@ def test_synth_corpus_matches_file_round_trip(tmp_path):
     write_features(tmp_path / "t.tsv", tex)
     loaded = load_corpus(tmp_path / "s.tsv", MIN_LEN, SPLIT_FRAC)
     assert loaded.users == corpus.users
-    assert loaded.items == corpus.items
-    assert loaded.train_seq == corpus.train_seq
-    assert loaded.test_seq == corpus.test_seq
+    assert loaded.items.tolist() == corpus.items.tolist()
+    for u in corpus.users:
+        assert split_ids(loaded, u) == split_ids(corpus, u)
     store = build_feature_store(
         loaded, load_features(tmp_path / "v.tsv", *VISUAL_RANGE),
         load_features(tmp_path / "t.tsv", *TEXTUAL_RANGE))

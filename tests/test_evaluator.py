@@ -159,13 +159,14 @@ def test_evaluate_short_rankings_match_reference():
     assert report.auc_skipped == 1  # u3 has no (relevant, non-relevant) pair
     refs = {"recall": recall_ref, "precision": precision_ref,
             "map": average_precision_ref, "ndcg": ndcg_ref}
+    relevant = {u: set(c.items[c.test_rows[u]].tolist()) for u in users}
     for k in cfg.cutoffs:
         for name, ref in refs.items():
-            want = sum(ref([it for it, _ in table[u]], set(c.test_seq[u]), k)
+            want = sum(ref([it for it, _ in table[u]], relevant[u], k)
                        for u in users) / len(users)
             assert abs(report.per_cutoff[k][name] - want) <= 1e-12, (k, name)
     aucs = [auc_ref([s for _, s in table[u]],
-                    [it in c.test_seq[u] for it, _ in table[u]])
+                    [it in relevant[u] for it, _ in table[u]])
             for u in ("u1", "u2")]
     assert abs(report.auc - sum(aucs) / 2) <= 1e-12
 
@@ -197,8 +198,16 @@ def test_keep_rankings(toy_corpus):
     assert rankings == {u: [it for it, _ in table[u]] for u in table}
 
 
+def by_id(c, freq):
+    """{item id: count} of a per-row count array."""
+    return dict(zip(c.items.tolist(), freq.tolist()))
+
+
 def test_test_frequencies(toy_corpus):
-    assert frequencies_in_test(toy_corpus) == {"i4": 1, "i1": 1, "i6": 1}
+    freq = frequencies_in_test(toy_corpus)
+    assert freq.shape == (toy_corpus.n_items,)
+    assert by_id(toy_corpus, freq) == {"i1": 1, "i2": 0, "i3": 0, "i4": 1,
+                                       "i5": 0, "i6": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +222,8 @@ def cold_world():
 
 def test_cold_start_hand_values():
     c = cold_world()
-    assert frequencies_in_test(c) == {"c1": 1, "c2": 1, "w1": 2}
+    assert by_id(c, frequencies_in_test(c)) == {"c1": 1, "c2": 1, "w1": 2,
+                                                "x1": 0, "x2": 0, "x3": 0}
     rankings = {
         "A": {"uA": ["c1", "c2", "w1", "x3"], "uB": ["c1", "c2", "w1", "x1"]},
         "B": {"uA": ["w1", "x3", "c1", "c2"], "uB": ["w1", "c2", "c1", "x1"]},

@@ -1,8 +1,9 @@
 """Every name a module under src/ or tests/ imports is used in it, every
 parameter of a function under src/ is read in its body, every defaulted
 parameter of a function under src/ is passed by some call under src/ or
-tests/ and left out by another, and every dataclass field under src/ is
-read as an attribute somewhere in src/.
+tests/ and left out by another, and every dataclass field and every
+attribute a method sets on `self` under src/ is read as an attribute
+somewhere in src/.
 
 An import left behind by a deleted caller, a parameter or field whose
 last reader was deleted, or a default that no call overrides keeps a dead
@@ -11,9 +12,11 @@ call overrides is a second statement of a value each caller already
 states. The scans are by `ast` alone: a name bound by an import must
 appear as an identifier somewhere else in the module, a parameter as an
 identifier inside its function, a defaulted parameter in some but not
-all calls by the function's name, and a field as a loaded attribute
-(`obj.field`) in any module under src/. `self`, `cls` and `_`-prefixed
-parameters are exempt from the parameter scan."""
+all calls by the function's name, and a field or a `self.<attr> = ...`
+target as a loaded attribute (`obj.field`) in any module under src/, so
+that a derived attribute goes with its last reader as a field does.
+`self`, `cls` and `_`-prefixed parameters are exempt from the parameter
+scan."""
 
 import ast
 import math
@@ -203,13 +206,41 @@ def dataclass_fields(source: str) -> list:
     return found
 
 
+def self_attributes(source: str) -> list:
+    """(line, class, attribute) for each `self.<attribute> = ...` in the
+    body of a class, plain, annotated or inside a tuple target."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign):
+                targets = list(node.targets)
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            while targets:
+                t = targets.pop(0)
+                if isinstance(t, (ast.Tuple, ast.List)):
+                    targets += t.elts
+                elif isinstance(t, ast.Starred):
+                    targets.append(t.value)
+                elif (isinstance(t, ast.Attribute)
+                      and isinstance(t.value, ast.Name) and t.value.id == "self"):
+                    found.append((t.lineno, cls.name, t.attr))
+    return found
+
+
 def unread_fields(sources: list) -> list:
-    """(class, field) for each dataclass field of `sources` that none of
-    them loads as an attribute."""
+    """(class, name) for each dataclass field and `self` attribute of
+    `sources` that none of them loads as an attribute."""
     read = {n.attr for source in sources for n in ast.walk(ast.parse(source))
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    return [(cls, name) for source in sources
-            for _, cls, name in dataclass_fields(source) if name not in read]
+    return sorted({(cls, name) for source in sources
+                   for _, cls, name in (*dataclass_fields(source),
+                                        *self_attributes(source))
+                   if name not in read})
 
 
 def test_scan_finds_an_unread_field():
@@ -222,6 +253,19 @@ def test_scan_finds_an_unread_field():
     # a store is not a read; the reader may sit in another module
     assert unread_fields([declared, "def f(x):\n    x.b = x.a\n"]) == [
         ("A", "b"), ("B", "c")]
+
+
+def test_scan_finds_an_unread_self_attribute():
+    declared = ("class K:\n    def __init__(self, v):\n        self.a = v\n"
+                "        self.b: int = 0\n        self.c, (self.d, *self.e) = v\n"
+                "        self.a[0] = 1\n        other.f = v\n"
+                "    def g(self):\n        return self.a + self.d\n")
+    assert self_attributes(declared) == [
+        (3, "K", "a"), (4, "K", "b"), (5, "K", "c"), (5, "K", "d"),
+        (5, "K", "e")]
+    # a subscript store reads its attribute; another object's is not self's
+    assert unread_fields([declared]) == [("K", "b"), ("K", "c"), ("K", "e")]
+    assert unread_fields([declared, "print(k.b, k.c, k.e)\n"]) == []
 
 
 def test_no_unread_dataclass_fields():

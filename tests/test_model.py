@@ -148,7 +148,7 @@ def test_final_states_rows(toy_corpus, toy_feats):
     final = final_states(params, toy_feats, toy_corpus, h)
     assert final.shape == (len(toy_corpus.users), h.D)
     for u, got in zip(toy_corpus.users, final):
-        rows = [toy_corpus.item_index[it] for it in toy_corpus.train_seq[u]]
+        rows = toy_corpus.train_rows[u]
         states = hidden_states(item_rep_matrix(params, toy_feats, h, rows), params)
         # state t is one recurrent step from state t-1
         pre_in = item_rep_matrix(params, toy_feats, h, rows) @ params["InMat"].T
@@ -182,11 +182,13 @@ def test_item_rep_matrix_rows(toy_corpus, toy_feats):
 
 def test_order_candidates_filters_and_breaks_ties(toy_corpus):
     scores = np.zeros(toy_corpus.n_items)
-    scores[toy_corpus.item_index["i5"]] = 2.0
+    scores[toy_corpus.items.tolist().index("i5")] = 2.0
     ranked = order_candidates(scores, toy_corpus, "alice")
     ids = [it for it, _ in ranked]
     assert ids[0] == "i5"
     assert ids[1:] == ["i4", "i6"]  # tied zeros fall back to ascending id
-    assert set(ids).isdisjoint(toy_corpus.train_seq["alice"])
+    trained = toy_corpus.items[toy_corpus.train_rows["alice"]].tolist()
+    assert trained == ["i1", "i2", "i3"]
+    assert set(ids).isdisjoint(trained)
     assert ranked[0][1] == 2.0
 

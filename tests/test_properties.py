@@ -26,10 +26,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from id_corpus import id_corpus
 from reference_metrics import cold_start_ref
 from seqrank import numkit, sgd
 from seqrank.checkpoint import MAGIC, read_checkpoint
-from seqrank.dataio import (Corpus, FeatureStore, build_corpus,
+from seqrank.dataio import (FeatureStore, build_corpus,
                             load_features, parse_sequence_file,
                             sample_triples)
 from seqrank.errors import CheckpointError, EmptyCorpusError, ParseError
@@ -147,7 +148,7 @@ def scored_user(draw):
 @given(case=scored_user())
 def test_order_candidates_matches_sorted_pairs(case):
     scores, items, owned = case
-    corpus = Corpus(("u",), items, {"u": owned}, {"u": []})
+    corpus = id_corpus(("u",), items, {"u": owned})
     got = order_candidates(scores, corpus, "u")
     want = sorted([(it, float(s)) for it, s in zip(items, scores)
                    if it not in owned], key=lambda p: -p[1])
@@ -170,7 +171,7 @@ def recurrent_world(draw):
              for u in users}
     h = Hyper(d=draw(st.integers(1, 3)), f_v=draw(st.integers(1, 3)),
               f_t=draw(st.integers(1, 3)), mask=draw(st.sampled_from(MASKS)))
-    return Corpus(users, items, train, {}), h, draw(st.integers(0, 2**32 - 1))
+    return id_corpus(users, items, train), h, draw(st.integers(0, 2**32 - 1))
 
 
 @FUZZ
@@ -184,7 +185,7 @@ def test_final_states_match_per_user_recurrence(world):
     final = final_states(params, feats, corpus, h)
     assert final.shape == (len(corpus.users), h.D)
     for u, got in zip(corpus.users, final):
-        rows = [corpus.item_index[it] for it in corpus.train_seq[u]]
+        rows = corpus.train_rows[u]
         want = hidden_states(item_rep_matrix(params, feats, h, rows), params)[-1]
         assert np.max(np.abs(got - want)) <= 1e-14
 
@@ -201,17 +202,18 @@ def cold_start_world(draw):
         lambda p: st.integers(0, len(p)).map(lambda n: list(p[:n]))))
               for u in users}
     bins = tuple(sorted(draw(st.sets(st.integers(1, 6), max_size=4))))
-    return (Corpus(users, items, {u: [] for u in users}, test), ranked,
+    return (id_corpus(users, items, {}, test), test, ranked,
             draw(st.integers(1, 6)), bins)
 
 
 @FUZZ
 @given(world=cold_start_world())
 def test_cold_start_bins_match_per_bin_recount(world):
-    corpus, ranked, k, bins = world
+    corpus, test, ranked, k, bins = world
     evaluable = corpus.eval_users()
+    assert evaluable == [u for u in corpus.users if test[u]]
     report = cold_start_bins(corpus, {"A": ranked}, k, bins)
-    bin_users, recalls = cold_start_ref(evaluable, corpus.test_seq, ranked, k, bins)
+    bin_users, recalls = cold_start_ref(evaluable, test, ranked, k, bins)
     assert report.bin_users == bin_users
     assert report.recalls["A"] == recalls
     assert all(v is None or type(v) is float for v in report.recalls["A"])
@@ -234,8 +236,8 @@ def reference_negatives(items: tuple, seq: list, rng: np.random.Generator) -> li
 
 @st.composite
 def sampling_world(draw):
-    """A corpus whose every user leaves at least one item unowned, and a
-    seed."""
+    """A corpus whose every user leaves at least one item unowned, its
+    training ids by user, and a seed."""
     n_items = draw(st.integers(2, 10))
     items = items_of(n_items)
     train = {}
@@ -243,19 +245,20 @@ def sampling_world(draw):
         spare = draw(st.integers(0, n_items - 1))
         rows = st.integers(0, n_items - 2).map(lambda r, s=spare: r + (r >= s))
         train[f"u{j}"] = [items[r] for r in draw(st.lists(rows, min_size=2, max_size=8))]
-    return Corpus(tuple(train), items, train, {}), draw(st.integers(0, 2**32 - 1))
+    return (id_corpus(tuple(train), items, train), train,
+            draw(st.integers(0, 2**32 - 1)))
 
 
 @FUZZ
 @given(world=sampling_world())
 def test_row_sampler_matches_id_reference(world):
-    corpus, seed = world
+    corpus, train, seed = world
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for u in corpus.users:
         rows = sample_triples(corpus, u, rng)
         assert rows.dtype == np.intp
-        assert corpus.item_ids[rows].tolist() == reference_negatives(
-            corpus.items, corpus.train_seq[u], ref_rng)
+        assert corpus.items[rows].tolist() == reference_negatives(
+            corpus.items.tolist(), train[u], ref_rng)
         assert not set(rows.tolist()) & set(corpus.train_rows[u].tolist())
 
 
@@ -290,9 +293,9 @@ def test_build_corpus_matches_split_reference(raw, min_len, split_frac):
         return
     c = build_corpus(raw, min_len, split_frac)
     assert list(c.users) == users
-    assert c.train_seq == train
-    assert c.test_seq == test
-    assert list(c.items) == items
+    assert c.items.tolist() == items
+    assert {u: c.items[c.train_rows[u]].tolist() for u in c.train_rows} == train
+    assert {u: c.items[c.test_rows[u]].tolist() for u in c.test_rows} == test
 
 
 # ---------------------------------------------------------------------------

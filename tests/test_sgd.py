@@ -8,10 +8,11 @@ names the first non-finite block."""
 import numpy as np
 import pytest
 
+from id_corpus import id_corpus
 from seqrank import sgd, trainer
 from seqrank.baselines import (bpr_pair_grads, init_bpr_params, mf_obs_grads,
                                train_content_bpr)
-from seqrank.dataio import Corpus, FeatureStore, sample_triples
+from seqrank.dataio import FeatureStore, sample_triples
 from seqrank.errors import DivergenceError
 from seqrank.model import MASK_BY_KIND, Hyper, init_params
 from seqrank.trainer import (TrainConfig, sequence_context, sequence_updates,
@@ -55,7 +56,7 @@ def test_recurrent_sequence_moves_by_sequence_gradients():
 
 def one_triple_world():
     """The only triple: user "u", positive "b", the one unowned item "c"."""
-    corpus = Corpus(("u",), ("a", "b", "c"), {"u": ["a", "b"]}, {"u": []})
+    corpus = id_corpus(("u",), ("a", "b", "c"), {"u": ["a", "b"]})
     rng = np.random.default_rng(8)
     feats = FeatureStore(2, 2, rng.uniform(0.0, 0.5, (3, 2)),
                          rng.uniform(-0.5, 0.5, (3, 2)))
@@ -159,8 +160,8 @@ def test_train_applies_once_per_sequence(monkeypatch):
 
 
 def test_divergence_names_the_first_non_finite_block():
-    corpus = Corpus(("u", "w"), ("a", "b"), {"u": ["a", "b"], "w": ["b", "a"]},
-                    {"u": [], "w": []})
+    corpus = id_corpus(("u", "w"), ("a", "b"),
+                       {"u": ["a", "b"], "w": ["b", "a"]})
 
     def init(rng):
         return {"X": np.zeros(2), "E": np.zeros(2), "V": np.zeros(2)}

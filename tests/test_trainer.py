@@ -56,7 +56,7 @@ def test_context_contents():
     h = full_hyper()
     params, corpus, feats, negatives = make_context(h)
     ctx = sequence_context(params, corpus, feats, h, "u0", negatives["u0"])
-    m = len(corpus.train_seq["u0"])
+    m = len(corpus.train_rows["u0"])
     assert ctx.m == m
     assert ctx.states.shape == (m + 1, h.D)
     assert not ctx.states[0].any()
