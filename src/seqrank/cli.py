@@ -72,7 +72,8 @@ def _train_config(cfg: dict) -> trainer.TrainConfig:
 def _eval_config(cfg: dict) -> evaluator.EvalConfig:
     ev = cfg["eval"]
     return evaluator.EvalConfig(cutoffs=tuple(ev["cutoffs"]),
-                                bins=tuple(ev["bins"]))
+                                bins=tuple(ev["bins"]),
+                                coldstart_k=ev["coldstart_k"])
 
 
 def resolve_config(args) -> dict:
@@ -108,10 +109,15 @@ def resolve_config(args) -> dict:
 
     if not isinstance(cfg["out"], str):
         problems.append(f"out must be a path string, got {cfg['out']!r}")
-    elif (args.cmd != "gradcheck"  # the one command that writes no files
-          and os.path.exists(cfg["out"])
-          and not os.path.isdir(cfg["out"])):
-        problems.append(f"out path {cfg['out']!r} exists and is not a directory")
+    elif args.cmd != "gradcheck":  # the one command that writes no files
+        # out, or the nearest ancestor of out that exists, must be a directory
+        # for os.makedirs to make it
+        out = found = os.path.abspath(cfg["out"])
+        while not os.path.lexists(found):
+            found = os.path.dirname(found)
+        if not os.path.isdir(found):
+            where = "exists and" if found == out else f"lies under {found!r}, which"
+            problems.append(f"out path {cfg['out']!r} {where} is not a directory")
     pairs = cfg["pairs"]
     if pairs is not None and not (isinstance(pairs, list) and all(
             isinstance(p, list) and len(p) == 2
@@ -160,9 +166,6 @@ def resolve_config(args) -> dict:
         _eval_config(cfg)
     except (ConfigError, TypeError) as exc:
         problems.append(f"eval: {exc}")
-    k = cfg["eval"]["coldstart_k"]
-    if not _is_count(k, 1):
-        problems.append(f"eval.coldstart_k must be a positive integer, got {k!r}")
     if args.cmd == "synth" and cfg["synth"] is None:
         problems.append("synth section is required for the synth command")
     if cfg["synth"] is not None:
@@ -278,9 +281,7 @@ def cmd_coldstart(args) -> int:
     rankings = {}
     for name in names:  # pop: a ranker is freed once its rankings are kept
         _, rankings[name] = evaluator.evaluate(rankers.pop(name), corpus, ecfg)
-    report = evaluator.cold_start_bins(corpus, rankings,
-                                       cfg["eval"]["coldstart_k"],
-                                       tuple(cfg["eval"]["bins"]), pairs)
+    report = evaluator.cold_start_bins(corpus, rankings, ecfg, pairs)
     os.makedirs(cfg["out"], exist_ok=True)
     base = os.path.join(cfg["out"], "coldstart")
     _write_json(base + ".json", report.to_json_dict())

@@ -5,16 +5,17 @@ score) pairs sorted descending; those pairs are the one place the
 evaluator meets item ids, which it matches against the ids of the user's
 test rows (`corpus.items[corpus.test_rows[u]]`). Users are scored one
 after another, and aggregation is a fixed-order mean over evaluable users;
-`evaluate` returns the report with the ranked ids it was read from, which
-`cold_start_bins` reuses. Each ranking is reduced once to its relevance
-flags, the hit vector, read out of the pairs by C-level maps rather than
-per-item Python: `cutoff_metrics` reads every cutoff metric from its
-running sums, with discounts cached per length, and AUC uses those flags
-with the midranks of the tie groups of the ranked scores, which need no
-second sort. Test frequencies are one `bincount` over the test rows;
-`cold_start_bins` counts each user's relevant items per bin from them and
-compares every user's top-k test frequencies with all bin bounds in one
-array operation.
+`evaluate` returns the report with each user's first `coldstart_k` ranked
+ids, all that `cold_start_bins` reads, so evaluation holds O(users × k)
+ids rather than every ranking. Each ranking is reduced once to its
+relevance flags, the hit vector, read out of the pairs by C-level maps
+rather than per-item Python: `cutoff_metrics` reads every cutoff metric
+from its running sums, with discounts cached per length, and AUC uses
+those flags with the midranks of the tie groups of the ranked scores,
+which need no second sort. Test frequencies are one `bincount` over the
+test rows; `cold_start_bins` counts each user's relevant items per bin
+from them and compares every user's top-k test frequencies with all bin
+bounds in one array operation.
 """
 
 import math
@@ -33,22 +34,27 @@ from .errors import ConfigError, EmptyCorpusError
 class EvalConfig:
     cutoffs: tuple = (10, 30, 50)
     bins: tuple = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+    coldstart_k: int = 30     # the cold-start recall cutoff; ranked ids kept
 
     def __post_init__(self):
-        if not all(numkit.is_int(v) for v in (*self.cutoffs, *self.bins)):
-            raise ConfigError(f"cutoffs and bins must be integers, got "
-                              f"{list(self.cutoffs)} and {list(self.bins)}")
         problems = []
-        if not self.cutoffs:
-            problems.append("cutoffs must be nonempty")
-        if any(k < 1 for k in self.cutoffs):
-            problems.append("cutoffs must be positive")
-        if list(self.cutoffs) != sorted(set(self.cutoffs)):
-            problems.append("cutoffs must be strictly increasing")
-        if any(b < 1 for b in self.bins):
-            problems.append("bins must be positive")
-        if list(self.bins) != sorted(set(self.bins)):
-            problems.append("bin bounds must be strictly increasing")
+        if not all(numkit.is_int(v) for v in (*self.cutoffs, *self.bins)):
+            problems.append(f"cutoffs and bins must be integers, got "
+                            f"{list(self.cutoffs)} and {list(self.bins)}")
+        else:
+            if not self.cutoffs:
+                problems.append("cutoffs must be nonempty")
+            if any(k < 1 for k in self.cutoffs):
+                problems.append("cutoffs must be positive")
+            if list(self.cutoffs) != sorted(set(self.cutoffs)):
+                problems.append("cutoffs must be strictly increasing")
+            if any(b < 1 for b in self.bins):
+                problems.append("bins must be positive")
+            if list(self.bins) != sorted(set(self.bins)):
+                problems.append("bin bounds must be strictly increasing")
+        if not (numkit.is_int(self.coldstart_k) and self.coldstart_k >= 1):
+            problems.append(f"coldstart_k must be a positive integer, "
+                            f"got {self.coldstart_k!r}")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -150,10 +156,11 @@ class EvalReport:
 def user_metrics(ranker, corpus: Corpus, cfg: EvalConfig, u: str) -> dict:
     ranking = ranker.rank(u)
     n = len(ranking)
-    ids = list(map(itemgetter(0), ranking))
     rel = set(corpus.items[corpus.test_rows[u]].tolist())
-    hit = np.fromiter(map(rel.__contains__, ids), dtype=bool, count=n)
-    row = {"ranked": ids, **cutoff_metrics(hit, len(rel), cfg.cutoffs)}
+    hit = np.fromiter(map(rel.__contains__, map(itemgetter(0), ranking)),
+                      dtype=bool, count=n)
+    row = {"ranked": list(map(itemgetter(0), ranking[:cfg.coldstart_k])),
+           **cutoff_metrics(hit, len(rel), cfg.cutoffs)}
     if 0 < hit.sum() < n:
         scores = np.fromiter(map(itemgetter(1), ranking), dtype=np.float64, count=n)
         row["auc"] = auc_from_scores(scores, hit)
@@ -163,9 +170,9 @@ def user_metrics(ranker, corpus: Corpus, cfg: EvalConfig, u: str) -> dict:
 
 
 def evaluate(ranker, corpus: Corpus, cfg: EvalConfig) -> tuple:
-    """(report, {user: ranked id list}): metrics aggregated over every user
-    with a nonempty filtered test set, and the rankings they were read
-    from, for reuse by the cold-start analysis."""
+    """(report, {user: top ranked ids}): metrics aggregated over every user
+    with a nonempty filtered test set, and the first cfg.coldstart_k ids of
+    each user's ranking, for reuse by the cold-start analysis."""
     users = corpus.eval_users()
     if not users:
         raise EmptyCorpusError("no users have test items to evaluate")
@@ -232,11 +239,13 @@ def check_pairs(pairs: list, names) -> None:
                               f"{sorted(names)}")
 
 
-def cold_start_bins(corpus: Corpus, rankings: dict, k: int, bins: tuple,
+def cold_start_bins(corpus: Corpus, rankings: dict, cfg: EvalConfig,
                     pairs: list | None = None) -> ColdStartReport:
-    """Recall@k restricted to test items of bounded test-set frequency.
+    """Recall@k, k = cfg.coldstart_k, restricted to test items of bounded
+    test-set frequency, over the bounds cfg.bins.
 
-    rankings maps ranker name -> {user: ranked id list}. Each finite bin
+    rankings maps ranker name -> {user: ranked id list}, such as the
+    prefixes `evaluate` keeps under the same cfg. Each finite bin
     [1, b] keeps only relevant items occurring <= b times; users left with
     no relevant item are skipped in that bin. The final bin is the whole
     test set and reproduces the unrestricted recall exactly. Growth of A
@@ -244,6 +253,7 @@ def cold_start_bins(corpus: Corpus, rankings: dict, k: int, bins: tuple,
     users = corpus.eval_users()
     if not users:
         raise EmptyCorpusError("no users have test items")
+    k, bins = cfg.coldstart_k, cfg.bins
     freq = test_frequencies(corpus)
     # the last bound, the largest test frequency, keeps the whole test set
     bounds = np.array(list(bins) + [int(freq.max())])

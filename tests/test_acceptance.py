@@ -135,16 +135,14 @@ def cold_start_growth(seed):
     assert cold_share >= 0.30  # planted corpus: >= 30% rare test items
 
     rankings = {}
+    ecfg = EvalConfig(cutoffs=(30,), bins=COLD_BINS, coldstart_k=30)
     for kind in ("rnn", "vtrnn"):
         h = Hyper(d=10, f_v=16, f_t=16, lam_theta=0.02, lam_e=0.02,
                   lam_v=0.02)
         ranker = build_ranker(kind, corpus, feats, h,
                               TrainConfig(epochs=10, seed=seed + 7))
-        _, ranked = evaluate(ranker, corpus,
-                             EvalConfig(cutoffs=(30,), bins=COLD_BINS))
-        rankings[kind] = ranked
-    report = cold_start_bins(corpus, rankings, 30, COLD_BINS,
-                             [("vtrnn", "rnn")])
+        _, rankings[kind] = evaluate(ranker, corpus, ecfg)
+    report = cold_start_bins(corpus, rankings, ecfg, [("vtrnn", "rnn")])
     return report.growth["vtrnn_over_rnn"]
 
 
@@ -247,9 +245,9 @@ def test_ablation_identities():
     k = 10
     ranker = build_ranker("vtrnn", corpus, feats, Hyper(d=4, f_v=3, f_t=3),
                           TrainConfig(epochs=2, seed=5))
-    report, rankings = evaluate(ranker, corpus,
-                                EvalConfig(cutoffs=(k,), bins=(1, 2, 4)))
-    cs = cold_start_bins(corpus, {"vtrnn": rankings}, k, (1, 2, 4))
+    ecfg = EvalConfig(cutoffs=(k,), bins=(1, 2, 4), coldstart_k=k)
+    report, rankings = evaluate(ranker, corpus, ecfg)
+    cs = cold_start_bins(corpus, {"vtrnn": rankings}, ecfg)
     assert cs.recalls["vtrnn"][-1] == report.per_cutoff[k]["recall"]
 
     # (c) swapping the pair negates the score exactly

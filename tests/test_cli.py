@@ -320,7 +320,7 @@ def test_float_setting_must_be_finite_real(pipeline, tmp_path, capsys,
     ("coldstart", {"eval": {"bins": [1, 1.5]}}, ["ckpt"],
      "eval: cutoffs and bins must be integers"),
     ("coldstart", {"eval": {"coldstart_k": True}}, ["ckpt"],
-     "eval.coldstart_k must be a positive integer, got True"),
+     "eval: coldstart_k must be a positive integer, got True"),
     ("synth", {"synth": dict(SYNTH, users=30.5)}, [],
      "synth: users must be an integer, got 30.5"),
     ("synth", {"synth": dict(SYNTH, seed=-1)}, [], "synth: seed must be >= 0"),
@@ -393,6 +393,9 @@ PATH_CASES = {
                                        "'{a_dir}' is not a regular file"),
     "out-is-file": (cli.EXIT_CONFIG, "config error:\nout path '{a_file}' "
                                      "exists and is not a directory"),
+    "out-under-file": (cli.EXIT_CONFIG, "config error:\nout path "
+                                        "'{a_file}/sub' lies under '{a_file}', "
+                                        "which is not a directory"),
 }
 
 
@@ -416,8 +419,10 @@ def test_os_error_on_a_path_is_its_exit_code(pipeline, tmp_path, capsys,
         data["sequences"] = str(a_dir)
     elif case == "visual-is-dir":
         data["visual"] = str(a_dir)
-    else:
+    elif case == "out-is-file":
         out = a_file
+    else:
+        out = a_file / "sub"
     cfg = write_config(tmp_path / "c.json", {"data": data})
     got = cli.main([cmd, *map(str, checkpoints), "--config", cfg,
                     "--out", str(out)])

@@ -32,6 +32,12 @@ def test_eval_config_validation():
     assert "cutoffs" in msg and "bin bounds" in msg
     with pytest.raises(ConfigError):
         EvalConfig(cutoffs=())
+    # a bad coldstart_k is reported along with mistyped cutoffs
+    with pytest.raises(ConfigError) as err:
+        EvalConfig(cutoffs=(1.5,), coldstart_k=0)
+    assert str(err.value) == ("cutoffs and bins must be integers, got [1.5] "
+                              "and [1, 2, 4, 8, 16, 32, 64, 128, 256]; "
+                              "coldstart_k must be a positive integer, got 0")
 
 
 def at_k(ranked, relevant, k):
@@ -197,6 +203,19 @@ def test_keep_rankings(toy_corpus):
                            EvalConfig(cutoffs=(1,), bins=(1,)))
     assert rankings == {u: [it for it, _ in table[u]] for u in table}
 
+    # "many" has 5 candidates, more than k = 3; "few" has 2, fewer than k
+    c = build_corpus({"many": ["a", "b", "g", "h"],
+                      "few": ["a", "b", "c", "d", "e", "f", "g", "h"]},
+                     min_len=2, split_frac=0.75)
+    cfg = EvalConfig(cutoffs=(1,), bins=(1, 2), coldstart_k=3)
+    r = RandomRanker(c, seed=4)
+    full = {u: [it for it, _ in r.rank(u)] for u in c.eval_users()}
+    assert {u: len(ids) for u, ids in full.items()} == {"many": 5, "few": 2}
+    _, kept = evaluate(r, c, cfg)
+    assert kept == {"many": full["many"][:3], "few": full["few"]}
+    assert cold_start_bins(c, {"A": kept}, cfg).to_json_dict() == \
+        cold_start_bins(c, {"A": full}, cfg).to_json_dict()
+
 
 def by_id(c, freq):
     """{item id: count} of a per-row count array."""
@@ -228,7 +247,8 @@ def test_cold_start_hand_values():
         "A": {"uA": ["c1", "c2", "w1", "x3"], "uB": ["c1", "c2", "w1", "x1"]},
         "B": {"uA": ["w1", "x3", "c1", "c2"], "uB": ["w1", "c2", "c1", "x1"]},
     }
-    rep = cold_start_bins(c, rankings, 2, (1, 2), [("A", "B")])
+    rep = cold_start_bins(c, rankings, EvalConfig(bins=(1, 2), coldstart_k=2),
+                          [("A", "B")])
     assert rep.bin_labels == ["1-1", "1-2", "all"]
     assert rep.bin_users == [2, 2, 2]
     assert rep.recalls["A"] == [1.0, 0.5, 0.5]
@@ -247,7 +267,8 @@ def test_cold_start_empty_bin_and_zero_growth():
         "A": {"uA": ["w1", "w2"], "uB": ["w1", "w2"]},
         "B": {"uA": ["x3", "x1"], "uB": ["x1", "x3"]},
     }
-    rep = cold_start_bins(c, rankings, 2, (1, 2), [("A", "B")])
+    rep = cold_start_bins(c, rankings, EvalConfig(bins=(1, 2), coldstart_k=2),
+                          [("A", "B")])
     assert rep.bin_users == [0, 2, 2]
     assert rep.recalls["A"] == [None, 1.0, 1.0]
     # empty bin and zero denominator both yield undefined growth
@@ -261,24 +282,25 @@ def test_cold_start_empty_bin_and_zero_growth():
 def test_cold_start_all_bin_equals_plain_recall(toy_corpus):
     k = 2
     r = RandomRanker(toy_corpus, seed=3)
-    cfg = EvalConfig(cutoffs=(k,), bins=(1,))
+    cfg = EvalConfig(cutoffs=(k,), bins=(1,), coldstart_k=k)
     report, rankings = evaluate(r, toy_corpus, cfg)
-    cs = cold_start_bins(toy_corpus, {"random": rankings}, k, (1,))
+    cs = cold_start_bins(toy_corpus, {"random": rankings}, cfg)
     assert cs.recalls["random"][-1] == report.per_cutoff[k]["recall"]
 
 
 def test_cold_start_unknown_pair(toy_corpus):
     r = RandomRanker(toy_corpus, seed=3)
-    _, rankings = evaluate(r, toy_corpus, EvalConfig(cutoffs=(2,), bins=(1,)))
+    cfg = EvalConfig(cutoffs=(2,), bins=(1,), coldstart_k=2)
+    _, rankings = evaluate(r, toy_corpus, cfg)
     with pytest.raises(ConfigError, match="growth pair"):
-        cold_start_bins(toy_corpus, {"random": rankings}, 2, (1,),
+        cold_start_bins(toy_corpus, {"random": rankings}, cfg,
                         [("random", "pop")])
 
 
 def test_cold_start_json_shape():
     c = cold_world()
     rankings = {"A": {"uA": ["c1"], "uB": ["c2"]}}
-    rep = cold_start_bins(c, rankings, 1, (1,))
+    rep = cold_start_bins(c, rankings, EvalConfig(bins=(1,), coldstart_k=1))
     js = rep.to_json_dict()
     assert js["bins"] == ["1-1", "all"]
     assert js["k"] == 1

@@ -34,7 +34,7 @@ from seqrank.dataio import (FeatureStore, build_corpus,
                             load_features, parse_sequence_file,
                             sample_triples)
 from seqrank.errors import CheckpointError, EmptyCorpusError, ParseError
-from seqrank.evaluator import cold_start_bins
+from seqrank.evaluator import EvalConfig, cold_start_bins
 from seqrank.model import (ALL_KINDS, MASK_BY_KIND, Hyper, final_states,
                            hidden_states, init_params, item_rep_matrix,
                            order_candidates)
@@ -212,7 +212,8 @@ def test_cold_start_bins_match_per_bin_recount(world):
     corpus, test, ranked, k, bins = world
     evaluable = corpus.eval_users()
     assert evaluable == [u for u in corpus.users if test[u]]
-    report = cold_start_bins(corpus, {"A": ranked}, k, bins)
+    report = cold_start_bins(corpus, {"A": ranked},
+                             EvalConfig(bins=bins, coldstart_k=k))
     bin_users, recalls = cold_start_ref(evaluable, test, ranked, k, bins)
     assert report.bin_users == bin_users
     assert report.recalls["A"] == recalls
