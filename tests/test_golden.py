@@ -25,6 +25,13 @@ array operations and one batched recurrence over all users. Ids and lengths
 must match exactly; scores bit for bit, except for the recurrent kinds,
 whose scores may differ by 1e-14 absolute.
 
+The `<kind>+report` entries hold what `evaluate` gives for the same six
+rankers under the default `EvalConfig`: every report value (each cutoff's
+metrics in `METRICS` order, then AUC), the user and skipped-AUC counts,
+and the kept ranked prefixes, concatenated in user order with their
+lengths. They were recorded before the evaluator read each ranking in one
+pass, and must match bit for bit.
+
 Running this file records every entry missing from `golden_trace.npz` and
 keeps the ones it has; delete an entry (or the file) to re-record it, and
 only when the training arithmetic is meant to change:
@@ -40,6 +47,7 @@ import pytest
 
 from seqrank.baselines import build_ranker
 from seqrank.dataio import synth_corpus
+from seqrank.evaluator import METRICS, EvalConfig, evaluate
 from seqrank.model import Hyper
 from seqrank.trainer import TrainConfig
 from test_acceptance import SMALL
@@ -82,12 +90,28 @@ def rankings(kind: str) -> dict:
             "lengths": np.array([len(r) for r in ranked])}
 
 
+def reports(kind: str) -> dict:
+    """"values": every report metric, each cutoff's in METRICS order, then
+    AUC; "counts": users evaluated and AUC-skipped; "ranked" and
+    "lengths": the kept ranked prefixes concatenated in user order, and
+    each prefix's length."""
+    ranker, _ = build(kind)
+    report, kept = evaluate(ranker, ranker.corpus, EvalConfig())
+    values = [report.per_cutoff[k][m] for k in report.cutoffs for m in METRICS]
+    return {"values": np.array(values + [report.auc]),
+            "counts": np.array([report.users_evaluated, report.auc_skipped]),
+            "ranked": np.array([it for ids in kept.values() for it in ids]),
+            "lengths": np.array([len(ids) for ids in kept.values()])}
+
+
 def entries() -> dict:
     """Entry prefix -> function computing the entry's arrays."""
     out = {kind: functools.partial(trace, kind) for kind in KINDS}
     out.update({f"{kind}+shuffle": functools.partial(trace, kind, True)
                 for kind in SHUFFLED_KINDS})
     out.update({f"{kind}+ranking": functools.partial(rankings, kind)
+                for kind in RANKED_KINDS})
+    out.update({f"{kind}+report": functools.partial(reports, kind)
                 for kind in RANKED_KINDS})
     return out
 
@@ -155,6 +179,18 @@ def test_golden_rankings(golden, kind):
         assert err <= RECURRENT_SCORE_TOL, err
     else:
         assert np.array_equal(got["scores"], want["scores"])
+
+
+@pytest.mark.parametrize("kind", RANKED_KINDS)
+def test_golden_reports(golden, kind):
+    got, want = reports(kind), stored(golden, f"{kind}+report")
+    assert sorted(got) == sorted(want)
+    assert got["counts"].tolist() == want["counts"].tolist()
+    assert got["lengths"].tolist() == want["lengths"].tolist()
+    assert got["ranked"].tolist() == want["ranked"].tolist()
+    # bit for bit: the bytes tell -0.0 from 0.0 and compare NaN with itself
+    assert got["values"].dtype == want["values"].dtype
+    assert got["values"].tobytes() == want["values"].tobytes()
 
 
 if __name__ == "__main__":
