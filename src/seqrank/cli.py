@@ -110,14 +110,19 @@ def resolve_config(args) -> dict:
     if not isinstance(cfg["out"], str):
         problems.append(f"out must be a path string, got {cfg['out']!r}")
     elif args.cmd != "gradcheck":  # the one command that writes no files
-        # out, or the nearest ancestor of out that exists, must be a directory
-        # for os.makedirs to make it
-        out = found = os.path.abspath(cfg["out"])
-        while not os.path.lexists(found):
-            found = os.path.dirname(found)
-        if not os.path.isdir(found):
-            where = "exists and" if found == out else f"lies under {found!r}, which"
-            problems.append(f"out path {cfg['out']!r} {where} is not a directory")
+        if not cfg["out"]:  # abspath would read it as the working directory
+            problems.append("out path is empty")
+        elif "\0" in cfg["out"]:  # no system call takes it
+            problems.append(f"out path {cfg['out']!r} holds a NUL character")
+        else:
+            # out, or the nearest ancestor of out that exists, must be a
+            # directory for os.makedirs to make it
+            out = found = os.path.abspath(cfg["out"])
+            while not os.path.lexists(found):
+                found = os.path.dirname(found)
+            if not os.path.isdir(found):
+                where = "exists and" if found == out else f"lies under {found!r}, which"
+                problems.append(f"out path {cfg['out']!r} {where} is not a directory")
     pairs = cfg["pairs"]
     if pairs is not None and not (isinstance(pairs, list) and all(
             isinstance(p, list) and len(p) == 2

@@ -7,15 +7,16 @@ test rows (`corpus.items[corpus.test_rows[u]]`). Users are scored one
 after another, and aggregation is a fixed-order mean over evaluable users;
 `evaluate` returns the report with each user's first `coldstart_k` ranked
 ids, all that `cold_start_bins` reads, so evaluation holds O(users × k)
-ids rather than every ranking. Each ranking is reduced once to its
-relevance flags, the hit vector, read out of the pairs by C-level maps
-rather than per-item Python: `cutoff_metrics` reads every cutoff metric
-from its running sums, with discounts cached per length, and AUC uses
-those flags with the midranks of the tie groups of the ranked scores,
-which need no second sort. Test frequencies are one `bincount` over the
-test rows; `cold_start_bins` counts each user's relevant items per bin
-from them and compares every user's top-k test frequencies with all bin
-bounds in one array operation.
+ids rather than every ranking. Each ranking is read once, for its id
+list; the user's few relevant ids are looked up in it, and all the
+metrics come from their ranked positions: `cutoff_metrics` reads every
+cutoff metric from the running sums of the hit vector those positions
+set, with discounts cached per length, and AUC reads only the tie groups
+around them, found by walking to equal-score neighbours, which needs
+neither a second sort nor a score array. Test frequencies are one
+`bincount` over the test rows; `cold_start_bins` counts each user's
+relevant items per bin from them and compares every user's top-k test
+frequencies with all bin bounds in one array operation.
 """
 
 import math
@@ -105,21 +106,26 @@ def cutoff_metrics(hit: np.ndarray, n_rel: int, cutoffs) -> dict:
     return out
 
 
-def auc_from_scores(scores: np.ndarray, rel_mask: np.ndarray) -> float:
+def auc_from_scores(ranking: list, pos: list) -> float:
     """Fraction of (relevant, non-relevant) pairs scored in the right order,
-    ties worth half, via the rank-sum identity. `scores` is a ranking's, in
-    descending order, and rel_mask flags its relevant entries. Equal
-    scores are adjacent, so a tie group is a run [a, b] of positions, and
-    its ascending midrank is n - (a + b) / 2."""
-    n = scores.size
-    n_rel = int(rel_mask.sum())
-    first = np.ones(n, dtype=bool)
-    first[1:] = scores[1:] != scores[:-1]
-    starts = np.flatnonzero(first)
-    ends = np.append(starts[1:], n) - 1
-    ranks = np.repeat(n - (starts + ends) / 2.0, ends - starts + 1)
-    u_stat = float(ranks[rel_mask].sum()) - n_rel * (n_rel + 1) / 2.0
-    return u_stat / (n_rel * (n - n_rel))
+    ties worth half, via the rank-sum identity. `ranking` is (id, score)
+    pairs in descending score order and `pos` the ascending positions of
+    its relevant entries. Equal scores are adjacent, so a tie group is a
+    run [a, b] of positions (a NaN equals nothing: its own group), and
+    its ascending midrank is n - (a + b) / 2. The rank sum is kept doubled
+    in integers, so it is exact."""
+    n, r = len(ranking), len(pos)
+    twice, a, b = 0, 0, -1
+    for p in pos:
+        if p > b:  # not in the last relevant entry's group: find its own
+            s = ranking[p][1]
+            a = b = p
+            while a > 0 and ranking[a - 1][1] == s:
+                a -= 1
+            while b + 1 < n and ranking[b + 1][1] == s:
+                b += 1
+        twice += 2 * n - a - b
+    return (twice - r * (r + 1)) / 2 / (r * (n - r))
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +161,21 @@ class EvalReport:
 
 def user_metrics(ranker, corpus: Corpus, cfg: EvalConfig, u: str) -> dict:
     ranking = ranker.rank(u)
-    n = len(ranking)
+    ids = list(map(itemgetter(0), ranking))
     rel = set(corpus.items[corpus.test_rows[u]].tolist())
-    hit = np.fromiter(map(rel.__contains__, map(itemgetter(0), ranking)),
-                      dtype=bool, count=n)
-    row = {"ranked": list(map(itemgetter(0), ranking[:cfg.coldstart_k])),
+    # the ranked position of each relevant id the ranking holds
+    pos = []
+    for it in rel:
+        try:
+            pos.append(ids.index(it))
+        except ValueError:
+            pass
+    pos.sort()
+    hit = np.zeros(len(ids), dtype=bool)
+    hit[pos] = True
+    row = {"ranked": ids[:cfg.coldstart_k],
            **cutoff_metrics(hit, len(rel), cfg.cutoffs)}
-    if 0 < hit.sum() < n:
-        scores = np.fromiter(map(itemgetter(1), ranking), dtype=np.float64, count=n)
-        row["auc"] = auc_from_scores(scores, hit)
-    else:
-        row["auc"] = None
+    row["auc"] = auc_from_scores(ranking, pos) if 0 < len(pos) < len(ids) else None
     return row
 
 

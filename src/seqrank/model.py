@@ -16,7 +16,9 @@ computed once. Training runs `hidden_states` per sequence; ranking
 takes every user's final state from `final_states`, one padded (U, D)
 recurrence over all users at once (there is no per-user ranking pass), and
 `order_candidates` turns a score vector into a ranking with array
-operations: a mask of the user's training rows and a stable argsort.
+operations: a mask of the user's training rows and an argsort, the fast
+default one when the keys it sorts are distinct and the stable one when
+some tie or are NaN, so the order is always the stable sort's.
 """
 
 from dataclasses import dataclass, fields
@@ -199,8 +201,15 @@ def order_candidates(scores: np.ndarray, corpus, u: str) -> list:
     """Turn a full item-score vector into the user's candidate ranking,
     [(item id, float score), ...]: drop trained items, sort descending;
     equal scores keep ascending item-id order (a stable sort of the
-    candidate rows, which ascend with the ids)."""
+    candidate rows, which ascend with the ids). The fast default sort
+    runs first: when its sorted keys strictly ascend, they are distinct
+    and none is NaN, so theirs is the one sorted order and equals the
+    stable sort's; otherwise the stable sort reorders them."""
     rows = corpus.candidate_rows(u)
     cand = scores[rows]
-    order = np.argsort(-cand, kind="stable")
+    keys = -cand
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if not (ranked[1:] > ranked[:-1]).all():
+        order = np.argsort(keys, kind="stable")
     return list(zip(corpus.items[rows[order]].tolist(), cand[order].tolist()))

@@ -105,14 +105,16 @@ def test_metric_oracle_equivalence():
         assert abs(ap - average_precision_ref(ranked, relevant, k)) <= ORACLE_TOL
         assert abs(ndcg - ndcg_ref(ranked, relevant, k)) <= ORACLE_TOL
 
-        # scores drawn from a small grid so ties occur regularly, in
-        # ranked (descending) order as the evaluator passes them
+        # scores drawn from a small grid so ties occur regularly, passed
+        # as the evaluator passes them: (id, score) pairs in ranked
+        # (descending) order, with the relevant positions
         scores = rng.choice([0.0, 0.5, 1.0, 2.0], size=n)
         rel_mask = np.zeros(n, dtype=bool)
         rel_mask[rng.choice(n, size=n_rel, replace=False)] = True
         order = np.argsort(-scores, kind="stable")
         scores, rel_mask = scores[order], rel_mask[order]
-        assert abs(auc_from_scores(scores, rel_mask)
+        ranking = list(zip(ranked, scores.tolist()))
+        assert abs(auc_from_scores(ranking, np.flatnonzero(rel_mask).tolist())
                    - auc_ref(scores.tolist(), rel_mask.tolist())) <= ORACLE_TOL
 
 

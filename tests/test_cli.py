@@ -396,6 +396,10 @@ PATH_CASES = {
     "out-under-file": (cli.EXIT_CONFIG, "config error:\nout path "
                                         "'{a_file}/sub' lies under '{a_file}', "
                                         "which is not a directory"),
+    "out-empty": (cli.EXIT_CONFIG, "config error:\nout path is empty"),
+    # argv cannot carry a NUL: this one comes from the config
+    "out-nul": (cli.EXIT_CONFIG, "config error:\nout path 'x\\x00y' holds "
+                                 "a NUL character"),
 }
 
 
@@ -421,11 +425,16 @@ def test_os_error_on_a_path_is_its_exit_code(pipeline, tmp_path, capsys,
         data["visual"] = str(a_dir)
     elif case == "out-is-file":
         out = a_file
-    else:
+    elif case == "out-under-file":
         out = a_file / "sub"
-    cfg = write_config(tmp_path / "c.json", {"data": data})
-    got = cli.main([cmd, *map(str, checkpoints), "--config", cfg,
-                    "--out", str(out)])
+    elif case == "out-empty":
+        out = ""
+    overrides = {"data": data}
+    if case == "out-nul":
+        overrides["out"], out = "x\0y", None
+    cfg = write_config(tmp_path / "c.json", overrides)
+    flags = [] if out is None else ["--out", str(out)]
+    got = cli.main([cmd, *map(str, checkpoints), "--config", cfg, *flags])
     err = capsys.readouterr().err
     code, fragment = PATH_CASES[case]
     assert got == code, err

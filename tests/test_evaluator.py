@@ -83,14 +83,12 @@ def test_cutoff_beyond_memory_reads_the_last_entry():
 
 
 def test_auc_from_scores():
-    # scores in ranked, descending order
-    assert auc_from_scores(np.array([3.0, 2.0, 1.0]),
-                           np.array([True, False, False])) == 1.0
-    assert auc_from_scores(np.array([3.0, 2.0, 1.0]),
-                           np.array([False, False, True])) == 0.0
+    # a ranking in descending score order, and its relevant positions
+    ranked = [("a", 3.0), ("b", 2.0), ("c", 1.0)]
+    assert auc_from_scores(ranked, [0]) == 1.0
+    assert auc_from_scores(ranked, [2]) == 0.0
     # tie counts half
-    assert auc_from_scores(np.array([2.0, 2.0]),
-                           np.array([True, False])) == 0.5
+    assert auc_from_scores([("a", 2.0), ("b", 2.0)], [0]) == 0.5
 
 
 def test_auc_matches_reference_with_ties():
@@ -101,7 +99,8 @@ def test_auc_matches_reference_with_ties():
         scores = np.sort(rng.choice(grid, size=n))[::-1]
         rel = np.zeros(n, dtype=bool)
         rel[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = True
-        assert abs(auc_from_scores(scores, rel)
+        ranking = list(zip(range(n), scores.tolist()))
+        assert abs(auc_from_scores(ranking, np.flatnonzero(rel).tolist())
                    - auc_ref(scores.tolist(), rel.tolist())) <= 1e-12
 
 
@@ -121,6 +120,25 @@ def test_user_metrics_row(toy_corpus):
     assert (recall, precision, ap) == (1.0, 0.5, 0.5)
     assert ndcg == pytest.approx(NDCG_SINGLE_REL_AT_2, abs=1e-15)
     assert row["auc"] == 0.5
+
+
+def test_user_metrics_skips_a_relevant_id_the_ranking_lacks():
+    # u's relevant ids are d, e and f; the ranking holds only d, so e and
+    # f count as misses past its end, and as no AUC pair
+    c = build_corpus({"u": ["a", "b", "c", "d", "e", "f"]},
+                     min_len=2, split_frac=0.5)
+    relevant = set(c.items[c.test_rows["u"]].tolist())
+    assert relevant == {"d", "e", "f"}
+    ranking = [("x", 2.0), ("d", 1.0), ("y", 0.5)]
+    ranked = [it for it, _ in ranking]
+    cfg = EvalConfig(cutoffs=(1, 2, 5), bins=(1,), coldstart_k=2)
+    row = user_metrics(FakeRanker({"u": ranking}), c, cfg, "u")
+    assert row["ranked"] == ["x", "d"]
+    refs = (recall_ref, precision_ref, average_precision_ref, ndcg_ref)
+    for k in cfg.cutoffs:
+        for got, ref in zip(row[k], refs):
+            assert abs(got - ref(ranked, relevant, k)) <= 1e-12, (k, ref)
+    assert row["auc"] == auc_ref([s for _, s in ranking], [False, True, False])
 
 
 def test_user_metrics_degenerate_auc():

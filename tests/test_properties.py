@@ -3,8 +3,9 @@
 - Whatever bytes a checkpoint, sequence or feature file holds, its reader
   fails only with its own documented error type.
 - The array ranking path agrees with naive per-user and per-item
-  references: candidate ordering, the batched final states and the
-  cold-start bins.
+  references: candidate ordering (also against a plain stable argsort,
+  on distinct scores and on ties, signed zeros, infinities and NaN), the
+  batched final states and the cold-start bins.
 - The row sampler draws exactly what an id-based rejection sampler draws
   from the same generator, and never a row the user trained on.
 - `build_corpus` keeps, splits and filters exactly as a plain reference
@@ -155,6 +156,42 @@ def test_order_candidates_matches_sorted_pairs(case):
     assert all(type(it) is str and type(s) is float for it, s in got)
     # the score's hex form tells -0.0 from 0.0
     assert [(it, s.hex()) for it, s in got] == [(it, s.hex()) for it, s in want]
+
+
+# planted ties: both zeros, both infinities, NaN and a few values
+EDGE_SCORES = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0])
+
+
+@st.composite
+def edge_scored_user(draw):
+    """(scores, items, owned): scores either pairwise distinct and not NaN,
+    so the fast sort's order stands, or drawn with planted ties, signed
+    zeros, infinities and NaN, so the stable sort is taken."""
+    if draw(st.booleans()):
+        scores = draw(st.lists(st.floats(allow_nan=False), min_size=1,
+                               max_size=40, unique=True))
+    else:
+        scores = draw(st.lists(EDGE_SCORES | st.floats(), min_size=1,
+                               max_size=40))
+    items = items_of(len(scores))
+    owned = draw(st.lists(st.sampled_from(items), unique=True,
+                          max_size=len(items) - 1))
+    return np.array(scores), items, owned
+
+
+@FUZZ
+@given(case=edge_scored_user())
+def test_order_candidates_matches_a_stable_argsort(case):
+    scores, items, owned = case
+    corpus = id_corpus(("u",), items, {"u": owned})
+    rows = corpus.candidate_rows("u")
+    cand = scores[rows]
+    order = np.argsort(-cand, kind="stable")
+    want = list(zip(corpus.items[rows[order]].tolist(), cand[order].tolist()))
+    got = order_candidates(scores, corpus, "u")
+    # the bytes tell -0.0 from 0.0 and compare NaN with itself
+    assert [(it, struct.pack("<d", s)) for it, s in got] == \
+        [(it, struct.pack("<d", s)) for it, s in want]
 
 
 MASKS = sorted(set(MASK_BY_KIND.values()))  # the four kind masks

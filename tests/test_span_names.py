@@ -1,8 +1,10 @@
-"""The functions whose calls the benchmark's traced run counts keep their
-names. The traced run names a span after the defining module and the
-qualified name (`trainer.sequence_context`) and checks the call counts of
-these against counts derived from the corpus, so a rename would break that
-gate; this test fails first. The names are spelled out here on purpose.
+"""The functions whose calls or times the benchmark's traced run reads keep
+their names. The traced run names a span after the defining module and the
+qualified name (`trainer.sequence_context`). It checks the call counts of
+some against counts derived from the corpus, so a rename would break that
+gate, and sums the self times of others into a layer metric, which a
+rename would leave reading 0; this test fails first. The names are spelled
+out here on purpose.
 The counts of rank and user_metrics calls that the gate expects are tested
 here too."""
 
@@ -24,9 +26,17 @@ COUNTED = [
     ("model", "order_candidates"),     # one call per ranking
 ]
 
+# functions whose self time a layer metric sums, or is to sum
+TIMED = [
+    ("evaluator", "auc_from_scores"),  # evaluator.auc_s
+    # every cutoff metric; evaluator.topk_s still names the per-metric
+    # functions it replaced, and is to name this one instead
+    ("evaluator", "cutoff_metrics"),
+]
 
-@pytest.mark.parametrize("module,name", COUNTED,
-                         ids=[f"{m}.{n}" for m, n in COUNTED])
+
+@pytest.mark.parametrize("module,name", COUNTED + TIMED,
+                         ids=[f"{m}.{n}" for m, n in COUNTED + TIMED])
 def test_counted_function_keeps_its_name(module, name):
     fn = getattr(importlib.import_module(f"seqrank.{module}"), name)
     assert inspect.isfunction(fn)
