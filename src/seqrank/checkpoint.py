@@ -55,10 +55,6 @@ def save_ranker(path, ranker) -> None:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def _is_int(v) -> bool:
-    return numkit.is_int(v) and v >= 0
-
-
 def _is_names(v, allowed=None) -> bool:
     return isinstance(v, list) and all(
         isinstance(n, str) and (allowed is None or n in allowed) for n in v)
@@ -68,7 +64,7 @@ def _is_block_table(v) -> bool:
     return isinstance(v, list) and all(
         isinstance(b, dict) and isinstance(b.get("name"), str)
         and isinstance(b.get("shape"), list)
-        and all(_is_int(n) for n in b["shape"]) for b in v)
+        and all(numkit.is_count(n) for n in b["shape"]) for b in v)
 
 
 def _check_header(path, header) -> None:
@@ -81,9 +77,9 @@ def _check_header(path, header) -> None:
         raise CheckpointError(f"{path}: unknown kind {kind!r}")
     need = {"items": _is_names, "blocks": _is_block_table}
     if kind == "random":
-        need["seed"] = _is_int
+        need["seed"] = numkit.is_count
     elif kind != "pop":
-        need.update(d=_is_int, f_v=_is_int, f_t=_is_int,
+        need.update(dict.fromkeys(("d", "f_v", "f_t"), numkit.is_count),
                     mask=lambda v: _is_names(v, model.SLICE_NAMES))
     if kind in USER_TABLE_KINDS:
         need["users"] = _is_names  # Gamma's rows follow the user table
@@ -170,12 +166,13 @@ def _hyper_from_header(path, header, feats) -> Hyper:
                   **header.get("hyper", {}))
     except ConfigError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    if "visual" in mask and feats.f_v != f_v:
-        raise CheckpointError(
-            f"{path}: checkpoint visual dim {f_v} != feature file dim {feats.f_v}")
-    if "textual" in mask and feats.f_t != f_t:
-        raise CheckpointError(
-            f"{path}: checkpoint textual dim {f_t} != feature file dim {feats.f_t}")
+    for key, dim, have in (("visual", f_v, feats.f_v), ("textual", f_t, feats.f_t)):
+        if key in mask and have == 0:
+            raise CheckpointError(f"{path}: kind {kind!r} needs {key} features, "
+                                  f"which data.{key} does not give")
+        if key in mask and have != dim:
+            raise CheckpointError(
+                f"{path}: checkpoint {key} dim {dim} != feature file dim {have}")
     return h
 
 

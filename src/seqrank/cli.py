@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,45 +43,84 @@ DEFAULTS = {
 }
 
 
-def _merge(defaults: dict, given: dict, prefix: str, problems: list) -> dict:
-    out = copy.deepcopy(defaults)
-    for key, val in given.items():
-        if key not in defaults:
-            problems.append(f"unknown config key {prefix}{key!r}")
-        elif isinstance(defaults[key], dict) and defaults[key] is not None:
-            if isinstance(val, dict):
-                out[key] = _merge(defaults[key], val, f"{prefix}{key}.", problems)
-            else:
-                problems.append(f"config key {prefix}{key!r} must be an object")
+# each section's one builder: resolve_config runs it to check the section,
+# and the command that uses the section runs it again to get the object
+SECTIONS = {
+    "hyper": lambda cfg: model.Hyper(**cfg["hyper"]),
+    "train": lambda cfg: trainer.TrainConfig(seed=cfg["seed"], **cfg["train"]),
+    "eval": lambda cfg: evaluator.EvalConfig(
+        cutoffs=tuple(cfg["eval"]["cutoffs"]), bins=tuple(cfg["eval"]["bins"]),
+        coldstart_k=cfg["eval"]["coldstart_k"]),
+    "synth": lambda cfg: dataio.SynthSpec.from_json(cfg["synth"]),
+}
+
+
+def _merge(raw: dict, problems: list) -> dict:
+    """DEFAULTS with the config's values in place. `data` and each section
+    must be an object (synth, null by default, may stay null)."""
+    cfg = copy.deepcopy(DEFAULTS)
+    for key, val in raw.items():
+        if key not in DEFAULTS:
+            problems.append(f"unknown config key {key!r}")
+        elif (key == "data" or key in SECTIONS) and not isinstance(val, dict):
+            if val is not None or DEFAULTS[key] is not None:
+                problems.append(f"config key {key!r} must be an object")
+        elif isinstance(cfg[key], dict):
+            for name, v in val.items():
+                if name in cfg[key]:
+                    cfg[key][name] = v
+                else:
+                    problems.append(f"unknown config key {key + '.' + name!r}")
         else:
-            out[key] = val
-    return out
+            cfg[key] = val
+    return cfg
 
 
-def _is_count(v, least: int) -> bool:
-    """An integer (not a bool) of at least `least`."""
-    return numkit.is_int(v) and v >= least
+def _out_problems(out: str) -> list:
+    """Why `out` cannot be made as a directory, known before it is made."""
+    if not out:  # abspath would read it as the working directory
+        return ["out path is empty"]
+    if "\0" in out:  # no system call takes it
+        return [f"out path {out!r} holds a NUL character"]
+    # out, or the nearest ancestor of out that exists, must be a
+    # directory for os.makedirs to make it
+    path = found = os.path.abspath(out)
+    while not os.path.lexists(found):
+        found = os.path.dirname(found)
+    if os.path.isdir(found):
+        return []
+    where = "exists and" if found == path else f"lies under {found!r}, which"
+    return [f"out path {out!r} {where} is not a directory"]
 
 
-def _train_config(cfg: dict) -> trainer.TrainConfig:
-    tr = cfg["train"]
-    return trainer.TrainConfig(epochs=tr["epochs"], seed=cfg["seed"],
-                               shuffle_users=tr["shuffle_users"],
-                               clip_norm=tr["clip_norm"])
-
-
-def _eval_config(cfg: dict) -> evaluator.EvalConfig:
-    ev = cfg["eval"]
-    return evaluator.EvalConfig(cutoffs=tuple(ev["cutoffs"]),
-                                bins=tuple(ev["bins"]),
-                                coldstart_k=ev["coldstart_k"])
+def _data_problems(cfg: dict, cmd: str) -> list:
+    data, kind = cfg["data"], cfg["kind"]
+    problems = []
+    needs_data = cmd in ("train", "eval", "coldstart")
+    for key in ("sequences", "visual", "textual"):
+        path = data[key]
+        if path is not None and not isinstance(path, str):
+            problems.append(f"data.{key} must be a path string or null, got {path!r}")
+        elif needs_data and path is not None:
+            if not os.path.exists(path):
+                problems.append(f"data.{key} path {path!r} does not exist")
+            elif not os.path.isfile(path):
+                problems.append(f"data.{key} path {path!r} is not a regular file")
+    if needs_data and data["sequences"] is None:
+        problems.append("data.sequences is required")
+    if cmd == "train":  # eval and coldstart run each checkpoint's kind
+        for key in ("visual", "textual"):
+            if key in model.MASK_BY_KIND.get(kind, ()) and data[key] is None:
+                problems.append(f"kind {kind!r} needs data.{key} features")
+    return problems + [f"data.{p}" for p in
+                       dataio.split_problems(data["min_len"], data["split_frac"])]
 
 
 def resolve_config(args) -> dict:
-    """Read the JSON config, fill defaults, apply flag overrides, and
-    validate everything validatable before touching data. All problems are
-    reported together."""
-    problems = []
+    """Read the JSON config, fill defaults and apply the flag overrides,
+    then check everything checkable before any data is read, each section
+    by the builder its command runs. All problems are reported together.
+    The returned config is the one the command runs and echoes."""
     raw = {}
     if args.config is not None:
         try:
@@ -93,91 +133,46 @@ def resolve_config(args) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-
-    cfg = _merge(DEFAULTS, raw, "", problems)
+    problems = []
+    cfg = _merge(raw, problems)
     if args.seed is not None:
         cfg["seed"] = args.seed
+        if args.cmd == "synth" and cfg["synth"] is not None:
+            cfg["synth"]["seed"] = args.seed
     if args.out is not None:
         cfg["out"] = args.out
-
     kind = cfg["kind"]
+    if cfg["hyper"]["alpha"] is None:
+        cfg["hyper"]["alpha"] = 0.01 if kind == "mf" else 0.1
+
     if kind not in model.ALL_KINDS:
         problems.append(f"kind must be one of {sorted(model.ALL_KINDS)}, "
                         f"got {kind!r}")
-    if not _is_count(cfg["seed"], 0):
+    seed_ok = numkit.is_count(cfg["seed"])
+    if not seed_ok:
         problems.append(f"seed must be an integer >= 0, got {cfg['seed']!r}")
-
     if not isinstance(cfg["out"], str):
         problems.append(f"out must be a path string, got {cfg['out']!r}")
     elif args.cmd != "gradcheck":  # the one command that writes no files
-        if not cfg["out"]:  # abspath would read it as the working directory
-            problems.append("out path is empty")
-        elif "\0" in cfg["out"]:  # no system call takes it
-            problems.append(f"out path {cfg['out']!r} holds a NUL character")
-        else:
-            # out, or the nearest ancestor of out that exists, must be a
-            # directory for os.makedirs to make it
-            out = found = os.path.abspath(cfg["out"])
-            while not os.path.lexists(found):
-                found = os.path.dirname(found)
-            if not os.path.isdir(found):
-                where = "exists and" if found == out else f"lies under {found!r}, which"
-                problems.append(f"out path {cfg['out']!r} {where} is not a directory")
+        problems += _out_problems(cfg["out"])
     pairs = cfg["pairs"]
     if pairs is not None and not (isinstance(pairs, list) and all(
             isinstance(p, list) and len(p) == 2
             and all(isinstance(name, str) for name in p) for p in pairs)):
         problems.append(f"pairs must be null or a list of [name, name] "
                         f"string pairs, got {pairs!r}")
-
-    data = cfg["data"]
-    needs_data = args.cmd in ("train", "eval", "coldstart")
-    for key in ("sequences", "visual", "textual"):
-        path = data[key]
-        if path is not None and not isinstance(path, str):
-            problems.append(f"data.{key} must be a path string or null, got {path!r}")
-        elif needs_data and path is not None:
-            if not os.path.exists(path):
-                problems.append(f"data.{key} path {path!r} does not exist")
-            elif not os.path.isfile(path):
-                problems.append(f"data.{key} path {path!r} is not a regular file")
-    if needs_data:
-        if data["sequences"] is None:
-            problems.append("data.sequences is required")
-        if kind in model.MASK_BY_KIND:
-            need = model.MASK_BY_KIND[kind]
-            if "visual" in need and data["visual"] is None:
-                problems.append(f"kind {kind!r} needs data.visual features")
-            if "textual" in need and data["textual"] is None:
-                problems.append(f"kind {kind!r} needs data.textual features")
-    if not _is_count(data["min_len"], 2):
-        problems.append(f"data.min_len must be an integer >= 2, got {data['min_len']!r}")
-    if not (isinstance(data["split_frac"], (int, float))
-            and 0.0 < data["split_frac"] < 1.0):
-        problems.append(f"data.split_frac must be in (0,1), got {data['split_frac']!r}")
-
-    hy = cfg["hyper"]
-    if hy["alpha"] is None:
-        hy["alpha"] = 0.01 if kind == "mf" else 0.1
-    try:
-        model.Hyper(d=hy["d"], **{k: hy[k] for k in model.HYPER_REALS})
-    except (ConfigError, TypeError) as exc:
-        problems.append(f"hyper: {exc}")
-    try:
-        _train_config(cfg)
-    except (ConfigError, TypeError) as exc:
-        problems.append(f"train: {exc}")
-    try:
-        _eval_config(cfg)
-    except (ConfigError, TypeError) as exc:
-        problems.append(f"eval: {exc}")
-    if args.cmd == "synth" and cfg["synth"] is None:
+    problems += _data_problems(cfg, args.cmd)
+    if args.cmd == "synth" and raw.get("synth") is None:
         problems.append("synth section is required for the synth command")
-    if cfg["synth"] is not None:
+    for name, build in SECTIONS.items():
+        # a bad --seed is synth's seed too, and is reported once, above
+        if cfg[name] is None or (name == "synth" and not seed_ok
+                                 and args.seed is not None):
+            continue
         try:
-            dataio.SynthSpec.from_json(cfg["synth"])
-        except ConfigError as exc:
-            problems.append(f"synth: {exc}")
+            build(cfg)
+        except (ConfigError, TypeError) as exc:
+            problems.append(f"{name}: {exc}")
 
     if problems:
         raise ConfigError("\n".join(problems))
@@ -192,14 +187,10 @@ def build_data(cfg: dict):
     data = cfg["data"]
     corpus = dataio.load_corpus(data["sequences"], data["min_len"],
                                 data["split_frac"])
-    if data["visual"] is not None:
-        vis = dataio.load_features(data["visual"], *dataio.VISUAL_RANGE)
-    else:
-        vis = dataio.empty_table()
-    if data["textual"] is not None:
-        tex = dataio.load_features(data["textual"], *dataio.TEXTUAL_RANGE)
-    else:
-        tex = dataio.empty_table()
+    vis, tex = (dataio.empty_table() if data[key] is None
+                else dataio.load_features(data[key], *limits)
+                for key, limits in (("visual", dataio.VISUAL_RANGE),
+                                    ("textual", dataio.TEXTUAL_RANGE)))
     feats = dataio.build_feature_store(corpus, vis, tex)
     for label, missing in (("visual", feats.missing_visual),
                            ("textual", feats.missing_textual)):
@@ -209,35 +200,42 @@ def build_data(cfg: dict):
     return corpus, feats
 
 
-def _write_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+def _make_out(cfg: dict) -> str:
+    """Make the out directory. An OS refusal that resolve_config could not
+    foresee (a name too long, say) is a config error naming the path."""
+    out = cfg["out"]
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make out path {out!r}: "
+                          f"{exc.strerror or exc}") from exc
+    return out
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+def _write_reports(cfg: dict, name: str, report) -> str:
+    """<out>/<name>.json and .csv; returns the line that names both."""
+    base = os.path.join(_make_out(cfg), name)
+    with open(base + ".json", "w", encoding="utf-8") as fh:
+        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    with open(base + ".csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(report.csv_rows())
+    return f"reports: {base}.json {base}.csv"
 
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     corpus, feats = build_data(cfg)
-    kind, hy = cfg["kind"], cfg["hyper"]
-    hy["f_v"] = feats.f_v
-    hy["f_t"] = feats.f_t
     echo_config(cfg)
-    os.makedirs(cfg["out"], exist_ok=True)
-    tcfg = _train_config(cfg)
-    # the kind's mask is build_ranker's to set
-    hyper = model.Hyper(d=hy["d"], f_v=feats.f_v, f_t=feats.f_t,
-                        **{k: hy[k] for k in model.HYPER_REALS})
-    log_path = os.path.join(cfg["out"], f"train_{kind}.log")
+    out, kind = _make_out(cfg), cfg["kind"]
+    # the feature widths are the loaded files'; build_ranker sets the mask
+    hyper = replace(SECTIONS["hyper"](cfg), f_v=feats.f_v, f_t=feats.f_t)
+    log_path = os.path.join(out, f"train_{kind}.log")
     with open(log_path, "w", encoding="utf-8") as log_fh:
         ranker = baselines.build_ranker(
-            kind, corpus, feats, hyper, tcfg,
+            kind, corpus, feats, hyper, SECTIONS["train"](cfg),
             log=lambda line: print(line, file=log_fh))
-    ckpt_path = os.path.join(cfg["out"], f"{kind}.ckpt")
+    ckpt_path = os.path.join(out, f"{kind}.ckpt")
     checkpoint.save_ranker(ckpt_path, ranker)
     print(f"checkpoint: {ckpt_path}")
     print(f"training log: {log_path}")
@@ -249,17 +247,14 @@ def cmd_eval(args) -> int:
     corpus, feats = build_data(cfg)
     echo_config(cfg)
     ranker = checkpoint.load_ranker(args.checkpoint, corpus, feats)
-    report, _ = evaluator.evaluate(ranker, corpus, _eval_config(cfg))
-    os.makedirs(cfg["out"], exist_ok=True)
-    base = os.path.join(cfg["out"], f"eval_{report.kind}")
-    _write_json(base + ".json", report.to_json_dict())
-    _write_csv(base + ".csv", report.csv_rows())
+    report, _ = evaluator.evaluate(ranker, corpus, SECTIONS["eval"](cfg))
+    written = _write_reports(cfg, f"eval_{report.kind}", report)
     print(f"users evaluated: {report.users_evaluated}  auc: {report.auc:.4f}")
     for k in report.cutoffs:
         m = report.per_cutoff[k]
         print(f"@{k}: recall {m['recall']:.4f}  precision {m['precision']:.4f}"
               f"  map {m['map']:.4f}  ndcg {m['ndcg']:.4f}")
-    print(f"reports: {base}.json {base}.csv")
+    print(written)
     return EXIT_OK
 
 
@@ -282,19 +277,16 @@ def cmd_coldstart(args) -> int:
     else:
         pairs = []
     evaluator.check_pairs(pairs, names)
-    ecfg = _eval_config(cfg)
+    ecfg = SECTIONS["eval"](cfg)
     rankings = {}
     for name in names:  # pop: a ranker is freed once its rankings are kept
         _, rankings[name] = evaluator.evaluate(rankers.pop(name), corpus, ecfg)
     report = evaluator.cold_start_bins(corpus, rankings, ecfg, pairs)
-    os.makedirs(cfg["out"], exist_ok=True)
-    base = os.path.join(cfg["out"], "coldstart")
-    _write_json(base + ".json", report.to_json_dict())
-    _write_csv(base + ".csv", report.csv_rows())
+    written = _write_reports(cfg, "coldstart", report)
     for name, vals in report.growth.items():
         shown = ["undef" if v is None else f"{v:.3f}" for v in vals]
         print(f"growth {name}: " + " ".join(shown))
-    print(f"reports: {base}.json {base}.csv")
+    print(written)
     return EXIT_OK
 
 
@@ -316,17 +308,13 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = resolve_config(args)
-    spec_fields = dict(cfg["synth"])
-    if args.seed is not None:
-        spec_fields["seed"] = args.seed
-    spec = dataio.SynthSpec.from_json(spec_fields)
-    cfg["synth"] = spec_fields
+    spec = SECTIONS["synth"](cfg)
     echo_config(cfg)
     raw_seqs, vis, tex = dataio.synth_raw(spec, np.random.default_rng(spec.seed))
-    os.makedirs(cfg["out"], exist_ok=True)
-    seq_path = os.path.join(cfg["out"], "sequences.tsv")
-    vis_path = os.path.join(cfg["out"], "visual.tsv")
-    tex_path = os.path.join(cfg["out"], "textual.tsv")
+    out = _make_out(cfg)
+    seq_path = os.path.join(out, "sequences.tsv")
+    vis_path = os.path.join(out, "visual.tsv")
+    tex_path = os.path.join(out, "textual.tsv")
     dataio.write_sequences(seq_path, raw_seqs)
     dataio.write_features(vis_path, vis)
     dataio.write_features(tex_path, tex)

@@ -80,6 +80,16 @@ def parse_sequence_file(path) -> dict:
 MIN_LEN, SPLIT_FRAC = 2, 0.9  # the protocol's defaults
 
 
+def split_problems(min_len, split_frac) -> list:
+    """What is wrong with the split settings, one message each."""
+    problems = []
+    if not numkit.is_count(min_len, 2):
+        problems.append(f"min_len must be an integer >= 2, got {min_len!r}")
+    if not (isinstance(split_frac, (int, float)) and 0.0 < split_frac < 1.0):
+        problems.append(f"split_frac must be in (0,1), got {split_frac!r}")
+    return problems
+
+
 def build_corpus(raw_seqs: dict, min_len: int, split_frac: float) -> Corpus:
     """The split protocol, in one pass over already-parsed sequences: a
     user with fewer than min_len items is dropped; the first
@@ -89,10 +99,9 @@ def build_corpus(raw_seqs: dict, min_len: int, split_frac: float) -> Corpus:
     training but are skipped by evaluation. Each id is coded once, in
     first-seen order, while its user is split; the codes are renumbered
     into rows of the ascending item table at the end."""
-    if not 0.0 < split_frac < 1.0:
-        raise ConfigError(f"split_frac must be in (0,1), got {split_frac}")
-    if min_len < 2:
-        raise ConfigError(f"min_len must be >= 2, got {min_len}")
+    problems = split_problems(min_len, split_frac)
+    if problems:
+        raise ConfigError("; ".join(problems))
     code = {}  # item id -> first-seen code
     users, train, test = [], {}, {}
     for u, seq in raw_seqs.items():
@@ -323,14 +332,11 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SynthSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+        """A missing field raises the constructor's TypeError."""
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown generator fields: {sorted(unknown)}")
-        try:
-            return cls(**obj)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**obj)
 
     def item_id(self, j: int) -> str:
         width = max(4, len(str(self.items - 1)))

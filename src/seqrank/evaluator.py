@@ -53,7 +53,7 @@ class EvalConfig:
                 problems.append("bins must be positive")
             if list(self.bins) != sorted(set(self.bins)):
                 problems.append("bin bounds must be strictly increasing")
-        if not (numkit.is_int(self.coldstart_k) and self.coldstart_k >= 1):
+        if not numkit.is_count(self.coldstart_k, 1):
             problems.append(f"coldstart_k must be a positive integer, "
                             f"got {self.coldstart_k!r}")
         if problems:

@@ -22,6 +22,11 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def is_count(v, least: int = 0) -> bool:
+    """An int, not a bool, of at least `least`."""
+    return is_int(v) and v >= least
+
+
 def sigmoid(x: float) -> float:
     """Numerically stable logistic function; exact 0/1 is never returned."""
     if x >= 0.0:

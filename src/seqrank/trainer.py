@@ -136,12 +136,12 @@ def forward_updates(ctx: SeqContext, k: int) -> list:
 # ---------------------------------------------------------------------------
 # backward phase: propagate through the recurrence, accumulate per block
 
-def backward_steps(ctx: SeqContext, params: dict) -> tuple:
+def backward_steps(ctx: SeqContext, params: dict) -> np.ndarray:
     """e-recursion from layer m-1 down to 1 (layer m never feeds a score:
-    the last pair reads h^{m-1}). Returns (gate, e), both (m-1, D) with
-    layer t in row t-1: gate is the new score gradient arriving at layer t
-    through step t+1's pair, before its c multiplier; e adds the part
-    carried back from later layers."""
+    the last pair reads h^{m-1}). Returns e, (m-1, D) with layer t in row
+    t-1: the new score gradient arriving at layer t through step t+1's
+    pair (its gate) times c, plus the part carried back from later
+    layers."""
     hvec = ctx.states[1:ctx.m]
     sig_deriv = hvec * (1.0 - hvec)
     gate = (ctx.inputs[1:] - ctx.neg_inputs) * sig_deriv
@@ -149,7 +149,7 @@ def backward_steps(ctx: SeqContext, params: dict) -> tuple:
     rec_t = params["RecMat"].T
     for r in range(len(e) - 2, -1, -1):
         e[r] = e[r] + (rec_t @ e[r + 1]) * sig_deriv[r]
-    return gate, e
+    return e
 
 
 def backward_gradients(ctx: SeqContext, params: dict,
@@ -160,7 +160,7 @@ def backward_gradients(ctx: SeqContext, params: dict,
     Sequences shorter than 2 have no backward signal and no records."""
     if ctx.m < 2:
         return []
-    _, e = backward_steps(ctx, params)
+    e = backward_steps(ctx, params)
     back = e @ params["InMat"]
     sl = h.slices
     rows = ctx.rows[:-1]

@@ -145,6 +145,10 @@ def test_unknown_config_key(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", {"kidn": "rnn"})
     assert cli.main(["gradcheck", "--config", cfg]) == cli.EXIT_CONFIG
     assert "kidn" in capsys.readouterr().err
+    cfg = write_config(tmp_path / "c.json", {"hyper": {"f_t": 1}})
+    assert cli.main(["gradcheck", "--config", cfg]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error:\nunknown config key 'hyper.f_t'\n"
 
 
 def test_unknown_kind_rejected(tmp_path, capsys):
@@ -329,9 +333,15 @@ def test_float_setting_must_be_finite_real(pipeline, tmp_path, capsys,
     ("train", {"seed": True}, [], "seed must be an integer >= 0, got True"),
     ("train", {}, ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
     ("gradcheck", {}, ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    ("train", {"hyper": 5}, [], "config key 'hyper' must be an object"),
+    ("synth", {"synth": 5}, [], "config key 'synth' must be an object"),
+    ("train", {"synth": 5}, [], "config key 'synth' must be an object"),
+    ("eval", {"synth": 5}, ["ckpt"], "config key 'synth' must be an object"),
+    ("gradcheck", {"synth": 5}, [], "config key 'synth' must be an object"),
 ], ids=["shuffle-string", "float-cutoff", "float-bin", "bool-k", "float-users",
         "synth-seed", "synth-flag-seed", "seed", "bool-seed", "flag-seed",
-        "gradcheck-flag-seed"])
+        "gradcheck-flag-seed", "hyper-int", "synth-int", "train-synth-int",
+        "eval-synth-int", "gradcheck-synth-int"])
 def test_mistyped_config_is_config_error(pipeline, tmp_path, capsys,
                                          cmd, extra, argv, fragment):
     _, paths, ckpts = pipeline
@@ -361,14 +371,23 @@ PATH_TYPE = " must be a path string or null, got "
     ("train", {"data": {"sequences": 0}}, "data.sequences" + PATH_TYPE + "0"),
     ("train", {"data": {"visual": ["x"]}}, "data.visual" + PATH_TYPE + "['x']"),
     ("train", {"data": {"textual": 1.5}}, "data.textual" + PATH_TYPE + "1.5"),
+    ("train", {"kind": "vtrnn", "data": {"visual": None}},
+     "kind 'vtrnn' needs data.visual features"),
+    ("train", {"data": {"min_len": 1}}, "data.min_len must be an integer >= 2, got 1"),
+    ("train", {"data": {"split_frac": 1.0}}, "data.split_frac must be in (0,1), got 1.0"),
 ], ids=["pairs-int", "pairs-string", "pairs-short", "pairs-long", "pairs-object",
         "out-int", "out-list", "sequences-list", "sequences-fd", "visual-list",
-        "textual-float"])
+        "textual-float", "vtrnn-no-visual", "min-len", "split-frac"])
 def test_malformed_pairs_or_path_is_config_error(pipeline, tmp_path, capsys,
-                                                 cmd, extra, fragment):
+                                                 monkeypatch, cmd, extra, fragment):
     """Rejected while the config is resolved: no checkpoint is loaded, no
     file descriptor is read as data, and the message is one line."""
     _, paths, ckpts = pipeline
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("data read before the config was checked")
+
+    monkeypatch.setattr(cli.dataio, "load_corpus", no_load)
     given = {"kind": "rnn", "train": {"epochs": 1}, "out": str(tmp_path / "out"),
              **extra}
     given["data"] = dict(paths, **extra.get("data", {}))
@@ -400,6 +419,9 @@ PATH_CASES = {
     # argv cannot carry a NUL: this one comes from the config
     "out-nul": (cli.EXIT_CONFIG, "config error:\nout path 'x\\x00y' holds "
                                  "a NUL character"),
+    # passes the checks made before any file is read; the OS refuses it
+    "out-too-long": (cli.EXIT_CONFIG, "config error:\ncannot make out path "
+                                      "'{too_long}': File name too long"),
 }
 
 
@@ -429,6 +451,8 @@ def test_os_error_on_a_path_is_its_exit_code(pipeline, tmp_path, capsys,
         out = a_file / "sub"
     elif case == "out-empty":
         out = ""
+    elif case == "out-too-long":
+        out = tmp_path / ("o" * 300)
     overrides = {"data": data}
     if case == "out-nul":
         overrides["out"], out = "x\0y", None
@@ -438,7 +462,8 @@ def test_os_error_on_a_path_is_its_exit_code(pipeline, tmp_path, capsys,
     err = capsys.readouterr().err
     code, fragment = PATH_CASES[case]
     assert got == code, err
-    want = fragment.format(missing=missing, a_dir=a_dir, a_file=a_file)
+    want = fragment.format(missing=missing, a_dir=a_dir, a_file=a_file,
+                           too_long=out)
     assert err == want + "\n", err
     assert not (tmp_path / "out").exists()
     assert a_file.read_text() == "not a directory\n"
@@ -488,6 +513,58 @@ def test_config_echo_is_json(tmp_path, capsys):
     echoed = json.loads(out[:out.rindex("}") + 1])
     assert echoed["seed"] == 7
     assert echoed["synth"]["users"] == SYNTH["users"]
+
+
+@pytest.mark.parametrize("cmd", ["train", "eval", "coldstart", "synth"])
+def test_config_echo_runs_to_the_same_echo(pipeline, tmp_path, capsys, cmd):
+    _, paths, ckpts = pipeline
+    cfg = write_config(tmp_path / "c.json", {
+        "kind": "rnn", "data": paths, "hyper": {"d": 3},
+        "train": {"epochs": 1}, "synth": SYNTH})
+    argv = {"eval": [str(ckpts["rnn"])],
+            "coldstart": [str(ckpts["rnn"]), str(ckpts["vtrnn"])]}.get(cmd, [])
+    assert cli.main([cmd, "--config", cfg, "--seed", "3",
+                     "--out", str(tmp_path / "out")] + argv) == 0
+    out = capsys.readouterr().out
+    echo = out[:out.index("\n}\n") + 3]
+    (tmp_path / "echo.json").write_text(echo)
+    code = cli.main([cmd, "--config", str(tmp_path / "echo.json")] + argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out.startswith(echo)
+
+
+@pytest.mark.parametrize("synth", [
+    {k: v for k, v in SYNTH.items() if k != "seed"}, dict(SYNTH, seed=-1)],
+    ids=["no-seed", "negative-seed"])
+def test_synth_seed_flag_sets_the_generator_seed(tmp_path, capsys, synth):
+    cfg = write_config(tmp_path / "want.json", {"synth": dict(SYNTH, seed=3)})
+    assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "want")]) == 0
+    cfg = write_config(tmp_path / "c.json", {"synth": synth})
+    code = cli.main(["synth", "--config", cfg, "--seed", "3",
+                     "--out", str(tmp_path / "got")])
+    assert code == 0, capsys.readouterr().err
+    for name in ("sequences.tsv", "visual.tsv", "textual.tsv"):
+        assert ((tmp_path / "got" / name).read_bytes()
+                == (tmp_path / "want" / name).read_bytes())
+
+
+@pytest.mark.parametrize("cmd", ["eval", "coldstart"])
+def test_checkpoint_kind_sets_the_features_needed(pipeline, tmp_path, capsys,
+                                                  cmd):
+    """eval and coldstart run the checkpoint's kind, not the config's."""
+    _, paths, ckpts = pipeline
+    cfg = write_config(tmp_path / "c.json",
+                       {"data": {"sequences": paths["sequences"]}})
+    code = cli.main([cmd, str(ckpts["rnn"]), "--config", cfg,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK, capsys.readouterr().err
+    code = cli.main([cmd, str(ckpts["vtrnn"]), "--config", cfg,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {ckpts['vtrnn']}: kind 'vtrnn' needs visual features, "
+        f"which data.visual does not give\n")
 
 
 def scripts_table(text):

@@ -61,3 +61,11 @@ def test_fd_check_quadratic():
 ])
 def test_is_int(v, want):
     assert numkit.is_int(v) is want
+
+
+@pytest.mark.parametrize("v, least, want", [
+    (0, 0, True), (-1, 0, False), (2, 2, True), (1, 2, False),
+    (True, 0, False), (2.0, 2, False),
+])
+def test_is_count(v, least, want):
+    assert numkit.is_count(v, least) is want

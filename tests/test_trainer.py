@@ -113,13 +113,12 @@ def test_backward_last_layer_gate():
     h = full_hyper()
     params, corpus, feats, negatives = make_context(h)
     ctx = sequence_context(params, corpus, feats, h, "u0", negatives["u0"])
-    gates, e = backward_steps(ctx, params)
-    assert gates.shape == e.shape == (ctx.m - 1, h.D)  # layer t in row t - 1
+    e = backward_steps(ctx, params)
+    assert e.shape == (ctx.m - 1, h.D)  # layer t in row t - 1
     t = ctx.m - 1  # last layer, fed only by the final pair (step t + 1)
     hvec = ctx.states[t]
     diff = ctx.inputs[t] - ctx.neg_inputs[t - 1]
     gate = diff * hvec * (1.0 - hvec)
-    assert np.allclose(gates[t - 1], gate, atol=1e-15)
     assert np.allclose(e[t - 1], ctx.c[t - 1] * gate, atol=1e-15)
 
 
