@@ -9,7 +9,8 @@ one class, `EmbedRanker`: item representations against the user's row of a
 (U, D) user-vector matrix, the trained "Gamma" or, for the recurrent kinds,
 the states `model.final_states` computed for every user when the ranker was
 built. A kind's slice mask, its `model.MASK_BY_KIND` tuple, is put into
-`Hyper` by `build_ranker` and `grad_check` alone.
+`Hyper` by `build_ranker` and `grad_check` alone; `build_ranker` also sets
+the feature widths, from the {content slice: matrix} features.
 
 The trainable kinds share one epoch loop, `sgd.run_epochs`; mf and the
 BPR family supply their per-user steps here. Their parameters are one
@@ -18,9 +19,9 @@ BPR family supply their per-user steps here. Their parameters are one
 helpers in `model` read both model families. Users and items are rows
 (`corpus.user_index`, `corpus.train_rows` and the rows the sampler draws).
 A BPR triple (user row, positive row, negative row) has its score and
-its update records (block, row or None, g; see `sgd`) formed in
-`bpr_pair_grads`, and an mf observation (user row, item row, target) its
-records in `mf_obs_grads`. Each step yields its records to
+its update records (block, row or None, g; see `sgd`), with one kernel
+record per active content slice, formed in `bpr_pair_grads`, and an mf
+observation (user row, item row, target) its records in `mf_obs_grads`. Each step yields its records to
 `sgd.run_epochs`, which applies them with `sgd.apply` and the per-block
 decays of `Hyper.decay`.
 
@@ -35,7 +36,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import model, numkit, sgd, trainer
-from .dataio import Corpus, FeatureStore, sample_negative, sample_triples
+from .dataio import Corpus, sample_negative, sample_triples
 from .errors import ConfigError
 from .model import Hyper, order_candidates
 
@@ -92,7 +93,7 @@ class EmbedRanker:
     final training state from one batched `model.final_states` pass."""
 
     def __init__(self, kind: str, params: dict, corpus: Corpus,
-                 feats: FeatureStore, h: Hyper):
+                 feats: dict, h: Hyper):
         self.kind = kind
         self.params = params
         self.corpus = corpus
@@ -113,13 +114,13 @@ class EmbedRanker:
 # ---------------------------------------------------------------------------
 # BPR training over the masked item representation
 
-def bpr_pair_grads(params: dict, feats: FeatureStore, h: Hyper, uj: int,
+def bpr_pair_grads(params: dict, feats: dict, h: Hyper, uj: int,
                    ip: int, iq: int) -> tuple:
     """(xhat, updates) of user row uj's triple over item rows ip and iq:
     xhat = dot(gamma_u, rep_p - rep_q) and the update records of
     ln sigma(xhat): user row uj's, latent rows ip and iq (opposite signs),
-    and the active "E"/"V" kernels, which move by rank-1 feature-difference
-    terms."""
+    and each active content slice's kernel (`model.KERNELS`), which moves
+    by a rank-1 feature-difference term."""
     diff = (model.item_rep_matrix(params, feats, h, ip)
             - model.item_rep_matrix(params, feats, h, iq))
     gamma_u = params["Gamma"][uj]
@@ -129,16 +130,14 @@ def bpr_pair_grads(params: dict, feats: FeatureStore, h: Hyper, uj: int,
     gx = c * gamma_u[sl["latent"]]
     updates = [("Gamma", uj, c * diff), ("X", ip, gx), ("X", iq, -gx)]
     # a[:, None] * b is np.outer(a, b) without its ravel and asarray calls
-    if "visual" in h.mask:
-        vdiff = feats.visual_mat[ip] - feats.visual_mat[iq]
-        updates.append(("E", None, c * (gamma_u[sl["visual"], None] * vdiff)))
-    if "textual" in h.mask:
-        tdiff = feats.textual_mat[ip] - feats.textual_mat[iq]
-        updates.append(("V", None, c * (gamma_u[sl["textual"], None] * tdiff)))
+    for name in h.mask[1:]:
+        fdiff = feats[name][ip] - feats[name][iq]
+        updates.append((model.KERNELS[name], None,
+                        c * (gamma_u[sl[name], None] * fdiff)))
     return xhat, updates
 
 
-def train_content_bpr(corpus: Corpus, feats: FeatureStore, h: Hyper,
+def train_content_bpr(corpus: Corpus, feats: dict, h: Hyper,
                       cfg: trainer.TrainConfig, log=None) -> dict:
     """Pairwise ascent on dot(gamma_u, rep_p - rep_q), one `bpr_pair_grads`
     step per sampled triple, over `sgd.run_epochs`."""
@@ -198,11 +197,13 @@ def mf_obs_grads(params: dict, uj: int, ij: int, target: float) -> tuple:
 # ---------------------------------------------------------------------------
 # factory
 
-def build_ranker(kind: str, corpus: Corpus, feats: FeatureStore, h: Hyper,
+def build_ranker(kind: str, corpus: Corpus, feats: dict, h: Hyper,
                  cfg: trainer.TrainConfig, log=None):
     """Train (where applicable) and wrap a ranker of the requested kind.
     Trainable kinds train with `h.mask` set to their `model.MASK_BY_KIND`
-    tuple, whatever `h` carried."""
+    tuple and the feature widths to those of `feats`, {content slice:
+    matrix}, whatever `h` carried; an active slice without features (zero
+    width) is a ConfigError."""
     if kind == "random":
         return RandomRanker(corpus, cfg.seed)
     if kind == "pop":
@@ -210,7 +211,9 @@ def build_ranker(kind: str, corpus: Corpus, feats: FeatureStore, h: Hyper,
     if kind not in model.MASK_BY_KIND:
         raise ConfigError(f"unknown ranker kind {kind!r} "
                           f"(expected one of {sorted(model.ALL_KINDS)})")
-    h = replace(h, mask=model.MASK_BY_KIND[kind])
+    h = replace(h, mask=model.MASK_BY_KIND[kind],
+                **{model.WIDTH_FIELDS[name]: mat.shape[1]
+                   for name, mat in feats.items()})
     if kind == "mf":
         params = train_mf(corpus, h, cfg, log=log)
     elif kind in model.RECURRENT_KINDS:

@@ -160,19 +160,19 @@ def _hyper_from_header(path, header, feats) -> Hyper:
     if header["mask"] != list(mask):
         raise CheckpointError(f"{path}: mask {header['mask']} does not match "
                               f"kind {kind!r}, whose mask is {list(mask)}")
-    f_v, f_t = header["f_v"], header["f_t"]
     try:
-        h = Hyper(d=header["d"], f_v=f_v, f_t=f_t, mask=mask,
-                  **header.get("hyper", {}))
+        h = Hyper(d=header["d"], f_v=header["f_v"], f_t=header["f_t"],
+                  mask=mask, **header.get("hyper", {}))
     except ConfigError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    for key, dim, have in (("visual", f_v, feats.f_v), ("textual", f_t, feats.f_t)):
-        if key in mask and have == 0:
-            raise CheckpointError(f"{path}: kind {kind!r} needs {key} features, "
-                                  f"which data.{key} does not give")
-        if key in mask and have != dim:
+    for name in mask[1:]:
+        dim, have = h.width(name), feats[name].shape[1]
+        if have == 0:
+            raise CheckpointError(f"{path}: kind {kind!r} needs {name} features, "
+                                  f"which data.{name} does not give")
+        if have != dim:
             raise CheckpointError(
-                f"{path}: checkpoint {key} dim {dim} != feature file dim {have}")
+                f"{path}: checkpoint {name} dim {dim} != feature file dim {have}")
     return h
 
 
@@ -199,7 +199,8 @@ def load_ranker(path, corpus, feats):
         return baselines.PopRanker(corpus, counts=blocks["counts"])
     h = _hyper_from_header(path, header, feats)
     n, d = corpus.n_items, h.d
-    shapes = {"X": (n, d), "E": (d, h.f_v), "V": (d, h.f_t)}
+    shapes = {"X": (n, d), **{block: (d, h.width(name))
+                              for name, block in model.KERNELS.items()}}
     if kind in USER_TABLE_KINDS:
         shapes["Gamma"] = (len(corpus.users), h.D)
     else:

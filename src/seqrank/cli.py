@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -57,7 +56,9 @@ SECTIONS = {
 
 def _merge(raw: dict, problems: list) -> dict:
     """DEFAULTS with the config's values in place. `data` and each section
-    must be an object (synth, null by default, may stay null)."""
+    must be an object (synth, null by default, may stay null), and a value
+    whose default is a list must be a list: tuple() would split a string
+    into characters and read an object as its keys."""
     cfg = copy.deepcopy(DEFAULTS)
     for key, val in raw.items():
         if key not in DEFAULTS:
@@ -67,10 +68,13 @@ def _merge(raw: dict, problems: list) -> dict:
                 problems.append(f"config key {key!r} must be an object")
         elif isinstance(cfg[key], dict):
             for name, v in val.items():
-                if name in cfg[key]:
-                    cfg[key][name] = v
+                dotted = repr(key + "." + name)
+                if name not in cfg[key]:
+                    problems.append(f"unknown config key {dotted}")
+                elif isinstance(cfg[key][name], list) and not isinstance(v, list):
+                    problems.append(f"config key {dotted} must be a list, got {v!r}")
                 else:
-                    problems.append(f"unknown config key {key + '.' + name!r}")
+                    cfg[key][name] = v
         else:
             cfg[key] = val
     return cfg
@@ -97,7 +101,7 @@ def _data_problems(cfg: dict, cmd: str) -> list:
     data, kind = cfg["data"], cfg["kind"]
     problems = []
     needs_data = cmd in ("train", "eval", "coldstart")
-    for key in ("sequences", "visual", "textual"):
+    for key in ("sequences", *dataio.RANGES):
         path = data[key]
         if path is not None and not isinstance(path, str):
             problems.append(f"data.{key} must be a path string or null, got {path!r}")
@@ -109,8 +113,8 @@ def _data_problems(cfg: dict, cmd: str) -> list:
     if needs_data and data["sequences"] is None:
         problems.append("data.sequences is required")
     if cmd == "train":  # eval and coldstart run each checkpoint's kind
-        for key in ("visual", "textual"):
-            if key in model.MASK_BY_KIND.get(kind, ()) and data[key] is None:
+        for key in model.MASK_BY_KIND.get(kind, ())[1:]:
+            if data[key] is None:
                 problems.append(f"kind {kind!r} needs data.{key} features")
     return problems + [f"data.{p}" for p in
                        dataio.split_problems(data["min_len"], data["split_frac"])]
@@ -184,19 +188,19 @@ def echo_config(cfg: dict) -> None:
 
 
 def build_data(cfg: dict):
+    """(corpus, {content slice: matrix}); a slice whose data key is null
+    gets a zero-width matrix."""
     data = cfg["data"]
     corpus = dataio.load_corpus(data["sequences"], data["min_len"],
                                 data["split_frac"])
-    vis, tex = (dataio.empty_table() if data[key] is None
-                else dataio.load_features(data[key], *limits)
-                for key, limits in (("visual", dataio.VISUAL_RANGE),
-                                    ("textual", dataio.TEXTUAL_RANGE)))
-    feats = dataio.build_feature_store(corpus, vis, tex)
-    for label, missing in (("visual", feats.missing_visual),
-                           ("textual", feats.missing_textual)):
-        if missing:
-            print(f"warning: {len(missing)} items lack {label} features "
-                  f"(zero-filled), first: {missing[0]}", file=sys.stderr)
+    tables = {name: None if data[name] is None
+              else dataio.load_features(data[name], *limits)
+              for name, limits in dataio.RANGES.items()}
+    feats, missing = dataio.build_feature_store(corpus, tables)
+    for name, ids in missing.items():
+        if ids:
+            print(f"warning: {len(ids)} items lack {name} features "
+                  f"(zero-filled), first: {ids[0]}", file=sys.stderr)
     return corpus, feats
 
 
@@ -228,12 +232,10 @@ def cmd_train(args) -> int:
     corpus, feats = build_data(cfg)
     echo_config(cfg)
     out, kind = _make_out(cfg), cfg["kind"]
-    # the feature widths are the loaded files'; build_ranker sets the mask
-    hyper = replace(SECTIONS["hyper"](cfg), f_v=feats.f_v, f_t=feats.f_t)
     log_path = os.path.join(out, f"train_{kind}.log")
     with open(log_path, "w", encoding="utf-8") as log_fh:
         ranker = baselines.build_ranker(
-            kind, corpus, feats, hyper, SECTIONS["train"](cfg),
+            kind, corpus, feats, SECTIONS["hyper"](cfg), SECTIONS["train"](cfg),
             log=lambda line: print(line, file=log_fh))
     ckpt_path = os.path.join(out, f"{kind}.ckpt")
     checkpoint.save_ranker(ckpt_path, ranker)
@@ -310,17 +312,15 @@ def cmd_synth(args) -> int:
     cfg = resolve_config(args)
     spec = SECTIONS["synth"](cfg)
     echo_config(cfg)
-    raw_seqs, vis, tex = dataio.synth_raw(spec, np.random.default_rng(spec.seed))
+    raw_seqs, tables = dataio.synth_raw(spec, np.random.default_rng(spec.seed))
     out = _make_out(cfg)
     seq_path = os.path.join(out, "sequences.tsv")
-    vis_path = os.path.join(out, "visual.tsv")
-    tex_path = os.path.join(out, "textual.tsv")
     dataio.write_sequences(seq_path, raw_seqs)
-    dataio.write_features(vis_path, vis)
-    dataio.write_features(tex_path, tex)
     print(f"wrote {len(raw_seqs)} user sequences to {seq_path}")
-    print(f"wrote {spec.items} visual rows to {vis_path}")
-    print(f"wrote {spec.items} textual rows to {tex_path}")
+    for name, table in tables.items():
+        path = os.path.join(out, f"{name}.tsv")
+        dataio.write_features(path, table)
+        print(f"wrote {spec.items} {name} rows to {path}")
     return EXIT_OK
 
 

@@ -3,10 +3,12 @@
 pass), negative sampling, and the planted-cluster synthetic data
 generator. Past parsing, items are rows: `Corpus` holds each user's
 training and test items as row arrays once, with the ids by row in
-`items`; a feature table is (ids, matrix) and its store is row-aligned by
-one gather; the negative sampler draws rows. Ids come back only at the
-edges: checkpoint headers, feature-missing warnings and the (id, score)
-pairs of a ranker's `rank(u)`."""
+`items`; a feature table is (ids, matrix), and the features a model reads
+are one {content slice: (n_items, width) matrix} dict, each matrix
+row-aligned by one gather from its table; the negative sampler draws
+rows. Ids come back only at the edges: checkpoint headers,
+feature-missing warnings and the (id, score) pairs of a ranker's
+`rank(u)`."""
 
 import math
 from dataclasses import dataclass, field, fields
@@ -16,8 +18,9 @@ import numpy as np
 from . import numkit
 from .errors import ConfigError, EmptyCorpusError, ParseError, SamplingError
 
-VISUAL_RANGE = (0.0, 0.5)
-TEXTUAL_RANGE = (-0.5, 0.5)
+# each content slice's feature file, in slice order, with the range its
+# values are min-max scaled onto at load
+RANGES = {"visual": (0.0, 0.5), "textual": (-0.5, 0.5)}
 
 
 @dataclass
@@ -164,11 +167,11 @@ def load_features(path, lo: float, hi: float) -> FeatureTable:
     try:
         # isdecimal, not isdigit: int() rejects digits such as superscripts
         dim = (int(toks[1]) if len(toks) == 2 and toks[0] == "#dims"
-               and toks[1].isdecimal() else None)
+               and toks[1].isdecimal() else 0)
     except ValueError:  # more digits than int() converts
-        dim = None
-    if dim is None:
-        raise ParseError(f"{path}:1: expected '#dims <F>' header")
+        dim = 0
+    if dim < 1:  # so a zero-width matrix only ever means "no file given"
+        raise ParseError(f"{path}:1: expected '#dims <F>' header with F >= 1")
     for lineno, line in lines:
         if not line:
             continue
@@ -199,27 +202,12 @@ def load_features(path, lo: float, hi: float) -> FeatureTable:
     return FeatureTable(ids, normalize_minmax(matrix, lo, hi))
 
 
-@dataclass
-class FeatureStore:
-    """Corpus-aligned feature matrices. Row j holds the vectors of
-    corpus.items[j]; items missing from a table get zeros and are listed,
-    by id in row order, in missing_visual / missing_textual for the load
-    report."""
-
-    f_v: int
-    f_t: int
-    visual_mat: np.ndarray      # (n_items, f_v)
-    textual_mat: np.ndarray     # (n_items, f_t)
-    missing_visual: list = field(default_factory=list)
-    missing_textual: list = field(default_factory=list)
-
-
-def _aligned(items: np.ndarray, table: FeatureTable):
+def _aligned(items: np.ndarray, table: FeatureTable | None):
     """(len(items), dim) matrix whose row j is the vector of items[j], and
     the ids the table lacks, in row order: one gather from the table's
-    rows plus a zero row, which a lacking item reads. A zero-width table
-    lacks nothing."""
-    if table.dim == 0:
+    rows plus a zero row, which a lacking item reads. No table (None) gives
+    a zero-width matrix, which lacks nothing."""
+    if table is None:
         return np.zeros((len(items), 0)), []
     row = {it: j for j, it in enumerate(table.ids)}
     src = np.array([row.get(it, -1) for it in items.tolist()], dtype=np.intp)
@@ -227,16 +215,16 @@ def _aligned(items: np.ndarray, table: FeatureTable):
     return padded[src], items[src < 0].tolist()
 
 
-def empty_table() -> FeatureTable:
-    """Zero-width placeholder for runs without that modality."""
-    return FeatureTable([], np.zeros((0, 0)))
-
-
-def build_feature_store(corpus: Corpus, visual: FeatureTable,
-                        textual: FeatureTable) -> FeatureStore:
-    vmat, vmiss = _aligned(corpus.items, visual)
-    tmat, tmiss = _aligned(corpus.items, textual)
-    return FeatureStore(visual.dim, textual.dim, vmat, tmat, vmiss, tmiss)
+def build_feature_store(corpus: Corpus, tables: dict) -> tuple:
+    """(features, missing) of the {content slice: FeatureTable or None}
+    tables: the features are {slice: matrix}, row j of each holding the
+    vector of corpus.items[j] and zeros for an item its table lacks;
+    missing is {slice: the lacking ids, in row order}, for the load
+    report."""
+    feats, missing = {}, {}
+    for name, table in tables.items():
+        feats[name], missing[name] = _aligned(corpus.items, table)
+    return feats, missing
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +354,7 @@ class SynthSpec:
 def synth_raw(spec: SynthSpec, rng: np.random.Generator):
     """Generate raw sequences plus normalized feature tables.
 
-    Returns (raw_seqs, visual_table, textual_table). Draw order is fixed
+    Returns (raw_seqs, {content slice: FeatureTable}). Draw order is fixed
     (centroids, item noise, then per-user walks) so a seed pins everything.
     """
     k = spec.clusters
@@ -375,8 +363,8 @@ def synth_raw(spec: SynthSpec, rng: np.random.Generator):
     clusters = np.array([spec.item_cluster(j) for j in range(spec.items)])
     feats_v = cen_v[clusters] + spec.noise_sigma * rng.normal(0.0, 1.0, (spec.items, spec.f_dim_visual))
     feats_t = cen_t[clusters] + spec.noise_sigma * rng.normal(0.0, 1.0, (spec.items, spec.f_dim_textual))
-    feats_v = normalize_minmax(feats_v, *VISUAL_RANGE)
-    feats_t = normalize_minmax(feats_t, *TEXTUAL_RANGE)
+    feats_v = normalize_minmax(feats_v, *RANGES["visual"])
+    feats_t = normalize_minmax(feats_t, *RANGES["textual"])
 
     pools = spec.cluster_pools()
     tail_start = math.ceil((1.0 - spec.tail_fraction) * spec.seq_len)
@@ -403,15 +391,16 @@ def synth_raw(spec: SynthSpec, rng: np.random.Generator):
         raw_seqs[spec.user_id(uj)] = seq
 
     ids = [spec.item_id(j) for j in range(spec.items)]  # ascending
-    return raw_seqs, FeatureTable(ids, feats_v), FeatureTable(ids, feats_t)
+    return raw_seqs, {"visual": FeatureTable(ids, feats_v),
+                      "textual": FeatureTable(ids, feats_t)}
 
 
 def synth_corpus(spec: SynthSpec, rng: np.random.Generator):
     """Planted-structure corpus plus aligned features, split and filtered
     by build_corpus with the protocol's defaults."""
-    raw_seqs, vis, tex = synth_raw(spec, rng)
+    raw_seqs, tables = synth_raw(spec, rng)
     corpus = build_corpus(raw_seqs, MIN_LEN, SPLIT_FRAC)
-    return corpus, build_feature_store(corpus, vis, tex)
+    return corpus, build_feature_store(corpus, tables)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Items are represented by concatenating width-d slices: a free latent
 vector, always, then per kind an embedded visual and an embedded textual
 feature vector; `Hyper.mask` is the kind's slice tuple from `MASK_BY_KIND`.
-A sigmoid recurrence folds the user's training sequence into a hidden
-state; preferences are dot products between that state and item
-representations.
+A content slice is its matrix of the features, one {slice: (n_items,
+width) matrix} dict, times its kernel block, named in `KERNELS`. A sigmoid
+recurrence folds the user's training sequence into a hidden state;
+preferences are dot products between that state and item representations.
 
 Everything is a plain float64 array, and a model is its named blocks: one
 {block name: array} dict, "X", "E", "V", "InMat" and "RecMat" from
@@ -47,6 +48,11 @@ MASK_BY_KIND = {
 ALL_KINDS = ("random", "pop") + tuple(MASK_BY_KIND)
 RECURRENT_KINDS = ("rnn", "vrnn", "trnn", "vtrnn")
 
+# each content slice's kernel block, (d, width), which embeds the slice's
+# features, and the Hyper field holding that width
+KERNELS = {"visual": "E", "textual": "V"}
+WIDTH_FIELDS = {"visual": "f_v", "textual": "f_t"}
+
 
 @dataclass(frozen=True)
 class Hyper:
@@ -75,10 +81,9 @@ class Hyper:
         if self.mask not in MASK_BY_KIND.values():
             problems.append(f"mask {self.mask!r} is not a kind's slice tuple, "
                             f"one of {sorted(set(MASK_BY_KIND.values()))}")
-        if "visual" in self.mask and self.f_v < 1:
-            problems.append("visual slice active but f_v == 0")
-        if "textual" in self.mask and self.f_t < 1:
-            problems.append("textual slice active but f_t == 0")
+        for name, width in WIDTH_FIELDS.items():
+            if name in self.mask and getattr(self, width) < 1:
+                problems.append(f"{name} slice active but {width} == 0")
         if reals_ok:
             # alpha == 0 is allowed: a zero-rate pass is the standard no-op probe
             if self.alpha < 0:
@@ -89,6 +94,10 @@ class Hyper:
                 problems.append(f"init range [{self.init_lo}, {self.init_hi}] is empty")
         if problems:
             raise ConfigError("; ".join(problems))
+
+    def width(self, name: str) -> int:
+        """The feature width of content slice `name`."""
+        return getattr(self, WIDTH_FIELDS[name])
 
     @property
     def D(self) -> int:
@@ -117,16 +126,17 @@ HYPER_REALS = tuple(f.name for f in fields(Hyper) if f.type is float)
 
 
 def init_item_blocks(h: Hyper, n_items: int, rng: np.random.Generator) -> dict:
-    """{"X": (n_items, d) latent rows, "E": (d, f_v) visual kernel, "V":
-    (d, f_t) textual kernel}: uniform [init_lo, init_hi] draws in that
-    order. Inactive embedding blocks stay zero and consume no randomness."""
+    """{"X": (n_items, d) latent rows, then each content slice's (d, width)
+    kernel in `KERNELS` order, "E" visual and "V" textual}: uniform
+    [init_lo, init_hi] draws in that order. Inactive kernels stay zero and
+    consume no randomness."""
     lo, hi = h.init_lo, h.init_hi
-    X = rng.uniform(lo, hi, (n_items, h.d))
-    E = (rng.uniform(lo, hi, (h.d, h.f_v)) if "visual" in h.mask
-         else np.zeros((h.d, h.f_v)))
-    V = (rng.uniform(lo, hi, (h.d, h.f_t)) if "textual" in h.mask
-         else np.zeros((h.d, h.f_t)))
-    return {"X": X, "E": E, "V": V}
+    blocks = {"X": rng.uniform(lo, hi, (n_items, h.d))}
+    for name, block in KERNELS.items():
+        shape = (h.d, h.width(name))
+        blocks[block] = (rng.uniform(lo, hi, shape) if name in h.mask
+                         else np.zeros(shape))
+    return blocks
 
 
 def init_params(h: Hyper, n_items: int, rng: np.random.Generator) -> dict:
@@ -185,15 +195,12 @@ def score_pair(prev: np.ndarray, p_inp: np.ndarray, q_inp: np.ndarray):
 def item_rep_matrix(params: dict, feats, h: Hyper, rows=None) -> np.ndarray:
     """Item representations [x; E f; V g] over the active slices: every
     item stacked (n, D) in item-id order, the given item rows stacked in
-    their order, or one row's (D,) vector when `rows` is an int."""
-    X, F, G = params["X"], feats.visual_mat, feats.textual_mat
-    if rows is not None:
-        X, F, G = X[rows], F[rows], G[rows]
-    parts = [X]
-    if "visual" in h.mask:
-        parts.append(F @ params["E"].T)
-    if "textual" in h.mask:
-        parts.append(G @ params["V"].T)
+    their order, or one row's (D,) vector when `rows` is an int. Only the
+    active slices' features are gathered."""
+    at = slice(None) if rows is None else rows
+    parts = [params["X"][at]]
+    for name in h.mask[1:]:
+        parts.append(feats[name][at] @ params[KERNELS[name]].T)
     return np.concatenate(parts, axis=-1)
 
 

@@ -3,10 +3,13 @@
 Per user sequence: one (positive, sampled-negative) pair per step t >= 2,
 scored against the previous hidden state. Items are item rows throughout:
 the positives are `corpus.train_rows[u]`, the negatives the rows
-`dataio.sample_triples` draws. Updates run in two phases from a
-context frozen at sequence start. The context holds the sequence as stacked
-arrays: inputs, states, scores, c = sigma(-score) and the per-step forward
-gradients, all computed in one pass. Both phases return their updates as
+`dataio.sample_triples` draws; the features are the {content slice:
+matrix} dict of `dataio.build_feature_store`, and each active content
+slice adds its kernel block (`model.KERNELS`) to the records the phases
+form. Updates run in two phases from a context frozen at sequence start.
+The context holds the sequence as stacked arrays: inputs, states, scores,
+c = sigma(-score) and the per-step forward gradients, all computed in one
+pass. Both phases return their updates as
 `sgd` update records (block, row or None, g); each block's L2 decay is
 `Hyper.decay`'s, which `sgd.apply` reads. The forward phase gives the
 direct score gradients of one step at a time (latent rows of the pair plus
@@ -32,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit, sgd
-from .dataio import Corpus, FeatureStore, sample_triples
+from .dataio import RANGES, Corpus, sample_triples
 from .errors import ConfigError
-from .model import (Hyper, hidden_states, init_params, item_rep_matrix,
-                    score_pair)
+from .model import (KERNELS, Hyper, hidden_states, init_params,
+                    item_rep_matrix, score_pair)
 
 
 @dataclass(frozen=True)
@@ -81,14 +84,15 @@ class SeqContext:
     scores: np.ndarray       # (m-1,)
     c: np.ndarray            # (m-1,) sigma(-score), the per-step loss multiplier
     step_grads: dict         # block -> per-step forward gradients, c included:
-                             # "X" (m-1, d), "E" (m-1, d, f_v), "V" (m-1, d, f_t)
+                             # "X" (m-1, d), then each active kernel's
+                             # (m-1, d, width), "E" visual and "V" textual
 
     @property
     def m(self) -> int:
         return len(self.rows)
 
 
-def sequence_context(params: dict, corpus: Corpus, feats: FeatureStore,
+def sequence_context(params: dict, corpus: Corpus, feats: dict,
                      h: Hyper, u: str, neg_rows) -> SeqContext:
     """Context of user u's training sequence with the negative rows of
     steps 2..m, one per step."""
@@ -106,12 +110,10 @@ def sequence_context(params: dict, corpus: Corpus, feats: FeatureStore,
     c = numkit.sigmoid_arr(-scores)
     sl = h.slices
     step_grads = {"X": c[:, None] * prev[:, sl["latent"]]}
-    for name, key, mat in (("E", "visual", feats.visual_mat),
-                           ("V", "textual", feats.textual_mat)):
-        if key in h.mask:
-            diff = mat[rows[1:m]] - mat[rows[m:]]
-            step_grads[name] = c[:, None, None] * (
-                prev[:, sl[key], None] * diff[:, None, :])
+    for name in h.mask[1:]:
+        diff = feats[name][rows[1:m]] - feats[name][rows[m:]]
+        step_grads[KERNELS[name]] = c[:, None, None] * (
+            prev[:, sl[name], None] * diff[:, None, :])
     return SeqContext(rows[:m], rows[m:], inputs, neg_inputs, states, scores,
                       c, step_grads)
 
@@ -127,10 +129,8 @@ def forward_updates(ctx: SeqContext, k: int) -> list:
     g = ctx.step_grads
     gx = g["X"][k]
     updates = [("X", ctx.rows[k + 1], gx), ("X", ctx.neg_rows[k], -gx)]
-    for name in ("E", "V"):
-        if name in g:
-            updates.append((name, None, g[name][k]))
-    return updates
+    return updates + [(name, None, g[name][k]) for name in KERNELS.values()
+                      if name in g]
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +152,8 @@ def backward_steps(ctx: SeqContext, params: dict) -> np.ndarray:
     return e
 
 
-def backward_gradients(ctx: SeqContext, params: dict,
-                       feats: FeatureStore, h: Hyper) -> list:
+def backward_gradients(ctx: SeqContext, params: dict, feats: dict,
+                       h: Hyper) -> list:
     """The backward phase's update records: the latent row of each item
     ctx.rows[:m-1], from layer m-1 down, then the BPTT sums over layers
     1..m-1 as whole blocks, "InMat", "RecMat" and the active "E"/"V".
@@ -168,17 +168,16 @@ def backward_gradients(ctx: SeqContext, params: dict,
                in zip(rows[::-1], back[::-1, sl["latent"]])]
     updates += [("InMat", None, e.T @ ctx.inputs[:-1]),
                 ("RecMat", None, e.T @ ctx.states[:-2])]
-    for name, key, mat in (("E", "visual", feats.visual_mat),
-                           ("V", "textual", feats.textual_mat)):
-        if key in h.mask:
-            updates.append((name, None, back[:, sl[key]].T @ mat[rows]))
+    for name in h.mask[1:]:
+        updates.append((KERNELS[name], None,
+                        back[:, sl[name]].T @ feats[name][rows]))
     return updates
 
 
 # ---------------------------------------------------------------------------
 # one sequence's records: both phases, applied as one list
 
-def sequence_updates(ctx: SeqContext, params: dict, feats: FeatureStore,
+def sequence_updates(ctx: SeqContext, params: dict, feats: dict,
                      h: Hyper) -> list:
     """Every update record of the sequence: `forward_updates` of each pair
     in step order, then `backward_gradients`. The backward records read
@@ -191,7 +190,7 @@ def sequence_updates(ctx: SeqContext, params: dict, feats: FeatureStore,
 # ---------------------------------------------------------------------------
 # training loop
 
-def train(corpus: Corpus, feats: FeatureStore, h: Hyper, cfg: TrainConfig,
+def train(corpus: Corpus, feats: dict, h: Hyper, cfg: TrainConfig,
           log=None) -> dict:
     """SGD ascent over users and epochs (`sgd.run_epochs`). Each user's
     negatives are resampled fresh each epoch; the logged objective is the
@@ -216,19 +215,17 @@ def train(corpus: Corpus, feats: FeatureStore, h: Hyper, cfg: TrainConfig,
 # the gradient check's fixture
 
 def tiny_fixture(h: Hyper, rng: np.random.Generator):
-    """One-user corpus, 6 items and a length-4 sequence, with random
-    features and a full negative ladder, small enough to finite-difference
-    every parameter entry. Returns (corpus, feats, {"u0": negative rows of
-    steps 2..4})."""
+    """One-user corpus, 6 items and a length-4 sequence, with features
+    drawn uniformly in each content slice's range (at least one wide) and a
+    full negative ladder, small enough to finite-difference every parameter
+    entry. Returns (corpus, feats, {"u0": negative rows of steps 2..4})."""
     n_items, seq_len = 6, 4
     items = np.array([f"i{j}" for j in range(n_items)], dtype=object)
     order = rng.permutation(n_items)
     corpus = Corpus(("u0",), items, {"u0": order[:seq_len].astype(np.intp)},
                     {"u0": np.zeros(0, dtype=np.intp)})
-    f_v, f_t = max(h.f_v, 1), max(h.f_t, 1)
-    vmat = rng.uniform(0.0, 0.5, (n_items, f_v))
-    tmat = rng.uniform(-0.5, 0.5, (n_items, f_t))
-    feats = FeatureStore(f_v, f_t, vmat, tmat)
+    feats = {name: rng.uniform(lo, hi, (n_items, max(h.width(name), 1)))
+             for name, (lo, hi) in RANGES.items()}
     pool = np.setdiff1d(np.arange(n_items), order[:seq_len])
     neg_rows = np.array([pool[int(rng.integers(len(pool)))]
                          for _ in range(seq_len - 1)], dtype=np.intp)

@@ -3,8 +3,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from seqrank.dataio import (VISUAL_RANGE, TEXTUAL_RANGE, FeatureTable,
-                            build_corpus, build_feature_store)
+from seqrank.dataio import RANGES, FeatureTable, build_corpus, build_feature_store
 
 # four interactions per user, split 0.75 -> 3 train / 1 test, every test
 # item unseen in training so nobody gets filtered out
@@ -37,6 +36,6 @@ def toy_corpus():
 def toy_feats(toy_corpus):
     rng = np.random.default_rng(3)
     ids, n = toy_corpus.items.tolist(), toy_corpus.n_items
-    vis = FeatureTable(ids, rng.uniform(*VISUAL_RANGE, (n, 2)))
-    tex = FeatureTable(ids, rng.uniform(*TEXTUAL_RANGE, (n, 2)))
-    return build_feature_store(toy_corpus, vis, tex)
+    tables = {name: FeatureTable(ids, rng.uniform(*limits, (n, 2)))
+              for name, limits in RANGES.items()}
+    return build_feature_store(toy_corpus, tables)[0]

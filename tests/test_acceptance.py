@@ -15,7 +15,7 @@ from reference_metrics import (auc_ref, average_precision_ref, ndcg_ref,
                                precision_ref, recall_ref)
 from seqrank import baselines, checkpoint, evaluator, model, numkit, sgd
 from seqrank.baselines import build_ranker
-from seqrank.dataio import FeatureStore, SynthSpec, sample_triples, synth_corpus
+from seqrank.dataio import SynthSpec, sample_triples, synth_corpus
 from seqrank.evaluator import (EvalConfig, auc_from_scores, cold_start_bins,
                                cutoff_metrics, evaluate)
 from seqrank.model import MASK_BY_KIND, Hyper, init_params
@@ -236,8 +236,7 @@ def test_ablation_identities():
     cfg = TrainConfig(epochs=2, seed=9)
     plain = build_ranker("bpr", corpus, feats, Hyper(d=4, f_v=3, f_t=3),
                          cfg).params
-    empty = FeatureStore(0, 0, np.zeros((corpus.n_items, 0)),
-                         np.zeros((corpus.n_items, 0)))
+    empty = {name: np.zeros((corpus.n_items, 0)) for name in feats}
     content = baselines.train_content_bpr(
         corpus, empty, Hyper(d=4, mask=MASK_BY_KIND["bpr"]), cfg)
     for name in ("Gamma", "X"):

@@ -180,8 +180,8 @@ def test_clip_norm_bounds_bpr_and_mf_steps():
     row or kernel by at most clip_norm. A zero-rate run draws the same
     samples and leaves the starting parameters."""
     rng = np.random.default_rng(8)
-    feats = baselines.FeatureStore(2, 2, rng.uniform(0.0, 0.5, (3, 2)),
-                                   rng.uniform(-0.5, 0.5, (3, 2)))
+    feats = {"visual": rng.uniform(0.0, 0.5, (3, 2)),
+             "textual": rng.uniform(-0.5, 0.5, (3, 2))}
     clip = 1e-6
     bound = clip * (1.0 + 1e-6)   # a - b loses bits next to |a| ~ 0.5
     cfg = TrainConfig(epochs=1, seed=0, clip_norm=clip)
@@ -231,9 +231,7 @@ def test_bpr_kind_is_latent_only_content_bpr(world):
     plain = build_ranker("bpr", corpus, feats, Hyper(d=2, f_v=2, f_t=2),
                          cfg).params
     content = train_content_bpr(
-        corpus,
-        baselines.FeatureStore(0, 0, np.zeros((corpus.n_items, 0)),
-                               np.zeros((corpus.n_items, 0))),
+        corpus, {name: np.zeros((corpus.n_items, 0)) for name in feats},
         Hyper(d=2, mask=MASK_BY_KIND["bpr"]), cfg)
     assert np.array_equal(plain["Gamma"], content["Gamma"])
     assert np.array_equal(plain["X"], content["X"])
@@ -260,6 +258,27 @@ def test_build_ranker_applies_kind_mask(world):
     assert r.h.mask == ("latent", "visual")
     assert r.params["E"].any()
     assert not r.params["V"].any()
+
+
+@pytest.mark.parametrize("kind,f_v", [("vtrnn", 3), ("vbpr", 0)],
+                         ids=["widths-from-features", "no-visual-features"])
+def test_build_ranker_reads_widths_from_features(world, kind, f_v):
+    """The feature matrices set the kernel widths, whatever Hyper carried;
+    an active slice whose features have zero width is a ConfigError that
+    names it."""
+    corpus, _ = world
+    rng = np.random.default_rng(6)
+    feats = {"visual": rng.uniform(0.0, 0.5, (corpus.n_items, f_v)),
+             "textual": rng.uniform(-0.5, 0.5, (corpus.n_items, 3))}
+    h, cfg = Hyper(d=2, f_v=5, f_t=5), TrainConfig(epochs=1, seed=3)
+    if f_v == 0:
+        with pytest.raises(ConfigError, match="visual slice active but f_v == 0"):
+            build_ranker(kind, corpus, feats, h, cfg)
+        return
+    ranker = build_ranker(kind, corpus, feats, h, cfg)
+    assert (ranker.h.f_v, ranker.h.f_t) == (3, 3)
+    assert ranker.params["E"].shape == ranker.params["V"].shape == (2, 3)
+    assert ranker.params["E"].any() and ranker.params["V"].any()
 
 
 def test_build_ranker_unknown_kind(world):

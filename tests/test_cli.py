@@ -325,6 +325,10 @@ def test_float_setting_must_be_finite_real(pipeline, tmp_path, capsys,
      "eval: cutoffs and bins must be integers"),
     ("coldstart", {"eval": {"coldstart_k": True}}, ["ckpt"],
      "eval: coldstart_k must be a positive integer, got True"),
+    ("eval", {"eval": {"cutoffs": "10"}}, ["ckpt"],
+     "config key 'eval.cutoffs' must be a list, got '10'"),
+    ("coldstart", {"eval": {"bins": {"10": 1}}}, ["ckpt"],
+     "config key 'eval.bins' must be a list, got {'10': 1}"),
     ("synth", {"synth": dict(SYNTH, users=30.5)}, [],
      "synth: users must be an integer, got 30.5"),
     ("synth", {"synth": dict(SYNTH, seed=-1)}, [], "synth: seed must be >= 0"),
@@ -338,7 +342,8 @@ def test_float_setting_must_be_finite_real(pipeline, tmp_path, capsys,
     ("train", {"synth": 5}, [], "config key 'synth' must be an object"),
     ("eval", {"synth": 5}, ["ckpt"], "config key 'synth' must be an object"),
     ("gradcheck", {"synth": 5}, [], "config key 'synth' must be an object"),
-], ids=["shuffle-string", "float-cutoff", "float-bin", "bool-k", "float-users",
+], ids=["shuffle-string", "float-cutoff", "float-bin", "bool-k",
+        "string-cutoffs", "object-bins", "float-users",
         "synth-seed", "synth-flag-seed", "seed", "bool-seed", "flag-seed",
         "gradcheck-flag-seed", "hyper-int", "synth-int", "train-synth-int",
         "eval-synth-int", "gradcheck-synth-int"])

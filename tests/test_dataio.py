@@ -4,9 +4,8 @@ and the planted-cluster generator."""
 import numpy as np
 import pytest
 
-from seqrank.dataio import (MIN_LEN, SPLIT_FRAC, VISUAL_RANGE,
-                            TEXTUAL_RANGE, FeatureTable, SynthSpec,
-                            build_corpus, build_feature_store, empty_table,
+from seqrank.dataio import (MIN_LEN, RANGES, SPLIT_FRAC, FeatureTable,
+                            SynthSpec, build_corpus, build_feature_store,
                             load_corpus, load_features, normalize_minmax,
                             parse_sequence_file, sample_negative,
                             sample_triples, synth_corpus, synth_raw,
@@ -162,11 +161,11 @@ def test_undecodable_files_raise_parse_error(tmp_path):
         load_features(feat, lo=0.0, hi=1.0)
 
 
-@pytest.mark.parametrize("dims", ["\u00b2", "1" * 5000],
-                         ids=["superscript", "5000-digits"])
+@pytest.mark.parametrize("dims", ["\u00b2", "1" * 5000, "0"],
+                         ids=["superscript", "5000-digits", "zero"])
 def test_load_features_header_int_conversion(tmp_path, dims):
-    # a superscript two passes str.isdigit but not int(), and int() refuses
-    # strings of more than 4300 digits
+    # a superscript two passes str.isdigit but not int(), int() refuses
+    # strings of more than 4300 digits, and a width must be at least 1
     p = tmp_path / "f.tsv"
     p.write_bytes(f"#dims {dims}\ni1\t0.5 0.1\n".encode())
     with pytest.raises(ParseError, match="f.tsv:1: expected '#dims <F>' header"):
@@ -175,13 +174,14 @@ def test_load_features_header_int_conversion(tmp_path, dims):
 
 def test_feature_store_missing_items(toy_corpus):
     vis = FeatureTable(["i1"], np.array([[0.1, 0.2]]))
-    store = build_feature_store(toy_corpus, vis, empty_table())
-    assert store.missing_visual == [it for it in toy_corpus.items if it != "i1"]
+    feats, missing = build_feature_store(toy_corpus,
+                                         {"visual": vis, "textual": None})
+    assert missing["visual"] == [it for it in toy_corpus.items if it != "i1"]
     row = toy_corpus.items.tolist().index
-    assert store.visual_mat[row("i3")].tolist() == [0.0, 0.0]
-    assert store.visual_mat[row("i1")].tolist() == [0.1, 0.2]
-    assert store.f_t == 0 and store.missing_textual == []
-    assert store.textual_mat[row("i1")].shape == (0,)
+    assert feats["visual"][row("i3")].tolist() == [0.0, 0.0]
+    assert feats["visual"][row("i1")].tolist() == [0.1, 0.2]
+    assert feats["textual"].shape == (toy_corpus.n_items, 0)
+    assert missing["textual"] == []
 
 
 def test_feature_store_aligns_a_file_in_its_own_order(toy_corpus, tmp_path):
@@ -191,14 +191,14 @@ def test_feature_store_aligns_a_file_in_its_own_order(toy_corpus, tmp_path):
     p = tmp_path / "v.tsv"
     p.write_text("#dims 2\ni6\t5 50\nzz\t0 0\ni3\t2 20\ni1\t4 10\n"
                  "i5\t1 40\n")
-    store = build_feature_store(toy_corpus, load_features(p, 0.0, 1.0),
-                                empty_table())
+    feats, missing = build_feature_store(
+        toy_corpus, {"visual": load_features(p, 0.0, 1.0)})
     want = {"i1": [0.8, 0.2], "i2": [0.0, 0.0], "i3": [0.4, 0.4],
             "i4": [0.0, 0.0], "i5": [0.2, 0.8], "i6": [1.0, 1.0]}
     assert toy_corpus.items.tolist() == sorted(want)
     for j, it in enumerate(toy_corpus.items):
-        assert store.visual_mat[j].tolist() == want[it], it
-    assert store.missing_visual == ["i2", "i4"]  # corpus row order
+        assert feats["visual"][j].tolist() == want[it], it
+    assert missing == {"visual": ["i2", "i4"]}  # corpus row order
 
 
 def test_sample_negative_never_owned(toy_corpus):
@@ -262,17 +262,16 @@ def test_synth_ids_and_pools():
 
 
 def test_synth_raw_deterministic_and_in_range():
-    a_seqs, a_vis, a_tex = synth_raw(SPEC, np.random.default_rng(9))
-    b_seqs, b_vis, b_tex = synth_raw(SPEC, np.random.default_rng(9))
+    a_seqs, a_tables = synth_raw(SPEC, np.random.default_rng(9))
+    b_seqs, b_tables = synth_raw(SPEC, np.random.default_rng(9))
     assert a_seqs == b_seqs
-    assert a_vis.ids == b_vis.ids == a_tex.ids == b_tex.ids
-    assert len(a_vis.ids) == SPEC.items
-    assert np.array_equal(a_vis.matrix, b_vis.matrix)
-    assert np.array_equal(a_tex.matrix, b_tex.matrix)
-    assert a_vis.matrix.min() >= VISUAL_RANGE[0]
-    assert a_vis.matrix.max() <= VISUAL_RANGE[1]
-    assert a_tex.matrix.min() >= TEXTUAL_RANGE[0]
-    assert a_tex.matrix.max() <= TEXTUAL_RANGE[1]
+    assert list(a_tables) == list(b_tables) == list(RANGES)
+    for name, (lo, hi) in RANGES.items():
+        a, b = a_tables[name], b_tables[name]
+        assert a.ids == b.ids == a_tables["visual"].ids
+        assert len(a.ids) == SPEC.items
+        assert np.array_equal(a.matrix, b.matrix)
+        assert lo <= a.matrix.min() and a.matrix.max() <= hi
     assert len(a_seqs) == SPEC.users
     assert all(len(s) == SPEC.seq_len for s in a_seqs.values())
 
@@ -282,7 +281,7 @@ def test_synth_cold_items_stay_out_of_head():
                      f_dim_visual=2, f_dim_textual=2, noise_sigma=0.2,
                      seed=11, cold_fraction=0.4, cold_prob=0.7,
                      tail_fraction=0.2)
-    raw, _, _ = synth_raw(spec, np.random.default_rng(11))
+    raw, _ = synth_raw(spec, np.random.default_rng(11))
     cold_ids = {spec.item_id(j) for _, cold in spec.cluster_pools()
                 for j in cold}
     assert cold_ids
@@ -293,18 +292,19 @@ def test_synth_cold_items_stay_out_of_head():
 
 def test_synth_corpus_matches_file_round_trip(tmp_path):
     corpus, feats = synth_corpus(SPEC, np.random.default_rng(9))
-    raw, vis, tex = synth_raw(SPEC, np.random.default_rng(9))
+    raw, tables = synth_raw(SPEC, np.random.default_rng(9))
     write_sequences(tmp_path / "s.tsv", raw)
-    write_features(tmp_path / "v.tsv", vis)
-    write_features(tmp_path / "t.tsv", tex)
+    for name, table in tables.items():
+        write_features(tmp_path / f"{name}.tsv", table)
     loaded = load_corpus(tmp_path / "s.tsv", MIN_LEN, SPLIT_FRAC)
     assert loaded.users == corpus.users
     assert loaded.items.tolist() == corpus.items.tolist()
     for u in corpus.users:
         assert split_ids(loaded, u) == split_ids(corpus, u)
-    store = build_feature_store(
-        loaded, load_features(tmp_path / "v.tsv", *VISUAL_RANGE),
-        load_features(tmp_path / "t.tsv", *TEXTUAL_RANGE))
+    store, _ = build_feature_store(loaded, {
+        name: load_features(tmp_path / f"{name}.tsv", *limits)
+        for name, limits in RANGES.items()})
     # repr round trip and idempotent renormalization: bit-identical matrices
-    assert np.array_equal(store.visual_mat, feats.visual_mat)
-    assert np.array_equal(store.textual_mat, feats.textual_mat)
+    assert list(store) == list(feats) == ["visual", "textual"]
+    for name in feats:
+        assert np.array_equal(store[name], feats[name]), name

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from seqrank.dataio import FeatureStore
 from seqrank.errors import ConfigError
-from seqrank.model import (ALL_KINDS, MASK_BY_KIND, RECURRENT_KINDS,
-                           SLICE_NAMES, Hyper, init_params,
+from seqrank.dataio import RANGES
+from seqrank.model import (ALL_KINDS, KERNELS, MASK_BY_KIND, RECURRENT_KINDS,
+                           SLICE_NAMES, WIDTH_FIELDS, Hyper, init_params,
                            final_states, hidden_states, item_rep_matrix,
                            order_candidates, score_pair, step_hidden)
 
@@ -39,6 +39,9 @@ def test_kind_tables_consistent():
     for mask in MASK_BY_KIND.values():
         assert mask[0] == "latent"
         assert mask == tuple(n for n in SLICE_NAMES if n in mask)
+    # every content slice has a kernel, a width field and a feature range
+    content = list(SLICE_NAMES[1:])
+    assert list(KERNELS) == list(WIDTH_FIELDS) == list(RANGES) == content
 
 
 def test_hyper_validation_aggregates():
@@ -53,13 +56,6 @@ def test_hyper_dims():
     assert h.D == 6
     assert Hyper(d=3).D == 3
     assert h.slices == {"latent": slice(0, 3), "visual": slice(3, 6)}
-
-
-def make_uniform_feats(items, f_v, f_t, rng):
-    return FeatureStore(
-        f_v, f_t,
-        rng.uniform(0.0, 0.5, (len(items), f_v)),
-        rng.uniform(-0.5, 0.5, (len(items), f_t)))
 
 
 def test_init_params_bounds_and_inactive_blocks():
@@ -96,7 +92,7 @@ def one_item_world():
     params = {"X": np.array([[0.5]]), "E": np.array([[1.0]]),
               "V": np.array([[1.0]]),
               "InMat": np.eye(3), "RecMat": np.zeros((3, 3))}
-    feats = FeatureStore(1, 1, np.array([[0.5]]), np.array([[-0.5]]))
+    feats = {"visual": np.array([[0.5]]), "textual": np.array([[-0.5]])}
     return h, params, feats
 
 
@@ -173,8 +169,8 @@ def test_item_rep_matrix_rows(toy_corpus, toy_feats):
         assert np.allclose(rep[j], inp, rtol=0.0, atol=1e-14)
         assert np.array_equal(rep[j, :h.d], inp[:h.d])  # latent slice copied
         # one row is exactly the kernel-times-features product
-        assert np.array_equal(inp[sl["visual"]], params["E"] @ toy_feats.visual_mat[j])
-        assert np.array_equal(inp[sl["textual"]], params["V"] @ toy_feats.textual_mat[j])
+        assert np.array_equal(inp[sl["visual"]], params["E"] @ toy_feats["visual"][j])
+        assert np.array_equal(inp[sl["textual"]], params["V"] @ toy_feats["textual"][j])
     rows = [3, 0, 3]
     assert np.allclose(item_rep_matrix(params, toy_feats, h, rows), rep[rows],
                        rtol=0.0, atol=1e-14)

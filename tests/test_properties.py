@@ -31,9 +31,8 @@ from id_corpus import id_corpus
 from reference_metrics import cold_start_ref
 from seqrank import numkit, sgd
 from seqrank.checkpoint import MAGIC, read_checkpoint
-from seqrank.dataio import (FeatureStore, build_corpus,
-                            load_features, parse_sequence_file,
-                            sample_triples)
+from seqrank.dataio import (build_corpus, load_features,
+                            parse_sequence_file, sample_triples)
 from seqrank.errors import CheckpointError, EmptyCorpusError, ParseError
 from seqrank.evaluator import EvalConfig, cold_start_bins
 from seqrank.model import (ALL_KINDS, MASK_BY_KIND, Hyper, final_states,
@@ -216,8 +215,8 @@ def recurrent_world(draw):
 def test_final_states_match_per_user_recurrence(world):
     corpus, h, seed = world
     rng = np.random.default_rng(seed)
-    feats = FeatureStore(h.f_v, h.f_t, rng.uniform(0.0, 0.5, (corpus.n_items, h.f_v)),
-                         rng.uniform(-0.5, 0.5, (corpus.n_items, h.f_t)))
+    feats = {"visual": rng.uniform(0.0, 0.5, (corpus.n_items, h.f_v)),
+             "textual": rng.uniform(-0.5, 0.5, (corpus.n_items, h.f_t))}
     params = init_params(h, corpus.n_items, rng)
     final = final_states(params, feats, corpus, h)
     assert final.shape == (len(corpus.users), h.D)

@@ -12,7 +12,7 @@ from id_corpus import id_corpus
 from seqrank import sgd, trainer
 from seqrank.baselines import (bpr_pair_grads, init_bpr_params, mf_obs_grads,
                                train_content_bpr)
-from seqrank.dataio import FeatureStore, sample_triples
+from seqrank.dataio import sample_triples
 from seqrank.errors import DivergenceError
 from seqrank.model import MASK_BY_KIND, Hyper, init_params
 from seqrank.trainer import (TrainConfig, sequence_context, sequence_updates,
@@ -58,8 +58,8 @@ def one_triple_world():
     """The only triple: user "u", positive "b", the one unowned item "c"."""
     corpus = id_corpus(("u",), ("a", "b", "c"), {"u": ["a", "b"]})
     rng = np.random.default_rng(8)
-    feats = FeatureStore(2, 2, rng.uniform(0.0, 0.5, (3, 2)),
-                         rng.uniform(-0.5, 0.5, (3, 2)))
+    feats = {"visual": rng.uniform(0.0, 0.5, (3, 2)),
+             "textual": rng.uniform(-0.5, 0.5, (3, 2))}
     return corpus, feats
 
 

@@ -28,6 +28,8 @@ COUNTED = [
 
 # functions whose self time a layer metric sums, or is to sum
 TIMED = [
+    ("dataio", "build_feature_store"),  # dataio.align_s
+    ("model", "item_rep_matrix"),      # model.item_rep_matrix_s
     ("evaluator", "auc_from_scores"),  # evaluator.auc_s
     # every cutoff metric; evaluator.topk_s still names the per-metric
     # functions it replaced, and is to name this one instead

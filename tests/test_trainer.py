@@ -83,7 +83,7 @@ def test_forward_grad_pieces():
     assert np.array_equal(
         ctx.step_grads["E"][k],
         c * np.outer(prev[sl["visual"]],
-                     feats.visual_mat[ip] - feats.visual_mat[iq]))
+                     feats["visual"][ip] - feats["visual"][iq]))
     assert ctx.step_grads["V"][k].shape == (h.d, h.f_t)
 
 
