@@ -9,8 +9,8 @@ one class, `EmbedRanker`: item representations against the user's row of a
 (U, D) user-vector matrix, the trained "Gamma" or, for the recurrent kinds,
 the states `model.final_states` computed for every user when the ranker was
 built. A kind's slice mask, its `model.MASK_BY_KIND` tuple, is put into
-`Hyper` by `build_ranker` and `grad_check` alone; `build_ranker` also sets
-the feature widths, from the {content slice: matrix} features.
+`Hyper` by `build_ranker` and `grad_check` alone. Kernel widths are the
+features' widths, and every trainer takes (corpus, feats, h, cfg, log).
 
 The trainable kinds share one epoch loop, `sgd.run_epochs`; mf and the
 BPR family supply their per-user steps here. Their parameters are one
@@ -78,12 +78,12 @@ class PopRanker:
 # embedding-dot rankers: BPR family and pointwise MF share the score form
 # dot(gamma_u, item representation)
 
-def init_bpr_params(h: Hyper, n_users: int, n_items: int,
+def init_bpr_params(h: Hyper, feats: dict, n_users: int, n_items: int,
                     rng: np.random.Generator) -> dict:
     """{"Gamma": (n_users, D) per-user vectors, then the item blocks of
     `model.init_item_blocks`}, drawn in that order."""
     gamma = rng.uniform(h.init_lo, h.init_hi, (n_users, h.D))
-    return {"Gamma": gamma, **model.init_item_blocks(h, n_items, rng)}
+    return {"Gamma": gamma, **model.init_item_blocks(h, feats, n_items, rng)}
 
 
 class EmbedRanker:
@@ -138,7 +138,7 @@ def bpr_pair_grads(params: dict, feats: dict, h: Hyper, uj: int,
 
 
 def train_content_bpr(corpus: Corpus, feats: dict, h: Hyper,
-                      cfg: trainer.TrainConfig, log=None) -> dict:
+                      cfg: trainer.TrainConfig, log) -> dict:
     """Pairwise ascent on dot(gamma_u, rep_p - rep_q), one `bpr_pair_grads`
     step per sampled triple, over `sgd.run_epochs`."""
 
@@ -154,18 +154,20 @@ def train_content_bpr(corpus: Corpus, feats: dict, h: Hyper,
 
     return sgd.run_epochs(
         corpus, cfg, h,
-        lambda rng: init_bpr_params(h, len(corpus.users), corpus.n_items, rng),
+        lambda rng: init_bpr_params(h, feats, len(corpus.users),
+                                    corpus.n_items, rng),
         visit, log)
 
 
 # ---------------------------------------------------------------------------
 # pointwise matrix factorization
 
-def train_mf(corpus: Corpus, h: Hyper, cfg: trainer.TrainConfig,
-             log=None) -> dict:
+def train_mf(corpus: Corpus, feats: dict, h: Hyper,
+             cfg: trainer.TrainConfig, log) -> dict:
     """Squared-error factorization on implicit data: every training
     interaction is a target-1 observation paired with one sampled
-    target-0 negative. The logged objective is the mean squared error."""
+    target-0 negative. The logged objective is the mean squared error;
+    `feats` only sizes the zero kernels."""
     if h.mask != ("latent",):
         raise ConfigError("mf uses the latent slice only")
 
@@ -181,7 +183,8 @@ def train_mf(corpus: Corpus, h: Hyper, cfg: trainer.TrainConfig,
 
     return sgd.run_epochs(
         corpus, cfg, h,
-        lambda rng: init_bpr_params(h, len(corpus.users), corpus.n_items, rng),
+        lambda rng: init_bpr_params(h, feats, len(corpus.users),
+                                    corpus.n_items, rng),
         visit, log)
 
 
@@ -201,9 +204,9 @@ def build_ranker(kind: str, corpus: Corpus, feats: dict, h: Hyper,
                  cfg: trainer.TrainConfig, log=None):
     """Train (where applicable) and wrap a ranker of the requested kind.
     Trainable kinds train with `h.mask` set to their `model.MASK_BY_KIND`
-    tuple and the feature widths to those of `feats`, {content slice:
-    matrix}, whatever `h` carried; an active slice without features (zero
-    width) is a ConfigError."""
+    tuple, whatever `h` carried, and kernels as wide as `feats`, {content
+    slice: matrix}; an active slice without features (zero width) is a
+    ConfigError."""
     if kind == "random":
         return RandomRanker(corpus, cfg.seed)
     if kind == "pop":
@@ -211,15 +214,14 @@ def build_ranker(kind: str, corpus: Corpus, feats: dict, h: Hyper,
     if kind not in model.MASK_BY_KIND:
         raise ConfigError(f"unknown ranker kind {kind!r} "
                           f"(expected one of {sorted(model.ALL_KINDS)})")
-    h = replace(h, mask=model.MASK_BY_KIND[kind],
-                **{model.WIDTH_FIELDS[name]: mat.shape[1]
-                   for name, mat in feats.items()})
-    if kind == "mf":
-        params = train_mf(corpus, h, cfg, log=log)
-    elif kind in model.RECURRENT_KINDS:
-        params = trainer.train(corpus, feats, h, cfg, log=log)
-    else:
-        params = train_content_bpr(corpus, feats, h, cfg, log=log)
+    h = replace(h, mask=model.MASK_BY_KIND[kind])
+    for name in h.mask[1:]:
+        if feats[name].shape[1] == 0:
+            raise ConfigError(f"kind {kind!r} needs {name} features, got width 0")
+    train = (train_mf if kind == "mf"
+             else trainer.train if kind in model.RECURRENT_KINDS
+             else train_content_bpr)
+    params = train(corpus, feats, h, cfg, log)
     return EmbedRanker(kind, params, corpus, feats, h)
 
 
@@ -238,23 +240,24 @@ def grad_check(kind: str, h: Hyper, rng: np.random.Generator) -> dict:
     and `sequence_updates` on `trainer.tiny_fixture`, term
     sum_t ln sigma(score_t); for the BPR family one `bpr_pair_grads` per
     pair of the same fixture, term ln sigma(xhat); for mf `mf_obs_grads` of
-    8 random observations of 2 users and 4 items, term -err^2 / 2, the
-    objective its records ascend."""
+    8 random observations of 2 users and 4 items without features, term
+    -err^2 / 2, the objective its records ascend."""
     h = replace(h, mask=model.MASK_BY_KIND[kind])
     if kind == "mf":
         observations = [(int(rng.integers(2)), int(rng.integers(4)),
                          float(rng.integers(2))) for _ in range(8)]
-        params = init_bpr_params(h, 2, 4, rng)
+        no_feats = {name: np.zeros((4, 0)) for name in model.KERNELS}
+        params = init_bpr_params(h, no_feats, 2, 4, rng)
 
         def steps():
             return [(-0.5 * err * err, updates) for err, updates
                     in (mf_obs_grads(params, *obs) for obs in observations)]
         return sgd.grad_check(params, steps)
 
-    corpus, feats, negatives = trainer.tiny_fixture(h, rng)
+    corpus, feats, negatives = trainer.tiny_fixture(rng)
     neg_rows = negatives["u0"]
     if kind in model.RECURRENT_KINDS:
-        params = model.init_params(h, corpus.n_items, rng)
+        params = model.init_params(h, feats, corpus.n_items, rng)
 
         def steps():
             ctx = trainer.sequence_context(params, corpus, feats, h, "u0",
@@ -262,7 +265,7 @@ def grad_check(kind: str, h: Hyper, rng: np.random.Generator) -> dict:
             return [(float(np.sum(numkit.log_sigmoid(ctx.scores))),
                      trainer.sequence_updates(ctx, params, feats, h))]
     else:
-        params = init_bpr_params(h, 1, corpus.n_items, rng)
+        params = init_bpr_params(h, feats, 1, corpus.n_items, rng)
         pairs = list(zip(corpus.train_rows["u0"][1:].tolist(),
                          neg_rows.tolist()))
 

@@ -4,9 +4,10 @@ Layout: 8-byte magic "SEQRANK1", uint32 little-endian header length, JSON
 header (kind, dims, slice mask, item table, the user table of mf and the
 BPR family, block names and shapes), then the parameter blocks as
 little-endian float64 in row-major order. Round trips are bit-exact. The
-loader takes the mask from the kind (`model.MASK_BY_KIND`) and refuses a
-header whose mask list is not exactly that kind's, and a block with a
-non-finite value.
+header widths (`WIDTH_KEYS`) are the kernel widths. The loader takes the
+mask from the kind (`model.MASK_BY_KIND`) and refuses a header whose mask
+list is not that kind's, widths other than the active slices' feature
+widths, blocks other than the kind's, and non-finite values.
 """
 
 import json
@@ -23,6 +24,7 @@ MAGIC = b"SEQRANK1"
 # kinds with per-user "Gamma" rows, so with a user table in the header
 USER_TABLE_KINDS = tuple(k for k in model.MASK_BY_KIND
                          if k not in model.RECURRENT_KINDS)
+WIDTH_KEYS = {"visual": "f_v", "textual": "f_t"}  # header keys of kernel widths
 
 
 def _ranker_payload(ranker) -> tuple:
@@ -35,9 +37,10 @@ def _ranker_payload(ranker) -> tuple:
     if kind == "pop":
         return header, [("counts", ranker.counts)]
     h = ranker.h
-    header.update({"d": h.d, "f_v": h.f_v, "f_t": h.f_t,
-                   "mask": list(h.mask),
-                   "hyper": {k: getattr(h, k) for k in model.HYPER_REALS}})
+    header.update({"d": h.d, "mask": list(h.mask),
+                   "hyper": {k: getattr(h, k) for k in model.HYPER_REALS},
+                   **{key: ranker.params[model.KERNELS[name]].shape[1]
+                      for name, key in WIDTH_KEYS.items()}})
     if kind in USER_TABLE_KINDS:
         header["users"] = list(ranker.corpus.users)
     return header, ranker.params.items()
@@ -79,7 +82,7 @@ def _check_header(path, header) -> None:
     if kind == "random":
         need["seed"] = numkit.is_count
     elif kind != "pop":
-        need.update(dict.fromkeys(("d", "f_v", "f_t"), numkit.is_count),
+        need.update(dict.fromkeys(("d", *WIDTH_KEYS.values()), numkit.is_count),
                     mask=lambda v: _is_names(v, model.SLICE_NAMES))
     if kind in USER_TABLE_KINDS:
         need["users"] = _is_names  # Gamma's rows follow the user table
@@ -161,12 +164,11 @@ def _hyper_from_header(path, header, feats) -> Hyper:
         raise CheckpointError(f"{path}: mask {header['mask']} does not match "
                               f"kind {kind!r}, whose mask is {list(mask)}")
     try:
-        h = Hyper(d=header["d"], f_v=header["f_v"], f_t=header["f_t"],
-                  mask=mask, **header.get("hyper", {}))
+        h = Hyper(d=header["d"], mask=mask, **header.get("hyper", {}))
     except ConfigError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     for name in mask[1:]:
-        dim, have = h.width(name), feats[name].shape[1]
+        dim, have = header[WIDTH_KEYS[name]], feats[name].shape[1]
         if have == 0:
             raise CheckpointError(f"{path}: kind {kind!r} needs {name} features, "
                                   f"which data.{name} does not give")
@@ -193,13 +195,14 @@ def load_ranker(path, corpus, feats):
     kind = header["kind"]
     _check_tables(path, header, corpus)
     if kind == "random":
+        _expect_blocks(path, blocks, {})
         return baselines.RandomRanker(corpus, int(header["seed"]))
     if kind == "pop":
         _expect_blocks(path, blocks, {"counts": (corpus.n_items,)})
         return baselines.PopRanker(corpus, counts=blocks["counts"])
     h = _hyper_from_header(path, header, feats)
     n, d = corpus.n_items, h.d
-    shapes = {"X": (n, d), **{block: (d, h.width(name))
+    shapes = {"X": (n, d), **{block: (d, header[WIDTH_KEYS[name]])
                               for name, block in model.KERNELS.items()}}
     if kind in USER_TABLE_KINDS:
         shapes["Gamma"] = (len(corpus.users), h.D)

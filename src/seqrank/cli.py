@@ -294,7 +294,7 @@ def cmd_coldstart(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = resolve_config(args)
-    h = model.Hyper(d=2, f_v=3, f_t=3)
+    h = model.Hyper(d=2)
     worst, failed = 0.0, False
     for kind, key in baselines.GRAD_CHECK_STREAMS.items():
         report = baselines.grad_check(

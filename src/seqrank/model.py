@@ -4,7 +4,8 @@ Items are represented by concatenating width-d slices: a free latent
 vector, always, then per kind an embedded visual and an embedded textual
 feature vector; `Hyper.mask` is the kind's slice tuple from `MASK_BY_KIND`.
 A content slice is its matrix of the features, one {slice: (n_items,
-width) matrix} dict, times its kernel block, named in `KERNELS`. A sigmoid
+width) matrix} dict, times its (d, width) kernel block, named in
+`KERNELS`; widths live only there, so `Hyper` holds settings only. A sigmoid
 recurrence folds the user's training sequence into a hidden state;
 preferences are dot products between that state and item representations.
 
@@ -49,16 +50,13 @@ ALL_KINDS = ("random", "pop") + tuple(MASK_BY_KIND)
 RECURRENT_KINDS = ("rnn", "vrnn", "trnn", "vtrnn")
 
 # each content slice's kernel block, (d, width), which embeds the slice's
-# features, and the Hyper field holding that width
+# features; its width is the width of the slice's feature matrix
 KERNELS = {"visual": "E", "textual": "V"}
-WIDTH_FIELDS = {"visual": "f_v", "textual": "f_t"}
 
 
 @dataclass(frozen=True)
 class Hyper:
     d: int
-    f_v: int = 0
-    f_t: int = 0
     mask: tuple = ("latent",)
     alpha: float = 0.1
     lam_theta: float = 0.001
@@ -76,14 +74,9 @@ class Hyper:
             problems.append(f"d must be an integer, got {self.d!r}")
         elif self.d < 1:
             problems.append(f"d must be >= 1, got {self.d}")
-        if self.f_v < 0 or self.f_t < 0:
-            problems.append("feature dims must be >= 0")
         if self.mask not in MASK_BY_KIND.values():
             problems.append(f"mask {self.mask!r} is not a kind's slice tuple, "
                             f"one of {sorted(set(MASK_BY_KIND.values()))}")
-        for name, width in WIDTH_FIELDS.items():
-            if name in self.mask and getattr(self, width) < 1:
-                problems.append(f"{name} slice active but {width} == 0")
         if reals_ok:
             # alpha == 0 is allowed: a zero-rate pass is the standard no-op probe
             if self.alpha < 0:
@@ -94,10 +87,6 @@ class Hyper:
                 problems.append(f"init range [{self.init_lo}, {self.init_hi}] is empty")
         if problems:
             raise ConfigError("; ".join(problems))
-
-    def width(self, name: str) -> int:
-        """The feature width of content slice `name`."""
-        return getattr(self, WIDTH_FIELDS[name])
 
     @property
     def D(self) -> int:
@@ -125,25 +114,27 @@ class Hyper:
 HYPER_REALS = tuple(f.name for f in fields(Hyper) if f.type is float)
 
 
-def init_item_blocks(h: Hyper, n_items: int, rng: np.random.Generator) -> dict:
+def init_item_blocks(h: Hyper, feats: dict, n_items: int,
+                     rng: np.random.Generator) -> dict:
     """{"X": (n_items, d) latent rows, then each content slice's (d, width)
-    kernel in `KERNELS` order, "E" visual and "V" textual}: uniform
-    [init_lo, init_hi] draws in that order. Inactive kernels stay zero and
-    consume no randomness."""
+    kernel in `KERNELS` order, "E" visual and "V" textual, width that of
+    feats[name]}: uniform [init_lo, init_hi] draws in that order. Inactive
+    kernels stay zero and consume no randomness."""
     lo, hi = h.init_lo, h.init_hi
     blocks = {"X": rng.uniform(lo, hi, (n_items, h.d))}
     for name, block in KERNELS.items():
-        shape = (h.d, h.width(name))
+        shape = (h.d, feats[name].shape[1])
         blocks[block] = (rng.uniform(lo, hi, shape) if name in h.mask
                          else np.zeros(shape))
     return blocks
 
 
-def init_params(h: Hyper, n_items: int, rng: np.random.Generator) -> dict:
+def init_params(h: Hyper, feats: dict, n_items: int,
+                rng: np.random.Generator) -> dict:
     """The recurrent model's blocks: the item blocks, then the (D, D) input
     and recurrent transitions "InMat" and "RecMat", drawn in that order so
     masked variants share the X/InMat/RecMat stream."""
-    params = init_item_blocks(h, n_items, rng)
+    params = init_item_blocks(h, feats, n_items, rng)
     params["InMat"] = rng.uniform(h.init_lo, h.init_hi, (h.D, h.D))
     params["RecMat"] = rng.uniform(h.init_lo, h.init_hi, (h.D, h.D))
     return params

@@ -28,7 +28,8 @@ def is_count(v, least: int = 0) -> bool:
 
 
 def sigmoid(x: float) -> float:
-    """Numerically stable logistic function; exact 0/1 is never returned."""
+    """Numerically stable logistic function. It rounds to exactly 1.0 for x
+    above about 36.7 and underflows to exactly 0.0 below about -745."""
     if x >= 0.0:
         return float(1.0 / (1.0 + np.exp(-x)))
     e = np.exp(x)
@@ -36,7 +37,8 @@ def sigmoid(x: float) -> float:
 
 
 def sigmoid_arr(x: np.ndarray) -> np.ndarray:
-    """Elementwise stable sigmoid, overflow-free for any finite float64."""
+    """Elementwise stable sigmoid, overflow-free for any finite float64;
+    like `sigmoid`, it returns exact 0.0 and 1.0 at the extremes."""
     # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so this is
     # 1/(1 + exp(-x)) and exp(x)/(1 + exp(x)) branch by branch, as `sigmoid`
     e = np.exp(-np.abs(x))

@@ -3,31 +3,31 @@
 Per user sequence: one (positive, sampled-negative) pair per step t >= 2,
 scored against the previous hidden state. Items are item rows throughout:
 the positives are `corpus.train_rows[u]`, the negatives the rows
-`dataio.sample_triples` draws; the features are the {content slice:
-matrix} dict of `dataio.build_feature_store`, and each active content
-slice adds its kernel block (`model.KERNELS`) to the records the phases
-form. Updates run in two phases from a context frozen at sequence start.
-The context holds the sequence as stacked arrays: inputs, states, scores,
-c = sigma(-score) and the per-step forward gradients, all computed in one
-pass. Both phases return their updates as
-`sgd` update records (block, row or None, g); each block's L2 decay is
-`Hyper.decay`'s, which `sgd.apply` reads. The forward phase gives the
-direct score gradients of one step at a time (latent rows of the pair plus
-the embedding kernels). The backward phase runs the e-recursion through the
-recurrence and gives the latent rows of layers m-1 down to 1, then the
-transition/embedding sums over the whole sequence, formed as matmuls over
-the stacked per-layer vectors, as one record per block.
+`dataio.sample_triples` draws; the features are the {content slice: matrix}
+dict of `dataio.build_feature_store`, and each active content slice adds its
+kernel block (`model.KERNELS`) to the records the phases form. Updates run
+in two phases from a context frozen at sequence start. The context holds the
+sequence as stacked arrays: inputs, states, scores, c = sigma(-score) and
+the per-step forward gradients, all computed in one pass. Both phases return
+their updates as `sgd` update records (block, row or None, g); each block's
+L2 decay is `Hyper.decay`'s, which `sgd.apply` reads. The forward phase
+gives the direct score gradients of one step at a time (latent rows of the
+pair plus the embedding kernels). The backward phase runs the e-recursion
+through the recurrence and gives the latent rows of layers m-1 down to 1,
+then the transition/embedding sums over the whole sequence, formed as
+matmuls over the stacked per-layer vectors, as one record per block.
 
 With zero regularization, the records of one sequence (`sequence_updates`)
 sum to the exact gradient of sum_t ln sigma(score_t) at the frozen
 context. `baselines.grad_check` holds them, through `sgd.grad_check`,
 against central finite differences of that sum over `ctx.scores`, on the
-one-user `tiny_fixture`.
+one-user `tiny_fixture`, whose features are 3 wide.
 
-`train` supplies only the per-user step: sample the negatives, build the
-context and yield the sequence's records, which `sgd.run_epochs` hands to
-one `sgd.apply` call; epochs, user order, seed streams, the divergence
-guard and the log line are `sgd.run_epochs`'s too.
+`train`, called as every trainer is, (corpus, feats, h, cfg, log),
+supplies only the per-user step: sample the negatives, build the context
+and yield the sequence's records, which `sgd.run_epochs` hands to one
+`sgd.apply` call; epochs, user order, seed streams, the divergence guard
+and the log line are `sgd.run_epochs`'s too.
 """
 
 from dataclasses import dataclass
@@ -191,7 +191,7 @@ def sequence_updates(ctx: SeqContext, params: dict, feats: dict,
 # training loop
 
 def train(corpus: Corpus, feats: dict, h: Hyper, cfg: TrainConfig,
-          log=None) -> dict:
+          log) -> dict:
     """SGD ascent over users and epochs (`sgd.run_epochs`). Each user's
     negatives are resampled fresh each epoch; the logged objective is the
     mean ln sigma over the epoch's pairs."""
@@ -207,24 +207,24 @@ def train(corpus: Corpus, feats: dict, h: Hyper, cfg: TrainConfig,
                sequence_updates(ctx, params, feats, h))
 
     return sgd.run_epochs(corpus, cfg, h,
-                          lambda rng: init_params(h, corpus.n_items, rng),
+                          lambda rng: init_params(h, feats, corpus.n_items, rng),
                           visit, log)
 
 
 # ---------------------------------------------------------------------------
 # the gradient check's fixture
 
-def tiny_fixture(h: Hyper, rng: np.random.Generator):
-    """One-user corpus, 6 items and a length-4 sequence, with features
-    drawn uniformly in each content slice's range (at least one wide) and a
-    full negative ladder, small enough to finite-difference every parameter
+def tiny_fixture(rng: np.random.Generator):
+    """One-user corpus, 6 items and a length-4 sequence, with 3-wide
+    features drawn uniformly in each content slice's range and a full
+    negative ladder, small enough to finite-difference every parameter
     entry. Returns (corpus, feats, {"u0": negative rows of steps 2..4})."""
-    n_items, seq_len = 6, 4
+    n_items, seq_len, width = 6, 4, 3
     items = np.array([f"i{j}" for j in range(n_items)], dtype=object)
     order = rng.permutation(n_items)
     corpus = Corpus(("u0",), items, {"u0": order[:seq_len].astype(np.intp)},
                     {"u0": np.zeros(0, dtype=np.intp)})
-    feats = {name: rng.uniform(lo, hi, (n_items, max(h.width(name), 1)))
+    feats = {name: rng.uniform(lo, hi, (n_items, width))
              for name, (lo, hi) in RANGES.items()}
     pool = np.setdiff1d(np.arange(n_items), order[:seq_len])
     neg_rows = np.array([pool[int(rng.integers(len(pool)))]

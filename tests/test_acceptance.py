@@ -34,7 +34,7 @@ EXACT = 0.0
 def test_gradient_fidelity_all_trainable_models():
     t0 = time.monotonic()
     worst = {}
-    h = Hyper(d=2, f_v=3, f_t=3)
+    h = Hyper(d=2)
     for kind, key in baselines.GRAD_CHECK_STREAMS.items():
         report = baselines.grad_check(kind, h, np.random.default_rng([0, key]))
         worst[kind] = max(report.values())
@@ -60,7 +60,7 @@ def planted_aucs():
     ecfg = EvalConfig(cutoffs=(10,), bins=(1,))
     aucs = {}
     for kind in ("random", "rnn", "vtrnn"):
-        h = Hyper(d=10, f_v=10, f_t=10)
+        h = Hyper(d=10)
         report, _ = evaluate(build_ranker(kind, corpus, feats, h, cfg),
                              corpus, ecfg)
         aucs[kind] = report.auc
@@ -139,8 +139,7 @@ def cold_start_growth(seed):
     rankings = {}
     ecfg = EvalConfig(cutoffs=(30,), bins=COLD_BINS, coldstart_k=30)
     for kind in ("rnn", "vtrnn"):
-        h = Hyper(d=10, f_v=16, f_t=16, lam_theta=0.02, lam_e=0.02,
-                  lam_v=0.02)
+        h = Hyper(d=10, lam_theta=0.02, lam_e=0.02, lam_v=0.02)
         ranker = build_ranker(kind, corpus, feats, h,
                               TrainConfig(epochs=10, seed=seed + 7))
         _, rankings[kind] = evaluate(ranker, corpus, ecfg)
@@ -170,7 +169,7 @@ SMALL = SynthSpec(users=20, items=60, clusters=3, seq_len=10,
 
 def test_determinism_and_persistence(tmp_path):
     corpus, feats = synth_corpus(SMALL, np.random.default_rng(77))
-    h = Hyper(d=4, f_v=3, f_t=3)
+    h = Hyper(d=4)
     cfg = TrainConfig(epochs=3, seed=5)
 
     for run in ("a", "b"):
@@ -193,10 +192,10 @@ ASCENT = SynthSpec(users=10, items=30, clusters=3, seq_len=10,
 
 
 def objective_gain(corpus, feats, seed):
-    h = Hyper(d=4, f_v=4, f_t=4,
-              mask=("latent", "visual", "textual"),
+    h = Hyper(d=4, mask=("latent", "visual", "textual"),
               alpha=0.03, lam_theta=0.0, lam_e=0.0, lam_v=0.0)
-    params = init_params(h, corpus.n_items, np.random.default_rng([seed, 0]))
+    params = init_params(h, feats, corpus.n_items,
+                         np.random.default_rng([seed, 0]))
     rng = np.random.default_rng([seed, 1])
     frozen = {u: sample_triples(corpus, u, rng) for u in corpus.users}
 
@@ -234,17 +233,16 @@ def test_ablation_identities():
     # (a) the bpr kind, trained with the real features present, is the
     #     latent-only content model trained without any
     cfg = TrainConfig(epochs=2, seed=9)
-    plain = build_ranker("bpr", corpus, feats, Hyper(d=4, f_v=3, f_t=3),
-                         cfg).params
+    plain = build_ranker("bpr", corpus, feats, Hyper(d=4), cfg).params
     empty = {name: np.zeros((corpus.n_items, 0)) for name in feats}
     content = baselines.train_content_bpr(
-        corpus, empty, Hyper(d=4, mask=MASK_BY_KIND["bpr"]), cfg)
+        corpus, empty, Hyper(d=4, mask=MASK_BY_KIND["bpr"]), cfg, None)
     for name in ("Gamma", "X"):
         assert np.array_equal(plain[name], content[name]), name
 
     # (b) the unbounded frequency bin reproduces plain recall exactly
     k = 10
-    ranker = build_ranker("vtrnn", corpus, feats, Hyper(d=4, f_v=3, f_t=3),
+    ranker = build_ranker("vtrnn", corpus, feats, Hyper(d=4),
                           TrainConfig(epochs=2, seed=5))
     ecfg = EvalConfig(cutoffs=(k,), bins=(1, 2, 4), coldstart_k=k)
     report, rankings = evaluate(ranker, corpus, ecfg)

@@ -12,7 +12,7 @@ from seqrank.baselines import (EmbedRanker, PopRanker, RandomRanker,
                                train_content_bpr, train_mf, user_stream)
 from seqrank.dataio import SynthSpec, synth_corpus
 from seqrank.errors import ConfigError, DivergenceError
-from seqrank.model import ALL_KINDS, MASK_BY_KIND, Hyper
+from seqrank.model import ALL_KINDS, KERNELS, MASK_BY_KIND, Hyper
 from seqrank.trainer import TrainConfig
 
 SPEC = SynthSpec(users=6, items=24, clusters=3, seq_len=6,
@@ -53,17 +53,19 @@ def test_pop_ranker_counts(toy_corpus):
 
 
 def test_init_bpr_params_shapes():
-    h = Hyper(d=3, f_v=2, f_t=2, mask=("latent", "visual"))
-    p = init_bpr_params(h, 5, 7, np.random.default_rng(0))
+    h = Hyper(d=3, mask=("latent", "visual"))
+    feats = {"visual": np.zeros((7, 4)), "textual": np.zeros((7, 2))}
+    p = init_bpr_params(h, feats, 5, 7, np.random.default_rng(0))
     assert p["Gamma"].shape == (5, 6)   # D = 2 active slices * d
     assert p["X"].shape == (7, 3)
+    assert p["E"].shape == (3, 4) and p["V"].shape == (3, 2)
     assert p["E"].any() and not p["V"].any()
 
 
 def test_embed_ranker_scores(toy_corpus, toy_feats):
-    h = Hyper(d=2, f_v=2, f_t=2, mask=("latent", "visual", "textual"))
-    params = init_bpr_params(h, len(toy_corpus.users), toy_corpus.n_items,
-                             np.random.default_rng(2))
+    h = Hyper(d=2, mask=("latent", "visual", "textual"))
+    params = init_bpr_params(h, toy_feats, len(toy_corpus.users),
+                             toy_corpus.n_items, np.random.default_rng(2))
     r = EmbedRanker("vtbpr", params, toy_corpus, toy_feats, h)
     ranked = r.rank("carol")
     gamma = params["Gamma"][list(toy_corpus.users).index("carol")]
@@ -76,8 +78,9 @@ def test_embed_ranker_scores(toy_corpus, toy_feats):
 
 
 def test_recurrent_ranker_scores(toy_corpus, toy_feats):
-    h = Hyper(d=2, f_v=2, f_t=2, mask=("latent", "visual", "textual"))
-    params = model.init_params(h, toy_corpus.n_items, np.random.default_rng(6))
+    h = Hyper(d=2, mask=("latent", "visual", "textual"))
+    params = model.init_params(h, toy_feats, toy_corpus.n_items,
+                               np.random.default_rng(6))
     r = EmbedRanker("vtrnn", params, toy_corpus, toy_feats, h)
     rows = toy_corpus.train_rows["carol"]
     assert toy_corpus.items[rows].tolist() == ["i5", "i4", "i2"]
@@ -97,15 +100,17 @@ def test_recurrent_ranker_empty_sequence(toy_feats):
     corpus = id_corpus(("ann", "ben"), ("i1", "i2", "i3", "i4", "i5", "i6"),
                        {"ann": ["i2", "i1"], "ben": []},
                        {"ann": ["i3"], "ben": ["i4"]})
-    h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vtrnn"])
-    params = model.init_params(h, corpus.n_items, np.random.default_rng(6))
+    h = Hyper(d=2, mask=MASK_BY_KIND["vtrnn"])
+    params = model.init_params(h, toy_feats, corpus.n_items,
+                               np.random.default_rng(6))
     r = EmbedRanker("vtrnn", params, corpus, toy_feats, h)
     assert not r.user_vecs[1].any()    # ben keeps the zero state
     assert len(r.rank("ann")) == 4
     with pytest.raises(ConfigError, match="empty training sequence"):
         r.rank("ben")
     # the same guard holds for a ranker over trained user rows
-    params = init_bpr_params(h, 2, corpus.n_items, np.random.default_rng(6))
+    params = init_bpr_params(h, toy_feats, 2, corpus.n_items,
+                             np.random.default_rng(6))
     r = EmbedRanker("vtbpr", params, corpus, toy_feats, h)
     assert len(r.rank("ann")) == 4
     with pytest.raises(ConfigError, match="empty training sequence"):
@@ -114,27 +119,27 @@ def test_recurrent_ranker_empty_sequence(toy_feats):
 
 def test_content_bpr_deterministic(world):
     corpus, feats = world
-    h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vtbpr"])
+    h = Hyper(d=2, mask=MASK_BY_KIND["vtbpr"])
     cfg = TrainConfig(epochs=3, seed=5)
-    pa = train_content_bpr(corpus, feats, h, cfg)
-    pb = train_content_bpr(corpus, feats, h, cfg)
+    pa = train_content_bpr(corpus, feats, h, cfg, None)
+    pb = train_content_bpr(corpus, feats, h, cfg, None)
     for a, b in zip(pa.values(), pb.values()):
         assert np.array_equal(a, b)
 
 
 def test_content_bpr_divergence(world):
     corpus, feats = world
-    h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vtbpr"],
-              alpha=1e150, lam_theta=0.01)
+    h = Hyper(d=2, mask=MASK_BY_KIND["vtbpr"], alpha=1e150, lam_theta=0.01)
     with np.errstate(all="ignore"), pytest.raises(
             DivergenceError, match=r"non-finite parameters at epoch \d+, "
                                    r"user '\w+', block '(Gamma|X|E|V)'$"):
-        train_content_bpr(corpus, feats, h, TrainConfig(epochs=8, seed=0))
+        train_content_bpr(corpus, feats, h, TrainConfig(epochs=8, seed=0),
+                          None)
 
 
 @pytest.mark.parametrize("kind", ["bpr", "vbpr", "tbpr", "vtbpr"])
 def test_bpr_gradients_match_finite_differences(kind):
-    h = Hyper(d=3, f_v=2, f_t=2)
+    h = Hyper(d=3)
     report = grad_check(kind, h, np.random.default_rng(31))
     assert max(report.values()) < 1e-5, report
 
@@ -158,8 +163,7 @@ def test_grad_check_detects_a_scaled_record(monkeypatch, kind, step, block):
                       for name, row, g in updates]
 
     monkeypatch.setattr(baselines, step, scaled)
-    report = grad_check(kind, Hyper(d=2, f_v=3, f_t=3),
-                        np.random.default_rng(5))
+    report = grad_check(kind, Hyper(d=2), np.random.default_rng(5))
     assert report[block] > 1e-3, report
     assert max(v for name, v in report.items() if name != block) < 1e-5, report
 
@@ -188,11 +192,11 @@ def test_clip_norm_bounds_bpr_and_mf_steps():
     free = dict(alpha=1.0, lam_theta=0.0, lam_e=0.0, lam_v=0.0)
     # one BPR step: positive "b" against the only unowned item, "c"
     corpus = id_corpus(("u",), ("a", "b", "c"), {"u": ["a", "b"]})
-    h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vtbpr"], **free)
-    start = train_content_bpr(corpus, feats, replace(h, alpha=0.0), cfg)
-    moved = moved_by(train_content_bpr(corpus, feats, h, cfg), start)
-    unclipped = moved_by(train_content_bpr(corpus, feats, h,
-                                           replace(cfg, clip_norm=None)), start)
+    h = Hyper(d=2, mask=MASK_BY_KIND["vtbpr"], **free)
+    start = train_content_bpr(corpus, feats, replace(h, alpha=0.0), cfg, None)
+    moved = moved_by(train_content_bpr(corpus, feats, h, cfg, None), start)
+    unclipped = moved_by(train_content_bpr(
+        corpus, feats, h, replace(cfg, clip_norm=None), None), start)
     for name in ("Gamma", "X", "E", "V"):
         assert 0.0 < moved[name] <= bound, (name, moved)
         assert unclipped[name] > 100 * clip, (name, unclipped)
@@ -200,27 +204,29 @@ def test_clip_norm_bounds_bpr_and_mf_steps():
     # and the user's row twice
     corpus = id_corpus(("u",), ("a", "b"), {"u": ["a"]})
     h = Hyper(d=2, mask=MASK_BY_KIND["mf"], **free)
-    start = train_mf(corpus, replace(h, alpha=0.0), cfg)
-    moved = moved_by(train_mf(corpus, h, cfg), start)
+    feats = {name: mat[:2] for name, mat in feats.items()}
+    start = train_mf(corpus, feats, replace(h, alpha=0.0), cfg, None)
+    moved = moved_by(train_mf(corpus, feats, h, cfg, None), start)
     assert 0.0 < moved["X"] <= bound, moved
     assert 0.0 < moved["Gamma"] <= 2 * bound, moved
-    unclipped = moved_by(train_mf(corpus, h, replace(cfg, clip_norm=None)), start)
+    unclipped = moved_by(train_mf(corpus, feats, h,
+                                  replace(cfg, clip_norm=None), None), start)
     assert min(unclipped["X"], unclipped["Gamma"]) > 100 * clip, unclipped
 
 
 def test_train_mf_mask_guard(world):
-    corpus, _ = world
-    h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vbpr"])
+    corpus, feats = world
+    h = Hyper(d=2, mask=MASK_BY_KIND["vbpr"])
     with pytest.raises(ConfigError, match="latent"):
-        train_mf(corpus, h, TrainConfig(epochs=1, seed=0))
+        train_mf(corpus, feats, h, TrainConfig(epochs=1, seed=0), None)
 
 
 def test_train_mf_deterministic(world):
-    corpus, _ = world
+    corpus, feats = world
     h = Hyper(d=2, mask=MASK_BY_KIND["mf"], alpha=0.01)
     cfg = TrainConfig(epochs=2, seed=9)
-    pa = train_mf(corpus, h, cfg)
-    pb = train_mf(corpus, h, cfg)
+    pa = train_mf(corpus, feats, h, cfg, None)
+    pb = train_mf(corpus, feats, h, cfg, None)
     assert np.array_equal(pa["X"], pb["X"])
     assert np.array_equal(pa["Gamma"], pb["Gamma"])
 
@@ -228,11 +234,10 @@ def test_train_mf_deterministic(world):
 def test_bpr_kind_is_latent_only_content_bpr(world):
     corpus, feats = world
     cfg = TrainConfig(epochs=3, seed=4)
-    plain = build_ranker("bpr", corpus, feats, Hyper(d=2, f_v=2, f_t=2),
-                         cfg).params
+    plain = build_ranker("bpr", corpus, feats, Hyper(d=2), cfg).params
     content = train_content_bpr(
         corpus, {name: np.zeros((corpus.n_items, 0)) for name in feats},
-        Hyper(d=2, mask=MASK_BY_KIND["bpr"]), cfg)
+        Hyper(d=2, mask=MASK_BY_KIND["bpr"]), cfg, None)
     assert np.array_equal(plain["Gamma"], content["Gamma"])
     assert np.array_equal(plain["X"], content["X"])
 
@@ -240,7 +245,7 @@ def test_bpr_kind_is_latent_only_content_bpr(world):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_build_ranker_every_kind(world, kind):
     corpus, feats = world
-    h = Hyper(d=2, f_v=2, f_t=2)
+    h = Hyper(d=2)
     ranker = build_ranker(kind, corpus, feats, h, TrainConfig(epochs=1, seed=3))
     assert ranker.kind == kind
     u = corpus.users[0]
@@ -253,32 +258,38 @@ def test_build_ranker_every_kind(world, kind):
 
 def test_build_ranker_applies_kind_mask(world):
     corpus, feats = world
-    h = Hyper(d=2, f_v=2, f_t=2)  # default latent-only mask, must be overridden
+    h = Hyper(d=2)  # default latent-only mask, must be overridden
     r = build_ranker("vbpr", corpus, feats, h, TrainConfig(epochs=1, seed=3))
     assert r.h.mask == ("latent", "visual")
     assert r.params["E"].any()
     assert not r.params["V"].any()
 
 
-@pytest.mark.parametrize("kind,f_v", [("vtrnn", 3), ("vbpr", 0)],
-                         ids=["widths-from-features", "no-visual-features"])
+@pytest.mark.parametrize("kind,f_v", [("vtrnn", 4), ("rnn", 4), ("mf", 4),
+                                      ("bpr", 4), ("vbpr", 0)],
+                         ids=["widths-from-features", "latent-only-rnn",
+                              "latent-only-mf", "latent-only-bpr",
+                              "no-visual-features"])
 def test_build_ranker_reads_widths_from_features(world, kind, f_v):
-    """The feature matrices set the kernel widths, whatever Hyper carried;
-    an active slice whose features have zero width is a ConfigError that
-    names it."""
+    """The feature matrices set the kernel widths: an active kernel is
+    drawn, an inactive one, such as every kernel of the latent-only kinds,
+    is a zero block of its slice's feature width. An active slice whose
+    features have zero width is a ConfigError that names it."""
     corpus, _ = world
     rng = np.random.default_rng(6)
     feats = {"visual": rng.uniform(0.0, 0.5, (corpus.n_items, f_v)),
              "textual": rng.uniform(-0.5, 0.5, (corpus.n_items, 3))}
-    h, cfg = Hyper(d=2, f_v=5, f_t=5), TrainConfig(epochs=1, seed=3)
+    h, cfg = Hyper(d=2), TrainConfig(epochs=1, seed=3)
     if f_v == 0:
-        with pytest.raises(ConfigError, match="visual slice active but f_v == 0"):
+        with pytest.raises(ConfigError, match="kind 'vbpr' needs visual "
+                                              "features, got width 0"):
             build_ranker(kind, corpus, feats, h, cfg)
         return
     ranker = build_ranker(kind, corpus, feats, h, cfg)
-    assert (ranker.h.f_v, ranker.h.f_t) == (3, 3)
-    assert ranker.params["E"].shape == ranker.params["V"].shape == (2, 3)
-    assert ranker.params["E"].any() and ranker.params["V"].any()
+    assert ranker.params["E"].shape == (2, 4)
+    assert ranker.params["V"].shape == (2, 3)
+    for name, block in KERNELS.items():
+        assert ranker.params[block].any() == (name in ranker.h.mask), block
 
 
 def test_build_ranker_unknown_kind(world):

@@ -24,7 +24,7 @@ def world():
 
 def trained(world, kind, seed=3):
     corpus, feats = world
-    return build_ranker(kind, corpus, feats, Hyper(d=2, f_v=2, f_t=2),
+    return build_ranker(kind, corpus, feats, Hyper(d=2),
                         TrainConfig(epochs=1, seed=seed))
 
 
@@ -134,6 +134,22 @@ def test_feature_dim_mismatch(tmp_path, world):
     with pytest.raises(CheckpointError, match="visual dim"):
         load_ranker(p, corpus, skinny)
 
+
+
+def test_random_checkpoint_with_blocks(tmp_path, world):
+    # a random ranker has no parameters; a header listing a block used to
+    # load silently, its payload unread
+    corpus, feats = world
+    src = tmp_path / "random.ckpt"
+    save_ranker(src, trained(world, "random"))
+    header = dict(read_checkpoint(src)[0],
+                  blocks=[{"name": "junk", "shape": [3]}])
+    p = tmp_path / "junk.ckpt"
+    with_header(src, p, header)
+    p.write_bytes(p.read_bytes() + np.zeros(3).tobytes())
+    assert set(read_checkpoint(p)[1]) == {"junk"}
+    with pytest.raises(CheckpointError, match=r"blocks \['junk'\], expected \[\]"):
+        load_ranker(p, corpus, feats)
 
 
 def with_header(src, dst, header) -> None:

@@ -66,7 +66,7 @@ def build(kind: str, shuffle: bool = False) -> tuple:
     SMALL corpus."""
     corpus, feats = synth_corpus(SMALL, np.random.default_rng(77))
     lines = []
-    ranker = build_ranker(kind, corpus, feats, Hyper(d=4, f_v=3, f_t=3),
+    ranker = build_ranker(kind, corpus, feats, Hyper(d=4),
                           TrainConfig(epochs=2, seed=5, shuffle_users=shuffle),
                           log=lines.append)
     return ranker, lines

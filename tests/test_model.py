@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
+from seqrank.checkpoint import WIDTH_KEYS
 from seqrank.errors import ConfigError
 from seqrank.dataio import RANGES
 from seqrank.model import (ALL_KINDS, KERNELS, MASK_BY_KIND, RECURRENT_KINDS,
-                           SLICE_NAMES, WIDTH_FIELDS, Hyper, init_params,
+                           SLICE_NAMES, Hyper, init_params,
                            final_states, hidden_states, item_rep_matrix,
                            order_candidates, score_pair, step_hidden)
 
 
 def test_hyper_mask_is_a_kind_tuple():
     for kind, mask in MASK_BY_KIND.items():
-        h = Hyper(d=2, f_v=1, f_t=1, mask=mask)
+        h = Hyper(d=2, mask=mask)
         assert h.mask == mask and h.D == 2 * len(mask), kind
         assert list(h.slices) == list(mask)
 
@@ -22,11 +23,11 @@ def test_hyper_rejects_a_mask_of_no_kind():
     for mask in ((), ("visual",), ("latent", "textual", "visual"),
                  ["latent"]):
         with pytest.raises(ConfigError, match="not a kind's slice tuple"):
-            Hyper(d=2, f_v=1, f_t=1, mask=mask)
+            Hyper(d=2, mask=mask)
 
 
 def test_mask_slices_offsets():
-    h = Hyper(d=4, f_t=1, mask=("latent", "textual"))
+    h = Hyper(d=4, mask=("latent", "textual"))
     assert h.slices == {"latent": slice(0, 4), "textual": slice(4, 8)}
     assert h.D == 8
 
@@ -39,28 +40,30 @@ def test_kind_tables_consistent():
     for mask in MASK_BY_KIND.values():
         assert mask[0] == "latent"
         assert mask == tuple(n for n in SLICE_NAMES if n in mask)
-    # every content slice has a kernel, a width field and a feature range
+    # every content slice has a kernel, a feature range and a checkpoint
+    # header key for its kernel width
     content = list(SLICE_NAMES[1:])
-    assert list(KERNELS) == list(WIDTH_FIELDS) == list(RANGES) == content
+    assert list(KERNELS) == list(RANGES) == list(WIDTH_KEYS) == content
 
 
 def test_hyper_validation_aggregates():
     with pytest.raises(ConfigError) as err:
-        Hyper(d=0, f_v=-1, alpha=-0.5)
+        Hyper(d=0, alpha=-0.5, init_lo=1.0, init_hi=0.0)
     msg = str(err.value)
-    assert "d must" in msg and "feature dims" in msg and "alpha" in msg
+    assert "d must" in msg and "alpha" in msg and "init range" in msg
 
 
 def test_hyper_dims():
-    h = Hyper(d=3, f_v=2, f_t=2, mask=("latent", "visual"))
+    h = Hyper(d=3, mask=("latent", "visual"))
     assert h.D == 6
     assert Hyper(d=3).D == 3
     assert h.slices == {"latent": slice(0, 3), "visual": slice(3, 6)}
 
 
 def test_init_params_bounds_and_inactive_blocks():
-    h = Hyper(d=4, f_v=3, f_t=2, mask=("latent", "visual"))
-    p = init_params(h, 7, np.random.default_rng(0))
+    h = Hyper(d=4, mask=("latent", "visual"))
+    feats = {"visual": np.zeros((7, 3)), "textual": np.zeros((7, 2))}
+    p = init_params(h, feats, 7, np.random.default_rng(0))
     assert p["X"].shape == (7, 4)
     assert p["E"].shape == (4, 3) and p["V"].shape == (4, 2)
     assert p["InMat"].shape == (8, 8) and p["RecMat"].shape == (8, 8)
@@ -73,22 +76,24 @@ def test_init_params_bounds_and_inactive_blocks():
 def test_init_mean_near_zero():
     # 4 sigma CLT bound for 1e5 uniform(-.5,.5) draws: .2887/sqrt(1e5)*4
     h = Hyper(d=100, mask=("latent",))
-    p = init_params(h, 1000, np.random.default_rng(123))
+    feats = {name: np.zeros((1000, 0)) for name in KERNELS}
+    p = init_params(h, feats, 1000, np.random.default_rng(123))
     assert abs(p["X"].mean()) < 3.66e-3
 
 
 def test_inactive_slices_do_not_consume_randomness():
     seed = 5
-    ha = Hyper(d=4, f_v=3, f_t=3, mask=MASK_BY_KIND["rnn"])
-    hb = Hyper(d=4, f_v=3, f_t=3, mask=MASK_BY_KIND["trnn"])
-    pa = init_params(ha, 6, np.random.default_rng(seed))
-    pb = init_params(hb, 6, np.random.default_rng(seed))
+    ha = Hyper(d=4, mask=MASK_BY_KIND["rnn"])
+    hb = Hyper(d=4, mask=MASK_BY_KIND["trnn"])
+    feats = {name: np.zeros((6, 3)) for name in KERNELS}
+    pa = init_params(ha, feats, 6, np.random.default_rng(seed))
+    pb = init_params(hb, feats, 6, np.random.default_rng(seed))
     assert np.array_equal(pa["X"], pb["X"])  # X stream unaffected by later blocks
 
 
 def one_item_world():
     """d=1, one item, hand-sized parameter blocks."""
-    h = Hyper(d=1, f_v=1, f_t=1, mask=("latent", "visual", "textual"))
+    h = Hyper(d=1, mask=("latent", "visual", "textual"))
     params = {"X": np.array([[0.5]]), "E": np.array([[1.0]]),
               "V": np.array([[1.0]]),
               "InMat": np.eye(3), "RecMat": np.zeros((3, 3))}
@@ -138,9 +143,9 @@ def test_score_pair_antisymmetry_exact():
 
 
 def test_final_states_rows(toy_corpus, toy_feats):
-    h = Hyper(d=3, f_v=2, f_t=2,
-              mask=("latent", "visual", "textual"))
-    params = init_params(h, toy_corpus.n_items, np.random.default_rng(4))
+    h = Hyper(d=3, mask=("latent", "visual", "textual"))
+    params = init_params(h, toy_feats, toy_corpus.n_items,
+                         np.random.default_rng(4))
     final = final_states(params, toy_feats, toy_corpus, h)
     assert final.shape == (len(toy_corpus.users), h.D)
     for u, got in zip(toy_corpus.users, final):
@@ -155,9 +160,9 @@ def test_final_states_rows(toy_corpus, toy_feats):
 
 
 def test_item_rep_matrix_rows(toy_corpus, toy_feats):
-    h = Hyper(d=2, f_v=2, f_t=2,
-              mask=("latent", "visual", "textual"))
-    params = init_params(h, toy_corpus.n_items, np.random.default_rng(8))
+    h = Hyper(d=2, mask=("latent", "visual", "textual"))
+    params = init_params(h, toy_feats, toy_corpus.n_items,
+                         np.random.default_rng(8))
     rep = item_rep_matrix(params, toy_feats, h)
     assert rep.shape == (toy_corpus.n_items, h.D)
     # the stacked product and the one-row product may differ in the last

@@ -31,7 +31,7 @@ from id_corpus import id_corpus
 from reference_metrics import cold_start_ref
 from seqrank import numkit, sgd
 from seqrank.checkpoint import MAGIC, read_checkpoint
-from seqrank.dataio import (build_corpus, load_features,
+from seqrank.dataio import (RANGES, build_corpus, load_features,
                             parse_sequence_file, sample_triples)
 from seqrank.errors import CheckpointError, EmptyCorpusError, ParseError
 from seqrank.evaluator import EvalConfig, cold_start_bins
@@ -205,19 +205,21 @@ def recurrent_world(draw):
     train = {u: [items[j] for j in draw(st.lists(st.integers(0, n_items - 1),
                                                   min_size=1, max_size=max_len))]
              for u in users}
-    h = Hyper(d=draw(st.integers(1, 3)), f_v=draw(st.integers(1, 3)),
-              f_t=draw(st.integers(1, 3)), mask=draw(st.sampled_from(MASKS)))
-    return id_corpus(users, items, train), h, draw(st.integers(0, 2**32 - 1))
+    d = draw(st.integers(1, 3))
+    widths = {name: draw(st.integers(1, 3)) for name in RANGES}
+    h = Hyper(d=d, mask=draw(st.sampled_from(MASKS)))
+    return (id_corpus(users, items, train), h, widths,
+            draw(st.integers(0, 2**32 - 1)))
 
 
 @FUZZ
 @given(world=recurrent_world())
 def test_final_states_match_per_user_recurrence(world):
-    corpus, h, seed = world
+    corpus, h, widths, seed = world
     rng = np.random.default_rng(seed)
-    feats = {"visual": rng.uniform(0.0, 0.5, (corpus.n_items, h.f_v)),
-             "textual": rng.uniform(-0.5, 0.5, (corpus.n_items, h.f_t))}
-    params = init_params(h, corpus.n_items, rng)
+    feats = {name: rng.uniform(lo, hi, (corpus.n_items, widths[name]))
+             for name, (lo, hi) in RANGES.items()}
+    params = init_params(h, feats, corpus.n_items, rng)
     final = final_states(params, feats, corpus, h)
     assert final.shape == (len(corpus.users), h.D)
     for u, got in zip(corpus.users, final):

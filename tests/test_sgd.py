@@ -43,11 +43,11 @@ def assert_moved_by(after, before, alpha, grads):
 
 
 def test_recurrent_sequence_moves_by_sequence_gradients():
-    h = Hyper(d=3, f_v=2, f_t=2, mask=MASK_BY_KIND["vtrnn"], **FREE)
-    corpus, feats, _ = tiny_fixture(h, np.random.default_rng(4))
-    start = init_params(h, corpus.n_items, start_rng())
+    h = Hyper(d=3, mask=MASK_BY_KIND["vtrnn"], **FREE)
+    corpus, feats, _ = tiny_fixture(np.random.default_rng(4))
+    start = init_params(h, feats, corpus.n_items, start_rng())
     negs = sample_triples(corpus, "u0", np.random.default_rng([SEED, 1]))
-    trained = train(corpus, feats, h, CFG)
+    trained = train(corpus, feats, h, CFG, None)
     ctx = sequence_context(start, corpus, feats, h, "u0", negs)
     grads = sgd.gradient(start, sequence_updates(ctx, start, feats, h))
     assert sorted(grads) == ["E", "InMat", "RecMat", "V", "X"]
@@ -65,9 +65,9 @@ def one_triple_world():
 
 def test_bpr_triple_moves_by_its_summed_records():
     corpus, feats = one_triple_world()
-    h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vtbpr"], **FREE)
-    start = init_bpr_params(h, 1, 3, start_rng())
-    trained = train_content_bpr(corpus, feats, h, CFG)
+    h = Hyper(d=2, mask=MASK_BY_KIND["vtbpr"], **FREE)
+    start = init_bpr_params(h, feats, 1, 3, start_rng())
+    trained = train_content_bpr(corpus, feats, h, CFG, None)
     grads = sgd.gradient(start, bpr_pair_grads(start, feats, h, 0, 1, 2)[1])
     assert sorted(grads) == ["E", "Gamma", "V", "X"]
     assert_moved_by(trained, start, h.alpha, grads)
@@ -77,7 +77,8 @@ def test_mf_observation_moves_by_its_summed_records():
     # one step; training pairs every interaction with a sampled negative,
     # two observations on the same user row, so this is not a whole visit
     h = Hyper(d=2, mask=MASK_BY_KIND["mf"], **FREE)
-    params = init_bpr_params(h, 2, 3, start_rng())
+    _, feats = one_triple_world()  # 3 items; mf reads no features
+    params = init_bpr_params(h, feats, 2, 3, start_rng())
     before = {n: b.copy() for n, b in params.items()}
     _, updates = mf_obs_grads(params, 1, 2, 1.0)
     sgd.apply(params, updates, h.alpha, h.decay)
@@ -108,27 +109,29 @@ def assert_same(a, b):
 
 
 def test_recurrent_sequence_decays_each_block_by_its_regularizer():
-    h = Hyper(d=3, f_v=2, f_t=2, mask=MASK_BY_KIND["vtrnn"], **DECAY)
-    corpus, feats, _ = tiny_fixture(h, np.random.default_rng(4))
-    start = init_params(h, corpus.n_items, start_rng())
+    h = Hyper(d=3, mask=MASK_BY_KIND["vtrnn"], **DECAY)
+    corpus, feats, _ = tiny_fixture(np.random.default_rng(4))
+    start = init_params(h, feats, corpus.n_items, start_rng())
     negs = sample_triples(corpus, "u0", np.random.default_rng([SEED, 1]))
     ctx = sequence_context(start, corpus, feats, h, "u0", negs)
     records = sequence_updates(ctx, start, feats, h)
-    assert_same(train(corpus, feats, h, CFG), naive_step(start, records, h))
+    assert_same(train(corpus, feats, h, CFG, None),
+                naive_step(start, records, h))
 
 
 def test_bpr_triple_decays_each_block_by_its_regularizer():
     corpus, feats = one_triple_world()
-    h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vtbpr"], **DECAY)
-    start = init_bpr_params(h, 1, 3, start_rng())
+    h = Hyper(d=2, mask=MASK_BY_KIND["vtbpr"], **DECAY)
+    start = init_bpr_params(h, feats, 1, 3, start_rng())
     records = bpr_pair_grads(start, feats, h, 0, 1, 2)[1]
-    assert_same(train_content_bpr(corpus, feats, h, CFG),
+    assert_same(train_content_bpr(corpus, feats, h, CFG, None),
                 naive_step(start, records, h))
 
 
 def test_mf_observation_decays_each_block_by_its_regularizer():
     h = Hyper(d=2, mask=MASK_BY_KIND["mf"], **DECAY)
-    params = init_bpr_params(h, 2, 3, start_rng())
+    _, feats = one_triple_world()  # 3 items; mf reads no features
+    params = init_bpr_params(h, feats, 2, 3, start_rng())
     _, records = mf_obs_grads(params, 1, 2, 1.0)
     want = naive_step(params, records, h)
     sgd.apply(params, records, h.alpha, h.decay)
@@ -151,10 +154,10 @@ def test_train_applies_once_per_sequence(monkeypatch):
 
     counted(sgd, "apply")
     counted(trainer, "forward_updates")
-    h = Hyper(d=2, f_v=2, f_t=2, mask=MASK_BY_KIND["vtrnn"])
-    corpus, feats, _ = tiny_fixture(h, np.random.default_rng(4))
+    h = Hyper(d=2, mask=MASK_BY_KIND["vtrnn"])
+    corpus, feats, _ = tiny_fixture(np.random.default_rng(4))
     epochs = 3
-    train(corpus, feats, h, TrainConfig(epochs=epochs, seed=SEED))
+    train(corpus, feats, h, TrainConfig(epochs=epochs, seed=SEED), None)
     pairs = len(corpus.train_rows["u0"]) - 1
     assert calls == {"apply": epochs, "forward_updates": epochs * pairs}
 

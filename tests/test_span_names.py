@@ -31,6 +31,10 @@ TIMED = [
     ("dataio", "build_feature_store"),  # dataio.align_s
     ("model", "item_rep_matrix"),      # model.item_rep_matrix_s
     ("evaluator", "auc_from_scores"),  # evaluator.auc_s
+    ("trainer", "train"),              # trainer.train_self_s
+    ("baselines", "train_content_bpr"),  # baselines.bpr_train_s
+    ("baselines", "train_mf"),         # baselines.mf_train_s
+    ("baselines", "build_ranker"),     # baselines.train_share
     # every cutoff metric; evaluator.topk_s still names the per-metric
     # functions it replaced, and is to name this one instead
     ("evaluator", "cutoff_metrics"),
