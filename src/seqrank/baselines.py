@@ -205,8 +205,7 @@ def build_ranker(kind: str, corpus: Corpus, feats: dict, h: Hyper,
     """Train (where applicable) and wrap a ranker of the requested kind.
     Trainable kinds train with `h.mask` set to their `model.MASK_BY_KIND`
     tuple, whatever `h` carried, and kernels as wide as `feats`, {content
-    slice: matrix}; an active slice without features (zero width) is a
-    ConfigError."""
+    slice: matrix}; `model.init_item_blocks` refuses a 0-wide active one."""
     if kind == "random":
         return RandomRanker(corpus, cfg.seed)
     if kind == "pop":
@@ -215,9 +214,6 @@ def build_ranker(kind: str, corpus: Corpus, feats: dict, h: Hyper,
         raise ConfigError(f"unknown ranker kind {kind!r} "
                           f"(expected one of {sorted(model.ALL_KINDS)})")
     h = replace(h, mask=model.MASK_BY_KIND[kind])
-    for name in h.mask[1:]:
-        if feats[name].shape[1] == 0:
-            raise ConfigError(f"kind {kind!r} needs {name} features, got width 0")
     train = (train_mf if kind == "mf"
              else trainer.train if kind in model.RECURRENT_KINDS
              else train_content_bpr)

@@ -119,11 +119,14 @@ def init_item_blocks(h: Hyper, feats: dict, n_items: int,
     """{"X": (n_items, d) latent rows, then each content slice's (d, width)
     kernel in `KERNELS` order, "E" visual and "V" textual, width that of
     feats[name]}: uniform [init_lo, init_hi] draws in that order. Inactive
-    kernels stay zero and consume no randomness."""
+    kernels stay zero and use no randomness; an active one 0 wide is a
+    ConfigError."""
     lo, hi = h.init_lo, h.init_hi
     blocks = {"X": rng.uniform(lo, hi, (n_items, h.d))}
     for name, block in KERNELS.items():
         shape = (h.d, feats[name].shape[1])
+        if name in h.mask and shape[1] == 0:
+            raise ConfigError(f"{name} slice active but its features are 0 wide")
         blocks[block] = (rng.uniform(lo, hi, shape) if name in h.mask
                          else np.zeros(shape))
     return blocks

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from id_corpus import id_corpus
-from seqrank import baselines, model
+from seqrank import baselines, model, trainer
 from seqrank.baselines import (EmbedRanker, PopRanker, RandomRanker,
                                build_ranker, grad_check, init_bpr_params,
                                train_content_bpr, train_mf, user_stream)
@@ -281,8 +281,8 @@ def test_build_ranker_reads_widths_from_features(world, kind, f_v):
              "textual": rng.uniform(-0.5, 0.5, (corpus.n_items, 3))}
     h, cfg = Hyper(d=2), TrainConfig(epochs=1, seed=3)
     if f_v == 0:
-        with pytest.raises(ConfigError, match="kind 'vbpr' needs visual "
-                                              "features, got width 0"):
+        with pytest.raises(ConfigError, match="visual slice active but its "
+                                              "features are 0 wide"):
             build_ranker(kind, corpus, feats, h, cfg)
         return
     ranker = build_ranker(kind, corpus, feats, h, cfg)
@@ -290,6 +290,19 @@ def test_build_ranker_reads_widths_from_features(world, kind, f_v):
     assert ranker.params["V"].shape == (2, 3)
     for name, block in KERNELS.items():
         assert ranker.params[block].any() == (name in ranker.h.mask), block
+
+
+@pytest.mark.parametrize("kind", ["vrnn", "vbpr"])
+def test_trainers_refuse_zero_width_active_slice(world, kind):
+    """The width check sits where every trainer sizes its kernels, so a
+    trainer called directly refuses a zero-width active slice too."""
+    corpus, feats = world
+    feats = {**feats, "visual": np.zeros((corpus.n_items, 0))}
+    h = Hyper(d=2, mask=MASK_BY_KIND[kind])
+    train = trainer.train if kind == "vrnn" else train_content_bpr
+    with pytest.raises(ConfigError, match="visual slice active but its "
+                                          "features are 0 wide"):
+        train(corpus, feats, h, TrainConfig(epochs=1, seed=0), None)
 
 
 def test_build_ranker_unknown_kind(world):
