@@ -15,9 +15,10 @@ features' widths, and every trainer takes (corpus, feats, h, cfg, log).
 The trainable kinds share one epoch loop, `sgd.run_epochs`; mf and the
 BPR family supply their per-user steps here. Their parameters are one
 {block name: array} dict, the per-user rows "Gamma" plus the item blocks
-"X", "E" and "V" of `model.init_item_blocks`, so the representation
-helpers in `model` read both model families. Users and items are rows
-(`corpus.user_index`, `corpus.train_rows` and the rows the sampler draws).
+"X" and the active slices' kernels (`model.block_shapes` with a user
+table), so the representation helpers in `model` read both model
+families. Users and items are rows (`corpus.user_index`,
+`corpus.train_rows` and the rows the sampler draws).
 A BPR triple (user row, positive row, negative row) has its score and
 its update records (block, row or None, g; see `sgd`), with one kernel
 record per active content slice, formed in `bpr_pair_grads`, and an mf
@@ -77,14 +78,6 @@ class PopRanker:
 # ---------------------------------------------------------------------------
 # embedding-dot rankers: BPR family and pointwise MF share the score form
 # dot(gamma_u, item representation)
-
-def init_bpr_params(h: Hyper, feats: dict, n_users: int, n_items: int,
-                    rng: np.random.Generator) -> dict:
-    """{"Gamma": (n_users, D) per-user vectors, then the item blocks of
-    `model.init_item_blocks`}, drawn in that order."""
-    gamma = rng.uniform(h.init_lo, h.init_hi, (n_users, h.D))
-    return {"Gamma": gamma, **model.init_item_blocks(h, feats, n_items, rng)}
-
 
 class EmbedRanker:
     """Scores unseen items by dot product of their representations with
@@ -154,8 +147,8 @@ def train_content_bpr(corpus: Corpus, feats: dict, h: Hyper,
 
     return sgd.run_epochs(
         corpus, cfg, h,
-        lambda rng: init_bpr_params(h, feats, len(corpus.users),
-                                    corpus.n_items, rng),
+        lambda rng: model.init_params(h, feats, len(corpus.users),
+                                      corpus.n_items, rng),
         visit, log)
 
 
@@ -167,7 +160,7 @@ def train_mf(corpus: Corpus, feats: dict, h: Hyper,
     """Squared-error factorization on implicit data: every training
     interaction is a target-1 observation paired with one sampled
     target-0 negative. The logged objective is the mean squared error;
-    `feats` only sizes the zero kernels."""
+    mf has no content slice, so no block reads `feats`."""
     if h.mask != ("latent",):
         raise ConfigError("mf uses the latent slice only")
 
@@ -183,8 +176,8 @@ def train_mf(corpus: Corpus, feats: dict, h: Hyper,
 
     return sgd.run_epochs(
         corpus, cfg, h,
-        lambda rng: init_bpr_params(h, feats, len(corpus.users),
-                                    corpus.n_items, rng),
+        lambda rng: model.init_params(h, feats, len(corpus.users),
+                                      corpus.n_items, rng),
         visit, log)
 
 
@@ -205,7 +198,7 @@ def build_ranker(kind: str, corpus: Corpus, feats: dict, h: Hyper,
     """Train (where applicable) and wrap a ranker of the requested kind.
     Trainable kinds train with `h.mask` set to their `model.MASK_BY_KIND`
     tuple, whatever `h` carried, and kernels as wide as `feats`, {content
-    slice: matrix}; `model.init_item_blocks` refuses a 0-wide active one."""
+    slice: matrix}; `model.block_shapes` refuses a 0-wide active one."""
     if kind == "random":
         return RandomRanker(corpus, cfg.seed)
     if kind == "pop":
@@ -242,8 +235,7 @@ def grad_check(kind: str, h: Hyper, rng: np.random.Generator) -> dict:
     if kind == "mf":
         observations = [(int(rng.integers(2)), int(rng.integers(4)),
                          float(rng.integers(2))) for _ in range(8)]
-        no_feats = {name: np.zeros((4, 0)) for name in model.KERNELS}
-        params = init_bpr_params(h, no_feats, 2, 4, rng)
+        params = model.init_params(h, {}, 2, 4, rng)
 
         def steps():
             return [(-0.5 * err * err, updates) for err, updates
@@ -253,7 +245,7 @@ def grad_check(kind: str, h: Hyper, rng: np.random.Generator) -> dict:
     corpus, feats, negatives = trainer.tiny_fixture(rng)
     neg_rows = negatives["u0"]
     if kind in model.RECURRENT_KINDS:
-        params = model.init_params(h, feats, corpus.n_items, rng)
+        params = model.init_params(h, feats, None, corpus.n_items, rng)
 
         def steps():
             ctx = trainer.sequence_context(params, corpus, feats, h, "u0",
@@ -261,7 +253,7 @@ def grad_check(kind: str, h: Hyper, rng: np.random.Generator) -> dict:
             return [(float(np.sum(numkit.log_sigmoid(ctx.scores))),
                      trainer.sequence_updates(ctx, params, feats, h))]
     else:
-        params = init_bpr_params(h, feats, 1, corpus.n_items, rng)
+        params = model.init_params(h, feats, 1, corpus.n_items, rng)
         pairs = list(zip(corpus.train_rows["u0"][1:].tolist(),
                          neg_rows.tolist()))
 

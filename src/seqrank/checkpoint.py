@@ -1,13 +1,13 @@
 """Binary checkpoint format shared by every ranker kind.
 
 Layout: 8-byte magic "SEQRANK1", uint32 little-endian header length, JSON
-header (kind, dims, slice mask, item table, the user table of mf and the
-BPR family, block names and shapes), then the parameter blocks as
+header (kind, d, settings, item table, the user table of mf and the BPR
+family, block names and shapes), then the parameter blocks as
 little-endian float64 in row-major order. Round trips are bit-exact. The
-header widths (`WIDTH_KEYS`) are the kernel widths. The loader takes the
-mask from the kind (`model.MASK_BY_KIND`) and refuses a header whose mask
-list is not that kind's, widths other than the active slices' feature
-widths, blocks other than the kind's, and non-finite values.
+kind states the slice mask (`model.MASK_BY_KIND`), and the blocks are
+exactly the kind's: the loader refuses any block set or shape other than
+`model.block_shapes` gives for the corpus and the feature widths, and
+non-finite values.
 """
 
 import json
@@ -24,7 +24,6 @@ MAGIC = b"SEQRANK1"
 # kinds with per-user "Gamma" rows, so with a user table in the header
 USER_TABLE_KINDS = tuple(k for k in model.MASK_BY_KIND
                          if k not in model.RECURRENT_KINDS)
-WIDTH_KEYS = {"visual": "f_v", "textual": "f_t"}  # header keys of kernel widths
 
 
 def _ranker_payload(ranker) -> tuple:
@@ -37,10 +36,8 @@ def _ranker_payload(ranker) -> tuple:
     if kind == "pop":
         return header, [("counts", ranker.counts)]
     h = ranker.h
-    header.update({"d": h.d, "mask": list(h.mask),
-                   "hyper": {k: getattr(h, k) for k in model.HYPER_REALS},
-                   **{key: ranker.params[model.KERNELS[name]].shape[1]
-                      for name, key in WIDTH_KEYS.items()}})
+    header.update({"d": h.d,
+                   "hyper": {k: getattr(h, k) for k in model.HYPER_REALS}})
     if kind in USER_TABLE_KINDS:
         header["users"] = list(ranker.corpus.users)
     return header, ranker.params.items()
@@ -58,9 +55,8 @@ def save_ranker(path, ranker) -> None:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def _is_names(v, allowed=None) -> bool:
-    return isinstance(v, list) and all(
-        isinstance(n, str) and (allowed is None or n in allowed) for n in v)
+def _is_names(v) -> bool:
+    return isinstance(v, list) and all(isinstance(n, str) for n in v)
 
 
 def _is_block_table(v) -> bool:
@@ -82,8 +78,7 @@ def _check_header(path, header) -> None:
     if kind == "random":
         need["seed"] = numkit.is_count
     elif kind != "pop":
-        need.update(dict.fromkeys(("d", *WIDTH_KEYS.values()), numkit.is_count),
-                    mask=lambda v: _is_names(v, model.SLICE_NAMES))
+        need["d"] = numkit.is_count
     if kind in USER_TABLE_KINDS:
         need["users"] = _is_names  # Gamma's rows follow the user table
     for key, ok in need.items():
@@ -94,8 +89,6 @@ def _check_header(path, header) -> None:
     names = [b["name"] for b in header["blocks"]]
     if len(set(names)) != len(names):
         raise CheckpointError(f"{path}: duplicate block names {sorted(names)}")
-    if "users" in header and not _is_names(header["users"]):
-        raise CheckpointError(f"{path}: header field 'users' is malformed")
     hyper = header.get("hyper", {})
     if not (isinstance(hyper, dict) and set(hyper) <= set(model.HYPER_REALS)
             and all(numkit.is_real(v) for v in hyper.values())):
@@ -151,7 +144,8 @@ def _check_tables(path, header, corpus) -> None:
         raise CheckpointError(
             f"{path}: item table mismatch, checkpoint has "
             f"{len(header['items'])} items, corpus has {corpus.n_items}")
-    if "users" in header and list(header["users"]) != list(corpus.users):
+    if (header["kind"] in USER_TABLE_KINDS
+            and header["users"] != list(corpus.users)):
         raise CheckpointError(
             f"{path}: user table mismatch, checkpoint has "
             f"{len(header['users'])} users, corpus has {len(corpus.users)}")
@@ -160,21 +154,14 @@ def _check_tables(path, header, corpus) -> None:
 def _hyper_from_header(path, header, feats) -> Hyper:
     kind = header["kind"]
     mask = model.MASK_BY_KIND[kind]
-    if header["mask"] != list(mask):
-        raise CheckpointError(f"{path}: mask {header['mask']} does not match "
-                              f"kind {kind!r}, whose mask is {list(mask)}")
     try:
         h = Hyper(d=header["d"], mask=mask, **header.get("hyper", {}))
     except ConfigError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     for name in mask[1:]:
-        dim, have = header[WIDTH_KEYS[name]], feats[name].shape[1]
-        if have == 0:
+        if feats[name].shape[1] == 0:
             raise CheckpointError(f"{path}: kind {kind!r} needs {name} features, "
                                   f"which data.{name} does not give")
-        if have != dim:
-            raise CheckpointError(
-                f"{path}: checkpoint {name} dim {dim} != feature file dim {have}")
     return h
 
 
@@ -201,12 +188,7 @@ def load_ranker(path, corpus, feats):
         _expect_blocks(path, blocks, {"counts": (corpus.n_items,)})
         return baselines.PopRanker(corpus, counts=blocks["counts"])
     h = _hyper_from_header(path, header, feats)
-    n, d = corpus.n_items, h.d
-    shapes = {"X": (n, d), **{block: (d, header[WIDTH_KEYS[name]])
-                              for name, block in model.KERNELS.items()}}
-    if kind in USER_TABLE_KINDS:
-        shapes["Gamma"] = (len(corpus.users), h.D)
-    else:
-        shapes.update(InMat=(h.D, h.D), RecMat=(h.D, h.D))
-    _expect_blocks(path, blocks, shapes)
+    n_users = len(corpus.users) if kind in USER_TABLE_KINDS else None
+    _expect_blocks(path, blocks,
+                   model.block_shapes(h, feats, n_users, corpus.n_items))
     return baselines.EmbedRanker(kind, blocks, corpus, feats, h)

@@ -9,18 +9,20 @@ width) matrix} dict, times its (d, width) kernel block, named in
 recurrence folds the user's training sequence into a hidden state;
 preferences are dot products between that state and item representations.
 
-Everything is a plain float64 array, and a model is its named blocks: one
-{block name: array} dict, "X", "E", "V", "InMat" and "RecMat" from
-`init_params`. A sequence's item representations are gathered as one
-(m, D) matrix, `hidden_states` runs the recurrence over it with InMat i_t
-precomputed for all t, and `Hyper.slices` holds the slice offsets,
-computed once. Training runs `hidden_states` per sequence; ranking
-takes every user's final state from `final_states`, one padded (U, D)
-recurrence over all users at once (there is no per-user ranking pass), and
-`order_candidates` turns a score vector into a ranking with array
-operations: a mask of the user's training rows and an argsort, the fast
-default one when the keys it sorts are distinct and the stable one when
-some tie or are NaN, so the order is always the stable sort's.
+Everything is a plain float64 array, and a model is exactly its kind's
+named blocks: one {block name: array} dict whose names and shapes are
+`block_shapes`' table, the one statement of every kind's layout, which
+`init_params` draws and the checkpoint loader checks. A sequence's item
+representations are gathered as one (m, D) matrix, `hidden_states` runs
+the recurrence over it with InMat i_t precomputed for all t, and
+`Hyper.slices` holds the slice offsets, computed once. Training runs
+`hidden_states` per sequence; ranking takes every user's final state from
+`final_states`, one padded (U, D) recurrence over all users at once (there
+is no per-user ranking pass), and `order_candidates` turns a score vector
+into a ranking with array operations: a mask of the user's training rows
+and an argsort, the fast default one when the keys it sorts are distinct
+and the stable one when some tie or are NaN, so the order is always the
+stable sort's.
 """
 
 from dataclasses import dataclass, fields
@@ -114,33 +116,35 @@ class Hyper:
 HYPER_REALS = tuple(f.name for f in fields(Hyper) if f.type is float)
 
 
-def init_item_blocks(h: Hyper, feats: dict, n_items: int,
-                     rng: np.random.Generator) -> dict:
-    """{"X": (n_items, d) latent rows, then each content slice's (d, width)
-    kernel in `KERNELS` order, "E" visual and "V" textual, width that of
-    feats[name]}: uniform [init_lo, init_hi] draws in that order. Inactive
-    kernels stay zero and use no randomness; an active one 0 wide is a
-    ConfigError."""
-    lo, hi = h.init_lo, h.init_hi
-    blocks = {"X": rng.uniform(lo, hi, (n_items, h.d))}
-    for name, block in KERNELS.items():
-        shape = (h.d, feats[name].shape[1])
-        if name in h.mask and shape[1] == 0:
+def block_shapes(h: Hyper, feats: dict, n_users: int | None,
+                 n_items: int) -> dict:
+    """{block name: shape}, exactly the blocks of a model and in the order
+    `init_params` draws them: "Gamma" (n_users, D) for mf and the BPR
+    family, which keep per-user rows; "X" (n_items, d); each active content
+    slice's (d, width) kernel in mask order, "E" visual and "V" textual,
+    width that of feats[name]; and for the recurrent kinds, whose n_users
+    is None, the (D, D) input and recurrent transitions "InMat" and
+    "RecMat". An active slice 0 wide is a ConfigError."""
+    D = h.D
+    shapes = {} if n_users is None else {"Gamma": (n_users, D)}
+    shapes["X"] = (n_items, h.d)
+    for name in h.mask[1:]:
+        width = feats[name].shape[1]
+        if width == 0:
             raise ConfigError(f"{name} slice active but its features are 0 wide")
-        blocks[block] = (rng.uniform(lo, hi, shape) if name in h.mask
-                         else np.zeros(shape))
-    return blocks
+        shapes[KERNELS[name]] = (h.d, width)
+    if n_users is None:
+        shapes.update(InMat=(D, D), RecMat=(D, D))
+    return shapes
 
 
-def init_params(h: Hyper, feats: dict, n_items: int,
+def init_params(h: Hyper, feats: dict, n_users: int | None, n_items: int,
                 rng: np.random.Generator) -> dict:
-    """The recurrent model's blocks: the item blocks, then the (D, D) input
-    and recurrent transitions "InMat" and "RecMat", drawn in that order so
-    masked variants share the X/InMat/RecMat stream."""
-    params = init_item_blocks(h, feats, n_items, rng)
-    params["InMat"] = rng.uniform(h.init_lo, h.init_hi, (h.D, h.D))
-    params["RecMat"] = rng.uniform(h.init_lo, h.init_hi, (h.D, h.D))
-    return params
+    """Uniform [init_lo, init_hi] draws of every `block_shapes` block, in
+    that order; a slice the kind does not read has no block and uses no
+    randomness."""
+    return {name: rng.uniform(h.init_lo, h.init_hi, shape) for name, shape
+            in block_shapes(h, feats, n_users, n_items).items()}
 
 
 def step_hidden(prev: np.ndarray, pre_in: np.ndarray,

@@ -207,7 +207,8 @@ def train(corpus: Corpus, feats: dict, h: Hyper, cfg: TrainConfig,
                sequence_updates(ctx, params, feats, h))
 
     return sgd.run_epochs(corpus, cfg, h,
-                          lambda rng: init_params(h, feats, corpus.n_items, rng),
+                          lambda rng: init_params(h, feats, None,
+                                                  corpus.n_items, rng),
                           visit, log)
 
 

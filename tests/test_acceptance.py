@@ -194,7 +194,7 @@ ASCENT = SynthSpec(users=10, items=30, clusters=3, seq_len=10,
 def objective_gain(corpus, feats, seed):
     h = Hyper(d=4, mask=("latent", "visual", "textual"),
               alpha=0.03, lam_theta=0.0, lam_e=0.0, lam_v=0.0)
-    params = init_params(h, feats, corpus.n_items,
+    params = init_params(h, feats, None, corpus.n_items,
                          np.random.default_rng([seed, 0]))
     rng = np.random.default_rng([seed, 1])
     frozen = {u: sample_triples(corpus, u, rng) for u in corpus.users}

@@ -8,7 +8,7 @@ import pytest
 from id_corpus import id_corpus
 from seqrank import baselines, model, trainer
 from seqrank.baselines import (EmbedRanker, PopRanker, RandomRanker,
-                               build_ranker, grad_check, init_bpr_params,
+                               build_ranker, grad_check,
                                train_content_bpr, train_mf, user_stream)
 from seqrank.dataio import SynthSpec, synth_corpus
 from seqrank.errors import ConfigError, DivergenceError
@@ -53,19 +53,20 @@ def test_pop_ranker_counts(toy_corpus):
 
 
 def test_init_bpr_params_shapes():
+    """mf and the BPR family draw their blocks with a user table."""
     h = Hyper(d=3, mask=("latent", "visual"))
     feats = {"visual": np.zeros((7, 4)), "textual": np.zeros((7, 2))}
-    p = init_bpr_params(h, feats, 5, 7, np.random.default_rng(0))
-    assert p["Gamma"].shape == (5, 6)   # D = 2 active slices * d
-    assert p["X"].shape == (7, 3)
-    assert p["E"].shape == (3, 4) and p["V"].shape == (3, 2)
-    assert p["E"].any() and not p["V"].any()
+    p = model.init_params(h, feats, 5, 7, np.random.default_rng(0))
+    # D = 2 active slices * d; the textual slice is inactive, so no V
+    assert {name: a.shape for name, a in p.items()} == {
+        "Gamma": (5, 6), "X": (7, 3), "E": (3, 4)}
+    assert p["E"].any()
 
 
 def test_embed_ranker_scores(toy_corpus, toy_feats):
     h = Hyper(d=2, mask=("latent", "visual", "textual"))
-    params = init_bpr_params(h, toy_feats, len(toy_corpus.users),
-                             toy_corpus.n_items, np.random.default_rng(2))
+    params = model.init_params(h, toy_feats, len(toy_corpus.users),
+                               toy_corpus.n_items, np.random.default_rng(2))
     r = EmbedRanker("vtbpr", params, toy_corpus, toy_feats, h)
     ranked = r.rank("carol")
     gamma = params["Gamma"][list(toy_corpus.users).index("carol")]
@@ -79,7 +80,7 @@ def test_embed_ranker_scores(toy_corpus, toy_feats):
 
 def test_recurrent_ranker_scores(toy_corpus, toy_feats):
     h = Hyper(d=2, mask=("latent", "visual", "textual"))
-    params = model.init_params(h, toy_feats, toy_corpus.n_items,
+    params = model.init_params(h, toy_feats, None, toy_corpus.n_items,
                                np.random.default_rng(6))
     r = EmbedRanker("vtrnn", params, toy_corpus, toy_feats, h)
     rows = toy_corpus.train_rows["carol"]
@@ -101,7 +102,7 @@ def test_recurrent_ranker_empty_sequence(toy_feats):
                        {"ann": ["i2", "i1"], "ben": []},
                        {"ann": ["i3"], "ben": ["i4"]})
     h = Hyper(d=2, mask=MASK_BY_KIND["vtrnn"])
-    params = model.init_params(h, toy_feats, corpus.n_items,
+    params = model.init_params(h, toy_feats, None, corpus.n_items,
                                np.random.default_rng(6))
     r = EmbedRanker("vtrnn", params, corpus, toy_feats, h)
     assert not r.user_vecs[1].any()    # ben keeps the zero state
@@ -109,8 +110,8 @@ def test_recurrent_ranker_empty_sequence(toy_feats):
     with pytest.raises(ConfigError, match="empty training sequence"):
         r.rank("ben")
     # the same guard holds for a ranker over trained user rows
-    params = init_bpr_params(h, toy_feats, 2, corpus.n_items,
-                             np.random.default_rng(6))
+    params = model.init_params(h, toy_feats, 2, corpus.n_items,
+                               np.random.default_rng(6))
     r = EmbedRanker("vtbpr", params, corpus, toy_feats, h)
     assert len(r.rank("ann")) == 4
     with pytest.raises(ConfigError, match="empty training sequence"):
@@ -262,7 +263,7 @@ def test_build_ranker_applies_kind_mask(world):
     r = build_ranker("vbpr", corpus, feats, h, TrainConfig(epochs=1, seed=3))
     assert r.h.mask == ("latent", "visual")
     assert r.params["E"].any()
-    assert not r.params["V"].any()
+    assert "V" not in r.params
 
 
 @pytest.mark.parametrize("kind,f_v", [("vtrnn", 4), ("rnn", 4), ("mf", 4),
@@ -271,10 +272,10 @@ def test_build_ranker_applies_kind_mask(world):
                               "latent-only-mf", "latent-only-bpr",
                               "no-visual-features"])
 def test_build_ranker_reads_widths_from_features(world, kind, f_v):
-    """The feature matrices set the kernel widths: an active kernel is
-    drawn, an inactive one, such as every kernel of the latent-only kinds,
-    is a zero block of its slice's feature width. An active slice whose
-    features have zero width is a ConfigError that names it."""
+    """The feature matrices set the kernel widths: each active slice has
+    a drawn kernel of its features' width, and an inactive one, such as
+    every slice of the latent-only kinds, has no kernel. An active slice
+    whose features have zero width is a ConfigError that names it."""
     corpus, _ = world
     rng = np.random.default_rng(6)
     feats = {"visual": rng.uniform(0.0, 0.5, (corpus.n_items, f_v)),
@@ -286,10 +287,11 @@ def test_build_ranker_reads_widths_from_features(world, kind, f_v):
             build_ranker(kind, corpus, feats, h, cfg)
         return
     ranker = build_ranker(kind, corpus, feats, h, cfg)
-    assert ranker.params["E"].shape == (2, 4)
-    assert ranker.params["V"].shape == (2, 3)
-    for name, block in KERNELS.items():
-        assert ranker.params[block].any() == (name in ranker.h.mask), block
+    kernels = {block: a.shape for block, a in ranker.params.items()
+               if block in KERNELS.values()}
+    assert kernels == {KERNELS[name]: (2, feats[name].shape[1])
+                       for name in MASK_BY_KIND[kind][1:]}
+    assert all(ranker.params[block].any() for block in kernels)
 
 
 @pytest.mark.parametrize("kind", ["vrnn", "vbpr"])

@@ -6,11 +6,11 @@ import struct
 import numpy as np
 import pytest
 
-from seqrank.baselines import build_ranker
+from seqrank.baselines import GRAD_CHECK_STREAMS, build_ranker, grad_check
 from seqrank.checkpoint import MAGIC, load_ranker, read_checkpoint, save_ranker
 from seqrank.dataio import SynthSpec, build_corpus, synth_corpus
 from seqrank.errors import CheckpointError
-from seqrank.model import ALL_KINDS, MASK_BY_KIND, Hyper
+from seqrank.model import ALL_KINDS, RECURRENT_KINDS, Hyper
 from seqrank.trainer import TrainConfig
 
 SPEC = SynthSpec(users=6, items=24, clusters=3, seq_len=6,
@@ -42,8 +42,28 @@ def test_round_trip_preserves_rankings(tmp_path, world, kind):
     again = tmp_path / f"{kind}.again.ckpt"
     save_ranker(again, loaded)
     assert again.read_bytes() == path.read_bytes()
-    if kind in MASK_BY_KIND:
-        assert read_checkpoint(path)[0]["mask"] == list(MASK_BY_KIND[kind])
+    # the kind states the mask and the blocks state the kernel widths, so
+    # the header restates neither
+    fields = {"kind", "items", "blocks"}
+    fields |= ({"seed"} if kind == "random" else set() if kind == "pop"
+               else {"d", "hyper"} if kind in RECURRENT_KINDS
+               else {"d", "hyper", "users"})
+    assert set(read_checkpoint(path)[0]) == fields
+
+
+@pytest.mark.parametrize("kind", GRAD_CHECK_STREAMS)
+def test_blocks_are_the_checked_blocks(tmp_path, world, kind):
+    """A trained model, and its checkpoint's block table, hold exactly the
+    blocks the gradient check finds update records for: no block exists
+    that training never moves."""
+    ranker = trained(world, kind)
+    path = tmp_path / f"{kind}.ckpt"
+    save_ranker(path, ranker)
+    table = {b["name"]: tuple(b["shape"])
+             for b in read_checkpoint(path)[0]["blocks"]}
+    assert table == {name: a.shape for name, a in ranker.params.items()}
+    checked = grad_check(kind, Hyper(d=2), np.random.default_rng(0))
+    assert sorted(table) == sorted(checked)
 
 
 def test_header_contents(tmp_path, world):
@@ -131,8 +151,40 @@ def test_feature_dim_mismatch(tmp_path, world):
         SynthSpec(users=6, items=24, clusters=3, seq_len=6, f_dim_visual=5,
                   f_dim_textual=2, noise_sigma=0.3, seed=21),
         np.random.default_rng(21))[1]
-    with pytest.raises(CheckpointError, match="visual dim"):
+    with pytest.raises(CheckpointError,
+                       match=r"block E has shape \(2, 2\), expected \(2, 5\)"):
         load_ranker(p, corpus, skinny)
+
+
+def test_inactive_kernel_block_is_refused(tmp_path, world):
+    # files written while every model held a kernel per content slice carry
+    # an all-zero kernel for each slice the kind does not read
+    corpus, feats = world
+    src = tmp_path / "rnn.ckpt"
+    save_ranker(src, trained(world, "rnn"))
+    header = read_checkpoint(src)[0]
+    header["blocks"].append({"name": "E", "shape": [2, 2]})
+    p = tmp_path / "old.ckpt"
+    with_header(src, p, header)
+    p.write_bytes(p.read_bytes() + np.zeros(4).tobytes())
+    with pytest.raises(CheckpointError,
+                       match=r"blocks \['E', 'InMat', 'RecMat', 'X'\], "
+                             r"expected \['InMat', 'RecMat', 'X'\]"):
+        load_ranker(p, corpus, feats)
+
+
+def test_stray_users_key_is_ignored(tmp_path, world):
+    # only mf and the BPR family have a user table; a recurrent header's
+    # "users" key is an unknown key like any other, never compared
+    corpus, feats = world
+    src = tmp_path / "rnn.ckpt"
+    ranker = trained(world, "rnn")
+    save_ranker(src, ranker)
+    p = tmp_path / "stray.ckpt"
+    with_header(src, p, dict(read_checkpoint(src)[0], users=["nobody", 3]))
+    loaded = load_ranker(p, corpus, feats)
+    assert [loaded.rank(u) for u in corpus.users] == [
+        ranker.rank(u) for u in corpus.users]
 
 
 
@@ -177,7 +229,7 @@ def test_malformed_headers_raise_checkpoint_error(tmp_path, world, saved):
     cases = [(src, [good], "header is not a JSON object"),
              (src, dict(good, blocks=[["X", [24, 2]]]), "'blocks' is malformed")]
     cases += [(src, {k: v for k, v in good.items() if k != key},
-               f"header lacks '{key}'") for key in ("items", "d", "mask")]
+               f"header lacks '{key}'") for key in ("items", "d")]
     # Gamma's rows are only meaningful against the saved user order; a
     # vtbpr file without its user table used to load and rank with them
     embed = tmp_path / "vtbpr.ckpt"
@@ -185,14 +237,13 @@ def test_malformed_headers_raise_checkpoint_error(tmp_path, world, saved):
     users_dropped = {k: v for k, v in read_checkpoint(embed)[0].items()
                      if k != "users"}
     cases.append((embed, users_dropped, "header lacks 'users'"))
-    # the mask is the kind's: a vbpr file relabelled to the textual slice
-    # used to load and rank with the untrained, all-zero V kernel
+    # the kind states the mask: a vbpr file relabelled tbpr holds the
+    # visual kernel where the textual one is expected
     vbpr = tmp_path / "vbpr.ckpt"
     save_ranker(vbpr, trained(world, "vbpr"))
-    vbpr_header = read_checkpoint(vbpr)[0]
-    for mask in (["latent", "textual"], ["visual", "latent"]):
-        cases.append((vbpr, dict(vbpr_header, mask=mask),
-                      "does not match kind 'vbpr'"))
+    cases.append((vbpr, dict(read_checkpoint(vbpr)[0], kind="tbpr"),
+                  r"blocks \['E', 'Gamma', 'X'\], "
+                  r"expected \['Gamma', 'V', 'X'\]"))
     for source, header, message in cases:
         p = tmp_path / "bad.ckpt"
         with_header(source, p, header)
@@ -213,8 +264,10 @@ def test_duplicate_block_names(tmp_path, saved):
 @pytest.mark.parametrize("field,value,message", [
     ("d", "3", "'d' is malformed"),
     ("d", 0, "d must be >= 1"),
-    ("mask", [], "does not match kind"),
-    ("mask", ["sound"], "'mask' is malformed"),
+    ("d", 3, r"block X has shape \(18, 2\), expected \(18, 3\)"),
+    # one block over the whole payload: the vtrnn blocks' 116 floats
+    ("blocks", [{"name": "Gamma", "shape": [116]}],
+     r"blocks \['Gamma'\], expected \['E', 'InMat', 'RecMat', 'V', 'X'\]"),
     ("items", 5, "'items' is malformed"),
     ("hyper", {"alpha": "fast"}, "'hyper' is malformed"),
     ("hyper", {"beta": 1.0}, "'hyper' is malformed"),

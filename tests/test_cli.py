@@ -572,6 +572,28 @@ def test_checkpoint_kind_sets_the_features_needed(pipeline, tmp_path, capsys,
         f"which data.visual does not give\n")
 
 
+@pytest.mark.parametrize("kind", ["rnn", "mf"])
+def test_unread_feature_files_change_nothing(pipeline, tmp_path, kind):
+    """A kind's outputs depend only on the files it reads: training with or
+    without the feature files of slices outside its mask writes the same
+    checkpoint and log, and evaluating it the same reports."""
+    _, paths, _ = pipeline
+    for label, data in (("with", paths),
+                        ("without", {"sequences": paths["sequences"]})):
+        cfg = write_config(tmp_path / f"{label}.json", {
+            "kind": kind, "data": data, "hyper": {"d": 3},
+            "train": {"epochs": 2}})
+        out = tmp_path / label
+        assert cli.main(["train", "--config", cfg, "--seed", "2",
+                         "--out", str(out)]) == 0
+        assert cli.main(["eval", str(out / f"{kind}.ckpt"), "--config", cfg,
+                         "--out", str(out)]) == 0
+    for name in (f"{kind}.ckpt", f"train_{kind}.log", f"eval_{kind}.json",
+                 f"eval_{kind}.csv"):
+        assert ((tmp_path / "with" / name).read_bytes()
+                == (tmp_path / "without" / name).read_bytes()), name
+
+
 def scripts_table(text):
     """Read `[project.scripts]` of a pyproject.toml text as flat
     `name = "module:attr"` lines (Python 3.10 has no stdlib TOML reader)."""

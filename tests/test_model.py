@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from seqrank.checkpoint import WIDTH_KEYS
 from seqrank.errors import ConfigError
 from seqrank.dataio import RANGES
 from seqrank.model import (ALL_KINDS, KERNELS, MASK_BY_KIND, RECURRENT_KINDS,
@@ -40,10 +39,8 @@ def test_kind_tables_consistent():
     for mask in MASK_BY_KIND.values():
         assert mask[0] == "latent"
         assert mask == tuple(n for n in SLICE_NAMES if n in mask)
-    # every content slice has a kernel, a feature range and a checkpoint
-    # header key for its kernel width
-    content = list(SLICE_NAMES[1:])
-    assert list(KERNELS) == list(RANGES) == list(WIDTH_KEYS) == content
+    # every content slice has a kernel and a feature range
+    assert list(KERNELS) == list(RANGES) == list(SLICE_NAMES[1:])
 
 
 def test_hyper_validation_aggregates():
@@ -63,21 +60,18 @@ def test_hyper_dims():
 def test_init_params_bounds_and_inactive_blocks():
     h = Hyper(d=4, mask=("latent", "visual"))
     feats = {"visual": np.zeros((7, 3)), "textual": np.zeros((7, 2))}
-    p = init_params(h, feats, 7, np.random.default_rng(0))
-    assert p["X"].shape == (7, 4)
-    assert p["E"].shape == (4, 3) and p["V"].shape == (4, 2)
-    assert p["InMat"].shape == (8, 8) and p["RecMat"].shape == (8, 8)
-    for a in (p["X"], p["E"], p["InMat"], p["RecMat"]):
+    p = init_params(h, feats, None, 7, np.random.default_rng(0))
+    # the textual slice is inactive, so there is no V kernel
+    assert {name: a.shape for name, a in p.items()} == {
+        "X": (7, 4), "E": (4, 3), "InMat": (8, 8), "RecMat": (8, 8)}
+    for a in p.values():
         assert a.min() >= -0.5 and a.max() <= 0.5
-    assert p["E"].any()      # visual active, drawn
-    assert not p["V"].any()  # textual inactive, zeros
 
 
 def test_init_mean_near_zero():
     # 4 sigma CLT bound for 1e5 uniform(-.5,.5) draws: .2887/sqrt(1e5)*4
     h = Hyper(d=100, mask=("latent",))
-    feats = {name: np.zeros((1000, 0)) for name in KERNELS}
-    p = init_params(h, feats, 1000, np.random.default_rng(123))
+    p = init_params(h, {}, None, 1000, np.random.default_rng(123))
     assert abs(p["X"].mean()) < 3.66e-3
 
 
@@ -86,8 +80,8 @@ def test_inactive_slices_do_not_consume_randomness():
     ha = Hyper(d=4, mask=MASK_BY_KIND["rnn"])
     hb = Hyper(d=4, mask=MASK_BY_KIND["trnn"])
     feats = {name: np.zeros((6, 3)) for name in KERNELS}
-    pa = init_params(ha, feats, 6, np.random.default_rng(seed))
-    pb = init_params(hb, feats, 6, np.random.default_rng(seed))
+    pa = init_params(ha, feats, None, 6, np.random.default_rng(seed))
+    pb = init_params(hb, feats, None, 6, np.random.default_rng(seed))
     assert np.array_equal(pa["X"], pb["X"])  # X stream unaffected by later blocks
 
 
@@ -144,7 +138,7 @@ def test_score_pair_antisymmetry_exact():
 
 def test_final_states_rows(toy_corpus, toy_feats):
     h = Hyper(d=3, mask=("latent", "visual", "textual"))
-    params = init_params(h, toy_feats, toy_corpus.n_items,
+    params = init_params(h, toy_feats, None, toy_corpus.n_items,
                          np.random.default_rng(4))
     final = final_states(params, toy_feats, toy_corpus, h)
     assert final.shape == (len(toy_corpus.users), h.D)
@@ -161,7 +155,7 @@ def test_final_states_rows(toy_corpus, toy_feats):
 
 def test_item_rep_matrix_rows(toy_corpus, toy_feats):
     h = Hyper(d=2, mask=("latent", "visual", "textual"))
-    params = init_params(h, toy_feats, toy_corpus.n_items,
+    params = init_params(h, toy_feats, None, toy_corpus.n_items,
                          np.random.default_rng(8))
     rep = item_rep_matrix(params, toy_feats, h)
     assert rep.shape == (toy_corpus.n_items, h.D)

@@ -1,7 +1,8 @@
 """Property tests.
 
 - Whatever bytes a checkpoint, sequence or feature file holds, its reader
-  fails only with its own documented error type.
+  fails only with its own documented error type, and so does loading a
+  checkpoint into a ranker.
 - The array ranking path agrees with naive per-user and per-item
   references: candidate ordering (also against a plain stable argsort,
   on distinct scores and on ties, signed zeros, infinities and NaN), the
@@ -30,14 +31,14 @@ from hypothesis import strategies as st
 from id_corpus import id_corpus
 from reference_metrics import cold_start_ref
 from seqrank import numkit, sgd
-from seqrank.checkpoint import MAGIC, read_checkpoint
+from seqrank.checkpoint import MAGIC, load_ranker, read_checkpoint
 from seqrank.dataio import (RANGES, build_corpus, load_features,
                             parse_sequence_file, sample_triples)
 from seqrank.errors import CheckpointError, EmptyCorpusError, ParseError
 from seqrank.evaluator import EvalConfig, cold_start_bins
-from seqrank.model import (ALL_KINDS, MASK_BY_KIND, Hyper, final_states,
-                           hidden_states, init_params, item_rep_matrix,
-                           order_candidates)
+from seqrank.model import (ALL_KINDS, MASK_BY_KIND, RECURRENT_KINDS, Hyper,
+                           block_shapes, final_states, hidden_states,
+                           init_params, item_rep_matrix, order_candidates)
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
                 max_examples=100)
@@ -48,18 +49,22 @@ JSON = st.recursive(
     | st.dictionaries(st.text(max_size=8), kids, max_size=4),
     max_leaves=12)
 
-# headers shaped like real ones, so the schema and block checks are reached
+# the world fuzzed checkpoints load into: two items, one user and
+# nonzero feature widths, small enough that drawn tables and shapes match
+LOAD_CORPUS = id_corpus(("u",), ("a", "b"), {"u": ["a", "b"]})
+LOAD_FEATS = {"visual": np.ones((2, 1)), "textual": np.ones((2, 2))}
+# headers shaped like real ones, their block names drawn from every name a
+# kind can hold, so the schema, table and block-set checks are reached;
+# `real_header` reaches the shape check and the loaded ranker
 HEADERS = st.fixed_dictionaries(
     {"kind": st.sampled_from(ALL_KINDS),
-     "items": st.lists(st.text(max_size=3), max_size=3),
+     "items": st.just(["a", "b"]) | st.lists(st.text(max_size=3), max_size=3),
      "blocks": st.lists(st.fixed_dictionaries(
-         {"name": st.sampled_from(["X", "E", "counts"]),
-          "shape": st.lists(st.integers(-1, 3), max_size=3)}), max_size=3),
-     "seed": st.integers(-1, 3), "d": st.integers(-1, 3),
-     "f_v": st.integers(0, 3), "f_t": st.integers(0, 3),
-     "mask": st.lists(st.sampled_from(["latent", "visual", "sound"]),
-                      max_size=3)},
-    optional={"users": JSON,
+         {"name": st.sampled_from(["X", "E", "V", "Gamma", "InMat", "RecMat",
+                                   "counts"]),
+          "shape": st.lists(st.integers(-1, 2), max_size=2)}), max_size=4),
+     "seed": st.integers(-1, 3), "d": st.integers(-1, 3)},
+    optional={"users": st.just(["u"]) | JSON,
               "hyper": st.dictionaries(st.sampled_from(["alpha", "beta"]),
                                        st.floats() | st.text(max_size=2))})
 # block payloads: whole float64 entries, or arbitrary bytes
@@ -70,12 +75,37 @@ def framed(head: bytes, tail: bytes) -> bytes:
     return MAGIC + struct.pack("<I", len(head)) + head + tail
 
 
+def fitted(header: dict) -> bytes:
+    """`header` framed with the zero payload its block table asks for."""
+    n = sum(math.prod(max(k, 0) for k in b["shape"]) for b in header["blocks"])
+    return framed(json.dumps(header).encode(), bytes(8 * n))
+
+
+def real_header(kind: str, d: int, table_d: int) -> dict:
+    """A `kind` header that passes every schema and table check against
+    LOAD_CORPUS, with the block table of that kind's model at width
+    table_d: it loads when d == table_d and meets the shape check when
+    not."""
+    if kind in MASK_BY_KIND:
+        n_users = None if kind in RECURRENT_KINDS else 1
+        shapes = block_shapes(Hyper(d=table_d, mask=MASK_BY_KIND[kind]),
+                              LOAD_FEATS, n_users, 2)
+    else:
+        shapes = {"counts": (2,)} if kind == "pop" else {}
+    return {"kind": kind, "items": ["a", "b"], "users": ["u"], "seed": 0,
+            "d": d, "blocks": [{"name": name, "shape": list(shape)}
+                               for name, shape in shapes.items()]}
+
+
 CHECKPOINTS = st.one_of(
     st.binary(),
     st.binary().map(lambda tail: MAGIC + tail),
     st.builds(framed, st.binary(max_size=32), st.binary(max_size=32)),
     st.builds(framed, (JSON | HEADERS).map(lambda v: json.dumps(v).encode()),
-              PAYLOADS))
+              PAYLOADS),
+    HEADERS.map(fitted),
+    st.builds(real_header, st.sampled_from(ALL_KINDS), st.integers(1, 2),
+              st.integers(1, 2)).map(fitted))
 
 # fragments of both text formats, plus bytes that are not UTF-8
 TOKENS = [b"#dims", b" ", b"\t", b"\n", b"\r", b",", b"0", b"2", b"\xc2\xb2",
@@ -101,6 +131,7 @@ def test_read_checkpoint_raises_only_checkpoint_error(scratch, raw):
     path.write_bytes(raw)
     try:
         read_checkpoint(path)
+        load_ranker(path, LOAD_CORPUS, LOAD_FEATS)
     except CheckpointError:
         pass
 
@@ -219,7 +250,7 @@ def test_final_states_match_per_user_recurrence(world):
     rng = np.random.default_rng(seed)
     feats = {name: rng.uniform(lo, hi, (corpus.n_items, widths[name]))
              for name, (lo, hi) in RANGES.items()}
-    params = init_params(h, feats, corpus.n_items, rng)
+    params = init_params(h, feats, None, corpus.n_items, rng)
     final = final_states(params, feats, corpus, h)
     assert final.shape == (len(corpus.users), h.D)
     for u, got in zip(corpus.users, final):

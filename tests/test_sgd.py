@@ -10,8 +10,7 @@ import pytest
 
 from id_corpus import id_corpus
 from seqrank import sgd, trainer
-from seqrank.baselines import (bpr_pair_grads, init_bpr_params, mf_obs_grads,
-                               train_content_bpr)
+from seqrank.baselines import bpr_pair_grads, mf_obs_grads, train_content_bpr
 from seqrank.dataio import sample_triples
 from seqrank.errors import DivergenceError
 from seqrank.model import MASK_BY_KIND, Hyper, init_params
@@ -45,7 +44,7 @@ def assert_moved_by(after, before, alpha, grads):
 def test_recurrent_sequence_moves_by_sequence_gradients():
     h = Hyper(d=3, mask=MASK_BY_KIND["vtrnn"], **FREE)
     corpus, feats, _ = tiny_fixture(np.random.default_rng(4))
-    start = init_params(h, feats, corpus.n_items, start_rng())
+    start = init_params(h, feats, None, corpus.n_items, start_rng())
     negs = sample_triples(corpus, "u0", np.random.default_rng([SEED, 1]))
     trained = train(corpus, feats, h, CFG, None)
     ctx = sequence_context(start, corpus, feats, h, "u0", negs)
@@ -66,7 +65,7 @@ def one_triple_world():
 def test_bpr_triple_moves_by_its_summed_records():
     corpus, feats = one_triple_world()
     h = Hyper(d=2, mask=MASK_BY_KIND["vtbpr"], **FREE)
-    start = init_bpr_params(h, feats, 1, 3, start_rng())
+    start = init_params(h, feats, 1, 3, start_rng())
     trained = train_content_bpr(corpus, feats, h, CFG, None)
     grads = sgd.gradient(start, bpr_pair_grads(start, feats, h, 0, 1, 2)[1])
     assert sorted(grads) == ["E", "Gamma", "V", "X"]
@@ -78,7 +77,7 @@ def test_mf_observation_moves_by_its_summed_records():
     # two observations on the same user row, so this is not a whole visit
     h = Hyper(d=2, mask=MASK_BY_KIND["mf"], **FREE)
     _, feats = one_triple_world()  # 3 items; mf reads no features
-    params = init_bpr_params(h, feats, 2, 3, start_rng())
+    params = init_params(h, feats, 2, 3, start_rng())
     before = {n: b.copy() for n, b in params.items()}
     _, updates = mf_obs_grads(params, 1, 2, 1.0)
     sgd.apply(params, updates, h.alpha, h.decay)
@@ -111,7 +110,7 @@ def assert_same(a, b):
 def test_recurrent_sequence_decays_each_block_by_its_regularizer():
     h = Hyper(d=3, mask=MASK_BY_KIND["vtrnn"], **DECAY)
     corpus, feats, _ = tiny_fixture(np.random.default_rng(4))
-    start = init_params(h, feats, corpus.n_items, start_rng())
+    start = init_params(h, feats, None, corpus.n_items, start_rng())
     negs = sample_triples(corpus, "u0", np.random.default_rng([SEED, 1]))
     ctx = sequence_context(start, corpus, feats, h, "u0", negs)
     records = sequence_updates(ctx, start, feats, h)
@@ -122,7 +121,7 @@ def test_recurrent_sequence_decays_each_block_by_its_regularizer():
 def test_bpr_triple_decays_each_block_by_its_regularizer():
     corpus, feats = one_triple_world()
     h = Hyper(d=2, mask=MASK_BY_KIND["vtbpr"], **DECAY)
-    start = init_bpr_params(h, feats, 1, 3, start_rng())
+    start = init_params(h, feats, 1, 3, start_rng())
     records = bpr_pair_grads(start, feats, h, 0, 1, 2)[1]
     assert_same(train_content_bpr(corpus, feats, h, CFG, None),
                 naive_step(start, records, h))
@@ -131,7 +130,7 @@ def test_bpr_triple_decays_each_block_by_its_regularizer():
 def test_mf_observation_decays_each_block_by_its_regularizer():
     h = Hyper(d=2, mask=MASK_BY_KIND["mf"], **DECAY)
     _, feats = one_triple_world()  # 3 items; mf reads no features
-    params = init_bpr_params(h, feats, 2, 3, start_rng())
+    params = init_params(h, feats, 2, 3, start_rng())
     _, records = mf_obs_grads(params, 1, 2, 1.0)
     want = naive_step(params, records, h)
     sgd.apply(params, records, h.alpha, h.decay)

@@ -37,7 +37,7 @@ def make_context(h, seed=6):
     negatives is {"u0": the negative rows of steps 2..m}."""
     rng = np.random.default_rng(seed)
     corpus, feats, negatives = tiny_fixture(rng)
-    params = init_params(h, feats, corpus.n_items, rng)
+    params = init_params(h, feats, None, corpus.n_items, rng)
     return params, corpus, feats, negatives
 
 
