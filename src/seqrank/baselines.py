@@ -19,12 +19,17 @@ BPR family supply their per-user steps here. Their parameters are one
 table), so the representation helpers in `model` read both model
 families. Users and items are rows (`corpus.user_index`,
 `corpus.train_rows` and the rows the sampler draws).
-A BPR triple (user row, positive row, negative row) has its score and
-its update records (block, row or None, g; see `sgd`), with one kernel
-record per active content slice, formed in `bpr_pair_grads`, and an mf
-observation (user row, item row, target) its records in `mf_obs_grads`. Each step yields its records to
-`sgd.run_epochs`, which applies them with `sgd.apply` and the per-block
-decays of `Hyper.decay`.
+A user visit is one step: `bpr_user_grads` scores all of the user's
+sampled triples (positive row, negative row) at once, from one gather of
+their representations, and `mf_user_grads` all of the user's
+observations (item row, target). Each returns the update records (block,
+row or None, g; see `sgd`) of the summed objective at the pre-visit
+parameters, as the recurrent kinds' frozen context does: one user-row
+record, one row-array record over the distinct item rows, with repeated
+rows summed, and, for the BPR family, one kernel record per active
+content slice. `sgd.run_epochs` applies each visit's records with one
+`sgd.apply` and the per-block decays of `Hyper.decay`, so a block, or a
+distinct row, decays once per visit.
 
 `grad_check` is the gradient check of every trainable kind: it builds the
 kind's small fixture and hands `sgd.grad_check` the steps that training
@@ -107,43 +112,53 @@ class EmbedRanker:
 # ---------------------------------------------------------------------------
 # BPR training over the masked item representation
 
-def bpr_pair_grads(params: dict, feats: dict, h: Hyper, uj: int,
-                   ip: int, iq: int) -> tuple:
-    """(xhat, updates) of user row uj's triple over item rows ip and iq:
-    xhat = dot(gamma_u, rep_p - rep_q) and the update records of
-    ln sigma(xhat): user row uj's, latent rows ip and iq (opposite signs),
-    and each active content slice's kernel (`model.KERNELS`), which moves
-    by a rank-1 feature-difference term."""
-    diff = (model.item_rep_matrix(params, feats, h, ip)
-            - model.item_rep_matrix(params, feats, h, iq))
+def _row_sums(name: str, rows: np.ndarray, coef: np.ndarray,
+              vec: np.ndarray) -> tuple:
+    """One row-array record of block `name`: entry k of `rows` adds
+    coef[k] * vec, summed over its repeats onto the distinct rows."""
+    distinct, at = np.unique(rows, return_inverse=True)
+    return name, distinct, np.bincount(at, weights=coef)[:, None] * vec
+
+
+def bpr_user_grads(params: dict, feats: dict, h: Hyper, uj: int,
+                   pos: np.ndarray, neg: np.ndarray) -> tuple:
+    """(xhat, updates) of user row uj's pairs (pos[k], neg[k]), all scored
+    at the current parameters: xhat[k] = dot(gamma_u, rep_pos - rep_neg),
+    and the update records of sum_k ln sigma(xhat[k]) with c = sigma(-xhat):
+    user row uj's (c @ diff), one row-array record of the latent rows
+    (c[k] on pos[k], -c[k] on neg[k], times gamma_u's latent slice), and
+    each active content slice's kernel (`model.KERNELS`), which moves by
+    gamma_u's slice times the c-weighted feature differences."""
+    k = len(pos)
+    rows = np.concatenate([pos, neg])
+    reps = model.item_rep_matrix(params, feats, h, rows)
+    diff = reps[:k] - reps[k:]
     gamma_u = params["Gamma"][uj]
-    xhat = float(gamma_u @ diff)
-    c = numkit.sigmoid(-xhat)
+    xhat = diff @ gamma_u
+    c = numkit.sigmoid_arr(-xhat)
     sl = h.slices
-    gx = c * gamma_u[sl["latent"]]
-    updates = [("Gamma", uj, c * diff), ("X", ip, gx), ("X", iq, -gx)]
-    # a[:, None] * b is np.outer(a, b) without its ravel and asarray calls
+    updates = [("Gamma", uj, c @ diff),
+               _row_sums("X", rows, np.concatenate([c, -c]),
+                         gamma_u[sl["latent"]])]
     for name in h.mask[1:]:
-        fdiff = feats[name][ip] - feats[name][iq]
+        fdiff = feats[name][pos] - feats[name][neg]
         updates.append((model.KERNELS[name], None,
-                        c * (gamma_u[sl[name], None] * fdiff)))
+                        gamma_u[sl[name], None] * (c @ fdiff)))
     return xhat, updates
 
 
 def train_content_bpr(corpus: Corpus, feats: dict, h: Hyper,
                       cfg: trainer.TrainConfig, log) -> dict:
-    """Pairwise ascent on dot(gamma_u, rep_p - rep_q), one `bpr_pair_grads`
-    step per sampled triple, over `sgd.run_epochs`."""
+    """Pairwise ascent on dot(gamma_u, rep_p - rep_q), one `bpr_user_grads`
+    step per user visit over its sampled triples, over `sgd.run_epochs`."""
 
     def visit(params, u, rng):
         seq = corpus.train_rows[u]
         if len(seq) < 2:
             return
-        uj = corpus.user_index[u]
-        negs = sample_triples(corpus, u, rng)
-        for ip, iq in zip(seq[1:].tolist(), negs.tolist()):
-            xhat, updates = bpr_pair_grads(params, feats, h, uj, ip, iq)
-            yield numkit.log_sigmoid(xhat), 1, updates
+        xhat, updates = bpr_user_grads(params, feats, h, corpus.user_index[u],
+                                       seq[1:], sample_triples(corpus, u, rng))
+        yield float(np.sum(numkit.log_sigmoid(xhat))), len(xhat), updates
 
     return sgd.run_epochs(
         corpus, cfg, h,
@@ -159,20 +174,22 @@ def train_mf(corpus: Corpus, feats: dict, h: Hyper,
              cfg: trainer.TrainConfig, log) -> dict:
     """Squared-error factorization on implicit data: every training
     interaction is a target-1 observation paired with one sampled
-    target-0 negative. The logged objective is the mean squared error;
-    mf has no content slice, so no block reads `feats`."""
+    target-0 negative, and a user visit is one `mf_user_grads` step over
+    all of them. The logged objective is the mean squared error; mf has
+    no content slice, so no block reads `feats`."""
     if h.mask != ("latent",):
         raise ConfigError("mf uses the latent slice only")
 
     def visit(params, u, rng):
-        uj = corpus.user_index[u]
-        seq = corpus.train_rows[u].tolist()
-        owned = frozenset(seq)
-        for ip in seq:
-            iq = sample_negative(corpus, u, owned, rng)
-            for ij, target in ((ip, 1.0), (iq, 0.0)):
-                err, updates = mf_obs_grads(params, uj, ij, target)
-                yield err * err, 1, updates
+        seq = corpus.train_rows[u]
+        if not len(seq):
+            return
+        owned = frozenset(seq.tolist())
+        negs = [sample_negative(corpus, u, owned, rng) for _ in range(len(seq))]
+        rows = np.concatenate([seq, np.array(negs, dtype=np.intp)])
+        targets = np.repeat([1.0, 0.0], len(seq))
+        err, updates = mf_user_grads(params, corpus.user_index[u], rows, targets)
+        yield float(err @ err), len(err), updates
 
     return sgd.run_epochs(
         corpus, cfg, h,
@@ -181,13 +198,15 @@ def train_mf(corpus: Corpus, feats: dict, h: Hyper,
         visit, log)
 
 
-def mf_obs_grads(params: dict, uj: int, ij: int, target: float) -> tuple:
-    """(err, updates) of one observation: err = target - dot(gamma_u, x_i)
-    and the update records of -0.5 * err^2 for user row uj and item row
-    ij."""
-    gamma_u, x_i = params["Gamma"][uj], params["X"][ij]
-    err = target - float(gamma_u @ x_i)
-    return err, [("Gamma", uj, err * x_i), ("X", ij, err * gamma_u)]
+def mf_user_grads(params: dict, uj: int, rows: np.ndarray,
+                  targets: np.ndarray) -> tuple:
+    """(err, updates) of user row uj's observations (rows[k], targets[k]),
+    all at the current parameters: err = targets - X[rows] @ gamma_u and
+    the update records of -0.5 * sum_k err[k]^2, user row uj's and one
+    row-array record of the item rows."""
+    gamma_u, x = params["Gamma"][uj], params["X"][rows]
+    err = targets - x @ gamma_u
+    return err, [("Gamma", uj, err @ x), _row_sums("X", rows, err, gamma_u)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +246,21 @@ def grad_check(kind: str, h: Hyper, rng: np.random.Generator) -> dict:
     block the kind's records touch. The steps are the ones training runs,
     at draws fixed here: for the recurrent kinds `trainer.sequence_context`
     and `sequence_updates` on `trainer.tiny_fixture`, term
-    sum_t ln sigma(score_t); for the BPR family one `bpr_pair_grads` per
-    pair of the same fixture, term ln sigma(xhat); for mf `mf_obs_grads` of
-    8 random observations of 2 users and 4 items without features, term
-    -err^2 / 2, the objective its records ascend."""
+    sum_t ln sigma(score_t); for the BPR family one `bpr_user_grads` over
+    the same fixture's pairs, whose 3 negatives repeat rows of a pool of
+    2, term sum_k ln sigma(xhat[k]); for mf one `mf_user_grads` per user
+    of 2, each over 6 random observations of 4 items without features, so
+    rows repeat, term -sum_k err[k]^2 / 2, the objective its records
+    ascend."""
     h = replace(h, mask=model.MASK_BY_KIND[kind])
     if kind == "mf":
-        observations = [(int(rng.integers(2)), int(rng.integers(4)),
-                         float(rng.integers(2))) for _ in range(8)]
+        visits = [(uj, rng.integers(4, size=6), rng.integers(2, size=6).astype(np.float64))
+                  for uj in range(2)]
         params = model.init_params(h, {}, 2, 4, rng)
 
         def steps():
-            return [(-0.5 * err * err, updates) for err, updates
-                    in (mf_obs_grads(params, *obs) for obs in observations)]
+            return [(-0.5 * float(err @ err), updates) for err, updates
+                    in (mf_user_grads(params, *v) for v in visits)]
         return sgd.grad_check(params, steps)
 
     corpus, feats, negatives = trainer.tiny_fixture(rng)
@@ -254,11 +275,9 @@ def grad_check(kind: str, h: Hyper, rng: np.random.Generator) -> dict:
                      trainer.sequence_updates(ctx, params, feats, h))]
     else:
         params = model.init_params(h, feats, 1, corpus.n_items, rng)
-        pairs = list(zip(corpus.train_rows["u0"][1:].tolist(),
-                         neg_rows.tolist()))
+        pos = corpus.train_rows["u0"][1:]
 
         def steps():
-            return [(numkit.log_sigmoid(xhat), updates) for xhat, updates
-                    in (bpr_pair_grads(params, feats, h, 0, ip, iq)
-                        for ip, iq in pairs)]
+            xhat, updates = bpr_user_grads(params, feats, h, 0, pos, neg_rows)
+            return [(float(np.sum(numkit.log_sigmoid(xhat))), updates)]
     return sgd.grad_check(params, steps)

@@ -160,8 +160,13 @@ def normalize_minmax(matrix: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 def load_features(path, lo: float, hi: float) -> FeatureTable:
     """Parse a `#dims F` header plus `item<TAB>f1 f2 ...` rows, then min-max
-    normalize each dimension onto [lo, hi] over all items in the file."""
-    ids, rows, linenos, seen = [], [], [], set()
+    normalize each dimension onto [lo, hi] over all items in the file.
+    Each line's structure is checked as it is read; the value tokens of
+    every line up to the first bad one are then converted in one numpy
+    call, with float()'s own parse. A bad file is reported at its first
+    bad line, as a line-by-line parse would: a non-numeric token before
+    that line is named first."""
+    ids, tokens, linenos, seen = [], [], [], set()
     lines = _text_lines(path)
     toks = next(lines, (1, ""))[1].split()
     try:
@@ -172,34 +177,55 @@ def load_features(path, lo: float, hi: float) -> FeatureTable:
         dim = 0
     if dim < 1:  # so a zero-width matrix only ever means "no file given"
         raise ParseError(f"{path}:1: expected '#dims <F>' header with F >= 1")
-    for lineno, line in lines:
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 'item<TAB>values'")
-        values = parts[1].split()
-        if len(values) != dim:
-            raise ParseError(
-                f"{path}:{lineno}: {len(values)} values, header says {dim}")
-        try:
-            row = [float(v) for v in values]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-numeric token ({exc})") from exc
-        if parts[0] in seen:
-            raise ParseError(f"{path}:{lineno}: duplicate item id {parts[0]!r}")
-        seen.add(parts[0])
-        ids.append(parts[0])
-        rows.append(row)
-        linenos.append(lineno)
-    if not rows:
+    problem = None
+    try:
+        for lineno, line in lines:
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                problem = ParseError(f"{path}:{lineno}: expected 'item<TAB>values'")
+                break
+            values = parts[1].split()
+            if len(values) != dim:
+                problem = ParseError(
+                    f"{path}:{lineno}: {len(values)} values, header says {dim}")
+                break
+            tokens += values
+            linenos.append(lineno)
+            if parts[0] in seen:
+                problem = ParseError(
+                    f"{path}:{lineno}: duplicate item id {parts[0]!r}")
+                break
+            seen.add(parts[0])
+            ids.append(parts[0])
+    except ParseError as exc:  # the text stops being UTF-8
+        problem = exc
+    try:
+        matrix = np.array(tokens, dtype=np.float64).reshape(-1, dim)
+    except ValueError:
+        matrix = _first_bad_line(path, tokens, linenos, dim)
+    if problem is not None:
+        raise problem
+    if not ids:
         raise ParseError(f"{path}: no feature rows")
-    matrix = np.asarray(rows, dtype=np.float64)
     finite = np.isfinite(matrix)
     if not finite.all():
         j, k = np.argwhere(~finite)[0]
         raise ParseError(f"{path}:{linenos[j]}: non-finite value {matrix[j, k]}")
     return FeatureTable(ids, normalize_minmax(matrix, lo, hi))
+
+
+def _first_bad_line(path, tokens: list, linenos: list, dim: int) -> np.ndarray:
+    """Raise ParseError at the first line, `dim` tokens each, that float()
+    rejects a token of; the matrix of float() values if it rejects none."""
+    rows = []
+    for j, lineno in enumerate(linenos):
+        try:
+            rows.append([float(v) for v in tokens[j * dim:(j + 1) * dim]])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric token ({exc})") from exc
+    return np.array(rows, dtype=np.float64).reshape(-1, dim)
 
 
 def _aligned(items: np.ndarray, table: FeatureTable | None):

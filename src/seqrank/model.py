@@ -191,10 +191,9 @@ def score_pair(prev: np.ndarray, p_inp: np.ndarray, q_inp: np.ndarray):
 
 
 def item_rep_matrix(params: dict, feats, h: Hyper, rows=None) -> np.ndarray:
-    """Item representations [x; E f; V g] over the active slices: every
-    item stacked (n, D) in item-id order, the given item rows stacked in
-    their order, or one row's (D,) vector when `rows` is an int. Only the
-    active slices' features are gathered."""
+    """Item representations [x; E f; V g] over the active slices, stacked
+    (n, D): every item in item-id order, or the given item rows in their
+    order. Only the active slices' features are gathered."""
     at = slice(None) if rows is None else rows
     parts = [params["X"][at]]
     for name in h.mask[1:]:

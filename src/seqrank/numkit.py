@@ -27,20 +27,12 @@ def is_count(v, least: int = 0) -> bool:
     return is_int(v) and v >= least
 
 
-def sigmoid(x: float) -> float:
-    """Numerically stable logistic function. It rounds to exactly 1.0 for x
-    above about 36.7 and underflows to exactly 0.0 below about -745."""
-    if x >= 0.0:
-        return float(1.0 / (1.0 + np.exp(-x)))
-    e = np.exp(x)
-    return float(e / (1.0 + e))
-
-
 def sigmoid_arr(x: np.ndarray) -> np.ndarray:
-    """Elementwise stable sigmoid, overflow-free for any finite float64;
-    like `sigmoid`, it returns exact 0.0 and 1.0 at the extremes."""
+    """Elementwise stable sigmoid, overflow-free for any finite float64.
+    It rounds to exactly 1.0 for x above about 36.7 and underflows to
+    exactly 0.0 below about -745."""
     # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so this is
-    # 1/(1 + exp(-x)) and exp(x)/(1 + exp(x)) branch by branch, as `sigmoid`
+    # 1/(1 + exp(-x)) and exp(x)/(1 + exp(x)) branch by branch
     e = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 

@@ -9,19 +9,23 @@ draw from split seed streams, so the training draws are the same for every
 model kind under one seed.
 
 A step's updates are a list of records (block name, row or None, g): the
-ascent direction g of one row of the block, or of the whole block when row
-is None. Training runs the list through `apply`, whose one update rule is
+ascent direction g of one row of the block, of the whole block when row is
+None, or of several distinct rows, g stacked in their order, when row is an
+int array. Training runs the list through `apply`, whose one update rule is
 `ascend`: theta += alpha * (clip(g) - lam * theta), with lam the block's
-L2 decay from `Hyper.decay`. `gradient` sums the same lists into
-full-shape arrays, and `grad_check` holds that sum against central finite
-differences of the steps' own objective terms: the one gradient check of
-every trainable kind. Parameters are the {block name: array} dict that
+L2 decay from `Hyper.decay`, once per row of a row array, each clipped by
+its own norm. `gradient` sums the same lists into full-shape arrays, and
+`grad_check` holds that sum against central finite differences of the
+steps' own objective terms: the one gradient check of every trainable
+kind. Parameters are the {block name: array} dict that
 `init` returns; `apply` updates its arrays in place.
 
 A step's list is formed in full before `apply` runs it, and this relies on
 one invariant of every step: no record's g reads a parameter entry that
 another record of the same list writes. So one `apply` per recurrent
-sequence ascends each entry exactly as one `apply` per pair did.
+sequence ascends each entry exactly as one `apply` per pair did. The
+steps of mf and the BPR family are whole user visits whose records are
+formed at the pre-visit parameters, one apply per visit.
 """
 
 import numpy as np
@@ -44,22 +48,38 @@ def ascend(theta: np.ndarray, g: np.ndarray, alpha: float, lam: float,
 def apply(blocks: dict, updates, alpha: float, decay: dict,
           clip_norm: float | None = None) -> None:
     """Ascend every record of `updates` in order, in place, each with the
-    decay {block name: lam} gives its block."""
+    decay {block name: lam} gives its block. A row-array record is
+    gathered, each of its rows clipped by its own norm and ascended, and
+    scattered back, as one `ascend` per row would; its rows are
+    distinct."""
     for name, row, g in updates:
-        theta = blocks[name] if row is None else blocks[name][row]
-        ascend(theta, g, alpha, decay[name], clip_norm)
+        if row is None:
+            ascend(blocks[name], g, alpha, decay[name], clip_norm)
+        elif isinstance(row, np.ndarray):
+            block = blocks[name]
+            theta = block[row]
+            if clip_norm is not None:
+                # ascend's norm, row by row: a norm along axis 1 sums in
+                # another order and may differ in the last bit
+                n = np.array([np.linalg.norm(r) for r in g])
+                g = g * np.where(n > clip_norm,
+                                 clip_norm / np.maximum(n, clip_norm), 1.0)[:, None]
+            theta += alpha * (g - decay[name] * theta)
+            block[row] = theta
+        else:
+            ascend(blocks[name][row], g, alpha, decay[name], clip_norm)
 
 
 def gradient(params: dict, updates) -> dict:
     """{block name: its records' g summed into a full-shape array}, for
-    the blocks `updates` touch."""
+    the blocks `updates` touch; a row array's g adds row by row."""
     grads = {}
     for name, row, g in updates:
         total = grads.setdefault(name, np.zeros_like(params[name]))
         if row is None:
             total += g
         else:
-            total[row] += g
+            np.add.at(total, row, g)
     return grads
 
 

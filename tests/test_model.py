@@ -97,7 +97,7 @@ def one_item_world():
 
 def test_item_rep_concatenation():
     h, params, feats = one_item_world()
-    inp = item_rep_matrix(params, feats, h, 0)
+    inp = item_rep_matrix(params, feats, h)[0]
     assert inp.tolist() == [0.5, 0.5, -0.5]
     assert inp[h.slices["latent"]].tolist() == [0.5]
     assert inp[h.slices["visual"]].tolist() == [0.5]
@@ -106,7 +106,7 @@ def test_item_rep_concatenation():
 
 def test_step_hidden_identity_matrices():
     h, params, feats = one_item_world()
-    inp = item_rep_matrix(params, feats, h, 0)
+    inp = item_rep_matrix(params, feats, h)[0]
     state = step_hidden(np.zeros(h.D), params["InMat"] @ inp, params["RecMat"])
     # InMat = I, RecMat = 0: h = sigmoid(input) elementwise
     expect = 1.0 / (1.0 + np.exp(-inp))
@@ -159,20 +159,17 @@ def test_item_rep_matrix_rows(toy_corpus, toy_feats):
                          np.random.default_rng(8))
     rep = item_rep_matrix(params, toy_feats, h)
     assert rep.shape == (toy_corpus.n_items, h.D)
-    # the stacked product and the one-row product may differ in the last
-    # bit, so compare to rounding accuracy only
     sl = h.slices
-    for j in range(toy_corpus.n_items):
-        inp = item_rep_matrix(params, toy_feats, h, j)
-        assert inp.shape == (h.D,)
-        assert np.allclose(rep[j], inp, rtol=0.0, atol=1e-14)
-        assert np.array_equal(rep[j, :h.d], inp[:h.d])  # latent slice copied
-        # one row is exactly the kernel-times-features product
-        assert np.array_equal(inp[sl["visual"]], params["E"] @ toy_feats["visual"][j])
-        assert np.array_equal(inp[sl["textual"]], params["V"] @ toy_feats["textual"][j])
+    assert np.array_equal(rep[:, sl["latent"]], params["X"])  # copied
+    assert np.array_equal(rep[:, sl["visual"]], toy_feats["visual"] @ params["E"].T)
+    assert np.array_equal(rep[:, sl["textual"]],
+                          toy_feats["textual"] @ params["V"].T)
+    # the given rows, repeats kept; a product over fewer rows may differ
+    # from the stacked one in the last bit, so compare to rounding only
     rows = [3, 0, 3]
-    assert np.allclose(item_rep_matrix(params, toy_feats, h, rows), rep[rows],
-                       rtol=0.0, atol=1e-14)
+    picked = item_rep_matrix(params, toy_feats, h, rows)
+    assert np.array_equal(picked[:, sl["latent"]], params["X"][rows])
+    assert np.allclose(picked, rep[rows], rtol=0.0, atol=1e-14)
 
 
 def test_order_candidates_filters_and_breaks_ties(toy_corpus):

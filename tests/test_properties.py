@@ -11,8 +11,12 @@
   from the same generator, and never a row the user trained on.
 - `build_corpus` keeps, splits and filters exactly as a plain reference
   of the split protocol does.
+- `load_features` gives the bits of a line-by-line, token-by-token
+  `float()` parse, or fails with its message, on fuzzed feature files and
+  on generated ones 10 and 512 wide.
 - `sgd.apply` gives the same bits as `sgd.ascend` on its records one by
-  one, in list order (the condition any faster apply must keep), and the
+  one, in list order, and on a row-array record's rows one by one (the
+  condition any faster apply must keep), and the
   scalar path of `log_sigmoid` the same bits as its array path.
 
 Hypothesis runs derandomized and without an example database, so the
@@ -32,8 +36,10 @@ from id_corpus import id_corpus
 from reference_metrics import cold_start_ref
 from seqrank import numkit, sgd
 from seqrank.checkpoint import MAGIC, load_ranker, read_checkpoint
-from seqrank.dataio import (RANGES, build_corpus, load_features,
-                            parse_sequence_file, sample_triples)
+from seqrank.dataio import (RANGES, FeatureTable, SynthSpec, build_corpus,
+                            load_features, normalize_minmax,
+                            parse_sequence_file, sample_triples, synth_raw,
+                            write_features)
 from seqrank.errors import CheckpointError, EmptyCorpusError, ParseError
 from seqrank.evaluator import EvalConfig, cold_start_bins
 from seqrank.model import (ALL_KINDS, MASK_BY_KIND, RECURRENT_KINDS, Hyper,
@@ -369,6 +375,112 @@ def test_build_corpus_matches_split_reference(raw, min_len, split_frac):
 
 
 # ---------------------------------------------------------------------------
+# the feature loader against a line-by-line parse
+
+def load_features_ref(path, lo, hi):
+    """The feature file format parsed one line and one float() at a time,
+    every check in line order."""
+    ids, rows, linenos, seen = [], [], [], set()
+    # a file smaller than the reader's first chunk fails to decode before
+    # its first line is read
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    toks = lines[0].split() if lines else []
+    dim = (int(toks[1]) if len(toks) == 2 and toks[0] == "#dims"
+           and toks[1].isdecimal() else 0)
+    if dim < 1:
+        raise ParseError(f"{path}:1: expected '#dims <F>' header with F >= 1")
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 'item<TAB>values'")
+        values = parts[1].split()
+        if len(values) != dim:
+            raise ParseError(
+                f"{path}:{lineno}: {len(values)} values, header says {dim}")
+        try:
+            row = [float(v) for v in values]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric token ({exc})") from exc
+        if parts[0] in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate item id {parts[0]!r}")
+        seen.add(parts[0])
+        ids.append(parts[0])
+        rows.append(row)
+        linenos.append(lineno)
+    if not rows:
+        raise ParseError(f"{path}: no feature rows")
+    matrix = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        j, k = np.argwhere(~finite)[0]
+        raise ParseError(f"{path}:{linenos[j]}: non-finite value {matrix[j, k]}")
+    return FeatureTable(ids, normalize_minmax(matrix, lo, hi))
+
+
+def outcome(load, path):
+    """(ids, matrix bytes) of a loaded table, or the ParseError message."""
+    try:
+        table = load(path, 0.0, 1.0)
+    except ParseError as exc:
+        return str(exc)
+    return table.ids, table.matrix.tobytes()
+
+
+# numbers float() reads, and tokens it rejects, in UTF-8
+GOOD_VALUES = [b"0.5", b"-1", b"3", b"0.1", b"1e-3", b"1_0", b"\xd9\xa3",
+               b"nan", b"-inf", b"1e999"]
+BAD_VALUES = [b"foo", b"0x10", b"1e", b"\xc2\xb2", b"1__0"]
+
+
+@st.composite
+def feature_files(draw):
+    """A feature file of up to 8 rows over 4 item ids, so ids repeat, most
+    of them well formed: rarely a bad token, a wrong count, a missing tab
+    or a byte that is not UTF-8."""
+    dim = draw(st.integers(1, 3))
+    lines = [b"#dims %d" % dim]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 15)) == 0:
+            lines.append(draw(st.sampled_from([b"", b"\xff", b"i1 0.5"])))
+            continue
+        n = dim if draw(st.integers(0, 7)) else draw(st.integers(0, 4))
+        values = [draw(st.sampled_from(BAD_VALUES if draw(st.integers(0, 11)) == 0
+                                       else GOOD_VALUES[:4] * 3 + GOOD_VALUES))
+                  for _ in range(n)]
+        item = draw(st.sampled_from([b"i1", b"i2", b"i3", b"i4"]))
+        lines.append(item + b"\t" + b" ".join(values))
+    return b"\n".join(lines) + b"\n"
+
+
+@FUZZ
+@given(raw=feature_files())
+def test_load_features_matches_line_by_line_parse(scratch, raw):
+    path = scratch / "features.tsv"
+    path.write_bytes(raw)
+    assert outcome(load_features, path) == outcome(load_features_ref, path)
+
+
+@pytest.mark.parametrize("width", [10, 512])
+def test_load_features_matches_line_by_line_parse_on_synth(tmp_path, width):
+    spec = SynthSpec(users=6, items=60, clusters=3, seq_len=6,
+                     f_dim_visual=width, f_dim_textual=width,
+                     noise_sigma=0.3, seed=3)
+    _, tables = synth_raw(spec, np.random.default_rng(3))
+    for name, table in tables.items():
+        path = tmp_path / f"{name}.tsv"
+        write_features(path, table)
+        got, want = outcome(load_features, path), outcome(load_features_ref, path)
+        assert got[1] == want[1] and got[0] == want[0] == list(table.ids), name
+        assert len(got[1]) == 8 * 60 * width
+
+
+# ---------------------------------------------------------------------------
 # update and log-sigmoid paths against their plain references
 
 # two row blocks of equal width and one small whole block
@@ -378,16 +490,24 @@ SHAPES = {"A": (5, 3), "B": (4, 3), "C": (2, 2)}
 @st.composite
 def record_lists(draw):
     """(records, decay, clip_norm): records over SHAPES, rows drawn from a
-    few so they repeat, whole-block records interleaved with row records of
-    the same and other blocks, and a decay map with a lam per block."""
+    few so they repeat, whole-block records interleaved with row records
+    and row-array records (distinct rows, in any order) of the same and
+    other blocks, and a decay map with a lam per block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     records = []
     for _ in range(draw(st.integers(0, 30))):
         name = draw(st.sampled_from(sorted(SHAPES)))
         rows, width = SHAPES[name]
-        whole = name == "C" or draw(st.integers(0, 4)) == 0
-        row = None if whole else draw(st.integers(0, rows - 1))
-        g = rng.normal(size=SHAPES[name] if whole else width)
+        form = "whole" if name == "C" else draw(
+            st.sampled_from(["whole", "row", "row", "rows", "rows"]))
+        if form == "whole":
+            row, g = None, rng.normal(size=SHAPES[name])
+        elif form == "row":
+            row, g = draw(st.integers(0, rows - 1)), rng.normal(size=width)
+        else:
+            row = np.array(draw(st.lists(st.integers(0, rows - 1), min_size=1,
+                                         unique=True)), dtype=np.intp)
+            g = rng.normal(size=(len(row), width))
         records.append((name, row, g))
     decay = {name: draw(st.sampled_from([0.0, 0.01, 0.3]))
              for name in sorted(SHAPES)}
@@ -404,8 +524,12 @@ def test_apply_matches_ascend_loop(case, seed):
     want = {name: b.copy() for name, b in start.items()}
     sgd.apply(got, records, 0.2, decay, clip)
     for name, row, g in records:
-        sgd.ascend(want[name] if row is None else want[name][row], g, 0.2,
-                   decay[name], clip)
+        if isinstance(row, np.ndarray):
+            for r, gr in zip(row, g):
+                sgd.ascend(want[name][r], gr, 0.2, decay[name], clip)
+        else:
+            sgd.ascend(want[name] if row is None else want[name][row], g,
+                       0.2, decay[name], clip)
     for name in SHAPES:
         assert np.array_equal(got[name], want[name]), name
 

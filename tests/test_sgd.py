@@ -1,19 +1,23 @@
 """One update list per step: training applies it with `sgd.apply` and the
 gradient check sums it with `sgd.gradient`, so with no decay and no
 clipping a step moves the parameters by alpha times the checked
-gradient. With decay, each block decays by its own regularizer, and a
-recurrent sequence's records go to one `sgd.apply` call. A divergence
+gradient. With decay, each block decays by its own regularizer, once per
+record, and a recurrent sequence's records, like an mf or BPR user
+visit's, go to one `sgd.apply` call. A visit's records sum to the
+gradients of its pairs or observations taken one at a time. A divergence
 names the first non-finite block."""
 
 import numpy as np
 import pytest
 
 from id_corpus import id_corpus
-from seqrank import sgd, trainer
-from seqrank.baselines import bpr_pair_grads, mf_obs_grads, train_content_bpr
-from seqrank.dataio import sample_triples
+from seqrank import baselines, dataio, numkit, sgd, trainer
+from seqrank.baselines import (bpr_user_grads, mf_user_grads,
+                               train_content_bpr, train_mf)
+from seqrank.dataio import SynthSpec, sample_triples, synth_corpus
 from seqrank.errors import DivergenceError
-from seqrank.model import MASK_BY_KIND, Hyper, init_params
+from seqrank.model import (KERNELS, MASK_BY_KIND, Hyper, init_params,
+                           item_rep_matrix)
 from seqrank.trainer import (TrainConfig, sequence_context, sequence_updates,
                              tiny_fixture, train)
 
@@ -62,26 +66,94 @@ def one_triple_world():
     return corpus, feats
 
 
+def repeat_negative_world():
+    """User "u" trains on "a", "b", "c"; "d", the one unowned item, is the
+    negative of every pair and observation, so a visit repeats its row.
+    Returns (corpus, feats, the visit's positives, negatives)."""
+    corpus = id_corpus(("u",), ("a", "b", "c", "d"), {"u": ["a", "b", "c"]})
+    rng = np.random.default_rng(8)
+    feats = {"visual": rng.uniform(0.0, 0.5, (4, 2)),
+             "textual": rng.uniform(-0.5, 0.5, (4, 3))}
+    return corpus, feats, np.arange(3), np.full(3, 3)
+
+
 def test_bpr_triple_moves_by_its_summed_records():
     corpus, feats = one_triple_world()
     h = Hyper(d=2, mask=MASK_BY_KIND["vtbpr"], **FREE)
     start = init_params(h, feats, 1, 3, start_rng())
     trained = train_content_bpr(corpus, feats, h, CFG, None)
-    grads = sgd.gradient(start, bpr_pair_grads(start, feats, h, 0, 1, 2)[1])
+    grads = sgd.gradient(start, bpr_user_grads(start, feats, h, 0, np.array([1]),
+                                               np.array([2]))[1])
     assert sorted(grads) == ["E", "Gamma", "V", "X"]
     assert_moved_by(trained, start, h.alpha, grads)
 
 
+def mf_visit(pos, neg):
+    """(rows, targets) of an mf visit: each positive at target 1, then
+    each negative at target 0."""
+    return np.concatenate([pos, neg]), np.repeat([1.0, 0.0], len(pos))
+
+
 def test_mf_observation_moves_by_its_summed_records():
-    # one step; training pairs every interaction with a sampled negative,
-    # two observations on the same user row, so this is not a whole visit
+    # one visit: the user's three observations and three of "d"
+    corpus, feats, pos, neg = repeat_negative_world()
     h = Hyper(d=2, mask=MASK_BY_KIND["mf"], **FREE)
-    _, feats = one_triple_world()  # 3 items; mf reads no features
-    params = init_params(h, feats, 2, 3, start_rng())
-    before = {n: b.copy() for n, b in params.items()}
-    _, updates = mf_obs_grads(params, 1, 2, 1.0)
-    sgd.apply(params, updates, h.alpha, h.decay)
-    assert_moved_by(params, before, h.alpha, sgd.gradient(before, updates))
+    start = init_params(h, feats, 1, 4, start_rng())
+    trained = train_mf(corpus, feats, h, CFG, None)
+    grads = sgd.gradient(start, mf_user_grads(start, 0, *mf_visit(pos, neg))[1])
+    assert sorted(grads) == ["Gamma", "X"]
+    assert_moved_by(trained, start, h.alpha, grads)
+
+
+# ---------------------------------------------------------------------------
+# a visit's records against its pairs' and observations' one by one, at
+# fixed parameters, over a sequence whose positives repeat
+
+def test_visit_gradient_is_the_sum_of_its_pairs_and_observations():
+    corpus = id_corpus(("u",), tuple("abcdef"), {"u": list("abacb")})
+    rng = np.random.default_rng(3)
+    feats = {"visual": rng.uniform(0.0, 0.5, (6, 2)),
+             "textual": rng.uniform(-0.5, 0.5, (6, 3))}
+    seq = corpus.train_rows["u"]
+    neg = sample_triples(corpus, "u", rng)
+    h = Hyper(d=2, mask=MASK_BY_KIND["vtbpr"])
+    params = init_params(h, feats, 1, 6, rng)
+    sl, gamma = h.slices, params["Gamma"][0]
+    rep = item_rep_matrix(params, feats, h)
+    want = {name: np.zeros_like(b) for name, b in params.items()}
+    terms = []
+    for ip, iq in zip(seq[1:], neg):
+        x = float(gamma @ (rep[ip] - rep[iq]))
+        c = 1.0 / (1.0 + np.exp(x))
+        terms.append(numkit.log_sigmoid(x))
+        want["Gamma"][0] += c * (rep[ip] - rep[iq])
+        want["X"][ip] += c * gamma[sl["latent"]]
+        want["X"][iq] -= c * gamma[sl["latent"]]
+        for name in h.mask[1:]:
+            want[KERNELS[name]] += c * np.outer(
+                gamma[sl[name]], feats[name][ip] - feats[name][iq])
+    xhat, updates = bpr_user_grads(params, feats, h, 0, seq[1:], neg)
+    assert abs(float(np.sum(numkit.log_sigmoid(xhat))) - sum(terms)) <= 1e-12
+    assert_close(sgd.gradient(params, updates), want)
+
+    h = Hyper(d=2, mask=MASK_BY_KIND["mf"])
+    params = init_params(h, feats, 1, 6, rng)
+    gamma = params["Gamma"][0]
+    rows, targets = mf_visit(seq, rng.choice([3, 4, 5], size=len(seq)))
+    want = {name: np.zeros_like(b) for name, b in params.items()}
+    for i, t in zip(rows, targets):
+        err = t - float(gamma @ params["X"][i])
+        want["Gamma"][0] += err * params["X"][i]
+        want["X"][i] += err * gamma
+    assert_close(sgd.gradient(params, mf_user_grads(params, 0, rows, targets)[1]),
+                 want)
+
+
+def assert_close(got, want):
+    assert sorted(got) == sorted(want)
+    for name, g in want.items():
+        assert np.abs(g).max() > 0.0, name
+        assert np.abs(got[name] - g).max() <= 1e-12, name
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +164,16 @@ DECAY = dict(alpha=0.5, lam_theta=0.01, lam_e=0.03, lam_v=0.07)
 
 def naive_step(params, records, h):
     """A copy of params after theta += alpha * (g - lam * theta) for each
-    record in order, lam chosen by block name here, not by `Hyper.decay`."""
+    record in order, a row-array record's rows one by one, lam chosen by
+    block name here, not by `Hyper.decay`."""
     lam = {"X": h.lam_theta, "Gamma": h.lam_theta, "InMat": h.lam_theta,
            "RecMat": h.lam_theta, "E": h.lam_e, "V": h.lam_v}
     out = {name: b.copy() for name, b in params.items()}
     for name, row, g in records:
-        theta = out[name] if row is None else out[name][row]
-        theta += h.alpha * (g - lam[name] * theta)
+        rows = zip(row, g) if isinstance(row, np.ndarray) else [(row, g)]
+        for r, gr in rows:
+            theta = out[name] if r is None else out[name][r]
+            theta += h.alpha * (gr - lam[name] * theta)
     return out
 
 
@@ -119,46 +194,75 @@ def test_recurrent_sequence_decays_each_block_by_its_regularizer():
 
 
 def test_bpr_triple_decays_each_block_by_its_regularizer():
-    corpus, feats = one_triple_world()
+    # one visit of two triples that share the negative "d": each block,
+    # and each distinct row, decays once
+    corpus, feats, pos, neg = repeat_negative_world()
     h = Hyper(d=2, mask=MASK_BY_KIND["vtbpr"], **DECAY)
-    start = init_params(h, feats, 1, 3, start_rng())
-    records = bpr_pair_grads(start, feats, h, 0, 1, 2)[1]
+    start = init_params(h, feats, 1, 4, start_rng())
+    records = bpr_user_grads(start, feats, h, 0, pos[1:], neg[1:])[1]
+    assert [len(row) for name, row, _ in records if name == "X"] == [3]
     assert_same(train_content_bpr(corpus, feats, h, CFG, None),
                 naive_step(start, records, h))
 
 
 def test_mf_observation_decays_each_block_by_its_regularizer():
+    corpus, feats, pos, neg = repeat_negative_world()
     h = Hyper(d=2, mask=MASK_BY_KIND["mf"], **DECAY)
-    _, feats = one_triple_world()  # 3 items; mf reads no features
-    params = init_params(h, feats, 2, 3, start_rng())
-    _, records = mf_obs_grads(params, 1, 2, 1.0)
-    want = naive_step(params, records, h)
-    sgd.apply(params, records, h.alpha, h.decay)
-    assert_same(params, want)
+    start = init_params(h, feats, 1, 4, start_rng())
+    records = mf_user_grads(start, 0, *mf_visit(pos, neg))[1]
+    assert [len(row) for name, row, _ in records if name == "X"] == [4]
+    assert_same(train_mf(corpus, feats, h, CFG, None),
+                naive_step(start, records, h))
 
 
 # ---------------------------------------------------------------------------
-# call structure: one apply per recurrent sequence
+# call structure: one apply per recurrent sequence and per mf or BPR user
+# visit, and one sample_negative call per sampled negative
+
+def count_calls(monkeypatch, calls, module, name, *also):
+    """Count calls of module.name in calls[name], through one wrapper that
+    is also bound in the modules `also`, which import the name."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    for owner in (module, *also):
+        monkeypatch.setattr(owner, name, wrapper)
+
 
 def test_train_applies_once_per_sequence(monkeypatch):
     calls = {"apply": 0, "forward_updates": 0}
-
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(sgd, "apply")
-    counted(trainer, "forward_updates")
+    count_calls(monkeypatch, calls, sgd, "apply")
+    count_calls(monkeypatch, calls, trainer, "forward_updates")
     h = Hyper(d=2, mask=MASK_BY_KIND["vtrnn"])
     corpus, feats, _ = tiny_fixture(np.random.default_rng(4))
     epochs = 3
     train(corpus, feats, h, TrainConfig(epochs=epochs, seed=SEED), None)
     pairs = len(corpus.train_rows["u0"]) - 1
     assert calls == {"apply": epochs, "forward_updates": epochs * pairs}
+
+
+@pytest.mark.parametrize("kind", ["mf", "bpr", "vtbpr"])
+def test_mf_and_bpr_apply_once_per_visit(monkeypatch, kind):
+    corpus, feats = synth_corpus(
+        SynthSpec(users=5, items=30, clusters=3, seq_len=6, f_dim_visual=2,
+                  f_dim_textual=2, noise_sigma=0.3, seed=2),
+        np.random.default_rng(2))
+    calls = {"apply": 0, "sample_negative": 0}
+    count_calls(monkeypatch, calls, sgd, "apply")
+    count_calls(monkeypatch, calls, dataio, "sample_negative", baselines)
+    epochs = 2
+    baselines.build_ranker(kind, corpus, feats, Hyper(d=2),
+                           TrainConfig(epochs=epochs, seed=SEED))
+    lengths = [len(corpus.train_rows[u]) for u in corpus.users]
+    # mf draws a negative per interaction, BPR one per step t >= 2
+    short = 1 if kind == "mf" else 2
+    visits = sum(m >= short for m in lengths)
+    negatives = sum(m - (short - 1) for m in lengths if m >= short)
+    assert visits and negatives > visits
+    assert calls == {"apply": epochs * visits,
+                     "sample_negative": epochs * negatives}
 
 
 def test_divergence_names_the_first_non_finite_block():
