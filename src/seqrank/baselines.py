@@ -254,8 +254,8 @@ def grad_check(kind: str, h: Hyper, rng: np.random.Generator) -> dict:
     ascend."""
     h = replace(h, mask=model.MASK_BY_KIND[kind])
     if kind == "mf":
-        visits = [(uj, rng.integers(4, size=6), rng.integers(2, size=6).astype(np.float64))
-                  for uj in range(2)]
+        visits = [(uj, rng.integers(4, size=6),
+                   rng.integers(2, size=6).astype(np.float64)) for uj in range(2)]
         params = model.init_params(h, {}, 2, 4, rng)
 
         def steps():

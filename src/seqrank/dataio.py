@@ -158,15 +158,21 @@ def normalize_minmax(matrix: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return out
 
 
+# value tokens converted per numpy call in `load_features`: large enough
+# that the call overhead vanishes, small enough that the tokens held as
+# str objects (about 70 bytes each) stay a small part of the process
+FLOAT_CHUNK = 1 << 12
+
+
 def load_features(path, lo: float, hi: float) -> FeatureTable:
     """Parse a `#dims F` header plus `item<TAB>f1 f2 ...` rows, then min-max
     normalize each dimension onto [lo, hi] over all items in the file.
-    Each line's structure is checked as it is read; the value tokens of
-    every line up to the first bad one are then converted in one numpy
-    call, with float()'s own parse. A bad file is reported at its first
-    bad line, as a line-by-line parse would: a non-numeric token before
-    that line is named first."""
-    ids, tokens, linenos, seen = [], [], [], set()
+    Each line's structure is checked as it is read, and the value tokens
+    are converted FLOAT_CHUNK at a time by `_floats`. A bad file is
+    reported at its first bad line, as a line-by-line parse would: a
+    non-numeric token before that line is named first."""
+    ids, linenos, seen = [], [], set()
+    blocks, tokens, first = [], [], 0  # tokens of the lines linenos[first:]
     lines = _text_lines(path)
     toks = next(lines, (1, ""))[1].split()
     try:
@@ -199,16 +205,17 @@ def load_features(path, lo: float, hi: float) -> FeatureTable:
                 break
             seen.add(parts[0])
             ids.append(parts[0])
+            if len(tokens) >= FLOAT_CHUNK:
+                blocks.append(_floats(path, tokens, linenos[first:], dim))
+                tokens, first = [], len(linenos)
     except ParseError as exc:  # the text stops being UTF-8
         problem = exc
-    try:
-        matrix = np.array(tokens, dtype=np.float64).reshape(-1, dim)
-    except ValueError:
-        matrix = _first_bad_line(path, tokens, linenos, dim)
+    blocks.append(_floats(path, tokens, linenos[first:], dim))
     if problem is not None:
         raise problem
     if not ids:
         raise ParseError(f"{path}: no feature rows")
+    matrix = np.concatenate(blocks)
     finite = np.isfinite(matrix)
     if not finite.all():
         j, k = np.argwhere(~finite)[0]
@@ -216,16 +223,21 @@ def load_features(path, lo: float, hi: float) -> FeatureTable:
     return FeatureTable(ids, normalize_minmax(matrix, lo, hi))
 
 
-def _first_bad_line(path, tokens: list, linenos: list, dim: int) -> np.ndarray:
-    """Raise ParseError at the first line, `dim` tokens each, that float()
-    rejects a token of; the matrix of float() values if it rejects none."""
-    rows = []
-    for j, lineno in enumerate(linenos):
-        try:
-            rows.append([float(v) for v in tokens[j * dim:(j + 1) * dim]])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-numeric token ({exc})") from exc
-    return np.array(rows, dtype=np.float64).reshape(-1, dim)
+def _floats(path, tokens: list, linenos: list, dim: int) -> np.ndarray:
+    """(len(linenos), dim) matrix of the lines' value tokens, `dim` a line,
+    in one numpy call. numpy reads a str element with float() itself, so
+    this accepts and rejects exactly what a per-token float() does, to the
+    bit; a rejected token is a ParseError at the first line holding one."""
+    try:
+        return np.array(tokens, dtype=np.float64).reshape(-1, dim)
+    except ValueError:
+        for j, lineno in enumerate(linenos):
+            try:
+                [float(v) for v in tokens[j * dim:(j + 1) * dim]]
+            except ValueError as exc:
+                raise ParseError(
+                    f"{path}:{lineno}: non-numeric token ({exc})") from exc
+        raise
 
 
 def _aligned(items: np.ndarray, table: FeatureTable | None):

@@ -17,8 +17,8 @@ L2 decay from `Hyper.decay`, once per row of a row array, each clipped by
 its own norm. `gradient` sums the same lists into full-shape arrays, and
 `grad_check` holds that sum against central finite differences of the
 steps' own objective terms: the one gradient check of every trainable
-kind. Parameters are the {block name: array} dict that
-`init` returns; `apply` updates its arrays in place.
+kind. Parameters are the {block name: array} dict that `init` returns;
+`apply` updates its arrays in place.
 
 A step's list is formed in full before `apply` runs it, and this relies on
 one invariant of every step: no record's g reads a parameter entry that

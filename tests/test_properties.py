@@ -26,6 +26,7 @@ directory out of the checkout."""
 import json
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,10 +35,10 @@ from hypothesis import strategies as st
 
 from id_corpus import id_corpus
 from reference_metrics import cold_start_ref
-from seqrank import numkit, sgd
+from seqrank import dataio, numkit, sgd
 from seqrank.checkpoint import MAGIC, load_ranker, read_checkpoint
-from seqrank.dataio import (RANGES, FeatureTable, SynthSpec, build_corpus,
-                            load_features, normalize_minmax,
+from seqrank.dataio import (FLOAT_CHUNK, RANGES, FeatureTable, SynthSpec,
+                            build_corpus, load_features, normalize_minmax,
                             parse_sequence_file, sample_triples, synth_raw,
                             write_features)
 from seqrank.errors import CheckpointError, EmptyCorpusError, ParseError
@@ -459,11 +460,15 @@ def feature_files(draw):
 
 
 @FUZZ
-@given(raw=feature_files())
-def test_load_features_matches_line_by_line_parse(scratch, raw):
+@given(raw=feature_files(), chunk=st.sampled_from([1, 2, 5, FLOAT_CHUNK]))
+def test_load_features_matches_line_by_line_parse(scratch, raw, chunk):
+    # small conversion chunks put a bad token or line before, inside and
+    # after a chunk boundary
     path = scratch / "features.tsv"
     path.write_bytes(raw)
-    assert outcome(load_features, path) == outcome(load_features_ref, path)
+    with mock.patch.object(dataio, "FLOAT_CHUNK", chunk):
+        got = outcome(load_features, path)
+    assert got == outcome(load_features_ref, path)
 
 
 @pytest.mark.parametrize("width", [10, 512])
