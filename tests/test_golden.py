@@ -37,6 +37,14 @@ and the kept ranked prefixes, concatenated in user order with their
 lengths. They were recorded before the evaluator read each ranking in one
 pass, and must match bit for bit.
 
+The `coldstart` entry holds the cold-start report of the same six rankers,
+with the growth of `vtrnn` over `vrnn` and of `vtbpr` over `mf`, under the
+default `EvalConfig` and under `coldstart_k=5`, where the top-k hits are
+partial: the users per bin, every recall and every growth, NaN where a
+value is undefined. It was recorded while the cold-start bins matched the
+kept ranked ids against the test items a second time, and must match bit
+for bit.
+
 Running this file records every entry missing from `golden_trace.npz` and
 keeps the ones it has; delete an entry (or the file) to re-record it, and
 only when the training arithmetic is meant to change:
@@ -52,7 +60,7 @@ import pytest
 
 from seqrank.baselines import build_ranker
 from seqrank.dataio import synth_corpus
-from seqrank.evaluator import METRICS, EvalConfig, evaluate
+from seqrank.evaluator import METRICS, EvalConfig, cold_start_bins, evaluate
 from seqrank.model import KERNELS, MASK_BY_KIND, Hyper
 from seqrank.trainer import TrainConfig
 from test_acceptance import SMALL
@@ -63,6 +71,8 @@ SHUFFLED_KINDS = ("vtrnn", "vtbpr", "mf")
 RANKED_KINDS = ("vtrnn", "vrnn", "vtbpr", "mf", "pop", "random")
 RECURRENT_REL_TOL = 1e-12
 RECURRENT_SCORE_TOL = 1e-14
+COLDSTART_CONFIGS = (EvalConfig(), EvalConfig(coldstart_k=5))
+COLDSTART_PAIRS = [("vtrnn", "vrnn"), ("vtbpr", "mf")]
 
 
 @functools.lru_cache(maxsize=None)
@@ -109,6 +119,25 @@ def reports(kind: str) -> dict:
             "lengths": np.array([len(ids) for ids in kept.values()])}
 
 
+def coldstart() -> dict:
+    """"bin_users", "recalls" (RANKED_KINDS order) and "growth"
+    (COLDSTART_PAIRS order) of the cold-start report of the six rankers,
+    one row per config of COLDSTART_CONFIGS, NaN where undefined."""
+    out = {"bin_users": [], "recalls": [], "growth": []}
+    for cfg in COLDSTART_CONFIGS:
+        kept = {}
+        for kind in RANKED_KINDS:
+            ranker, _ = build(kind)
+            _, kept[kind] = evaluate(ranker, ranker.corpus, cfg)
+        report = cold_start_bins(ranker.corpus, kept, cfg, COLDSTART_PAIRS)
+        out["bin_users"].append(report.bin_users)
+        out["recalls"].append([report.recalls[kind] for kind in RANKED_KINDS])
+        out["growth"].append([report.growth[f"{a}_over_{b}"]
+                              for a, b in COLDSTART_PAIRS])
+    return {name: np.array(v, dtype=int if name == "bin_users" else float)
+            for name, v in out.items()}
+
+
 def entries() -> dict:
     """Entry prefix -> function computing the entry's arrays."""
     out = {kind: functools.partial(trace, kind) for kind in KINDS}
@@ -118,6 +147,7 @@ def entries() -> dict:
                 for kind in RANKED_KINDS})
     out.update({f"{kind}+report": functools.partial(reports, kind)
                 for kind in RANKED_KINDS})
+    out["coldstart"] = coldstart
     return out
 
 
@@ -203,6 +233,16 @@ def test_golden_reports(golden, kind):
     # bit for bit: the bytes tell -0.0 from 0.0 and compare NaN with itself
     assert got["values"].dtype == want["values"].dtype
     assert got["values"].tobytes() == want["values"].tobytes()
+
+
+def test_golden_coldstart(golden):
+    got, want = coldstart(), stored(golden, "coldstart")
+    assert sorted(got) == sorted(want)
+    for name, value in got.items():
+        # bit for bit: the bytes tell -0.0 from 0.0 and compare NaN with itself
+        assert value.dtype == want[name].dtype, name
+        assert value.shape == want[name].shape, name
+        assert value.tobytes() == want[name].tobytes(), name
 
 
 if __name__ == "__main__":
