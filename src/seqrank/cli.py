@@ -280,10 +280,10 @@ def cmd_coldstart(args) -> int:
         pairs = []
     evaluator.check_pairs(pairs, names)
     ecfg = SECTIONS["eval"](cfg)
-    rankings = {}
-    for name in names:  # pop: a ranker is freed once its rankings are kept
-        _, rankings[name] = evaluator.evaluate(rankers.pop(name), corpus, ecfg)
-    report = evaluator.cold_start_bins(corpus, rankings, ecfg, pairs)
+    hits = {}
+    for name in names:  # pop: a ranker is freed once its hit rows are kept
+        _, hits[name] = evaluator.evaluate(rankers.pop(name), corpus, ecfg)
+    report = evaluator.cold_start_bins(corpus, hits, ecfg, pairs)
     written = _write_reports(cfg, "coldstart", report)
     for name, vals in report.growth.items():
         shown = ["undef" if v is None else f"{v:.3f}" for v in vals]

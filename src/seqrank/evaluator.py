@@ -162,46 +162,47 @@ class EvalReport:
 def user_metrics(ranker, corpus: Corpus, cfg: EvalConfig, u: str) -> dict:
     ranking = ranker.rank(u)
     ids = list(map(itemgetter(0), ranking))
-    rel = set(corpus.items[corpus.test_rows[u]].tolist())
-    # the ranked position of each relevant id the ranking holds
-    pos = []
-    for it in rel:
+    rows = corpus.test_rows[u]
+    # (ranked position, row) of each relevant item the ranking holds
+    found = []
+    for row, it in zip(rows.tolist(), corpus.items[rows].tolist()):
         try:
-            pos.append(ids.index(it))
+            found.append((ids.index(it), row))
         except ValueError:
             pass
-    pos.sort()
+    found.sort()
+    pos = [p for p, _ in found]
     hit = np.zeros(len(ids), dtype=bool)
     hit[pos] = True
-    row = {"ranked": ids[:cfg.coldstart_k],
-           **cutoff_metrics(hit, len(rel), cfg.cutoffs)}
-    row["auc"] = auc_from_scores(ranking, pos) if 0 < len(pos) < len(ids) else None
-    return row
+    out = cutoff_metrics(hit, len(rows), cfg.cutoffs)
+    out["hits"] = np.array([row for p, row in found if p < cfg.coldstart_k],
+                           dtype=np.intp)
+    out["auc"] = auc_from_scores(ranking, pos) if 0 < len(pos) < len(ids) else None
+    return out
 
 
 def evaluate(ranker, corpus: Corpus, cfg: EvalConfig) -> tuple:
-    """(report, {user: top ranked ids}): metrics aggregated over every user
-    with a nonempty filtered test set, and the first cfg.coldstart_k ids of
-    each user's ranking, for reuse by the cold-start analysis."""
+    """(report, {user: top-k hit rows}): metrics aggregated over every user
+    with a nonempty filtered test set, and the rows of each user's
+    relevant items ranked within cfg.coldstart_k, in rank order, all that
+    the cold-start analysis reads."""
     users = corpus.eval_users()
     if not users:
         raise EmptyCorpusError("no users have test items to evaluate")
     rows = [user_metrics(ranker, corpus, cfg, u) for u in users]
 
-    per_cutoff = {}
-    for k in cfg.cutoffs:
-        sums = [0.0] * len(METRICS)
-        for row in rows:
-            for m in range(len(METRICS)):
-                sums[m] += row[k][m]
-        per_cutoff[k] = {name: t / len(rows) for name, t in zip(METRICS, sums)}
+    # (users, cutoffs, metrics); cumsum adds the users in order, as a loop would
+    means = np.cumsum([[row[k] for k in cfg.cutoffs] for row in rows],
+                      axis=0)[-1] / len(rows)
+    per_cutoff = {k: dict(zip(METRICS, m))
+                  for k, m in zip(cfg.cutoffs, means.tolist())}
     aucs = [row["auc"] for row in rows if row["auc"] is not None]
     if not aucs:
         raise EmptyCorpusError("no user has both relevant and non-relevant candidates")
     report = EvalReport(getattr(ranker, "kind", "?"), tuple(cfg.cutoffs),
                         per_cutoff, sum(aucs) / len(aucs), len(rows),
                         len(rows) - len(aucs))
-    return report, {u: row["ranked"] for u, row in zip(users, rows)}
+    return report, {u: row["hits"] for u, row in zip(users, rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -249,54 +250,43 @@ def check_pairs(pairs: list, names) -> None:
                               f"{sorted(names)}")
 
 
-def cold_start_bins(corpus: Corpus, rankings: dict, cfg: EvalConfig,
+def cold_start_bins(corpus: Corpus, hits: dict, cfg: EvalConfig,
                     pairs: list | None = None) -> ColdStartReport:
     """Recall@k, k = cfg.coldstart_k, restricted to test items of bounded
     test-set frequency, over the bounds cfg.bins.
 
-    rankings maps ranker name -> {user: ranked id list}, such as the
-    prefixes `evaluate` keeps under the same cfg. Each finite bin
-    [1, b] keeps only relevant items occurring <= b times; users left with
-    no relevant item are skipped in that bin. The final bin is the whole
-    test set and reproduces the unrestricted recall exactly. Growth of A
-    over B is (rA - rB)/rB, undefined where rB is 0."""
+    hits maps ranker name -> {user: hit rows}, the rows of the user's
+    relevant items ranked within k that `evaluate` keeps under the same
+    cfg. Each finite bin [1, b] keeps only relevant items occurring <= b
+    times; users left with no relevant item are skipped in that bin. The
+    final bin is the whole test set and reproduces the unrestricted recall
+    exactly. Growth of A over B is (rA - rB)/rB, undefined where rB is 0."""
     users = corpus.eval_users()
     if not users:
         raise EmptyCorpusError("no users have test items")
-    k, bins = cfg.coldstart_k, cfg.bins
     freq = test_frequencies(corpus)
     # the last bound, the largest test frequency, keeps the whole test set
-    bounds = np.array(list(bins) + [int(freq.max())])
-    labels = [f"1-{b}" for b in bins] + ["all"]
-    n_rel, rel_freq = [], {}
-    for u in users:
-        rows = corpus.test_rows[u]
-        # relevant items of the user that each bin keeps
-        n_rel.append((freq[rows, None] <= bounds).sum(axis=0))
-        # the ranked lists hold ids: each relevant id's test frequency
-        rel_freq[u] = dict(zip(corpus.items[rows].tolist(), freq[rows].tolist()))
-    n_rel = np.array(n_rel)  # (users, bins)
-    has_rel = n_rel > 0
+    bounds = np.array(list(cfg.bins) + [int(freq.max())])
+    labels = [f"1-{b}" for b in cfg.bins] + ["all"]
 
-    report = ColdStartReport(k, labels, has_rel.sum(axis=0).tolist())
-    for name, ranked_by_user in rankings.items():
-        # test frequency of each user's top-k items, inf where an item is
-        # not relevant or past the end of a short ranking, so bin b's hits
-        # are the entries <= b
-        top_freq = [[rel_freq[u].get(it, math.inf) for it in ranked_by_user[u][:k]]
-                    for u in users]
-        top = np.full((len(users), max(map(len, top_freq))), math.inf)
-        for row, f in zip(top, top_freq):
-            row[:len(f)] = f
-        hits = (top[:, :, None] <= bounds).sum(axis=1)
+    def per_bin(rows_by_user):
+        """(users, bins) counts of each user's rows that each bin keeps."""
+        return np.array([(freq[rows_by_user[u], None] <= bounds).sum(axis=0)
+                         for u in users])
+
+    n_rel = per_bin(corpus.test_rows)
+    has_rel = n_rel > 0
+    report = ColdStartReport(cfg.coldstart_k, labels, has_rel.sum(axis=0).tolist())
+    for name, hits_by_user in hits.items():
         # recall int hits / int n_rel per (user, bin), 0.0 where the bin
         # skips the user; cumsum adds the users in order, as a loop would
-        recall = np.divide(hits, n_rel, out=np.zeros(n_rel.shape), where=has_rel)
+        recall = np.divide(per_bin(hits_by_user), n_rel,
+                           out=np.zeros(n_rel.shape), where=has_rel)
         totals = np.cumsum(recall, axis=0)[-1].tolist()
         report.recalls[name] = [t / n if n else None
                                 for t, n in zip(totals, report.bin_users)]
 
-    check_pairs(pairs or [], rankings)
+    check_pairs(pairs or [], hits)
     for a, b in pairs or []:
         out = []
         for ra, rb in zip(report.recalls[a], report.recalls[b]):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from reference_metrics import (auc_ref, average_precision_ref, ndcg_ref,
-                               precision_ref, recall_ref)
+from id_corpus import FakeRanker, kept_hits
+from reference_metrics import (auc_ref, average_precision_ref, cold_start_ref,
+                               ndcg_ref, precision_ref, recall_ref)
 from seqrank.baselines import RandomRanker
 from seqrank.dataio import build_corpus
 from seqrank.errors import ConfigError, EmptyCorpusError
@@ -13,16 +14,6 @@ from seqrank.evaluator import (EvalConfig, auc_from_scores, cold_start_bins,
 from seqrank.evaluator import test_frequencies as frequencies_in_test
 
 NDCG_SINGLE_REL_AT_2 = 0.6309297535714574  # 1/log2(3)
-
-
-class FakeRanker:
-    kind = "fake"
-
-    def __init__(self, table):
-        self.table = table
-
-    def rank(self, u):
-        return self.table[u]
 
 
 def test_eval_config_validation():
@@ -115,7 +106,8 @@ def fake_table():
 def test_user_metrics_row(toy_corpus):
     cfg = EvalConfig(cutoffs=(2,), bins=(1,))
     row = user_metrics(FakeRanker(fake_table()), toy_corpus, cfg, "alice")
-    assert row["ranked"] == ["i5", "i4", "i6"]
+    # alice's one relevant item, i4, ranked second
+    assert toy_corpus.items[row["hits"]].tolist() == ["i4"]
     recall, precision, ap, ndcg = row[2]
     assert (recall, precision, ap) == (1.0, 0.5, 0.5)
     assert ndcg == pytest.approx(NDCG_SINGLE_REL_AT_2, abs=1e-15)
@@ -133,7 +125,7 @@ def test_user_metrics_skips_a_relevant_id_the_ranking_lacks():
     ranked = [it for it, _ in ranking]
     cfg = EvalConfig(cutoffs=(1, 2, 5), bins=(1,), coldstart_k=2)
     row = user_metrics(FakeRanker({"u": ranking}), c, cfg, "u")
-    assert row["ranked"] == ["x", "d"]
+    assert c.items[row["hits"]].tolist() == ["d"]
     refs = (recall_ref, precision_ref, average_precision_ref, ndcg_ref)
     for k in cfg.cutoffs:
         for got, ref in zip(row[k], refs):
@@ -216,23 +208,44 @@ def test_evaluate_requires_eval_users():
 
 
 def test_keep_rankings(toy_corpus):
-    table = fake_table()
-    _, rankings = evaluate(FakeRanker(table), toy_corpus,
-                           EvalConfig(cutoffs=(1,), bins=(1,)))
-    assert rankings == {u: [it for it, _ in table[u]] for u in table}
+    # evaluation keeps the rows of each user's relevant items ranked within
+    # coldstart_k, in rank order, and nothing else of the ranking
+    _, kept = evaluate(FakeRanker(fake_table()), toy_corpus,
+                       EvalConfig(cutoffs=(1,), bins=(1,)))
+    assert {u: toy_corpus.items[rows].tolist() for u, rows in kept.items()} == \
+        {"alice": ["i4"], "bob": ["i1"], "carol": ["i6"]}
 
-    # "many" has 5 candidates, more than k = 3; "few" has 2, fewer than k
+    # "many" tests on h and has 5 candidates, more than k = 3; "few" tests
+    # on g and h and has 2, fewer than k
     c = build_corpus({"many": ["a", "b", "g", "h"],
                       "few": ["a", "b", "c", "d", "e", "f", "g", "h"]},
                      min_len=2, split_frac=0.75)
     cfg = EvalConfig(cutoffs=(1,), bins=(1, 2), coldstart_k=3)
+
+    def kept_ids(table):
+        _, kept = evaluate(FakeRanker(table), c, cfg)
+        return {u: c.items[rows].tolist() for u, rows in kept.items()}
+
+    # h ranked 4th is past k; the short ranking keeps both, in rank order
+    assert kept_ids({"many": [("c", 4.0), ("d", 3.0), ("e", 2.0), ("h", 1.0),
+                              ("f", 0.0)],
+                     "few": [("h", 1.0), ("g", 0.0)]}) == \
+        {"many": [], "few": ["h", "g"]}
+    # h ranked 3rd is within k; a ranking that lacks g keeps h alone
+    assert kept_ids({"many": [("c", 4.0), ("d", 3.0), ("h", 2.0), ("e", 1.0),
+                              ("f", 0.0)],
+                     "few": [("h", 1.0), ("x", 0.0)]}) == \
+        {"many": ["h"], "few": ["h"]}
+
+    # the kept rows give the cold-start recalls of the full rankings
     r = RandomRanker(c, seed=4)
     full = {u: [it for it, _ in r.rank(u)] for u in c.eval_users()}
     assert {u: len(ids) for u, ids in full.items()} == {"many": 5, "few": 2}
     _, kept = evaluate(r, c, cfg)
-    assert kept == {"many": full["many"][:3], "few": full["few"]}
-    assert cold_start_bins(c, {"A": kept}, cfg).to_json_dict() == \
-        cold_start_bins(c, {"A": full}, cfg).to_json_dict()
+    test_ids = {u: c.items[c.test_rows[u]].tolist() for u in full}
+    bin_users, recalls = cold_start_ref(list(full), test_ids, full, 3, cfg.bins)
+    report = cold_start_bins(c, {"A": kept}, cfg)
+    assert (report.bin_users, report.recalls["A"]) == (bin_users, recalls)
 
 
 def by_id(c, freq):
@@ -265,8 +278,9 @@ def test_cold_start_hand_values():
         "A": {"uA": ["c1", "c2", "w1", "x3"], "uB": ["c1", "c2", "w1", "x1"]},
         "B": {"uA": ["w1", "x3", "c1", "c2"], "uB": ["w1", "c2", "c1", "x1"]},
     }
-    rep = cold_start_bins(c, rankings, EvalConfig(bins=(1, 2), coldstart_k=2),
-                          [("A", "B")])
+    cfg = EvalConfig(bins=(1, 2), coldstart_k=2)
+    hits = {name: kept_hits(c, ranked, cfg) for name, ranked in rankings.items()}
+    rep = cold_start_bins(c, hits, cfg, [("A", "B")])
     assert rep.bin_labels == ["1-1", "1-2", "all"]
     assert rep.bin_users == [2, 2, 2]
     assert rep.recalls["A"] == [1.0, 0.5, 0.5]
@@ -285,8 +299,9 @@ def test_cold_start_empty_bin_and_zero_growth():
         "A": {"uA": ["w1", "w2"], "uB": ["w1", "w2"]},
         "B": {"uA": ["x3", "x1"], "uB": ["x1", "x3"]},
     }
-    rep = cold_start_bins(c, rankings, EvalConfig(bins=(1, 2), coldstart_k=2),
-                          [("A", "B")])
+    cfg = EvalConfig(bins=(1, 2), coldstart_k=2)
+    hits = {name: kept_hits(c, ranked, cfg) for name, ranked in rankings.items()}
+    rep = cold_start_bins(c, hits, cfg, [("A", "B")])
     assert rep.bin_users == [0, 2, 2]
     assert rep.recalls["A"] == [None, 1.0, 1.0]
     # empty bin and zero denominator both yield undefined growth
@@ -301,24 +316,25 @@ def test_cold_start_all_bin_equals_plain_recall(toy_corpus):
     k = 2
     r = RandomRanker(toy_corpus, seed=3)
     cfg = EvalConfig(cutoffs=(k,), bins=(1,), coldstart_k=k)
-    report, rankings = evaluate(r, toy_corpus, cfg)
-    cs = cold_start_bins(toy_corpus, {"random": rankings}, cfg)
+    report, hits = evaluate(r, toy_corpus, cfg)
+    cs = cold_start_bins(toy_corpus, {"random": hits}, cfg)
     assert cs.recalls["random"][-1] == report.per_cutoff[k]["recall"]
 
 
 def test_cold_start_unknown_pair(toy_corpus):
     r = RandomRanker(toy_corpus, seed=3)
     cfg = EvalConfig(cutoffs=(2,), bins=(1,), coldstart_k=2)
-    _, rankings = evaluate(r, toy_corpus, cfg)
+    _, hits = evaluate(r, toy_corpus, cfg)
     with pytest.raises(ConfigError, match="growth pair"):
-        cold_start_bins(toy_corpus, {"random": rankings}, cfg,
+        cold_start_bins(toy_corpus, {"random": hits}, cfg,
                         [("random", "pop")])
 
 
 def test_cold_start_json_shape():
     c = cold_world()
-    rankings = {"A": {"uA": ["c1"], "uB": ["c2"]}}
-    rep = cold_start_bins(c, rankings, EvalConfig(bins=(1,), coldstart_k=1))
+    cfg = EvalConfig(bins=(1,), coldstart_k=1)
+    rep = cold_start_bins(c, {"A": kept_hits(c, {"uA": ["c1"], "uB": ["c2"]}, cfg)},
+                          cfg)
     js = rep.to_json_dict()
     assert js["bins"] == ["1-1", "all"]
     assert js["k"] == 1

@@ -33,9 +33,11 @@ whose scores may differ by 1e-14 absolute.
 The `<kind>+report` entries hold what `evaluate` gives for the same six
 rankers under the default `EvalConfig`: every report value (each cutoff's
 metrics in `METRICS` order, then AUC), the user and skipped-AUC counts,
-and the kept ranked prefixes, concatenated in user order with their
-lengths. They were recorded before the evaluator read each ranking in one
-pass, and must match bit for bit.
+and the kept hit rows (each user's relevant items ranked within
+`coldstart_k`), concatenated in user order with their lengths. The values
+and counts were recorded before the evaluator read each ranking in one
+pass; the hit rows replaced the kept ranked prefixes later, with values
+and counts re-recorded byte for byte. All must match bit for bit.
 
 The `coldstart` entry holds the cold-start report of the same six rankers,
 with the growth of `vtrnn` over `vrnn` and of `vtbpr` over `mf`, under the
@@ -107,16 +109,15 @@ def rankings(kind: str) -> dict:
 
 def reports(kind: str) -> dict:
     """"values": every report metric, each cutoff's in METRICS order, then
-    AUC; "counts": users evaluated and AUC-skipped; "ranked" and
-    "lengths": the kept ranked prefixes concatenated in user order, and
-    each prefix's length."""
+    AUC; "counts": users evaluated and AUC-skipped; "hits" and "lengths":
+    the kept hit rows concatenated in user order, and each user's count."""
     ranker, _ = build(kind)
     report, kept = evaluate(ranker, ranker.corpus, EvalConfig())
     values = [report.per_cutoff[k][m] for k in report.cutoffs for m in METRICS]
     return {"values": np.array(values + [report.auc]),
             "counts": np.array([report.users_evaluated, report.auc_skipped]),
-            "ranked": np.array([it for ids in kept.values() for it in ids]),
-            "lengths": np.array([len(ids) for ids in kept.values()])}
+            "hits": np.concatenate(list(kept.values())),
+            "lengths": np.array([len(rows) for rows in kept.values()])}
 
 
 def coldstart() -> dict:
@@ -229,7 +230,7 @@ def test_golden_reports(golden, kind):
     assert sorted(got) == sorted(want)
     assert got["counts"].tolist() == want["counts"].tolist()
     assert got["lengths"].tolist() == want["lengths"].tolist()
-    assert got["ranked"].tolist() == want["ranked"].tolist()
+    assert got["hits"].tolist() == want["hits"].tolist()
     # bit for bit: the bytes tell -0.0 from 0.0 and compare NaN with itself
     assert got["values"].dtype == want["values"].dtype
     assert got["values"].tobytes() == want["values"].tobytes()

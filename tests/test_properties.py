@@ -6,7 +6,8 @@
 - The array ranking path agrees with naive per-user and per-item
   references: candidate ordering (also against a plain stable argsort,
   on distinct scores and on ties, signed zeros, infinities and NaN), the
-  batched final states and the cold-start bins.
+  batched final states and the cold-start bins (fed the hit rows that
+  `user_metrics` keeps of drawn id rankings).
 - The row sampler draws exactly what an id-based rejection sampler draws
   from the same generator, and never a row the user trained on.
 - `build_corpus` keeps, splits and filters exactly as a plain reference
@@ -33,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from id_corpus import id_corpus
+from id_corpus import id_corpus, kept_hits
 from reference_metrics import cold_start_ref
 from seqrank import dataio, numkit, sgd
 from seqrank.checkpoint import MAGIC, load_ranker, read_checkpoint
@@ -288,8 +289,8 @@ def test_cold_start_bins_match_per_bin_recount(world):
     corpus, test, ranked, k, bins = world
     evaluable = corpus.eval_users()
     assert evaluable == [u for u in corpus.users if test[u]]
-    report = cold_start_bins(corpus, {"A": ranked},
-                             EvalConfig(bins=bins, coldstart_k=k))
+    cfg = EvalConfig(bins=bins, coldstart_k=k)
+    report = cold_start_bins(corpus, {"A": kept_hits(corpus, ranked, cfg)}, cfg)
     bin_users, recalls = cold_start_ref(evaluable, test, ranked, k, bins)
     assert report.bin_users == bin_users
     assert report.recalls["A"] == recalls
