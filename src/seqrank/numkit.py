@@ -38,13 +38,9 @@ def sigmoid_arr(x: np.ndarray) -> np.ndarray:
 
 
 def log_sigmoid(x):
-    """ln(sigmoid(x)) without overflow: a float for a float, elementwise
-    for an array. Both paths run the same ufuncs on each value, so they
-    give the same bits."""
-    if isinstance(x, float):
-        if x >= 0.0:
-            return float(-np.log1p(np.exp(-x)))
-        return float(x - np.log1p(np.exp(x)))
+    """ln(sigmoid(x)) without overflow, elementwise; a float for a 0-d
+    input (a float, say), computed by the same ufuncs as an array's entries,
+    so it has the same bits."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0.0
