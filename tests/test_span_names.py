@@ -31,6 +31,9 @@ TIMED = [
     ("dataio", "build_feature_store"),  # dataio.align_s
     ("model", "item_rep_matrix"),      # model.item_rep_matrix_s
     ("evaluator", "auc_from_scores"),  # evaluator.auc_s
+    ("evaluator", "evaluate"),         # evaluator.evaluate_s
+    ("evaluator", "cold_start_bins"),  # evaluator.coldstart_bins_s
+    ("evaluator", "test_frequencies"),  # evaluator.coldstart_bins_s
     ("trainer", "train"),              # trainer.train_self_s
     ("baselines", "train_content_bpr"),  # baselines.bpr_train_s
     ("baselines", "train_mf"),         # baselines.mf_train_s
