@@ -2,21 +2,22 @@
 
 Per-user rankings come from any object with .rank(u) returning (item id,
 score) pairs sorted descending; those pairs are the one place the
-evaluator meets item ids, which it matches against the ids of the user's
-test rows (`corpus.items[corpus.test_rows[u]]`). Users are scored one
-after another, and aggregation is a fixed-order mean over evaluable users;
-`evaluate` returns the report with each user's first `coldstart_k` ranked
-ids, all that `cold_start_bins` reads, so evaluation holds O(users × k)
-ids rather than every ranking. Each ranking is read once, for its id
-list; the user's few relevant ids are looked up in it, and all the
-metrics come from their ranked positions: `cutoff_metrics` reads every
-cutoff metric from the running sums of the hit vector those positions
-set, with discounts cached per length, and AUC reads only the tie groups
-around them, found by walking to equal-score neighbours, which needs
-neither a second sort nor a score array. Test frequencies are one
-`bincount` over the test rows; `cold_start_bins` counts each user's
-relevant items per bin from them and compares every user's top-k test
-frequencies with all bin bounds in one array operation.
+evaluator meets item ids. `user_metrics` is the one place a ranking meets
+the user's test rows: it reads the ranking once, for its id list, looks
+up each test row's id in it and records the (ranked position, row) of
+every relevant item the ranking holds. All the metrics come from those
+positions: `cutoff_metrics` reads every cutoff metric from the running
+sums of the hit vector they set, with discounts cached per length, and
+AUC reads only the tie groups around them, found by walking to
+equal-score neighbours, which needs neither a second sort nor a score
+array. Users are scored one after another, and aggregation is a
+fixed-order mean over evaluable users. `evaluate` returns the report with
+each user's top-k hit rows (the relevant items ranked within
+`coldstart_k`, in rank order), all that `cold_start_bins` reads, so
+evaluation holds at most min(k, test items) rows per user. Test
+frequencies are one `bincount` over the test rows; `cold_start_bins`
+compares the frequencies of each user's relevant rows, and of each
+ranker's hit rows, with all bin bounds in one array operation.
 """
 
 import math
@@ -35,7 +36,7 @@ from .errors import ConfigError, EmptyCorpusError
 class EvalConfig:
     cutoffs: tuple = (10, 30, 50)
     bins: tuple = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-    coldstart_k: int = 30     # the cold-start recall cutoff; ranked ids kept
+    coldstart_k: int = 30     # the cold-start recall cutoff; hit rows kept within it
 
     def __post_init__(self):
         problems = []
