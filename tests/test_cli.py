@@ -4,6 +4,7 @@ gradient checker and config/error handling. Commands run in-process."""
 import csv
 import importlib
 import json
+import os
 import shutil
 import struct
 import subprocess
@@ -608,27 +609,33 @@ def scripts_table(text):
     return scripts
 
 
-def run_gradcheck(argv):
+def run_gradcheck(argv, env):
     proc = subprocess.run(argv + ["gradcheck", "--seed", "1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "max relative error" in proc.stdout
 
 
 def test_console_script_entry_point():
+    # the children find the package in src, as an uninstalled checkout's
+    # tests do
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "seqrank.cli"],
-                          capture_output=True, text=True)
-    assert proc.returncode != 0  # no subcommand given
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2  # no subcommand given
+    assert proc.stderr.startswith("usage: seqrank")
 
     scripts = scripts_table((ROOT / "pyproject.toml").read_text())
     assert scripts.get("seqrank") == "seqrank.cli:main"
     module, attr = scripts["seqrank"].split(":")
     assert callable(getattr(importlib.import_module(module), attr))
 
-    run_gradcheck([sys.executable, "-m", "seqrank"])
+    run_gradcheck([sys.executable, "-m", "seqrank"], env)
     installed = shutil.which("seqrank")
     if installed:  # the script exists only after `pip install`
-        run_gradcheck([installed])
+        run_gradcheck([installed], env)
 
 
 def test_scripts_table_matches_tomllib():
