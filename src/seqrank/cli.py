@@ -147,7 +147,9 @@ def resolve_config(args) -> dict:
         cfg["out"] = args.out
     kind = cfg["kind"]
     if cfg["hyper"]["alpha"] is None:
-        cfg["hyper"]["alpha"] = 0.01 if kind == "mf" else 0.1
+        # an unknown kind, reported below, gets Hyper's default
+        cfg["hyper"]["alpha"] = (model.ALPHA_BY_KIND[kind]
+                                 if kind in model.ALL_KINDS else model.Hyper.alpha)
 
     if kind not in model.ALL_KINDS:
         problems.append(f"kind must be one of {sorted(model.ALL_KINDS)}, "

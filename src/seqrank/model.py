@@ -51,6 +51,10 @@ MASK_BY_KIND = {
 ALL_KINDS = ("random", "pop") + tuple(MASK_BY_KIND)
 RECURRENT_KINDS = ("rnn", "vrnn", "trnn", "vtrnn")
 
+# the step size alpha of each kind when a config sets none: mf's squared
+# error takes smaller steps than the pairwise kinds' ln sigma
+ALPHA_BY_KIND = {kind: 0.01 if kind == "mf" else 0.1 for kind in ALL_KINDS}
+
 # each content slice's kernel block, (d, width), which embeds the slice's
 # features; its width is the width of the slice's feature matrix
 KERNELS = {"visual": "E", "textual": "V"}

@@ -521,6 +521,16 @@ def test_config_echo_is_json(tmp_path, capsys):
     assert echoed["synth"]["users"] == SYNTH["users"]
 
 
+@pytest.mark.parametrize("kind", model.ALL_KINDS)
+def test_unset_alpha_is_the_kinds(tmp_path, kind):
+    """A config without hyper.alpha resolves to the kind's ALPHA_BY_KIND
+    entry, which the echo prints: 0.01 for mf, 0.1 for every other kind."""
+    cfg = write_config(tmp_path / "c.json", {"kind": kind})
+    args = cli.build_parser().parse_args(["gradcheck", "--config", cfg])
+    alpha = cli.resolve_config(args)["hyper"]["alpha"]
+    assert alpha == model.ALPHA_BY_KIND[kind] == (0.01 if kind == "mf" else 0.1)
+
+
 @pytest.mark.parametrize("cmd", ["train", "eval", "coldstart", "synth"])
 def test_config_echo_runs_to_the_same_echo(pipeline, tmp_path, capsys, cmd):
     _, paths, ckpts = pipeline
