@@ -10,23 +10,27 @@ model kind under one seed.
 
 A step's updates are a list of records (block name, row or None, g): the
 ascent direction g of one row of the block, of the whole block when row is
-None, or of several distinct rows, g stacked in their order, when row is an
-int array. Training runs the list through `apply`, whose one update rule is
-`ascend`: theta += alpha * (clip(g) - lam * theta), with lam the block's
-L2 decay from `Hyper.decay`, once per row of a row array, each clipped by
-its own norm. `gradient` sums the same lists into full-shape arrays, and
-`grad_check` holds that sum against central finite differences of the
-steps' own objective terms: the one gradient check of every trainable
-kind. Parameters are the {block name: array} dict that `init` returns;
-`apply` updates its arrays in place.
+None, or of several rows, g stacked in their order, when row is an int
+array. `grouped` sums a list per block and per distinct row of a block, in
+list order; a block of one record keeps it as it is, so that record's
+rows must be distinct. Training runs the list through `apply`, which
+ascends each touched block, or each distinct row of it, once by that sum
+with the one update rule `ascend`: theta += alpha * (clip(g) - lam *
+theta), with lam the block's L2 decay from `Hyper.decay`, each row clipped
+by its own norm. So a step is one ascent, and each block or distinct row
+decays once per step. `gradient` writes the same sums into full-shape
+arrays, and `grad_check` holds them against central finite differences of
+the steps' own objective terms: the one gradient check of every trainable
+kind, of exactly the sums training ascends. Parameters are the {block
+name: array} dict that `init` returns; `apply` updates its arrays in
+place.
 
-A step's list is formed in full before `apply` runs it, and this relies on
-one invariant of every step: no record's g reads a parameter entry that
-another record of the same list writes. So one `apply` per recurrent
-sequence ascends each entry exactly as one `apply` per pair did. The
-steps of mf and the BPR family are whole user visits whose records are
-formed at the pre-visit parameters, one apply per visit.
+A step's records are all formed at the parameters before the step: one
+recurrent sequence at its frozen context, one mf or BPR user visit at the
+pre-visit parameters.
 """
+
+from itertools import groupby
 
 import numpy as np
 
@@ -45,14 +49,55 @@ def ascend(theta: np.ndarray, g: np.ndarray, alpha: float, lam: float,
     theta += alpha * (g - lam * theta)
 
 
+def grouped(blocks: dict, updates) -> dict:
+    """{block name: (row, g)}: for each block `updates` touches, in the
+    order first touched, the sum of its records' g, added in list order.
+    A block of one record keeps it as it is. A block of several sums them
+    from zero: into one whole-block g when any is whole (row None), else
+    into one g per distinct row, the rows an ascending int array, from any
+    mix of int rows and row arrays, repeats included."""
+    by_block = {}
+    for name, row, g in updates:
+        by_block.setdefault(name, []).append((row, g))
+    for name, records in by_block.items():
+        if len(records) == 1:
+            by_block[name] = records[0]
+            continue
+        if any(row is None for row, _ in records):
+            total = np.zeros_like(blocks[name])
+            for row, g in records:
+                if row is None:
+                    total += g
+                else:
+                    np.add.at(total, row, g)
+            by_block[name] = (None, total)
+            continue
+        rows, gs = [], []
+        # each run of int rows stacks as one array, keeping the list order
+        for is_array, run in groupby(records,
+                                     lambda r: isinstance(r[0], np.ndarray)):
+            run = list(run)
+            if is_array:
+                rows += [row for row, _ in run]
+                gs += [g for _, g in run]
+            else:
+                rows.append(np.array([row for row, _ in run], dtype=np.intp))
+                gs.append(np.array([g for _, g in run]))
+        g = np.concatenate(gs)
+        distinct, at = np.unique(np.concatenate(rows), return_inverse=True)
+        total = np.zeros((len(distinct),) + g.shape[1:])
+        np.add.at(total, at, g)
+        by_block[name] = (distinct, total)
+    return by_block
+
+
 def apply(blocks: dict, updates, alpha: float, decay: dict,
           clip_norm: float | None = None) -> None:
-    """Ascend every record of `updates` in order, in place, each with the
-    decay {block name: lam} gives its block. A row-array record is
+    """Ascend each block of `updates`, in place, once by its `grouped`
+    record, with the decay {block name: lam} gives it. A row array is
     gathered, each of its rows clipped by its own norm and ascended, and
-    scattered back, as one `ascend` per row would; its rows are
-    distinct."""
-    for name, row, g in updates:
+    scattered back, as one `ascend` per row would."""
+    for name, (row, g) in grouped(blocks, updates).items():
         if row is None:
             ascend(blocks[name], g, alpha, decay[name], clip_norm)
         elif isinstance(row, np.ndarray):
@@ -71,11 +116,11 @@ def apply(blocks: dict, updates, alpha: float, decay: dict,
 
 
 def gradient(params: dict, updates) -> dict:
-    """{block name: its records' g summed into a full-shape array}, for
-    the blocks `updates` touch; a row array's g adds row by row."""
+    """{block name: its `grouped` record written into a full-shape array},
+    for the blocks `updates` touches: the sums that `apply` ascends."""
     grads = {}
-    for name, row, g in updates:
-        total = grads.setdefault(name, np.zeros_like(params[name]))
+    for name, (row, g) in grouped(params, updates).items():
+        total = grads[name] = np.zeros_like(params[name])
         if row is None:
             total += g
         else:

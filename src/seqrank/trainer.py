@@ -7,21 +7,25 @@ the positives are `corpus.train_rows[u]`, the negatives the rows
 dict of `dataio.build_feature_store`, and each active content slice adds its
 kernel block (`model.KERNELS`) to the records the phases form. Updates run
 in two phases from a context frozen at sequence start. The context holds the
-sequence as stacked arrays: inputs, states, scores, c = sigma(-score) and
-the per-step forward gradients, all computed in one pass. Both phases return
-their updates as `sgd` update records (block, row or None, g); each block's
-L2 decay is `Hyper.decay`'s, which `sgd.apply` reads. The forward phase
-gives the direct score gradients of one step at a time (latent rows of the
-pair plus the embedding kernels). The backward phase runs the e-recursion
-through the recurrence and gives the latent rows of layers m-1 down to 1,
-then the transition/embedding sums over the whole sequence, formed as
-matmuls over the stacked per-layer vectors, as one record per block.
+sequence as stacked arrays: inputs, states, scores, c = sigma(-score), the
+per-step latent gradients and each kernel's forward sum over the sequence,
+one matmul, all computed in one pass. Both phases return their updates as
+`sgd` update records (block, row or None, g); each block's L2 decay is
+`Hyper.decay`'s, which `sgd.apply` reads. The forward phase gives the
+direct score gradients on the latent rows of one pair at a time
+(`forward_updates`), then the kernels' sums. The backward phase runs the
+e-recursion through the recurrence and gives the latent rows of layers
+1..m-1 as one row-array record, then the transition/embedding sums over
+the whole sequence, formed as matmuls over the stacked per-layer vectors,
+as one record per block.
 
 With zero regularization, the records of one sequence (`sequence_updates`)
 sum to the exact gradient of sum_t ln sigma(score_t) at the frozen
 context. `baselines.grad_check` holds them, through `sgd.grad_check`,
 against central finite differences of that sum over `ctx.scores`, on the
-one-user `tiny_fixture`, whose features are 3 wide.
+one-user `tiny_fixture`, whose features are 3 wide, and training ascends
+exactly that sum: one ascent per sequence, each block and each distinct
+latent row once.
 
 `train`, called as every trainer is, (corpus, feats, h, cfg, log),
 supplies only the per-user step: sample the negatives, build the context
@@ -83,9 +87,10 @@ class SeqContext:
     states: np.ndarray       # (m+1, D) h_0..h_m, h_0 = 0
     scores: np.ndarray       # (m-1,)
     c: np.ndarray            # (m-1,) sigma(-score), the per-step loss multiplier
-    step_grads: dict         # block -> per-step forward gradients, c included:
-                             # "X" (m-1, d), then each active kernel's
-                             # (m-1, d, width), "E" visual and "V" textual
+    forward_grads: dict      # block -> forward score gradients, c included:
+                             # "X" (m-1, d) per step, then each active
+                             # kernel's (d, width) sum over the steps, "E"
+                             # visual and "V" textual
 
     @property
     def m(self) -> int:
@@ -109,13 +114,12 @@ def sequence_context(params: dict, corpus: Corpus, feats: dict,
     scores = score_pair(prev, inputs[1:], neg_inputs)
     c = numkit.sigmoid_arr(-scores)
     sl = h.slices
-    step_grads = {"X": c[:, None] * prev[:, sl["latent"]]}
+    forward_grads = {"X": c[:, None] * prev[:, sl["latent"]]}
     for name in h.mask[1:]:
         diff = feats[name][rows[1:m]] - feats[name][rows[m:]]
-        step_grads[KERNELS[name]] = c[:, None, None] * (
-            prev[:, sl[name], None] * diff[:, None, :])
+        forward_grads[KERNELS[name]] = (c[:, None] * prev[:, sl[name]]).T @ diff
     return SeqContext(rows[:m], rows[m:], inputs, neg_inputs, states, scores,
-                      c, step_grads)
+                      c, forward_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +127,11 @@ def sequence_context(params: dict, corpus: Corpus, feats: dict,
 
 def forward_updates(ctx: SeqContext, k: int) -> list:
     """Pair k's (step t = k + 2) update records: its score gradient g on
-    the pair's latent rows (g for the positive, -g for the negative) and
-    on the active embedding kernels; the transition matrices are the
-    backward phase's job."""
-    g = ctx.step_grads
-    gx = g["X"][k]
-    updates = [("X", ctx.rows[k + 1], gx), ("X", ctx.neg_rows[k], -gx)]
-    return updates + [(name, None, g[name][k]) for name in KERNELS.values()
-                      if name in g]
+    the pair's latent rows, g for the positive and -g for the negative.
+    The kernels' forward sums are `sequence_updates`' records, the
+    transition matrices the backward phase's job."""
+    gx = ctx.forward_grads["X"][k]
+    return [("X", ctx.rows[k + 1], gx), ("X", ctx.neg_rows[k], -gx)]
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +155,20 @@ def backward_steps(ctx: SeqContext, params: dict) -> np.ndarray:
 
 def backward_gradients(ctx: SeqContext, params: dict, feats: dict,
                        h: Hyper) -> list:
-    """The backward phase's update records: the latent row of each item
-    ctx.rows[:m-1], from layer m-1 down, then the BPTT sums over layers
-    1..m-1 as whole blocks, "InMat", "RecMat" and the active "E"/"V".
-    Sequences shorter than 2 have no backward signal and no records."""
+    """The backward phase's update records: one row-array record of the
+    latent rows of the items ctx.rows[:m-1], layer 1 to m-1 (a repeated
+    item repeats its row), then the BPTT sums over layers 1..m-1 as whole
+    blocks, "InMat", "RecMat" and the active "E"/"V". Sequences shorter
+    than 2 have no backward signal and no records."""
     if ctx.m < 2:
         return []
     e = backward_steps(ctx, params)
     back = e @ params["InMat"]
     sl = h.slices
     rows = ctx.rows[:-1]
-    updates = [("X", idx, gx) for idx, gx
-               in zip(rows[::-1], back[::-1, sl["latent"]])]
-    updates += [("InMat", None, e.T @ ctx.inputs[:-1]),
-                ("RecMat", None, e.T @ ctx.states[:-2])]
+    updates = [("X", rows, back[:, sl["latent"]]),
+               ("InMat", None, e.T @ ctx.inputs[:-1]),
+               ("RecMat", None, e.T @ ctx.states[:-2])]
     for name in h.mask[1:]:
         updates.append((KERNELS[name], None,
                         back[:, sl[name]].T @ feats[name][rows]))
@@ -175,15 +176,17 @@ def backward_gradients(ctx: SeqContext, params: dict, feats: dict,
 
 
 # ---------------------------------------------------------------------------
-# one sequence's records: both phases, applied as one list
+# one sequence's records: both phases, applied as one step
 
 def sequence_updates(ctx: SeqContext, params: dict, feats: dict,
                      h: Hyper) -> list:
-    """Every update record of the sequence: `forward_updates` of each pair
-    in step order, then `backward_gradients`. The backward records read
-    InMat and RecMat, which no forward record writes, so they are the same
-    whether formed before or after the forward records are applied."""
+    """Every update record of the sequence, all at the frozen context:
+    `forward_updates` of each pair in step order, the kernels' forward
+    sums, then `backward_gradients`. `sgd.apply` sums them per block and
+    distinct row into one ascent."""
+    g = ctx.forward_grads
     updates = [r for k in range(ctx.m - 1) for r in forward_updates(ctx, k)]
+    updates += [(name, None, g[name]) for name in KERNELS.values() if name in g]
     return updates + backward_gradients(ctx, params, feats, h)
 
 

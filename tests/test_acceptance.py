@@ -19,8 +19,7 @@ from seqrank.dataio import SynthSpec, sample_triples, synth_corpus
 from seqrank.evaluator import (EvalConfig, auc_from_scores, cold_start_bins,
                                cutoff_metrics, evaluate)
 from seqrank.model import MASK_BY_KIND, Hyper, init_params
-from seqrank.trainer import (TrainConfig, backward_gradients, forward_updates,
-                             sequence_context)
+from seqrank.trainer import TrainConfig, sequence_context, sequence_updates
 
 GRAD_TOL = 1e-5
 ORACLE_TOL = 1e-12
@@ -209,10 +208,9 @@ def objective_gain(corpus, feats, seed):
     before = objective()
     for _ in range(5):
         for u, neg_rows in frozen.items():
+            # one step per sequence, as training takes it
             ctx = sequence_context(params, corpus, feats, h, u, neg_rows)
-            for k in range(len(neg_rows)):
-                sgd.apply(params, forward_updates(ctx, k), h.alpha, h.decay)
-            sgd.apply(params, backward_gradients(ctx, params, feats, h), h.alpha,
+            sgd.apply(params, sequence_updates(ctx, params, feats, h), h.alpha,
                       h.decay)
     return objective() - before
 

@@ -15,10 +15,11 @@
 - `load_features` gives the bits of a line-by-line, token-by-token
   `float()` parse, or fails with its message, on fuzzed feature files and
   on generated ones 10 and 512 wide.
-- `sgd.apply` gives the same bits as `sgd.ascend` on its records one by
-  one, in list order, and on a row-array record's rows one by one (the
-  condition any faster apply must keep), and the
-  scalar path of `log_sigmoid` the same bits as its array path.
+- `sgd.apply` gives the same bits as `sgd.ascend` once per block, or per
+  distinct row of a block, on the sum of its records from zero in list
+  order, and on a block's lone record as it is (a row-array record's
+  rows one by one), signed zeros included; the
+  scalar path of `log_sigmoid` gives the same bits as its array path.
 
 Hypothesis runs derandomized and without an example database, so the
 examples are the same on every run; conftest.py moves its storage
@@ -493,12 +494,21 @@ def test_load_features_matches_line_by_line_parse_on_synth(tmp_path, width):
 SHAPES = {"A": (5, 3), "B": (4, 3), "C": (2, 2)}
 
 
+def with_signed_zeros(rng, a):
+    """a with about a quarter of its entries set to 0.0 or -0.0."""
+    a = np.array(a, dtype=float)
+    zero = rng.random(a.shape) < 0.25
+    a[zero] = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)[zero]
+    return a
+
+
 @st.composite
 def record_lists(draw):
     """(records, decay, clip_norm): records over SHAPES, rows drawn from a
-    few so they repeat, whole-block records interleaved with row records
-    and row-array records (distinct rows, in any order) of the same and
-    other blocks, and a decay map with a lam per block."""
+    few so they repeat, whole-block records interleaved with int-row
+    records and row-array records (distinct rows, in any order) of the
+    same and other blocks, g with signed zeros, and a decay map with a
+    lam per block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     records = []
     for _ in range(draw(st.integers(0, 30))):
@@ -514,30 +524,81 @@ def record_lists(draw):
             row = np.array(draw(st.lists(st.integers(0, rows - 1), min_size=1,
                                          unique=True)), dtype=np.intp)
             g = rng.normal(size=(len(row), width))
-        records.append((name, row, g))
+        records.append((name, row, with_signed_zeros(rng, g)))
     decay = {name: draw(st.sampled_from([0.0, 0.01, 0.3]))
              for name in sorted(SHAPES)}
     return records, decay, draw(st.sampled_from([None, 0.05, 1.5]))
 
 
-@FUZZ
-@given(case=record_lists(), seed=st.integers(0, 2**32 - 1))
-def test_apply_matches_ascend_loop(case, seed):
-    records, decay, clip = case
-    rng = np.random.default_rng(seed)
-    start = {name: rng.normal(size=shape) for name, shape in SHAPES.items()}
-    got = {name: b.copy() for name, b in start.items()}
-    want = {name: b.copy() for name, b in start.items()}
-    sgd.apply(got, records, 0.2, decay, clip)
+def ascend_each(blocks, records, decay, clip):
+    """`sgd.ascend` on each record in list order, a row array's rows one
+    by one."""
     for name, row, g in records:
         if isinstance(row, np.ndarray):
             for r, gr in zip(row, g):
-                sgd.ascend(want[name][r], gr, 0.2, decay[name], clip)
+                sgd.ascend(blocks[name][r], gr, 0.2, decay[name], clip)
         else:
-            sgd.ascend(want[name] if row is None else want[name][row], g,
+            sgd.ascend(blocks[name] if row is None else blocks[name][row], g,
                        0.2, decay[name], clip)
+
+
+def summed_per_block_and_row(records):
+    """The records with each block of several replaced by its sums, from
+    zero in list order, row by row: one whole-block record when any of
+    them is whole, else one int-row record per distinct row."""
+    by_block = {}
+    for name, row, g in records:
+        by_block.setdefault(name, []).append((row, g))
+    out = []
+    for name, recs in by_block.items():
+        if len(recs) == 1:
+            out.append((name, *recs[0]))
+            continue
+        whole = any(row is None for row, _ in recs)
+        sums = {None: np.zeros(SHAPES[name])} if whole else {}
+        for row, g in recs:
+            if row is None:
+                sums[None] += g
+                continue
+            for r, gr in zip(np.atleast_1d(row), np.atleast_2d(g)):
+                if whole:
+                    sums[None][r] += gr
+                else:
+                    sums[int(r)] = sums.get(int(r), np.zeros(len(gr))) + gr
+        out += [(name, r, g) for r, g in sums.items()]
+    return out
+
+
+def start_blocks(seed):
+    rng = np.random.default_rng(seed)
+    return {name: with_signed_zeros(rng, rng.normal(size=shape))
+            for name, shape in SHAPES.items()}
+
+
+@FUZZ
+@given(case=record_lists(), seed=st.integers(0, 2**32 - 1))
+def test_apply_matches_ascend_loop(case, seed):
+    # one ascent per block, or per distinct row, by its records' sum
+    records, decay, clip = case
+    got, want = start_blocks(seed), start_blocks(seed)
+    sgd.apply(got, records, 0.2, decay, clip)
+    ascend_each(want, summed_per_block_and_row(records), decay, clip)
     for name in SHAPES:
-        assert np.array_equal(got[name], want[name]), name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@FUZZ
+@given(case=record_lists(), seed=st.integers(0, 2**32 - 1))
+def test_apply_takes_a_lone_record_as_it_is(case, seed):
+    # a block of one record ascends exactly as that record alone would:
+    # no zero-add, no re-gather, signed zeros and clipping included
+    records, decay, clip = case
+    lone = list({name: (name, row, g) for name, row, g in records}.values())
+    got, want = start_blocks(seed), start_blocks(seed)
+    sgd.apply(got, lone, 0.2, decay, clip)
+    ascend_each(want, lone, decay, clip)
+    for name in SHAPES:
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324,

@@ -1,9 +1,9 @@
 """One update list per step: training applies it with `sgd.apply` and the
 gradient check sums it with `sgd.gradient`, so with no decay and no
 clipping a step moves the parameters by alpha times the checked
-gradient. With decay, each block decays by its own regularizer, once per
-record, and a recurrent sequence's records, like an mf or BPR user
-visit's, go to one `sgd.apply` call. A visit's records sum to the
+gradient. With decay, each block, and each distinct row of a block,
+decays by its own regularizer once per step, and a recurrent sequence's
+records, like an mf or BPR user visit's, go to one `sgd.apply` call. A visit's records sum to the
 gradients of its pairs or observations taken one at a time. A divergence
 names the first non-finite block."""
 
@@ -55,6 +55,22 @@ def test_recurrent_sequence_moves_by_sequence_gradients():
     grads = sgd.gradient(start, sequence_updates(ctx, start, feats, h))
     assert sorted(grads) == ["E", "InMat", "RecMat", "V", "X"]
     assert_moved_by(trained, start, h.alpha, grads)
+
+
+def test_recurrent_step_is_alpha_times_the_checked_gradient():
+    # lam 0, no clip: the step's one ascent per block and distinct row is
+    # exactly alpha times what the gradient check differentiates, every
+    # bit, repeated latent rows included
+    h = Hyper(d=3, mask=MASK_BY_KIND["vtrnn"], **FREE)
+    corpus, feats, _ = tiny_fixture(np.random.default_rng(4))
+    start = init_params(h, feats, None, corpus.n_items, start_rng())
+    negs = sample_triples(corpus, "u0", np.random.default_rng([SEED, 1]))
+    trained = train(corpus, feats, h, CFG, None)
+    ctx = sequence_context(start, corpus, feats, h, "u0", negs)
+    grads = sgd.gradient(start, sequence_updates(ctx, start, feats, h))
+    assert sorted(grads) == sorted(trained)
+    for name, block in trained.items():
+        assert np.array_equal(block, start[name] + h.alpha * grads[name]), name
 
 
 def one_triple_world():
@@ -163,17 +179,22 @@ DECAY = dict(alpha=0.5, lam_theta=0.01, lam_e=0.03, lam_v=0.07)
 
 
 def naive_step(params, records, h):
-    """A copy of params after theta += alpha * (g - lam * theta) for each
-    record in order, a row-array record's rows one by one, lam chosen by
-    block name here, not by `Hyper.decay`."""
+    """A copy of params after one step: the records' g, a row-array
+    record's row by row, summed per whole block or per row in list order,
+    then theta += alpha * (sum - lam * theta) once per block or distinct
+    row, lam chosen by block name here, not by `Hyper.decay`."""
     lam = {"X": h.lam_theta, "Gamma": h.lam_theta, "InMat": h.lam_theta,
            "RecMat": h.lam_theta, "E": h.lam_e, "V": h.lam_v}
-    out = {name: b.copy() for name, b in params.items()}
+    sums = {}
     for name, row, g in records:
         rows = zip(row, g) if isinstance(row, np.ndarray) else [(row, g)]
         for r, gr in rows:
-            theta = out[name] if r is None else out[name][r]
-            theta += h.alpha * (gr - lam[name] * theta)
+            key = (name, None if r is None else int(r))
+            sums[key] = sums[key] + gr if key in sums else gr
+    out = {name: b.copy() for name, b in params.items()}
+    for (name, r), g in sums.items():
+        theta = out[name] if r is None else out[name][r]
+        theta += h.alpha * (g - lam[name] * theta)
     return out
 
 
@@ -189,6 +210,9 @@ def test_recurrent_sequence_decays_each_block_by_its_regularizer():
     negs = sample_triples(corpus, "u0", np.random.default_rng([SEED, 1]))
     ctx = sequence_context(start, corpus, feats, h, "u0", negs)
     records = sequence_updates(ctx, start, feats, h)
+    # the step repeats latent rows, across pairs and across the phases
+    rows = np.hstack([row for name, row, _ in records if name == "X"])
+    assert len(rows) > len(set(rows.tolist()))
     assert_same(train(corpus, feats, h, CFG, None),
                 naive_step(start, records, h))
 

@@ -70,18 +70,22 @@ def test_forward_grad_pieces():
     h = full_hyper()
     params, corpus, feats, negatives = make_context(h)
     ctx = sequence_context(params, corpus, feats, h, "u0", negatives["u0"])
-    k = 0   # step t = 2
-    c = ctx.c[k]
-    prev = ctx.states[k + 1]
     sl = h.slices
-    ip, iq = corpus.train_rows["u0"][k + 1], negatives["u0"][k]
-    assert c == numkit.sigmoid_arr(-ctx.scores)[k]
-    assert np.array_equal(ctx.step_grads["X"][k], c * prev[sl["latent"]])
-    assert np.array_equal(
-        ctx.step_grads["E"][k],
-        c * np.outer(prev[sl["visual"]],
-                     feats["visual"][ip] - feats["visual"][iq]))
-    assert ctx.step_grads["V"][k].shape == (h.d, feats["textual"].shape[1])
+    pos, neg = corpus.train_rows["u0"][1:], negatives["u0"]
+    assert np.array_equal(ctx.c, numkit.sigmoid_arr(-ctx.scores))
+    for k in range(ctx.m - 1):   # step t = k + 2
+        prev = ctx.states[k + 1]
+        assert np.array_equal(ctx.forward_grads["X"][k],
+                              ctx.c[k] * prev[sl["latent"]])
+    # each kernel's sum over the steps, one matmul, against the sum of the
+    # steps' outer products
+    for name, block in (("visual", "E"), ("textual", "V")):
+        want = sum(ctx.c[k] * np.outer(ctx.states[k + 1][sl[name]],
+                                       feats[name][pos[k]] - feats[name][neg[k]])
+                   for k in range(ctx.m - 1))
+        got = ctx.forward_grads[block]
+        assert got.shape == (h.d, feats[name].shape[1])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 def test_forward_updates_touch_only_their_blocks():
@@ -100,10 +104,10 @@ def test_forward_updates_touch_only_their_blocks():
                           before["X"][iq] + a * (-(c * h_x) - lam * before["X"][iq]))
     untouched = [j for j in range(corpus.n_items) if j not in (ip, iq)]
     assert np.array_equal(params["X"][untouched], before["X"][untouched])
-    assert np.array_equal(params["InMat"], before["InMat"])
-    assert np.array_equal(params["RecMat"], before["RecMat"])
-    assert not np.array_equal(params["E"], before["E"])
-    assert not np.array_equal(params["V"], before["V"])
+    # a pair's records are its latent rows only: the kernels' forward sums
+    # are the sequence's records, the transitions the backward phase's
+    for name in ("InMat", "RecMat", "E", "V"):
+        assert np.array_equal(params[name], before[name]), name
 
 
 def test_backward_last_layer_gate():
