@@ -4,17 +4,19 @@
 of `vtrnn`, `vrnn`, `vtbpr` and `mf` trained for 2 epochs on the acceptance
 `SMALL` corpus. It was recorded with the per-step object implementation of
 the recurrent core, before that core moved to plain arrays, and pins the
-rewrite to the old numbers:
+rewrite to the old numbers. The `vtrnn` and `vrnn` entries, and every
+recurrent entry below, were re-recorded when a recurrent sequence became
+one ascent (its records summed per block and distinct row):
 
 - log lines are byte-identical for every kind;
 - `vtbpr` and `mf` blocks are bit-exact;
 - `vtrnn` and `vrnn` blocks agree to a relative error of 1e-12, measured
   as max |new - golden| / max |golden| per block.
 
-The trace also holds the all-zero kernel of each slice outside the kind's
-mask (`vrnn`'s V, `mf`'s E and V), which every model carried when it was
-recorded. A model now holds only its kind's blocks, so those are the one
-stored blocks it may lack.
+The `mf` entry also holds the all-zero E and V kernels, which every model
+carried when it was recorded. A model now holds only its kind's blocks,
+so the kernel of a slice outside its mask is the one stored block it may
+lack.
 
 The `<kind>+shuffle` entries hold `vtrnn`, `vtbpr` and `mf` trained the same
 way with `shuffle_users=True`. They were recorded on the array-native core,
