@@ -49,6 +49,18 @@ def ascend(theta: np.ndarray, g: np.ndarray, alpha: float, lam: float,
     theta += alpha * (g - lam * theta)
 
 
+def _dense(like: np.ndarray, records) -> np.ndarray:
+    """The g of (row or None, g) records summed from zero, in list order,
+    into an array shaped like `like`."""
+    total = np.zeros_like(like)
+    for row, g in records:
+        if row is None:
+            total += g
+        else:
+            np.add.at(total, row, g)
+    return total
+
+
 def grouped(blocks: dict, updates) -> dict:
     """{block name: (row, g)}: for each block `updates` touches, in the
     order first touched, the sum of its records' g, added in list order.
@@ -64,13 +76,7 @@ def grouped(blocks: dict, updates) -> dict:
             by_block[name] = records[0]
             continue
         if any(row is None for row, _ in records):
-            total = np.zeros_like(blocks[name])
-            for row, g in records:
-                if row is None:
-                    total += g
-                else:
-                    np.add.at(total, row, g)
-            by_block[name] = (None, total)
+            by_block[name] = (None, _dense(blocks[name], records))
             continue
         rows, gs = [], []
         # each run of int rows stacks as one array, keeping the list order
@@ -118,14 +124,8 @@ def apply(blocks: dict, updates, alpha: float, decay: dict,
 def gradient(params: dict, updates) -> dict:
     """{block name: its `grouped` record written into a full-shape array},
     for the blocks `updates` touches: the sums that `apply` ascends."""
-    grads = {}
-    for name, (row, g) in grouped(params, updates).items():
-        total = grads[name] = np.zeros_like(params[name])
-        if row is None:
-            total += g
-        else:
-            np.add.at(total, row, g)
-    return grads
+    return {name: _dense(params[name], [record])
+            for name, record in grouped(params, updates).items()}
 
 
 def grad_check(params: dict, steps) -> dict:

@@ -3,9 +3,9 @@ gradient check sums it with `sgd.gradient`, so with no decay and no
 clipping a step moves the parameters by alpha times the checked
 gradient. With decay, each block, and each distinct row of a block,
 decays by its own regularizer once per step, and a recurrent sequence's
-records, like an mf or BPR user visit's, go to one `sgd.apply` call. A visit's records sum to the
-gradients of its pairs or observations taken one at a time. A divergence
-names the first non-finite block."""
+records, like an mf or BPR user visit's, go to one `sgd.apply` call. A
+visit's records sum to the gradients of its pairs or observations taken
+one at a time. A divergence names the first non-finite block."""
 
 import numpy as np
 import pytest
