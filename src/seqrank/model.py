@@ -151,20 +151,37 @@ def init_params(h: Hyper, feats: dict, n_users: int | None, n_items: int,
             in block_shapes(h, feats, n_users, n_items).items()}
 
 
-def step_hidden(prev: np.ndarray, pre_in: np.ndarray,
-                RecMat: np.ndarray) -> np.ndarray:
-    """h_t = sigma(InMat i_t + RecMat h_{t-1}), with InMat i_t precomputed."""
-    return numkit.sigmoid_arr(pre_in + RecMat @ prev)
+def tanh_transitions(params: dict) -> tuple:
+    """(in_t, bias, rec_t) = (InMat^T / 2, RecMat 1 / 4, RecMat^T / 4): the
+    recurrence h_t = sigma(InMat i_t + RecMat h_{t-1}) carried as
+    u_t = 2 h_t - 1 = tanh(a_t + u_{t-1} rec_t), with the row vector
+    a_t = i_t in_t + bias, since sigma(x) = (1 + tanh(x / 2)) / 2 and
+    h = (1 + u) / 2. The scalings by powers of two are exact."""
+    rec = params["RecMat"]
+    return 0.5 * params["InMat"].T, 0.25 * rec.sum(axis=1), 0.25 * rec.T
+
+
+def step_hidden(prev: np.ndarray, pre: np.ndarray,
+                rec_t: np.ndarray) -> np.ndarray:
+    """u_t = tanh(a_t + u_{t-1} rec_t), rows, with a_t precomputed and
+    rec_t from `tanh_transitions`; prev is one state or a stack of them."""
+    return np.tanh(pre + prev @ rec_t)
 
 
 def hidden_states(inputs: np.ndarray, params: dict) -> np.ndarray:
-    """States h_0..h_m (rows) for the input rows i_1..i_m; h_0 is zero."""
-    rec = params["RecMat"]
-    pre_in = inputs @ params["InMat"].T
-    states = np.zeros((len(inputs) + 1, rec.shape[0]))
-    for t, pre in enumerate(pre_in):
-        states[t + 1] = step_hidden(states[t], pre, rec)
-    return states
+    """States h_0..h_m (rows) for the input rows i_1..i_m; h_0 is zero.
+    The recurrence runs on u = 2h - 1 from u_0 = -1 (`tanh_transitions`),
+    one matmul, add and tanh per step, and h = (1 + u) / 2 is formed once.
+    A state entry rounds to exactly 1 once its pre-activation
+    x = InMat i_t + RecMat h_{t-1} exceeds about 37, and to exactly 0 once
+    x falls below about -38, where tanh rounds to +-1; no x overflows."""
+    in_t, bias, rec_t = tanh_transitions(params)
+    pre = inputs @ in_t + bias
+    u = np.empty((len(inputs) + 1, len(bias)))
+    u[0] = -1.0
+    for t, a in enumerate(pre):
+        u[t + 1] = step_hidden(u[t], a, rec_t)
+    return 0.5 + 0.5 * u
 
 
 def final_states(params: dict, feats, corpus, h: Hyper) -> np.ndarray:
@@ -178,13 +195,13 @@ def final_states(params: dict, feats, corpus, h: Hyper) -> np.ndarray:
     rows = np.zeros((len(seqs), lengths.max(initial=0)), dtype=np.intp)
     for j, seq in enumerate(seqs):
         rows[j, :len(seq)] = seq
-    states = np.zeros((len(seqs), h.D))
-    in_t, rec_t = params["InMat"].T, params["RecMat"].T
+    in_t, bias, rec_t = tanh_transitions(params)
+    u = np.full((len(seqs), h.D), -1.0)
     for t in range(rows.shape[1]):
         live = np.flatnonzero(lengths > t)
-        pre_in = item_rep_matrix(params, feats, h, rows[live, t]) @ in_t
-        states[live] = numkit.sigmoid_arr(pre_in + states[live] @ rec_t)
-    return states
+        pre = item_rep_matrix(params, feats, h, rows[live, t]) @ in_t + bias
+        u[live] = step_hidden(u[live], pre, rec_t)
+    return 0.5 + 0.5 * u
 
 
 def score_pair(prev: np.ndarray, p_inp: np.ndarray, q_inp: np.ndarray):

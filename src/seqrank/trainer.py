@@ -148,8 +148,11 @@ def backward_steps(ctx: SeqContext, params: dict) -> np.ndarray:
     gate = (ctx.inputs[1:] - ctx.neg_inputs) * sig_deriv
     e = ctx.c[:, None] * gate
     rec_t = params["RecMat"].T
+    carried = np.empty(e.shape[1])
     for r in range(len(e) - 2, -1, -1):
-        e[r] = e[r] + (rec_t @ e[r + 1]) * sig_deriv[r]
+        np.matmul(rec_t, e[r + 1], out=carried)
+        carried *= sig_deriv[r]
+        e[r] += carried
     return e
 
 

@@ -8,7 +8,8 @@ from seqrank.dataio import RANGES
 from seqrank.model import (ALL_KINDS, KERNELS, MASK_BY_KIND, RECURRENT_KINDS,
                            SLICE_NAMES, Hyper, init_params,
                            final_states, hidden_states, item_rep_matrix,
-                           order_candidates, score_pair, step_hidden)
+                           order_candidates, score_pair, step_hidden,
+                           tanh_transitions)
 
 
 def test_hyper_mask_is_a_kind_tuple():
@@ -107,8 +108,12 @@ def test_item_rep_concatenation():
 def test_step_hidden_identity_matrices():
     h, params, feats = one_item_world()
     inp = item_rep_matrix(params, feats, h)[0]
-    state = step_hidden(np.zeros(h.D), params["InMat"] @ inp, params["RecMat"])
-    # InMat = I, RecMat = 0: h = sigmoid(input) elementwise
+    in_t, bias, rec_t = tanh_transitions(params)
+    u = step_hidden(np.full(h.D, -1.0), inp @ in_t + bias, rec_t)
+    # InMat = I, RecMat = 0: u = tanh(input / 2), so h = sigmoid(input)
+    assert np.array_equal(u, np.tanh(inp / 2))
+    state = hidden_states(inp[None], params)[1]
+    assert np.array_equal(state, 0.5 + 0.5 * u)
     expect = 1.0 / (1.0 + np.exp(-inp))
     assert np.allclose(state, expect, atol=1e-15)
     assert state[h.slices["latent"]].shape == (1,)
@@ -142,13 +147,15 @@ def test_final_states_rows(toy_corpus, toy_feats):
                          np.random.default_rng(4))
     final = final_states(params, toy_feats, toy_corpus, h)
     assert final.shape == (len(toy_corpus.users), h.D)
+    in_t, bias, rec_t = tanh_transitions(params)
     for u, got in zip(toy_corpus.users, final):
-        rows = toy_corpus.train_rows[u]
-        states = hidden_states(item_rep_matrix(params, toy_feats, h, rows), params)
-        # state t is one recurrent step from state t-1
-        pre_in = item_rep_matrix(params, toy_feats, h, rows) @ params["InMat"].T
-        redo = step_hidden(states[1], pre_in[1], params["RecMat"])
-        assert np.array_equal(redo, states[2])
+        reps = item_rep_matrix(params, toy_feats, h, toy_corpus.train_rows[u])
+        states = hidden_states(reps, params)
+        # replayed in tanh space: u_0 = -1, one step per input, h = (1 + u) / 2
+        tanh_states = [np.full(h.D, -1.0)]
+        for pre in reps @ in_t + bias:
+            tanh_states.append(step_hidden(tanh_states[-1], pre, rec_t))
+        assert np.array_equal(0.5 + 0.5 * np.array(tanh_states), states)
         # the batched pass sums in another order than the per-user one
         assert np.allclose(got, states[-1], rtol=0.0, atol=1e-14)
 

@@ -30,6 +30,7 @@ COUNTED = [
 TIMED = [
     ("dataio", "build_feature_store"),  # dataio.align_s
     ("model", "item_rep_matrix"),      # model.item_rep_matrix_s
+    ("model", "step_hidden"),          # model.step_hidden_s
     ("evaluator", "auc_from_scores"),  # evaluator.auc_s
     ("evaluator", "evaluate"),         # evaluator.evaluate_s
     ("evaluator", "cold_start_bins"),  # evaluator.coldstart_bins_s

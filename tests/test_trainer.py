@@ -9,7 +9,7 @@ from seqrank.dataio import synth_corpus, SynthSpec
 from seqrank.errors import ConfigError, DivergenceError
 from seqrank.model import (MASK_BY_KIND, RECURRENT_KINDS, SLICE_NAMES, Hyper,
                            hidden_states, init_params, item_rep_matrix,
-                           step_hidden)
+                           step_hidden, tanh_transitions)
 from seqrank.trainer import (SeqContext, TrainConfig, backward_gradients,
                              backward_steps, forward_updates, sequence_context,
                              sequence_updates, tiny_fixture, train)
@@ -60,10 +60,12 @@ def test_context_contents():
     assert not ctx.states[0].any()
     assert ctx.scores.shape == (m - 1,)   # steps t = 2..m at index t - 2
     assert np.array_equal(ctx.c, numkit.sigmoid_arr(-ctx.scores))
-    # states replay the recurrence
-    pre_in = ctx.inputs @ params["InMat"].T
-    redo = step_hidden(ctx.states[1], pre_in[1], params["RecMat"])
-    assert np.array_equal(redo, ctx.states[2])
+    # states replay the recurrence in tanh space, u = 2h - 1 from u_0 = -1
+    in_t, bias, rec_t = tanh_transitions(params)
+    u = np.full(h.D, -1.0)
+    for t, pre in enumerate(ctx.inputs @ in_t + bias, start=1):
+        u = step_hidden(u, pre, rec_t)
+        assert np.array_equal(0.5 + 0.5 * u, ctx.states[t])
 
 
 def test_forward_grad_pieces():
