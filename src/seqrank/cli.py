@@ -112,7 +112,9 @@ def _data_problems(cfg: dict, cmd: str) -> list:
                 problems.append(f"data.{key} path {path!r} is not a regular file")
     if needs_data and data["sequences"] is None:
         problems.append("data.sequences is required")
-    if cmd == "train":  # eval and coldstart run each checkpoint's kind
+    # eval and coldstart run each checkpoint's kind; a kind that is no
+    # string (a JSON list or object) is no kind, reported with the rest
+    if cmd == "train" and isinstance(kind, str):
         for key in model.MASK_BY_KIND.get(kind, ())[1:]:
             if data[key] is None:
                 problems.append(f"kind {kind!r} needs data.{key} features")

@@ -363,6 +363,7 @@ def test_mistyped_config_is_config_error(pipeline, tmp_path, capsys,
 
 PAIRS_SHAPE = "pairs must be null or a list of [name, name] string pairs, got "
 PATH_TYPE = " must be a path string or null, got "
+KIND_ONE_OF = f"kind must be one of {sorted(model.ALL_KINDS)}, got "
 
 
 @pytest.mark.parametrize("cmd,extra,fragment", [
@@ -379,11 +380,14 @@ PATH_TYPE = " must be a path string or null, got "
     ("train", {"data": {"textual": 1.5}}, "data.textual" + PATH_TYPE + "1.5"),
     ("train", {"kind": "vtrnn", "data": {"visual": None}},
      "kind 'vtrnn' needs data.visual features"),
+    ("train", {"kind": ["x"]}, f"{KIND_ONE_OF}['x']"),
+    ("train", {"kind": {"a": 1}}, f"{KIND_ONE_OF}{{'a': 1}}"),
     ("train", {"data": {"min_len": 1}}, "data.min_len must be an integer >= 2, got 1"),
     ("train", {"data": {"split_frac": 1.0}}, "data.split_frac must be in (0,1), got 1.0"),
 ], ids=["pairs-int", "pairs-string", "pairs-short", "pairs-long", "pairs-object",
         "out-int", "out-list", "sequences-list", "sequences-fd", "visual-list",
-        "textual-float", "vtrnn-no-visual", "min-len", "split-frac"])
+        "textual-float", "vtrnn-no-visual", "kind-list", "kind-object",
+        "min-len", "split-frac"])
 def test_malformed_pairs_or_path_is_config_error(pipeline, tmp_path, capsys,
                                                  monkeypatch, cmd, extra, fragment):
     """Rejected while the config is resolved: no checkpoint is loaded, no
