@@ -15,8 +15,11 @@ checkout write the same file.
 
 The first form writes {"<kind>@<epochs>": {"<seed>": auc}}; run it once
 per checkout. The second prints a Markdown table of the means and the
-per-seed differences (after - before) of two such files, then how many
-seeds hold vtrnn > rnn in each file at each epoch count.
+per-seed differences (after - before) of two such files, rounded to 3
+decimals, with each run's largest |after - before| over the seeds in
+scientific notation (a change that moves AUCs only in the 5th digit shows
+there, not in the rounded diffs), then how many seeds hold vtrnn > rnn in
+each file at each epoch count.
 """
 
 import argparse
@@ -59,8 +62,8 @@ def measure() -> dict:
 def compare(before: dict, after: dict) -> str:
     seeds = [str(s) for s in SEEDS]
     rows = ["| run | mean before | mean after | mean diff | diffs, seeds "
-            f"{seeds[0]}-{seeds[-1]} | seeds higher |",
-            "|---|---|---|---|---|---|"]
+            f"{seeds[0]}-{seeds[-1]} | largest abs diff | seeds higher |",
+            "|---|---|---|---|---|---|---|"]
     for kind, epochs in RUNS:
         run = f"{kind}@{epochs}"
         diffs = [after[run][s] - before[run][s] for s in seeds]
@@ -68,6 +71,7 @@ def compare(before: dict, after: dict) -> str:
                     f"| {statistics.mean(after[run].values()):.4f} "
                     f"| {statistics.mean(diffs):+.4f} "
                     f"| {' '.join(f'{d:+.3f}' for d in diffs)} "
+                    f"| {max(abs(d) for d in diffs):.1e} "
                     f"| {sum(d > 0 for d in diffs)}/{len(diffs)} |")
     rows.append("")
     for epochs in (3, 30):
