@@ -18,10 +18,17 @@ carried when it was recorded. A model now holds only its kind's blocks,
 so the kernel of a slice outside its mask is the one stored block it may
 lack.
 
+When the recurrence moved to tanh space (the state carried as u = 2h - 1),
+the `vtrnn` and `vrnn` entries passed unchanged: their log lines are
+byte-identical and their blocks moved by at most 4e-16 of a block's
+largest entry.
+
 The `<kind>+shuffle` entries hold `vtrnn`, `vtbpr` and `mf` trained the same
 way with `shuffle_users=True`. They were recorded on the array-native core,
 before the three trainers shared one epoch driver, and must match bit for
-bit.
+bit. `vtrnn+shuffle` was re-recorded when the recurrence moved to tanh
+space: its log lines were byte-identical and its blocks moved by at most
+2.2e-16 absolute (4e-16 of a block's largest entry).
 
 The `<kind>+ranking` entries hold `rank(u)` of every corpus user for
 `vtrnn`, `vrnn`, `vtbpr`, `mf`, `pop` and `random` (the trained kinds as
