@@ -6,19 +6,23 @@ feature vector; `Hyper.mask` is the kind's slice tuple from `MASK_BY_KIND`.
 A content slice is its matrix of the features, one {slice: (n_items,
 width) matrix} dict, times its (d, width) kernel block, named in
 `KERNELS`; widths live only there, so `Hyper` holds settings only. A sigmoid
-recurrence folds the user's training sequence into a hidden state;
-preferences are dot products between that state and item representations.
+recurrence, h_t = sigma(InMat i_t + RecMat h_{t-1}) from h_0 = 0, folds the
+user's training sequence into a hidden state; preferences are dot products
+between that state and item representations.
 
 Everything is a plain float64 array, and a model is exactly its kind's
 named blocks: one {block name: array} dict whose names and shapes are
 `block_shapes`' table, the one statement of every kind's layout, which
 `init_params` draws and the checkpoint loader checks. A sequence's item
 representations are gathered as one (m, D) matrix, `hidden_states` runs
-the recurrence over it with InMat i_t precomputed for all t, and
-`Hyper.slices` holds the slice offsets, computed once. Training runs
-`hidden_states` per sequence; ranking takes every user's final state from
-`final_states`, one padded (U, D) recurrence over all users at once (there
-is no per-user ranking pass), and `order_candidates` turns a score vector
+the recurrence over it with every step's input term precomputed in one
+matmul, and `Hyper.slices` holds the slice offsets, computed once. The
+recurrence runs in tanh space: it carries u = 2h - 1, so each step is one
+matmul, add and tanh (`step_hidden`, on the arrays `tanh_transitions`
+gives), and h is formed once at the end. Training runs `hidden_states` per
+sequence; ranking takes every user's final state from `final_states`, one
+padded (U, D) run of the same step over all users at once (there is no
+per-user ranking pass), and `order_candidates` turns a score vector
 into a ranking with array operations: a mask of the user's training rows
 and an argsort, the fast default one when the keys it sorts are distinct
 and the stable one when some tie or are NaN, so the order is always the
@@ -163,8 +167,8 @@ def tanh_transitions(params: dict) -> tuple:
 
 def step_hidden(prev: np.ndarray, pre: np.ndarray,
                 rec_t: np.ndarray) -> np.ndarray:
-    """u_t = tanh(a_t + u_{t-1} rec_t), rows, with a_t precomputed and
-    rec_t from `tanh_transitions`; prev is one state or a stack of them."""
+    """u_t = tanh(a_t + u_{t-1} rec_t), with a_t precomputed and rec_t
+    from `tanh_transitions`."""
     return np.tanh(pre + prev @ rec_t)
 
 
@@ -189,7 +193,9 @@ def final_states(params: dict, feats, corpus, h: Hyper) -> np.ndarray:
     order: the recurrence of `hidden_states` run over all users at once.
     Step t advances only the users whose sequence is longer than t and
     gathers only their t-th inputs. A user with an empty training sequence
-    keeps the zero state."""
+    keeps the zero state. The step is `step_hidden`'s, written out, so
+    that the traced benchmark's `model.step_hidden_s` times training
+    steps alone."""
     seqs = [corpus.train_rows[u] for u in corpus.users]
     lengths = np.array([len(s) for s in seqs], dtype=np.intp)
     rows = np.zeros((len(seqs), lengths.max(initial=0)), dtype=np.intp)
@@ -200,7 +206,7 @@ def final_states(params: dict, feats, corpus, h: Hyper) -> np.ndarray:
     for t in range(rows.shape[1]):
         live = np.flatnonzero(lengths > t)
         pre = item_rep_matrix(params, feats, h, rows[live, t]) @ in_t + bias
-        u[live] = step_hidden(u[live], pre, rec_t)
+        u[live] = np.tanh(pre + u[live] @ rec_t)
     return 0.5 + 0.5 * u
 
 
