@@ -256,22 +256,6 @@ def recurrent_world(draw):
             draw(st.integers(0, 2**32 - 1)))
 
 
-@FUZZ
-@given(world=recurrent_world())
-def test_final_states_match_per_user_recurrence(world):
-    corpus, h, widths, seed = world
-    rng = np.random.default_rng(seed)
-    feats = {name: rng.uniform(lo, hi, (corpus.n_items, widths[name]))
-             for name, (lo, hi) in RANGES.items()}
-    params = init_params(h, feats, None, corpus.n_items, rng)
-    final = final_states(params, feats, corpus, h)
-    assert final.shape == (len(corpus.users), h.D)
-    for u, got in zip(corpus.users, final):
-        rows = corpus.train_rows[u]
-        want = hidden_states(item_rep_matrix(params, feats, h, rows), params)[-1]
-        assert np.max(np.abs(got - want)) <= 1e-14
-
-
 def logistic_states(inputs: np.ndarray, params: dict) -> np.ndarray:
     """h_0..h_m of the paper's recurrence h_t = sigma(InMat i_t + RecMat
     h_{t-1}) from h_0 = 0, one plain logistic step at a time."""
@@ -284,17 +268,21 @@ def logistic_states(inputs: np.ndarray, params: dict) -> np.ndarray:
 
 @FUZZ
 @given(world=recurrent_world())
-def test_tanh_recurrence_matches_logistic_reference(world):
+def test_final_states_match_per_user_recurrence(world):
     corpus, h, widths, seed = world
     rng = np.random.default_rng(seed)
     feats = {name: rng.uniform(lo, hi, (corpus.n_items, widths[name]))
              for name, (lo, hi) in RANGES.items()}
     params = init_params(h, feats, None, corpus.n_items, rng)
     final = final_states(params, feats, corpus, h)
+    assert final.shape == (len(corpus.users), h.D)
     for u, got in zip(corpus.users, final):
         inputs = item_rep_matrix(params, feats, h, corpus.train_rows[u])
+        states = hidden_states(inputs, params)
+        assert np.max(np.abs(got - states[-1])) <= 1e-14
+        # the tanh-space states against the logistic recurrence they stand for
         want = logistic_states(inputs, params)
-        assert np.max(np.abs(hidden_states(inputs, params) - want)) <= 1e-14
+        assert np.max(np.abs(states - want)) <= 1e-14
         assert np.max(np.abs(got - want[-1])) <= 1e-14
 
 
