@@ -23,13 +23,13 @@ A user visit is one step: `bpr_user_grads` scores all of the user's
 sampled triples (positive row, negative row) at once, from one gather of
 their representations, and `mf_user_grads` all of the user's
 observations (item row, target). Each returns the update records (block,
-row or None, g; see `sgd`) of the summed objective at the pre-visit
-parameters, as the recurrent kinds' frozen context does: one user-row
-record, one row-array record over the distinct item rows, with repeated
-rows summed, and, for the BPR family, one kernel record per active
-content slice. `sgd.run_epochs` applies each visit's records with one
-`sgd.apply` and the per-block decays of `Hyper.decay`, so a block, or a
-distinct row, decays once per visit.
+rows or None, g; see `sgd`) of the summed objective at the pre-visit
+parameters, as the recurrent kinds' frozen context does: one one-row
+record of the user's "Gamma" row, one row record over the distinct item
+rows, with repeated rows summed, and, for the BPR family, one kernel
+record per active content slice. `sgd.run_epochs` applies each visit's
+records with one `sgd.apply` and the per-block decays of `Hyper.decay`,
+so a block, or a distinct row, decays once per visit.
 
 `grad_check` is the gradient check of every trainable kind: it builds the
 kind's small fixture and hands `sgd.grad_check` the steps that training
@@ -114,8 +114,8 @@ class EmbedRanker:
 
 def _row_sums(name: str, rows: np.ndarray, coef: np.ndarray,
               vec: np.ndarray) -> tuple:
-    """One row-array record of block `name`: entry k of `rows` adds
-    coef[k] * vec, summed over its repeats onto the distinct rows."""
+    """One row record of block `name`: entry k of `rows` adds coef[k] *
+    vec, summed over its repeats onto the distinct rows."""
     distinct, at = np.unique(rows, return_inverse=True)
     return name, distinct, np.bincount(at, weights=coef)[:, None] * vec
 
@@ -125,7 +125,7 @@ def bpr_user_grads(params: dict, feats: dict, h: Hyper, uj: int,
     """(xhat, updates) of user row uj's pairs (pos[k], neg[k]), all scored
     at the current parameters: xhat[k] = dot(gamma_u, rep_pos - rep_neg),
     and the update records of sum_k ln sigma(xhat[k]) with c = sigma(-xhat):
-    user row uj's (c @ diff), one row-array record of the latent rows
+    user row uj's (c @ diff), one row record of the latent rows
     (c[k] on pos[k], -c[k] on neg[k], times gamma_u's latent slice), and
     each active content slice's kernel (`model.KERNELS`), which moves by
     gamma_u's slice times the c-weighted feature differences."""
@@ -137,7 +137,7 @@ def bpr_user_grads(params: dict, feats: dict, h: Hyper, uj: int,
     xhat = diff @ gamma_u
     c = numkit.sigmoid_arr(-xhat)
     sl = h.slices
-    updates = [("Gamma", uj, c @ diff),
+    updates = [("Gamma", np.array([uj], dtype=np.intp), (c @ diff)[None]),
                _row_sums("X", rows, np.concatenate([c, -c]),
                          gamma_u[sl["latent"]])]
     for name in h.mask[1:]:
@@ -203,10 +203,11 @@ def mf_user_grads(params: dict, uj: int, rows: np.ndarray,
     """(err, updates) of user row uj's observations (rows[k], targets[k]),
     all at the current parameters: err = targets - X[rows] @ gamma_u and
     the update records of -0.5 * sum_k err[k]^2, user row uj's and one
-    row-array record of the item rows."""
+    row record of the item rows."""
     gamma_u, x = params["Gamma"][uj], params["X"][rows]
     err = targets - x @ gamma_u
-    return err, [("Gamma", uj, err @ x), _row_sums("X", rows, err, gamma_u)]
+    return err, [("Gamma", np.array([uj], dtype=np.intp), (err @ x)[None]),
+                 _row_sums("X", rows, err, gamma_u)]
 
 
 # ---------------------------------------------------------------------------

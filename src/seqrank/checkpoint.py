@@ -189,6 +189,9 @@ def load_ranker(path, corpus, feats):
         return baselines.PopRanker(corpus, counts=blocks["counts"])
     h = _hyper_from_header(path, header, feats)
     n_users = len(corpus.users) if kind in USER_TABLE_KINDS else None
-    _expect_blocks(path, blocks,
-                   model.block_shapes(h, feats, n_users, corpus.n_items))
+    try:
+        shapes = model.block_shapes(h, feats, n_users, corpus.n_items)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    _expect_blocks(path, blocks, shapes)
     return baselines.EmbedRanker(kind, blocks, corpus, feats, h)

@@ -339,6 +339,9 @@ class SynthSpec:
             problems.append(f"seq_len must be >= {MIN_LEN}")
         if self.f_dim_visual < 1 or self.f_dim_textual < 1:
             problems.append("feature dims must be >= 1")
+        problems += [f"items x {name} is too large to allocate"
+                     for name in ("f_dim_visual", "f_dim_textual")
+                     if not numkit.fits_float64((self.items, getattr(self, name)))]
         if self.noise_sigma < 0:
             problems.append("noise_sigma must be >= 0")
         if self.seed < 0:

@@ -132,7 +132,8 @@ def block_shapes(h: Hyper, feats: dict, n_users: int | None,
     slice's (d, width) kernel in mask order, "E" visual and "V" textual,
     width that of feats[name]; and for the recurrent kinds, whose n_users
     is None, the (D, D) input and recurrent transitions "InMat" and
-    "RecMat". An active slice 0 wide is a ConfigError."""
+    "RecMat". An active slice 0 wide is a ConfigError, and so is a block
+    too large for numpy to size (`numkit.fits_float64`)."""
     D = h.D
     shapes = {} if n_users is None else {"Gamma": (n_users, D)}
     shapes["X"] = (n_items, h.d)
@@ -143,6 +144,10 @@ def block_shapes(h: Hyper, feats: dict, n_users: int | None,
         shapes[KERNELS[name]] = (h.d, width)
     if n_users is None:
         shapes.update(InMat=(D, D), RecMat=(D, D))
+    too_big = [f"{name} {shape}" for name, shape in shapes.items()
+               if not numkit.fits_float64(shape)]
+    if too_big:
+        raise ConfigError(f"blocks too large to allocate: {', '.join(too_big)}")
     return shapes
 
 

@@ -1,6 +1,7 @@
 """Float64 numeric kernels shared by every model in the package: stable
 sigmoids, the central finite differences behind `sgd.grad_check`, and the
-tests every float and integer setting passes."""
+tests every float and integer setting, and every array size a setting
+asks for, passes."""
 
 import math
 
@@ -20,6 +21,12 @@ def is_real(v) -> bool:
 def is_int(v) -> bool:
     """An int, not a bool."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def fits_float64(shape: tuple) -> bool:
+    """Whether numpy can size a float64 array of `shape`: 8 bytes an entry
+    come to at most np.iinfo(np.intp).max."""
+    return math.prod(shape) * 8 <= np.iinfo(np.intp).max
 
 
 def is_count(v, least: int = 0) -> bool:

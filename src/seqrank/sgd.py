@@ -8,16 +8,16 @@ step's records before it draws the next step. Initialization and training
 draw from split seed streams, so the training draws are the same for every
 model kind under one seed.
 
-A step's updates are a list of records (block name, row or None, g): the
-ascent direction g of one row of the block, of the whole block when row is
-None, or of several rows, g stacked in their order, when row is an int
-array. `grouped` sums a list per block and per distinct row of a block, in
-list order; a block of one record keeps it as it is, so that record's
-rows must be distinct. Training runs the list through `apply`, which
-ascends each touched block, or each distinct row of it, once by that sum
-with the one update rule `ascend`: theta += alpha * (clip(g) - lam *
-theta), with lam the block's L2 decay from `Hyper.decay`, each row clipped
-by its own norm. So a step is one ascent, and each block or distinct row
+A step's updates are a list of records (block name, rows, g): the ascent
+direction g of the whole block when rows is None, else of the block's
+rows, a 1-D intp array, with g of shape (len(rows),) + the block's row
+shape, g[k] that of rows[k]. `grouped` sums a list per block and per
+distinct row of a block, in list order; a block of one record keeps it as
+it is, so that record's rows must be distinct. Training runs the list
+through `apply`, which ascends each touched block, or each distinct row
+of it, once by that sum with the one update rule `ascend`: theta +=
+alpha * (clip(g) - lam * theta), with lam the block's L2 decay from
+`Hyper.decay`, each row clipped by its own norm. So a step is one ascent, and each block or distinct row
 decays once per step. `gradient` writes the same sums into full-shape
 arrays, and `grad_check` holds them against central finite differences of
 the steps' own objective terms: the one gradient check of every trainable
@@ -29,8 +29,6 @@ A step's records are all formed at the parameters before the step: one
 recurrent sequence at its frozen context, one mf or BPR user visit at the
 pre-visit parameters.
 """
-
-from itertools import groupby
 
 import numpy as np
 
@@ -50,75 +48,60 @@ def ascend(theta: np.ndarray, g: np.ndarray, alpha: float, lam: float,
 
 
 def _dense(like: np.ndarray, records) -> np.ndarray:
-    """The g of (row or None, g) records summed from zero, in list order,
-    into an array shaped like `like`."""
+    """The g of (rows, g) records summed from zero, in list order, into an
+    array shaped like `like`."""
     total = np.zeros_like(like)
-    for row, g in records:
-        if row is None:
+    for rows, g in records:
+        if rows is None:
             total += g
         else:
-            np.add.at(total, row, g)
+            np.add.at(total, rows, g)
     return total
 
 
 def grouped(blocks: dict, updates) -> dict:
-    """{block name: (row, g)}: for each block `updates` touches, in the
+    """{block name: (rows, g)}: for each block `updates` touches, in the
     order first touched, the sum of its records' g, added in list order.
     A block of one record keeps it as it is. A block of several sums them
-    from zero: into one whole-block g when any is whole (row None), else
-    into one g per distinct row, the rows an ascending int array, from any
-    mix of int rows and row arrays, repeats included."""
+    from zero: into one whole-block g when any is whole (rows None), else
+    into one g per distinct row, the rows ascending, from the records'
+    rows and g's each concatenated in list order, repeats included."""
     by_block = {}
-    for name, row, g in updates:
-        by_block.setdefault(name, []).append((row, g))
+    for name, rows, g in updates:
+        by_block.setdefault(name, []).append((rows, g))
     for name, records in by_block.items():
         if len(records) == 1:
             by_block[name] = records[0]
-            continue
-        if any(row is None for row, _ in records):
+        elif any(rows is None for rows, _ in records):
             by_block[name] = (None, _dense(blocks[name], records))
-            continue
-        rows, gs = [], []
-        # each run of int rows stacks as one array, keeping the list order
-        for is_array, run in groupby(records,
-                                     lambda r: isinstance(r[0], np.ndarray)):
-            run = list(run)
-            if is_array:
-                rows += [row for row, _ in run]
-                gs += [g for _, g in run]
-            else:
-                rows.append(np.array([row for row, _ in run], dtype=np.intp))
-                gs.append(np.array([g for _, g in run]))
-        g = np.concatenate(gs)
-        distinct, at = np.unique(np.concatenate(rows), return_inverse=True)
-        total = np.zeros((len(distinct),) + g.shape[1:])
-        np.add.at(total, at, g)
-        by_block[name] = (distinct, total)
+        else:
+            rows, gs = zip(*records)
+            distinct, at = np.unique(np.concatenate(rows), return_inverse=True)
+            total = np.zeros((len(distinct),) + blocks[name].shape[1:])
+            np.add.at(total, at, np.concatenate(gs))
+            by_block[name] = (distinct, total)
     return by_block
 
 
 def apply(blocks: dict, updates, alpha: float, decay: dict,
           clip_norm: float | None = None) -> None:
     """Ascend each block of `updates`, in place, once by its `grouped`
-    record, with the decay {block name: lam} gives it. A row array is
-    gathered, each of its rows clipped by its own norm and ascended, and
-    scattered back, as one `ascend` per row would."""
-    for name, (row, g) in grouped(blocks, updates).items():
-        if row is None:
+    record, with the decay {block name: lam} gives it. A whole block goes
+    to `ascend`; a row record's rows are gathered, each clipped by its own
+    norm and ascended, and scattered back, as one `ascend` per row would."""
+    for name, (rows, g) in grouped(blocks, updates).items():
+        if rows is None:
             ascend(blocks[name], g, alpha, decay[name], clip_norm)
-        elif isinstance(row, np.ndarray):
-            block = blocks[name]
-            theta = block[row]
-            if clip_norm is not None:
-                # ascend's norm, row by row: a norm along axis 1 sums in
-                # another order and may differ in the last bit
-                n = np.array([np.linalg.norm(r) for r in g])
-                g = g * np.where(n > clip_norm,
-                                 clip_norm / np.maximum(n, clip_norm), 1.0)[:, None]
-            theta += alpha * (g - decay[name] * theta)
-            block[row] = theta
-        else:
-            ascend(blocks[name][row], g, alpha, decay[name], clip_norm)
+            continue
+        theta = blocks[name].take(rows, axis=0)   # a gather, faster than [rows]
+        if clip_norm is not None:
+            # ascend's norm, row by row: a norm along axis 1 sums in
+            # another order and may differ in the last bit
+            n = np.array([np.linalg.norm(r) for r in g])
+            g = g * np.where(n > clip_norm,
+                             clip_norm / np.maximum(n, clip_norm), 1.0)[:, None]
+        theta += alpha * (g - decay[name] * theta)
+        blocks[name][rows] = theta
 
 
 def gradient(params: dict, updates) -> dict:

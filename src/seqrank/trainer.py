@@ -8,16 +8,16 @@ dict of `dataio.build_feature_store`, and each active content slice adds its
 kernel block (`model.KERNELS`) to the records the phases form. Updates run
 in two phases from a context frozen at sequence start. The context holds the
 sequence as stacked arrays: inputs, states, scores, c = sigma(-score), the
-per-step latent gradients and each kernel's forward sum over the sequence,
-one matmul, all computed in one pass. Both phases return their updates as
-`sgd` update records (block, row or None, g); each block's L2 decay is
-`Hyper.decay`'s, which `sgd.apply` reads. The forward phase gives the
-direct score gradients on the latent rows of one pair at a time
-(`forward_updates`), then the kernels' sums. The backward phase runs the
-e-recursion through the recurrence and gives the latent rows of layers
-1..m-1 as one row-array record, then the transition/embedding sums over
-the whole sequence, formed as matmuls over the stacked per-layer vectors,
-as one record per block.
+pairs' latent rows and gradients and each kernel's forward sum over the
+sequence, one matmul, all computed in one pass. Both phases return their
+updates as `sgd` update records (block, rows or None, g); each block's L2
+decay is `Hyper.decay`'s, which `sgd.apply` reads. The forward phase gives
+the direct score gradients on the latent rows of one pair at a time, one
+two-row record each (`forward_updates`), then the kernels' sums. The
+backward phase runs the e-recursion through the recurrence and gives the
+latent rows of layers 1..m-1 as one row record, then the
+transition/embedding sums over the whole sequence, formed as matmuls over
+the stacked per-layer vectors, as one record per block.
 
 With zero regularization, the records of one sequence (`sequence_updates`)
 sum to the exact gradient of sum_t ln sigma(score_t) at the frozen
@@ -76,21 +76,21 @@ class SeqContext:
     InMat/RecMat, which the forward phase never touches, so the context
     stays consistent across both phases.
 
-    Step t = 2..m pairs the positive rows[t-1] with the negative
-    neg_rows[t-2] and scores both against h_{t-1}; its per-pair entries sit
-    at index k = t - 2."""
+    Step t = 2..m pairs the positive rows[t-1] with a negative and scores
+    both against h_{t-1}; its per-pair entries sit at index k = t - 2."""
 
     rows: np.ndarray         # (m,) item rows of seq, t = 1..m
-    neg_rows: np.ndarray     # (m-1,) item rows of the negatives
+    pair_rows: np.ndarray    # (m-1, 2) [positive, negative] item rows
+    pair_grads: np.ndarray   # (m-1, 2, d) [g, -g], g = c * latent h_{t-1}:
+                             # the pair's direct latent score gradients
     inputs: np.ndarray       # (m, D) i_1..i_m
     neg_inputs: np.ndarray   # (m-1, D)
     states: np.ndarray       # (m+1, D) h_0..h_m, h_0 = 0
     scores: np.ndarray       # (m-1,)
     c: np.ndarray            # (m-1,) sigma(-score), the per-step loss multiplier
-    forward_grads: dict      # block -> forward score gradients, c included:
-                             # "X" (m-1, d) per step, then each active
-                             # kernel's (d, width) sum over the steps, "E"
-                             # visual and "V" textual
+    forward_grads: dict      # kernel block -> its (d, width) forward score
+                             # gradient summed over the steps, c included,
+                             # "E" visual and "V" textual
 
     @property
     def m(self) -> int:
@@ -114,24 +114,28 @@ def sequence_context(params: dict, corpus: Corpus, feats: dict,
     scores = score_pair(prev, inputs[1:], neg_inputs)
     c = numkit.sigmoid_arr(-scores)
     sl = h.slices
-    forward_grads = {"X": c[:, None] * prev[:, sl["latent"]]}
+    # rows[1:] is the positives then the negatives, m - 1 each; the signs
+    # are exact, so the negative's gradient is -g bit for bit
+    pair_rows = rows[1:].reshape(2, m - 1).T
+    pair_grads = (c[:, None] * prev[:, sl["latent"]])[:, None] * [[1.0], [-1.0]]
+    forward_grads = {}
     for name in h.mask[1:]:
         diff = feats[name][rows[1:m]] - feats[name][rows[m:]]
         forward_grads[KERNELS[name]] = (c[:, None] * prev[:, sl[name]]).T @ diff
-    return SeqContext(rows[:m], rows[m:], inputs, neg_inputs, states, scores,
-                      c, forward_grads)
+    return SeqContext(rows[:m], pair_rows, pair_grads, inputs, neg_inputs,
+                      states, scores, c, forward_grads)
 
 
 # ---------------------------------------------------------------------------
 # forward-direction updates: direct score gradients, one pair step each
 
 def forward_updates(ctx: SeqContext, k: int) -> list:
-    """Pair k's (step t = k + 2) update records: its score gradient g on
-    the pair's latent rows, g for the positive and -g for the negative.
-    The kernels' forward sums are `sequence_updates`' records, the
-    transition matrices the backward phase's job."""
-    gx = ctx.forward_grads["X"][k]
-    return [("X", ctx.rows[k + 1], gx), ("X", ctx.neg_rows[k], -gx)]
+    """Pair k's (step t = k + 2) update records: one two-row record of its
+    score gradient g on the pair's latent rows, g for the positive and -g
+    for the negative, views into the context's pair arrays. The kernels'
+    forward sums are `sequence_updates`' records, the transition matrices
+    the backward phase's job."""
+    return [("X", ctx.pair_rows[k], ctx.pair_grads[k])]
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +162,9 @@ def backward_steps(ctx: SeqContext, params: dict) -> np.ndarray:
 
 def backward_gradients(ctx: SeqContext, params: dict, feats: dict,
                        h: Hyper) -> list:
-    """The backward phase's update records: one row-array record of the
-    latent rows of the items ctx.rows[:m-1], layer 1 to m-1 (a repeated
-    item repeats its row), then the BPTT sums over layers 1..m-1 as whole
+    """The backward phase's update records: one row record of the latent
+    rows of the items ctx.rows[:m-1], layer 1 to m-1 (a repeated item
+    repeats its row), then the BPTT sums over layers 1..m-1 as whole
     blocks, "InMat", "RecMat" and the active "E"/"V". Sequences shorter
     than 2 have no backward signal and no records."""
     if ctx.m < 2:
@@ -187,9 +191,8 @@ def sequence_updates(ctx: SeqContext, params: dict, feats: dict,
     `forward_updates` of each pair in step order, the kernels' forward
     sums, then `backward_gradients`. `sgd.apply` sums them per block and
     distinct row into one ascent."""
-    g = ctx.forward_grads
     updates = [r for k in range(ctx.m - 1) for r in forward_updates(ctx, k)]
-    updates += [(name, None, g[name]) for name in KERNELS.values() if name in g]
+    updates += [(name, None, g) for name, g in ctx.forward_grads.items()]
     return updates + backward_gradients(ctx, params, feats, h)
 
 

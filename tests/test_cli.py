@@ -231,6 +231,51 @@ def test_eval_malformed_checkpoint_header(pipeline, tmp_path, capsys):
         assert "header" in err.split(": ", 2)[2], err
 
 
+HUGE = 10 ** 18   # 8 bytes an entry: past np.iinfo(np.intp).max
+
+
+@pytest.mark.parametrize("cmd,extra,fragment", [
+    ("train", {"kind": "rnn", "hyper": {"d": HUGE}},
+     f"blocks too large to allocate: X (21, {HUGE}), "
+     f"InMat ({HUGE}, {HUGE}), RecMat ({HUGE}, {HUGE})"),
+    ("train", {"kind": "mf", "hyper": {"d": HUGE}},
+     f"blocks too large to allocate: Gamma (8, {HUGE}), X (21, {HUGE})"),
+    ("synth", {"synth": dict(SYNTH, f_dim_visual=HUGE)},
+     "synth: items x f_dim_visual is too large to allocate"),
+    ("synth", {"synth": dict(SYNTH, f_dim_textual=HUGE)},
+     "synth: items x f_dim_textual is too large to allocate"),
+], ids=["rnn-d", "mf-d", "synth-visual", "synth-textual"])
+def test_oversized_matrix_is_config_error(pipeline, tmp_path, capsys, cmd,
+                                          extra, fragment):
+    # refused from the shapes alone, before any array of them is drawn
+    _, paths, _ = pipeline
+    cfg = write_config(tmp_path / "c.json",
+                       dict({"data": paths, "train": {"epochs": 1}}, **extra))
+    code = cli.main([cmd, "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG, err
+    assert err == f"config error:\n{fragment}\n"
+
+
+def test_eval_oversized_checkpoint_header_is_data_error(pipeline, tmp_path,
+                                                        capsys):
+    _, paths, ckpts = pipeline
+    raw = ckpts["rnn"].read_bytes()
+    (n,) = struct.unpack_from("<I", raw, len(checkpoint.MAGIC))
+    payload = raw[len(checkpoint.MAGIC) + 4 + n:]
+    good, _ = checkpoint.read_checkpoint(ckpts["rnn"])
+    head = json.dumps(dict(good, d=HUGE)).encode()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(checkpoint.MAGIC + struct.pack("<I", len(head)) + head
+                    + payload)
+    cfg = write_config(tmp_path / "c.json", {"data": paths})
+    code = cli.main(["eval", str(bad), "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA, err
+    assert err.startswith(f"data error: {bad}: blocks too large to allocate: "
+                          f"X (21, {HUGE})") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
 def test_eval_non_finite_checkpoint_is_data_error(pipeline, tmp_path, capsys,
                                                   value):

@@ -21,8 +21,8 @@
   on generated ones 10 and 512 wide.
 - `sgd.apply` gives the same bits as `sgd.ascend` once per block, or per
   distinct row of a block, on the sum of its records from zero in list
-  order, and on a block's lone record as it is (a row-array record's
-  rows one by one), signed zeros included; the
+  order, and on a block's lone record as it is (a row record's rows one
+  by one), signed zeros included; the
   scalar path of `log_sigmoid` gives the same bits as its array path.
 
 Hypothesis runs derandomized and without an example database, so the
@@ -549,8 +549,8 @@ def with_signed_zeros(rng, a):
 @st.composite
 def record_lists(draw):
     """(records, decay, clip_norm): records over SHAPES, rows drawn from a
-    few so they repeat, whole-block records interleaved with int-row
-    records and row-array records (distinct rows, in any order) of the
+    few so they repeat, whole-block records interleaved with one-row
+    records and row records of several distinct rows, in any order, of the
     same and other blocks, g with signed zeros, and a decay map with a
     lam per block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -563,7 +563,8 @@ def record_lists(draw):
         if form == "whole":
             row, g = None, rng.normal(size=SHAPES[name])
         elif form == "row":
-            row, g = draw(st.integers(0, rows - 1)), rng.normal(size=width)
+            row = np.array([draw(st.integers(0, rows - 1))], dtype=np.intp)
+            g = rng.normal(size=(1, width))
         else:
             row = np.array(draw(st.lists(st.integers(0, rows - 1), min_size=1,
                                          unique=True)), dtype=np.intp)
@@ -575,21 +576,20 @@ def record_lists(draw):
 
 
 def ascend_each(blocks, records, decay, clip):
-    """`sgd.ascend` on each record in list order, a row array's rows one
+    """`sgd.ascend` on each record in list order, a row record's rows one
     by one."""
-    for name, row, g in records:
-        if isinstance(row, np.ndarray):
-            for r, gr in zip(row, g):
-                sgd.ascend(blocks[name][r], gr, 0.2, decay[name], clip)
+    for name, rows, g in records:
+        if rows is None:
+            sgd.ascend(blocks[name], g, 0.2, decay[name], clip)
         else:
-            sgd.ascend(blocks[name] if row is None else blocks[name][row], g,
-                       0.2, decay[name], clip)
+            for r, gr in zip(rows, g):
+                sgd.ascend(blocks[name][r], gr, 0.2, decay[name], clip)
 
 
 def summed_per_block_and_row(records):
     """The records with each block of several replaced by its sums, from
     zero in list order, row by row: one whole-block record when any of
-    them is whole, else one int-row record per distinct row."""
+    them is whole, else one one-row record per distinct row."""
     by_block = {}
     for name, row, g in records:
         by_block.setdefault(name, []).append((row, g))
@@ -600,16 +600,18 @@ def summed_per_block_and_row(records):
             continue
         whole = any(row is None for row, _ in recs)
         sums = {None: np.zeros(SHAPES[name])} if whole else {}
-        for row, g in recs:
-            if row is None:
+        for rows, g in recs:
+            if rows is None:
                 sums[None] += g
                 continue
-            for r, gr in zip(np.atleast_1d(row), np.atleast_2d(g)):
+            for r, gr in zip(rows, g):
                 if whole:
                     sums[None][r] += gr
                 else:
                     sums[int(r)] = sums.get(int(r), np.zeros(len(gr))) + gr
-        out += [(name, r, g) for r, g in sums.items()]
+        out += [(name, None, g) if r is None
+                else (name, np.array([r], dtype=np.intp), g[None])
+                for r, g in sums.items()]
     return out
 
 

@@ -179,16 +179,15 @@ DECAY = dict(alpha=0.5, lam_theta=0.01, lam_e=0.03, lam_v=0.07)
 
 
 def naive_step(params, records, h):
-    """A copy of params after one step: the records' g, a row-array
-    record's row by row, summed per whole block or per row in list order,
+    """A copy of params after one step: the records' g, a row record's
+    row by row, summed per whole block or per row in list order,
     then theta += alpha * (sum - lam * theta) once per block or distinct
     row, lam chosen by block name here, not by `Hyper.decay`."""
     lam = {"X": h.lam_theta, "Gamma": h.lam_theta, "InMat": h.lam_theta,
            "RecMat": h.lam_theta, "E": h.lam_e, "V": h.lam_v}
     sums = {}
-    for name, row, g in records:
-        rows = zip(row, g) if isinstance(row, np.ndarray) else [(row, g)]
-        for r, gr in rows:
+    for name, rows, g in records:
+        for r, gr in [(None, g)] if rows is None else zip(rows, g):
             key = (name, None if r is None else int(r))
             sums[key] = sums[key] + gr if key in sums else gr
     out = {name: b.copy() for name, b in params.items()}
@@ -307,3 +306,54 @@ def test_divergence_names_the_first_non_finite_block():
                        None)
     assert str(exc.value) == ("non-finite parameters at epoch 1, user 'w', "
                               "block 'E'")
+
+
+# ---------------------------------------------------------------------------
+# the record form: rows None or a 1-D intp array, g shaped to match
+
+def grad_check_steps(monkeypatch, kind):
+    """(params, [update records of each step]) of `kind`'s steps on the
+    fixture that `baselines.grad_check` builds for it, at its seed
+    stream."""
+    seen = {}
+
+    def capture(params, steps):
+        seen["params"] = params
+        seen["steps"] = [updates for _, updates in steps()]
+        return {}
+    monkeypatch.setattr(sgd, "grad_check", capture)
+    baselines.grad_check(kind, Hyper(d=2), np.random.default_rng(
+        [SEED, baselines.GRAD_CHECK_STREAMS[kind]]))
+    return seen["params"], seen["steps"]
+
+
+@pytest.mark.parametrize("kind", baselines.GRAD_CHECK_STREAMS)
+def test_records_are_whole_blocks_or_row_arrays(monkeypatch, kind):
+    # the fixtures repeat no row within a record: the recurrent one's
+    # sequence holds distinct items, and the visits' item records sum
+    # repeats onto distinct rows
+    params, steps = grad_check_steps(monkeypatch, kind)
+    records = [r for updates in steps for r in updates]
+    assert records
+    for name, rows, g in records:
+        block = params[name]
+        if rows is None:
+            assert g.shape == block.shape, name
+            continue
+        assert type(rows) is np.ndarray and rows.dtype == np.intp, name
+        assert rows.ndim == 1 and len(set(rows.tolist())) == len(rows), name
+        assert g.shape == (len(rows),) + block.shape[1:], name
+
+
+@pytest.mark.parametrize("kind", ["mf", "vtbpr"])
+def test_clipped_visit_moves_its_user_row_as_ascend_does(monkeypatch, kind):
+    # the first visit's records, clipped at half its user row's norm
+    params, (records, *_) = grad_check_steps(monkeypatch, kind)
+    (rows, g), = [(rows, g) for name, rows, g in records if name == "Gamma"]
+    clip = 0.5 * float(np.linalg.norm(g[0]))
+    h = Hyper(d=2, **DECAY)
+    got = {name: b.copy() for name, b in params.items()}
+    sgd.apply(got, records, h.alpha, h.decay, clip)
+    want = params["Gamma"].copy()
+    sgd.ascend(want[rows[0]], g[0], h.alpha, h.lam_theta, clip)
+    assert got["Gamma"].tobytes() == want.tobytes()

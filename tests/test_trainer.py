@@ -75,10 +75,12 @@ def test_forward_grad_pieces():
     sl = h.slices
     pos, neg = corpus.train_rows["u0"][1:], negatives["u0"]
     assert np.array_equal(ctx.c, numkit.sigmoid_arr(-ctx.scores))
+    assert ctx.pair_rows.dtype == np.intp
+    assert sorted(ctx.forward_grads) == ["E", "V"]
     for k in range(ctx.m - 1):   # step t = k + 2
-        prev = ctx.states[k + 1]
-        assert np.array_equal(ctx.forward_grads["X"][k],
-                              ctx.c[k] * prev[sl["latent"]])
+        gx = ctx.c[k] * ctx.states[k + 1][sl["latent"]]
+        assert np.array_equal(ctx.pair_rows[k], [pos[k], neg[k]])
+        assert np.array_equal(ctx.pair_grads[k], [gx, -gx])
     # each kernel's sum over the steps, one matmul, against the sum of the
     # steps' outer products
     for name, block in (("visual", "E"), ("textual", "V")):
@@ -131,7 +133,8 @@ def test_backward_short_sequence_has_no_updates():
     rows = np.array([0])
     inputs = item_rep_matrix(params, feats, h, rows)
     none = np.zeros((0, h.D))
-    ctx = SeqContext(rows, rows[:0], inputs, none,
+    ctx = SeqContext(rows, np.zeros((0, 2), dtype=np.intp),
+                     np.zeros((0, 2, h.d)), inputs, none,
                      hidden_states(inputs, params), np.zeros(0), np.zeros(0), {})
     before = {n: b.copy() for n, b in params.items()}
     updates = backward_gradients(ctx, params, feats, h)

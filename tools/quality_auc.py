@@ -10,22 +10,29 @@ one the CLI trains it at; nothing else is tuned per kind. It records the
 test AUC of `evaluate`. The run is deterministic, so two runs of one
 checkout write the same file.
 
-    PYTHONPATH=src python tools/quality_auc.py --out after.json
+    python tools/quality_auc.py --out after.json
     python tools/quality_auc.py --compare before.json after.json
 
 The first form writes {"<kind>@<epochs>": {"<seed>": auc}}; run it once
-per checkout. The second prints a Markdown table of the means and the
-per-seed differences (after - before) of two such files, rounded to 3
-decimals, with each run's largest |after - before| over the seeds in
-scientific notation (a change that moves AUCs only in the 5th digit shows
-there, not in the rounded diffs), then how many seeds hold vtrnn > rnn in
-each file at each epoch count.
+per checkout, with that checkout's copy of this file. It measures the
+`seqrank` of the checkout it lives in, whose `src` it puts first on
+`sys.path`, whatever the working directory or PYTHONPATH. The second
+prints a Markdown table of the means and the per-seed differences
+(after - before) of two such files, rounded to 3 decimals, with each
+run's largest |after - before| over the seeds in scientific notation (a
+change that moves AUCs only in the 5th digit shows there, not in the
+rounded diffs), then how many seeds hold vtrnn > rnn in each file at
+each epoch count.
 """
 
 import argparse
 import json
+import os
 import statistics
 import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
 
 SEEDS = range(1, 11)
 RUNS = (("mf", 4), ("bpr", 4), ("vtbpr", 4), ("mf", 30), ("bpr", 30),
