@@ -12,24 +12,25 @@ built. A kind's slice mask, its `model.MASK_BY_KIND` tuple, is put into
 `Hyper` by `build_ranker` and `grad_check` alone. Kernel widths are the
 features' widths, and every trainer takes (corpus, feats, h, cfg, log).
 
-The trainable kinds share one epoch loop, `sgd.run_epochs`; mf and the
-BPR family supply their per-user steps here. Their parameters are one
-{block name: array} dict, the per-user rows "Gamma" plus the item blocks
-"X" and the active slices' kernels (`model.block_shapes` with a user
-table), so the representation helpers in `model` read both model
-families. Users and items are rows (`corpus.user_index`,
-`corpus.train_rows` and the rows the sampler draws).
-A user visit is one step: `bpr_user_grads` scores all of the user's
-sampled triples (positive row, negative row) at once, from one gather of
-their representations, and `mf_user_grads` all of the user's
-observations (item row, target). Each returns the update records (block,
-rows or None, g; see `sgd`) of the summed objective at the pre-visit
-parameters, as the recurrent kinds' frozen context does: one one-row
-record of the user's "Gamma" row, one row record over the distinct item
-rows, with repeated rows summed, and, for the BPR family, one kernel
-record per active content slice. `sgd.run_epochs` applies each visit's
-records with one `sgd.apply` and the per-block decays of `Hyper.decay`,
-so a block, or a distinct row, decays once per visit.
+The trainable kinds share one epoch loop, `sgd.run_epochs`, which draws
+their parameters and negatives; mf and the BPR family supply their
+per-user steps here. Their parameters are one {block name: array} dict,
+the per-user rows "Gamma" plus the item blocks "X" and the active slices'
+kernels (`model.block_shapes` with a user table), so the representation
+helpers in `model` read both model families. Users and items are rows
+(`corpus.user_index`, `corpus.train_rows` and the rows the sampler
+draws). A user visit is one step: `bpr_step` scores all of the user's
+sampled triples (positive row, negative row) at once through
+`bpr_user_grads`, from one gather of their representations, and the mf
+step all of the user's observations (item row, target) through
+`mf_user_grads`. Each returns the update records (block, rows or None,
+g; see `sgd`) of the summed objective at the pre-visit parameters, as
+the recurrent kinds' frozen context does: one one-row record of the
+user's "Gamma" row, one row record over the distinct item rows, with
+repeated rows summed, and, for the BPR family, one kernel record per
+active content slice. `sgd.run_epochs` applies each visit's records with
+one `sgd.apply` and the per-block decays of `Hyper.decay`, so a block, or
+a distinct row, decays once per visit.
 
 `grad_check` is the gradient check of every trainable kind: it builds the
 kind's small fixture and hands `sgd.grad_check` the steps that training
@@ -42,7 +43,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import model, numkit, sgd, trainer
-from .dataio import Corpus, sample_negative, sample_triples
+from .dataio import Corpus
 from .errors import ConfigError
 from .model import Hyper, order_candidates
 
@@ -147,24 +148,24 @@ def bpr_user_grads(params: dict, feats: dict, h: Hyper, uj: int,
     return xhat, updates
 
 
+def bpr_step(corpus: Corpus, feats: dict, h: Hyper):
+    """The BPR family's step(params, u, neg_rows) -> (term, count,
+    records): one `bpr_user_grads` over user u's pairs
+    (train_rows[u][t-1], neg_rows[t-2]), t = 2..m, term
+    sum_k ln sigma(xhat[k])."""
+    def step(params, u, neg_rows):
+        xhat, updates = bpr_user_grads(params, feats, h, corpus.user_index[u],
+                                       corpus.train_rows[u][1:], neg_rows)
+        return float(np.sum(numkit.log_sigmoid(xhat))), len(xhat), updates
+    return step
+
+
 def train_content_bpr(corpus: Corpus, feats: dict, h: Hyper,
                       cfg: trainer.TrainConfig, log) -> dict:
-    """Pairwise ascent on dot(gamma_u, rep_p - rep_q), one `bpr_user_grads`
-    step per user visit over its sampled triples, over `sgd.run_epochs`."""
-
-    def visit(params, u, rng):
-        seq = corpus.train_rows[u]
-        if len(seq) < 2:
-            return
-        xhat, updates = bpr_user_grads(params, feats, h, corpus.user_index[u],
-                                       seq[1:], sample_triples(corpus, u, rng))
-        yield float(np.sum(numkit.log_sigmoid(xhat))), len(xhat), updates
-
-    return sgd.run_epochs(
-        corpus, cfg, h,
-        lambda rng: model.init_params(h, feats, len(corpus.users),
-                                      corpus.n_items, rng),
-        visit, log)
+    """Pairwise ascent on dot(gamma_u, rep_p - rep_q), one `bpr_step` per
+    visit of a user with 2 or more items, over `sgd.run_epochs`."""
+    return sgd.run_epochs(corpus, feats, h, cfg, bpr_step(corpus, feats, h),
+                          log, n_users=len(corpus.users), lead=1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,34 +181,30 @@ def train_mf(corpus: Corpus, feats: dict, h: Hyper,
     if h.mask != ("latent",):
         raise ConfigError("mf uses the latent slice only")
 
-    def visit(params, u, rng):
+    def step(params, u, neg_rows):
         seq = corpus.train_rows[u]
-        if not len(seq):
-            return
-        owned = frozenset(seq.tolist())
-        negs = [sample_negative(corpus, u, owned, rng) for _ in range(len(seq))]
-        rows = np.concatenate([seq, np.array(negs, dtype=np.intp)])
-        targets = np.repeat([1.0, 0.0], len(seq))
-        err, updates = mf_user_grads(params, corpus.user_index[u], rows, targets)
-        yield float(err @ err), len(err), updates
+        term, count, updates = mf_user_grads(
+            params, corpus.user_index[u], np.concatenate([seq, neg_rows]),
+            np.repeat([1.0, 0.0], len(seq)))
+        # the squared error, -2 times the term, exactly
+        return -2.0 * term, count, updates
 
-    return sgd.run_epochs(
-        corpus, cfg, h,
-        lambda rng: model.init_params(h, feats, len(corpus.users),
-                                      corpus.n_items, rng),
-        visit, log)
+    return sgd.run_epochs(corpus, feats, h, cfg, step, log,
+                          n_users=len(corpus.users), lead=0)
 
 
 def mf_user_grads(params: dict, uj: int, rows: np.ndarray,
                   targets: np.ndarray) -> tuple:
-    """(err, updates) of user row uj's observations (rows[k], targets[k]),
-    all at the current parameters: err = targets - X[rows] @ gamma_u and
-    the update records of -0.5 * sum_k err[k]^2, user row uj's and one
+    """The step (term, count, records) of user row uj's observations
+    (rows[k], targets[k]), all at the current parameters: with
+    err = targets - X[rows] @ gamma_u, the term -0.5 * sum_k err[k]^2,
+    the count len(rows), and its update records, user row uj's and one
     row record of the item rows."""
     gamma_u, x = params["Gamma"][uj], params["X"][rows]
     err = targets - x @ gamma_u
-    return err, [("Gamma", np.array([uj], dtype=np.intp), (err @ x)[None]),
-                 _row_sums("X", rows, err, gamma_u)]
+    return -0.5 * float(err @ err), len(err), [
+        ("Gamma", np.array([uj], dtype=np.intp), (err @ x)[None]),
+        _row_sums("X", rows, err, gamma_u)]
 
 
 # ---------------------------------------------------------------------------
@@ -245,40 +242,20 @@ def grad_check(kind: str, h: Hyper, rng: np.random.Generator) -> dict:
     """`sgd.grad_check` of one trainable kind, with `h.mask` set to the
     kind's as in `build_ranker`: {block: max relative error} over every
     block the kind's records touch. The steps are the ones training runs,
-    at draws fixed here: for the recurrent kinds `trainer.sequence_context`
-    and `sequence_updates` on `trainer.tiny_fixture`, term
-    sum_t ln sigma(score_t); for the BPR family one `bpr_user_grads` over
-    the same fixture's pairs, whose 3 negatives repeat rows of a pool of
-    2, term sum_k ln sigma(xhat[k]); for mf one `mf_user_grads` per user
-    of 2, each over 6 random observations of 4 items without features, so
-    rows repeat, term -sum_k err[k]^2 / 2, the objective its records
-    ascend."""
+    at draws fixed here: `trainer.sequence_step` for the recurrent kinds
+    and `bpr_step` for the BPR family, each on `trainer.tiny_fixture`,
+    whose 3 negatives repeat rows of a pool of 2; for mf one
+    `mf_user_grads` per user of 2, each over 6 random observations of 4
+    items without features, so rows repeat."""
     h = replace(h, mask=model.MASK_BY_KIND[kind])
     if kind == "mf":
         visits = [(uj, rng.integers(4, size=6),
                    rng.integers(2, size=6).astype(np.float64)) for uj in range(2)]
-        params = model.init_params(h, {}, 2, 4, rng)
-
-        def steps():
-            return [(-0.5 * float(err @ err), updates) for err, updates
-                    in (mf_user_grads(params, *v) for v in visits)]
-        return sgd.grad_check(params, steps)
-
+        return sgd.grad_check(model.init_params(h, {}, 2, 4, rng),
+                              mf_user_grads, visits)
     corpus, feats, negatives = trainer.tiny_fixture(rng)
-    neg_rows = negatives["u0"]
-    if kind in model.RECURRENT_KINDS:
-        params = model.init_params(h, feats, None, corpus.n_items, rng)
-
-        def steps():
-            ctx = trainer.sequence_context(params, corpus, feats, h, "u0",
-                                           neg_rows)
-            return [(float(np.sum(numkit.log_sigmoid(ctx.scores))),
-                     trainer.sequence_updates(ctx, params, feats, h))]
-    else:
-        params = model.init_params(h, feats, 1, corpus.n_items, rng)
-        pos = corpus.train_rows["u0"][1:]
-
-        def steps():
-            xhat, updates = bpr_user_grads(params, feats, h, 0, pos, neg_rows)
-            return [(float(np.sum(numkit.log_sigmoid(xhat))), updates)]
-    return sgd.grad_check(params, steps)
+    recurrent = kind in model.RECURRENT_KINDS
+    params = model.init_params(h, feats, None if recurrent else 1,
+                               corpus.n_items, rng)
+    step = (trainer.sequence_step if recurrent else bpr_step)(corpus, feats, h)
+    return sgd.grad_check(params, step, negatives.items())

@@ -7,8 +7,10 @@ from its own output. Exit codes: 0 success, 2 config error, 3 data error,
 """
 
 import argparse
+import contextlib
 import copy
 import csv
+import functools
 import json
 import os
 import sys
@@ -237,10 +239,15 @@ def cmd_train(args) -> int:
     echo_config(cfg)
     out, kind = _make_out(cfg), cfg["kind"]
     log_path = os.path.join(out, f"train_{kind}.log")
-    with open(log_path, "w", encoding="utf-8") as log_fh:
+    with contextlib.ExitStack() as stack:
+        # opened at the first epoch line, so a run refused before training
+        # (its blocks too large, say) writes no log
+        @functools.cache
+        def log_fh():
+            return stack.enter_context(open(log_path, "w", encoding="utf-8"))
         ranker = baselines.build_ranker(
             kind, corpus, feats, SECTIONS["hyper"](cfg), SECTIONS["train"](cfg),
-            log=lambda line: print(line, file=log_fh))
+            log=lambda line: print(line, file=log_fh()))
     ckpt_path = os.path.join(out, f"{kind}.ckpt")
     checkpoint.save_ranker(ckpt_path, ranker)
     print(f"checkpoint: {ckpt_path}")

@@ -282,16 +282,14 @@ def sample_negative(c: Corpus, u: str, owned: frozenset,
             return q
 
 
-def sample_triples(c: Corpus, u: str, rng: np.random.Generator) -> np.ndarray:
-    """(m-1,) negative rows, one per step t = 2..m of the user's m-item
-    training sequence: step t pairs the positive train_rows[u][t-1] with
-    entry t-2."""
-    seq = c.train_rows[u]
-    m = len(seq)
-    if m < 2:
-        raise ConfigError(f"user {u!r} has a training sequence shorter than 2")
-    owned = frozenset(seq.tolist())
-    return np.array([sample_negative(c, u, owned, rng) for _ in range(m - 1)],
+def sample_triples(c: Corpus, u: str, n: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """(n,) negative rows for user u, one `sample_negative` draw each, in
+    order. A pairwise step t = 2..m of the user's m-item training sequence
+    pairs the positive train_rows[u][t-1] with entry t-2 of m - 1 such
+    rows; an mf visit pairs train_rows[u][k] with entry k of m."""
+    owned = frozenset(c.train_rows[u].tolist())
+    return np.array([sample_negative(c, u, owned, rng) for _ in range(n)],
                     dtype=np.intp)
 
 

@@ -1,12 +1,13 @@
 """The per-user SGD epoch loop and the update records every trainable
 ranker's step returns.
 
-A trainer supplies `init(rng)`, which draws the starting parameters, and
-`visit(params, u, rng)`, which yields (objective term, pair count, update
-records) for each step of one user's sampled pairs; `run_epochs` applies a
-step's records before it draws the next step. Initialization and training
-draw from split seed streams, so the training draws are the same for every
-model kind under one seed.
+`run_epochs` owns a training run: it draws the starting parameters
+(`model.init_params`) and, for each user it visits, the user's negatives
+(`dataio.sample_triples`), then calls the kind's step(params, u,
+negatives) -> (objective term, pair count, update records) and applies
+the records before it draws for the next user. Initialization and
+training draw from split seed streams, so the training draws are the same
+for every model kind under one seed. `grad_check` calls the same steps.
 
 A step's updates are a list of records (block name, rows, g): the ascent
 direction g of the whole block when rows is None, else of the block's
@@ -17,13 +18,13 @@ it is, so that record's rows must be distinct. Training runs the list
 through `apply`, which ascends each touched block, or each distinct row
 of it, once by that sum with the one update rule `ascend`: theta +=
 alpha * (clip(g) - lam * theta), with lam the block's L2 decay from
-`Hyper.decay`, each row clipped by its own norm. So a step is one ascent, and each block or distinct row
-decays once per step. `gradient` writes the same sums into full-shape
-arrays, and `grad_check` holds them against central finite differences of
-the steps' own objective terms: the one gradient check of every trainable
-kind, of exactly the sums training ascends. Parameters are the {block
-name: array} dict that `init` returns; `apply` updates its arrays in
-place.
+`Hyper.decay`, each row clipped by its own norm. So a step is one ascent,
+and each block or distinct row decays once per step. `gradient` writes
+the same sums into full-shape arrays, and `grad_check` holds them against
+central finite differences of the steps' own objective terms: the one
+gradient check of every trainable kind, of exactly the sums training
+ascends. Parameters are a {block name: array} dict; `apply` updates its
+arrays in place.
 
 A step's records are all formed at the parameters before the step: one
 recurrent sequence at its frozen context, one mf or BPR user visit at the
@@ -32,7 +33,7 @@ pre-visit parameters.
 
 import numpy as np
 
-from . import numkit
+from . import dataio, model, numkit
 from .errors import DivergenceError
 
 
@@ -111,15 +112,18 @@ def gradient(params: dict, updates) -> dict:
             for name, record in grouped(params, updates).items()}
 
 
-def grad_check(params: dict, steps) -> dict:
-    """{block: max relative error} of `gradient` of the records `steps()`
-    returns against central finite differences of the sum of its objective
-    terms, every entry of every block the records touch. `steps()` gives
-    [(objective term, update records)] at the current `params`, with its
-    random draws fixed, so the records' sum is the terms' exact gradient
-    when the records are right."""
-    grads = gradient(params, [r for _, updates in steps() for r in updates])
-    return numkit.fd_check(params, lambda: sum(term for term, _ in steps()),
+def grad_check(params: dict, step, visits) -> dict:
+    """{block: max relative error} of `gradient` of the records of
+    step(params, *visit), over every visit in `visits`, against central
+    finite differences of the sum of the steps' objective terms, every
+    entry of every block the records touch. A step returns (objective
+    term, pair count, update records) at the current `params`, as a
+    training step does; with its draws fixed by the visits, the records'
+    sum is the terms' exact gradient when the records are right."""
+    def steps():
+        return [step(params, *visit) for visit in visits]
+    grads = gradient(params, [r for _, _, updates in steps() for r in updates])
+    return numkit.fd_check(params, lambda: sum(term for term, _, _ in steps()),
                            grads)
 
 
@@ -127,14 +131,24 @@ def param_norm(params: dict) -> float:
     return float(np.sqrt(sum(np.sum(b ** 2) for b in params.values())))
 
 
-def run_epochs(corpus, cfg, h, init, visit, log):
-    """Run cfg.epochs passes over the users, in corpus order or reshuffled
-    each epoch, applying each step's records with h.alpha, h.decay and
-    cfg.clip_norm. After each epoch, `log` (when not None) gets
-    "epoch<TAB>mean objective<TAB>parameter norm". Raises DivergenceError
-    at the first user whose updates leave a non-finite parameter, naming
-    the epoch, the user and the first such block in dict order."""
-    params = init(np.random.default_rng([cfg.seed, 0]))
+def run_epochs(corpus, feats, h, cfg, step, log, *, n_users, lead):
+    """Train the parameters `model.init_params` draws for h, feats and
+    n_users (None for the recurrent kinds, which keep no user rows) from
+    the [cfg.seed, 0] stream, and return them. Run cfg.epochs passes over
+    the users, in corpus order or reshuffled each epoch, with the
+    [cfg.seed, 1] stream: a user whose training sequence holds m > lead
+    items gets m - lead negatives from `dataio.sample_triples` and one
+    step(params, u, negatives), whose records are applied with h.alpha,
+    h.decay and cfg.clip_norm before the next user's draws. lead is 1 for
+    the pairwise kinds, whose steps t = 2..m each pair item t with a
+    negative, and 0 for mf, which pairs every item with one. After each
+    epoch, `log` (when not None) gets "epoch<TAB>mean objective<TAB>
+    parameter norm", the mean of the steps' terms over their pair counts.
+    Raises DivergenceError at the first user whose updates leave a
+    non-finite parameter, naming the epoch, the user and the first such
+    block in dict order."""
+    params = model.init_params(h, feats, n_users, corpus.n_items,
+                               np.random.default_rng([cfg.seed, 0]))
     rng = np.random.default_rng([cfg.seed, 1])
     for epoch in range(1, cfg.epochs + 1):
         users = list(corpus.users)
@@ -142,10 +156,14 @@ def run_epochs(corpus, cfg, h, init, visit, log):
             users = [users[i] for i in rng.permutation(len(users))]
         total, n = 0.0, 0
         for u in users:
-            for term, count, updates in visit(params, u, rng):
-                total += term
-                n += count
-                apply(params, updates, h.alpha, h.decay, cfg.clip_norm)
+            m = len(corpus.train_rows[u])
+            if m <= lead:
+                continue
+            term, count, updates = step(
+                params, u, dataio.sample_triples(corpus, u, m - lead, rng))
+            total += term
+            n += count
+            apply(params, updates, h.alpha, h.decay, cfg.clip_norm)
             bad = next((name for name, b in params.items()
                         if not np.isfinite(b).all()), None)
             if bad is not None:

@@ -27,11 +27,13 @@ one-user `tiny_fixture`, whose features are 3 wide, and training ascends
 exactly that sum: one ascent per sequence, each block and each distinct
 latent row once.
 
-`train`, called as every trainer is, (corpus, feats, h, cfg, log),
-supplies only the per-user step: sample the negatives, build the context
-and yield the sequence's records, which `sgd.run_epochs` hands to one
-`sgd.apply` call; epochs, user order, seed streams, the divergence guard
-and the log line are `sgd.run_epochs`'s too.
+`sequence_step` is the recurrent kinds' step: the context of one user's
+sequence at the negatives `sgd.run_epochs` drew, its term and its
+records, which `sgd.run_epochs` hands to one `sgd.apply` call and
+`baselines.grad_check` to `sgd.grad_check`. `train`, called as every
+trainer is, (corpus, feats, h, cfg, log), runs it on `sgd.run_epochs`,
+which owns the parameter and negative draws, epochs, user order, the
+divergence guard and the log line.
 """
 
 from dataclasses import dataclass
@@ -39,10 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit, sgd
-from .dataio import RANGES, Corpus, sample_triples
+from .dataio import RANGES, Corpus
 from .errors import ConfigError
-from .model import (KERNELS, Hyper, hidden_states, init_params,
-                    item_rep_matrix, score_pair)
+from .model import KERNELS, Hyper, hidden_states, item_rep_matrix, score_pair
 
 
 @dataclass(frozen=True)
@@ -197,28 +198,31 @@ def sequence_updates(ctx: SeqContext, params: dict, feats: dict,
 
 
 # ---------------------------------------------------------------------------
-# training loop
+# the step and the training loop
+
+def sequence_step(corpus: Corpus, feats: dict, h: Hyper):
+    """The recurrent kinds' step(params, u, neg_rows) -> (term, count,
+    records): user u's `sequence_context` at the negatives of steps 2..m,
+    its term sum_t ln sigma(score_t) over its m - 1 pairs, and
+    `sequence_updates`, all at the frozen context."""
+    def step(params, u, neg_rows):
+        ctx = sequence_context(params, corpus, feats, h, u, neg_rows)
+        return (float(np.sum(numkit.log_sigmoid(ctx.scores))), len(ctx.scores),
+                sequence_updates(ctx, params, feats, h))
+    return step
+
 
 def train(corpus: Corpus, feats: dict, h: Hyper, cfg: TrainConfig,
           log) -> dict:
-    """SGD ascent over users and epochs (`sgd.run_epochs`). Each user's
-    negatives are resampled fresh each epoch; the logged objective is the
-    mean ln sigma over the epoch's pairs."""
+    """SGD ascent over users and epochs, one `sequence_step` per user
+    sequence of 2 or more items (`sgd.run_epochs`). Each user's negatives
+    are resampled fresh each epoch; the logged objective is the mean
+    ln sigma over the epoch's pairs."""
     if not corpus.users:
         raise ConfigError("empty corpus")
-
-    def visit(params, u, rng):
-        if len(corpus.train_rows[u]) < 2:
-            return
-        ctx = sequence_context(params, corpus, feats, h, u,
-                               sample_triples(corpus, u, rng))
-        yield (float(np.sum(numkit.log_sigmoid(ctx.scores))), len(ctx.scores),
-               sequence_updates(ctx, params, feats, h))
-
-    return sgd.run_epochs(corpus, cfg, h,
-                          lambda rng: init_params(h, feats, None,
-                                                  corpus.n_items, rng),
-                          visit, log)
+    return sgd.run_epochs(corpus, feats, h, cfg,
+                          sequence_step(corpus, feats, h), log,
+                          n_users=None, lead=1)
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,8 @@ def objective_gain(corpus, feats, seed):
     params = init_params(h, feats, None, corpus.n_items,
                          np.random.default_rng([seed, 0]))
     rng = np.random.default_rng([seed, 1])
-    frozen = {u: sample_triples(corpus, u, rng) for u in corpus.users}
+    frozen = {u: sample_triples(corpus, u, len(corpus.train_rows[u]) - 1, rng)
+              for u in corpus.users}
 
     def objective():
         """sum of ln sigma(score) over the frozen pairs; with every lambda

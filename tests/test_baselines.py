@@ -161,9 +161,9 @@ def test_grad_check_detects_a_scaled_record(monkeypatch, kind, step, block):
     real = getattr(baselines, step)
 
     def scaled(*args):
-        term, updates = real(*args)
-        return term, [(name, row, 1.05 * g if name == block else g)
-                      for name, row, g in updates]
+        *head, updates = real(*args)
+        return (*head, [(name, row, 1.05 * g if name == block else g)
+                        for name, row, g in updates])
 
     monkeypatch.setattr(baselines, step, scaled)
     report = grad_check(kind, Hyper(d=2), np.random.default_rng(5))

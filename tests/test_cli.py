@@ -255,6 +255,8 @@ def test_oversized_matrix_is_config_error(pipeline, tmp_path, capsys, cmd,
     err = capsys.readouterr().err
     assert code == cli.EXIT_CONFIG, err
     assert err == f"config error:\n{fragment}\n"
+    if cmd == "train":   # refused before training: no log is written
+        assert not (tmp_path / "out" / f"train_{extra['kind']}.log").exists()
 
 
 def test_eval_oversized_checkpoint_header_is_data_error(pipeline, tmp_path,
@@ -321,6 +323,27 @@ def test_train_divergence_exit_code(pipeline, tmp_path, capsys):
         code = cli.main(["train", "--config", cfg, "--out", str(tmp_path)])
     assert code == cli.EXIT_DIVERGE
     assert "divergence" in capsys.readouterr().err
+
+
+def test_diverging_train_keeps_its_logged_epochs(pipeline, tmp_path, capsys):
+    # the log, opened at the first epoch line, keeps the line of every
+    # epoch before the one that diverged
+    root, paths, _ = pipeline
+    cfg = write_config(tmp_path / "c.json", {
+        "kind": "rnn", "data": paths,
+        "hyper": {"d": 2, "alpha": 1e20, "lam_theta": 0.01},
+        "train": {"epochs": 8},
+    })
+    import numpy as np
+    with np.errstate(all="ignore"):
+        code = cli.main(["train", "--config", cfg, "--out", str(tmp_path)])
+    assert code == cli.EXIT_DIVERGE
+    err = capsys.readouterr().err
+    epoch = int(err.split("at epoch ")[1].split(",")[0])
+    assert epoch > 1, err
+    lines = (tmp_path / "train_rnn.log").read_text().splitlines()
+    assert [line.split("\t")[0] for line in lines] == [
+        str(e) for e in range(1, epoch)]
 
 
 @pytest.mark.parametrize("section,key,value", [("hyper", "d", 2.5),

@@ -219,14 +219,17 @@ def test_sample_negative_exhausted():
 
 
 def test_sample_triples_protocol(toy_corpus):
+    # m - 1 negatives for a pairwise sequence, one per step t = 2..m, and
+    # m for an mf visit, one per observation
     rng = np.random.default_rng(1)
-    neg_rows = sample_triples(toy_corpus, "bob", rng)
     seq = ids(toy_corpus, toy_corpus.train_rows["bob"])
-    assert neg_rows.dtype == np.intp
-    assert neg_rows.shape == (len(seq) - 1,)   # one per step t = 2..m
     assert seq == ["i2", "i3", "i5"]
-    for q in neg_rows:
-        assert toy_corpus.items[q] not in set(seq)
+    for n in (len(seq) - 1, len(seq)):
+        neg_rows = sample_triples(toy_corpus, "bob", n, rng)
+        assert neg_rows.dtype == np.intp
+        assert neg_rows.shape == (n,)
+        for q in neg_rows:
+            assert toy_corpus.items[q] not in set(seq)
 
 
 # ---------------------------------------------------------------------------

@@ -345,11 +345,12 @@ def test_cold_start_bins_match_per_bin_recount(world):
 # ---------------------------------------------------------------------------
 # the row sampler against an id-based reference
 
-def reference_negatives(items: tuple, seq: list, rng: np.random.Generator) -> list:
-    """Negative ids of steps 2..len(seq): uniform draws over `items`,
-    rejecting the ids in seq."""
+def reference_negatives(items: tuple, seq: list, n: int,
+                        rng: np.random.Generator) -> list:
+    """n negative ids: uniform draws over `items`, rejecting the ids in
+    seq."""
     owned, out = set(seq), []
-    for _ in range(len(seq) - 1):
+    for _ in range(n):
         q = items[int(rng.integers(len(items)))]
         while q in owned:
             q = items[int(rng.integers(len(items)))]
@@ -377,12 +378,15 @@ def sampling_world(draw):
 def test_row_sampler_matches_id_reference(world):
     corpus, train, seed = world
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for u in corpus.users:
-        rows = sample_triples(corpus, u, rng)
-        assert rows.dtype == np.intp
-        assert corpus.items[rows].tolist() == reference_negatives(
-            corpus.items.tolist(), train[u], ref_rng)
-        assert not set(rows.tolist()) & set(corpus.train_rows[u].tolist())
+    # m - 1 negatives, as a pairwise sequence draws, then m, as mf does
+    for n_of in (lambda m: m - 1, lambda m: m):
+        for u in corpus.users:
+            n = n_of(len(train[u]))
+            rows = sample_triples(corpus, u, n, rng)
+            assert rows.dtype == np.intp
+            assert corpus.items[rows].tolist() == reference_negatives(
+                corpus.items.tolist(), train[u], n, ref_rng)
+            assert not set(rows.tolist()) & set(corpus.train_rows[u].tolist())
 
 
 def split_ref(raw, min_len, split_frac):

@@ -5,7 +5,8 @@ gradient. With decay, each block, and each distinct row of a block,
 decays by its own regularizer once per step, and a recurrent sequence's
 records, like an mf or BPR user visit's, go to one `sgd.apply` call. A
 visit's records sum to the gradients of its pairs or observations taken
-one at a time. A divergence names the first non-finite block."""
+one at a time. Training and the gradient check run each family's one
+step, and a divergence names the first non-finite block."""
 
 import numpy as np
 import pytest
@@ -49,7 +50,8 @@ def test_recurrent_sequence_moves_by_sequence_gradients():
     h = Hyper(d=3, mask=MASK_BY_KIND["vtrnn"], **FREE)
     corpus, feats, _ = tiny_fixture(np.random.default_rng(4))
     start = init_params(h, feats, None, corpus.n_items, start_rng())
-    negs = sample_triples(corpus, "u0", np.random.default_rng([SEED, 1]))
+    negs = sample_triples(corpus, "u0", len(corpus.train_rows["u0"]) - 1,
+                         np.random.default_rng([SEED, 1]))
     trained = train(corpus, feats, h, CFG, None)
     ctx = sequence_context(start, corpus, feats, h, "u0", negs)
     grads = sgd.gradient(start, sequence_updates(ctx, start, feats, h))
@@ -64,7 +66,8 @@ def test_recurrent_step_is_alpha_times_the_checked_gradient():
     h = Hyper(d=3, mask=MASK_BY_KIND["vtrnn"], **FREE)
     corpus, feats, _ = tiny_fixture(np.random.default_rng(4))
     start = init_params(h, feats, None, corpus.n_items, start_rng())
-    negs = sample_triples(corpus, "u0", np.random.default_rng([SEED, 1]))
+    negs = sample_triples(corpus, "u0", len(corpus.train_rows["u0"]) - 1,
+                         np.random.default_rng([SEED, 1]))
     trained = train(corpus, feats, h, CFG, None)
     ctx = sequence_context(start, corpus, feats, h, "u0", negs)
     grads = sgd.gradient(start, sequence_updates(ctx, start, feats, h))
@@ -116,7 +119,7 @@ def test_mf_observation_moves_by_its_summed_records():
     h = Hyper(d=2, mask=MASK_BY_KIND["mf"], **FREE)
     start = init_params(h, feats, 1, 4, start_rng())
     trained = train_mf(corpus, feats, h, CFG, None)
-    grads = sgd.gradient(start, mf_user_grads(start, 0, *mf_visit(pos, neg))[1])
+    grads = sgd.gradient(start, mf_user_grads(start, 0, *mf_visit(pos, neg))[-1])
     assert sorted(grads) == ["Gamma", "X"]
     assert_moved_by(trained, start, h.alpha, grads)
 
@@ -131,7 +134,7 @@ def test_visit_gradient_is_the_sum_of_its_pairs_and_observations():
     feats = {"visual": rng.uniform(0.0, 0.5, (6, 2)),
              "textual": rng.uniform(-0.5, 0.5, (6, 3))}
     seq = corpus.train_rows["u"]
-    neg = sample_triples(corpus, "u", rng)
+    neg = sample_triples(corpus, "u", len(seq) - 1, rng)
     h = Hyper(d=2, mask=MASK_BY_KIND["vtbpr"])
     params = init_params(h, feats, 1, 6, rng)
     sl, gamma = h.slices, params["Gamma"][0]
@@ -161,7 +164,7 @@ def test_visit_gradient_is_the_sum_of_its_pairs_and_observations():
         err = t - float(gamma @ params["X"][i])
         want["Gamma"][0] += err * params["X"][i]
         want["X"][i] += err * gamma
-    assert_close(sgd.gradient(params, mf_user_grads(params, 0, rows, targets)[1]),
+    assert_close(sgd.gradient(params, mf_user_grads(params, 0, rows, targets)[-1]),
                  want)
 
 
@@ -206,7 +209,8 @@ def test_recurrent_sequence_decays_each_block_by_its_regularizer():
     h = Hyper(d=3, mask=MASK_BY_KIND["vtrnn"], **DECAY)
     corpus, feats, _ = tiny_fixture(np.random.default_rng(4))
     start = init_params(h, feats, None, corpus.n_items, start_rng())
-    negs = sample_triples(corpus, "u0", np.random.default_rng([SEED, 1]))
+    negs = sample_triples(corpus, "u0", len(corpus.train_rows["u0"]) - 1,
+                         np.random.default_rng([SEED, 1]))
     ctx = sequence_context(start, corpus, feats, h, "u0", negs)
     records = sequence_updates(ctx, start, feats, h)
     # the step repeats latent rows, across pairs and across the phases
@@ -232,7 +236,7 @@ def test_mf_observation_decays_each_block_by_its_regularizer():
     corpus, feats, pos, neg = repeat_negative_world()
     h = Hyper(d=2, mask=MASK_BY_KIND["mf"], **DECAY)
     start = init_params(h, feats, 1, 4, start_rng())
-    records = mf_user_grads(start, 0, *mf_visit(pos, neg))[1]
+    records = mf_user_grads(start, 0, *mf_visit(pos, neg))[-1]
     assert [len(row) for name, row, _ in records if name == "X"] == [4]
     assert_same(train_mf(corpus, feats, h, CFG, None),
                 naive_step(start, records, h))
@@ -242,28 +246,45 @@ def test_mf_observation_decays_each_block_by_its_regularizer():
 # call structure: one apply per recurrent sequence and per mf or BPR user
 # visit, and one sample_negative call per sampled negative
 
-def count_calls(monkeypatch, calls, module, name, *also):
-    """Count calls of module.name in calls[name], through one wrapper that
-    is also bound in the modules `also`, which import the name."""
+def count_calls(monkeypatch, calls, module, name):
+    """Count calls of module.name in calls[name]."""
     fn = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls[name] += 1
         return fn(*args, **kwargs)
-    for owner in (module, *also):
-        monkeypatch.setattr(owner, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def uneven_world():
+    """Users of 4, 1 and 3 training items: the 1-item user is not
+    visited."""
+    corpus = id_corpus(("a", "b", "c"), tuple("pqrstuv"),
+                       {"a": list("pqrs"), "b": ["r"], "c": list("qst")})
+    rng = np.random.default_rng(4)
+    feats = {"visual": rng.uniform(0.0, 0.5, (7, 2)),
+             "textual": rng.uniform(-0.5, 0.5, (7, 3))}
+    return corpus, feats
 
 
 def test_train_applies_once_per_sequence(monkeypatch):
-    calls = {"apply": 0, "forward_updates": 0}
+    calls = {"apply": 0, "forward_updates": 0, "sample_negative": 0}
     count_calls(monkeypatch, calls, sgd, "apply")
     count_calls(monkeypatch, calls, trainer, "forward_updates")
-    h = Hyper(d=2, mask=MASK_BY_KIND["vtrnn"])
-    corpus, feats, _ = tiny_fixture(np.random.default_rng(4))
+    count_calls(monkeypatch, calls, dataio, "sample_negative")
+    corpus, feats = uneven_world()
+    lengths = [len(corpus.train_rows[u]) for u in corpus.users]
+    sequences = sum(m >= 2 for m in lengths)
+    # one negative per pair, m - 1 of them per sequence
+    pairs = sum(m - 1 for m in lengths if m >= 2)
     epochs = 3
-    train(corpus, feats, h, TrainConfig(epochs=epochs, seed=SEED), None)
-    pairs = len(corpus.train_rows["u0"]) - 1
-    assert calls == {"apply": epochs, "forward_updates": epochs * pairs}
+    for kind in ("rnn", "vtrnn"):
+        calls.update(dict.fromkeys(calls, 0))
+        h = Hyper(d=2, mask=MASK_BY_KIND[kind])
+        train(corpus, feats, h, TrainConfig(epochs=epochs, seed=SEED), None)
+        assert calls == {"apply": epochs * sequences,
+                         "forward_updates": epochs * pairs,
+                         "sample_negative": epochs * pairs}, kind
 
 
 @pytest.mark.parametrize("kind", ["mf", "bpr", "vtbpr"])
@@ -274,7 +295,7 @@ def test_mf_and_bpr_apply_once_per_visit(monkeypatch, kind):
         np.random.default_rng(2))
     calls = {"apply": 0, "sample_negative": 0}
     count_calls(monkeypatch, calls, sgd, "apply")
-    count_calls(monkeypatch, calls, dataio, "sample_negative", baselines)
+    count_calls(monkeypatch, calls, dataio, "sample_negative")
     epochs = 2
     baselines.build_ranker(kind, corpus, feats, Hyper(d=2),
                            TrainConfig(epochs=epochs, seed=SEED))
@@ -288,22 +309,57 @@ def test_mf_and_bpr_apply_once_per_visit(monkeypatch, kind):
                      "sample_negative": epochs * negatives}
 
 
+# each family's step, which training and the gradient check both run:
+# (kind, module, name, whether module.name makes the step)
+STEPS = [("vtrnn", trainer, "sequence_step", True),
+         ("vtbpr", baselines, "bpr_step", True),
+         ("mf", baselines, "mf_user_grads", False)]
+
+
+@pytest.mark.parametrize("kind,module,name,factory", STEPS,
+                         ids=[name for _, _, name, _ in STEPS])
+def test_training_and_grad_check_run_the_family_step(monkeypatch, kind,
+                                                     module, name, factory):
+    users = []   # the user, or mf's user row, of each step call
+    real = getattr(module, name)
+
+    def count(step):
+        def counted(params, user, *rest):
+            users.append(user)
+            return step(params, user, *rest)
+        return counted
+    monkeypatch.setattr(module, name,
+                        (lambda *a: count(real(*a))) if factory else count(real))
+    corpus, feats = uneven_world()
+    epochs = 2
+    baselines.build_ranker(kind, corpus, feats, Hyper(d=2),
+                           TrainConfig(epochs=epochs, seed=SEED))
+    lead = 0 if kind == "mf" else 1
+    visited = [corpus.user_index[u] if kind == "mf" else u
+               for u in corpus.users if len(corpus.train_rows[u]) > lead]
+    assert users == visited * epochs
+    users.clear()
+    baselines.grad_check(kind, Hyper(d=2), np.random.default_rng(0))
+    assert users and set(users) == ({0, 1} if kind == "mf" else {"u0"})
+
+
 def test_divergence_names_the_first_non_finite_block():
-    corpus = id_corpus(("u", "w"), ("a", "b"),
+    corpus = id_corpus(("u", "w"), ("a", "b", "c"),
                        {"u": ["a", "b"], "w": ["b", "a"]})
+    feats = {"visual": np.ones((3, 1)), "textual": np.ones((3, 1))}
 
-    def init(rng):
-        return {"X": np.zeros(2), "E": np.zeros(2), "V": np.zeros(2)}
-
-    def visit(params, u, rng):
+    def step(params, u, negatives):
         # user w's step overflows E and V; X stays finite
-        g = np.full(2, np.inf if u == "w" else 1.0)
-        yield 0.0, 1, [("X", None, np.ones(2)), ("E", None, g), ("V", None, g)]
+        bad = np.inf if u == "w" else 1.0
+        return 0.0, 1, [("X", None, np.ones_like(params["X"])),
+                        ("E", None, np.full_like(params["E"], bad)),
+                        ("V", None, np.full_like(params["V"], bad))]
 
-    h = Hyper(d=1, alpha=0.5, lam_theta=0.0, lam_e=0.0, lam_v=0.0)
+    h = Hyper(d=1, mask=MASK_BY_KIND["vtrnn"], alpha=0.5, lam_theta=0.0,
+              lam_e=0.0, lam_v=0.0)
     with pytest.raises(DivergenceError) as exc:
-        sgd.run_epochs(corpus, TrainConfig(epochs=2, seed=0), h, init, visit,
-                       None)
+        sgd.run_epochs(corpus, feats, h, TrainConfig(epochs=2, seed=0), step,
+                       None, n_users=None, lead=1)
     assert str(exc.value) == ("non-finite parameters at epoch 1, user 'w', "
                               "block 'E'")
 
@@ -317,9 +373,9 @@ def grad_check_steps(monkeypatch, kind):
     stream."""
     seen = {}
 
-    def capture(params, steps):
+    def capture(params, step, visits):
         seen["params"] = params
-        seen["steps"] = [updates for _, updates in steps()]
+        seen["steps"] = [step(params, *visit)[-1] for visit in visits]
         return {}
     monkeypatch.setattr(sgd, "grad_check", capture)
     baselines.grad_check(kind, Hyper(d=2), np.random.default_rng(

@@ -8,15 +8,19 @@ out here on purpose.
 The counts of rank and user_metrics calls that the gate expects are tested
 here too."""
 
+import functools
 import importlib
 import inspect
 import json
+import sys
 
+import numpy as np
 import pytest
 
-from seqrank import cli, dataio
-from seqrank.baselines import RandomRanker
+from seqrank import cli, dataio, trainer
+from seqrank.baselines import RandomRanker, build_ranker
 from seqrank.evaluator import EvalConfig, evaluate
+from seqrank.model import RECURRENT_KINDS, Hyper
 
 COUNTED = [
     ("trainer", "sequence_context"),   # one call per training sequence
@@ -129,3 +133,52 @@ def test_coldstart_ranks_and_scores_each_user_once_per_checkpoint(
     assert users
     assert seen == {"rank": users * len(ckpts),
                     "user_metrics": users * len(ckpts)}
+
+
+# ---------------------------------------------------------------------------
+# `trainer.spans`, every span of a seqrank.trainer function, is 0 on the
+# traced `ladder` run, which trains mf, bpr and vtbpr: their training shares
+# `sgd`, which is not traced, and calls nothing in `trainer`
+
+def record_trainer_calls(monkeypatch) -> list:
+    """Rebind every public function of seqrank.trainer, in each seqrank
+    module that holds it, and every public method of its classes, as the
+    traced run does, to a wrapper that appends its name to the list
+    returned."""
+    called = []
+
+    def noting(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            called.append(fn.__qualname__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def is_trainer_function(obj):
+        return inspect.isfunction(obj) and obj.__module__ == trainer.__name__
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("seqrank."):
+            for attr, obj in list(vars(mod).items()):
+                if not attr.startswith("_") and is_trainer_function(obj):
+                    monkeypatch.setattr(mod, attr, noting(obj))
+    for cls in vars(trainer).values():
+        if inspect.isclass(cls) and cls.__module__ == trainer.__name__:
+            for attr, member in list(vars(cls).items()):
+                if not attr.startswith("_") and is_trainer_function(member):
+                    monkeypatch.setattr(cls, attr, noting(member))
+    return called
+
+
+@pytest.mark.parametrize("kind", ["mf", "bpr", "vtbpr", "rnn"])
+def test_only_recurrent_training_calls_the_trainer(monkeypatch, kind):
+    corpus, feats = dataio.synth_corpus(
+        dataio.SynthSpec(users=5, items=30, clusters=3, seq_len=6,
+                         f_dim_visual=2, f_dim_textual=2, noise_sigma=0.3,
+                         seed=2),
+        np.random.default_rng(2))
+    cfg = trainer.TrainConfig(epochs=1, seed=3)
+    called = record_trainer_calls(monkeypatch)
+    build_ranker(kind, corpus, feats, Hyper(d=2), cfg)
+    # rnn, the control, shows the recorder sees the trainer's calls
+    assert bool(called) == (kind in RECURRENT_KINDS), called
