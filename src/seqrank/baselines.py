@@ -37,9 +37,11 @@ kind's small fixture and hands `sgd.grad_check` the steps that training
 runs, each with the objective term its records ascend.
 """
 
-import hashlib
 from dataclasses import replace
 
+# "np.random.Generator" annotations stay quoted: evaluated when a def
+# runs, they would import numpy.random, which numpy loads lazily and
+# eval and coldstart of a trained kind never use
 import numpy as np
 
 from . import model, numkit, sgd, trainer
@@ -48,9 +50,12 @@ from .errors import ConfigError
 from .model import Hyper, order_candidates
 
 
-def user_stream(seed: int, u: str) -> np.random.Generator:
+def user_stream(seed: int, u: str) -> "np.random.Generator":
     """Generator keyed by (seed, user id), stable across call order so
     per-user draws do not depend on evaluation scheduling."""
+    # imported here, as only the random ranker reads it: at module level
+    # hashlib loads OpenSSL (_hashlib), about 4 ms of every command's start
+    import hashlib
     digest = hashlib.sha256(u.encode("utf-8")).digest()
     return np.random.default_rng([seed, int.from_bytes(digest[:8], "little")])
 
@@ -238,7 +243,7 @@ GRAD_CHECK_STREAMS = {"rnn": 0, "vrnn": 1, "trnn": 2, "vtrnn": 3,
                       "mf": 200}
 
 
-def grad_check(kind: str, h: Hyper, rng: np.random.Generator) -> dict:
+def grad_check(kind: str, h: Hyper, rng: "np.random.Generator") -> dict:
     """`sgd.grad_check` of one trainable kind, with `h.mask` set to the
     kind's as in `build_ranker`: {block: max relative error} over every
     block the kind's records touch. The steps are the ones training runs,

@@ -193,13 +193,15 @@ def echo_config(cfg: dict) -> None:
     print(json.dumps(cfg, indent=2, sort_keys=True))
 
 
-def build_data(cfg: dict):
-    """(corpus, {content slice: matrix}); a slice whose data key is null
-    gets a zero-width matrix."""
+def build_data(cfg: dict, slices=tuple(dataio.RANGES)):
+    """(corpus, {content slice: matrix}) with the feature files of `slices`,
+    every content slice by default, parsed; a slice outside `slices`, or
+    whose data key is null, gets a zero-width matrix, and its file is
+    neither parsed nor reported on."""
     data = cfg["data"]
     corpus = dataio.load_corpus(data["sequences"], data["min_len"],
                                 data["split_frac"])
-    tables = {name: None if data[name] is None
+    tables = {name: None if data[name] is None or name not in slices
               else dataio.load_features(data[name], *limits)
               for name, limits in dataio.RANGES.items()}
     feats, missing = dataio.build_feature_store(corpus, tables)
@@ -235,9 +237,11 @@ def _write_reports(cfg: dict, name: str, report) -> str:
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
-    corpus, feats = build_data(cfg)
+    kind = cfg["kind"]
+    # a kind reads only its content slices, so other files stay unparsed
+    corpus, feats = build_data(cfg, model.MASK_BY_KIND.get(kind, ())[1:])
     echo_config(cfg)
-    out, kind = _make_out(cfg), cfg["kind"]
+    out = _make_out(cfg)
     log_path = os.path.join(out, f"train_{kind}.log")
     with contextlib.ExitStack() as stack:
         # opened at the first epoch line, so a run refused before training

@@ -13,6 +13,9 @@ feature-missing warnings and the (id, score) pairs of a ranker's
 import math
 from dataclasses import dataclass, field, fields
 
+# "np.random.Generator" annotations stay quoted: evaluated when a def
+# runs, they would import numpy.random, which numpy loads lazily and
+# eval and coldstart of a trained kind never use
 import numpy as np
 
 from . import numkit
@@ -269,7 +272,7 @@ def build_feature_store(corpus: Corpus, tables: dict) -> tuple:
 # negative sampling
 
 def sample_negative(c: Corpus, u: str, owned: frozenset,
-                    rng: np.random.Generator) -> int:
+                    rng: "np.random.Generator") -> int:
     """Row of a uniform draw from the items the user never trained on, by
     rejection: one rng.integers(n_items) per try. `owned` is the set of
     the user's training rows, which the caller builds once per visit."""
@@ -283,7 +286,7 @@ def sample_negative(c: Corpus, u: str, owned: frozenset,
 
 
 def sample_triples(c: Corpus, u: str, n: int,
-                   rng: np.random.Generator) -> np.ndarray:
+                   rng: "np.random.Generator") -> np.ndarray:
     """(n,) negative rows for user u, one `sample_negative` draw each, in
     order. A pairwise step t = 2..m of the user's m-item training sequence
     pairs the positive train_rows[u][t-1] with entry t-2 of m - 1 such
@@ -390,7 +393,7 @@ class SynthSpec:
         return pools
 
 
-def synth_raw(spec: SynthSpec, rng: np.random.Generator):
+def synth_raw(spec: SynthSpec, rng: "np.random.Generator"):
     """Generate raw sequences plus normalized feature tables.
 
     Returns (raw_seqs, {content slice: FeatureTable}). Draw order is fixed
@@ -434,7 +437,7 @@ def synth_raw(spec: SynthSpec, rng: np.random.Generator):
                       "textual": FeatureTable(ids, feats_t)}
 
 
-def synth_corpus(spec: SynthSpec, rng: np.random.Generator):
+def synth_corpus(spec: SynthSpec, rng: "np.random.Generator"):
     """Planted-structure corpus plus aligned features, split and filtered
     by build_corpus with the protocol's defaults."""
     raw_seqs, tables = synth_raw(spec, rng)

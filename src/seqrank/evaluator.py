@@ -6,23 +6,24 @@ evaluator meets item ids. `user_metrics` is the one place a ranking meets
 the user's test rows: it reads the ranking once, for its id list, looks
 up each test row's id in it and records the (ranked position, row) of
 every relevant item the ranking holds. All the metrics come from those
-positions: `cutoff_metrics` reads every cutoff metric from the running
-sums of the hit vector they set, with discounts cached per length, and
-AUC reads only the tie groups around them, found by walking to
-equal-score neighbours, which needs neither a second sort nor a score
-array. Users are scored one after another, and aggregation is a
-fixed-order mean over evaluable users. `evaluate` returns the report with
-each user's top-k hit rows (the relevant items ranked within
-`coldstart_k`, in rank order), all that `cold_start_bins` reads, so
-evaluation holds at most min(k, test items) rows per user. Test
-frequencies are one `bincount` over the test rows; `cold_start_bins`
-compares the frequencies of each user's relevant rows, and of each
-ranker's hit rows, with all bin bounds in one array operation.
+positions: `cutoff_metrics` reads every cutoff metric from running sums
+over them in rank order, with discounts cached per length, and AUC reads
+only the tie groups around them, found by walking to equal-score
+neighbours, which needs neither a second sort nor a score array. Users
+are scored one after another, and aggregation is a fixed-order mean over
+evaluable users. `evaluate` returns the report with each user's top-k hit
+rows (the relevant items ranked within `coldstart_k`, in rank order), all
+that `cold_start_bins` reads, so evaluation holds at most min(k, test
+items) rows per user. Test frequencies are one `bincount` over the test
+rows; `cold_start_bins` compares the frequencies of each user's relevant
+rows, and of each ranker's hit rows, with all bin bounds in one array
+operation.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from operator import itemgetter
 
 import numpy as np
@@ -69,41 +70,34 @@ METRICS = ("recall", "precision", "map", "ndcg")  # order of cutoff_metrics' tup
 
 @lru_cache(maxsize=None)
 def _discounts(kmax: int) -> tuple:
-    """(positions 1..kmax, 1/log2(rank+1) discounts, their running sums),
-    read-only and shared by every ranking whose sums fit in kmax."""
-    pos = np.arange(1, kmax + 1)
+    """(1/log2(rank+1) discounts of ranks 1..kmax, their running sums),
+    shared by every ranking whose sums fit in kmax."""
     # math.log2 because np.log2 differs from it in the last bit for some ranks
-    disc = np.array([1.0 / math.log2(j + 1) for j in range(1, kmax + 1)])
-    idcg = np.cumsum(disc)
-    for a in (pos, disc, idcg):
-        a.flags.writeable = False
-    return pos, disc, idcg
+    disc = tuple(1.0 / math.log2(j + 1) for j in range(1, kmax + 1))
+    return disc, tuple(accumulate(disc))
 
 
-def cutoff_metrics(hit: np.ndarray, n_rel: int, cutoffs) -> dict:
-    """k -> (recall, precision, MAP, NDCG) at each cutoff, from a ranking's
-    relevance flags (hit[j] true where rank j+1 is relevant) and its user's
-    number of relevant items. All four are running sums over the top
-    min(max(cutoffs), len(hit)) flags, so no array outgrows the ranking;
-    positions past its end are misses, which leave every sum as it is, so
-    a larger k reads the last entry. MAP is normalized by min(k, n_rel),
-    NDCG uses 1/log2(rank+1) discounts."""
-    top = min(max(cutoffs), hit.size)
-    n = max(top, 1)
-    need = min(max(cutoffs), max(hit.size, n_rel))
+def cutoff_metrics(pos: list, n_rel: int, cutoffs) -> dict:
+    """k -> (recall, precision, MAP, NDCG) at each cutoff, from the
+    ascending 0-based positions `pos` of a ranking's relevant entries and
+    its user's number of relevant items. All four are running sums over
+    the hits in rank order, advanced at each cutoff past the hits ranked
+    within it, so the work grows with the hits and cutoffs, not with the
+    ranking; a ranking shorter than k holds no hit past its end. MAP is
+    normalized by min(k, n_rel), NDCG uses 1/log2(rank+1) discounts."""
+    need = min(max(cutoffs), max(pos[-1] + 1 if pos else 0, n_rel))
     # a power-of-two table, so rankings of many lengths share a few entries
-    pos, disc, idcg = _discounts(1 << (need - 1).bit_length())
-    flags = np.zeros(n)
-    flags[:top] = hit[:top]
-    hits = np.cumsum(flags)
-    ap = np.cumsum(flags * hits / pos[:n])
-    dcg = np.cumsum(flags * disc[:n])
+    disc, idcg = _discounts(1 << (need - 1).bit_length())
+    n_hit, ap, dcg = 0, 0.0, 0.0
     out = {}
     for k in cutoffs:
-        j, best = min(k, n) - 1, min(k, n_rel)
-        n_hit = int(hits[j])
-        out[k] = (n_hit / n_rel, n_hit / k, float(ap[j] / best),
-                  float(dcg[j] / idcg[best - 1]))
+        while n_hit < len(pos) and pos[n_hit] < k:
+            p = pos[n_hit]
+            n_hit += 1
+            ap += n_hit / (p + 1)
+            dcg += disc[p]
+        best = min(k, n_rel)
+        out[k] = (n_hit / n_rel, n_hit / k, ap / best, dcg / idcg[best - 1])
     return out
 
 
@@ -173,9 +167,7 @@ def user_metrics(ranker, corpus: Corpus, cfg: EvalConfig, u: str) -> dict:
             pass
     found.sort()
     pos = [p for p, _ in found]
-    hit = np.zeros(len(ids), dtype=bool)
-    hit[pos] = True
-    out = cutoff_metrics(hit, len(rows), cfg.cutoffs)
+    out = cutoff_metrics(pos, len(rows), cfg.cutoffs)
     out["hits"] = np.array([row for p, row in found if p < cfg.coldstart_k],
                            dtype=np.intp)
     out["auc"] = auc_from_scores(ranking, pos) if 0 < len(pos) < len(ids) else None

@@ -32,6 +32,9 @@ stable sort's.
 from dataclasses import dataclass, fields
 from functools import cached_property
 
+# "np.random.Generator" annotations stay quoted: evaluated when a def
+# runs, they would import numpy.random, which numpy loads lazily and
+# eval and coldstart of a trained kind never use
 import numpy as np
 
 from . import numkit
@@ -152,7 +155,7 @@ def block_shapes(h: Hyper, feats: dict, n_users: int | None,
 
 
 def init_params(h: Hyper, feats: dict, n_users: int | None, n_items: int,
-                rng: np.random.Generator) -> dict:
+                rng: "np.random.Generator") -> dict:
     """Uniform [init_lo, init_hi] draws of every `block_shapes` block, in
     that order; a slice the kind does not read has no block and uses no
     randomness."""

@@ -128,7 +128,17 @@ def grad_check(params: dict, step, visits) -> dict:
 
 
 def param_norm(params: dict) -> float:
-    return float(np.sqrt(sum(np.sum(b ** 2) for b in params.values())))
+    """The Euclidean norm of every entry of every block. The plain sum of
+    squares overflows once an entry passes about 1.3e154; only then are
+    the entries divided by the largest magnitude before squaring, so the
+    norm of finite blocks is finite wherever a float holds it."""
+    blocks = params.values()
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(sum(np.sum(b ** 2) for b in blocks)))
+    if np.isfinite(norm):
+        return norm
+    scale = max(float(np.abs(b).max(initial=0.0)) for b in blocks)
+    return scale * float(np.sqrt(sum(np.sum((b / scale) ** 2) for b in blocks)))
 
 
 def run_epochs(corpus, feats, h, cfg, step, log, *, n_users, lead):

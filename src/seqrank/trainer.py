@@ -38,6 +38,9 @@ divergence guard and the log line.
 
 from dataclasses import dataclass
 
+# "np.random.Generator" annotations stay quoted: evaluated when a def
+# runs, they would import numpy.random, which numpy loads lazily and
+# eval and coldstart of a trained kind never use
 import numpy as np
 
 from . import numkit, sgd
@@ -228,7 +231,7 @@ def train(corpus: Corpus, feats: dict, h: Hyper, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 # the gradient check's fixture
 
-def tiny_fixture(rng: np.random.Generator):
+def tiny_fixture(rng: "np.random.Generator"):
     """One-user corpus, 6 items and a length-4 sequence, with 3-wide
     features drawn uniformly in each content slice's range and a full
     negative ladder, small enough to finite-difference every parameter

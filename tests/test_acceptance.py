@@ -97,8 +97,8 @@ def test_metric_oracle_equivalence():
         relevant = set(rng.choice(ranked, size=n_rel, replace=False))
         k = int(rng.integers(1, n + 1))
 
-        hit = np.array([it in relevant for it in ranked])
-        recall, precision, ap, ndcg = cutoff_metrics(hit, n_rel, (k,))[k]
+        pos = [j for j, it in enumerate(ranked) if it in relevant]
+        recall, precision, ap, ndcg = cutoff_metrics(pos, n_rel, (k,))[k]
         assert abs(recall - recall_ref(ranked, relevant, k)) <= ORACLE_TOL
         assert abs(precision - precision_ref(ranked, relevant, k)) <= ORACLE_TOL
         assert abs(ap - average_precision_ref(ranked, relevant, k)) <= ORACLE_TOL

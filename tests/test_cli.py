@@ -346,6 +346,27 @@ def test_diverging_train_keeps_its_logged_epochs(pipeline, tmp_path, capsys):
         str(e) for e in range(1, epoch)]
 
 
+def test_overflowing_sum_of_squares_logs_a_finite_norm(pipeline, tmp_path):
+    # by epoch 5 an entry passes 1.3e154, where the plain sum of squares
+    # overflows, while every parameter stays finite through epoch 8
+    _, paths, _ = pipeline
+    cfg = write_config(tmp_path / "c.json", {
+        "kind": "rnn", "data": paths,
+        "hyper": {"alpha": 1e6, "lam_theta": 0.01},
+        "train": {"epochs": 8},
+    })
+    import numpy as np
+    with np.errstate(all="ignore"):
+        code = cli.main(["train", "--config", cfg, "--seed", "5",
+                         "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    norms = [float(line.split("\t")[2]) for line in
+             (tmp_path / "train_rnn.log").read_text().splitlines()]
+    assert len(norms) == 8
+    assert all(np.isfinite(norms)), norms
+    assert norms[4] > 1e154
+
+
 @pytest.mark.parametrize("section,key,value", [("hyper", "d", 2.5),
                                                ("hyper", "d", True),
                                                ("train", "epochs", 1.5)])
@@ -677,6 +698,29 @@ def test_unread_feature_files_change_nothing(pipeline, tmp_path, kind):
                 == (tmp_path / "without" / name).read_bytes()), name
 
 
+def test_train_parses_only_the_feature_files_its_kind_reads(pipeline,
+                                                            tmp_path, capsys):
+    """An unread feature file is not parsed, so neither its parse errors
+    nor its missing-feature warnings appear; its path must still exist."""
+    _, paths, _ = pipeline
+    partial, broken = tmp_path / "partial.tsv", tmp_path / "broken.tsv"
+    partial.write_text("".join(open(paths["visual"]).readlines()[:2]))
+    broken.write_text("not a feature file\n")
+    for visual, kind, code, err in (
+            (partial, "rnn", cli.EXIT_OK, ""),
+            (broken, "tbpr", cli.EXIT_OK, ""),
+            (partial, "vbpr", cli.EXIT_OK, "lack visual features (zero-filled)"),
+            (broken, "vrnn", cli.EXIT_DATA, "broken.tsv:1: expected '#dims"),
+            (tmp_path / "none.tsv", "rnn", cli.EXIT_CONFIG, "does not exist")):
+        cfg = write_config(tmp_path / "c.json", {
+            "kind": kind, "data": dict(paths, visual=str(visual)),
+            "hyper": {"d": 2}, "train": {"epochs": 1}})
+        assert cli.main(["train", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == code, kind
+        got = capsys.readouterr().err
+        assert err in got if err else got == "", (kind, got)
+
+
 def scripts_table(text):
     """Read `[project.scripts]` of a pyproject.toml text as flat
     `name = "module:attr"` lines (Python 3.10 has no stdlib TOML reader)."""
@@ -698,12 +742,17 @@ def run_gradcheck(argv, env):
     assert "max relative error" in proc.stdout
 
 
-def test_console_script_entry_point():
-    # the children find the package in src, as an uninstalled checkout's
-    # tests do
+def src_env():
+    """The environment with src first on PYTHONPATH: children find the
+    package there, as an uninstalled checkout's tests do."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_console_script_entry_point():
+    env = src_env()
     proc = subprocess.run([sys.executable, "-m", "seqrank.cli"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2  # no subcommand given
@@ -725,3 +774,55 @@ def test_scripts_table_matches_tomllib():
     text = (ROOT / "pyproject.toml").read_text()
     assert (scripts_table(text)
             == tomllib.loads(text)["project"]["scripts"])
+
+
+# modules a command has no use for unless it ranks with `random`: numpy
+# loads numpy.random lazily, and hashlib loads OpenSSL; together they are
+# about 10-15 ms of every process's start
+UNUSED_BY_TRAINED_KINDS = ("_hashlib", "hashlib", "numpy.random")
+
+CHILD = f"""\
+import sys
+from seqrank import cli
+if sys.argv[1:]:
+    assert cli.main(sys.argv[1:]) == 0
+print(*sorted(set({UNUSED_BY_TRAINED_KINDS!r}) & set(sys.modules)))
+"""
+
+
+def loaded_in_child(argv):
+    """The UNUSED_BY_TRAINED_KINDS modules, sorted, that a fresh
+    interpreter holds after importing seqrank.cli and, when argv is
+    given, running it."""
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_commands_of_trained_kinds_load_no_random_or_hashlib(pipeline,
+                                                             tmp_path):
+    _, paths, ckpts = pipeline
+    ckpts = dict(ckpts)
+    for kind in ("vtbpr", "random"):
+        cfg = write_config(tmp_path / f"{kind}.json", {
+            "kind": kind, "data": paths, "hyper": {"d": 3},
+            "train": {"epochs": 2}})
+        assert cli.main(["train", "--config", cfg, "--seed", "2",
+                         "--out", str(tmp_path / kind)]) == 0
+        ckpts[kind] = tmp_path / kind / f"{kind}.ckpt"
+    cfg = write_config(tmp_path / "eval.json", {"data": paths})
+    out = ["--config", cfg, "--out", str(tmp_path / "child")]
+    assert loaded_in_child([]) == []
+    for argv in (["eval", str(ckpts["rnn"])], ["eval", str(ckpts["vtbpr"])],
+                 ["coldstart", str(ckpts["rnn"]), str(ckpts["vtbpr"])]):
+        assert loaded_in_child(argv + out) == []
+    # the random ranker loads them where it draws, and ranks as it does
+    # in a process that had loaded them before
+    assert loaded_in_child(["eval", str(ckpts["random"])] + out) == list(
+        UNUSED_BY_TRAINED_KINDS)
+    assert cli.main(["eval", str(ckpts["random"]), "--config", cfg,
+                     "--out", str(tmp_path / "here")]) == 0
+    for name in ("eval_random.json", "eval_random.csv"):
+        assert ((tmp_path / "child" / name).read_bytes()
+                == (tmp_path / "here" / name).read_bytes()), name

@@ -12,6 +12,7 @@ from seqrank.dataio import (MIN_LEN, RANGES, SPLIT_FRAC, FeatureTable,
                             write_features, write_sequences)
 from seqrank.errors import (ConfigError, EmptyCorpusError, ParseError,
                             SamplingError)
+from seqrank.model import HYPER_REALS
 
 
 def ids(c, rows):
@@ -243,6 +244,23 @@ def test_synth_spec_validation():
     with pytest.raises(ConfigError, match="clusters"):
         SynthSpec(users=2, items=4, clusters=5, seq_len=3,
                   f_dim_visual=1, f_dim_textual=1, noise_sigma=0.1, seed=0)
+
+
+def test_field_scans_name_every_typed_field():
+    # the scans match `f.type is int` and `f.type is float`; string
+    # annotations (a `from __future__ import annotations`) would match
+    # nothing and switch this validation off without an error
+    assert HYPER_REALS == ("alpha", "lam_theta", "lam_e", "lam_v",
+                           "init_lo", "init_hi")
+    ints = ["users", "items", "clusters", "seq_len", "f_dim_visual",
+            "f_dim_textual", "seed", "tail_pool"]
+    reals = ["noise_sigma", "self_prob", "tail_fraction", "cold_fraction",
+             "cold_prob"]
+    with pytest.raises(ConfigError) as err:
+        SynthSpec(**dict.fromkeys(ints, 1.5), **dict.fromkeys(reals, "x"))
+    assert str(err.value) == "; ".join(
+        [f"{name} must be an integer, got 1.5" for name in ints]
+        + [f"{name} must be a finite real number, got 'x'" for name in reals])
 
 
 def test_synth_spec_from_json_rejects_unknown():

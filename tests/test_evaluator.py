@@ -33,8 +33,8 @@ def test_eval_config_validation():
 
 def at_k(ranked, relevant, k):
     """(recall, precision, MAP, NDCG) at k of one ranked id list."""
-    hit = np.array([it in relevant for it in ranked])
-    return cutoff_metrics(hit, len(relevant), (k,))[k]
+    pos = [j for j, it in enumerate(ranked) if it in relevant]
+    return cutoff_metrics(pos, len(relevant), (k,))[k]
 
 
 def test_recall_precision():
@@ -69,7 +69,7 @@ def test_cutoff_beyond_memory_reads_the_last_entry():
     assert precision == precision_ref(ranked, relevant, k)
     assert ap == average_precision_ref(ranked, relevant, k)
     assert ndcg == ndcg_ref(ranked, relevant, k)
-    assert cutoff_metrics(np.array([], dtype=bool), 2, (k,))[k] == \
+    assert cutoff_metrics([], 2, (k,))[k] == \
         (0.0, 0.0, 0.0, 0.0)
 
 
