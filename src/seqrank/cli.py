@@ -174,13 +174,19 @@ def resolve_config(args) -> dict:
     problems += _data_problems(cfg, args.cmd)
     if args.cmd == "synth" and raw.get("synth") is None:
         problems.append("synth section is required for the synth command")
+    # a bad run seed is train's seed too, and synth's under `synth --seed`;
+    # it is reported once, above, and the sections are checked with seed 0
+    # in its place, so each still reports all of its other problems
+    checked = cfg
+    if not seed_ok:
+        checked = dict(cfg, seed=0)
+        if args.seed is not None and args.cmd == "synth" and cfg["synth"] is not None:
+            checked["synth"] = dict(cfg["synth"], seed=0)
     for name, build in SECTIONS.items():
-        # a bad --seed is synth's seed too, and is reported once, above
-        if cfg[name] is None or (name == "synth" and not seed_ok
-                                 and args.seed is not None):
+        if cfg[name] is None:
             continue
         try:
-            build(cfg)
+            build(checked)
         except (ConfigError, TypeError) as exc:
             problems.append(f"{name}: {exc}")
 

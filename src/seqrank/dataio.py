@@ -11,7 +11,7 @@ feature-missing warnings and the (id, score) pairs of a ranker's
 `rank(u)`."""
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 # "np.random.Generator" annotations stay quoted: evaluated when a def
 # runs, they would import numpy.random, which numpy loads lazily and
@@ -323,12 +323,7 @@ class SynthSpec:
     tail_pool: int = 0
 
     def __post_init__(self):
-        ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type is int]
-        bad = [f"{name} must be an integer, got {v!r}" for name, v in ints
-               if not numkit.is_int(v)]
-        reals = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type is float]
-        bad += [f"{name} must be a finite real number, got {v!r}"
-                for name, v in reals if not numkit.is_real(v)]
+        bad = numkit.type_problems(self)
         if bad:
             raise ConfigError("; ".join(bad))
         problems = []
@@ -381,11 +376,9 @@ class SynthSpec:
 
     def cluster_pools(self) -> list:
         """Per cluster, (common item indices, cold item indices)."""
-        members = [[] for _ in range(self.clusters)]
-        for j in range(self.items):
-            members[self.item_cluster(j)].append(j)
         pools = []
-        for mem in members:
+        for c in range(self.clusters):
+            mem = list(range(c, self.items, self.clusters))
             n_cold = int(len(mem) * self.cold_fraction)
             if n_cold >= len(mem):
                 n_cold = len(mem) - 1
@@ -402,12 +395,13 @@ def synth_raw(spec: SynthSpec, rng: "np.random.Generator"):
     k = spec.clusters
     cen_v = rng.normal(0.0, 1.0, (k, spec.f_dim_visual))
     cen_t = rng.normal(0.0, 1.0, (k, spec.f_dim_textual))
-    clusters = np.array([spec.item_cluster(j) for j in range(spec.items)])
+    clusters = np.arange(spec.items) % k
     feats_v = cen_v[clusters] + spec.noise_sigma * rng.normal(0.0, 1.0, (spec.items, spec.f_dim_visual))
     feats_t = cen_t[clusters] + spec.noise_sigma * rng.normal(0.0, 1.0, (spec.items, spec.f_dim_textual))
     feats_v = normalize_minmax(feats_v, *RANGES["visual"])
     feats_t = normalize_minmax(feats_t, *RANGES["textual"])
 
+    ids = [spec.item_id(j) for j in range(spec.items)]  # ascending
     pools = spec.cluster_pools()
     tail_start = math.ceil((1.0 - spec.tail_fraction) * spec.seq_len)
     raw_seqs = {}
@@ -429,10 +423,9 @@ def synth_raw(spec: SynthSpec, rng: "np.random.Generator"):
                     pool = cold
                 elif spec.tail_pool:
                     pool = common[:min(spec.tail_pool, len(common))]
-            seq.append(spec.item_id(pool[int(rng.integers(len(pool)))]))
+            seq.append(ids[pool[int(rng.integers(len(pool)))]])
         raw_seqs[spec.user_id(uj)] = seq
 
-    ids = [spec.item_id(j) for j in range(spec.items)]  # ascending
     return raw_seqs, {"visual": FeatureTable(ids, feats_v),
                       "textual": FeatureTable(ids, feats_t)}
 

@@ -29,7 +29,7 @@ and the stable one when some tie or are NaN, so the order is always the
 stable sort's.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 # "np.random.Generator" annotations stay quoted: evaluated when a def
@@ -79,18 +79,13 @@ class Hyper:
     init_hi: float = 0.5
 
     def __post_init__(self):
-        reals = [(name, getattr(self, name)) for name in HYPER_REALS]
-        problems = [f"{name} must be a finite real number, got {v!r}"
-                    for name, v in reals if not numkit.is_real(v)]
-        reals_ok = not problems
-        if not numkit.is_int(self.d):
-            problems.append(f"d must be an integer, got {self.d!r}")
-        elif self.d < 1:
+        problems = numkit.type_problems(self)
+        if numkit.is_int(self.d) and self.d < 1:
             problems.append(f"d must be >= 1, got {self.d}")
         if self.mask not in MASK_BY_KIND.values():
             problems.append(f"mask {self.mask!r} is not a kind's slice tuple, "
                             f"one of {sorted(set(MASK_BY_KIND.values()))}")
-        if reals_ok:
+        if all(numkit.is_real(getattr(self, name)) for name in HYPER_REALS):
             # alpha == 0 is allowed: a zero-rate pass is the standard no-op probe
             if self.alpha < 0:
                 problems.append(f"alpha must be >= 0, got {self.alpha}")
@@ -124,7 +119,7 @@ class Hyper:
 
 # the float settings of Hyper, in field order: what a config's "hyper"
 # section and a checkpoint header carry besides the dims
-HYPER_REALS = tuple(f.name for f in fields(Hyper) if f.type is float)
+HYPER_REALS = ("alpha", "lam_theta", "lam_e", "lam_v", "init_lo", "init_hi")
 
 
 def block_shapes(h: Hyper, feats: dict, n_users: int | None,

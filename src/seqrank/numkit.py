@@ -1,8 +1,9 @@
 """Float64 numeric kernels shared by every model in the package: stable
 sigmoids, the central finite differences behind `sgd.grad_check`, and the
-tests every float and integer setting, and every array size a setting
-asks for, passes."""
+tests every setting's type (`type_problems`, read from its annotation), and
+every array size a setting asks for, passes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,6 +33,28 @@ def fits_float64(shape: tuple) -> bool:
 def is_count(v, least: int = 0) -> bool:
     """An int, not a bool, of at least `least`."""
     return is_int(v) and v >= least
+
+
+# what a settings field's annotation requires of its value, and how a
+# problem reads, in the order type_problems reports them
+_TYPE_RULES = (
+    (int, is_int, "an integer"),
+    (float, is_real, "a finite real number"),
+    (float | None, lambda v: v is None or is_real(v), "a finite real number"),
+    (bool, lambda v: isinstance(v, bool), "true or false"),
+)
+
+
+def type_problems(obj) -> list:
+    """What is wrong with the types of a settings dataclass's fields, one
+    message each: every field annotated int, float, float | None or bool is
+    checked against its annotation, int fields first, then float, float |
+    None and bool ones, each rule in field order. A field with any other
+    annotation is not checked here."""
+    fields = dataclasses.fields(obj)
+    return [f"{f.name} must be {what}, got {getattr(obj, f.name)!r}"
+            for kind, ok, what in _TYPE_RULES for f in fields
+            if f.type == kind and not ok(getattr(obj, f.name))]
 
 
 def sigmoid_arr(x: np.ndarray) -> np.ndarray:

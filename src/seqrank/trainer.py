@@ -57,20 +57,15 @@ class TrainConfig:
     clip_norm: float | None = None
 
     def __post_init__(self):
-        if not numkit.is_int(self.epochs):
-            raise ConfigError(f"epochs must be an integer, got {self.epochs!r}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not isinstance(self.shuffle_users, bool):
-            raise ConfigError(f"shuffle_users must be true or false, "
-                              f"got {self.shuffle_users!r}")
-        if self.clip_norm is None:
-            return
-        if not numkit.is_real(self.clip_norm):
-            raise ConfigError(f"clip_norm must be a finite real number, "
-                              f"got {self.clip_norm!r}")
-        if self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
+        problems = numkit.type_problems(self)
+        if numkit.is_int(self.epochs) and self.epochs < 1:
+            problems.append(f"epochs must be >= 1, got {self.epochs}")
+        if numkit.is_int(self.seed) and self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
+        if numkit.is_real(self.clip_norm) and self.clip_norm <= 0:
+            problems.append(f"clip_norm must be > 0, got {self.clip_norm}")
+        if problems:
+            raise ConfigError("; ".join(problems))
 
 
 @dataclass

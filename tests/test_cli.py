@@ -409,6 +409,8 @@ def test_float_setting_must_be_finite_real(pipeline, tmp_path, capsys,
 @pytest.mark.parametrize("cmd,extra,argv,fragment", [
     ("train", {"train": {"epochs": 1, "shuffle_users": "false"}}, [],
      "train: shuffle_users must be true or false, got 'false'"),
+    ("train", {"train": {"epochs": 0, "clip_norm": -1}}, [],
+     "train: epochs must be >= 1, got 0; clip_norm must be > 0, got -1\n"),
     ("eval", {"eval": {"cutoffs": [10.5]}}, ["ckpt"],
      "eval: cutoffs and bins must be integers"),
     ("coldstart", {"eval": {"bins": [1, 1.5]}}, ["ckpt"],
@@ -432,8 +434,8 @@ def test_float_setting_must_be_finite_real(pipeline, tmp_path, capsys,
     ("train", {"synth": 5}, [], "config key 'synth' must be an object"),
     ("eval", {"synth": 5}, ["ckpt"], "config key 'synth' must be an object"),
     ("gradcheck", {"synth": 5}, [], "config key 'synth' must be an object"),
-], ids=["shuffle-string", "float-cutoff", "float-bin", "bool-k",
-        "string-cutoffs", "object-bins", "float-users",
+], ids=["shuffle-string", "train-every-problem", "float-cutoff", "float-bin",
+        "bool-k", "string-cutoffs", "object-bins", "float-users",
         "synth-seed", "synth-flag-seed", "seed", "bool-seed", "flag-seed",
         "gradcheck-flag-seed", "hyper-int", "synth-int", "train-synth-int",
         "eval-synth-int", "gradcheck-synth-int"])
@@ -448,6 +450,22 @@ def test_mistyped_config_is_config_error(pipeline, tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == cli.EXIT_CONFIG
     assert err.startswith(f"config error:\n{fragment}") and err.count("\n") == 2, err
+
+
+@pytest.mark.parametrize("cmd,extra,argv,lines", [
+    ("train", {"seed": "7", "train": {"epochs": 0}}, [],
+     ["seed must be an integer >= 0, got '7'", "train: epochs must be >= 1, got 0"]),
+    ("synth", {"synth": dict(SYNTH, users=30.5)}, ["--seed", "-1"],
+     ["seed must be an integer >= 0, got -1",
+      "synth: users must be an integer, got 30.5"]),
+], ids=["train", "synth-flag"])
+def test_bad_seed_is_reported_once_beside_its_sections_problems(
+        pipeline, tmp_path, capsys, cmd, extra, argv, lines):
+    _, paths, _ = pipeline
+    cfg = write_config(tmp_path / "c.json", dict({"data": paths}, **extra))
+    code = cli.main([cmd, "--config", cfg, "--out", str(tmp_path)] + argv)
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error:\n" + "\n".join(lines) + "\n"
 
 
 PAIRS_SHAPE = "pairs must be null or a list of [name, name] string pairs, got "

@@ -1,6 +1,8 @@
 """Corpus parsing, splitting, feature normalization, negative sampling,
 and the planted-cluster generator."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from seqrank.dataio import (MIN_LEN, RANGES, SPLIT_FRAC, FeatureTable,
                             write_features, write_sequences)
 from seqrank.errors import (ConfigError, EmptyCorpusError, ParseError,
                             SamplingError)
-from seqrank.model import HYPER_REALS
+from seqrank.model import HYPER_REALS, Hyper
+from seqrank.trainer import TrainConfig
 
 
 def ids(c, rows):
@@ -247,11 +250,12 @@ def test_synth_spec_validation():
 
 
 def test_field_scans_name_every_typed_field():
-    # the scans match `f.type is int` and `f.type is float`; string
-    # annotations (a `from __future__ import annotations`) would match
-    # nothing and switch this validation off without an error
+    # the scan, `numkit.type_problems`, matches each field's annotation
+    # object; string annotations (a `from __future__ import annotations`)
+    # would match nothing and switch this validation off without an error
     assert HYPER_REALS == ("alpha", "lam_theta", "lam_e", "lam_v",
                            "init_lo", "init_hi")
+    assert HYPER_REALS == tuple(f.name for f in fields(Hyper) if f.type is float)
     ints = ["users", "items", "clusters", "seq_len", "f_dim_visual",
             "f_dim_textual", "seed", "tail_pool"]
     reals = ["noise_sigma", "self_prob", "tail_fraction", "cold_fraction",
@@ -261,6 +265,12 @@ def test_field_scans_name_every_typed_field():
     assert str(err.value) == "; ".join(
         [f"{name} must be an integer, got 1.5" for name in ints]
         + [f"{name} must be a finite real number, got 'x'" for name in reals])
+    with pytest.raises(ConfigError) as err:
+        TrainConfig(epochs=1.5, seed=1.5, shuffle_users="x", clip_norm="x")
+    assert str(err.value) == (
+        "epochs must be an integer, got 1.5; seed must be an integer, got 1.5; "
+        "clip_norm must be a finite real number, got 'x'; "
+        "shuffle_users must be true or false, got 'x'")
 
 
 def test_synth_spec_from_json_rejects_unknown():

@@ -32,6 +32,20 @@ def test_train_config_validation():
         TrainConfig(epochs=1, seed=1, clip_norm=0.0)
 
 
+def test_train_config_reports_every_problem():
+    with pytest.raises(ConfigError) as err:
+        TrainConfig(epochs=0, seed=-1, clip_norm=-1)
+    assert str(err.value) == ("epochs must be >= 1, got 0; seed must be >= 0, "
+                              "got -1; clip_norm must be > 0, got -1")
+
+
+@pytest.mark.parametrize("seed", ["7", True, 1.5])
+def test_train_config_seed_must_be_an_integer(seed):
+    with pytest.raises(ConfigError) as err:
+        TrainConfig(epochs=1, seed=seed)
+    assert str(err.value) == f"seed must be an integer, got {seed!r}"
+
+
 def make_context(h, seed=6):
     """(params, corpus, feats, negatives) of the one-user fixture;
     negatives is {"u0": the negative rows of steps 2..m}."""
