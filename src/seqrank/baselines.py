@@ -38,16 +38,21 @@ runs, each with the objective term its records ascend.
 """
 
 from dataclasses import replace
+from functools import cached_property
 
 # "np.random.Generator" annotations stay quoted: evaluated when a def
 # runs, they would import numpy.random, which numpy loads lazily and
 # eval and coldstart of a trained kind never use
 import numpy as np
 
-from . import model, numkit, sgd, trainer
+# sgd and trainer are imported inside the training functions that call
+# them: eval and coldstart load this module, through checkpoint, only to
+# rank, and train of mf or the BPR family loads no trainer
+from . import model, numkit
 from .dataio import Corpus
 from .errors import ConfigError
 from .model import Hyper, order_candidates
+from .settings import TrainConfig
 
 
 def user_stream(seed: int, u: str) -> "np.random.Generator":
@@ -94,17 +99,27 @@ class EmbedRanker:
     """Scores unseen items by dot product of their representations with
     the user's row of one (U, D) user-vector matrix: the trained "Gamma"
     rows of mf and the BPR family, or for the recurrent kinds every user's
-    final training state from one batched `model.final_states` pass."""
+    final training state from one batched `model.final_states` pass. Both
+    matrices are computed at the first `rank`, so a ranker that is only
+    saved, as `train`'s is, never computes them."""
 
     def __init__(self, kind: str, params: dict, corpus: Corpus,
                  feats: dict, h: Hyper):
         self.kind = kind
         self.params = params
         self.corpus = corpus
+        self.feats = feats
         self.h = h
-        self.rep = model.item_rep_matrix(params, feats, h)
-        self.user_vecs = (params["Gamma"] if "Gamma" in params
-                          else model.final_states(params, feats, corpus, h))
+
+    @cached_property
+    def rep(self) -> np.ndarray:
+        return model.item_rep_matrix(self.params, self.feats, self.h)
+
+    @cached_property
+    def user_vecs(self) -> np.ndarray:
+        if "Gamma" in self.params:
+            return self.params["Gamma"]
+        return model.final_states(self.params, self.feats, self.corpus, self.h)
 
     def rank(self, u: str) -> list:
         if u not in self.corpus.user_index:
@@ -166,9 +181,10 @@ def bpr_step(corpus: Corpus, feats: dict, h: Hyper):
 
 
 def train_content_bpr(corpus: Corpus, feats: dict, h: Hyper,
-                      cfg: trainer.TrainConfig, log) -> dict:
+                      cfg: TrainConfig, log) -> dict:
     """Pairwise ascent on dot(gamma_u, rep_p - rep_q), one `bpr_step` per
     visit of a user with 2 or more items, over `sgd.run_epochs`."""
+    from . import sgd
     return sgd.run_epochs(corpus, feats, h, cfg, bpr_step(corpus, feats, h),
                           log, n_users=len(corpus.users), lead=1)
 
@@ -177,12 +193,13 @@ def train_content_bpr(corpus: Corpus, feats: dict, h: Hyper,
 # pointwise matrix factorization
 
 def train_mf(corpus: Corpus, feats: dict, h: Hyper,
-             cfg: trainer.TrainConfig, log) -> dict:
+             cfg: TrainConfig, log) -> dict:
     """Squared-error factorization on implicit data: every training
     interaction is a target-1 observation paired with one sampled
     target-0 negative, and a user visit is one `mf_user_grads` step over
     all of them. The logged objective is the mean squared error; mf has
     no content slice, so no block reads `feats`."""
+    from . import sgd
     if h.mask != ("latent",):
         raise ConfigError("mf uses the latent slice only")
 
@@ -216,7 +233,7 @@ def mf_user_grads(params: dict, uj: int, rows: np.ndarray,
 # factory
 
 def build_ranker(kind: str, corpus: Corpus, feats: dict, h: Hyper,
-                 cfg: trainer.TrainConfig, log=None):
+                 cfg: TrainConfig, log=None):
     """Train (where applicable) and wrap a ranker of the requested kind.
     Trainable kinds train with `h.mask` set to their `model.MASK_BY_KIND`
     tuple, whatever `h` carried, and kernels as wide as `feats`, {content
@@ -229,9 +246,10 @@ def build_ranker(kind: str, corpus: Corpus, feats: dict, h: Hyper,
         raise ConfigError(f"unknown ranker kind {kind!r} "
                           f"(expected one of {sorted(model.ALL_KINDS)})")
     h = replace(h, mask=model.MASK_BY_KIND[kind])
-    train = (train_mf if kind == "mf"
-             else trainer.train if kind in model.RECURRENT_KINDS
-             else train_content_bpr)
+    if kind in model.RECURRENT_KINDS:
+        from .trainer import train
+    else:
+        train = train_mf if kind == "mf" else train_content_bpr
     params = train(corpus, feats, h, cfg, log)
     return EmbedRanker(kind, params, corpus, feats, h)
 
@@ -252,6 +270,7 @@ def grad_check(kind: str, h: Hyper, rng: "np.random.Generator") -> dict:
     whose 3 negatives repeat rows of a pool of 2; for mf one
     `mf_user_grads` per user of 2, each over 6 random observations of 4
     items without features, so rows repeat."""
+    from . import sgd, trainer
     h = replace(h, mask=model.MASK_BY_KIND[kind])
     if kind == "mf":
         visits = [(uj, rng.integers(4, size=6),

@@ -17,7 +17,11 @@ import sys
 
 import numpy as np
 
-from . import baselines, checkpoint, dataio, evaluator, model, numkit, trainer
+# each command imports the layers it runs, and resolve_config checks the
+# train and eval sections with the classes of `settings`, so synth loads
+# no trainer, ranker or evaluator, train no evaluator, and eval and
+# coldstart no trainer or sgd
+from . import dataio, model, numkit, settings
 from .errors import ConfigError, DataError, DivergenceError
 
 EXIT_OK = 0
@@ -48,8 +52,8 @@ DEFAULTS = {
 # and the command that uses the section runs it again to get the object
 SECTIONS = {
     "hyper": lambda cfg: model.Hyper(**cfg["hyper"]),
-    "train": lambda cfg: trainer.TrainConfig(seed=cfg["seed"], **cfg["train"]),
-    "eval": lambda cfg: evaluator.EvalConfig(
+    "train": lambda cfg: settings.TrainConfig(seed=cfg["seed"], **cfg["train"]),
+    "eval": lambda cfg: settings.EvalConfig(
         cutoffs=tuple(cfg["eval"]["cutoffs"]), bins=tuple(cfg["eval"]["bins"]),
         coldstart_k=cfg["eval"]["coldstart_k"]),
     "synth": lambda cfg: dataio.SynthSpec.from_json(cfg["synth"]),
@@ -242,6 +246,7 @@ def _write_reports(cfg: dict, name: str, report) -> str:
 
 
 def cmd_train(args) -> int:
+    from . import baselines, checkpoint
     cfg = resolve_config(args)
     kind = cfg["kind"]
     # a kind reads only its content slices, so other files stay unparsed
@@ -266,6 +271,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import checkpoint, evaluator
     cfg = resolve_config(args)
     corpus, feats = build_data(cfg)
     echo_config(cfg)
@@ -282,6 +288,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_coldstart(args) -> int:
+    from . import checkpoint, evaluator
     cfg = resolve_config(args)
     corpus, feats = build_data(cfg)
     echo_config(cfg)
@@ -314,6 +321,7 @@ def cmd_coldstart(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from . import baselines
     cfg = resolve_config(args)
     h = model.Hyper(d=2)
     worst, failed = 0.0, False

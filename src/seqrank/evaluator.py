@@ -28,38 +28,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import numkit
 from .dataio import Corpus
 from .errors import ConfigError, EmptyCorpusError
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    cutoffs: tuple = (10, 30, 50)
-    bins: tuple = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-    coldstart_k: int = 30     # the cold-start recall cutoff; hit rows kept within it
-
-    def __post_init__(self):
-        problems = []
-        if not all(numkit.is_int(v) for v in (*self.cutoffs, *self.bins)):
-            problems.append(f"cutoffs and bins must be integers, got "
-                            f"{list(self.cutoffs)} and {list(self.bins)}")
-        else:
-            if not self.cutoffs:
-                problems.append("cutoffs must be nonempty")
-            if any(k < 1 for k in self.cutoffs):
-                problems.append("cutoffs must be positive")
-            if list(self.cutoffs) != sorted(set(self.cutoffs)):
-                problems.append("cutoffs must be strictly increasing")
-            if any(b < 1 for b in self.bins):
-                problems.append("bins must be positive")
-            if list(self.bins) != sorted(set(self.bins)):
-                problems.append("bin bounds must be strictly increasing")
-        if not numkit.is_count(self.coldstart_k, 1):
-            problems.append(f"coldstart_k must be a positive integer, "
-                            f"got {self.coldstart_k!r}")
-        if problems:
-            raise ConfigError("; ".join(problems))
+from .settings import EvalConfig
 
 
 # ---------------------------------------------------------------------------

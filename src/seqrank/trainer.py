@@ -47,25 +47,7 @@ from . import numkit, sgd
 from .dataio import RANGES, Corpus
 from .errors import ConfigError
 from .model import KERNELS, Hyper, hidden_states, item_rep_matrix, score_pair
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int
-    seed: int
-    shuffle_users: bool = False
-    clip_norm: float | None = None
-
-    def __post_init__(self):
-        problems = numkit.type_problems(self)
-        if numkit.is_int(self.epochs) and self.epochs < 1:
-            problems.append(f"epochs must be >= 1, got {self.epochs}")
-        if numkit.is_int(self.seed) and self.seed < 0:
-            problems.append(f"seed must be >= 0, got {self.seed}")
-        if numkit.is_real(self.clip_norm) and self.clip_norm <= 0:
-            problems.append(f"clip_norm must be > 0, got {self.clip_norm}")
-        if problems:
-            raise ConfigError("; ".join(problems))
+from .settings import TrainConfig
 
 
 @dataclass

@@ -6,7 +6,8 @@ item table, as `build_corpus` does for the split it computes, and
 import numpy as np
 
 from seqrank.dataio import Corpus
-from seqrank.evaluator import EvalConfig, user_metrics
+from seqrank.evaluator import user_metrics
+from seqrank.settings import EvalConfig
 
 
 class FakeRanker:

@@ -16,10 +16,11 @@ from reference_metrics import (auc_ref, average_precision_ref, ndcg_ref,
 from seqrank import baselines, checkpoint, evaluator, model, numkit, sgd
 from seqrank.baselines import build_ranker
 from seqrank.dataio import SynthSpec, sample_triples, synth_corpus
-from seqrank.evaluator import (EvalConfig, auc_from_scores, cold_start_bins,
-                               cutoff_metrics, evaluate)
+from seqrank.evaluator import (auc_from_scores, cold_start_bins, cutoff_metrics,
+                               evaluate)
 from seqrank.model import MASK_BY_KIND, Hyper, init_params
-from seqrank.trainer import TrainConfig, sequence_context, sequence_updates
+from seqrank.settings import EvalConfig, TrainConfig
+from seqrank.trainer import sequence_context, sequence_updates
 
 GRAD_TOL = 1e-5
 ORACLE_TOL = 1e-12

@@ -10,10 +10,11 @@ from seqrank import baselines, model, trainer
 from seqrank.baselines import (EmbedRanker, PopRanker, RandomRanker,
                                build_ranker, grad_check,
                                train_content_bpr, train_mf, user_stream)
+from seqrank.checkpoint import save_ranker
 from seqrank.dataio import SynthSpec, synth_corpus
 from seqrank.errors import ConfigError, DivergenceError
 from seqrank.model import ALL_KINDS, KERNELS, MASK_BY_KIND, Hyper
-from seqrank.trainer import TrainConfig
+from seqrank.settings import TrainConfig
 
 SPEC = SynthSpec(users=6, items=24, clusters=3, seq_len=6,
                  f_dim_visual=2, f_dim_textual=2, noise_sigma=0.3, seed=21)
@@ -118,6 +119,20 @@ def test_recurrent_ranker_empty_sequence(toy_feats):
     assert len(r.rank("ann")) == 4
     with pytest.raises(ConfigError, match="empty training sequence"):
         r.rank("ben")
+
+
+def test_ranker_computes_its_matrices_at_the_first_rank(world, tmp_path):
+    """`train` saves the ranker that build_ranker returns and ranks with
+    none, so neither the item representations nor the user vectors are
+    computed before a first rank."""
+    corpus, feats = world
+    for kind in ("vtrnn", "vtbpr"):
+        r = build_ranker(kind, corpus, feats, Hyper(d=2),
+                         TrainConfig(epochs=1, seed=3))
+        save_ranker(tmp_path / f"{kind}.ckpt", r)
+        assert not {"rep", "user_vecs"} & set(vars(r)), kind
+        r.rank(corpus.users[0])
+        assert {"rep", "user_vecs"} <= set(vars(r)), kind
 
 
 def test_content_bpr_deterministic(world):

@@ -11,7 +11,7 @@ from seqrank.checkpoint import MAGIC, load_ranker, read_checkpoint, save_ranker
 from seqrank.dataio import SynthSpec, build_corpus, synth_corpus
 from seqrank.errors import CheckpointError
 from seqrank.model import ALL_KINDS, RECURRENT_KINDS, Hyper
-from seqrank.trainer import TrainConfig
+from seqrank.settings import TrainConfig
 
 SPEC = SynthSpec(users=6, items=24, clusters=3, seq_len=6,
                  f_dim_visual=2, f_dim_textual=2, noise_sigma=0.3, seed=21)

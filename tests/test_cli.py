@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from seqrank import checkpoint, cli, model
+from seqrank import checkpoint, cli, evaluator, model
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -112,7 +112,7 @@ def test_coldstart_unknown_pair_name_fails_before_evaluating(
     def no_evaluate(*args, **kwargs):
         raise AssertionError("evaluate called before the pairs check")
 
-    monkeypatch.setattr(cli.evaluator, "evaluate", no_evaluate)
+    monkeypatch.setattr(evaluator, "evaluate", no_evaluate)
     code = cli.main(["coldstart", str(ckpts["vtrnn"]), str(ckpts["rnn"]),
                      "--config", cfg, "--out", str(tmp_path)])
     assert code == cli.EXIT_CONFIG
@@ -799,21 +799,22 @@ def test_scripts_table_matches_tomllib():
 # about 10-15 ms of every process's start
 UNUSED_BY_TRAINED_KINDS = ("_hashlib", "hashlib", "numpy.random")
 
-CHILD = f"""\
+CHILD = """\
 import sys
 from seqrank import cli
-if sys.argv[1:]:
-    assert cli.main(sys.argv[1:]) == 0
-print(*sorted(set({UNUSED_BY_TRAINED_KINDS!r}) & set(sys.modules)))
+watched = set(sys.argv[1].split())
+if sys.argv[2:]:
+    assert cli.main(sys.argv[2:]) == 0
+print(*sorted(watched & set(sys.modules)))
 """
 
 
-def loaded_in_child(argv):
-    """The UNUSED_BY_TRAINED_KINDS modules, sorted, that a fresh
-    interpreter holds after importing seqrank.cli and, when argv is
-    given, running it."""
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv],
-                          capture_output=True, text=True, env=src_env())
+def loaded_in_child(argv, modules=UNUSED_BY_TRAINED_KINDS):
+    """The `modules`, sorted, that a fresh interpreter holds after
+    importing seqrank.cli and, when argv is given, running it."""
+    proc = subprocess.run([sys.executable, "-c", CHILD, " ".join(modules),
+                           *argv], capture_output=True, text=True,
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split()
 
@@ -844,3 +845,37 @@ def test_commands_of_trained_kinds_load_no_random_or_hashlib(pipeline,
     for name in ("eval_random.json", "eval_random.csv"):
         assert ((tmp_path / "child" / name).read_bytes()
                 == (tmp_path / "here" / name).read_bytes()), name
+
+
+# every module of the package but the entry points; a command imports
+# only the layers it runs, so synth loads no trainer, ranker, checkpoint
+# or evaluator, train no evaluator (and of mf or the BPR family no
+# trainer), and eval and coldstart neither trainer nor sgd
+PACKAGE = tuple(f"seqrank.{p.stem}" for p in (ROOT / "src" / "seqrank").glob("*.py")
+                if not p.stem.startswith("__"))
+SETTINGS_LAYERS = ("cli", "dataio", "errors", "model", "numkit", "settings")
+RANKING_LAYERS = SETTINGS_LAYERS + ("baselines", "checkpoint")
+
+
+def test_each_command_loads_only_the_layers_it_runs(pipeline, tmp_path):
+    root, paths, ckpts = pipeline
+    out = ["--out", str(tmp_path / "out")]
+    cfg = {kind: ["--config", write_config(tmp_path / f"{kind}.json", {
+        "kind": kind, "data": paths, "hyper": {"d": 3},
+        "train": {"epochs": 2}, "synth": SYNTH})] for kind in ("vtrnn", "mf")}
+    runs = [(["synth", *cfg["vtrnn"]], SETTINGS_LAYERS),
+            (["train", *cfg["vtrnn"]], RANKING_LAYERS + ("sgd", "trainer")),
+            (["train", *cfg["mf"]], RANKING_LAYERS + ("sgd",)),
+            (["eval", str(ckpts["rnn"]), *cfg["vtrnn"]],
+             RANKING_LAYERS + ("evaluator",)),
+            (["eval", str(ckpts["vtrnn"]), *cfg["vtrnn"]],
+             RANKING_LAYERS + ("evaluator",)),
+            (["coldstart", str(ckpts["rnn"]), str(ckpts["vtrnn"]),
+              *cfg["vtrnn"]], RANKING_LAYERS + ("evaluator",))]
+    for argv, layers in runs:
+        want = sorted(f"seqrank.{m}" for m in layers)
+        assert loaded_in_child(argv + out, PACKAGE) == want, argv
+    # synth, with no trainer or ranker loaded, wrote the same corpus
+    for name in ("sequences.tsv", "visual.tsv", "textual.tsv"):
+        assert ((tmp_path / "out" / name).read_bytes()
+                == (root / "data" / name).read_bytes()), name

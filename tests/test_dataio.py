@@ -15,7 +15,7 @@ from seqrank.dataio import (MIN_LEN, RANGES, SPLIT_FRAC, FeatureTable,
 from seqrank.errors import (ConfigError, EmptyCorpusError, ParseError,
                             SamplingError)
 from seqrank.model import HYPER_REALS, Hyper
-from seqrank.trainer import TrainConfig
+from seqrank.settings import TrainConfig
 
 
 def ids(c, rows):

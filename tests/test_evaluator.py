@@ -9,9 +9,10 @@ from reference_metrics import (auc_ref, average_precision_ref, cold_start_ref,
 from seqrank.baselines import RandomRanker
 from seqrank.dataio import build_corpus
 from seqrank.errors import ConfigError, EmptyCorpusError
-from seqrank.evaluator import (EvalConfig, auc_from_scores, cold_start_bins,
-                               cutoff_metrics, evaluate, user_metrics)
+from seqrank.evaluator import (auc_from_scores, cold_start_bins, cutoff_metrics,
+                               evaluate, user_metrics)
 from seqrank.evaluator import test_frequencies as frequencies_in_test
+from seqrank.settings import EvalConfig
 
 NDCG_SINGLE_REL_AT_2 = 0.6309297535714574  # 1/log2(3)
 

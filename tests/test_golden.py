@@ -71,9 +71,9 @@ import pytest
 
 from seqrank.baselines import build_ranker
 from seqrank.dataio import synth_corpus
-from seqrank.evaluator import METRICS, EvalConfig, cold_start_bins, evaluate
+from seqrank.evaluator import METRICS, cold_start_bins, evaluate
 from seqrank.model import KERNELS, MASK_BY_KIND, Hyper
-from seqrank.trainer import TrainConfig
+from seqrank.settings import EvalConfig, TrainConfig
 from test_acceptance import SMALL
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_trace.npz")

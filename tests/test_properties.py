@@ -48,10 +48,11 @@ from seqrank.dataio import (FLOAT_CHUNK, RANGES, FeatureTable, SynthSpec,
                             parse_sequence_file, sample_triples, synth_raw,
                             write_features)
 from seqrank.errors import CheckpointError, EmptyCorpusError, ParseError
-from seqrank.evaluator import EvalConfig, cold_start_bins
+from seqrank.evaluator import cold_start_bins
 from seqrank.model import (ALL_KINDS, MASK_BY_KIND, RECURRENT_KINDS, Hyper,
                            block_shapes, final_states, hidden_states,
                            init_params, item_rep_matrix, order_candidates)
+from seqrank.settings import EvalConfig
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
                 max_examples=100)

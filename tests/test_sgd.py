@@ -19,8 +19,9 @@ from seqrank.dataio import SynthSpec, sample_triples, synth_corpus
 from seqrank.errors import DivergenceError
 from seqrank.model import (KERNELS, MASK_BY_KIND, Hyper, init_params,
                            item_rep_matrix)
-from seqrank.trainer import (TrainConfig, sequence_context, sequence_updates,
-                             tiny_fixture, train)
+from seqrank.settings import TrainConfig
+from seqrank.trainer import (sequence_context, sequence_updates, tiny_fixture,
+                             train)
 
 FREE = dict(alpha=0.5, lam_theta=0.0, lam_e=0.0, lam_v=0.0)
 SEED = 9

@@ -19,8 +19,9 @@ import pytest
 
 from seqrank import cli, dataio, trainer
 from seqrank.baselines import RandomRanker, build_ranker
-from seqrank.evaluator import EvalConfig, evaluate
+from seqrank.evaluator import evaluate
 from seqrank.model import RECURRENT_KINDS, Hyper
+from seqrank.settings import EvalConfig, TrainConfig
 
 COUNTED = [
     ("trainer", "sequence_context"),   # one call per training sequence
@@ -177,7 +178,7 @@ def test_only_recurrent_training_calls_the_trainer(monkeypatch, kind):
                          f_dim_visual=2, f_dim_textual=2, noise_sigma=0.3,
                          seed=2),
         np.random.default_rng(2))
-    cfg = trainer.TrainConfig(epochs=1, seed=3)
+    cfg = TrainConfig(epochs=1, seed=3)
     called = record_trainer_calls(monkeypatch)
     build_ranker(kind, corpus, feats, Hyper(d=2), cfg)
     # rnn, the control, shows the recorder sees the trainer's calls

@@ -10,9 +10,10 @@ from seqrank.errors import ConfigError, DivergenceError
 from seqrank.model import (MASK_BY_KIND, RECURRENT_KINDS, SLICE_NAMES, Hyper,
                            hidden_states, init_params, item_rep_matrix,
                            step_hidden, tanh_transitions)
-from seqrank.trainer import (SeqContext, TrainConfig, backward_gradients,
-                             backward_steps, forward_updates, sequence_context,
-                             sequence_updates, tiny_fixture, train)
+from seqrank.settings import TrainConfig
+from seqrank.trainer import (SeqContext, backward_gradients, backward_steps,
+                             forward_updates, sequence_context, sequence_updates,
+                             tiny_fixture, train)
 
 FULL = SLICE_NAMES
 # the recurrent kind of each slice mask

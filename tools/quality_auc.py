@@ -47,9 +47,9 @@ def measure() -> dict:
 
     from seqrank.baselines import build_ranker
     from seqrank.dataio import SynthSpec, synth_corpus
-    from seqrank.evaluator import EvalConfig, evaluate
+    from seqrank.evaluator import evaluate
     from seqrank.model import ALPHA_BY_KIND, Hyper
-    from seqrank.trainer import TrainConfig
+    from seqrank.settings import EvalConfig, TrainConfig
 
     out = {f"{kind}@{epochs}": {} for kind, epochs in RUNS}
     for seed in SEEDS:
